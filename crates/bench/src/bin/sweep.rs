@@ -5,7 +5,7 @@
 //! cargo run --release -p temu-bench --bin sweep -- --list
 //! cargo run --release -p temu-bench --bin sweep -- ladder --out ladder.json
 //! cargo run --release -p temu-bench --bin sweep -- grid100 --cache target/sweep_cache.jsonl
-//! cargo run --release -p temu-bench --bin sweep -- explore --batch
+//! cargo run --release -p temu-bench --bin sweep -- explore --threads 2
 //! cargo run --release -p temu-bench --bin sweep -- --smoke
 //! ```
 //!
@@ -15,19 +15,13 @@
 //! per-point progress and reports the sweep's build-artifact cache
 //! (floorplans, meshes, multigrid hierarchies, workload programs shared
 //! across points); with `--cache <store.jsonl>` a re-run (same process or
-//! not) skips every already-solved point. `--batch` fuses points that
-//! share a thermal operator into lockstep groups solved by the many-RHS
-//! kernel (bitwise-identical results); `--no-batch` forces the per-point
-//! campaign path.
+//! not) skips every already-solved point.
 //!
 //! `--smoke` runs the check.sh gate: the strict-convergence `smoke`
 //! preset (8 points, multigrid included) on one thread — asserting the
 //! artifact cache built the shared mesh exactly once — then an in-process
-//! re-run that must be 100% cache hits, then the same grid again through
-//! the batched lockstep path, which must match the campaign run
-//! peak-for-peak. Any failed point, unconverged substep, missed cache
-//! hit, artifact rebuild, or batched-vs-sequential mismatch exits
-//! non-zero.
+//! re-run that must be 100% cache hits. Any failed point, unconverged
+//! substep, missed cache hit or artifact rebuild exits non-zero.
 
 use temu_framework::{ResultCache, Sweep, SweepReport, SweepSpec, NAMED_SWEEPS};
 
@@ -125,36 +119,6 @@ fn smoke() -> i32 {
         return 1;
     }
 
-    println!("\nsweep smoke: batched lockstep run must match the campaign run");
-    let batched = with_progress(build().batch(true)).run_cached(&ResultCache::in_memory());
-    summarize(&batched);
-    if !batched.all_ok() {
-        eprintln!("sweep smoke FAILED: {} batched point(s) failed", batched.n_failed());
-        return 1;
-    }
-    for (a, b) in first.points.iter().zip(&batched.points) {
-        let (x, y) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-        let same = x.windows == y.windows
-            && x.instructions == y.instructions
-            && x.peak_temp_k.map(f64::to_bits) == y.peak_temp_k.map(f64::to_bits)
-            && x.final_temp_k.map(f64::to_bits) == y.final_temp_k.map(f64::to_bits)
-            && x.unconverged_substeps == y.unconverged_substeps;
-        if a.key != b.key || !same {
-            eprintln!(
-                "sweep smoke FAILED: batched {} diverged from the sequential run ({:?} vs {:?})",
-                a.label, y.peak_temp_k, x.peak_temp_k
-            );
-            return 1;
-        }
-    }
-    if batched.artifacts.mesh_misses != 1 {
-        eprintln!(
-            "sweep smoke FAILED: the batched path built {} meshes",
-            batched.artifacts.mesh_misses
-        );
-        return 1;
-    }
-
     println!("\nsweep smoke OK");
     0
 }
@@ -203,7 +167,7 @@ fn main() {
         std::process::exit(obs_ab());
     }
     if args.iter().any(|a| a == "--list") || args.is_empty() {
-        println!("named sweeps (run with: sweep <name> [--out x.json] [--csv x.csv] [--cache store.jsonl] [--threads N] [--batch|--no-batch]):");
+        println!("named sweeps (run with: sweep <name> [--out x.json] [--csv x.csv] [--cache store.jsonl] [--threads N]):");
         for (name, what) in NAMED_SWEEPS {
             println!("  {name:<10} {what}");
         }
@@ -215,7 +179,6 @@ fn main() {
     let mut csv: Option<String> = None;
     let mut cache_path: Option<String> = None;
     let mut threads: Option<usize> = None;
-    let mut batch = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -227,10 +190,8 @@ fn main() {
                     it.next().and_then(|v| v.parse().ok()).expect("--threads takes a positive integer"),
                 );
             }
-            "--batch" => batch = true,
-            "--no-batch" => batch = false,
             flag if flag.starts_with("--") => {
-                panic!("unknown flag {flag} (supported: --out, --csv, --cache, --threads, --batch, --no-batch, --smoke, --list)")
+                panic!("unknown flag {flag} (supported: --out, --csv, --cache, --threads, --smoke, --obs-ab, --list)")
             }
             positional => name = Some(String::from(positional)),
         }
@@ -242,13 +203,9 @@ fn main() {
     if let Some(t) = threads {
         sweep = sweep.threads(t);
     }
-    sweep = with_progress(sweep.batch(batch));
+    sweep = with_progress(sweep);
 
-    println!(
-        "sweep {name}: {} point(s){}",
-        sweep.n_points(),
-        if batch { " [batched lockstep]" } else { "" }
-    );
+    println!("sweep {name}: {} point(s)", sweep.n_points());
     let report = match &cache_path {
         Some(path) => {
             let cache = ResultCache::with_store(path).expect("open cache store");

@@ -1,23 +1,22 @@
-//! A/B benchmark of the sweep execution paths, tracked as
+//! A/B benchmark of the sweep engine's artifact cache, tracked as
 //! `BENCH_sweep.json`.
 //!
 //! For each named preset (default: `explore` and `grid100`) the same grid
-//! runs three ways on one thread:
+//! runs two ways on one thread:
 //!
 //! * `per_point` — every point built from scratch (`Scenario::run`):
 //!   floorplan, mesh, multigrid hierarchy and workload program are
 //!   rederived per point, exactly what every sweep paid before the
 //!   artifact cache existed;
-//! * `campaign` — the sweep engine's default path: one sweep-scoped
+//! * `campaign` — the sweep engine's path: one sweep-scoped
 //!   [`ArtifactCache`](temu_framework::ArtifactCache) shares those builds
-//!   across points, each point stepped alone;
-//! * `batch` — the cached path plus lockstep fusion: points sharing a
-//!   thermal operator advance through the many-RHS kernel together.
+//!   across points.
 //!
-//! Each leg is timed over several repetitions (median wall). The run
-//! **fails** unless every leg produces bitwise-identical peak/final
-//! temperatures for every point — the golden equivalence gate for the
-//! batched kernel, enforced on the real presets, not a toy grid.
+//! Each leg is timed over several interleaved repetitions (median wall).
+//! The run **fails** unless both legs produce the same window count and
+//! bitwise-identical peak/final temperatures for every point — the golden
+//! equivalence gate for the artifact cache, enforced on the real presets,
+//! not a toy grid.
 //!
 //! Flags:
 //!   --reps <n>    repetitions per leg (default 5)
@@ -26,10 +25,9 @@
 use std::time::Instant;
 use temu_framework::{Sweep, SweepReport, SweepSpec};
 
-struct Leg {
-    wall_s: f64,
-    report: SweepReport,
-}
+/// A point's golden fields: windows, then the peak and final temperature
+/// bit patterns.
+type Golden = (u64, Option<u64>, Option<u64>);
 
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -46,70 +44,41 @@ fn build(name: &str) -> Sweep {
 
 /// One timed pass of the pre-artifact-cache baseline: run every point as
 /// a standalone scenario, rebuilding all of its artifacts.
-fn time_per_point(name: &str) -> f64 {
+fn time_per_point(name: &str) -> (f64, Vec<Golden>) {
     let t0 = Instant::now();
     let points = build(name).expand();
+    let mut golden = Vec::with_capacity(points.len());
     for p in &points {
         let scenario = p.scenario.as_ref().expect("preset points are valid");
-        scenario.run().expect("preset points succeed");
+        let run = scenario.run().expect("preset points succeed");
+        golden.push((
+            run.report.windows,
+            run.trace.peak_temp().map(f64::to_bits),
+            run.trace.final_temp().map(f64::to_bits),
+        ));
     }
-    t0.elapsed().as_secs_f64()
+    (t0.elapsed().as_secs_f64(), golden)
 }
 
-fn time_engine(name: &str, batch: bool) -> (f64, SweepReport) {
+fn time_campaign(name: &str) -> (f64, SweepReport) {
     let t0 = Instant::now();
-    let r = build(name).batch(batch).run();
+    let r = build(name).run();
     let wall = t0.elapsed().as_secs_f64();
-    assert!(r.all_ok(), "{name} (batch={batch}) failed:\n{}", r.to_json());
+    assert!(r.all_ok(), "{name} failed:\n{}", r.to_json());
     (wall, r)
 }
 
-/// Times all three legs over `reps` interleaved rounds (so slow drift in
-/// host state biases no single leg) and returns them by median wall.
-fn run_legs(name: &str, reps: usize) -> (Leg, Leg, Leg) {
-    let mut pp_walls = Vec::new();
-    let mut camp_walls = Vec::new();
-    let mut batch_walls = Vec::new();
-    let mut camp_report = None;
-    let mut batch_report = None;
-    for _ in 0..reps {
-        pp_walls.push(time_per_point(name));
-        let (w, r) = time_engine(name, false);
-        camp_walls.push(w);
-        camp_report = Some(r);
-        let (w, r) = time_engine(name, true);
-        batch_walls.push(w);
-        batch_report = Some(r);
-    }
-    // The per-point comparison summaries come from the engine itself
-    // (untimed), so all three legs diff identical report shapes.
-    let pp_report = build(name).run();
-    (
-        Leg { wall_s: median(pp_walls), report: pp_report },
-        Leg { wall_s: median(camp_walls), report: camp_report.expect("reps >= 1") },
-        Leg { wall_s: median(batch_walls), report: batch_report.expect("reps >= 1") },
-    )
-}
-
-/// Every point of `a` and `b` must agree bitwise on the temperature
-/// fields — the golden equivalence gate.
-fn assert_golden(name: &str, what: &str, a: &SweepReport, b: &SweepReport) {
-    assert_eq!(a.points.len(), b.points.len());
-    for (x, y) in a.points.iter().zip(&b.points) {
-        assert_eq!(x.key, y.key, "{name}/{what}: point order diverged");
-        let (s, t) = (x.outcome.as_ref().unwrap(), y.outcome.as_ref().unwrap());
-        assert_eq!(s.windows, t.windows, "{name}/{what}/{}", x.label);
+/// Every campaign point must match its standalone run — the golden
+/// equivalence gate.
+fn assert_golden(name: &str, per_point: &[Golden], campaign: &SweepReport) {
+    assert_eq!(per_point.len(), campaign.points.len());
+    for (golden, p) in per_point.iter().zip(&campaign.points) {
+        let s = p.outcome.as_ref().expect("all_ok checked");
+        let cached = (s.windows, s.peak_temp_k.map(f64::to_bits), s.final_temp_k.map(f64::to_bits));
         assert_eq!(
-            s.peak_temp_k.map(f64::to_bits),
-            t.peak_temp_k.map(f64::to_bits),
-            "{name}/{what}/{}: peak temperature must be bitwise-identical",
-            x.label
-        );
-        assert_eq!(
-            s.final_temp_k.map(f64::to_bits),
-            t.final_temp_k.map(f64::to_bits),
-            "{name}/{what}/{}: final temperature must be bitwise-identical",
-            x.label
+            *golden, cached,
+            "{name}/{}: the cached campaign must match the per-point run bitwise",
+            p.label
         );
     }
 }
@@ -136,28 +105,33 @@ fn main() {
     let presets = ["explore", "grid100"];
     for (i, name) in presets.iter().enumerate() {
         println!("{name}: timing {reps} interleaved rep(s) per leg on one thread");
-        let (per_point, campaign, batch) = run_legs(name, reps);
-        assert_golden(name, "campaign-vs-per-point", &per_point.report, &campaign.report);
-        assert_golden(name, "batch-vs-campaign", &campaign.report, &batch.report);
+        // Interleaved, so slow drift in host state biases neither leg.
+        let (mut per_point_walls, mut campaign_walls) = (Vec::new(), Vec::new());
+        let (mut golden, mut campaign) = (Vec::new(), None);
+        for _ in 0..reps {
+            let (wall, g) = time_per_point(name);
+            per_point_walls.push(wall);
+            golden = g;
+            let (wall, r) = time_campaign(name);
+            campaign_walls.push(wall);
+            campaign = Some(r);
+        }
+        let campaign = campaign.expect("reps >= 1");
+        assert_golden(name, &golden, &campaign);
 
-        let a = batch.report.artifacts;
-        let speedup_cache = per_point.wall_s / campaign.wall_s;
-        let speedup_batch = per_point.wall_s / batch.wall_s;
+        let (per_point_s, campaign_s) = (median(per_point_walls), median(campaign_walls));
+        let speedup = per_point_s / campaign_s;
         println!(
-            "  per_point {:.4} s   campaign {:.4} s ({speedup_cache:.2}x)   batch {:.4} s ({speedup_batch:.2}x)   [golden: bitwise-identical]",
-            per_point.wall_s, campaign.wall_s, batch.wall_s
+            "  per_point {per_point_s:.4} s   campaign {campaign_s:.4} s ({speedup:.2}x)   [golden: bitwise-identical]"
         );
+        let a = campaign.artifacts;
         rows.push_str(&format!(
             "    {{\"sweep\": \"{name}\", \"points\": {}, \"reps\": {reps}, \
-             \"per_point_wall_s\": {:.6}, \"campaign_wall_s\": {:.6}, \"batch_wall_s\": {:.6}, \
-             \"speedup_campaign_vs_per_point\": {speedup_cache:.3}, \
-             \"speedup_batch_vs_per_point\": {speedup_batch:.3}, \
+             \"per_point_wall_s\": {per_point_s:.6}, \"campaign_wall_s\": {campaign_s:.6}, \
+             \"speedup_campaign_vs_per_point\": {speedup:.3}, \
              \"golden_bitwise\": true, \
              \"mesh_builds\": {}, \"mesh_hits\": {}, \"operator_builds\": {}, \"operator_hits\": {}}}{}\n",
-            batch.report.points.len(),
-            per_point.wall_s,
-            campaign.wall_s,
-            batch.wall_s,
+            campaign.points.len(),
             a.mesh_misses,
             a.mesh_hits,
             a.operator_misses,

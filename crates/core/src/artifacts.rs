@@ -8,9 +8,7 @@
 //! [`ArtifactCache`] memoizes each stage behind an `Arc` under its own
 //! sub-key ([`Scenario::artifact_keys`](crate::Scenario)), so a DFS-only
 //! sweep meshes the die exactly once and every sibling point shares the
-//! same grid (which is also what makes the sweep's batched lockstep
-//! solving possible — fused many-RHS stepping requires models to share
-//! one grid `Arc`).
+//! same grid.
 //!
 //! The cache is layered exactly like the keys: a `mesh` entry is reusable
 //! across workloads and budgets because its key covers only the platform,

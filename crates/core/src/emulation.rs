@@ -162,24 +162,6 @@ pub struct ThermalEmulation {
     /// [`crate::Scenario::resume_from`] can refuse state from a different
     /// experiment.
     scenario_key: u64,
-    /// Between [`ThermalEmulation::window_begin`] and
-    /// [`ThermalEmulation::window_finish`]: the platform half of the
-    /// window, waiting for the thermal step (possibly batched across
-    /// emulations) to land.
-    pending: Option<PendingWindow>,
-}
-
-/// The platform-side outcome of one sampling window, carried across the
-/// thermal step so lockstep drivers can batch the step between
-/// [`ThermalEmulation::window_begin`] and
-/// [`ThermalEmulation::window_finish`].
-#[derive(Clone, Debug)]
-struct PendingWindow {
-    stats: WindowStats,
-    hz: u64,
-    physical_window_s: f64,
-    link_freeze_s: f64,
-    total_power_w: f64,
 }
 
 impl ThermalEmulation {
@@ -226,7 +208,6 @@ impl ThermalEmulation {
             call_base: CallBase::default(),
             past_worst_residual_k: 0.0,
             scenario_key: 0,
-            pending: None,
         })
     }
 
@@ -244,16 +225,6 @@ impl ThermalEmulation {
     /// Mutable machine access (program loading, shared-data setup).
     pub fn machine_mut(&mut self) -> &mut Machine {
         &mut self.machine
-    }
-
-    /// Mutable model access for the lockstep driver's batched stepping.
-    pub(crate) fn model_mut(&mut self) -> &mut ThermalModel {
-        &mut self.model
-    }
-
-    /// Virtual seconds per sampling window.
-    pub(crate) fn window_seconds(&self) -> f64 {
-        self.cfg.sampling_window_s
     }
 
     /// The thermal model.
@@ -294,31 +265,10 @@ impl ThermalEmulation {
     /// `GridConfig::strict_convergence`, a thermal substep that fails to
     /// converge is [`TemuError::Thermal`].
     pub fn run_window(&mut self) -> Result<(), TemuError> {
-        temu_obs::time!("core.window_ns", {
-            self.window_begin()?;
-            self.model.try_step(self.cfg.sampling_window_s)?;
-            self.window_finish()
-        })
+        temu_obs::time!("core.window_ns", self.run_window_inner())
     }
 
-    /// The platform half of one sampling window: run the machine, convert
-    /// sniffer statistics to power, ship them over the link and leave the
-    /// powers set on the thermal model — everything *up to* the thermal
-    /// step. A lockstep driver steps many emulations' models in one
-    /// batched call between this and [`ThermalEmulation::window_finish`];
-    /// [`ThermalEmulation::run_window`] is exactly the two halves around a
-    /// plain `try_step`.
-    ///
-    /// # Errors
-    ///
-    /// [`TemuError::WindowPending`] if the previous window never saw its
-    /// [`ThermalEmulation::window_finish`] — enforced in release builds
-    /// too, because a begin/begin sequence silently drops a half-run
-    /// window from every aggregate.
-    pub(crate) fn window_begin(&mut self) -> Result<(), TemuError> {
-        if self.pending.is_some() {
-            return Err(TemuError::WindowPending);
-        }
+    fn run_window_inner(&mut self) -> Result<(), TemuError> {
         let window_s = self.cfg.sampling_window_s;
         let hz = self.machine.vpcm().virtual_hz();
         let cycles = (window_s * hz as f64).round() as u64;
@@ -358,34 +308,9 @@ impl ThermalEmulation {
             .vpcm_mut()
             .record_link_freeze((link_freeze_s * fpga_hz as f64).round() as u64);
 
+        // Thermal step and temperature feedback.
         self.model.set_powers(&powers);
-        self.pending = Some(PendingWindow {
-            stats,
-            hz,
-            physical_window_s,
-            link_freeze_s,
-            total_power_w: powers.iter().sum(),
-        });
-        Ok(())
-    }
-
-    /// The feedback half of one sampling window, after the thermal model
-    /// stepped: temperatures back into the sensor registers, the DFS
-    /// policy, and all per-window bookkeeping.
-    ///
-    /// # Errors
-    ///
-    /// [`TemuError::WindowNotBegun`] if no window is pending — enforced in
-    /// release builds too, because an unpaired finish would feed stale
-    /// temperatures into the sensors and double-count the window.
-    pub(crate) fn window_finish(&mut self) -> Result<(), TemuError> {
-        let Some(pending) = self.pending.take() else {
-            return Err(TemuError::WindowNotBegun);
-        };
-        let PendingWindow { stats, hz, physical_window_s, link_freeze_s, total_power_w } = pending;
-        let window_s = self.cfg.sampling_window_s;
-
-        // Temperature feedback.
+        self.model.try_step(window_s)?;
         let temps = self.model.component_temps();
         let reply = TempPacket {
             seq: self.seq,
@@ -420,7 +345,7 @@ impl ThermalEmulation {
             temps_k: temps,
             max_temp_k: hottest,
             virtual_hz: hz,
-            total_power_w,
+            total_power_w: powers.iter().sum(),
             fpga_seconds: self.fpga_seconds,
         });
         Ok(())
@@ -525,26 +450,15 @@ impl ThermalEmulation {
     /// into a freshly built identical emulation
     /// ([`crate::Scenario::resume_from`]) continues the run
     /// bitwise-identically.
-    ///
-    /// # Errors
-    ///
-    /// [`TemuError::WindowPending`] if called between
-    /// [`ThermalEmulation::window_begin`] and
-    /// [`ThermalEmulation::window_finish`] — mid-window state (the
-    /// platform half's in-flight statistics) is deliberately not
-    /// serializable; checkpoints live at window boundaries only.
-    pub fn checkpoint(&self) -> Result<EmulationState, TemuError> {
+    pub fn checkpoint(&self) -> EmulationState {
         temu_obs::time!("core.checkpoint_capture_ns", self.checkpoint_inner())
     }
 
-    fn checkpoint_inner(&self) -> Result<EmulationState, TemuError> {
-        if self.pending.is_some() {
-            return Err(TemuError::WindowPending);
-        }
+    fn checkpoint_inner(&self) -> EmulationState {
         let mut w = StateWriter::new(PLATFORM_MAGIC, PLATFORM_VERSION);
         self.machine.save_state(&mut w);
         self.link.save_state(&mut w);
-        Ok(EmulationState {
+        EmulationState {
             scenario_key: self.scenario_key,
             seq: self.seq,
             windows: self.windows,
@@ -559,7 +473,7 @@ impl ThermalEmulation {
             dfs_level: self.policy.as_ref().map(DfsPolicy::level),
             platform: w.into_bytes(),
             model: self.model.snapshot(),
-        })
+        }
     }
 
     /// Installs a checkpoint into this (freshly built, identically
@@ -608,7 +522,6 @@ impl ThermalEmulation {
         self.call_base = state.call_base.clone();
         self.past_worst_residual_k = state.past_worst_residual_k;
         self.trace = state.trace.clone();
-        self.pending = None;
         Ok(())
     }
 
@@ -633,7 +546,7 @@ impl ThermalEmulation {
     /// counter so [`ThermalEmulation::report`] can subtract it, resets the
     /// per-call aggregate, and re-arms the solver's residual watermark
     /// (banking the old one for [`ThermalEmulation::totals`]).
-    pub(crate) fn begin_call(&mut self) {
+    fn begin_call(&mut self) {
         self.call_aggregate = WindowStats::default();
         self.past_worst_residual_k = self.past_worst_residual_k.max(self.model.solver_stats().worst_residual_k);
         self.model.reset_residual_watermark();
@@ -647,7 +560,7 @@ impl ThermalEmulation {
         };
     }
 
-    pub(crate) fn report(&self, t0: Instant) -> EmulationReport {
+    fn report(&self, t0: Instant) -> EmulationReport {
         let base = &self.call_base;
         let link = *self.link.stats();
         EmulationReport {
@@ -696,9 +609,8 @@ impl ThermalEmulation {
 ///   [`crate::Scenario::content_key`]) the state belongs to;
 ///   [`crate::Scenario::resume_from`] refuses a key mismatch, so a
 ///   checkpoint can never silently continue a different experiment.
-/// * Checkpoints exist only at window boundaries — never between
-///   [`ThermalEmulation::window_begin`] and
-///   [`ThermalEmulation::window_finish`].
+/// * Checkpoints exist only at window boundaries:
+///   [`ThermalEmulation::run_window`] runs a whole window per call.
 /// * The byte stream is versioned (`EMUS`, version 1) and fails closed:
 ///   corrupt, truncated, or differently-shaped streams return
 ///   [`TemuError::State`] instead of partially applying.
@@ -1022,20 +934,6 @@ mod tests {
     }
 
     #[test]
-    fn window_protocol_violations_are_typed_errors() {
-        let mut emu = emulation(None, 10_000);
-        assert!(matches!(emu.window_finish(), Err(TemuError::WindowNotBegun)));
-        emu.window_begin().unwrap();
-        assert!(matches!(emu.window_begin(), Err(TemuError::WindowPending)));
-        assert!(matches!(emu.checkpoint(), Err(TemuError::WindowPending)));
-        emu.model_mut().try_step(0.001).unwrap();
-        emu.window_finish().unwrap();
-        // The recovered emulation keeps running normally.
-        let report = emu.run_windows(2).unwrap();
-        assert_eq!(report.windows, 2);
-    }
-
-    #[test]
     fn checkpoint_resume_continues_bitwise_identically() {
         // An aggressive DFS band so the ladder moves before the split
         // point — the checkpoint must carry the mid-ladder position.
@@ -1045,7 +943,7 @@ mod tests {
 
         let mut first_half = emulation(policy(), 100_000);
         let _ = first_half.run_budget_observed(RunBudget::Windows(12), false, None).unwrap();
-        let state = first_half.checkpoint().unwrap();
+        let state = first_half.checkpoint();
         assert_eq!(state.scenario_key(), 0, "hand-wired emulations carry the null key");
         assert_eq!(state.windows(), 12);
         // Round-trip through the serialized form.
@@ -1082,7 +980,7 @@ mod tests {
     fn corrupt_state_stream_is_rejected() {
         let mut emu = emulation(None, 10_000);
         let _ = emu.run_windows(3).unwrap();
-        let bytes = emu.checkpoint().unwrap().to_bytes();
+        let bytes = emu.checkpoint().to_bytes();
         let truncated = &bytes[..bytes.len() - 4];
         assert!(matches!(EmulationState::from_bytes(truncated), Err(TemuError::State(_))));
         let mut wrong_magic = bytes.clone();

@@ -61,14 +61,6 @@ pub enum TemuError {
     /// A wire-format experiment spec ([`crate::ScenarioSpec`] /
     /// [`crate::SweepSpec`]) failed to parse or lower onto the builders.
     Spec(crate::SpecError),
-    /// The sampling-window protocol was violated: `window_begin` (or a
-    /// checkpoint) while the previous window still awaited its
-    /// `window_finish` — the platform half ran but the thermal step and
-    /// feedback half did not.
-    WindowPending,
-    /// The sampling-window protocol was violated: `window_finish` with no
-    /// window begun.
-    WindowNotBegun,
     /// A checkpoint byte stream failed to decode, or decoded state did not
     /// fit the emulation it was restored into.
     State(StateError),
@@ -108,12 +100,6 @@ impl fmt::Display for TemuError {
                 write!(f, "cancelled mid-point after {windows} windows")
             }
             TemuError::Spec(e) => write!(f, "spec: {e}"),
-            TemuError::WindowPending => {
-                write!(f, "window protocol: a sampling window is still awaiting its thermal step")
-            }
-            TemuError::WindowNotBegun => {
-                write!(f, "window protocol: window_finish without a begun window")
-            }
             TemuError::State(e) => write!(f, "checkpoint state: {e}"),
             TemuError::CheckpointMismatch { expected, found } => write!(
                 f,

@@ -94,7 +94,6 @@ mod campaign;
 mod emulation;
 mod error;
 mod export;
-mod lockstep;
 mod scenario;
 mod spec;
 mod sweep;

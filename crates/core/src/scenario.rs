@@ -433,19 +433,6 @@ impl Scenario {
         ArtifactKeys { floorplan, mesh, operator, program }
     }
 
-    /// Points with equal group keys can run in one lockstep batch: they
-    /// share the meshed grid (same mesh artifact key → same `Arc` out of
-    /// the sweep's [`ArtifactCache`]), the same full solver configuration
-    /// and the same sampling window, which is everything
-    /// `ThermalModel::try_step_batch` needs to fuse their substeps.
-    pub(crate) fn lockstep_group_key(&self) -> u64 {
-        let keys = self.artifact_keys();
-        fnv1a64_fold(
-            keys.mesh,
-            format!("grid={:?};window={:?};", self.emu.grid, self.emu.sampling_window_s).as_bytes(),
-        )
-    }
-
     /// The run budget.
     pub(crate) fn budget(&self) -> RunBudget {
         self.budget
@@ -868,7 +855,7 @@ mod tests {
 
         let mut emu = scenario.build().unwrap();
         let _ = emu.run_budget_observed(RunBudget::Windows(3), false, None).unwrap();
-        let state = emu.checkpoint().unwrap();
+        let state = emu.checkpoint();
         assert_eq!(state.scenario_key(), scenario.content_key());
         let state = EmulationState::from_bytes(&state.to_bytes()).unwrap();
 
@@ -891,7 +878,7 @@ mod tests {
         let scenario = Scenario::exploration_bus(2).sampling_window_s(0.002).windows(6);
         let mut emu = scenario.build().unwrap();
         let _ = emu.run_budget_observed(RunBudget::Windows(2), false, None).unwrap();
-        let state = emu.checkpoint().unwrap();
+        let state = emu.checkpoint();
         // Any configuration difference changes the content key.
         let other = scenario.clone().strict_convergence(true);
         let e = other.resume_run(&state).unwrap_err();

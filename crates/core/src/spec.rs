@@ -46,7 +46,10 @@
 //! Every failure — malformed JSON, an unknown preset/axis/field, a value
 //! of the wrong shape, a ladder the platform rejects — is a typed
 //! [`SpecError`] folded into [`TemuError::Spec`]; parsing never panics on
-//! wire input.
+//! wire input. Integer fields must lie below 2^53: JSON numbers are read
+//! as `f64`, so a larger integer (a dithering seed, say) would arrive
+//! already rounded — a different experiment under a different content
+//! key — and is refused instead.
 
 use crate::error::TemuError;
 use crate::export::{json_escape, JsonValue};
@@ -113,6 +116,21 @@ impl Error for SpecError {}
 // Decode/encode plumbing
 // ---------------------------------------------------------------------------
 
+/// The exclusive upper bound of a spec integer: every integer below 2^53
+/// survives the `f64` JSON reader exactly, and every one at or above it
+/// reads back as at least 2^53, so the bound also catches rounded input.
+const SPEC_INT_BOUND: u64 = 1 << 53;
+
+/// A spec integer: a whole non-negative JSON number below
+/// [`SPEC_INT_BOUND`].
+fn spec_u64(v: &JsonValue) -> Option<u64> {
+    v.as_u64().filter(|&n| n < SPEC_INT_BOUND)
+}
+
+fn spec_usize(v: &JsonValue) -> Option<usize> {
+    spec_u64(v).and_then(|n| usize::try_from(n).ok())
+}
+
 /// A typed view over one spec object: required/optional field access with
 /// uniform [`SpecError`]s, plus unknown-field rejection.
 struct Reader<'a> {
@@ -175,17 +193,15 @@ impl<'a> Reader<'a> {
     }
 
     fn opt_u64(&self, field: &str) -> Result<Option<u64>, SpecError> {
-        self.opt(field, "a non-negative integer", JsonValue::as_u64)
+        self.opt(field, "a non-negative integer below 2^53", spec_u64)
     }
 
     fn opt_u32(&self, field: &str) -> Result<Option<u32>, SpecError> {
-        self.opt(field, "a 32-bit non-negative integer", |v| {
-            v.as_u64().and_then(|n| u32::try_from(n).ok())
-        })
+        self.opt(field, "a 32-bit non-negative integer", |v| spec_u64(v).and_then(|n| u32::try_from(n).ok()))
     }
 
     fn opt_usize(&self, field: &str) -> Result<Option<usize>, SpecError> {
-        self.opt(field, "a non-negative integer", JsonValue::as_usize)
+        self.opt(field, "a non-negative integer below 2^53", spec_usize)
     }
 
     fn opt_f64(&self, field: &str) -> Result<Option<f64>, SpecError> {
@@ -455,7 +471,7 @@ impl DfsSpec {
         let levels_hz = r
             .req_arr("levels_hz")?
             .iter()
-            .map(|v| v.as_u64().ok_or_else(|| r.bad("levels_hz", "an array of Hz integers", v)))
+            .map(|v| spec_u64(v).ok_or_else(|| r.bad("levels_hz", "an array of Hz integers below 2^53", v)))
             .collect::<Result<Vec<u64>, SpecError>>()?;
         let bands = r
             .req_arr("bands")?
@@ -972,7 +988,7 @@ impl AxisSpec {
                 Ok(AxisSpec::Cores(
                     values()?
                         .iter()
-                        .map(|v| v.as_usize().ok_or_else(|| r.bad("values", "core counts", v)))
+                        .map(|v| spec_usize(v).ok_or_else(|| r.bad("values", "core counts", v)))
                         .collect::<Result<_, _>>()?,
                 ))
             }
@@ -981,7 +997,7 @@ impl AxisSpec {
                 Ok(AxisSpec::Windows(
                     values()?
                         .iter()
-                        .map(|v| v.as_u64().ok_or_else(|| r.bad("values", "window counts", v)))
+                        .map(|v| spec_u64(v).ok_or_else(|| r.bad("values", "window counts below 2^53", v)))
                         .collect::<Result<_, _>>()?,
                 ))
             }
@@ -1003,7 +1019,7 @@ impl AxisSpec {
                     levels_hz: r
                         .req_arr("levels_hz")?
                         .iter()
-                        .map(|v| v.as_u64().ok_or_else(|| r.bad("levels_hz", "Hz integers", v)))
+                        .map(|v| spec_u64(v).ok_or_else(|| r.bad("levels_hz", "Hz integers below 2^53", v)))
                         .collect::<Result<_, _>>()?,
                     band_sets: r
                         .req_arr("band_sets")?
@@ -1375,6 +1391,32 @@ mod tests {
         assert!(matches!(e, TemuError::Spec(SpecError::Json(_))), "{e}");
         let e = SweepSpec::from_json("{\"sweep\": \"x\", \"axes\": [{\"axis\": \"nope\"}]}").unwrap_err();
         assert!(matches!(e, TemuError::Spec(SpecError::Unknown { .. })), "{e}");
+    }
+
+    #[test]
+    fn integers_from_2_pow_53_are_refused_not_rounded() {
+        let with_seed = |seed: &str| {
+            format!(
+                "{{\"workload\": {{\"kind\": \"dithering\", \"width\": 16, \"height\": 16, \
+                 \"images\": 1, \"cores\": 1, \"seed\": {seed}}}}}"
+            )
+        };
+        // 2^53 + 1 reads back as the f64 2^53: it would run, and be
+        // cached, as a different seed.
+        let e = ScenarioSpec::from_json(&with_seed("9007199254740993")).unwrap_err();
+        assert!(matches!(e, TemuError::Spec(SpecError::Bad { .. })), "{e}");
+        let windows =
+            "{\"sweep\": \"x\", \"axes\": [{\"axis\": \"windows\", \"values\": [9007199254740992]}]}";
+        let e = SweepSpec::from_json(windows).unwrap_err();
+        assert!(matches!(e, TemuError::Spec(SpecError::Bad { .. })), "list reads share the bound: {e}");
+
+        // 2^53 − 1 is the largest exact spec integer: it arrives intact and
+        // round-trips with an unchanged content key.
+        let spec = ScenarioSpec::from_json(&with_seed("9007199254740991")).unwrap();
+        assert!(matches!(spec.workload, Some(WorkloadSpec::Dithering { seed, .. }) if seed == (1 << 53) - 1));
+        let round = ScenarioSpec::from_json(&spec.to_json()).unwrap();
+        assert_eq!(round, spec);
+        assert_eq!(round.lower().unwrap().content_key(), spec.lower().unwrap().content_key());
     }
 
     #[test]

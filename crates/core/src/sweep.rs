@@ -59,7 +59,6 @@ use crate::campaign::{Campaign, PointRunner};
 use crate::emulation::EmulationState;
 use crate::error::TemuError;
 use crate::export::{csv_f64, csv_field, csv_opt, json_escape, json_f64, json_num_or_null, JsonValue};
-use crate::lockstep;
 use crate::scenario::{RunBudget, Scenario, ScenarioRun, Workload};
 use std::collections::HashMap;
 use std::fmt;
@@ -576,8 +575,8 @@ pub enum CheckpointDecision {
     Cancel,
 }
 
-/// The sweep's position when a checkpoint hook runs (between grid-point
-/// batches, on the thread that called [`Sweep::run_cached`]).
+/// The sweep's position when a checkpoint hook runs (between campaign
+/// rounds, on the thread that called [`Sweep::run_cached`]).
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct SweepCheckpoint {
@@ -655,7 +654,6 @@ pub struct Sweep {
     checkpoint: Option<Arc<CheckpointHook>>,
     window_checkpoint: Option<(u64, Arc<WindowCheckpointHook>)>,
     resume: HashMap<u64, EmulationState>,
-    batch: bool,
     artifacts: Option<Arc<ArtifactCache>>,
 }
 
@@ -683,7 +681,6 @@ impl Sweep {
             checkpoint: None,
             window_checkpoint: None,
             resume: HashMap::new(),
-            batch: false,
             artifacts: None,
         }
     }
@@ -810,19 +807,6 @@ impl Sweep {
         self
     }
 
-    /// Enables batched lockstep execution: executed points are built
-    /// through the sweep's [`ArtifactCache`], grouped by shared thermal
-    /// operator (same mesh, solver configuration and sampling window),
-    /// and each group's thermal substeps run through the fused many-RHS
-    /// kernel — k temperature fields swept against one shared matrix per
-    /// pass — on the calling thread. Results are bitwise-identical to the
-    /// default campaign path; only wall-clock time changes. Off by
-    /// default.
-    pub fn batch(mut self, batch: bool) -> Sweep {
-        self.batch = batch;
-        self
-    }
-
     /// Shares a build-artifact cache with this sweep (e.g. a process-wide
     /// cache serving many sweeps). Without this call every run uses its
     /// own fresh [`ArtifactCache`] — artifact reuse *within* a sweep is
@@ -842,7 +826,7 @@ impl Sweep {
     }
 
     /// Installs a between-grid-point checkpoint hook, called on the thread
-    /// running the sweep before each batch of executed points (batch width
+    /// running the sweep before each round of executed points (round width
     /// = the campaign thread count, so with one thread the hook runs
     /// between every two points). Returning
     /// [`CheckpointDecision::Cancel`] stops the sweep: no further point
@@ -874,10 +858,7 @@ impl Sweep {
     ///
     /// Off by default, and when off the execution path is unchanged — no
     /// state is captured, so there is no overhead. `every = 0` disables
-    /// the hook. Ignored (with resume) under [`Sweep::batch`]: lockstep
-    /// groups interleave many points' windows, so a mid-point boundary is
-    /// not a consistent cut there; results are identical, resumed points
-    /// simply re-run from scratch.
+    /// the hook.
     pub fn on_window_checkpoint(
         mut self,
         every: u64,
@@ -942,6 +923,10 @@ impl Sweep {
         self.run_with(Some(cache))
     }
 
+    /// Resolves, executes and assembles the grid: [`Sweep::resolve`]
+    /// settles every point that needs no execution, [`Sweep::execute`]
+    /// runs the rest through campaign rounds, and [`assemble`] puts the
+    /// results back in grid order.
     fn run_with(&self, cache: Option<&ResultCache>) -> SweepReport {
         let t0 = Instant::now();
         // Build-artifact reuse is always on within a sweep; an injected
@@ -949,374 +934,16 @@ impl Sweep {
         // report's stats are the delta this run contributed.
         let artifacts = self.artifacts.clone().unwrap_or_else(|| Arc::new(ArtifactCache::new()));
         let artifact_base = artifacts.stats();
-        let expanded = self.expand();
-        let total = expanded.len();
-        // Finished points in arbitrary order; sorted back into grid order
-        // at the end. (No pre-sized Option slots: report assembly must be
-        // panic-free — a long-running server survives any malformed point.)
-        let mut filled: Vec<(usize, SweepPointResult)> = Vec::with_capacity(total);
-        let mut queue: Vec<Scenario> = Vec::new();
-        // Per campaign slot: which grid point it is, its label and key.
-        let mut queued: Vec<(usize, String, u64)> = Vec::new();
-        let mut completed = 0usize;
-        let mut cache_hits = 0usize;
-
-        // Resolve every point that needs no execution — cache hits and
-        // malformed grid points — streaming them to the sink up front.
-        for point in expanded {
-            match point.scenario {
-                Err(e) => {
-                    completed += 1;
-                    self.emit(&point.label, point.index, completed, total, false, Err(&e));
-                    filled.push((
-                        point.index,
-                        SweepPointResult {
-                            label: point.label,
-                            key: point.key,
-                            cache_hit: false,
-                            outcome: Err(e),
-                        },
-                    ));
-                }
-                Ok(scenario) => {
-                    let key = point.key.unwrap_or_else(|| scenario.content_key());
-                    if let Some(summary) = cache.and_then(|c| c.get(key)) {
-                        completed += 1;
-                        cache_hits += 1;
-                        self.emit(&point.label, point.index, completed, total, true, Ok(&summary));
-                        filled.push((
-                            point.index,
-                            SweepPointResult {
-                                label: point.label,
-                                key: Some(key),
-                                cache_hit: true,
-                                outcome: Ok(summary),
-                            },
-                        ));
-                    } else {
-                        queued.push((point.index, point.label, key));
-                        queue.push(scenario);
-                    }
-                }
-            }
-        }
-
-        let n_queued = queue.len();
-        let mut executed = 0usize;
-        let mut cancelled = false;
-        let mut threads = 1;
-        if n_queued > 0 && self.batch {
-            // Batched lockstep path: build every fresh point through the
-            // shared artifact cache, group points that share a thermal
-            // operator (mesh + solver configuration + sampling window),
-            // and advance each group window-by-window with the fused
-            // many-RHS kernel on this thread. Bitwise-identical results to
-            // the campaign path.
-            let mut groups: Vec<Vec<(usize, Scenario, crate::ThermalEmulation)>> = Vec::new();
-            let mut group_keys: Vec<u64> = Vec::new();
-            for (slot, scenario) in queue.into_iter().enumerate() {
-                match scenario.build_with(Some(&artifacts)) {
-                    Ok(emu) => {
-                        let gk = scenario.lockstep_group_key();
-                        match group_keys.iter().position(|&k| k == gk) {
-                            Some(g) => groups[g].push((slot, scenario, emu)),
-                            None => {
-                                group_keys.push(gk);
-                                groups.push(vec![(slot, scenario, emu)]);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        let (point, label, key) = &queued[slot];
-                        executed += 1;
-                        completed += 1;
-                        self.emit(label, *point, completed, total, false, Err(&e));
-                        filled.push((
-                            *point,
-                            SweepPointResult {
-                                label: label.clone(),
-                                key: Some(*key),
-                                cache_hit: false,
-                                outcome: Err(e),
-                            },
-                        ));
-                    }
-                }
-            }
-            if temu_obs::enabled() {
-                let sizes = temu_obs::global().histogram("core.lockstep_group_size");
-                for group in &groups {
-                    sizes.record(group.len() as u64);
-                }
-            }
-            let mut remaining: std::collections::VecDeque<_> = groups.into();
-            while let Some(group) = remaining.pop_front() {
-                if let Some(hook) = &self.checkpoint {
-                    let decision = hook(&SweepCheckpoint {
-                        completed,
-                        executed,
-                        remaining: n_queued - executed,
-                        total,
-                    });
-                    if decision == CheckpointDecision::Cancel {
-                        cancelled = true;
-                        for (slot, _, _) in group.into_iter().chain(remaining.into_iter().flatten()) {
-                            let (point, label, key) = &queued[slot];
-                            filled.push((
-                                *point,
-                                SweepPointResult {
-                                    label: label.clone(),
-                                    key: Some(*key),
-                                    cache_hit: false,
-                                    outcome: Err(TemuError::Cancelled),
-                                },
-                            ));
-                        }
-                        break;
-                    }
-                }
-                for r in lockstep::run_group(group) {
-                    let (point, label, key) = &queued[r.slot];
-                    executed += 1;
-                    completed += 1;
-                    let outcome = match r.outcome {
-                        Ok(run) => {
-                            let summary = PointSummary::from_run(&run, r.wall);
-                            if let Some(c) = cache {
-                                c.insert(*key, summary.clone());
-                            }
-                            self.emit(label, *point, completed, total, false, Ok(&summary));
-                            Ok(summary)
-                        }
-                        Err(e) => {
-                            self.emit(label, *point, completed, total, false, Err(&e));
-                            Err(e)
-                        }
-                    };
-                    filled.push((
-                        *point,
-                        SweepPointResult {
-                            label: label.clone(),
-                            key: Some(*key),
-                            cache_hit: false,
-                            outcome,
-                        },
-                    ));
-                }
-            }
-        } else if n_queued > 0 {
-            // Stream executed points through the campaign's result sink:
-            // map campaign slots back to grid points, memoize summaries as
-            // they land, and forward progress to the sweep's sink.
-            let meta: Arc<Vec<(usize, String, u64)>> = Arc::new(queued);
-            let counter = Arc::new(Mutex::new(completed));
-            let cache_handle = cache.cloned();
-            // Summaries computed in the sink are stashed per campaign slot
-            // so the slot-filling pass below doesn't re-scan every trace.
-            let stash: Arc<Vec<Mutex<Option<PointSummary>>>> =
-                Arc::new((0..n_queued).map(|_| Mutex::new(None)).collect());
-
-            // Window-granular checkpointing and mid-run resume replace the
-            // campaign's default point executor. When neither is
-            // configured no runner is installed and points execute exactly
-            // as before — the feature costs nothing disabled.
-            let window_hook = self
-                .window_checkpoint
-                .as_ref()
-                .filter(|(every, _)| *every > 0)
-                .map(|(every, hook)| (*every, Arc::clone(hook)));
-            let runner: Option<Arc<PointRunner>> =
-                if window_hook.is_some() || !self.resume.is_empty() {
-                    let by_key: HashMap<u64, (usize, String)> = meta
-                        .iter()
-                        .map(|(point, label, key)| (*key, (*point, label.clone())))
-                        .collect();
-                    let resume = self.resume.clone();
-                    Some(Arc::new(move |scenario: &Scenario, artifacts: Option<&ArtifactCache>| {
-                        let key = scenario.content_key();
-                        let seed = resume.get(&key);
-                        let Some((every, hook)) = &window_hook else {
-                            return match seed {
-                                Some(state) => scenario.resume_run_with(state, artifacts),
-                                None => scenario.run_with(artifacts),
-                            };
-                        };
-                        let (index, label) = by_key
-                            .get(&key)
-                            .map_or((usize::MAX, ""), |(point, label)| (*point, label.as_str()));
-                        let total_windows = match scenario.budget() {
-                            RunBudget::Windows(n) => n,
-                            RunBudget::ToHalt { max_windows } => max_windows,
-                        };
-                        let mut observer = |emu: &crate::ThermalEmulation| {
-                            let state = emu.checkpoint()?;
-                            let windows = state.windows();
-                            let decision = hook(&WindowCheckpoint {
-                                index,
-                                label,
-                                key,
-                                windows,
-                                total_windows,
-                                state: &state,
-                            });
-                            if decision == CheckpointDecision::Cancel {
-                                return Err(TemuError::CancelledMidPoint { windows });
-                            }
-                            Ok(())
-                        };
-                        scenario.run_observed(artifacts, seed, Some((*every, &mut observer)))
-                    }))
-                } else {
-                    None
-                };
-
-            // Without a checkpoint hook, everything runs as one campaign.
-            // With one, execution proceeds in batches of the campaign
-            // width and the hook runs between batches on this thread, so
-            // cancellation (and any flushing the hook does) lands at a
-            // grid-point boundary.
-            let width =
-                self.threads.unwrap_or_else(|| default_workers("TEMU_CAMPAIGN_THREADS")).max(1);
-            let batch_size = if self.checkpoint.is_some() { width } else { n_queued };
-            let mut queue = queue;
-            while executed < n_queued {
-                if let Some(hook) = &self.checkpoint {
-                    let done =
-                        *counter.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    let decision = hook(&SweepCheckpoint {
-                        completed: done,
-                        executed,
-                        remaining: n_queued - executed,
-                        total,
-                    });
-                    if decision == CheckpointDecision::Cancel {
-                        cancelled = true;
-                        break;
-                    }
-                }
-                let offset = executed;
-                let take = batch_size.min(n_queued - offset);
-                let scenarios: Vec<Scenario> = queue.drain(..take).collect();
-                let mut campaign =
-                    Campaign::new().scenarios(scenarios).artifacts(Arc::clone(&artifacts));
-                if let Some(t) = self.threads {
-                    campaign = campaign.threads(t);
-                }
-                if let Some(runner) = &runner {
-                    campaign = campaign.runner(Arc::clone(runner));
-                }
-                {
-                    let meta = Arc::clone(&meta);
-                    let stash = Arc::clone(&stash);
-                    let counter = Arc::clone(&counter);
-                    let cache_handle = cache_handle.clone();
-                    let sweep_sink = self.sink.clone();
-                    campaign = campaign.on_result(move |p| {
-                        let slot = offset + p.index;
-                        let (point, label, key) = &meta[slot];
-                        let mut done =
-                            counter.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                        *done += 1;
-                        match &p.result.outcome {
-                            Ok(run) => {
-                                let summary = PointSummary::from_run(run, p.result.wall);
-                                *stash[slot]
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner) =
-                                    Some(summary.clone());
-                                if let Some(cache) = &cache_handle {
-                                    cache.insert(*key, summary.clone());
-                                }
-                                if let Some(sink) = &sweep_sink {
-                                    sink(&SweepProgress {
-                                        index: *point,
-                                        completed: *done,
-                                        total,
-                                        label,
-                                        cache_hit: false,
-                                        outcome: Ok(&summary),
-                                    });
-                                }
-                            }
-                            Err(e) => {
-                                if let Some(sink) = &sweep_sink {
-                                    sink(&SweepProgress {
-                                        index: *point,
-                                        completed: *done,
-                                        total,
-                                        label,
-                                        cache_hit: false,
-                                        outcome: Err(e),
-                                    });
-                                }
-                            }
-                        }
-                    });
-                }
-                let report = campaign.run();
-                threads = threads.max(report.threads);
-                for ((i, result), (point, label, key)) in
-                    report.results.into_iter().enumerate().zip(&meta[offset..offset + take])
-                {
-                    let slot = offset + i;
-                    let outcome = match result.outcome {
-                        Ok(run) => Ok(stash[slot]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .take()
-                            .unwrap_or_else(|| PointSummary::from_run(&run, result.wall))),
-                        Err(e) => Err(e),
-                    };
-                    filled.push((
-                        *point,
-                        SweepPointResult { label: label.clone(), key: Some(*key), cache_hit: false, outcome },
-                    ));
-                }
-                executed += take;
-            }
-            // Cancelled points were never dispatched: fill their slots
-            // with the typed cancellation error (they are not streamed to
-            // the progress sink — the terminal report is their record).
-            if cancelled {
-                for (point, label, key) in &meta[executed..] {
-                    filled.push((
-                        *point,
-                        SweepPointResult {
-                            label: label.clone(),
-                            key: Some(*key),
-                            cache_hit: false,
-                            outcome: Err(TemuError::Cancelled),
-                        },
-                    ));
-                }
-            }
-        }
-
-        // Grid-order the points. Every index is filled exactly once by the
-        // passes above; if a slot were ever skipped (a campaign delivering
-        // short — which run() prevents by construction), it surfaces as a
-        // typed per-point error rather than a server-killing panic.
-        filled.sort_unstable_by_key(|(index, _)| *index);
-        let mut points: Vec<SweepPointResult> = Vec::with_capacity(total);
-        let mut it = filled.into_iter().peekable();
-        for index in 0..total {
-            match it.peek() {
-                Some((i, _)) if *i == index => {
-                    if let Some((_, result)) = it.next() {
-                        points.push(result);
-                    }
-                }
-                _ => points.push(SweepPointResult {
-                    label: format!("point-{index}"),
-                    key: None,
-                    cache_hit: false,
-                    outcome: Err(TemuError::ScenarioPanicked(String::from(
-                        "sweep point result was never delivered",
-                    ))),
-                }),
-            }
-        }
-
+        let total = self.n_points();
+        let progress = Arc::new(Progress { sink: self.sink.clone(), total, completed: Mutex::new(0) });
+        // Finished points in arbitrary order. (No pre-sized Option slots:
+        // report assembly must be panic-free — a long-running server
+        // survives any malformed point.)
+        let mut filled = Vec::with_capacity(total);
+        let queue = self.resolve(cache, &progress, &mut filled);
+        let cache_hits = filled.iter().filter(|(_, p)| p.cache_hit).count();
+        let (executed, cancelled, threads) = self.execute(queue, cache, &artifacts, &progress, &mut filled);
+        let points = assemble(filled, total);
         SweepReport {
             name: self.name.clone(),
             threads,
@@ -1329,19 +956,240 @@ impl Sweep {
         }
     }
 
-    fn emit(
+    /// Settles every point that needs no execution — malformed grid
+    /// points and cache hits — streaming each to the sink up front, and
+    /// returns the rest, queued for [`Sweep::execute`].
+    fn resolve(
         &self,
-        label: &str,
-        index: usize,
-        completed: usize,
-        total: usize,
-        cache_hit: bool,
-        outcome: Result<&PointSummary, &TemuError>,
-    ) {
+        cache: Option<&ResultCache>,
+        progress: &Progress,
+        filled: &mut Vec<(usize, SweepPointResult)>,
+    ) -> Vec<(PointId, Scenario)> {
+        let mut queue = Vec::new();
+        for point in self.expand() {
+            let mut id = PointId { index: point.index, label: point.label, key: point.key };
+            match point.scenario {
+                Err(e) => {
+                    progress.emit(&id, false, Err(&e));
+                    filled.push(id.result(false, Err(e)));
+                }
+                Ok(scenario) => {
+                    let key = *id.key.get_or_insert_with(|| scenario.content_key());
+                    match cache.and_then(|c| c.get(key)) {
+                        Some(summary) => {
+                            progress.emit(&id, true, Ok(&summary));
+                            filled.push(id.result(true, Ok(summary)));
+                        }
+                        None => queue.push((id, scenario)),
+                    }
+                }
+            }
+        }
+        queue
+    }
+
+    /// Runs the queued points as [`Campaign`] rounds, memoizing each
+    /// summary as it lands and streaming it to the sink. Without a
+    /// checkpoint hook one round runs them all; with one, rounds are the
+    /// campaign width and the hook runs between them on this thread, so
+    /// cancellation (and any flushing the hook does) lands at a grid-point
+    /// boundary, and never-started points are filled as
+    /// [`TemuError::Cancelled`]. Returns `(executed, cancelled, threads)`.
+    fn execute(
+        &self,
+        queue: Vec<(PointId, Scenario)>,
+        cache: Option<&ResultCache>,
+        artifacts: &Arc<ArtifactCache>,
+        progress: &Arc<Progress>,
+        filled: &mut Vec<(usize, SweepPointResult)>,
+    ) -> (usize, bool, usize) {
+        let n_queued = queue.len();
+        let (ids, scenarios): (Vec<PointId>, Vec<Scenario>) = queue.into_iter().unzip();
+        let ids = Arc::new(ids);
+        // Summaries computed in the result sink are stashed per campaign
+        // slot so the filling pass below doesn't re-scan every trace.
+        let stash: Arc<Vec<Mutex<Option<PointSummary>>>> =
+            Arc::new((0..n_queued).map(|_| Mutex::new(None)).collect());
+        let runner = self.point_runner(&ids);
+        let width = self.threads.unwrap_or_else(|| default_workers("TEMU_CAMPAIGN_THREADS")).max(1);
+        let round = if self.checkpoint.is_some() { width } else { n_queued };
+        let mut scenarios = scenarios.into_iter();
+        let (mut executed, mut cancelled, mut threads) = (0, false, 1);
+        while executed < n_queued {
+            if let Some(hook) = &self.checkpoint {
+                let decision = hook(&SweepCheckpoint {
+                    completed: progress.completed(),
+                    executed,
+                    remaining: n_queued - executed,
+                    total: progress.total,
+                });
+                if decision == CheckpointDecision::Cancel {
+                    cancelled = true;
+                    break;
+                }
+            }
+            let offset = executed;
+            let take = round.min(n_queued - offset);
+            let mut campaign =
+                Campaign::new().scenarios(scenarios.by_ref().take(take)).artifacts(Arc::clone(artifacts));
+            if let Some(t) = self.threads {
+                campaign = campaign.threads(t);
+            }
+            if let Some(runner) = &runner {
+                campaign = campaign.runner(Arc::clone(runner));
+            }
+            {
+                let (ids, stash, progress) = (Arc::clone(&ids), Arc::clone(&stash), Arc::clone(progress));
+                let cache = cache.cloned();
+                campaign = campaign.on_result(move |p| {
+                    let slot = offset + p.index;
+                    let id = &ids[slot];
+                    match &p.result.outcome {
+                        Ok(run) => {
+                            let summary = PointSummary::from_run(run, p.result.wall);
+                            if let Some((cache, key)) = cache.as_ref().zip(id.key) {
+                                cache.insert(key, summary.clone());
+                            }
+                            progress.emit(id, false, Ok(&summary));
+                            *lock(&stash[slot]) = Some(summary);
+                        }
+                        Err(e) => progress.emit(id, false, Err(e)),
+                    }
+                });
+            }
+            let report = campaign.run();
+            threads = threads.max(report.threads);
+            for (i, result) in report.results.into_iter().enumerate() {
+                let slot = offset + i;
+                let outcome = result.outcome.map(|run| {
+                    lock(&stash[slot]).take().unwrap_or_else(|| PointSummary::from_run(&run, result.wall))
+                });
+                filled.push(ids[slot].result(false, outcome));
+            }
+            executed += take;
+        }
+        // Cancelled points were never dispatched: their slots get the typed
+        // cancellation error (they are not streamed to the progress sink —
+        // the terminal report is their record).
+        filled.extend(ids[executed..].iter().map(|id| id.result(false, Err(TemuError::Cancelled))));
+        (executed, cancelled, threads)
+    }
+
+    /// The campaign point executor for window-granular checkpointing and
+    /// mid-run resume. When neither is configured no runner is installed
+    /// and points execute through [`Scenario::run_with`] — the feature
+    /// costs nothing disabled.
+    fn point_runner(&self, ids: &[PointId]) -> Option<Arc<PointRunner>> {
+        let window_hook = self
+            .window_checkpoint
+            .as_ref()
+            .filter(|(every, _)| *every > 0)
+            .map(|(every, hook)| (*every, Arc::clone(hook)));
+        if window_hook.is_none() && self.resume.is_empty() {
+            return None;
+        }
+        let by_key: HashMap<u64, (usize, String)> =
+            ids.iter().filter_map(|id| Some((id.key?, (id.index, id.label.clone())))).collect();
+        let resume = self.resume.clone();
+        Some(Arc::new(move |scenario: &Scenario, artifacts: Option<&ArtifactCache>| {
+            let key = scenario.content_key();
+            let seed = resume.get(&key);
+            let Some((every, hook)) = &window_hook else {
+                return match seed {
+                    Some(state) => scenario.resume_run_with(state, artifacts),
+                    None => scenario.run_with(artifacts),
+                };
+            };
+            let (index, label) =
+                by_key.get(&key).map_or((usize::MAX, ""), |(point, label)| (*point, label.as_str()));
+            let total_windows = match scenario.budget() {
+                RunBudget::Windows(n) => n,
+                RunBudget::ToHalt { max_windows } => max_windows,
+            };
+            let mut observer = |emu: &crate::ThermalEmulation| {
+                let state = emu.checkpoint();
+                let windows = state.windows();
+                let decision =
+                    hook(&WindowCheckpoint { index, label, key, windows, total_windows, state: &state });
+                if decision == CheckpointDecision::Cancel {
+                    return Err(TemuError::CancelledMidPoint { windows });
+                }
+                Ok(())
+            };
+            scenario.run_observed(artifacts, seed, Some((*every, &mut observer)))
+        }))
+    }
+}
+
+/// A grid point's identity in the report: its grid index, label and
+/// content key (`None` for a malformed point).
+struct PointId {
+    index: usize,
+    label: String,
+    key: Option<u64>,
+}
+
+impl PointId {
+    /// The point's report slot — the one constructor of every
+    /// [`SweepPointResult`] a sweep reports.
+    fn result(&self, cache_hit: bool, outcome: Result<PointSummary, TemuError>) -> (usize, SweepPointResult) {
+        (self.index, SweepPointResult { label: self.label.clone(), key: self.key, cache_hit, outcome })
+    }
+}
+
+/// Serialized progress streaming: numbers finished points 1..=total, in
+/// call order across the resolve pass and every campaign worker, and
+/// forwards each to the sweep's sink.
+struct Progress {
+    sink: Option<Arc<SweepSink>>,
+    total: usize,
+    completed: Mutex<usize>,
+}
+
+impl Progress {
+    fn emit(&self, id: &PointId, cache_hit: bool, outcome: Result<&PointSummary, &TemuError>) {
+        // The lock is held across the sink call, so invocations never
+        // overlap and `completed` reaches the sink in order.
+        let mut done = lock(&self.completed);
+        *done += 1;
         if let Some(sink) = &self.sink {
-            sink(&SweepProgress { index, completed, total, label, cache_hit, outcome });
+            sink(&SweepProgress {
+                index: id.index,
+                completed: *done,
+                total: self.total,
+                label: &id.label,
+                cache_hit,
+                outcome,
+            });
         }
     }
+
+    fn completed(&self) -> usize {
+        *lock(&self.completed)
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Grid-orders the finished points. Every index is filled exactly once by
+/// resolve and execute; if a slot were ever skipped (a campaign delivering
+/// short — which [`Campaign::run`] prevents by construction), it surfaces
+/// as a typed per-point error rather than a server-killing panic.
+fn assemble(mut filled: Vec<(usize, SweepPointResult)>, total: usize) -> Vec<SweepPointResult> {
+    filled.sort_unstable_by_key(|(index, _)| *index);
+    let mut it = filled.into_iter().peekable();
+    (0..total)
+        .map(|index| match it.next_if(|(i, _)| *i == index) {
+            Some((_, result)) => result,
+            None => {
+                let missing =
+                    TemuError::ScenarioPanicked(String::from("sweep point result was never delivered"));
+                PointId { index, label: format!("point-{index}"), key: None }.result(false, Err(missing)).1
+            }
+        })
+        .collect()
 }
 
 /// One expanded grid point (see [`Sweep::expand`]).

@@ -76,7 +76,7 @@ proptest! {
         // just the in-memory struct.
         let mut emu = scenario.build().unwrap();
         let _ = emu.run_windows(k).unwrap();
-        let state = emu.checkpoint().unwrap();
+        let state = emu.checkpoint();
         prop_assert_eq!(state.windows(), k);
         prop_assert_eq!(state.scenario_key(), scenario.content_key());
         let state = EmulationState::from_bytes(&state.to_bytes()).unwrap();

@@ -301,6 +301,7 @@ fn hundred_point_sweep_streams_progress_and_reruns_from_cache() {
         .run_cached(&cache);
     assert_eq!(rerun.executed, 0, "identical 100-point rerun executes zero scenarios");
     assert_eq!(rerun.cache_hits, 100, "100% cache hits");
+    assert_eq!(rerun.artifacts.misses(), 0, "a fully cached rerun builds no artifacts");
     assert_eq!(hits.load(Ordering::Relaxed), 100);
     assert!(rerun.all_ok());
     assert!(rerun.wall < report.wall, "a fully cached sweep is faster than the real one");
@@ -346,7 +347,7 @@ fn checkpoint_hook_cancels_between_grid_points() {
         }
     }
     // The hook saw monotonically increasing progress, one call per
-    // batch boundary (3 calls: before points 0, 1, 2).
+    // round boundary (3 calls: before points 0, 1, 2).
     let checkpoints = seen.lock().unwrap();
     assert_eq!(checkpoints.len(), 3);
     assert_eq!(checkpoints.iter().map(|c| c.executed).collect::<Vec<_>>(), vec![0, 1, 2]);
@@ -404,75 +405,6 @@ fn dfs_only_sweep_builds_the_mesh_exactly_once() {
         (0, 6),
         "a shared cache carries the mesh across sweeps"
     );
-}
-
-#[test]
-fn batched_sweep_matches_the_campaign_path_exactly() {
-    // The same grid through both execution paths: batch(true) fuses
-    // shared-operator points into lockstep groups solved by the many-RHS
-    // kernel; batch(false) runs each point alone through the campaign
-    // pool. The kernel is bitwise-identical to sequential stepping, so
-    // every result field must match exactly — only wall time may differ.
-    let build = || {
-        Sweep::new("paths", tiny())
-            .workloads((1..=3).map(tiny_matrix).collect())
-            .dfs_bands(&[(340.0, 330.0), (350.0, 340.0)], 500_000_000, 100_000_000)
-            .windows(&[1, 2])
-            .threads(1)
-    };
-    let sequential = build().batch(false).run();
-    let batched = build().batch(true).run();
-    assert!(sequential.all_ok(), "{}", sequential.to_json());
-    assert!(batched.all_ok(), "{}", batched.to_json());
-    assert_eq!(batched.executed, 12);
-    // Twelve points, one geometry: the batched path still builds one mesh.
-    assert_eq!((batched.artifacts.mesh_misses, batched.artifacts.mesh_hits), (1, 11));
-
-    for (a, b) in sequential.points.iter().zip(&batched.points) {
-        assert_eq!(a.label, b.label);
-        assert_eq!(a.key, b.key);
-        let (x, y) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-        assert_eq!(x.windows, y.windows);
-        assert_eq!(x.instructions, y.instructions);
-        assert_eq!(x.all_halted, y.all_halted);
-        assert_eq!(x.virtual_s.to_bits(), y.virtual_s.to_bits());
-        assert_eq!(x.fpga_s.to_bits(), y.fpga_s.to_bits());
-        assert_eq!(
-            x.peak_temp_k.map(f64::to_bits),
-            y.peak_temp_k.map(f64::to_bits),
-            "{}: batched peak temperature must be bitwise-identical",
-            a.label
-        );
-        assert_eq!(x.final_temp_k.map(f64::to_bits), y.final_temp_k.map(f64::to_bits));
-        assert_eq!(x.throttled_fraction.to_bits(), y.throttled_fraction.to_bits());
-        assert_eq!(x.time_at_hz, y.time_at_hz);
-        assert_eq!(x.unconverged_substeps, y.unconverged_substeps);
-    }
-}
-
-#[test]
-fn batched_sweep_serves_reruns_from_the_result_cache() {
-    // The batch path sits behind the same content-keyed result cache as
-    // the campaign path: a batched first run fills the cache, and either
-    // path replays it without executing (or building) anything.
-    let cache = ResultCache::in_memory();
-    let build = || {
-        Sweep::new("batch-cached", tiny())
-            .workloads(vec![tiny_matrix(1), tiny_matrix(2)])
-            .windows(&[1, 2])
-            .batch(true)
-    };
-    let first = build().run_cached(&cache);
-    assert!(first.all_ok(), "{}", first.to_json());
-    assert_eq!((first.executed, first.cache_hits), (4, 0));
-    assert_eq!(cache.len(), 4);
-
-    let rerun = build().run_cached(&cache);
-    assert_eq!((rerun.executed, rerun.cache_hits), (0, 4));
-    assert_eq!(rerun.artifacts.mesh_misses, 0, "a fully cached rerun builds nothing");
-    for (a, b) in first.points.iter().zip(&rerun.points) {
-        assert_eq!(a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-    }
 }
 
 #[test]

@@ -65,7 +65,6 @@ struct SubstepObs {
     substeps_mg: Arc<temu_obs::Counter>,
     substeps_gs: Arc<temu_obs::Counter>,
     substeps_explicit: Arc<temu_obs::Counter>,
-    substeps_fused: Arc<temu_obs::Counter>,
 }
 
 fn substep_obs() -> &'static SubstepObs {
@@ -79,7 +78,6 @@ fn substep_obs() -> &'static SubstepObs {
             substeps_mg: scope.counter("substeps_mg"),
             substeps_gs: scope.counter("substeps_gs"),
             substeps_explicit: scope.counter("substeps_explicit"),
-            substeps_fused: scope.counter("substeps_fused"),
         }
     })
 }
@@ -976,176 +974,6 @@ impl ThermalModel {
                 residual_k: self.last_delta,
                 sweeps: self.last_sweeps,
             });
-        }
-        Ok(())
-    }
-
-    /// Advances `k` models by `seconds` in lockstep, solving their
-    /// implicit substeps as one batched many-RHS sweep: the k temperature
-    /// iterates are packed in SoA layout (`soa[cell * k + model]`) and one
-    /// pass over the shared CSR adjacency updates all k vectors per cell.
-    /// The per-model arithmetic — warm start, SOR tuning, refresh policy,
-    /// convergence test — is *exactly* the serial path's, in the same
-    /// order, so the result is bitwise identical to calling
-    /// [`ThermalModel::try_step`] on each model in turn; what batching
-    /// buys is one traversal of the adjacency indices (and hot cache
-    /// lines) servicing k scenarios instead of one.
-    ///
-    /// The fused kernel engages when every model shares the same grid
-    /// `Arc` and integrator and runs the serial Gauss–Seidel path; any
-    /// other mix (reference mode, parallel sweeps, multigrid, explicit
-    /// integration) falls back to sequential stepping — still correct,
-    /// just unbatched.
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::NotConverged`] in strict mode, from the first model
-    /// whose substep fails; integration stops there for every model, as
-    /// [`ThermalModel::try_step`] stops at the offending substep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seconds` is negative or not finite.
-    pub fn try_step_batch(
-        models: &mut [&mut ThermalModel],
-        seconds: f64,
-    ) -> Result<(), ThermalError> {
-        assert!(seconds >= 0.0 && seconds.is_finite(), "step duration must be finite and non-negative");
-        if models.is_empty() || seconds == 0.0 {
-            return Ok(());
-        }
-        let fusable = {
-            let (first, rest) = models.split_first().expect("non-empty");
-            let serial_gs = |m: &ThermalModel| {
-                matches!(m.cfg.integrator, Integrator::SemiImplicit { .. })
-                    && !m.reference_mode()
-                    && !m.uses_parallel_sweeps()
-                    && !m.uses_multigrid()
-            };
-            models.len() >= 2
-                && serial_gs(first)
-                && rest.iter().all(|m| {
-                    Arc::ptr_eq(&m.grid, &first.grid)
-                        && m.cfg.integrator == first.cfg.integrator
-                        && serial_gs(m)
-                })
-        };
-        if !fusable {
-            for m in models.iter_mut() {
-                m.try_step(seconds)?;
-            }
-            return Ok(());
-        }
-        // Cap the fusion width: every model carries its own conductance/
-        // capacitance arrays (the operator is quasi-nonlinear), so a fused
-        // sweep's working set grows by ~n·10 doubles per model. Past a few
-        // models that spills the cache level the serial path solves in,
-        // and the fused pass gets slower, not faster. Chunks still
-        // amortize the shared CSR index traversal; results are unchanged
-        // (the models are mutually independent).
-        const FUSE_WIDTH: usize = 8;
-        if models.len() > FUSE_WIDTH {
-            for chunk in models.chunks_mut(FUSE_WIDTH) {
-                Self::try_step_batch(chunk, seconds)?;
-            }
-            return Ok(());
-        }
-        let Integrator::SemiImplicit { dt } = models[0].cfg.integrator else { unreachable!() };
-        let n_sub = (seconds / dt).ceil().max(1.0) as u64;
-        let h = seconds / n_sub as f64;
-        let grid = models[0].grid.clone();
-        let csr = &grid.csr;
-        let n = grid.n_cells();
-        let k = models.len();
-        let mut tuners: Vec<SorTuner> = Vec::with_capacity(k);
-        let mut omega = vec![1.0f64; k];
-        let mut settled = vec![false; k];
-        let mut sweeps_used = vec![MAX_SWEEPS; k];
-        let mut final_delta = vec![f64::INFINITY; k];
-        let mut converged = vec![false; k];
-        let mut max_delta = vec![0.0f64; k];
-        for _ in 0..n_sub {
-            let t0 = temu_obs::enabled().then(std::time::Instant::now);
-            for m in models.iter_mut() {
-                if m.since_refresh >= REFRESH_MAX_INTERVAL || m.drift_since_refresh() > REFRESH_DRIFT_K {
-                    m.refresh_all();
-                }
-                m.implicit_substep_begin(h);
-            }
-            // Fused sweeps: each model runs its own SorTuner/ω and stops
-            // sweeping the moment its own update drops below tolerance,
-            // exactly as `solve_serial` would. The models update their own
-            // work vectors in place, in the same cell order as the serial
-            // path, so every iterate is bit-for-bit the serial one; the
-            // fusion wins by loading each cell's CSR row bounds and
-            // neighbor indices once for all k models, and by interleaving
-            // k independent Gauss–Seidel recurrences (the serial sweep is
-            // latency-bound on its own dependency chain).
-            tuners.clear();
-            tuners.resize_with(k, SorTuner::new);
-            omega.fill(1.0);
-            settled.fill(false);
-            sweeps_used.fill(MAX_SWEEPS);
-            final_delta.fill(f64::INFINITY);
-            converged.fill(false);
-            for sweep in 0..MAX_SWEEPS {
-                if settled.iter().all(|&s| s) {
-                    break;
-                }
-                max_delta.fill(0.0);
-                for i in 0..n {
-                    let (lo, hi) = (csr.offsets[i] as usize, csr.offsets[i + 1] as usize);
-                    let nbrs = &csr.nbr[lo..hi];
-                    for (j, m) in models.iter_mut().enumerate() {
-                        if settled[j] {
-                            continue;
-                        }
-                        let mut num =
-                            m.c_over_h[i] * m.temps[i] + m.cell_power[i] + m.g_conv[i] * m.cfg.ambient_k;
-                        for (&g, &nb) in m.g_entry[lo..hi].iter().zip(nbrs) {
-                            num += g * m.work[nb as usize];
-                        }
-                        let old = m.work[i];
-                        let new = old + omega[j] * (num * m.inv_diag[i] - old);
-                        max_delta[j] = max_delta[j].max((new - old).abs());
-                        m.work[i] = new;
-                    }
-                }
-                for j in 0..k {
-                    if settled[j] {
-                        continue;
-                    }
-                    final_delta[j] = max_delta[j];
-                    if max_delta[j] < SWEEP_TOL {
-                        settled[j] = true;
-                        sweeps_used[j] = sweep + 1;
-                        converged[j] = true;
-                    } else {
-                        omega[j] = tuners[j].observe(sweep, max_delta[j]);
-                    }
-                }
-            }
-            for (j, m) in models.iter_mut().enumerate() {
-                let amb = m.cfg.ambient_k;
-                m.record_implicit(sweeps_used[j], 0, final_delta[j], converged[j]);
-                m.implicit_substep_finish(h, amb);
-                m.since_refresh += 1;
-            }
-            if let Some(t0) = t0 {
-                let o = substep_obs();
-                // One fused round advances all k models one substep; the
-                // latency histogram records the round (amortized cost),
-                // the counter the per-model substeps it serviced.
-                o.latency_ns.record_duration(t0.elapsed());
-                o.substeps_fused.add(k as u64);
-                for j in 0..k {
-                    o.sweeps.record(sweeps_used[j] as u64);
-                    o.residual_nk.record(residual_nanokelvin(final_delta[j]));
-                }
-            }
-            for m in models.iter() {
-                m.check_strict()?;
-            }
         }
         Ok(())
     }
@@ -2298,81 +2126,5 @@ mod tests {
         assert!(lazy.uses_multigrid() && lazy.multigrid_levels().unwrap() >= 2);
         assert_eq!(lazy.multigrid_levels(), shared.multigrid_levels());
         assert_eq!(lazy.temps(), shared.temps(), "identical trajectories");
-    }
-
-    #[test]
-    fn batched_step_is_bitwise_equal_to_sequential() {
-        // The fused many-RHS kernel must reproduce the serial per-model
-        // path exactly — same sweeps, same ω schedule, same floats.
-        let mut fp = Floorplan::new("batch", 4000.0, 2000.0);
-        let l = fp.add_component("left", 0.0, 0.0, 1000.0, 2000.0, true);
-        let r = fp.add_component("right", 3000.0, 0.0, 1000.0, 2000.0, true);
-        let cfg = GridConfig { hot_div: 4, ..GridConfig::default() };
-        let seed = ThermalModel::new(&fp, &cfg).unwrap();
-        let grid = seed.grid_arc();
-        let powers = [(2.0, 0.5), (0.3, 1.7), (1.0, 1.0), (0.0, 4.0)];
-        let mut batched: Vec<ThermalModel> = powers
-            .iter()
-            .map(|&(pl, pr)| {
-                let mut m = ThermalModel::with_artifacts(grid.clone(), None, &cfg).unwrap();
-                m.set_component_power(l, pl);
-                m.set_component_power(r, pr);
-                m
-            })
-            .collect();
-        let mut sequential: Vec<ThermalModel> = batched.clone();
-        for _ in 0..8 {
-            let mut refs: Vec<&mut ThermalModel> = batched.iter_mut().collect();
-            ThermalModel::try_step_batch(&mut refs, 0.01).unwrap();
-            for m in &mut sequential {
-                m.try_step(0.01).unwrap();
-            }
-        }
-        for (bm, sm) in batched.iter().zip(&sequential) {
-            assert_eq!(bm.temps(), sm.temps(), "bitwise-equal trajectories");
-            assert_eq!(bm.solver_stats(), sm.solver_stats(), "identical solver effort");
-            assert!(bm.time() > 0.0);
-        }
-        // And the batch really heated the scenarios differently.
-        assert!(batched[3].component_temp(r) > batched[0].component_temp(r));
-    }
-
-    #[test]
-    fn batched_step_falls_back_for_unfusable_mixes() {
-        // Different grids → sequential fallback, still correct.
-        let cfg = GridConfig::default();
-        let mut a = uniform(2.0, &cfg);
-        let mut b = uniform(2.0, &cfg);
-        let mut golden = uniform(2.0, &cfg);
-        {
-            let mut refs: Vec<&mut ThermalModel> = vec![&mut a, &mut b];
-            ThermalModel::try_step_batch(&mut refs, 0.02).unwrap();
-        }
-        golden.try_step(0.02).unwrap();
-        assert_eq!(a.temps(), golden.temps());
-        assert_eq!(b.temps(), golden.temps());
-    }
-
-    #[test]
-    fn batched_step_runs_clean_under_strict_convergence() {
-        // The batched kernel goes through the same check_strict gate as
-        // the serial path: a healthy strict-mode batch steps cleanly and
-        // records zero unconverged substeps.
-        let cfg = GridConfig { strict_convergence: true, ..GridConfig::default() };
-        let base = uniform(2.0, &cfg);
-        let grid = base.grid_arc();
-        let mut ms: Vec<ThermalModel> = (0..3)
-            .map(|i| {
-                let mut m = ThermalModel::with_artifacts(grid.clone(), None, &cfg).unwrap();
-                m.set_component_power(0, 1.0 + i as f64);
-                m
-            })
-            .collect();
-        let mut refs: Vec<&mut ThermalModel> = ms.iter_mut().collect();
-        ThermalModel::try_step_batch(&mut refs, 0.05).unwrap();
-        for m in &ms {
-            assert_eq!(m.solver_stats().unconverged_substeps, 0);
-            assert!(m.solver_stats().substeps > 0);
-        }
     }
 }

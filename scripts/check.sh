@@ -4,11 +4,52 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every gate's scratch files live under one temp root, and every
+# background process is recorded in PIDS, so one EXIT trap cleans up
+# whatever a failing gate leaves behind.
+TMP_ROOT=$(mktemp -d)
+PIDS=""
+cleanup() {
+    for pid in $PIDS; do kill "$pid" 2>/dev/null || true; done
+    rm -rf "$TMP_ROOT"
+}
+trap cleanup EXIT
+
+wait_addr() { # logfile prefix -> prints the bound address
+    local found=""
+    for _ in $(seq 1 100); do
+        found=$(sed -n "s/^$2 listening on //p" "$1")
+        [ -n "$found" ] && break
+        sleep 0.1
+    done
+    if [ -z "$found" ]; then
+        echo "FAILED: no '$2 listening on' banner in $1" >&2
+        cat "$1" >&2
+        return 1
+    fi
+    echo "$found"
+}
+
+reap() { # pid -> waits for it, drops it from PIDS, returns its exit status
+    local status=0 pid kept=""
+    wait "$1" || status=$?
+    for pid in $PIDS; do [ "$pid" = "$1" ] || kept="$kept $pid"; done
+    PIDS=$kept
+    return "$status"
+}
+
 echo "== tier-1: release build =="
 cargo build --release
 
 echo "== tier-1: tests =="
 cargo test -q
+
+echo "== solver goldens: full 2 s transients =="
+# Tier-1 checks a 50 ms prefix of each solver golden; the full 2 s
+# transients (optimized vs reference solver, multigrid vs Gauss-Seidel,
+# 1e-4 K bound) take minutes in a debug build, so they run here in
+# release.
+cargo test --release -p temu-bench --test solver_equivalence -- --include-ignored
 
 echo "== lint wall: clippy -D warnings =="
 cargo clippy --workspace -- -D warnings
@@ -22,14 +63,12 @@ echo "== bench-smoke gate =="
 # BENCH_thermal.json.
 cargo run --release -p temu-bench --bin thermal_scaling -- --smoke --out target/bench_smoke.json
 
-echo "== sweep-smoke + batch-smoke gate =="
+echo "== sweep-smoke gate =="
 # The design-space sweep gate: an 8-point strict-convergence mini sweep
 # (multigrid included) must run clean with the shared mesh built exactly
-# once (7 artifact-cache hits — zero hits fails), its identical
+# once (7 artifact-cache hits — zero hits fails), and its identical
 # in-process re-run must be 100% result-cache hits with zero scenario
-# executions, and the same grid through the batched many-RHS lockstep
-# path must reproduce the campaign run bitwise (peak/final temperatures
-# compared by bit pattern).
+# executions.
 cargo run --release -p temu-bench --bin sweep -- --smoke
 
 echo "== serve-smoke gate =="
@@ -39,33 +78,18 @@ echo "== serve-smoke gate =="
 # non-converging or failed point exits non-zero), then resubmit and
 # require the whole job be served from the cache with zero scenarios
 # executed (--require-cached).
-SERVE_TMP=$(mktemp -d)
-SERVE_PID=""
-serve_cleanup() {
-    [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true
-    rm -rf "$SERVE_TMP"
-}
-trap serve_cleanup EXIT
+SERVE_TMP="$TMP_ROOT/serve"
+mkdir "$SERVE_TMP"
 target/release/temu-serve --addr 127.0.0.1:0 --store "$SERVE_TMP/cache.jsonl" \
     > "$SERVE_TMP/serve.log" 2>&1 &
 SERVE_PID=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^temu-serve listening on //p' "$SERVE_TMP/serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "serve smoke FAILED: temu-serve never reported its address"
-    cat "$SERVE_TMP/serve.log"
-    exit 1
-fi
+PIDS="$PIDS $SERVE_PID"
+addr=$(wait_addr "$SERVE_TMP/serve.log" temu-serve)
 target/release/temu-client --addr "$addr" submit --preset smoke
 target/release/temu-client --addr "$addr" submit --preset smoke --require-cached
 target/release/temu-client --addr "$addr" stats
 target/release/temu-client --addr "$addr" shutdown
-wait "$SERVE_PID"
-SERVE_PID=""
+reap "$SERVE_PID"
 echo "serve smoke OK"
 
 echo "== obs-smoke gate =="
@@ -77,28 +101,14 @@ echo "== obs-smoke gate =="
 # counter must match the two jobs the client ran, and the `metrics` and
 # `results` commands must answer over the wire.
 cargo run --release -p temu-bench --bin sweep -- --obs-ab
-OBS_TMP=$(mktemp -d)
-OBS_PID=""
-obs_cleanup() {
-    [ -n "$OBS_PID" ] && kill "$OBS_PID" 2>/dev/null || true
-    rm -rf "$OBS_TMP" "$SERVE_TMP"
-}
-trap obs_cleanup EXIT
+OBS_TMP="$TMP_ROOT/obs"
+mkdir "$OBS_TMP"
 target/release/temu-serve --addr 127.0.0.1:0 --store "$OBS_TMP/cache.jsonl" \
     --metrics-log "$OBS_TMP/metrics.ndjson" --metrics-interval 100 \
     > "$OBS_TMP/serve.log" 2>&1 &
 OBS_PID=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^temu-serve listening on //p' "$OBS_TMP/serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "obs smoke FAILED: temu-serve never reported its address"
-    cat "$OBS_TMP/serve.log"
-    exit 1
-fi
+PIDS="$PIDS $OBS_PID"
+addr=$(wait_addr "$OBS_TMP/serve.log" temu-serve)
 target/release/temu-client --addr "$addr" submit --preset smoke
 target/release/temu-client --addr "$addr" submit --preset smoke --require-cached
 # The streamed feed replays both jobs' completed points as NDJSON.
@@ -110,8 +120,7 @@ fi
 target/release/temu-client --addr "$addr" metrics
 target/release/temu-client --addr "$addr" stats
 target/release/temu-client --addr "$addr" shutdown
-wait "$OBS_PID"
-OBS_PID=""
+reap "$OBS_PID"
 target/release/temu-client check-metrics-log "$OBS_TMP/metrics.ndjson" --jobs-done 2
 echo "obs smoke OK"
 
@@ -123,13 +132,8 @@ echo "== resume-smoke gate =="
 # completion — the restart banner must report the recovered mid-point
 # state, and the finished job must land in the cache (the final
 # --require-cached resubmission exits 3 if anything re-executes).
-RESUME_TMP=$(mktemp -d)
-RESUME_PID=""
-resume_cleanup() {
-    [ -n "$RESUME_PID" ] && kill "$RESUME_PID" 2>/dev/null || true
-    rm -rf "$RESUME_TMP" "$OBS_TMP" "$SERVE_TMP"
-}
-trap resume_cleanup EXIT
+RESUME_TMP="$TMP_ROOT/resume"
+mkdir "$RESUME_TMP"
 cat > "$RESUME_TMP/spec.json" <<'SPEC'
 {"name": "resume-smoke", "cores": 2,
  "workload": {"kind": "matrix", "n": 48, "iters": 200, "cores": 2},
@@ -139,17 +143,8 @@ SPEC
 target/release/temu-serve --addr 127.0.0.1:0 --store "$RESUME_TMP/cache.jsonl" \
     --window-checkpoint 5 > "$RESUME_TMP/serve.log" 2>&1 &
 RESUME_PID=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^temu-serve listening on //p' "$RESUME_TMP/serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "resume smoke FAILED: temu-serve never reported its address"
-    cat "$RESUME_TMP/serve.log"
-    exit 1
-fi
+PIDS="$PIDS $RESUME_PID"
+addr=$(wait_addr "$RESUME_TMP/serve.log" temu-serve)
 target/release/temu-client --addr "$addr" submit --spec "$RESUME_TMP/spec.json" --no-watch
 # Wait for a persisted mid-point checkpoint record, then SIGKILL.
 ck_seen=""
@@ -166,21 +161,12 @@ if [ -z "$ck_seen" ]; then
     exit 1
 fi
 kill -9 "$RESUME_PID"
-wait "$RESUME_PID" 2>/dev/null || true
+reap "$RESUME_PID" 2>/dev/null || true
 target/release/temu-serve --addr 127.0.0.1:0 --store "$RESUME_TMP/cache.jsonl" \
     --window-checkpoint 5 > "$RESUME_TMP/serve2.log" 2>&1 &
 RESUME_PID=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^temu-serve listening on //p' "$RESUME_TMP/serve2.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "resume smoke FAILED: restarted temu-serve never reported its address"
-    cat "$RESUME_TMP/serve2.log"
-    exit 1
-fi
+PIDS="$PIDS $RESUME_PID"
+addr=$(wait_addr "$RESUME_TMP/serve2.log" temu-serve)
 if ! grep -q '1 mid-point state(s) recovered' "$RESUME_TMP/serve2.log"; then
     echo "resume smoke FAILED: restart did not recover the mid-point state"
     cat "$RESUME_TMP/serve2.log"
@@ -189,8 +175,7 @@ fi
 target/release/temu-client --addr "$addr" watch 1
 target/release/temu-client --addr "$addr" submit --spec "$RESUME_TMP/spec.json" --require-cached
 target/release/temu-client --addr "$addr" shutdown
-wait "$RESUME_PID"
-RESUME_PID=""
+reap "$RESUME_PID"
 echo "resume smoke OK"
 
 echo "== chaos-smoke gate =="
@@ -201,28 +186,14 @@ echo "== chaos-smoke gate =="
 # rerun must still be answered 100% from the cache with exit 0: a
 # fully-cached job never checkpoints, so panics cannot reach it, and
 # dropped connections are absorbed by the client's backoff.
-CHAOS_TMP=$(mktemp -d)
-CHAOS_PID=""
-chaos_cleanup() {
-    [ -n "$CHAOS_PID" ] && kill "$CHAOS_PID" 2>/dev/null || true
-    rm -rf "$CHAOS_TMP" "$RESUME_TMP" "$OBS_TMP" "$SERVE_TMP"
-}
-trap chaos_cleanup EXIT
+CHAOS_TMP="$TMP_ROOT/chaos"
+mkdir "$CHAOS_TMP"
 TEMU_FAULT="worker_panic:0.3,drop_conn:0.2" \
     target/release/temu-serve --addr 127.0.0.1:0 --store "$CHAOS_TMP/cache.jsonl" \
     > "$CHAOS_TMP/serve.log" 2>&1 &
 CHAOS_PID=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^temu-serve listening on //p' "$CHAOS_TMP/serve.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "chaos smoke FAILED: temu-serve never reported its address"
-    cat "$CHAOS_TMP/serve.log"
-    exit 1
-fi
+PIDS="$PIDS $CHAOS_PID"
+addr=$(wait_addr "$CHAOS_TMP/serve.log" temu-serve)
 chaos_ok=""
 for attempt in $(seq 1 15); do
     if target/release/temu-client --addr "$addr" --retries 8 submit --preset smoke; then
@@ -237,8 +208,7 @@ if [ -z "$chaos_ok" ]; then
 fi
 target/release/temu-client --addr "$addr" --retries 8 submit --preset smoke --require-cached
 target/release/temu-client --addr "$addr" --retries 8 shutdown
-wait "$CHAOS_PID" || true
-CHAOS_PID=""
+reap "$CHAOS_PID" || true
 echo "chaos smoke OK"
 
 echo "== fleet-smoke gate =="
@@ -248,40 +218,19 @@ echo "== fleet-smoke gate =="
 # smoke preset through the router. The identical resubmission must
 # rendezvous to the same member and be served 100% from its cache
 # (--require-cached exits 3 otherwise).
-FLEET_TMP=$(mktemp -d)
-FLEET_PIDS=""
-fleet_cleanup() {
-    for pid in $FLEET_PIDS; do kill "$pid" 2>/dev/null || true; done
-    rm -rf "$FLEET_TMP" "$CHAOS_TMP" "$RESUME_TMP" "$OBS_TMP" "$SERVE_TMP"
-}
-trap fleet_cleanup EXIT
-
-wait_addr() { # logfile prefix -> prints the bound address
-    local found=""
-    for _ in $(seq 1 100); do
-        found=$(sed -n "s/^$2 listening on //p" "$1")
-        [ -n "$found" ] && break
-        sleep 0.1
-    done
-    if [ -z "$found" ]; then
-        echo "fleet smoke FAILED: no '$2 listening on' banner in $1" >&2
-        cat "$1" >&2
-        return 1
-    fi
-    echo "$found"
-}
-
+FLEET_TMP="$TMP_ROOT/fleet"
+mkdir "$FLEET_TMP"
 target/release/temu-serve --addr 127.0.0.1:0 --store "$FLEET_TMP/cache.jsonl" \
     --journal "$FLEET_TMP/jobs-a.jsonl" --member a > "$FLEET_TMP/member-a.log" 2>&1 &
-FLEET_PIDS="$FLEET_PIDS $!"
+PIDS="$PIDS $!"
 target/release/temu-serve --addr 127.0.0.1:0 --store "$FLEET_TMP/cache.jsonl" \
     --journal "$FLEET_TMP/jobs-b.jsonl" --member b > "$FLEET_TMP/member-b.log" 2>&1 &
-FLEET_PIDS="$FLEET_PIDS $!"
+PIDS="$PIDS $!"
 member_a=$(wait_addr "$FLEET_TMP/member-a.log" temu-serve)
 member_b=$(wait_addr "$FLEET_TMP/member-b.log" temu-serve)
 target/release/temu-router --addr 127.0.0.1:0 --member "$member_a" --member "$member_b" \
     > "$FLEET_TMP/router.log" 2>&1 &
-FLEET_PIDS="$FLEET_PIDS $!"
+PIDS="$PIDS $!"
 router=$(wait_addr "$FLEET_TMP/router.log" temu-router)
 target/release/temu-client --addr "$router" submit --preset smoke
 target/release/temu-client --addr "$router" submit --preset smoke --require-cached
@@ -289,8 +238,7 @@ target/release/temu-client --addr "$router" stats
 target/release/temu-client --addr "$router" shutdown
 target/release/temu-client --addr "$member_a" shutdown
 target/release/temu-client --addr "$member_b" shutdown
-for pid in $FLEET_PIDS; do wait "$pid" || true; done
-FLEET_PIDS=""
+for pid in $PIDS; do reap "$pid" || true; done
 echo "fleet smoke OK"
 
 echo "All checks passed."
