@@ -259,6 +259,10 @@ impl ThermalEmulation {
     /// Executes one sampling window: platform → statistics → power → link →
     /// thermal step → temperature feedback → policy.
     ///
+    /// With the metrics registry on, the whole window records into
+    /// `core.window_ns` and each stage into its own span:
+    /// `core.stage.{machine,power,link,thermal,feedback}_ns`.
+    ///
     /// # Errors
     ///
     /// Propagates platform faults as [`TemuError::Cpu`]; under
@@ -272,13 +276,49 @@ impl ThermalEmulation {
         let window_s = self.cfg.sampling_window_s;
         let hz = self.machine.vpcm().virtual_hz();
         let cycles = (window_s * hz as f64).round() as u64;
-        let stats = self.machine.run_window(cycles)?;
+        let stats = temu_obs::time!("core.stage.machine_ns", self.machine.run_window(cycles))?;
 
         // Convert sniffer statistics to per-component power.
-        let powers = self.cfg.power.window_powers(&self.map, &stats, hz);
+        let powers = temu_obs::time!("core.stage.power_ns", self.cfg.power.window_powers(&self.map, &stats, hz));
 
         // Ship statistics (and any event-log backlog) over the link within
         // the window's physical-time budget.
+        let fpga_hz = self.machine.vpcm().fpga_hz;
+        let physical_window_s = (stats.cycles() + stats.freeze_mem) as f64 / fpga_hz as f64;
+        let link_freeze_s = temu_obs::time!("core.stage.link_ns", self.ship_stats(&stats, &powers, hz, physical_window_s));
+
+        // Thermal step and temperature feedback.
+        let temps = temu_obs::time!("core.stage.thermal_ns", {
+            self.model.set_powers(&powers);
+            self.model.try_step(window_s)?;
+            self.model.component_temps()
+        });
+        temu_obs::time!("core.stage.feedback_ns", self.feed_back(&temps, hz));
+
+        // Bookkeeping.
+        self.seq = self.seq.wrapping_add(1);
+        self.windows += 1;
+        self.virtual_seconds += window_s;
+        self.virtual_cycles += stats.cycles();
+        self.fpga_seconds += physical_window_s + link_freeze_s;
+        self.aggregate.merge(&stats);
+        self.call_aggregate.merge(&stats);
+        let hottest = temps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        self.trace.push(TraceSample {
+            t_virtual_s: self.virtual_seconds,
+            temps_k: temps,
+            max_temp_k: hottest,
+            virtual_hz: hz,
+            total_power_w: powers.iter().sum(),
+            fpga_seconds: self.fpga_seconds,
+        });
+        Ok(())
+    }
+
+    /// Sends the window's statistics packet, plus the event-log backlog,
+    /// over the link within the window's physical time, and records the
+    /// congestion freeze in the VPCM. Returns the freeze in seconds.
+    fn ship_stats(&mut self, stats: &WindowStats, powers: &[f64], hz: u64, physical_window_s: f64) -> f64 {
         let packet = StatsPacket {
             seq: self.seq,
             window_start: stats.start_cycle,
@@ -299,19 +339,19 @@ impl ThermalEmulation {
             payload.extend(std::iter::repeat_n(0u8, (drained as usize) * EVENT_BYTES));
         }
         let frames = self.link.packetize(&payload.into(), true);
-        let fpga_hz = self.machine.vpcm().fpga_hz;
-        let physical_window_s = (stats.cycles() + stats.freeze_mem) as f64 / fpga_hz as f64;
         let link_freeze_s = self.link.send_window(&frames, physical_window_s);
         // Surface the congestion freeze through the VPCM so the next window's
-        // statistics carry it (the report below accounts it directly).
+        // statistics carry it (the report accounts it directly).
+        let fpga_hz = self.machine.vpcm().fpga_hz;
         self.machine
             .vpcm_mut()
             .record_link_freeze((link_freeze_s * fpga_hz as f64).round() as u64);
+        link_freeze_s
+    }
 
-        // Thermal step and temperature feedback.
-        self.model.set_powers(&powers);
-        self.model.try_step(window_s)?;
-        let temps = self.model.component_temps();
+    /// Returns the temperatures to the platform (reply packet, sensor
+    /// registers) and runs the §7 DFS state machine on the hottest one.
+    fn feed_back(&mut self, temps: &[f64], hz: u64) {
         let reply = TempPacket {
             seq: self.seq,
             temps_centi_k: temps.iter().map(|&t| (t * 100.0).round() as u32).collect(),
@@ -321,8 +361,6 @@ impl ThermalEmulation {
         for (i, &t) in temps.iter().enumerate() {
             self.machine.set_sensor_kelvin(i, t);
         }
-
-        // Run-time thermal management (the §7 DFS state machine).
         if let Some(policy) = &mut self.policy {
             let hottest = temps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             let new_hz = policy.update(hottest);
@@ -330,25 +368,6 @@ impl ThermalEmulation {
                 self.machine.set_virtual_hz(new_hz);
             }
         }
-
-        // Bookkeeping.
-        self.seq = self.seq.wrapping_add(1);
-        self.windows += 1;
-        self.virtual_seconds += window_s;
-        self.virtual_cycles += stats.cycles();
-        self.fpga_seconds += physical_window_s + link_freeze_s;
-        self.aggregate.merge(&stats);
-        self.call_aggregate.merge(&stats);
-        let hottest = temps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        self.trace.push(TraceSample {
-            t_virtual_s: self.virtual_seconds,
-            temps_k: temps,
-            max_temp_k: hottest,
-            virtual_hz: hz,
-            total_power_w: powers.iter().sum(),
-            fpga_seconds: self.fpga_seconds,
-        });
-        Ok(())
     }
 
     /// Runs windows until every core halts or `max_windows` elapse.

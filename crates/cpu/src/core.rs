@@ -3,11 +3,15 @@
 //! Execution is split into micro-phases: [`Cpu::step`] first performs the
 //! instruction fetch and execute phase; if the instruction needs a data
 //! access, the core parks it as a pending operation and the *next* `step`
-//! call performs it. The emulation engine always steps the core with the
-//! smallest local time, so splitting the phases guarantees that shared
-//! resources (bus, NoC links) see requests in nondecreasing global time —
-//! which is what keeps the fast engine cycle-exact against the signal-level
-//! `temu-des` baseline.
+//! call performs it. Every micro-phase makes at most one memory access, so
+//! the engine can order the phases that reach shared resources (bus, NoC
+//! links, shared memory): it runs each of them on the core with the
+//! smallest (local time, interconnect tie key), which gives shared
+//! resources their requests in nondecreasing global time, exactly as the
+//! signal-level `temu-des` baseline issues them. Phases whose access stays
+//! in the core's private range touch only that core's own state, so the
+//! engine lets a core run them back to back ([`Cpu::run_local`]), ahead of
+//! the other cores, without changing any result.
 
 use crate::port::MemoryPort;
 use crate::regfile::RegFile;
@@ -87,6 +91,53 @@ enum DataOp {
     Tas { rd: Reg, addr: u32 },
 }
 
+impl DataOp {
+    fn addr(self) -> u32 {
+        match self {
+            DataOp::Load { addr, .. } | DataOp::Store { addr, .. } | DataOp::Tas { addr, .. } => addr,
+        }
+    }
+}
+
+/// Slots of the [`DecodeCache`]: any 4 KB of contiguous text gets distinct
+/// slots (the MATRIX and DITHERING programs are ~120 words); words 4 KB
+/// apart share one and decode again when they alternate.
+const DECODE_SLOTS: usize = 1024;
+
+/// Direct-mapped memo of decoded instructions, indexed by word address.
+/// A slot keeps the word it decoded and is used only when the fetched word
+/// matches it, so a store over the text can never leave a stale decode
+/// behind: the cache needs no invalidation and no checkpoint state.
+#[derive(Clone, Debug, Default)]
+struct DecodeCache {
+    /// `(word, its decode)` per slot; empty until the first fetch, so
+    /// building a machine allocates nothing.
+    slots: Vec<(u32, Instr)>,
+}
+
+impl DecodeCache {
+    #[inline]
+    fn decode(&mut self, pc: u32, word: u32) -> Result<Instr, DecodeError> {
+        let slot = (pc >> 2) as usize & (DECODE_SLOTS - 1);
+        match self.slots.get(slot) {
+            Some(&(w, instr)) if w == word => Ok(instr),
+            _ => self.fill(slot, word),
+        }
+    }
+
+    /// The decode itself, kept out of line so the hit path stays small.
+    #[cold]
+    #[inline(never)]
+    fn fill(&mut self, slot: usize, word: u32) -> Result<Instr, DecodeError> {
+        let instr = Instr::decode(word)?;
+        if self.slots.is_empty() {
+            self.slots = vec![(word, instr); DECODE_SLOTS];
+        }
+        self.slots[slot] = (word, instr);
+        Ok(instr)
+    }
+}
+
 /// One TE32 core instance.
 #[derive(Clone, Debug)]
 pub struct Cpu {
@@ -98,13 +149,24 @@ pub struct Cpu {
     halted: bool,
     pending: Option<(DataOp, u32)>, // (operation, pc of the owning instruction)
     stats: CoreStats,
+    decoded: DecodeCache,
 }
 
 impl Cpu {
     /// Creates core `id` with the given timing configuration, at PC 0 and
     /// local cycle 0.
     pub fn new(id: usize, cfg: CpuConfig) -> Cpu {
-        Cpu { id, cfg, regs: RegFile::new(), pc: 0, time: 0, halted: false, pending: None, stats: CoreStats::default() }
+        Cpu {
+            id,
+            cfg,
+            regs: RegFile::new(),
+            pc: 0,
+            time: 0,
+            halted: false,
+            pending: None,
+            stats: CoreStats::default(),
+            decoded: DecodeCache::default(),
+        }
     }
 
     /// The core's index on the platform.
@@ -188,6 +250,35 @@ impl Cpu {
         self.fetch_phase(port)
     }
 
+    /// Runs micro-phases back to back while the core is running, its local
+    /// time is below `limit` and the address its next phase accesses — the
+    /// parked data access, else the PC — is below `local_end`.
+    ///
+    /// The engine passes the end of the range `[0, local_end)` whose
+    /// accesses touch only this core's own state (its caches, its private
+    /// memory and its counters), so these phases may run ahead of other
+    /// cores' work; `0` runs nothing, `1 << 32` runs to `limit` or `halt`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CpuError`] exactly as [`Cpu::step`] does; the core is left
+    /// at the faulting phase, with its local time at the phase's start.
+    pub fn run_local<P: MemoryPort + ?Sized>(&mut self, port: &mut P, limit: u64, local_end: u64) -> Result<(), CpuError> {
+        while !self.halted && self.time < limit {
+            match self.pending {
+                Some((op, pc)) if u64::from(op.addr()) < local_end => {
+                    self.pending = None;
+                    self.data_phase(port, op, pc)?;
+                }
+                None if u64::from(self.pc) < local_end => {
+                    self.fetch_phase(port)?;
+                }
+                _ => break,
+            }
+        }
+        Ok(())
+    }
+
     fn data_phase<P: MemoryPort + ?Sized>(&mut self, port: &mut P, op: DataOp, pc: u32) -> Result<StepOutcome, CpuError> {
         let t = self.time;
         let reply = match op {
@@ -224,7 +315,7 @@ impl Cpu {
         let pc = self.pc;
         let fetch = port.fetch(self.id, pc, t0).map_err(|err| CpuError::Mem { pc, err })?;
         let mut t = fetch.done_at;
-        let instr = Instr::decode(fetch.value).map_err(|err| CpuError::Decode { pc, word: fetch.value, err })?;
+        let instr = self.decoded.decode(pc, fetch.value).map_err(|err| CpuError::Decode { pc, word: fetch.value, err })?;
 
         let mut next_pc = pc.wrapping_add(4);
         let mut halted_now = false;
@@ -582,6 +673,20 @@ mod tests {
         cpu.step(&mut port).unwrap();
         assert!(!cpu.mid_instruction());
         assert_eq!(cpu.stats().instructions, 1);
+    }
+
+    #[test]
+    fn run_local_stops_before_the_first_non_local_access() {
+        let (mut cpu, mut port) = TestPort::load_program("nop\n nop\n lw r1, 0x100(r0)\n halt\n");
+        cpu.run_local(&mut port, u64::MAX, 0x80).unwrap();
+        assert!(cpu.mid_instruction(), "the load at 0x100 is parked, not run");
+        assert_eq!(cpu.stats().instructions, 2);
+        cpu.run_local(&mut port, u64::MAX, 0x80).unwrap();
+        assert_eq!(cpu.stats().instructions, 2, "a non-local next access runs nothing");
+        cpu.run_local(&mut port, 4, 1 << 32).unwrap();
+        assert_eq!(cpu.stats().instructions, 3, "the limit stops it after the load");
+        cpu.run_local(&mut port, u64::MAX, 1 << 32).unwrap();
+        assert!(cpu.is_halted());
     }
 
     #[test]

@@ -13,14 +13,16 @@ impl RegFile {
     }
 
     /// Reads a register.
+    #[inline]
     pub fn read(&self, r: Reg) -> u32 {
-        self.regs[r.index() as usize]
+        self.regs[usize::from(r.index() & 31)] // a `Reg` is always < 32: the mask only drops the bounds check
     }
 
     /// Writes a register; writes to `r0` are discarded.
+    #[inline]
     pub fn write(&mut self, r: Reg, value: u32) {
         if r != Reg::ZERO {
-            self.regs[r.index() as usize] = value;
+            self.regs[usize::from(r.index() & 31)] = value;
         }
     }
 }

@@ -163,11 +163,14 @@ impl DesMachine {
     ///
     /// # Errors
     ///
-    /// Propagates the first core fault.
+    /// Propagates the first core fault: the one with the smallest (time,
+    /// tie key).
     pub fn tick(&mut self) -> Result<(), CpuError> {
         // Execute phase: all cores whose local time is this cycle, in the
-        // interconnect's arbitration-tie order (identical to the fast
-        // engine's scheduler, hence identical cycle counts).
+        // interconnect's arbitration-tie order. This is the reference order:
+        // the fast engine issues every shared access in the same (time, tie
+        // key) order and only runs core-local phases ahead, hence identical
+        // cycle counts.
         loop {
             let mut best: Option<usize> = None;
             let mut best_key = usize::MAX;
@@ -224,7 +227,8 @@ impl DesMachine {
     ///
     /// # Errors
     ///
-    /// Propagates the first core fault.
+    /// Propagates the first core fault: the one with the smallest (time,
+    /// tie key).
     pub fn run_to_halt(&mut self, max_cycles: u64) -> Result<DesSummary, CpuError> {
         let t0 = Instant::now();
         while !self.all_halted() && self.now < max_cycles {
@@ -248,7 +252,8 @@ impl DesMachine {
     ///
     /// # Errors
     ///
-    /// Propagates the first core fault.
+    /// Propagates the first core fault: the one with the smallest (time,
+    /// tie key).
     pub fn run_slice(&mut self, cycles: u64) -> Result<DesSummary, CpuError> {
         let end = self.now + cycles;
         let t0 = Instant::now();

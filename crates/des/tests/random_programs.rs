@@ -3,11 +3,21 @@
 //! and shared-memory contents on the fast engine and the cycle-driven
 //! baseline. This is the strongest form of the cross-validation requirement
 //! behind Table 3.
+//!
+//! The tier-1 cases take a few seeds per platform; the `#[ignore]`d
+//! `long_differential_every_platform` runs 100 seeds on each, to halt and
+//! window by window (`scripts/check.sh` runs it in release):
+//!
+//! ```text
+//! cargo test --release -p temu-des --test random_programs -- --include-ignored
+//! ```
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use temu_des::DesMachine;
+use temu_interconnect::Arbitration;
 use temu_isa::asm::assemble;
+use temu_isa::Program;
 use temu_platform::{Machine, PlatformConfig};
 
 /// Generates a halting SPMD program: a bounded outer loop over a block of
@@ -69,9 +79,13 @@ fn random_program(rng: &mut StdRng, shared_heavy: bool) -> String {
     src
 }
 
-fn cross_validate(seed: u64, platform: PlatformConfig, shared_heavy: bool) {
+fn seeded_program(seed: u64, shared_heavy: bool) -> Program {
     let mut rng = StdRng::seed_from_u64(seed);
-    let program = assemble(&random_program(&mut rng, shared_heavy)).expect("generator emits valid asm");
+    assemble(&random_program(&mut rng, shared_heavy)).expect("generator emits valid asm")
+}
+
+fn cross_validate(seed: u64, platform: PlatformConfig, shared_heavy: bool) {
+    let program = seeded_program(seed, shared_heavy);
 
     let mut fast = Machine::new(platform.clone()).unwrap();
     fast.load_program_all(&program).unwrap();
@@ -130,21 +144,138 @@ fn random_programs_eight_cores() {
     }
 }
 
+/// Stops both engines at every boundary of `window`-cycle windows
+/// (`Machine::run_window` vs `DesMachine::run_slice`) and compares every
+/// core there: halt state, PC, a parked data access, retired instructions,
+/// registers, and the local time of every core still running (a halted
+/// core's time differs by design: the fast engine books the rest of each
+/// window as idle).
+fn cross_validate_windows(seed: u64, platform: PlatformConfig, shared_heavy: bool, window: u64) {
+    let program = seeded_program(seed, shared_heavy);
+    let mut fast = Machine::new(platform.clone()).unwrap();
+    fast.load_program_all(&program).unwrap();
+    let mut des = DesMachine::new(platform).unwrap();
+    des.load_program_all(&program).unwrap();
+    let mut instret = vec![0u64; fast.num_cores()];
+    let mut boundary = 0;
+    while !fast.all_halted() {
+        boundary += window;
+        assert!(boundary <= 50_000_000, "seed {seed}: random programs halt by construction");
+        let stats = fast.run_window(window).unwrap();
+        des.run_slice(window).unwrap();
+        for (core, retired) in instret.iter_mut().enumerate() {
+            *retired += stats.cores[core].instructions;
+            let (f, d) = (fast.core(core), des.core(core));
+            let at = format!("seed {seed}: core {core} at cycle {boundary}");
+            assert_eq!(f.is_halted(), d.is_halted(), "{at}: halt state diverged");
+            assert_eq!(f.pc(), d.pc(), "{at}: pc diverged");
+            assert_eq!(f.mid_instruction(), d.mid_instruction(), "{at}: parked access diverged");
+            assert_eq!(*retired, d.stats().instructions, "{at}: instret diverged");
+            if !f.is_halted() {
+                assert_eq!(f.time(), d.time(), "{at}: local time diverged");
+            }
+            for r in 0..32 {
+                let reg = temu_isa::Reg::new(r);
+                assert_eq!(f.regs().read(reg), d.regs().read(reg), "{at}: r{r} diverged");
+            }
+        }
+    }
+    assert!(des.all_halted(), "seed {seed}: the baseline halts with the fast engine");
+    assert_eq!(fast.shared().slice(0, 0x500), des.shared().slice(0, 0x500), "seed {seed}: shared memory diverged");
+}
+
+/// An odd window length, so boundaries fall at every phase of the
+/// programs' loops and mid-instruction.
+const ODD_WINDOW: u64 = 997;
+
+fn shared_cacheable_bus(cores: usize) -> PlatformConfig {
+    let mut platform = PlatformConfig::paper_bus(cores);
+    platform.shared_cacheable = true;
+    platform
+}
+
+fn no_caches_bus(cores: usize) -> PlatformConfig {
+    let mut platform = PlatformConfig::paper_bus(cores);
+    platform.icache = None;
+    platform.dcache = None;
+    platform
+}
+
+fn tdma_bus(cores: usize) -> PlatformConfig {
+    PlatformConfig::paper_custom_bus(cores, Arbitration::Tdma { slot_cycles: 16 })
+}
+
+/// Every platform the differential covers, and whether its programs hit
+/// shared memory (private-only programs let the fast engine run whole
+/// windows of one core ahead of the others).
+fn every_platform() -> Vec<(PlatformConfig, bool)> {
+    vec![
+        (PlatformConfig::paper_bus(1), true),
+        (PlatformConfig::paper_bus(4), true),
+        (PlatformConfig::paper_noc(4), true),
+        (PlatformConfig::paper_bus(8), true),
+        (PlatformConfig::paper_thermal(4), true),
+        (shared_cacheable_bus(4), true),
+        (no_caches_bus(2), true),
+        (PlatformConfig::paper_custom_bus(4, Arbitration::RoundRobin), true),
+        (tdma_bus(4), true),
+        (PlatformConfig::paper_bus(4), false),
+        (PlatformConfig::paper_thermal(4), false),
+    ]
+}
+
 #[test]
 fn random_programs_shared_cacheable() {
-    let mut platform = PlatformConfig::paper_bus(4);
-    platform.shared_cacheable = true;
     for seed in 400..406 {
-        cross_validate(seed, platform.clone(), true);
+        cross_validate(seed, shared_cacheable_bus(4), true);
     }
 }
 
 #[test]
 fn random_programs_no_caches() {
-    let mut platform = PlatformConfig::paper_bus(2);
-    platform.icache = None;
-    platform.dcache = None;
     for seed in 500..506 {
-        cross_validate(seed, platform.clone(), true);
+        cross_validate(seed, no_caches_bus(2), true);
+    }
+}
+
+#[test]
+fn random_programs_round_robin_bus() {
+    for seed in 600..606 {
+        cross_validate(seed, PlatformConfig::paper_custom_bus(4, Arbitration::RoundRobin), true);
+    }
+}
+
+#[test]
+fn random_programs_tdma_bus() {
+    for seed in 700..706 {
+        cross_validate(seed, tdma_bus(4), true);
+    }
+}
+
+#[test]
+fn random_programs_four_cores_private_only() {
+    for seed in 800..804 {
+        cross_validate(seed, PlatformConfig::paper_bus(4), false);
+        cross_validate(seed, PlatformConfig::paper_thermal(4), false);
+    }
+}
+
+#[test]
+fn random_programs_window_boundaries() {
+    for (i, (platform, shared_heavy)) in every_platform().into_iter().enumerate() {
+        cross_validate_windows(900 + i as u64, platform, shared_heavy, ODD_WINDOW);
+    }
+}
+
+#[test]
+#[ignore = "long: 100 seeds per platform; run in release by scripts/check.sh"]
+fn long_differential_every_platform() {
+    // Seeds are distinct per platform, so a failing seed names its platform.
+    for (i, (platform, shared_heavy)) in every_platform().into_iter().enumerate() {
+        let base = 10_000 * (i as u64 + 1);
+        for seed in base..base + 100 {
+            cross_validate(seed, platform.clone(), shared_heavy);
+            cross_validate_windows(seed, platform.clone(), shared_heavy, ODD_WINDOW);
+        }
     }
 }

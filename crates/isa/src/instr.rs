@@ -31,6 +31,7 @@ impl Reg {
     }
 
     /// The register index, `0..32`.
+    #[inline]
     pub fn index(self) -> u8 {
         self.0
     }
@@ -91,6 +92,7 @@ impl AluOp {
     ];
 
     /// Evaluates the operation on two operand values.
+    #[inline]
     pub fn eval(self, a: u32, b: u32) -> u32 {
         match self {
             AluOp::Add => a.wrapping_add(b),
@@ -124,11 +126,13 @@ impl AluOp {
     }
 
     /// Whether this operation uses the multiplier (extra issue latency).
+    #[inline]
     pub fn is_mul(self) -> bool {
         matches!(self, AluOp::Mul | AluOp::Mulh)
     }
 
     /// Whether this operation uses the iterative divider (extra issue latency).
+    #[inline]
     pub fn is_div(self) -> bool {
         matches!(self, AluOp::Div | AluOp::Rem)
     }
@@ -161,6 +165,7 @@ impl AluImmOp {
     ];
 
     /// Expands the immediate to its 32-bit operand value.
+    #[inline]
     pub fn expand_imm(self, imm: i16) -> u32 {
         match self {
             AluImmOp::Add | AluImmOp::Slt | AluImmOp::Sltu => imm as i32 as u32,
@@ -169,6 +174,7 @@ impl AluImmOp {
     }
 
     /// Evaluates `a <op> expand(imm)`.
+    #[inline]
     pub fn eval(self, a: u32, imm: i16) -> u32 {
         let b = self.expand_imm(imm);
         match self {
@@ -195,6 +201,7 @@ impl ShiftOp {
     pub(crate) const ALL: [ShiftOp; 3] = [ShiftOp::Sll, ShiftOp::Srl, ShiftOp::Sra];
 
     /// Evaluates `a <op> sh`.
+    #[inline]
     pub fn eval(self, a: u32, sh: u8) -> u32 {
         let sh = u32::from(sh & 31);
         match self {
@@ -215,6 +222,7 @@ pub enum Width {
 
 impl Width {
     /// Number of bytes transferred.
+    #[inline]
     pub fn bytes(self) -> u32 {
         match self {
             Width::Byte => 1,
@@ -240,6 +248,7 @@ impl Cond {
     pub(crate) const ALL: [Cond; 6] = [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge, Cond::Ltu, Cond::Geu];
 
     /// Evaluates the condition on two register values.
+    #[inline]
     pub fn eval(self, a: u32, b: u32) -> bool {
         match self {
             Cond::Eq => a == b,

@@ -52,6 +52,7 @@ impl MemArray {
         self.data.len() as u32
     }
 
+    #[inline]
     fn check(&self, addr: u32, width: Width) -> Result<usize, MemError> {
         let bytes = width.bytes();
         if !addr.is_multiple_of(bytes) {
@@ -69,12 +70,14 @@ impl MemArray {
     /// # Errors
     ///
     /// Returns [`MemError`] on misaligned or out-of-range access.
+    #[inline]
     pub fn read(&self, addr: u32, width: Width) -> Result<u32, MemError> {
         let i = self.check(addr, width)?;
+        let b = &self.data[i..i + width.bytes() as usize];
         Ok(match width {
-            Width::Byte => u32::from(self.data[i]),
-            Width::Half => u32::from(u16::from_le_bytes([self.data[i], self.data[i + 1]])),
-            Width::Word => u32::from_le_bytes([self.data[i], self.data[i + 1], self.data[i + 2], self.data[i + 3]]),
+            Width::Byte => u32::from(b[0]),
+            Width::Half => u32::from(u16::from_le_bytes([b[0], b[1]])),
+            Width::Word => u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
         })
     }
 
@@ -83,6 +86,7 @@ impl MemArray {
     /// # Errors
     ///
     /// Returns [`MemError`] on misaligned or out-of-range access.
+    #[inline]
     pub fn write(&mut self, addr: u32, width: Width, value: u32) -> Result<(), MemError> {
         let i = self.check(addr, width)?;
         match width {

@@ -68,7 +68,8 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns the first violated constraint: sizes must be powers of two,
-    /// the line must be ≥ 4 bytes, the capacity must hold at least one set,
+    /// the line must be ≥ 4 bytes, the ways must split the capacity into a
+    /// power-of-two number of sets (at least one) with nothing left over,
     /// and `hit_latency` must be ≥ 1.
     pub fn validate(&self) -> Result<(), MemConfigError> {
         if !self.size_bytes.is_power_of_two() {
@@ -77,7 +78,9 @@ impl CacheConfig {
         if !self.line_bytes.is_power_of_two() || self.line_bytes < 4 {
             return Err(MemConfigError::CacheLineInvalid { line_bytes: self.line_bytes });
         }
-        if self.ways == 0 || self.size_bytes < self.line_bytes * self.ways {
+        // With a power-of-two capacity and line, the sets tile the capacity
+        // exactly and number a power of two iff the ways are a power of two.
+        if !self.ways.is_power_of_two() || self.size_bytes / self.line_bytes < self.ways {
             return Err(MemConfigError::CacheGeometry {
                 size_bytes: self.size_bytes,
                 ways: self.ways,
@@ -129,6 +132,10 @@ pub struct Cache {
     lines: Vec<Line>,
     tick: u64,
     stats: CacheStats,
+    /// `log2(line_bytes)`: an address's line index is `addr >> line_shift`.
+    line_shift: u32,
+    /// `log2(sets)`: a line index splits into `tag << set_bits | set`.
+    set_bits: u32,
 }
 
 impl Cache {
@@ -143,7 +150,15 @@ impl Cache {
             panic!("invalid cache configuration: {e}");
         }
         let lines = vec![Line::default(); (cfg.sets() * cfg.ways) as usize];
-        Cache { cfg, kind, lines, tick: 0, stats: CacheStats::default() }
+        Cache {
+            cfg,
+            kind,
+            lines,
+            tick: 0,
+            stats: CacheStats::default(),
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_bits: cfg.sets().trailing_zeros(),
+        }
     }
 
     /// The configuration the cache was built with.
@@ -167,20 +182,14 @@ impl Cache {
     }
 
     /// Base address of the line containing `addr`.
+    #[inline]
     pub fn line_base(&self, addr: u32) -> u32 {
         addr & !(self.cfg.line_bytes - 1)
     }
 
-    fn set_of(&self, addr: u32) -> u32 {
-        (addr / self.cfg.line_bytes) % self.cfg.sets()
-    }
-
-    fn tag_of(&self, addr: u32) -> u32 {
-        addr / self.cfg.line_bytes / self.cfg.sets()
-    }
-
     /// Performs one access, updating tags, LRU and statistics, and reports
     /// the generated memory traffic.
+    #[inline]
     pub fn access(&mut self, addr: u32, kind: AccessKind) -> CacheResponse {
         self.tick += 1;
         let is_write = kind == AccessKind::Write;
@@ -190,8 +199,9 @@ impl Cache {
             self.stats.reads += 1;
         }
 
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
+        let line = addr >> self.line_shift;
+        let set = line & ((1 << self.set_bits) - 1);
+        let tag = line >> self.set_bits;
         let ways = self.cfg.ways as usize;
         let base = set as usize * ways;
         let set_lines = &mut self.lines[base..base + ways];
@@ -227,8 +237,7 @@ impl Cache {
                 .expect("sets are never empty");
             let writeback_addr = if victim.valid && victim.dirty {
                 self.stats.writebacks += 1;
-                let victim_addr = (victim.tag * self.cfg.sets() + set) * self.cfg.line_bytes;
-                Some(victim_addr)
+                Some(((victim.tag << self.set_bits) | set) << self.line_shift)
             } else {
                 None
             };
@@ -317,6 +326,26 @@ mod tests {
         c = CacheConfig::paper_l1_4k();
         c.hit_latency = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_ways_that_leave_capacity_unused() {
+        // 4096 / (16 * 3) = 85.3: 85 sets would hold 4080 bytes, not 4096.
+        let mut c = CacheConfig::paper_l1_4k();
+        c.ways = 3;
+        assert_eq!(c.validate(), Err(MemConfigError::CacheGeometry { size_bytes: 4096, ways: 3, line_bytes: 16 }));
+        for ways in [5, 6, 7, 12, 255] {
+            c.ways = ways;
+            assert!(matches!(c.validate(), Err(MemConfigError::CacheGeometry { .. })), "{ways} ways");
+        }
+        for ways in [1, 2, 4, 64, 256] {
+            c.ways = ways;
+            assert_eq!(c.validate(), Ok(()), "{ways} ways");
+            assert!(c.sets().is_power_of_two());
+            assert_eq!(c.sets() * c.ways * c.line_bytes, c.size_bytes);
+        }
+        c.ways = 512; // more ways than lines
+        assert!(matches!(c.validate(), Err(MemConfigError::CacheGeometry { .. })));
     }
 
     #[test]

@@ -23,7 +23,8 @@ pub enum MemConfigError {
         /// The offending line size in bytes.
         line_bytes: u32,
     },
-    /// The capacity cannot hold even one set of the requested geometry.
+    /// The ways do not split the capacity into a power-of-two number of
+    /// sets (at least one) with no bytes left over.
     CacheGeometry {
         /// Capacity in bytes.
         size_bytes: u32,
@@ -63,7 +64,7 @@ impl fmt::Display for MemConfigError {
                 write!(f, "line size {line_bytes} must be a power of two >= 4")
             }
             MemConfigError::CacheGeometry { size_bytes, ways, line_bytes } => {
-                write!(f, "capacity {size_bytes} cannot hold {ways} way(s) of {line_bytes}-byte lines")
+                write!(f, "capacity {size_bytes} does not split into a power-of-two number of sets of {ways} way(s) of {line_bytes}-byte lines")
             }
             MemConfigError::CacheZeroHitLatency => write!(f, "hit latency must be at least 1 cycle"),
             MemConfigError::ZeroSizedRange { base } => write!(f, "range at {base:#010x} has zero size"),

@@ -34,6 +34,7 @@ pub struct MappedRange {
 
 impl MappedRange {
     /// Whether `addr` falls inside the range.
+    #[inline]
     pub fn contains(&self, addr: u32) -> bool {
         addr >= self.base && (addr - self.base) < self.size
     }
@@ -43,6 +44,7 @@ impl MappedRange {
     /// # Panics
     ///
     /// Panics in debug builds if `addr` is not contained.
+    #[inline]
     pub fn offset(&self, addr: u32) -> u32 {
         debug_assert!(self.contains(addr));
         addr - self.base
@@ -117,6 +119,7 @@ impl AddressMap {
     }
 
     /// Finds the range containing `addr`.
+    #[inline]
     pub fn lookup(&self, addr: u32) -> Option<&MappedRange> {
         self.ranges.iter().find(|r| r.contains(addr))
     }

@@ -7,12 +7,15 @@
 //! **HW sniffers** export at the three architectural levels (processors,
 //! memory subsystem, interconnect).
 //!
-//! The engine interleaves cores in exact global-time order (always stepping
-//! the core with the smallest local cycle, with interconnect-defined
-//! tie-breaking), so shared-resource contention resolves identically to the
-//! signal-level `temu-des` baseline — the two are cross-validated
-//! cycle-exactly — while doing O(1) work per instruction, which is what gives
-//! the three-orders-of-magnitude throughput gap the paper reports.
+//! The engine issues every access that may reach shared state in exact
+//! global-time order (from the core with the smallest local cycle, with
+//! interconnect-defined tie-breaking), so shared-resource contention
+//! resolves identically to the signal-level `temu-des` baseline — the two
+//! are cross-validated cycle-exactly. In between, each core runs its
+//! core-local work (private-memory fetches and data accesses) back to back,
+//! ahead of the others, so the engine does O(1) work per instruction and
+//! rarely switches cores, which is what gives the
+//! three-orders-of-magnitude throughput gap the paper reports.
 //!
 //! The **Virtual Platform Clock Manager** ([`Vpcm`], §4.2) tracks the
 //! relationship between emulated (virtual) cycles and FPGA (physical) time:

@@ -2,6 +2,7 @@
 
 use crate::config::PlatformConfig;
 use crate::error::PlatformError;
+use crate::sniffer::SnifferMode;
 use crate::stats::WindowStats;
 use crate::uncore::Uncore;
 use crate::vpcm::Vpcm;
@@ -45,6 +46,8 @@ pub struct Machine {
     uncore: Uncore,
     vpcm: Vpcm,
     window_start: u64,
+    /// Cores run accesses below this address ahead ([`Cpu::run_local`]).
+    local_end: u64,
 }
 
 impl Machine {
@@ -58,7 +61,8 @@ impl Machine {
         let cores = (0..cfg.cores).map(|i| Cpu::new(i, cfg.cpu)).collect();
         let uncore = Uncore::new(&cfg);
         let vpcm = Vpcm::new(cfg.fpga_hz, cfg.virtual_hz);
-        Ok(Machine { cfg, cores, uncore, vpcm, window_start: 0 })
+        let local_end = core_local_end(&cfg);
+        Ok(Machine { cfg, cores, uncore, vpcm, window_start: 0, local_end })
     }
 
     /// The configuration the machine was built from.
@@ -166,23 +170,28 @@ impl Machine {
     }
 
     /// Runs the platform until every core is halted or has a local time of
-    /// at least `limit`. Cores are interleaved in exact global-time order
-    /// (smallest local time first, interconnect tie-break), which is the
-    /// invariant that keeps the transaction-level engine cycle-exact against
-    /// the signal-level baseline.
+    /// at least `limit`.
+    ///
+    /// Scheduling invariant: every micro-phase that may touch shared state
+    /// (interconnect, shared memory, MMIO, the event log) runs on the core
+    /// with the smallest (local time, interconnect tie key), so shared
+    /// resources see requests in nondecreasing global time, in the order the
+    /// signal-level `temu-des` baseline issues them cycle by cycle. A picked
+    /// core then runs its following core-local micro-phases back to back
+    /// ([`Cpu::run_local`]): they touch only its own caches, private memory
+    /// and counters, plus the order-free freeze-cycle sum, so running them
+    /// ahead of the other cores changes no result. Which phases count as
+    /// core-local depends on the platform (see `core_local_end`).
     ///
     /// # Errors
     ///
-    /// Propagates the first core fault (decode error or unmapped access).
+    /// Returns the fault the baseline meets first: the one with the smallest
+    /// (local time, tie key). A core that faults while running ahead stops
+    /// at the fault, which is returned once it is the earliest pending work;
+    /// by then other cores may have run core-local work past it.
     pub fn run_until(&mut self, limit: u64) -> Result<(), CpuError> {
-        if self.cores.len() == 1 {
-            // Fast path: no interleaving needed.
-            let core = &mut self.cores[0];
-            while !core.is_halted() && core.time() < limit {
-                core.step(&mut self.uncore)?;
-            }
-            return Ok(());
-        }
+        // Faults met while running ahead, by core; allocated on the first one.
+        let mut held: Vec<Option<CpuError>> = Vec::new();
         loop {
             let mut best: Option<usize> = None;
             let mut best_key = (u64::MAX, usize::MAX);
@@ -201,7 +210,15 @@ impl Machine {
                 }
             }
             let Some(i) = best else { break };
-            self.cores[i].step(&mut self.uncore)?;
+            if let Some(e) = held.get_mut(i).and_then(Option::take) {
+                return Err(e);
+            }
+            let core = &mut self.cores[i];
+            core.step(&mut self.uncore)?;
+            if let Err(e) = core.run_local(&mut self.uncore, limit, self.local_end) {
+                held.resize(self.cores.len(), None);
+                held[i] = Some(e);
+            }
         }
         Ok(())
     }
@@ -212,7 +229,7 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates the first core fault.
+    /// Propagates the earliest core fault (see [`Machine::run_until`]).
     pub fn run_window(&mut self, cycles: u64) -> Result<WindowStats, CpuError> {
         let end = self.window_start + cycles;
         self.run_until(end)?;
@@ -232,7 +249,7 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Propagates the first core fault.
+    /// Propagates the earliest core fault (see [`Machine::run_until`]).
     pub fn run_to_halt(&mut self, max_cycles: u64) -> Result<RunSummary, CpuError> {
         let t0 = Instant::now();
         let chunk = 4_000_000u64;
@@ -319,6 +336,23 @@ impl Machine {
             events_pending,
             events_overflowed,
         }
+    }
+}
+
+/// End of the address range `[0, end)` whose accesses touch nothing but
+/// the issuing core's own state, so that the core may run them ahead of the
+/// others. On one core every access qualifies. With several it is the
+/// private range (at address 0), unless a private access can reach shared
+/// state: with cacheable shared memory a private miss can evict a shared
+/// victim over the interconnect, and event-logging sniffers append to one
+/// time-ordered buffer. Then nothing qualifies.
+fn core_local_end(cfg: &PlatformConfig) -> u64 {
+    if cfg.cores == 1 {
+        1 << 32
+    } else if cfg.shared_cacheable || !matches!(cfg.sniffer_mode, SnifferMode::CountLogging) {
+        0
+    } else {
+        u64::from(cfg.private_mem.size)
     }
 }
 
@@ -444,6 +478,21 @@ mod tests {
         let vb = b.shared().read(0, temu_isa::Width::Word).unwrap();
         assert_eq!(va, vb);
         assert!((200..=800).contains(&va), "final counter {va}");
+    }
+
+    #[test]
+    fn event_log_stays_in_time_order() {
+        // Event-logging sniffers append every access to one buffer, so no
+        // core may run its private accesses ahead of the others.
+        let mut cfg = PlatformConfig::paper_bus(2);
+        cfg.sniffer_mode = SnifferMode::EventLogging { capacity: 4096 };
+        let mut m = Machine::new(cfg).unwrap();
+        let p = assemble("li r1, 0x4000\n li r2, 50\nloop: sw r2, 0(r1)\n lw r3, 0(r1)\n addi r2, r2, -1\n bnez r2, loop\n halt\n");
+        m.load_program_all(&p.unwrap()).unwrap();
+        m.run_to_halt(1_000_000).unwrap();
+        let events = m.uncore_mut().events_mut().expect("event mode has a buffer").drain(usize::MAX);
+        assert!(events.len() >= 200, "{} events", events.len());
+        assert!(events.windows(2).all(|w| w[0].time <= w[1].time), "events out of time order");
     }
 
     #[test]

@@ -51,6 +51,12 @@ echo "== solver goldens: full 2 s transients =="
 # release.
 cargo test --release -p temu-bench --test solver_equivalence -- --include-ignored
 
+echo "== ISS differential: 100 seeds per platform =="
+# Tier-1 checks a few seeds per platform; the ignored long run takes 100
+# random programs on every platform, to halt and window by window (997
+# cycles), fast engine against the cycle-driven baseline.
+cargo test --release -p temu-des --test random_programs -- --include-ignored
+
 echo "== lint wall: clippy -D warnings =="
 cargo clippy --workspace -- -D warnings
 
