@@ -41,12 +41,12 @@ use temu_thermal::{default_workers, WorkerPool};
 /// completion order (see [`Campaign::on_result`]).
 pub type ResultSink = dyn Fn(&CampaignProgress<'_>) + Send + Sync;
 
-/// A custom point executor installed by [`Campaign::runner`]: replaces the
-/// default [`Scenario::run_with`] call so the sweep layer can route a
-/// point through checkpoint resume or within-point window observation
-/// without the campaign knowing either exists.
+/// A custom point executor installed by [`Campaign::runner`], called with
+/// the scenario's input index instead of the default
+/// [`Scenario::run_with`] — the sweep layer's one point runner (resume,
+/// observation, cancellation), which the campaign knows nothing about.
 pub(crate) type PointRunner =
-    dyn Fn(&Scenario, Option<&ArtifactCache>) -> Result<ScenarioRun, TemuError> + Send + Sync;
+    dyn Fn(usize, &Scenario, Option<&ArtifactCache>) -> Result<ScenarioRun, TemuError> + Send + Sync;
 
 /// One finished scenario, delivered to a [`Campaign::on_result`] sink while
 /// the rest of the batch is still running.
@@ -140,9 +140,8 @@ impl Campaign {
     }
 
     /// Replaces the default per-scenario executor
-    /// ([`Scenario::run_with`]) — the sweep layer's hook for checkpoint
-    /// resume and within-point window observation. Panic containment and
-    /// result ordering are unchanged.
+    /// ([`Scenario::run_with`]) — the sweep layer's point runner. Panic
+    /// containment and result ordering are unchanged.
     pub(crate) fn runner(mut self, runner: Arc<PointRunner>) -> Campaign {
         self.runner = Some(runner);
         self
@@ -186,7 +185,7 @@ impl Campaign {
             if i >= n_jobs {
                 break;
             }
-            let result = run_one(&self.scenarios[i], self.artifacts.as_deref(), self.runner.as_deref());
+            let result = run_one(i, &self.scenarios[i], self.artifacts.as_deref(), self.runner.as_deref());
             if let Some(sink) = &self.sink {
                 // The lock is held across the sink call: invocations are
                 // serialized and `completed` increases monotonically even
@@ -237,6 +236,7 @@ impl Campaign {
 /// Runs one scenario, converting a panic into a typed error so sibling
 /// scenarios keep running.
 fn run_one(
+    index: usize,
     scenario: &Scenario,
     artifacts: Option<&ArtifactCache>,
     runner: Option<&PointRunner>,
@@ -244,7 +244,7 @@ fn run_one(
     let name = scenario.label();
     let t0 = Instant::now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match runner {
-        Some(run) => run(scenario, artifacts),
+        Some(run) => run(index, scenario, artifacts),
         None => scenario.run_with(artifacts),
     }))
     .unwrap_or_else(|payload| Err(TemuError::ScenarioPanicked(panic_message(&payload))));

@@ -21,8 +21,7 @@ const PLATFORM_VERSION: u32 = 1;
 
 /// A mid-run window observer: `(every, hook)` — the hook sees the
 /// emulation at a checkpointable window boundary after every `every`-th
-/// window of the logical run (see
-/// [`ThermalEmulation::run_budget_observed`]).
+/// window of the logical run (see [`ThermalEmulation::run_budget`]).
 pub(crate) type WindowObserver<'a> =
     Option<(u64, &'a mut dyn FnMut(&ThermalEmulation) -> Result<(), TemuError>)>;
 
@@ -159,7 +158,7 @@ pub struct ThermalEmulation {
     past_worst_residual_k: f64,
     /// Content key of the [`crate::Scenario`] that built this emulation
     /// (0 for hand-wired emulations), embedded in every checkpoint so
-    /// [`crate::Scenario::resume_from`] can refuse state from a different
+    /// [`crate::Scenario::resume_run`] can refuse state from a different
     /// experiment.
     scenario_key: u64,
 }
@@ -377,15 +376,7 @@ impl ThermalEmulation {
     /// Propagates platform faults and (strict mode) thermal
     /// non-convergence.
     pub fn run_to_halt(&mut self, max_windows: u64) -> Result<EmulationReport, TemuError> {
-        let t0 = Instant::now();
-        self.begin_call();
-        for _ in 0..max_windows {
-            self.run_window()?;
-            if self.machine.all_halted() {
-                break;
-            }
-        }
-        Ok(self.report(t0))
+        self.run_budget(RunBudget::ToHalt { max_windows }, false, None)
     }
 
     /// Runs a fixed number of windows regardless of halting (long thermal
@@ -396,17 +387,13 @@ impl ThermalEmulation {
     /// Propagates platform faults and (strict mode) thermal
     /// non-convergence.
     pub fn run_windows(&mut self, n: u64) -> Result<EmulationReport, TemuError> {
-        let t0 = Instant::now();
-        self.begin_call();
-        for _ in 0..n {
-            self.run_window()?;
-        }
-        Ok(self.report(t0))
+        self.run_budget(RunBudget::Windows(n), false, None)
     }
 
-    /// Runs a [`RunBudget`] with optional mid-run observation — the
-    /// execution spine behind [`crate::Scenario::run`], the sweep's
-    /// within-point window checkpoints, and checkpoint resume.
+    /// Runs a [`RunBudget`] with optional mid-run observation — the one
+    /// window loop behind [`ThermalEmulation::run_to_halt`],
+    /// [`ThermalEmulation::run_windows`], [`crate::Scenario::run`],
+    /// checkpoint resume and the sweep's point observer.
     ///
     /// `resumed` marks a call that continues a run restored by
     /// [`ThermalEmulation::restore_state`]: the per-call baseline captured
@@ -427,7 +414,7 @@ impl ThermalEmulation {
     ///
     /// Propagates platform faults, (strict mode) thermal non-convergence,
     /// and observer errors.
-    pub(crate) fn run_budget_observed(
+    pub(crate) fn run_budget(
         &mut self,
         budget: RunBudget,
         resumed: bool,
@@ -467,7 +454,7 @@ impl ThermalEmulation {
     /// warm-start history, convergence accounting), statistics link, DFS
     /// ladder position, trace and every cumulative counter. Restoring it
     /// into a freshly built identical emulation
-    /// ([`crate::Scenario::resume_from`]) continues the run
+    /// ([`crate::Scenario::resume_run`]) continues the run
     /// bitwise-identically.
     pub fn checkpoint(&self) -> EmulationState {
         temu_obs::time!("core.checkpoint_capture_ns", self.checkpoint_inner())
@@ -496,7 +483,7 @@ impl ThermalEmulation {
     }
 
     /// Installs a checkpoint into this (freshly built, identically
-    /// configured) emulation. The caller — [`crate::Scenario::resume_from`]
+    /// configured) emulation. The caller — [`crate::Scenario::resume_run`]
     /// — is responsible for the configuration match; this method validates
     /// only structural shape (core count, cache presence, mesh geometry,
     /// DFS ladder depth). On error the emulation may be partially
@@ -626,7 +613,7 @@ impl ThermalEmulation {
 ///   trace are equal (wall-clock time excepted).
 /// * `scenario_key` names the [`crate::Scenario`] (by
 ///   [`crate::Scenario::content_key`]) the state belongs to;
-///   [`crate::Scenario::resume_from`] refuses a key mismatch, so a
+///   [`crate::Scenario::resume_run`] refuses a key mismatch, so a
 ///   checkpoint can never silently continue a different experiment.
 /// * Checkpoints exist only at window boundaries:
 ///   [`ThermalEmulation::run_window`] runs a whole window per call.
@@ -961,7 +948,7 @@ mod tests {
         let full = uninterrupted.run_windows(20).unwrap();
 
         let mut first_half = emulation(policy(), 100_000);
-        let _ = first_half.run_budget_observed(RunBudget::Windows(12), false, None).unwrap();
+        let _ = first_half.run_windows(12).unwrap();
         let state = first_half.checkpoint();
         assert_eq!(state.scenario_key(), 0, "hand-wired emulations carry the null key");
         assert_eq!(state.windows(), 12);
@@ -970,7 +957,7 @@ mod tests {
 
         let mut resumed = emulation(policy(), 100_000);
         resumed.restore_state(&state).unwrap();
-        let report = resumed.run_budget_observed(RunBudget::Windows(20), true, None).unwrap();
+        let report = resumed.run_budget(RunBudget::Windows(20), true, None).unwrap();
 
         // The resumed report covers the whole logical run.
         assert_eq!(report.windows, full.windows);

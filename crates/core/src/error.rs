@@ -46,14 +46,15 @@ pub enum TemuError {
     /// A scenario panicked inside a campaign worker; the payload is the
     /// panic message.
     ScenarioPanicked(String),
-    /// The sweep was cancelled at a checkpoint before this point ran
-    /// (see [`crate::Sweep::on_checkpoint`]); already-completed points
-    /// keep their results.
+    /// The sweep was cancelled before this point started: its point
+    /// observer cancelled at the point's start, or an earlier point
+    /// cancelled (see [`crate::Sweep::on_point`]). Already-completed
+    /// points keep their results.
     Cancelled,
-    /// The sweep was cancelled *inside* this point at a window-checkpoint
-    /// boundary (see [`crate::Sweep::on_window_checkpoint`]); the payload
-    /// records how far the point got, and the hook saw (and could
-    /// persist) the [`crate::EmulationState`] of that boundary.
+    /// The point observer cancelled *inside* this point at a window
+    /// boundary (see [`crate::Sweep::on_point`]); the payload records how
+    /// far the point got, and the observer saw (and could persist) the
+    /// [`crate::EmulationState`] of that boundary.
     CancelledMidPoint {
         /// Sampling windows the point had executed when it was stopped.
         windows: u64,
@@ -73,6 +74,15 @@ pub enum TemuError {
         /// Scenario content key embedded in the checkpoint.
         found: u64,
     },
+}
+
+impl TemuError {
+    /// Whether this is a cancellation ([`TemuError::Cancelled`] or
+    /// [`TemuError::CancelledMidPoint`]) rather than a failure.
+    #[must_use]
+    pub fn is_cancellation(&self) -> bool {
+        matches!(self, TemuError::Cancelled | TemuError::CancelledMidPoint { .. })
+    }
 }
 
 impl fmt::Display for TemuError {

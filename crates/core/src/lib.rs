@@ -112,9 +112,8 @@ pub use spec::{
     NAMED_SWEEPS,
 };
 pub use sweep::{
-    fnv1a64, fnv1a64_fold, CheckpointDecision, CheckpointHook, PointSummary, ResultCache, Sweep,
-    SweepCheckpoint, SweepPoint, SweepPointResult, SweepProgress, SweepReport, SweepSink,
-    WindowCheckpoint, WindowCheckpointHook,
+    fnv1a64, fnv1a64_fold, CheckpointDecision, PointCheckpoint, PointSummary, ResultCache, Sweep,
+    SweepPoint, SweepPointResult, SweepProgress, SweepReport, SweepSink,
 };
 pub use temu_thermal::{ImplicitSolve, SolverStats};
 pub use trace::{ThermalTrace, TraceSample};

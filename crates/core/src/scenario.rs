@@ -522,7 +522,7 @@ impl Scenario {
     /// Any [`TemuError`] from [`Scenario::build`] or a platform fault
     /// during emulation.
     pub fn run(&self) -> Result<ScenarioRun, TemuError> {
-        self.run_with(None)
+        self.run_observed(None, None, None)
     }
 
     /// [`Scenario::run`] building through an optional [`ArtifactCache`]
@@ -535,97 +535,49 @@ impl Scenario {
     /// Any [`TemuError`] from [`Scenario::build_with`] or a platform fault
     /// during emulation.
     pub fn run_with(&self, artifacts: Option<&ArtifactCache>) -> Result<ScenarioRun, TemuError> {
-        let mut emu = self.build_with(artifacts)?;
-        let report = temu_obs::time!("core.point_run_ns", {
-            match self.budget {
-                RunBudget::ToHalt { max_windows } => emu.run_to_halt(max_windows)?,
-                RunBudget::Windows(n) => emu.run_windows(n)?,
-            }
-        });
-        Ok(ScenarioRun { name: self.label(), report, trace: emu.into_trace() })
+        self.run_observed(artifacts, None, None)
     }
 
-    /// Rebuilds the emulation and installs a window-granular checkpoint
-    /// taken by [`ThermalEmulation::checkpoint`] under this same scenario,
-    /// so the run continues from that window bitwise-identically. The
-    /// returned emulation is mid-run: finish it with
-    /// [`Scenario::resume_run`] (or [`Scenario::resume_run_with`]) to get
-    /// a report covering the *whole* logical run — calling `run_windows` /
-    /// `run_to_halt` directly would re-base the per-call report onto the
-    /// resume point instead.
+    /// Rebuilds the emulation, installs a window-granular checkpoint taken
+    /// by [`ThermalEmulation::checkpoint`] under this same scenario, and
+    /// runs the rest of the budget. The result is bitwise-identical to an
+    /// uninterrupted [`Scenario::run`] — same report counters, same trace
+    /// — except for host wall-clock time.
     ///
     /// # Errors
     ///
     /// [`TemuError::CheckpointMismatch`] when the state was checkpointed
     /// under a different scenario configuration
     /// ([`Scenario::content_key`] differs); [`TemuError::State`] when the
-    /// embedded platform or thermal streams are corrupt; any build error.
-    pub fn resume_from(&self, state: &EmulationState) -> Result<ThermalEmulation, TemuError> {
-        self.resume_from_with(state, None)
-    }
-
-    /// [`Scenario::resume_from`] building through an optional
-    /// [`ArtifactCache`] (see [`Scenario::build_with`]).
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`Scenario::resume_from`].
-    pub fn resume_from_with(
-        &self,
-        state: &EmulationState,
-        artifacts: Option<&ArtifactCache>,
-    ) -> Result<ThermalEmulation, TemuError> {
-        let expected = self.content_key();
-        if state.scenario_key() != expected {
-            return Err(TemuError::CheckpointMismatch { expected, found: state.scenario_key() });
-        }
-        let mut emu = self.build_with(artifacts)?;
-        emu.restore_state(state)?;
-        Ok(emu)
-    }
-
-    /// Resumes from a checkpoint and runs the rest of the scenario's
-    /// budget. The result is bitwise-identical to an uninterrupted
-    /// [`Scenario::run`] — same report counters, same trace — except for
-    /// host wall-clock time.
-    ///
-    /// # Errors
-    ///
-    /// Any error of [`Scenario::resume_from`], plus platform faults and
-    /// (strict mode) thermal non-convergence while running.
+    /// embedded platform or thermal streams are corrupt; any build error,
+    /// platform fault or (strict mode) thermal non-convergence.
     pub fn resume_run(&self, state: &EmulationState) -> Result<ScenarioRun, TemuError> {
         self.run_observed(None, Some(state), None)
     }
 
-    /// [`Scenario::resume_run`] building through an optional
-    /// [`ArtifactCache`].
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`Scenario::resume_run`].
-    pub fn resume_run_with(
-        &self,
-        state: &EmulationState,
-        artifacts: Option<&ArtifactCache>,
-    ) -> Result<ScenarioRun, TemuError> {
-        self.run_observed(artifacts, Some(state), None)
-    }
-
-    /// The execution spine shared by fresh runs, resumed runs and the
-    /// sweep's within-point window checkpoints: builds (or resumes) the
-    /// emulation and runs it to the scenario budget, invoking `observer`
-    /// every `observer.0` windows at a checkpointable boundary.
+    /// The one execution spine of every run — fresh or resumed, observed
+    /// or not: builds the emulation (restoring `resume` into it after the
+    /// content-key check) and runs the scenario budget under
+    /// `core.point_run_ns`, handing `observer` every `observer.0` windows
+    /// a checkpointable boundary.
     pub(crate) fn run_observed(
         &self,
         artifacts: Option<&ArtifactCache>,
         resume: Option<&EmulationState>,
         observer: crate::emulation::WindowObserver<'_>,
     ) -> Result<ScenarioRun, TemuError> {
-        let (mut emu, resumed) = match resume {
-            Some(state) => (self.resume_from_with(state, artifacts)?, true),
-            None => (self.build_with(artifacts)?, false),
-        };
-        let report = emu.run_budget_observed(self.budget, resumed, observer)?;
+        if let Some(state) = resume {
+            let expected = self.content_key();
+            if state.scenario_key() != expected {
+                return Err(TemuError::CheckpointMismatch { expected, found: state.scenario_key() });
+            }
+        }
+        let mut emu = self.build_with(artifacts)?;
+        if let Some(state) = resume {
+            emu.restore_state(state)?;
+        }
+        let report =
+            temu_obs::time!("core.point_run_ns", emu.run_budget(self.budget, resume.is_some(), observer))?;
         Ok(ScenarioRun { name: self.label(), report, trace: emu.into_trace() })
     }
 
@@ -854,7 +806,7 @@ mod tests {
         let full = scenario.run().unwrap();
 
         let mut emu = scenario.build().unwrap();
-        let _ = emu.run_budget_observed(RunBudget::Windows(3), false, None).unwrap();
+        let _ = emu.run_windows(3).unwrap();
         let state = emu.checkpoint();
         assert_eq!(state.scenario_key(), scenario.content_key());
         let state = EmulationState::from_bytes(&state.to_bytes()).unwrap();
@@ -877,7 +829,7 @@ mod tests {
     fn resume_refuses_a_checkpoint_from_a_different_scenario() {
         let scenario = Scenario::exploration_bus(2).sampling_window_s(0.002).windows(6);
         let mut emu = scenario.build().unwrap();
-        let _ = emu.run_budget_observed(RunBudget::Windows(2), false, None).unwrap();
+        let _ = emu.run_windows(2).unwrap();
         let state = emu.checkpoint();
         // Any configuration difference changes the content key.
         let other = scenario.clone().strict_convergence(true);

@@ -47,6 +47,16 @@
 //! the campaign's worker threads — so a long sweep reports incrementally
 //! instead of only at the join (see [`SweepProgress`]).
 //!
+//! # Observing, cancelling and resuming points
+//!
+//! [`Sweep::on_point`] installs one point observer, called on the worker
+//! at each executed point's start and every N windows inside it with the
+//! boundary's [`EmulationState`]; its [`CheckpointDecision::Cancel`]
+//! stops that point and every later one. [`Sweep::resume_point`] seeds a
+//! point with such a state. Every executed point — fresh or resumed,
+//! observed or not — runs through one point runner and one [`Scenario`]
+//! spine.
+//!
 //! # Error containment
 //!
 //! A sweep-generated bad grid point (say, an inverted DFS hysteresis band
@@ -56,7 +66,7 @@
 
 use crate::artifacts::{ArtifactCache, ArtifactStats};
 use crate::campaign::{Campaign, PointRunner};
-use crate::emulation::EmulationState;
+use crate::emulation::{EmulationState, ThermalEmulation};
 use crate::error::TemuError;
 use crate::export::{csv_f64, csv_field, csv_opt, json_escape, json_f64, json_num_or_null, JsonValue};
 use crate::scenario::{RunBudget, Scenario, ScenarioRun, Workload};
@@ -65,10 +75,11 @@ use std::fmt;
 use std::fs::OpenOptions;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use temu_platform::{DfsBand, DfsPolicy};
-use temu_thermal::{default_workers, GridConfig, ImplicitSolve};
+use temu_thermal::{GridConfig, ImplicitSolve};
 
 /// 64-bit FNV-1a: a small, dependency-free hash whose value is defined by
 /// the algorithm alone — unlike `DefaultHasher`, it cannot drift between
@@ -367,8 +378,8 @@ impl ResultCache {
     /// Flushes the on-disk store to stable storage (`fdatasync`); a no-op
     /// for in-memory caches. Inserts already reach the OS in one
     /// `O_APPEND` write each, so this only matters for surviving machine
-    /// (not process) crashes — the natural call site is a sweep
-    /// checkpoint between grid points.
+    /// (not process) crashes — the natural call site is a progress sink,
+    /// after each executed point was inserted.
     pub fn sync(&self) {
         if let Some(store) = &self.inner.store {
             let s = store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -564,63 +575,43 @@ struct Axis {
 /// A streaming per-point sink (see [`Sweep::on_progress`]).
 pub type SweepSink = dyn Fn(&SweepProgress<'_>) + Send + Sync;
 
-/// What a [`Sweep::on_checkpoint`] hook tells the sweep to do next.
+/// What a [`Sweep::on_point`] observer tells the sweep to do next.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CheckpointDecision {
-    /// Keep executing the remaining grid points.
+    /// Keep running this point and the rest of the grid.
     Continue,
-    /// Stop between grid points: no further point starts, points already
-    /// dispatched finish (and stay cached), and every never-started point
-    /// is reported as [`TemuError::Cancelled`].
+    /// Stop: the observed point ends as [`TemuError::Cancelled`] (at its
+    /// start) or [`TemuError::CancelledMidPoint`] (at a window boundary),
+    /// no later point starts, points already running elsewhere finish
+    /// (and stay cached), and [`SweepReport::cancelled`] is set.
     Cancel,
 }
 
-/// The sweep's position when a checkpoint hook runs (between campaign
-/// rounds, on the thread that called [`Sweep::run_cached`]).
+/// A point's position when the [`Sweep::on_point`] observer runs: at the
+/// start of an executed point, or at a window boundary inside it.
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
-pub struct SweepCheckpoint {
-    /// Points finished so far (cache hits and executed points).
-    pub completed: usize,
-    /// Points executed so far (scenarios actually run).
-    pub executed: usize,
-    /// Points not yet dispatched.
-    pub remaining: usize,
-    /// Points in the whole grid.
-    pub total: usize,
-}
-
-/// A between-grid-point callback (see [`Sweep::on_checkpoint`]).
-pub type CheckpointHook = dyn Fn(&SweepCheckpoint) -> CheckpointDecision + Send + Sync;
-
-/// A point's position at a *window* checkpoint — a boundary **inside** a
-/// running grid point, delivered every N windows to a
-/// [`Sweep::on_window_checkpoint`] hook together with the serializable
-/// [`EmulationState`] of that boundary.
-#[derive(Debug)]
-#[non_exhaustive]
-pub struct WindowCheckpoint<'a> {
+pub struct PointCheckpoint<'a> {
     /// Grid-point index (the point's slot in [`SweepReport::points`]).
     pub index: usize,
     /// The point's `axis=value/…` label.
     pub label: &'a str,
     /// The point's scenario content key (the cache/journal key).
     pub key: u64,
-    /// Sampling windows the point has executed so far.
+    /// Sampling windows the point has executed so far (at the start: 0,
+    /// or the window a seeded resume continues from).
     pub windows: u64,
     /// The point's window budget (`max_windows` for a to-halt run, which
     /// may halt earlier).
     pub total_windows: u64,
-    /// The run state at this window boundary; persist
-    /// [`EmulationState::to_bytes`] to make the point resumable from here
-    /// (see [`Sweep::resume_point`]).
-    pub state: &'a EmulationState,
+    /// `None` at the point's start; at a window boundary, the run state
+    /// of that boundary — persist [`EmulationState::to_bytes`] to make
+    /// the point resumable from here (see [`Sweep::resume_point`]).
+    pub state: Option<&'a EmulationState>,
 }
 
-/// A within-point window-checkpoint callback (see
-/// [`Sweep::on_window_checkpoint`]). Runs on the campaign worker thread
-/// executing the point.
-pub type WindowCheckpointHook = dyn Fn(&WindowCheckpoint<'_>) -> CheckpointDecision + Send + Sync;
+/// The point observer installed by [`Sweep::on_point`].
+type PointHook = dyn Fn(&PointCheckpoint<'_>) -> CheckpointDecision + Send + Sync;
 
 /// One finished (or cache-served) sweep point, delivered to a
 /// [`Sweep::on_progress`] sink while the rest of the grid is still
@@ -651,8 +642,7 @@ pub struct Sweep {
     axes: Vec<Axis>,
     threads: Option<usize>,
     sink: Option<Arc<SweepSink>>,
-    checkpoint: Option<Arc<CheckpointHook>>,
-    window_checkpoint: Option<(u64, Arc<WindowCheckpointHook>)>,
+    observer: Option<(u64, Arc<PointHook>)>,
     resume: HashMap<u64, EmulationState>,
     artifacts: Option<Arc<ArtifactCache>>,
 }
@@ -678,8 +668,7 @@ impl Sweep {
             axes: Vec::new(),
             threads: None,
             sink: None,
-            checkpoint: None,
-            window_checkpoint: None,
+            observer: None,
             resume: HashMap::new(),
             artifacts: None,
         }
@@ -825,53 +814,35 @@ impl Sweep {
         self
     }
 
-    /// Installs a between-grid-point checkpoint hook, called on the thread
-    /// running the sweep before each round of executed points (round width
-    /// = the campaign thread count, so with one thread the hook runs
-    /// between every two points). Returning
-    /// [`CheckpointDecision::Cancel`] stops the sweep: no further point
-    /// starts, and every never-started point lands in the report as
-    /// [`TemuError::Cancelled`] with [`SweepReport::cancelled`] set.
-    ///
-    /// The hook only runs when there is something left to execute — a
-    /// fully cache-served sweep never checkpoints. It is the natural
-    /// place to flush incremental state (e.g. [`ResultCache::sync`]), so
-    /// a sweep killed at point *k* resumes as *k* cache hits.
-    pub fn on_checkpoint(
-        mut self,
-        hook: impl Fn(&SweepCheckpoint) -> CheckpointDecision + Send + Sync + 'static,
-    ) -> Sweep {
-        self.checkpoint = Some(Arc::new(hook));
-        self
-    }
-
-    /// Installs a *within-point* window-checkpoint hook, called on the
-    /// worker thread executing a point every `every` sampling windows with
-    /// that boundary's serializable [`EmulationState`] — persist its
+    /// Installs the point observer: called on the worker thread executing
+    /// a point, once at the point's start (`state: None`) and then every
+    /// `every` sampling windows inside it with that boundary's
+    /// serializable [`EmulationState`] — persist its
     /// [`EmulationState::to_bytes`] and a killed sweep resumes the point
-    /// mid-run via [`Sweep::resume_point`]. Returning
-    /// [`CheckpointDecision::Cancel`] stops *that point* at the boundary:
-    /// it lands in the report as [`TemuError::CancelledMidPoint`] carrying
-    /// how many windows it had executed (the hook saw — and could persist
-    /// — the state of exactly that boundary). Other points keep running;
-    /// compose with [`Sweep::on_checkpoint`] to also stop the grid.
+    /// mid-run via [`Sweep::resume_point`]. `every = 0` means start calls
+    /// only, and then no state is ever captured. Cache-served points are
+    /// never observed.
     ///
-    /// Off by default, and when off the execution path is unchanged — no
-    /// state is captured, so there is no overhead. `every = 0` disables
-    /// the hook.
-    pub fn on_window_checkpoint(
+    /// Returning [`CheckpointDecision::Cancel`] ends the observed point —
+    /// as [`TemuError::Cancelled`] at its start, as
+    /// [`TemuError::CancelledMidPoint`] (carrying the windows it had
+    /// executed) at a window boundary — and cancels the sweep: no later
+    /// point starts, and each lands in the report as
+    /// [`TemuError::Cancelled`] with [`SweepReport::cancelled`] set.
+    /// Neither kind counts as a failure.
+    pub fn on_point(
         mut self,
         every: u64,
-        hook: impl Fn(&WindowCheckpoint<'_>) -> CheckpointDecision + Send + Sync + 'static,
+        hook: impl Fn(&PointCheckpoint<'_>) -> CheckpointDecision + Send + Sync + 'static,
     ) -> Sweep {
-        self.window_checkpoint = Some((every, Arc::new(hook)));
+        self.observer = Some((every, Arc::new(hook)));
         self
     }
 
     /// Seeds the sweep with a mid-run checkpoint: the grid point whose
     /// scenario content key matches `state` (captured by an
-    /// [`Sweep::on_window_checkpoint`] hook of an earlier, interrupted
-    /// run) resumes from that window boundary instead of starting over,
+    /// [`Sweep::on_point`] observer of an earlier, interrupted run)
+    /// resumes from that window boundary instead of starting over,
     /// and its report is bitwise-identical to an uninterrupted run. Points
     /// with no seeded state build fresh as usual; a state whose key
     /// matches no grid point is ignored.
@@ -925,7 +896,7 @@ impl Sweep {
 
     /// Resolves, executes and assembles the grid: [`Sweep::resolve`]
     /// settles every point that needs no execution, [`Sweep::execute`]
-    /// runs the rest through campaign rounds, and [`assemble`] puts the
+    /// runs the rest through one campaign, and [`assemble`] puts the
     /// results back in grid order.
     fn run_with(&self, cache: Option<&ResultCache>) -> SweepReport {
         let t0 = Instant::now();
@@ -988,13 +959,10 @@ impl Sweep {
         queue
     }
 
-    /// Runs the queued points as [`Campaign`] rounds, memoizing each
-    /// summary as it lands and streaming it to the sink. Without a
-    /// checkpoint hook one round runs them all; with one, rounds are the
-    /// campaign width and the hook runs between them on this thread, so
-    /// cancellation (and any flushing the hook does) lands at a grid-point
-    /// boundary, and never-started points are filled as
-    /// [`TemuError::Cancelled`]. Returns `(executed, cancelled, threads)`.
+    /// Runs the queued points through one [`Campaign`] and its
+    /// [`Sweep::point_runner`], memoizing each summary as it lands and
+    /// streaming it to the sink. Returns `(executed, cancelled, threads)`;
+    /// `executed` leaves out points cancelled before they started.
     fn execute(
         &self,
         queue: Vec<(PointId, Scenario)>,
@@ -1003,121 +971,90 @@ impl Sweep {
         progress: &Arc<Progress>,
         filled: &mut Vec<(usize, SweepPointResult)>,
     ) -> (usize, bool, usize) {
-        let n_queued = queue.len();
         let (ids, scenarios): (Vec<PointId>, Vec<Scenario>) = queue.into_iter().unzip();
         let ids = Arc::new(ids);
+        let cancelled = Arc::new(AtomicBool::new(false));
         // Summaries computed in the result sink are stashed per campaign
         // slot so the filling pass below doesn't re-scan every trace.
         let stash: Arc<Vec<Mutex<Option<PointSummary>>>> =
-            Arc::new((0..n_queued).map(|_| Mutex::new(None)).collect());
-        let runner = self.point_runner(&ids);
-        let width = self.threads.unwrap_or_else(|| default_workers("TEMU_CAMPAIGN_THREADS")).max(1);
-        let round = if self.checkpoint.is_some() { width } else { n_queued };
-        let mut scenarios = scenarios.into_iter();
-        let (mut executed, mut cancelled, mut threads) = (0, false, 1);
-        while executed < n_queued {
-            if let Some(hook) = &self.checkpoint {
-                let decision = hook(&SweepCheckpoint {
-                    completed: progress.completed(),
-                    executed,
-                    remaining: n_queued - executed,
-                    total: progress.total,
-                });
-                if decision == CheckpointDecision::Cancel {
-                    cancelled = true;
-                    break;
-                }
-            }
-            let offset = executed;
-            let take = round.min(n_queued - offset);
-            let mut campaign =
-                Campaign::new().scenarios(scenarios.by_ref().take(take)).artifacts(Arc::clone(artifacts));
-            if let Some(t) = self.threads {
-                campaign = campaign.threads(t);
-            }
-            if let Some(runner) = &runner {
-                campaign = campaign.runner(Arc::clone(runner));
-            }
-            {
-                let (ids, stash, progress) = (Arc::clone(&ids), Arc::clone(&stash), Arc::clone(progress));
-                let cache = cache.cloned();
-                campaign = campaign.on_result(move |p| {
-                    let slot = offset + p.index;
-                    let id = &ids[slot];
-                    match &p.result.outcome {
-                        Ok(run) => {
-                            let summary = PointSummary::from_run(run, p.result.wall);
-                            if let Some((cache, key)) = cache.as_ref().zip(id.key) {
-                                cache.insert(key, summary.clone());
-                            }
-                            progress.emit(id, false, Ok(&summary));
-                            *lock(&stash[slot]) = Some(summary);
-                        }
-                        Err(e) => progress.emit(id, false, Err(e)),
-                    }
-                });
-            }
-            let report = campaign.run();
-            threads = threads.max(report.threads);
-            for (i, result) in report.results.into_iter().enumerate() {
-                let slot = offset + i;
-                let outcome = result.outcome.map(|run| {
-                    lock(&stash[slot]).take().unwrap_or_else(|| PointSummary::from_run(&run, result.wall))
-                });
-                filled.push(ids[slot].result(false, outcome));
-            }
-            executed += take;
+            Arc::new((0..ids.len()).map(|_| Mutex::new(None)).collect());
+        let mut campaign = Campaign::new()
+            .scenarios(scenarios)
+            .artifacts(Arc::clone(artifacts))
+            .runner(self.point_runner(&ids, &cancelled));
+        if let Some(t) = self.threads {
+            campaign = campaign.threads(t);
         }
-        // Cancelled points were never dispatched: their slots get the typed
-        // cancellation error (they are not streamed to the progress sink —
-        // the terminal report is their record).
-        filled.extend(ids[executed..].iter().map(|id| id.result(false, Err(TemuError::Cancelled))));
-        (executed, cancelled, threads)
+        {
+            let (ids, stash, progress) = (Arc::clone(&ids), Arc::clone(&stash), Arc::clone(progress));
+            let cache = cache.cloned();
+            campaign = campaign.on_result(move |p| {
+                let id = &ids[p.index];
+                match &p.result.outcome {
+                    Ok(run) => {
+                        let summary = PointSummary::from_run(run, p.result.wall);
+                        if let Some((cache, key)) = cache.as_ref().zip(id.key) {
+                            cache.insert(key, summary.clone());
+                        }
+                        progress.emit(id, false, Ok(&summary));
+                        *lock(&stash[p.index]) = Some(summary);
+                    }
+                    // Points that never started are not streamed: the
+                    // terminal report is their record.
+                    Err(TemuError::Cancelled) => {}
+                    Err(e) => progress.emit(id, false, Err(e)),
+                }
+            });
+        }
+        let report = campaign.run();
+        let mut executed = 0;
+        for (slot, result) in report.results.into_iter().enumerate() {
+            executed += usize::from(!matches!(result.outcome, Err(TemuError::Cancelled)));
+            let outcome = result.outcome.map(|run| {
+                lock(&stash[slot]).take().unwrap_or_else(|| PointSummary::from_run(&run, result.wall))
+            });
+            filled.push(ids[slot].result(false, outcome));
+        }
+        (executed, cancelled.load(Ordering::Acquire), report.threads)
     }
 
-    /// The campaign point executor for window-granular checkpointing and
-    /// mid-run resume. When neither is configured no runner is installed
-    /// and points execute through [`Scenario::run_with`] — the feature
-    /// costs nothing disabled.
-    fn point_runner(&self, ids: &[PointId]) -> Option<Arc<PointRunner>> {
-        let window_hook = self
-            .window_checkpoint
-            .as_ref()
-            .filter(|(every, _)| *every > 0)
-            .map(|(every, hook)| (*every, Arc::clone(hook)));
-        if window_hook.is_none() && self.resume.is_empty() {
-            return None;
-        }
-        let by_key: HashMap<u64, (usize, String)> =
-            ids.iter().filter_map(|id| Some((id.key?, (id.index, id.label.clone())))).collect();
-        let resume = self.resume.clone();
-        Some(Arc::new(move |scenario: &Scenario, artifacts: Option<&ArtifactCache>| {
-            let key = scenario.content_key();
+    /// The one executor of every queued point — fresh or resumed,
+    /// observed or not. Once the sweep is cancelled it starts nothing;
+    /// otherwise it offers the point's start to the [`Sweep::on_point`]
+    /// observer, then runs the scenario spine with the point's seeded
+    /// state (if any) and the observer at its window boundaries. A
+    /// [`CheckpointDecision::Cancel`] raises the sweep's `cancelled` flag.
+    fn point_runner(&self, ids: &Arc<Vec<PointId>>, cancelled: &Arc<AtomicBool>) -> Arc<PointRunner> {
+        let (ids, cancelled) = (Arc::clone(ids), Arc::clone(cancelled));
+        let (resume, observer) = (self.resume.clone(), self.observer.clone());
+        Arc::new(move |slot: usize, scenario: &Scenario, artifacts: Option<&ArtifactCache>| {
+            let id = &ids[slot];
+            let key = id.key.unwrap_or_else(|| scenario.content_key());
             let seed = resume.get(&key);
-            let Some((every, hook)) = &window_hook else {
-                return match seed {
-                    Some(state) => scenario.resume_run_with(state, artifacts),
-                    None => scenario.run_with(artifacts),
-                };
+            let (RunBudget::Windows(total_windows) | RunBudget::ToHalt { max_windows: total_windows }) =
+                scenario.budget();
+            let (index, label) = (id.index, id.label.as_str());
+            let windows = seed.map_or(0, EmulationState::windows);
+            let start = PointCheckpoint { index, label, key, windows, total_windows, state: None };
+            let cancel = |cp: &PointCheckpoint<'_>| {
+                let stop = observer.as_ref().is_some_and(|(_, hook)| hook(cp) == CheckpointDecision::Cancel);
+                cancelled.fetch_or(stop, Ordering::AcqRel);
+                stop
             };
-            let (index, label) =
-                by_key.get(&key).map_or((usize::MAX, ""), |(point, label)| (*point, label.as_str()));
-            let total_windows = match scenario.budget() {
-                RunBudget::Windows(n) => n,
-                RunBudget::ToHalt { max_windows } => max_windows,
-            };
-            let mut observer = |emu: &crate::ThermalEmulation| {
+            if cancelled.load(Ordering::Acquire) || cancel(&start) {
+                return Err(TemuError::Cancelled);
+            }
+            let mut observe = |emu: &ThermalEmulation| {
                 let state = emu.checkpoint();
                 let windows = state.windows();
-                let decision =
-                    hook(&WindowCheckpoint { index, label, key, windows, total_windows, state: &state });
-                if decision == CheckpointDecision::Cancel {
+                if cancel(&PointCheckpoint { windows, state: Some(&state), ..start }) {
                     return Err(TemuError::CancelledMidPoint { windows });
                 }
                 Ok(())
             };
-            scenario.run_observed(artifacts, seed, Some((*every, &mut observer)))
-        }))
+            let every = observer.as_ref().map_or(0, |(every, _)| *every);
+            scenario.run_observed(artifacts, seed, Some((every, &mut observe)))
+        })
     }
 }
 
@@ -1162,10 +1099,6 @@ impl Progress {
                 outcome,
             });
         }
-    }
-
-    fn completed(&self) -> usize {
-        *lock(&self.completed)
     }
 }
 
@@ -1243,8 +1176,9 @@ pub struct SweepReport {
     pub executed: usize,
     /// Points served from the cache.
     pub cache_hits: usize,
-    /// Whether a checkpoint hook cancelled the sweep before every point
-    /// ran (the never-started points carry [`TemuError::Cancelled`]).
+    /// Whether the [`Sweep::on_point`] observer cancelled the sweep (the
+    /// cancelled point and every never-started one carry a cancellation
+    /// error).
     pub cancelled: bool,
     /// Build-artifact reuse this run contributed (per-layer hit/miss
     /// deltas of the sweep's [`ArtifactCache`]): `mesh_misses` counts
@@ -1261,20 +1195,18 @@ impl SweepReport {
         self.points.iter().all(SweepPointResult::is_ok)
     }
 
-    /// Number of failed points (cancelled-before-start points are
-    /// accounted separately by [`SweepReport::n_cancelled`]).
+    /// Number of failed points (cancelled points are accounted
+    /// separately by [`SweepReport::n_cancelled`]).
     #[must_use]
     pub fn n_failed(&self) -> usize {
-        self.points
-            .iter()
-            .filter(|p| !p.is_ok() && !matches!(p.outcome, Err(TemuError::Cancelled)))
-            .count()
+        self.points.iter().filter(|p| p.outcome.as_ref().is_err_and(|e| !e.is_cancellation())).count()
     }
 
-    /// Number of points cancelled before they started.
+    /// Number of cancelled points: never started, or stopped mid-point
+    /// ([`TemuError::is_cancellation`]).
     #[must_use]
     pub fn n_cancelled(&self) -> usize {
-        self.points.iter().filter(|p| matches!(p.outcome, Err(TemuError::Cancelled))).count()
+        self.points.iter().filter(|p| p.outcome.as_ref().is_err_and(TemuError::is_cancellation)).count()
     }
 
     /// Serializes the report as JSON (same conventions as

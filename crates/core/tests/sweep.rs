@@ -313,19 +313,19 @@ fn hundred_point_sweep_streams_progress_and_reruns_from_cache() {
 
 #[test]
 fn checkpoint_hook_cancels_between_grid_points() {
-    use temu_framework::{CheckpointDecision, SweepCheckpoint};
+    use temu_framework::CheckpointDecision;
 
-    // Six points, one thread: the hook runs before every point. Cancel
-    // after two points executed.
+    // Six points, one thread, start calls only: the observer runs at the
+    // start of every executed point. Cancel the third point's start.
     let cache = ResultCache::in_memory();
-    let seen = Arc::new(Mutex::new(Vec::<SweepCheckpoint>::new()));
+    let seen = Arc::new(Mutex::new(Vec::<(usize, u64, bool)>::new()));
     let log = Arc::clone(&seen);
     let report = Sweep::new("cancelme", tiny())
         .workloads((1..=6).map(tiny_matrix).collect())
         .threads(1)
-        .on_checkpoint(move |cp| {
-            log.lock().unwrap().push(*cp);
-            if cp.executed >= 2 {
+        .on_point(0, move |cp| {
+            log.lock().unwrap().push((cp.index, cp.windows, cp.state.is_some()));
+            if cp.index >= 2 {
                 CheckpointDecision::Cancel
             } else {
                 CheckpointDecision::Continue
@@ -346,12 +346,9 @@ fn checkpoint_hook_cancels_between_grid_points() {
             assert!(matches!(p.outcome, Err(TemuError::Cancelled)), "point {i}: {:?}", p.outcome);
         }
     }
-    // The hook saw monotonically increasing progress, one call per
-    // round boundary (3 calls: before points 0, 1, 2).
-    let checkpoints = seen.lock().unwrap();
-    assert_eq!(checkpoints.len(), 3);
-    assert_eq!(checkpoints.iter().map(|c| c.executed).collect::<Vec<_>>(), vec![0, 1, 2]);
-    assert!(checkpoints.iter().all(|c| c.total == 6));
+    // One start call per point that reached its start (0, 1, 2), none
+    // after the Cancel, and never a state with `every = 0`.
+    assert_eq!(*seen.lock().unwrap(), vec![(0, 0, false), (1, 0, false), (2, 0, false)]);
 
     // Re-running without a hook resumes from the cache: the two completed
     // points are hits, the cancelled four execute now.
@@ -415,7 +412,7 @@ fn fully_cached_sweep_never_checkpoints() {
     let calls = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&calls);
     let rerun = build()
-        .on_checkpoint(move |_| {
+        .on_point(1, move |_| {
             counter.fetch_add(1, Ordering::Relaxed);
             temu_framework::CheckpointDecision::Cancel
         })
@@ -450,8 +447,9 @@ fn assert_summary_bitwise_eq(x: &temu_framework::PointSummary, y: &temu_framewor
 fn window_checkpoint_hook_sees_boundaries_and_cancels_mid_point() {
     use temu_framework::CheckpointDecision;
 
-    // Two 6-window points, hook every 2 windows: boundaries at 2 and 4
-    // (never the final window). Cancel the second point at window 4.
+    // Two 6-window points, observed every 2 windows: a start call, then
+    // boundaries at 2 and 4 (never the final window). Cancel the second
+    // point at window 4.
     let build = || {
         Sweep::new("winck", tiny())
             .workloads(vec![tiny_matrix(1), tiny_matrix(2)])
@@ -459,16 +457,16 @@ fn window_checkpoint_hook_sees_boundaries_and_cancels_mid_point() {
             .threads(1)
     };
     let target = build().expand()[1].key.unwrap();
-    let seen = Arc::new(Mutex::new(Vec::<(usize, u64, u64, u64, u64)>::new()));
+    let seen = Arc::new(Mutex::new(Vec::<(usize, u64, u64, u64, Option<u64>)>::new()));
     let log = Arc::clone(&seen);
     let report = build()
-        .on_window_checkpoint(2, move |cp| {
+        .on_point(2, move |cp| {
             log.lock().unwrap().push((
                 cp.index,
                 cp.key,
                 cp.windows,
                 cp.total_windows,
-                cp.state.scenario_key(),
+                cp.state.map(|s| s.scenario_key()),
             ));
             if cp.key == target && cp.windows >= 4 {
                 CheckpointDecision::Cancel
@@ -478,7 +476,9 @@ fn window_checkpoint_hook_sees_boundaries_and_cancels_mid_point() {
         })
         .run();
 
-    assert!(!report.cancelled, "a mid-point cancel stops one point, not the sweep");
+    assert!(report.cancelled, "a mid-point cancel cancels the sweep");
+    assert_eq!(report.n_cancelled(), 1);
+    assert_eq!(report.n_failed(), 0, "a cancelled point is not a failure");
     assert!(report.points[0].is_ok(), "{:?}", report.points[0].outcome);
     match &report.points[1].outcome {
         Err(TemuError::CancelledMidPoint { windows }) => {
@@ -488,13 +488,16 @@ fn window_checkpoint_hook_sees_boundaries_and_cancels_mid_point() {
     }
 
     let seen = seen.lock().unwrap();
-    // Point 0 checkpoints at 2 and 4; point 1 at 2, then 4 where it dies.
-    assert_eq!(seen.len(), 4, "{seen:?}");
-    for (index, key, windows, total, state_key) in seen.iter() {
-        assert!(*windows == 2 || *windows == 4, "boundaries every 2, never the final window");
+    // Point 0: start, 2, 4; point 1: start, 2, then 4 where it dies.
+    assert_eq!(seen.len(), 6, "{seen:?}");
+    let windows: Vec<(usize, u64)> = seen.iter().map(|c| (c.0, c.2)).collect();
+    assert_eq!(windows, vec![(0, 0), (0, 2), (0, 4), (1, 0), (1, 2), (1, 4)]);
+    for (_, key, windows, total, state_key) in seen.iter() {
         assert_eq!(*total, 6);
-        assert_eq!(key, state_key, "the delivered state is bound to the point's scenario");
-        assert!(*index < 2);
+        match state_key {
+            None => assert_eq!(*windows, 0, "only the start call carries no state"),
+            Some(k) => assert_eq!(key, k, "the delivered state is bound to the point's scenario"),
+        }
     }
 }
 
@@ -517,13 +520,12 @@ fn seeded_resume_continues_a_sweep_point_bitwise() {
     let saved = Arc::new(Mutex::new(Vec::<u8>::new()));
     let sink = Arc::clone(&saved);
     let interrupted = build()
-        .on_window_checkpoint(2, move |cp| {
-            if cp.key == target && cp.windows == 4 {
-                *sink.lock().unwrap() = cp.state.to_bytes();
+        .on_point(2, move |cp| match cp.state {
+            Some(state) if cp.key == target && cp.windows == 4 => {
+                *sink.lock().unwrap() = state.to_bytes();
                 CheckpointDecision::Cancel
-            } else {
-                CheckpointDecision::Continue
             }
+            _ => CheckpointDecision::Continue,
         })
         .run();
     assert!(matches!(
@@ -539,8 +541,17 @@ fn seeded_resume_continues_a_sweep_point_bitwise() {
     let state = EmulationState::from_bytes(&bytes).unwrap();
     assert_eq!(state.scenario_key(), target);
     assert_eq!(state.windows(), 4);
-    let resumed = build().resume_point(state).run();
+    let starts = Arc::new(Mutex::new(Vec::<(usize, u64)>::new()));
+    let log = Arc::clone(&starts);
+    let resumed = build()
+        .resume_point(state)
+        .on_point(0, move |cp| {
+            log.lock().unwrap().push((cp.index, cp.windows));
+            CheckpointDecision::Continue
+        })
+        .run();
     assert!(resumed.all_ok(), "{}", resumed.to_json());
+    assert_eq!(*starts.lock().unwrap(), vec![(0, 0), (1, 4)], "the seeded point starts at window 4");
     for (a, b) in uninterrupted.points.iter().zip(&resumed.points) {
         assert_eq!(a.key, b.key);
         assert_summary_bitwise_eq(a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
@@ -549,14 +560,21 @@ fn seeded_resume_continues_a_sweep_point_bitwise() {
 
 #[test]
 fn disabled_window_checkpointing_never_captures_state() {
-    // `every = 0` (the serve CLI's off position) must not install the
-    // custom runner at all — the default execution path runs untouched.
+    // `every = 0` (the serve CLI's off position): the observer sees each
+    // point's start and nothing else — no state is ever captured.
+    let starts = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&starts);
     let report = Sweep::new("off", tiny())
         .workloads(vec![tiny_matrix(1), tiny_matrix(2)])
         .windows(&[4])
         .threads(1)
-        .on_window_checkpoint(0, |_| panic!("hook must never fire when disabled"))
+        .on_point(0, move |cp| {
+            assert!(cp.state.is_none(), "no state is captured with every = 0");
+            counter.fetch_add(1, Ordering::Relaxed);
+            temu_framework::CheckpointDecision::Continue
+        })
         .run();
     assert!(report.all_ok(), "{}", report.to_json());
     assert_eq!(report.executed, 2);
+    assert_eq!(starts.load(Ordering::Relaxed), 2, "one start call per executed point");
 }

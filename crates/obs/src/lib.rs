@@ -519,10 +519,15 @@ mod tests {
         assert_eq!(v.counts[N_BUCKETS - 1], 3);
         assert_eq!(v.count(), 3);
         assert_eq!(v.max, u64::MAX);
-        // The saturated bucket's quantiles are clamped by the observed
-        // max, not the theoretical bucket top.
-        assert!(v.quantile(0.99) <= u64::MAX);
         assert!(v.quantile(0.50) >= 1 << 62);
+        // The saturated bucket's quantiles are clamped by the observed
+        // max, not the theoretical bucket top (u64::MAX).
+        let h = Histogram::default();
+        h.record(1 << 62);
+        h.record((1 << 62) + 1000);
+        let v = h.view();
+        assert_eq!(v.quantile(1.0), (1 << 62) + 1000);
+        assert!(v.quantile(0.99) <= v.max);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! The job journal ([`crate::journal`]) makes *jobs* recoverable and the
 //! result store makes *finished points* recoverable — but a killed server
 //! still lost every window the in-flight point had executed. With
-//! `--window-checkpoint N`, each running point's sweep installs an
-//! [`on_window_checkpoint`](temu_framework::Sweep::on_window_checkpoint)
-//! hook that appends the boundary's serialized
+//! `--window-checkpoint N`, each job's sweep installs an
+//! [`on_point`](temu_framework::Sweep::on_point) observer that appends
+//! every N-th window boundary's serialized
 //! [`EmulationState`](temu_framework::EmulationState) here, one JSON line
 //! in the journal's sibling checkpoint file (`jobs.jsonl` →
 //! `jobs.checkpoints.jsonl` — per journal, because fleet members sharing

@@ -166,7 +166,7 @@ pub struct DoneSummary {
     pub wall_s: f64,
     /// The job-level error, when it failed before running.
     pub error: Option<String>,
-    /// Whether the job was cancelled while queued.
+    /// Whether the job was cancelled (while queued or running).
     pub cancelled: bool,
 }
 

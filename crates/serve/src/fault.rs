@@ -27,7 +27,9 @@ pub const FAULT_ENV: &str = "TEMU_FAULT";
 /// (`0.0` disables the fault).
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct FaultPlan {
-    /// Probability that a worker panics at a sweep checkpoint.
+    /// Probability that a worker panics right after an executed sweep
+    /// point was banked in the result store (a fully cached job never
+    /// rolls it).
     pub worker_panic: f64,
     /// Probability that a journal append is torn mid-record.
     pub torn_write: f64,
@@ -124,7 +126,7 @@ pub fn install(plan: FaultPlan) -> bool {
 }
 
 /// Whether any fault is armed (one atomic load — safe to call on every
-/// connection and checkpoint).
+/// connection and executed point).
 #[must_use]
 pub fn armed() -> bool {
     if STATE.get().is_none() {

@@ -14,7 +14,7 @@
 //! that was submitted but never reached a terminal record — the jobs that
 //! were queued or running when the previous process died. Combined with
 //! the incremental [`ResultCache`](temu_framework::ResultCache) store
-//! (flushed at every sweep checkpoint), a job killed at point *k*
+//! (flushed after every executed point), a job killed at point *k*
 //! restarts as *k* cache hits plus the remaining points.
 //!
 //! Replay uses the same recovery discipline as the result store: the file

@@ -38,11 +38,12 @@
 //! # Fault tolerance
 //!
 //! The server is crash-safe: job transitions are journaled
-//! ([`journal`]) and replayed on restart, every sweep checkpoints its
-//! result store between grid points — and, with `--window-checkpoint N`,
-//! persists each running point's serialized run state every N sampling
-//! windows ([`checkpoints`]), so a `SIGKILL` mid-point resumes from the
-//! last window boundary instead of re-running the point. Accepted
+//! ([`journal`]) and replayed on restart, every executed point is flushed
+//! to the result store as soon as it is banked — and, with
+//! `--window-checkpoint N`, each running point's serialized run state is
+//! persisted every N sampling windows ([`checkpoints`]), so a `SIGKILL`
+//! mid-point resumes from the last window boundary instead of re-running
+//! the point. Accepted
 //! connections carry socket deadlines and bounded frames
 //! ([`protocol::read_frame`]), the client retries transient failures with
 //! exponential backoff ([`RetryPolicy`]), and a [`fault`]-injection

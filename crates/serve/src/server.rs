@@ -27,10 +27,11 @@
 //!   `jobs.jsonl` next to the store by default): on startup the server
 //!   replays the journal and re-enqueues jobs that were queued or running
 //!   when the previous process died, preserving their ids;
-//! * every job runs with a sweep checkpoint between grid points that
-//!   flushes the store ([`ResultCache::sync`]) and observes cancellation,
-//!   so a job killed at point *k* restarts as *k* cache hits, and `cancel`
-//!   stops a *running* job between points (ROADMAP 1c);
+//! * every executed point is flushed to the store ([`ResultCache::sync`])
+//!   once banked, so a job killed at point *k* restarts as *k* cache hits;
+//! * one point observer per job sees each executed point's start (and,
+//!   under `--window-checkpoint N`, every N-th window boundary): `cancel`
+//!   stops a *running* job there, and it ends `cancelled`, never `failed`;
 //! * a worker that panics (a scenario bug, or the `worker_panic` fault
 //!   from [`crate::fault`]) fails only its own job with a typed error —
 //!   the worker thread survives and keeps draining the queue;
@@ -166,8 +167,8 @@ struct Job {
     error: Option<String>,
     report_json: Option<String>,
     subscribers: Vec<Sender<String>>,
-    /// Set by `cancel` on a running job; the sweep's checkpoint hook
-    /// observes it between grid points.
+    /// Set by `cancel` on a running job; the sweep's point observer sees
+    /// it at the next point start or window boundary.
     cancel: Arc<AtomicBool>,
     /// When the job entered the queue — the base of the queue-wait
     /// histogram sample taken when a worker claims it.
@@ -860,8 +861,8 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicB
     let total = sweep.n_points();
     shared.broadcast(id, &format!("{{\"event\": \"start\", \"job\": {id}, \"total\": {total}}}"), false);
     let progress_shared = Arc::clone(shared);
-    let checkpoint_shared = Arc::clone(shared);
-    let checkpoint_cancel = Arc::clone(cancel);
+    let observer_shared = Arc::clone(shared);
+    let observer_cancel = Arc::clone(cancel);
     let mut sweep = sweep.artifacts(Arc::clone(&shared.artifacts));
     // Seed recovered mid-point states: a point whose content key matches
     // resumes from its last window boundary; everything else (including a
@@ -875,34 +876,32 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicB
     for state in seeds {
         sweep = sweep.resume_point(state);
     }
-    if shared.window_every > 0 {
-        // Within each running point, every N windows: persist the
-        // boundary's run state, stream a `progress` point event to
-        // watchers, and observe cancellation — a client `cancel` (or
-        // server shutdown) now stops mid-point at a resumable boundary
-        // instead of waiting the point out.
-        let wc_shared = Arc::clone(shared);
-        let wc_cancel = Arc::clone(cancel);
-        sweep = sweep.on_window_checkpoint(shared.window_every, move |cp| {
-            if let Some(store) = &wc_shared.checkpoints {
-                store.record(id, cp.key, cp.windows, &cp.state.to_bytes());
+    let report = sweep
+        // At each executed point's start, and every N windows inside it
+        // under `--window-checkpoint N`: persist the boundary's run state
+        // and stream a `progress` event to watchers, then observe
+        // cancellation — a client `cancel` (or server shutdown) stops the
+        // job at the next point start or resumable window boundary.
+        .on_point(shared.window_every, move |cp| {
+            if let Some(state) = cp.state {
+                if let Some(store) = &observer_shared.checkpoints {
+                    store.record(id, cp.key, cp.windows, &state.to_bytes());
+                }
+                let line = format!(
+                    "{{\"event\": \"point\", \"job\": {id}, \"index\": {}, \"label\": \"{}\", \"progress\": {{\"windows\": {}, \"total_windows\": {}}}}}",
+                    cp.index,
+                    json_escape(cp.label),
+                    cp.windows,
+                    cp.total_windows,
+                );
+                observer_shared.broadcast(id, &line, false);
             }
-            let line = format!(
-                "{{\"event\": \"point\", \"job\": {id}, \"index\": {}, \"label\": \"{}\", \"progress\": {{\"windows\": {}, \"total_windows\": {}}}}}",
-                cp.index,
-                json_escape(cp.label),
-                cp.windows,
-                cp.total_windows,
-            );
-            wc_shared.broadcast(id, &line, false);
-            if wc_cancel.load(Ordering::Acquire) || wc_shared.shutdown.load(Ordering::SeqCst) {
+            if observer_cancel.load(Ordering::Acquire) || observer_shared.shutdown.load(Ordering::SeqCst) {
                 CheckpointDecision::Cancel
             } else {
                 CheckpointDecision::Continue
             }
-        });
-    }
-    let report = sweep
+        })
         .on_progress(move |p| {
             {
                 let mut jobs = progress_shared.lock_jobs();
@@ -913,7 +912,7 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicB
                     } else {
                         job.executed += 1;
                     }
-                    if p.outcome.is_err() {
+                    if p.outcome.is_err_and(|e| !e.is_cancellation()) {
                         job.failed += 1;
                     }
                 }
@@ -921,20 +920,13 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicB
             let line = point_line(id, p);
             progress_shared.feed.push(id, false, &line);
             progress_shared.broadcast(id, &line, false);
-        })
-        // Between grid points: inject chaos (under this worker's
-        // catch_unwind), flush the incremental store so a crash here
-        // resumes as cache hits, then observe cancellation — from the
-        // client's `cancel` or from server shutdown.
-        .on_checkpoint(move |_cp| {
-            crate::fault::worker_panic_point();
-            checkpoint_shared.cache.sync();
-            let stop = checkpoint_cancel.load(Ordering::Acquire)
-                || checkpoint_shared.shutdown.load(Ordering::SeqCst);
-            if stop {
-                CheckpointDecision::Cancel
-            } else {
-                CheckpointDecision::Continue
+            // An executed point was just banked in the store: flush it so
+            // a crash from here on resumes it as a cache hit, then inject
+            // chaos — a panic propagates to this worker's catch_unwind and
+            // fails the whole job. Fully cached reruns never get here.
+            if !p.cache_hit && p.outcome.is_ok() {
+                progress_shared.cache.sync();
+                crate::fault::worker_panic_point();
             }
         })
         .run_cached(&shared.cache);
@@ -958,10 +950,9 @@ fn finish_job(
         job.state = state;
         job.error = error;
         if let Some(report) = &report {
+            // `job.completed` stays the progress sink's count: points
+            // that never started were never streamed.
             job.total = report.points.len();
-            // Cancelled-before-start points never completed; they are
-            // placeholders in the report, not progress.
-            job.completed = report.points.len() - report.n_cancelled();
             job.executed = report.executed;
             job.cache_hits = report.cache_hits;
             job.failed = report.n_failed();
@@ -1223,9 +1214,9 @@ fn cancel_response(shared: &Arc<Shared>, job_id: u64) -> String {
                 done
             }
             Some(job) if job.state == JobState::Running => {
-                // Acknowledge now; the sweep observes the flag at its next
-                // checkpoint, stops between grid points, and the worker
-                // emits the terminal event (completed points stay cached).
+                // Acknowledge now; the point observer stops the sweep at the
+                // next point start or window boundary, and the worker emits
+                // the terminal event (completed points stay cached).
                 job.cancel.store(true, Ordering::Release);
                 return format!("{{\"ok\": true, \"job\": {job_id}, \"cancelling\": true}}");
             }

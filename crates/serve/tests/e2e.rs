@@ -373,6 +373,73 @@ fn cancel_during_run_stops_between_grid_points() {
 }
 
 #[test]
+fn cancel_inside_the_last_point_ends_the_job_cancelled_not_failed() {
+    // One long point under window checkpointing: a cancel that lands
+    // inside the job's only (hence last) point stops it at the next
+    // window boundary, and the job ends `cancelled` with no failed point
+    // — in the done event, in `status`, in the counters and the journal.
+    let dir = std::env::temp_dir().join(format!("temu_serve_lastcancel_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for stale in ["cache.jsonl", "jobs.jsonl", "jobs.checkpoints.jsonl"] {
+        let _ = std::fs::remove_file(dir.join(stale));
+    }
+    let handle = Server::spawn(ServeConfig {
+        addr: String::from("127.0.0.1:0"),
+        store: Some(dir.join("cache.jsonl")),
+        window_checkpoint: 1,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let spec = SweepSpec {
+        name: String::from("cancel-last-point"),
+        base: ScenarioSpec {
+            cores: Some(1),
+            workload: Some(WorkloadSpec::Matrix { n: 4, iters: 3, cores: 1 }),
+            sampling_window_s: Some(0.0005),
+            windows: Some(400),
+            strict_convergence: Some(true),
+            ..ScenarioSpec::default()
+        },
+        axes: Vec::new(),
+        threads: Some(1),
+    };
+
+    let mut client = connect(&handle);
+    let mut canceller = connect(&handle);
+    let mut acked = false;
+    let outcome = client
+        .submit(&spec, true, |event| {
+            if acked || event.get("progress").is_none() {
+                return;
+            }
+            // First mid-point `progress` event: cancel the running job.
+            let job = event.get("job").and_then(JsonValue::as_u64).expect("progress carries the job id");
+            let frame = canceller.cancel(job).expect("cancel a running job");
+            assert_eq!(frame.get("cancelling").and_then(JsonValue::as_bool), Some(true), "{frame}");
+            acked = true;
+        })
+        .unwrap();
+
+    assert!(acked, "the point reported mid-point progress before finishing");
+    let done = outcome.done.expect("watched submission ends with done");
+    assert!(done.cancelled, "the job reports cancellation: {done:?}");
+    assert!(!done.ok);
+    assert_eq!(done.failed, 0, "a cancelled point is not a failure: {done:?}");
+    let status = client.status(outcome.job).unwrap();
+    assert_eq!(status.get("state").and_then(JsonValue::as_str), Some("cancelled"));
+    assert_eq!(status.get("failed").and_then(JsonValue::as_u64), Some(0));
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("jobs_cancelled").and_then(JsonValue::as_u64), Some(1), "{stats}");
+    assert_eq!(stats.get("jobs_completed").and_then(JsonValue::as_u64), Some(0), "{stats}");
+    handle.shutdown();
+
+    let journal = std::fs::read_to_string(dir.join("jobs.jsonl")).expect("journal next to the store");
+    let terminal = format!("{{\"op\": \"cancelled\", \"job\": {}}}", outcome.job);
+    assert!(journal.lines().any(|line| line == terminal), "journaled as cancelled:\n{journal}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn results_feed_streams_every_point_exactly_once_across_a_reconnect() {
     let handle = spawn_server(None);
 

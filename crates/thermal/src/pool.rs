@@ -17,7 +17,6 @@
 //! one pool may itself dispatch sweeps onto the global pool without
 //! deadlocking on the dispatch mutex.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -55,9 +54,9 @@ struct Shared {
     start: Condvar,
     done: Condvar,
     n_workers: usize,
-    /// Set when any worker's job panicked; `run` converts it into a caller
-    /// panic instead of silently returning partial results.
-    job_panicked: AtomicBool,
+    /// The first payload of a helper's panicking job; `run` re-raises it
+    /// on the caller instead of silently returning partial results.
+    panicked: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
 struct State {
@@ -94,7 +93,7 @@ impl Pool {
             start: Condvar::new(),
             done: Condvar::new(),
             n_workers,
-            job_panicked: AtomicBool::new(false),
+            panicked: Mutex::new(None),
         });
         for index in 1..n_workers {
             let shared = Arc::clone(&shared);
@@ -120,7 +119,8 @@ impl Pool {
     /// Panics if `f` panicked on any lane. A caller-lane panic is resumed
     /// only after every helper finished (the borrowed closure must not be
     /// freed while helpers still hold its pointer); a helper-lane panic is
-    /// re-raised here instead of deadlocking the join.
+    /// re-raised here with its original payload instead of deadlocking the
+    /// join.
     pub fn run(&self, f: &(dyn Fn(usize, usize) + Sync)) {
         let t_queue = temu_obs::enabled().then(Instant::now);
         let _serialized = self.dispatch.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -153,11 +153,11 @@ impl Pool {
                 pool_obs().join_wait_ns.record_duration(t.elapsed());
             }
         }
-        if let Err(payload) = caller {
+        // Taken before either panic resumes, so a helper's panic never
+        // leaks into the pool's next job.
+        let helper = self.shared.panicked.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
+        if let Some(payload) = caller.err().or(helper) {
             std::panic::resume_unwind(payload);
-        }
-        if self.shared.job_panicked.swap(false, Ordering::AcqRel) {
-            panic!("thermal pool worker panicked during a parallel job");
         }
     }
 }
@@ -193,10 +193,11 @@ fn worker_loop(shared: &Shared, index: usize) {
             let f = unsafe { &*ptr };
             // The decrement must happen even if the job panics — a skipped
             // decrement would deadlock every future join.
-            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(index, shared.n_workers)))
-                .is_err()
+            if let Err(payload) =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(index, shared.n_workers)))
             {
-                shared.job_panicked.store(true, Ordering::Release);
+                let mut first = shared.panicked.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                first.get_or_insert(payload);
             }
             let mut st = shared.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             st.remaining -= 1;
@@ -404,6 +405,20 @@ mod tests {
             hits.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(hits.load(Ordering::SeqCst), pool.n_workers());
+    }
+
+    #[test]
+    fn helper_lane_panic_propagates_with_its_payload() {
+        let pool = Pool::new(2);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run(&|w, _| {
+                if w == 1 {
+                    panic!("deliberate helper panic");
+                }
+            });
+        }));
+        let payload = result.expect_err("helper-lane panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"deliberate helper panic"));
     }
 
     #[test]

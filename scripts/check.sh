@@ -58,7 +58,8 @@ echo "== ISS differential: 100 seeds per platform =="
 cargo test --release -p temu-des --test random_programs -- --include-ignored
 
 echo "== lint wall: clippy -D warnings =="
-cargo clippy --workspace -- -D warnings
+# --all-targets: tests, benches and examples are linted too.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== bench-smoke gate =="
 # Also the solver-convergence gate: the smoke rungs include multigrid
@@ -137,7 +138,9 @@ echo "== resume-smoke gate =="
 # restart it on the same store, and watch the recovered job to
 # completion — the restart banner must report the recovered mid-point
 # state, and the finished job must land in the cache (the final
-# --require-cached resubmission exits 3 if anything re-executes).
+# --require-cached resubmission exits 3 if anything re-executes). Then
+# the cancel leg: a fresh long point, cancelled once its first window
+# checkpoint is persisted, must end `cancelled`, not `done`.
 RESUME_TMP="$TMP_ROOT/resume"
 mkdir "$RESUME_TMP"
 cat > "$RESUME_TMP/spec.json" <<'SPEC'
@@ -180,18 +183,41 @@ if ! grep -q '1 mid-point state(s) recovered' "$RESUME_TMP/serve2.log"; then
 fi
 target/release/temu-client --addr "$addr" watch 1
 target/release/temu-client --addr "$addr" submit --spec "$RESUME_TMP/spec.json" --require-cached
+sed 's/"windows": 400/"windows": 4000/' "$RESUME_TMP/spec.json" > "$RESUME_TMP/cancel.json"
+job=$(target/release/temu-client --addr "$addr" submit --spec "$RESUME_TMP/cancel.json" --no-watch \
+    | sed -n 's/^queued as job \([0-9]*\) .*/\1/p')
+ck_seen=""
+for _ in $(seq 1 200); do
+    if grep -q "{\"ck\": \"window\", \"job\": $job," "$RESUME_TMP/jobs.checkpoints.jsonl" 2>/dev/null; then
+        ck_seen=yes
+        break
+    fi
+    sleep 0.05
+done
+if [ -z "$ck_seen" ]; then
+    echo "resume smoke FAILED: no window checkpoint record appeared for job $job"
+    exit 1
+fi
+target/release/temu-client --addr "$addr" cancel "$job"
+# A cancelled job's watch exits 1; the status below is the verdict.
+target/release/temu-client --addr "$addr" watch "$job" || true
+status=$(target/release/temu-client --addr "$addr" status "$job")
+if ! echo "$status" | grep -q '"state": "cancelled"'; then
+    echo "resume smoke FAILED: the cancelled job ended as $status"
+    exit 1
+fi
 target/release/temu-client --addr "$addr" shutdown
 reap "$RESUME_PID"
 echo "resume smoke OK"
 
 echo "== chaos-smoke gate =="
 # The fault-tolerance gate: the same serve smoke with faults injected —
-# workers panic at 30% of checkpoints and 20% of fresh connections are
-# dropped on the floor. Submissions are retried until one run completes
-# (every failed run banks its finished points in the store), and the
-# rerun must still be answered 100% from the cache with exit 0: a
-# fully-cached job never checkpoints, so panics cannot reach it, and
-# dropped connections are absorbed by the client's backoff.
+# workers panic after 30% of executed points (each already banked in the
+# store) and 20% of fresh connections are dropped on the floor.
+# Submissions are retried until one run completes, and the rerun must
+# still be answered 100% from the cache with exit 0: a fully-cached job
+# executes no point, so panics cannot reach it, and dropped connections
+# are absorbed by the client's backoff.
 CHAOS_TMP="$TMP_ROOT/chaos"
 mkdir "$CHAOS_TMP"
 TEMU_FAULT="worker_panic:0.3,drop_conn:0.2" \
