@@ -117,14 +117,25 @@ impl JsonValue {
     ///
     /// A human-readable description with the byte offset of the problem.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
+        let (v, end) = JsonValue::parse_prefix(text)?;
+        match text.as_bytes()[end..].iter().position(|b| !b.is_ascii_whitespace()) {
+            Some(at) => Err(format!("trailing characters at byte {}", end + at)),
+            None => Ok(v),
+        }
+    }
+
+    /// Parses the JSON value at the head of `text` (after any leading
+    /// whitespace) and returns it with the byte offset just past it, so
+    /// whatever follows can be read on.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description with the byte offset of the problem.
+    pub fn parse_prefix(text: &str) -> Result<(JsonValue, usize), String> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing characters at byte {}", p.pos));
-        }
-        Ok(v)
+        Ok((v, p.pos))
     }
 
     /// Object field lookup (`None` for non-objects and missing keys).
@@ -502,6 +513,16 @@ mod tests {
         let values = axes[0].get("values").and_then(JsonValue::as_arr).unwrap();
         assert_eq!(values[1].as_u64(), Some(2));
         assert_eq!(values[1].as_usize(), Some(2));
+    }
+
+    #[test]
+    fn parse_prefix_stops_after_the_first_value() {
+        let text = r#" {"s": "}{", "o": {"x": 1}}{"next": 2}"#;
+        let (v, end) = JsonValue::parse_prefix(text).unwrap();
+        assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("}{"));
+        assert_eq!(&text[end..], r#"{"next": 2}"#);
+        assert!(JsonValue::parse(text).unwrap_err().contains("trailing characters"));
+        assert!(JsonValue::parse_prefix(r#"{"torn": "#).is_err());
     }
 
     #[test]

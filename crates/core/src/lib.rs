@@ -59,7 +59,7 @@
 //! custom knobs — into one campaign and reports per grid point
 //! ([`SweepReport`]). A [`ResultCache`] memoizes each point under its
 //! configuration content key ([`Scenario::content_key`], optionally
-//! persisted to an on-disk JSON-lines store), so re-running an identical
+//! persisted to an on-disk store, a checksummed append log), so re-running an identical
 //! or overlapping sweep skips every already-solved point:
 //!
 //! ```no_run

@@ -34,7 +34,7 @@
 //! floorplan, workload, grid/solver, power, link, DFS policy, budget, fit
 //! gate; *not* its display name). A [`ResultCache`] memoizes the
 //! [`PointSummary`] per key in process, and optionally persists it to an
-//! on-disk JSON-lines store ([`ResultCache::with_store`]) so re-runs of a
+//! on-disk store ([`ResultCache::with_store`]) so re-runs of a
 //! sweep — including across processes, or sweeps that merely overlap — are
 //! incremental: cached points are reported without executing their
 //! scenarios. Failed points are never cached (they re-run until they
@@ -72,40 +72,15 @@ use crate::export::{csv_f64, csv_field, csv_opt, json_escape, json_f64, json_num
 use crate::scenario::{RunBudget, Scenario, ScenarioRun, Workload};
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::OpenOptions;
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use temu_platform::{DfsBand, DfsPolicy};
+use temu_state::AppendLog;
 use temu_thermal::{GridConfig, ImplicitSolve};
 
-/// 64-bit FNV-1a: a small, dependency-free hash whose value is defined by
-/// the algorithm alone — unlike `DefaultHasher`, it cannot drift between
-/// compiler releases, so on-disk cache keys stay valid. Public because
-/// everything content-addressed in the workspace hashes with it: scenario
-/// and sweep content keys here, and the fleet router's rendezvous member
-/// scoring on top of them.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_fold(0xcbf2_9ce4_8422_2325, bytes)
-}
-
-/// Continues a 64-bit FNV-1a hash from a prior state. Because FNV-1a is a
-/// plain left-to-right fold, `fnv1a64_fold(fnv1a64(a), b) == fnv1a64(a ++
-/// b)` — which is what lets [`Scenario::layered_keys`] decompose the
-/// scenario content key into chained per-segment prefix states without
-/// changing the final value.
-#[must_use]
-pub fn fnv1a64_fold(state: u64, bytes: &[u8]) -> u64 {
-    let mut h = state;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use temu_state::{fnv1a64, fnv1a64_fold};
 
 // ---------------------------------------------------------------------------
 // Point summaries (the cacheable unit)
@@ -204,26 +179,19 @@ impl PointSummary {
 // The result cache
 // ---------------------------------------------------------------------------
 
-/// Compaction trigger: minimum record + junk runs decoded at load before
-/// the dead-fraction rule applies (tiny stores are never worth rewriting).
+/// The store file's magic: format 2, the checksummed append log.
+const STORE_MAGIC: [u8; 8] = *b"temuSTO2";
+/// Compaction trigger: minimum record + damaged runs replayed at load
+/// before the dead-fraction rule applies (tiny stores are never worth
+/// rewriting).
 const COMPACT_MIN_RECORDS: usize = 64;
-/// Compaction trigger: fraction of dead runs (duplicate records + torn
-/// junk) above which the store is rewritten deduped at load.
+/// Compaction trigger: fraction of dead runs (duplicate records + damaged
+/// ones) above which the store is rewritten deduped at load.
 const COMPACT_DEAD_FRACTION: f64 = 0.25;
-
-/// The persistent half of a cache: the `O_APPEND` write handle, plus a
-/// separate read handle and the byte offset already decoded into memory,
-/// so [`ResultCache::refresh`] can pick up records appended by *other*
-/// writers sharing the store file (fleet members behind one store).
-struct StoreState {
-    append: std::fs::File,
-    read: std::fs::File,
-    offset: u64,
-}
 
 struct CacheInner {
     mem: Mutex<HashMap<u64, PointSummary>>,
-    store: Option<Mutex<StoreState>>,
+    store: Option<Mutex<AppendLog>>,
     path: Option<PathBuf>,
 }
 
@@ -233,8 +201,9 @@ struct CacheInner {
 /// The cache is a cheaply-cloneable handle (clones share the same state),
 /// so one cache can serve many sweeps — overlapping grids skip their
 /// shared points. [`ResultCache::with_store`] additionally persists every
-/// insert to an append-only JSON-lines file and pre-loads existing
-/// entries, making sweep re-runs incremental across processes.
+/// insert to an on-disk store (a binary append log of flat JSON records)
+/// and pre-loads existing entries, making sweep re-runs incremental
+/// across processes.
 #[derive(Clone)]
 pub struct ResultCache {
     inner: Arc<CacheInner>,
@@ -258,103 +227,47 @@ impl ResultCache {
         }
     }
 
-    /// A cache backed by an on-disk JSON-lines store: existing entries at
-    /// `path` are loaded, and every new insert is appended.
+    /// A cache backed by an on-disk store: existing entries at `path` are
+    /// loaded, and every new insert is appended.
     ///
-    /// The store is safe to share between concurrent writers — worker
-    /// threads of one server process or several processes appending to the
-    /// same file: the file is opened `O_APPEND` and each record is written
-    /// as one complete line in a single write call, so records never
-    /// interleave. Loading tolerates a torn record (a writer that died
-    /// mid-append): the damaged record is skipped and — because another
-    /// process may already have appended past it onto the same line —
-    /// any complete records glued after it on that line are still
-    /// recovered, instead of being dropped with it.
-    ///
-    /// # Header and compaction
-    ///
-    /// Fresh stores open with a version header line
-    /// (`{"temu_store": 1, …}`); loaders shipped before the header treat
-    /// it as an undecodable run and skip it, so old and new processes can
-    /// share one file. When loading finds the file is mostly dead weight —
-    /// duplicate records from overlapping sweeps plus torn junk exceeding
-    /// [`COMPACT_DEAD_FRACTION`] of at least [`COMPACT_MIN_RECORDS`] runs
-    /// — it is rewritten deduped under a fresh header via a tmp file and
-    /// atomic rename. A rewrite failure degrades to loading the dirty
-    /// store; compaction is an optimization, never a correctness gate.
-    /// Note the rename caveat: a *concurrent* writer still holding the old
-    /// file keeps appending to the unlinked inode — its records stay
-    /// correct in its own memory but become invisible to others, who
-    /// simply re-execute those points on miss. Prefer starting the store's
-    /// long-lived owners together.
+    /// The store is a [`temu_state::AppendLog`] (magic `temuSTO2`) of flat
+    /// `{"key": …}` JSON records, safe to share between concurrent writers
+    /// (threads of one server, or processes appending to one file); a torn
+    /// or corrupted record costs only itself. When loading finds the file
+    /// mostly dead — duplicate and damaged records over
+    /// [`COMPACT_DEAD_FRACTION`] of at least [`COMPACT_MIN_RECORDS`] runs —
+    /// it is rewritten deduped; a failed rewrite degrades to the dirty
+    /// store. Rename caveat: a *concurrent* writer still holding the old
+    /// file keeps appending to the unlinked inode, so the others re-execute
+    /// its points on miss. Prefer starting a store's owners together.
     ///
     /// # Errors
     ///
-    /// Any I/O error opening or reading the store file.
+    /// Any I/O error opening or reading the store, and
+    /// [`std::io::ErrorKind::InvalidData`] naming the file for a store in an
+    /// older format: it fails closed, and as it is only a cache, moving it
+    /// aside loses nothing.
     pub fn with_store(path: impl AsRef<Path>) -> std::io::Result<ResultCache> {
         let path = path.as_ref().to_path_buf();
-        let mut mem = HashMap::new();
-        let mut offset = 0u64;
-        if path.exists() {
-            let text = std::fs::read_to_string(&path)?;
-            offset = text.len() as u64;
-            let (mut records, mut junk) = (0usize, 0usize);
-            for line in text.lines() {
-                ResultCache::decode_recovering(line, &mut mem, &mut records, &mut junk);
-            }
-            let total = records + junk;
-            let dead = junk + records.saturating_sub(mem.len());
-            #[allow(clippy::cast_precision_loss)]
-            if total >= COMPACT_MIN_RECORDS && dead as f64 > total as f64 * COMPACT_DEAD_FRACTION {
-                if let Ok(len) = ResultCache::rewrite_store(&path, &mem) {
-                    offset = len;
-                }
-            }
-        } else {
-            // Stamp fresh stores with the header line. `create_new`, not a
-            // plain write: a racing sibling process that already created
-            // (and appended to) the file must not be truncated.
-            if let Ok(mut f) = OpenOptions::new().write(true).create_new(true).open(&path) {
-                let _ = f.write_all(format!("{}\n", ResultCache::header_line(0)).as_bytes());
-            }
+        let (mut log, replay) = AppendLog::open(&path, STORE_MAGIC)?;
+        let mem: HashMap<u64, PointSummary> =
+            replay.records.iter().filter_map(|r| ResultCache::decode(r)).collect();
+        let total = replay.records.len() + replay.skipped;
+        let dead = total - mem.len();
+        #[allow(clippy::cast_precision_loss)]
+        if total >= COMPACT_MIN_RECORDS && dead as f64 > total as f64 * COMPACT_DEAD_FRACTION {
+            // Sorted by the zero-padded key the records open with.
+            let mut records: Vec<String> = mem.iter().map(|(&k, s)| ResultCache::encode(k, s)).collect();
+            records.sort_unstable();
+            let _ = log.rewrite(&records);
         }
-        let append = OpenOptions::new().create(true).append(true).open(&path)?;
-        let read = std::fs::File::open(&path)?;
         Ok(ResultCache {
             inner: Arc::new(CacheInner {
                 mem: Mutex::new(mem),
-                store: Some(Mutex::new(StoreState { append, read, offset })),
+                store: Some(Mutex::new(log)),
                 path: Some(path),
             }),
         })
-    }
-
-    /// The store's version/header line (no trailing newline). Flat like
-    /// every record, so the first-`}`-closes-it decode discipline holds.
-    fn header_line(entries: usize) -> String {
-        format!("{{\"temu_store\": 1, \"entries\": {entries}}}")
-    }
-
-    /// Rewrites the store deduped — header plus one record per key, sorted
-    /// so the output is deterministic — into a tmp file that atomically
-    /// replaces the original. Returns the compacted length in bytes.
-    fn rewrite_store(path: &Path, mem: &HashMap<u64, PointSummary>) -> std::io::Result<u64> {
-        let tmp = path.with_extension("compact.tmp");
-        let mut out = String::with_capacity(mem.len() * 160 + 64);
-        out.push_str(&ResultCache::header_line(mem.len()));
-        out.push('\n');
-        let mut keys: Vec<u64> = mem.keys().copied().collect();
-        keys.sort_unstable();
-        for key in keys {
-            out.push_str(&format!("{{\"key\": \"{key:016x}\", {}}}\n", mem[&key].json_fields()));
-        }
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(out.as_bytes())?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(out.len() as u64)
     }
 
     /// Number of cached points.
@@ -382,8 +295,7 @@ impl ResultCache {
     /// after each executed point was inserted.
     pub fn sync(&self) {
         if let Some(store) = &self.inner.store {
-            let s = store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let _ = s.append.sync_data();
+            let _ = store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).sync();
         }
     }
 
@@ -408,37 +320,20 @@ impl ResultCache {
     }
 
     /// Decodes any records appended to the store file since the last load
-    /// or refresh into memory (existing in-memory entries win). Only
-    /// complete lines are consumed — a concurrent writer's half-append is
-    /// left for the next refresh, once its newline lands. Returns the
-    /// number of keys that were new to this handle; 0 for in-memory
-    /// caches (and on any read error, which degrades to a plain miss).
+    /// or refresh into memory (existing in-memory entries win). A
+    /// concurrent writer's half-append is left for the next refresh
+    /// ([`temu_state::AppendLog::read_new`]). Returns the number of keys
+    /// that were new to this handle; 0 for in-memory caches (and on any
+    /// read error, which degrades to a plain miss).
     pub fn refresh(&self) -> usize {
         let Some(store) = &self.inner.store else { return 0 };
-        let text = {
-            let mut s = store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut buf = String::new();
-            let start = s.offset;
-            if s.read.seek(SeekFrom::Start(start)).is_err() || s.read.read_to_string(&mut buf).is_err()
-            {
-                return 0;
-            }
-            let complete = buf.rfind('\n').map_or(0, |i| i + 1);
-            if complete == 0 {
-                return 0;
-            }
-            buf.truncate(complete);
-            s.offset = start + complete as u64;
-            buf
+        let Ok(records) = store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).read_new()
+        else {
+            return 0;
         };
-        let mut fresh = HashMap::new();
-        let (mut records, mut junk) = (0usize, 0usize);
-        for line in text.lines() {
-            ResultCache::decode_recovering(line, &mut fresh, &mut records, &mut junk);
-        }
         let mut mem = self.inner.mem.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut new = 0usize;
-        for (key, summary) in fresh {
+        for (key, summary) in records.iter().filter_map(|r| ResultCache::decode(r)) {
             if let std::collections::hash_map::Entry::Vacant(slot) = mem.entry(key) {
                 slot.insert(summary);
                 new += 1;
@@ -449,9 +344,9 @@ impl ResultCache {
 
     /// Memoizes one point (and appends it to the disk store, if any; a
     /// store write failure degrades to in-memory caching rather than
-    /// failing the sweep). The store append is one complete
-    /// newline-terminated line in a single `O_APPEND` write, so concurrent
-    /// writers — threads or whole processes — never interleave records.
+    /// failing the sweep). The store append is one record in a single
+    /// `O_APPEND` write, so concurrent writers — threads or whole
+    /// processes — never interleave records.
     pub fn insert(&self, key: u64, summary: PointSummary) {
         let fresh = self
             .inner
@@ -462,60 +357,21 @@ impl ResultCache {
             .is_none();
         if fresh {
             if let Some(store) = &self.inner.store {
-                let line = format!("{{\"key\": \"{key:016x}\", {}}}\n", summary.json_fields());
-                let mut s = store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let _ = s.append.write_all(line.as_bytes());
+                let record = ResultCache::encode(key, &summary);
+                let s = store.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+                let _ = s.append(record.as_bytes());
             }
         }
     }
 
-    /// Decodes every record on one store line into `mem`. The common case
-    /// is one whole line = one record; when the head of the line is a torn
-    /// partial (a writer died mid-append and a later `O_APPEND` writer
-    /// glued its complete record onto the same line), the torn prefix is
-    /// skipped and decoding resumes at each subsequent `{"key"` marker.
-    /// `records` counts decoded records and `junk` counts skipped runs —
-    /// together they drive the load-time compaction decision.
-    fn decode_recovering(
-        line: &str,
-        mem: &mut HashMap<u64, PointSummary>,
-        records: &mut usize,
-        junk: &mut usize,
-    ) {
-        let mut rest = line.trim_start();
-        while !rest.is_empty() {
-            if let Some((key, summary, consumed)) = ResultCache::decode_prefix(rest) {
-                *records += 1;
-                mem.insert(key, summary);
-                rest = rest[consumed..].trim_start();
-            } else if let Some(consumed) = ResultCache::header_prefix(rest) {
-                // The version header a compacted (or fresh) store opens
-                // with: recognized, not junk.
-                rest = rest[consumed..].trim_start();
-            } else {
-                *junk += 1;
-                // Torn or foreign bytes: resync at the next record marker
-                // (skipping one whole character — foreign lines may start
-                // with multi-byte UTF-8, and a byte-offset slice there
-                // would panic on the char boundary).
-                let skip = rest.chars().next().map_or(1, char::len_utf8);
-                match rest[skip..].find("{\"key\"") {
-                    Some(off) => rest = &rest[skip + off..],
-                    None => return,
-                }
-            }
-        }
+    /// One store record: a flat JSON object keyed by the content key.
+    fn encode(key: u64, summary: &PointSummary) -> String {
+        format!("{{\"key\": \"{key:016x}\", {}}}", summary.json_fields())
     }
 
-    /// Decodes one record at the head of `text`, returning how many bytes
-    /// it consumed. `text` may continue with further records (recovery
-    /// path), so this scans for the record's closing `}` instead of
-    /// requiring the parse to consume the whole slice.
-    fn decode_prefix(text: &str) -> Option<(u64, PointSummary, usize)> {
-        // Store records are flat objects whose only strings never contain
-        // '}', so the first '}' closes the record.
-        let end = text.find('}')? + 1;
-        let obj = JsonValue::parse(&text[..end]).ok()?;
+    /// Decodes one store record; `None` when it is not one.
+    fn decode(payload: &[u8]) -> Option<(u64, PointSummary)> {
+        let obj = JsonValue::parse(std::str::from_utf8(payload).ok()?).ok()?;
         let key = u64::from_str_radix(obj.get("key")?.as_str()?, 16).ok()?;
         let num = |name: &str| obj.get(name).and_then(JsonValue::as_f64);
         let int = |name: &str| obj.get(name).and_then(JsonValue::as_u64);
@@ -533,24 +389,7 @@ impl ResultCache {
             unconverged_substeps: int("unconverged_substeps")?,
             worst_residual_k: num("worst_residual_k").unwrap_or(0.0),
         };
-        Some((key, summary, end))
-    }
-
-    /// Length of a store version header at the head of `text`, `None`
-    /// when it is not one. Headers are flat objects like the records, so
-    /// the first `}` closes them.
-    fn header_prefix(text: &str) -> Option<usize> {
-        if !text.starts_with("{\"temu_store\"") {
-            return None;
-        }
-        let end = text.find('}')? + 1;
-        JsonValue::parse(&text[..end]).ok()?;
-        Some(end)
-    }
-
-    #[cfg(test)]
-    fn decode_line(line: &str) -> Option<(u64, PointSummary)> {
-        ResultCache::decode_prefix(line.trim()).map(|(k, s, _)| (k, s))
+        Some((key, summary))
     }
 }
 
@@ -1384,15 +1223,15 @@ mod tests {
             unconverged_substeps: 0,
             worst_residual_k: 0.0,
         };
-        let line = format!("{{\"key\": \"{:016x}\", {}}}", 0xdead_beefu64, summary.json_fields());
-        let (key, decoded) = ResultCache::decode_line(&line).expect("line parses");
+        let line = ResultCache::encode(0xdead_beef, &summary);
+        let (key, decoded) = ResultCache::decode(line.as_bytes()).expect("record parses");
         assert_eq!(key, 0xdead_beef);
         assert_eq!(decoded.windows, 12);
         assert_eq!(decoded.peak_temp_k, Some(351.25));
         assert_eq!(decoded.final_temp_k, None);
         assert_eq!(decoded.time_at_hz, summary.time_at_hz);
-        assert!(ResultCache::decode_line("not json").is_none());
-        assert!(ResultCache::decode_line("{\"key\": \"zz\"}").is_none());
+        assert!(ResultCache::decode(b"not json").is_none());
+        assert!(ResultCache::decode(b"{\"key\": \"zz\"}").is_none());
     }
 
     #[test]

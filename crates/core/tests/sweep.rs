@@ -93,13 +93,25 @@ fn disk_store_makes_reruns_incremental_across_cache_instances() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Splits an intact store file's records (after its 8-byte magic) into
+/// their raw frames: `TREC`, payload length (u32 LE), checksum (u64 LE),
+/// payload.
+fn frames(bytes: &[u8]) -> Vec<&[u8]> {
+    let (mut out, mut at) = (Vec::new(), 8);
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().unwrap()) as usize;
+        out.push(&bytes[at..at + 16 + len]);
+        at += 16 + len;
+    }
+    out
+}
+
 #[test]
 fn torn_store_lines_are_skipped_without_dropping_later_records() {
-    // Simulate a writer that died mid-append: a torn partial record with
-    // no trailing newline, after which another O_APPEND writer glued a
-    // complete record onto the same physical line — followed by further
-    // intact lines. The loader must recover every complete record and
-    // skip only the torn one.
+    // Simulate a writer that died mid-append: a torn partial record, after
+    // which another O_APPEND writer glued a complete record — followed by
+    // further intact records. The loader must recover every complete
+    // record and skip only the torn one.
     let path = std::env::temp_dir().join(format!("temu_torn_store_{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
 
@@ -110,28 +122,27 @@ fn torn_store_lines_are_skipped_without_dropping_later_records() {
     assert!(report.all_ok());
     drop(seed);
 
-    // Tear the store: truncate the first line mid-record and glue the
-    // remaining content (which starts with line 2's complete record)
-    // directly after it, newline-free — exactly what interleaved
+    // Tear the store: truncate the first record mid-frame and glue the
+    // remaining records directly after it — exactly what interleaved
     // crash-and-append produces.
-    let content = std::fs::read_to_string(&path).unwrap();
-    let lines: Vec<&str> = content.lines().collect();
-    assert_eq!(lines.len(), 4, "version header + 3 records");
-    assert!(lines[0].starts_with("{\"temu_store\""), "fresh stores open with the header line");
-    let torn =
-        format!("{}\n{}{}\n{}\n", lines[0], &lines[1][..lines[1].len() / 2], lines[2], lines[3]);
+    let content = std::fs::read(&path).unwrap();
+    assert!(content.starts_with(b"temuSTO2"), "stores open with the format's magic");
+    let records = frames(&content);
+    assert_eq!(records.len(), 3, "magic + 3 records");
+    let torn = [&content[..8], &records[0][..records[0].len() / 2], records[1], records[2]].concat();
     std::fs::write(&path, torn).unwrap();
 
     let reloaded = ResultCache::with_store(&path).unwrap();
     assert_eq!(reloaded.len(), 2, "both intact records survive; only the torn one is lost");
 
     // A trailing torn partial (crash during the very last append) is
-    // skipped without disturbing anything before it, and a foreign line
+    // skipped without disturbing anything before it, and foreign bytes
     // starting with multi-byte UTF-8 must not panic the resync scan.
-    let content = std::fs::read_to_string(&path).unwrap();
-    std::fs::write(&path, format!("é foreign bytes\n{content}{{\"key\": \"1234\", \"windows\": 5")).unwrap();
+    let content = std::fs::read(&path).unwrap();
+    let dirty = [&content[..8], "é foreign bytes\n".as_bytes(), &content[8..], &records[0][..20]].concat();
+    std::fs::write(&path, dirty).unwrap();
     let reloaded = ResultCache::with_store(&path).unwrap();
-    assert_eq!(reloaded.len(), 2, "torn trailing partial and foreign line are skipped");
+    assert_eq!(reloaded.len(), 2, "torn trailing partial and foreign bytes are skipped");
 
     // The torn point simply re-executes on the next sweep.
     let rerun = Sweep::new("seed", tiny())
@@ -156,28 +167,27 @@ fn mostly_dead_store_is_compacted_on_load_and_round_trips() {
     assert!(sweep().run_cached(&seed).all_ok());
     drop(seed);
 
-    let content = std::fs::read_to_string(&path).unwrap();
-    let records: Vec<&str> = content.lines().filter(|l| l.starts_with("{\"key\"")).collect();
+    let content = std::fs::read(&path).unwrap();
+    let records = frames(&content);
     assert_eq!(records.len(), 3);
     let mut dirty = content.clone();
     for _ in 0..40 {
         for r in &records {
-            dirty.push_str(r);
-            dirty.push('\n');
+            dirty.extend_from_slice(r);
         }
     }
-    dirty.push_str("torn junk without a newline");
+    dirty.extend_from_slice(&records[0][..records[0].len() - 1]);
     std::fs::write(&path, &dirty).unwrap();
     let dirty_len = std::fs::metadata(&path).unwrap().len();
 
-    // Loading compacts: the file shrinks back to header + 3 unique
+    // Loading compacts: the file shrinks back to magic + 3 unique
     // records, and the cache still answers every original content key.
     let compacted = ResultCache::with_store(&path).unwrap();
     assert_eq!(compacted.len(), 3);
-    let clean = std::fs::read_to_string(&path).unwrap();
+    let clean = std::fs::read(&path).unwrap();
     assert!(std::fs::metadata(&path).unwrap().len() < dirty_len / 10, "compaction shrinks the file");
-    assert_eq!(clean.lines().count(), 4, "header + one line per unique key");
-    assert!(clean.lines().next().unwrap().starts_with("{\"temu_store\": 1"));
+    assert!(clean.starts_with(b"temuSTO2"));
+    assert_eq!(frames(&clean).len(), 3, "one record per unique key");
     let rerun = sweep().run_cached(&compacted);
     assert_eq!((rerun.cache_hits, rerun.executed), (3, 0), "identical content keys round-trip");
     drop(compacted);
@@ -185,7 +195,19 @@ fn mostly_dead_store_is_compacted_on_load_and_round_trips() {
     // Reloading the compacted store is stable: nothing dead, no rewrite.
     let reloaded = ResultCache::with_store(&path).unwrap();
     assert_eq!(reloaded.len(), 3);
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), clean);
+    assert_eq!(std::fs::read(&path).unwrap(), clean);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_json_lines_store_from_an_older_version_fails_closed() {
+    let path = std::env::temp_dir().join(format!("temu_old_store_{}.jsonl", std::process::id()));
+    let old = "{\"temu_store\": 1, \"entries\": 0}\n";
+    std::fs::write(&path, old).unwrap();
+    let err = ResultCache::with_store(&path).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains(&path.display().to_string()), "names the file: {err}");
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), old, "the old store is left untouched");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -7,55 +7,37 @@
 //! `--window-checkpoint N`, each job's sweep installs an
 //! [`on_point`](temu_framework::Sweep::on_point) observer that appends
 //! every N-th window boundary's serialized
-//! [`EmulationState`](temu_framework::EmulationState) here, one JSON line
-//! in the journal's sibling checkpoint file (`jobs.jsonl` →
+//! [`EmulationState`](temu_framework::EmulationState) here, one record in
+//! the journal's sibling checkpoint file (`jobs.jsonl` →
 //! `jobs.checkpoints.jsonl` — per journal, because fleet members sharing
-//! one store directory run distinct journals with colliding job ids):
+//! one store directory run distinct journals with colliding job ids).
 //!
-//! ```text
-//! {"temu_checkpoints": 1}
-//! {"ck": "window", "job": 3, "key": "00c2a5…", "windows": 10, "state": "<hex>"}
-//! ```
+//! The file is a binary [`AppendLog`] (magic `temuCKP2`). A record's
+//! payload is the job id, the point's scenario content key and the window
+//! count (three `u64` LE), then the raw state bytes.
 //!
-//! On restart the server replays the file (last record per `(job, key)`
-//! wins), seeds each recovered job's sweep via
-//! [`resume_point`](temu_framework::Sweep::resume_point), and compacts
-//! the file down to the records that still matter — checkpoints of jobs
-//! that finished are dead weight and are dropped. The state bytes are the
-//! framework's versioned, fail-closed stream: a record that no longer
-//! decodes (or a torn tail) is skipped, and the point simply re-runs from
-//! scratch — resume is an optimization, never a correctness dependency.
-//!
-//! Append discipline matches the journal: each record is one `write`
-//! call, torn tails are resynced at the next `{"ck"` marker, and records
-//! are flat JSON objects (the hex state string contains no braces), so a
-//! record ends at its first `}`.
+//! Opening the store replays the file (last record per `(job, key)`
+//! wins) and compacts it to the jobs the caller still needs; the server
+//! then seeds each recovered job's sweep via
+//! [`resume_point`](temu_framework::Sweep::resume_point). A damaged
+//! record, a state that no longer decodes, or a file in an older format
+//! just means the point re-runs from scratch: resume is an optimization,
+//! never a correctness dependency.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
-use temu_framework::JsonValue;
+use std::path::Path;
+use temu_state::AppendLog;
 
-/// The store format version written in the header line. A file with a
-/// newer header replays as empty (fail-closed: its records are not ours
-/// to interpret) and is rewritten at the next compaction.
-pub const CHECKPOINTS_VERSION: u64 = 1;
+/// The checkpoint file's magic: format 2, the checksummed append log.
+const CHECKPOINTS_MAGIC: [u8; 8] = *b"temuCKP2";
 
-const HEADER_PREFIX: &str = "{\"temu_checkpoints\"";
-const RECORD_MARKER: &str = "{\"ck\"";
+/// Job id, content key and window count ahead of the state bytes.
+const PAYLOAD_HEADER: usize = 24;
 
 /// The append handle for a journal's window-checkpoint file.
+#[derive(Debug)]
 pub struct CheckpointStore {
-    file: Mutex<File>,
-    path: PathBuf,
-}
-
-impl std::fmt::Debug for CheckpointStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointStore").field("path", &self.path).finish()
-    }
+    log: AppendLog,
 }
 
 /// What replaying a checkpoint file recovered.
@@ -64,122 +46,98 @@ pub struct CheckpointReplay {
     /// Per job: the last recorded state bytes (and window count) of each
     /// in-flight point, keyed by the point's scenario content key.
     pub states: HashMap<u64, HashMap<u64, (u64, Vec<u8>)>>,
-    /// Torn or undecodable byte runs skipped during replay.
+    /// Damaged or undecodable records skipped during replay (1 for a file
+    /// in an older format).
     pub skipped: usize,
 }
 
-impl CheckpointReplay {
-    /// Total checkpointed points across all jobs.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.states.values().map(HashMap::len).sum()
-    }
-
-    /// Whether nothing was recovered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-}
-
 impl CheckpointStore {
-    /// Opens (creating if absent) the store at `path` and replays its
-    /// records.
+    /// Opens (creating if absent) the store at `path`, replays it, and
+    /// compacts it to the records of jobs for which `keep` returns true —
+    /// the server passes its recovered-pending set, so checkpoints of
+    /// finished jobs never accumulate. The replay holds the kept records.
     ///
     /// # Errors
     ///
-    /// Any I/O error opening or reading the file.
-    pub fn open(path: impl AsRef<Path>) -> std::io::Result<(CheckpointStore, CheckpointReplay)> {
-        let path = path.as_ref().to_path_buf();
-        let (replayed, fresh) = if path.exists() {
-            (replay(&std::fs::read_to_string(&path)?), false)
-        } else {
-            (CheckpointReplay::default(), true)
+    /// Any I/O error opening, reading or rewriting the file.
+    pub fn open(
+        path: impl AsRef<Path>,
+        keep: impl Fn(u64) -> bool,
+    ) -> std::io::Result<(CheckpointStore, CheckpointReplay)> {
+        let path = path.as_ref();
+        let (mut log, mut replayed) = match AppendLog::open(path, CHECKPOINTS_MAGIC) {
+            Ok((log, replay)) => {
+                let mut out = CheckpointReplay { skipped: replay.skipped, ..CheckpointReplay::default() };
+                for payload in &replay.records {
+                    let Some((job, key, windows, state)) = decode(payload) else {
+                        out.skipped += 1;
+                        continue;
+                    };
+                    out.states.entry(job).or_default().insert(key, (windows, state.to_vec()));
+                }
+                (log, out)
+            }
+            // An older format's records are not ours to interpret.
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => (
+                AppendLog::replace(path, CHECKPOINTS_MAGIC, &[] as &[&[u8]])?,
+                CheckpointReplay { skipped: 1, ..CheckpointReplay::default() },
+            ),
+            Err(e) => return Err(e),
         };
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if fresh {
-            let _ = file.write_all(format!("{{\"temu_checkpoints\": {CHECKPOINTS_VERSION}}}\n").as_bytes());
-        }
-        Ok((CheckpointStore { file: Mutex::new(file), path }, replayed))
+        replayed.states.retain(|&job, _| keep(job));
+        let kept: Vec<Vec<u8>> = replayed
+            .states
+            .iter()
+            .flat_map(|(&job, points)| {
+                points.iter().map(move |(&key, (windows, state))| encode(job, key, *windows, state))
+            })
+            .collect();
+        log.rewrite(&kept)?;
+        Ok((CheckpointStore { log }, replayed))
     }
 
     /// The store file's path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
-    /// Appends one window checkpoint as a single `write` (plus fdatasync
+    /// Appends one window checkpoint as a single `write`, plus fdatasync
     /// — this runs every N windows, not every window, so durability stays
-    /// off the emulation's critical path). The state bytes are
-    /// [`EmulationState::to_bytes`](temu_framework::EmulationState::to_bytes),
-    /// hex-encoded to keep the record a flat single-line JSON object.
+    /// off the emulation's critical path. The state bytes are
+    /// [`EmulationState::to_bytes`](temu_framework::EmulationState::to_bytes).
     ///
-    /// Each phase (hex encode, `write`, fdatasync) is timed into the
-    /// process-wide metrics registry — checkpoint durability is the one
-    /// per-point fsync on the serving path, and the per-phase split is
-    /// what tells a slow-checkpoint report apart (CPU-bound encode vs a
-    /// slow disk).
+    /// The write and the fdatasync are timed into the process-wide
+    /// metrics registry — checkpoint durability is the one per-point
+    /// fsync on the serving path, and the split is what tells a
+    /// slow-checkpoint report apart (a large state vs a slow disk).
     pub fn record(&self, job: u64, key: u64, windows: u64, state: &[u8]) {
         let obs = checkpoint_obs();
         obs.count.inc();
         if temu_obs::enabled() {
             obs.bytes.record(state.len() as u64);
         }
-        let record = temu_obs::time!(
-            "serve.checkpoint_hex_ns",
-            format!(
-                "{{\"ck\": \"window\", \"job\": {job}, \"key\": \"{key:016x}\", \"windows\": {windows}, \"state\": \"{}\"}}\n",
-                hex_encode(state)
-            )
-        );
-        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         temu_obs::time!("serve.checkpoint_write_ns", {
-            let _ = file.write_all(record.as_bytes());
+            let _ = self.log.append(&encode(job, key, windows, state));
         });
         temu_obs::time!("serve.checkpoint_fsync_ns", {
-            let _ = file.sync_data();
+            let _ = self.log.sync();
         });
     }
+}
 
-    /// Rewrites the store (tmp + rename) keeping only `replayed` records
-    /// of jobs for which `keep` returns true — called at startup with the
-    /// recovered-pending set, so checkpoints of finished jobs never
-    /// accumulate.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error writing or renaming the replacement file.
-    pub fn compact(
-        &self,
-        replayed: &CheckpointReplay,
-        keep: impl Fn(u64) -> bool,
-    ) -> std::io::Result<()> {
-        let tmp = self.path.with_extension("jsonl.tmp");
-        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        {
-            let mut out = File::create(&tmp)?;
-            out.write_all(format!("{{\"temu_checkpoints\": {CHECKPOINTS_VERSION}}}\n").as_bytes())?;
-            for (&job, points) in &replayed.states {
-                if !keep(job) {
-                    continue;
-                }
-                for (&key, (windows, state)) in points {
-                    out.write_all(
-                        format!(
-                            "{{\"ck\": \"window\", \"job\": {job}, \"key\": \"{key:016x}\", \"windows\": {windows}, \"state\": \"{}\"}}\n",
-                            hex_encode(state)
-                        )
-                        .as_bytes(),
-                    )?;
-                }
-            }
-            out.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        *file = OpenOptions::new().append(true).open(&self.path)?;
-        Ok(())
+fn encode(job: u64, key: u64, windows: u64, state: &[u8]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(PAYLOAD_HEADER + state.len());
+    for v in [job, key, windows] {
+        payload.extend_from_slice(&v.to_le_bytes());
     }
+    payload.extend_from_slice(state);
+    payload
+}
+
+fn decode(payload: &[u8]) -> Option<(u64, u64, u64, &[u8])> {
+    let word = |i: usize| Some(u64::from_le_bytes(payload.get(i * 8..i * 8 + 8)?.try_into().ok()?));
+    Some((word(0)?, word(1)?, word(2)?, &payload[PAYLOAD_HEADER..]))
 }
 
 /// The store's registry handles: a count of checkpoints recorded plus a
@@ -202,103 +160,35 @@ fn checkpoint_obs() -> &'static CheckpointObs {
     })
 }
 
-/// Replays checkpoint-store text: last record per `(job, key)` wins,
-/// undecodable runs are skipped and counted, and a newer-versioned header
-/// empties the replay (fail-closed).
-#[must_use]
-pub fn replay(text: &str) -> CheckpointReplay {
-    let mut out = CheckpointReplay::default();
-    for line in text.lines() {
-        let mut rest = line.trim_start();
-        if rest.starts_with(HEADER_PREFIX) {
-            let supported = JsonValue::parse(rest.split_inclusive('}').next().unwrap_or(rest))
-                .ok()
-                .and_then(|v| v.get("temu_checkpoints").and_then(JsonValue::as_u64))
-                .is_some_and(|v| v <= CHECKPOINTS_VERSION);
-            if supported {
-                continue;
-            }
-            return CheckpointReplay { skipped: 1, ..CheckpointReplay::default() };
-        }
-        while !rest.is_empty() {
-            match decode_prefix(rest) {
-                Some((job, key, windows, state, consumed)) => {
-                    out.states.entry(job).or_default().insert(key, (windows, state));
-                    rest = rest[consumed..].trim_start();
-                }
-                None => {
-                    out.skipped += 1;
-                    let skip = rest.chars().next().map_or(1, char::len_utf8);
-                    match rest[skip..].find(RECORD_MARKER) {
-                        Some(off) => rest = &rest[skip + off..],
-                        None => break,
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Decodes one record at the head of `rest`. Records are flat objects
-/// whose only string values are hex/identifier-safe, so the record ends
-/// at the first `}`.
-fn decode_prefix(rest: &str) -> Option<(u64, u64, u64, Vec<u8>, usize)> {
-    let end = rest.find('}')? + 1;
-    let v = JsonValue::parse(&rest[..end]).ok()?;
-    if v.get("ck")?.as_str()? != "window" {
-        return None;
-    }
-    let job = v.get("job")?.as_u64()?;
-    let key = u64::from_str_radix(v.get("key")?.as_str()?, 16).ok()?;
-    let windows = v.get("windows")?.as_u64()?;
-    let state = hex_decode(v.get("state")?.as_str()?)?;
-    Some((job, key, windows, state, end))
-}
-
-fn hex_encode(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
-    }
-    out
-}
-
-fn hex_decode(text: &str) -> Option<Vec<u8>> {
-    if !text.len().is_multiple_of(2) {
-        return None;
-    }
-    text.as_bytes()
-        .chunks_exact(2)
-        .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).ok()?, 16).ok())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("temu-ckpt-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("checkpoints.jsonl")
+        let path = dir.join("checkpoints.jsonl");
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[test]
     fn record_replay_round_trips_and_last_record_wins() {
         let path = temp_path("roundtrip");
-        let _ = std::fs::remove_file(&path);
         {
-            let (store, replayed) = CheckpointStore::open(&path).unwrap();
-            assert!(replayed.is_empty());
+            let (store, replayed) = CheckpointStore::open(&path, |_| true).unwrap();
+            assert!(replayed.states.is_empty());
             store.record(1, 0xabc, 5, &[1, 2, 3]);
             store.record(1, 0xabc, 10, &[4, 5]);
             store.record(1, 0xdef, 2, &[9]);
             store.record(2, 0xabc, 7, &[7, 7]);
         }
-        let (_store, r) = CheckpointStore::open(&path).unwrap();
+        let bytes = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(bytes, 8 + 4 * 40 + 3 + 2 + 1 + 2, "a record costs its state plus 40 bytes");
+        let (_store, r) = CheckpointStore::open(&path, |_| true).unwrap();
         assert_eq!(r.skipped, 0);
-        assert_eq!(r.len(), 3, "one live record per (job, key)");
+        assert_eq!(r.states.values().map(HashMap::len).sum::<usize>(), 3, "one record per (job, key)");
         assert_eq!(r.states[&1][&0xabc], (10, vec![4, 5]), "the later checkpoint wins");
         assert_eq!(r.states[&1][&0xdef], (2, vec![9]));
         assert_eq!(r.states[&2][&0xabc], (7, vec![7, 7]));
@@ -308,33 +198,56 @@ mod tests {
     #[test]
     fn torn_tail_is_skipped_and_glued_records_are_recovered() {
         // A writer died mid-append; O_APPEND glued the next complete
-        // record onto the same physical line.
-        let whole = "{\"ck\": \"window\", \"job\": 2, \"key\": \"000000000000000a\", \"windows\": 3, \"state\": \"ff\"}";
-        let text = format!("{{\"temu_checkpoints\": 1}}\n{}{whole}\n", &whole[..30]);
-        let r = replay(&text);
-        assert!(r.skipped > 0);
+        // record onto the torn one.
+        let path = temp_path("torn");
+        {
+            let (store, _) = CheckpointStore::open(&path, |_| true).unwrap();
+            store.record(1, 0x1, 3, &[0xee; 64]);
+            store.record(2, 0xa, 3, &[0xff]);
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let first_end = 8 + 40 + 64;
+        let torn = [&bytes[..first_end - 20], &bytes[first_end..], &bytes[8..30]].concat();
+        std::fs::write(&path, torn).unwrap();
+        let (_store, r) = CheckpointStore::open(&path, |_| true).unwrap();
+        assert_eq!(r.skipped, 2, "the torn record and the torn tail");
+        assert!(!r.states.contains_key(&1));
         assert_eq!(r.states[&2][&0xa], (3, vec![0xff]));
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn newer_header_version_replays_as_empty() {
-        let text = "{\"temu_checkpoints\": 99}\n{\"ck\": \"window\", \"job\": 1, \"key\": \"01\", \"windows\": 1, \"state\": \"00\"}\n";
-        let r = replay(text);
-        assert!(r.is_empty(), "a newer format's records are not ours to interpret");
-        assert_eq!(r.skipped, 1);
+        // Format 1 (JSON lines) and any future format alike: not ours to
+        // interpret, so the store opens empty and starts a format-2 file.
+        for old in [
+            "{\"temu_checkpoints\": 1}\n{\"ck\": \"window\", \"job\": 1, \"key\": \"01\", \"windows\": 1, \"state\": \"00\"}\n",
+            "temuCKP9 records from a newer build",
+        ] {
+            let path = temp_path("old");
+            std::fs::write(&path, old).unwrap();
+            let (store, r) = CheckpointStore::open(&path, |_| true).unwrap();
+            assert!(r.states.is_empty(), "another format's records are not ours to interpret");
+            assert_eq!(r.skipped, 1);
+            store.record(3, 0x3, 7, &[3]);
+            let (_store, r) = CheckpointStore::open(&path, |_| true).unwrap();
+            assert_eq!((r.states.len(), r.skipped), (1, 0), "the file is format 2 now");
+            std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+        }
     }
 
     #[test]
     fn compact_drops_finished_jobs_and_keeps_the_file_appendable() {
         let path = temp_path("compact");
-        let _ = std::fs::remove_file(&path);
-        let (store, _r) = CheckpointStore::open(&path).unwrap();
-        store.record(1, 0x1, 5, &[1]);
-        store.record(2, 0x2, 6, &[2]);
-        let replayed = replay(&std::fs::read_to_string(&path).unwrap());
-        store.compact(&replayed, |job| job == 2).unwrap();
+        {
+            let (store, _r) = CheckpointStore::open(&path, |_| true).unwrap();
+            store.record(1, 0x1, 5, &[1]);
+            store.record(2, 0x2, 6, &[2]);
+        }
+        let (store, replayed) = CheckpointStore::open(&path, |job| job == 2).unwrap();
+        assert!(!replayed.states.contains_key(&1), "finished job 1 is not replayed");
         store.record(3, 0x3, 7, &[3]);
-        let r = replay(&std::fs::read_to_string(&path).unwrap());
+        let (_store, r) = CheckpointStore::open(&path, |_| true).unwrap();
         assert!(!r.states.contains_key(&1), "finished job 1's checkpoint was dropped");
         assert_eq!(r.states[&2][&0x2], (6, vec![2]));
         assert_eq!(r.states[&3][&0x3], (7, vec![3]), "post-compaction appends land in the file");

@@ -17,8 +17,9 @@ const USAGE: &str = "usage: temu-serve [--addr HOST:PORT] [--store CACHE.jsonl] 
 /// lines scripts grep for (`temu-serve listening on ...`), and serves
 /// until a client sends `shutdown`.
 ///
-/// Exits the process with status 2 on a usage error and 1 on a bind
-/// failure — this *is* the `main` of `temu-serve` and `temu-member`.
+/// Exits the process with status 2 on a usage error and 1 when binding
+/// fails (the address, or a durable file that cannot be opened) — this
+/// *is* the `main` of `temu-serve` and `temu-member`.
 pub fn serve_main(args: &[String]) {
     let mut config = ServeConfig::default();
     if let Ok(addr) = std::env::var(ADDR_ENV) {
@@ -77,7 +78,7 @@ pub fn serve_main(args: &[String]) {
     let server = match Server::bind(config.clone()) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("temu-serve: cannot bind {}: {e}", config.addr);
+            eprintln!("temu-serve: {e}");
             exit(1);
         }
     };
@@ -97,11 +98,16 @@ pub fn serve_main(args: &[String]) {
         }
         None => println!("cache: in-memory only (pass --store to persist results)"),
     }
+    // A restart that skipped damaged records says so.
+    let (journal_skipped, checkpoints_skipped) = server.skipped_records();
+    let skipped =
+        |n: usize| if n == 0 { String::new() } else { format!(", {n} damaged record(s) skipped") };
     match server.journal_path() {
         Some(path) => println!(
-            "job journal {}: {} job(s) recovered and re-enqueued",
+            "job journal {}: {} job(s) recovered and re-enqueued{}",
             path.display(),
-            server.recovered_jobs()
+            server.recovered_jobs(),
+            skipped(journal_skipped)
         ),
         None => println!("job journal: off (in-memory server; pass --store or --journal)"),
     }
@@ -111,9 +117,10 @@ pub fn serve_main(args: &[String]) {
             n => format!("every {n} window(s)"),
         };
         println!(
-            "window checkpoints {}: {cadence}, {} mid-point state(s) recovered",
+            "window checkpoints {}: {cadence}, {} mid-point state(s) recovered{}",
             path.display(),
-            server.recovered_checkpoints()
+            server.recovered_checkpoints(),
+            skipped(checkpoints_skipped)
         );
     }
     if let Some(path) = &config.metrics_log {
@@ -131,9 +138,9 @@ pub fn serve_main(args: &[String]) {
 
 /// Prints a one-line window-checkpoint cost summary at shutdown, read
 /// from the process-wide metrics registry: capture (state serialization
-/// in the emulator) plus the store's hex/write/fsync phases. PR 9
-/// measured checkpoints at ~20 ms each; this makes that number visible
-/// in every server run instead of requiring a profiler.
+/// in the emulator) plus the store's write and fsync phases, so the
+/// per-checkpoint cost is visible in every server run instead of
+/// requiring a profiler.
 fn checkpoint_overhead_summary() {
     let snapshot = temu_obs::global().snapshot();
     let recorded = snapshot.counters.get("serve.checkpoints_recorded").copied().unwrap_or(0);
@@ -144,11 +151,10 @@ fn checkpoint_overhead_summary() {
         snapshot.histograms.get(name).map_or(0.0, |h| h.mean() / 1e6)
     };
     let capture = mean_ms("core.checkpoint_capture_ns");
-    let hex = mean_ms("serve.checkpoint_hex_ns");
     let write = mean_ms("serve.checkpoint_write_ns");
     let fsync = mean_ms("serve.checkpoint_fsync_ns");
     println!(
-        "window checkpoints: {recorded} recorded, mean {:.2} ms each (capture {capture:.2} + hex {hex:.2} + write {write:.2} + fsync {fsync:.2})",
-        capture + hex + write + fsync
+        "window checkpoints: {recorded} recorded, mean {:.2} ms each (capture {capture:.2} + write {write:.2} + fsync {fsync:.2})",
+        capture + write + fsync
     );
 }

@@ -160,19 +160,18 @@ pub fn drop_connection() -> bool {
     roll(state_plan().drop_conn)
 }
 
-/// Tears a record (the `torn_write` fault): returns a strict prefix of
-/// `record` to write in place of the whole line, or `None` to write it
-/// intact.
+/// Tears a journal record (the `torn_write` fault): given the record's
+/// length in bytes, returns the cut — how many of its first bytes to
+/// write, a strict prefix — or `None` to write it intact. Pass it as the
+/// `tear` of [`temu_state::AppendLog::append_with`].
 #[must_use]
-pub fn torn_write(record: &str) -> Option<String> {
-    if !roll(state_plan().torn_write) || record.len() < 2 {
+pub fn torn_write(len: usize) -> Option<usize> {
+    if !roll(state_plan().torn_write) || len < 2 {
         return None;
     }
     let s = state();
     let mut rng = s.rng.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let cut = rng.gen_range(1..record.len());
-    let cut = (1..=cut).rev().find(|&i| record.is_char_boundary(i)).unwrap_or(1);
-    Some(record[..cut].to_string())
+    Some(rng.gen_range(1..len))
 }
 
 fn state_plan() -> FaultPlan {

@@ -1,7 +1,7 @@
 //! The job journal: a write-ahead log that makes `temu-serve` restarts
 //! lossless.
 //!
-//! Every job transition is one appended JSON line in `jobs.jsonl` (by
+//! Every job transition is one JSON record appended to `jobs.jsonl` (by
 //! default next to the result store):
 //!
 //! ```text
@@ -17,18 +17,21 @@
 //! (flushed after every executed point), a job killed at point *k*
 //! restarts as *k* cache hits plus the remaining points.
 //!
-//! Replay uses the same recovery discipline as the result store: the file
-//! is append-only, each record is one `write` call, and a torn record (a
-//! writer that died mid-append, or an injected `torn_write` fault) is
-//! skipped by resyncing at the next `{"op"` marker — complete records
-//! glued after the tear on the same line are still recovered.
+//! The file is a binary [`AppendLog`] (magic `temuJRN2`): each record is
+//! checksummed, so a torn write (a writer that died mid-append, or an
+//! injected `torn_write` fault) and bit rot alike are skipped and counted
+//! in [`JournalReplay::skipped`]. A damaged record may cost a re-run from
+//! the cache, never a job: a flipped terminal record cannot pass as
+//! another job's. A format-1 (JSON-lines) journal is converted once on
+//! open: [`replay_v1`]'s decodable records become the format-2 records.
 
 use std::collections::{HashMap, HashSet};
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
+use std::path::Path;
 use temu_framework::{json_escape, JsonValue, SweepSpec};
+use temu_state::{AppendLog, LogReplay};
+
+/// The journal file's magic: format 2, the checksummed append log.
+pub const JOURNAL_MAGIC: [u8; 8] = *b"temuJRN2";
 
 /// A job the journal proves was in flight when the process died.
 #[derive(Clone, PartialEq, Debug)]
@@ -57,45 +60,42 @@ pub struct JournalReplay {
     /// One past the highest job id seen (the restart's first fresh id),
     /// or 1 for an empty journal.
     pub next_id: u64,
-    /// Torn or undecodable byte runs skipped during replay.
+    /// Damaged or undecodable records skipped during replay.
     pub skipped: usize,
 }
 
-/// The append handle. Cloning is not needed: the server holds it in an
-/// `Arc` and each record is one atomic `O_APPEND` write.
+/// The append handle. The server holds it in an `Arc`; each record is one
+/// atomic `O_APPEND` write, so concurrent workers need no lock.
+#[derive(Debug)]
 pub struct Journal {
-    file: Mutex<File>,
-    path: PathBuf,
-}
-
-impl std::fmt::Debug for Journal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Journal").field("path", &self.path).finish()
-    }
+    log: AppendLog,
 }
 
 impl Journal {
     /// Opens (creating if absent) the journal at `path` and replays its
-    /// existing records.
+    /// existing records, converting a format-1 journal first.
     ///
     /// # Errors
     ///
-    /// Any I/O error opening or reading the file.
+    /// Any I/O error opening, reading or converting the file.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<(Journal, JournalReplay)> {
-        let path = path.as_ref().to_path_buf();
-        let replayed = if path.exists() {
-            replay(&std::fs::read_to_string(&path)?)
-        } else {
-            JournalReplay { next_id: 1, ..JournalReplay::default() }
+        let path = path.as_ref();
+        let (log, replay) = match AppendLog::open(path, JOURNAL_MAGIC) {
+            Ok(opened) => opened,
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                let (records, skipped) = v1_records(&String::from_utf8_lossy(&std::fs::read(path)?));
+                (AppendLog::replace(path, JOURNAL_MAGIC, &records)?, LogReplay { records, skipped })
+            }
+            Err(e) => return Err(e),
         };
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok((Journal { file: Mutex::new(file), path }, replayed))
+        let replayed = replay_records(replay.records.iter().map(Vec::as_slice), replay.skipped);
+        Ok((Journal { log }, replayed))
     }
 
     /// The journal file's path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Records a submission (the write-ahead half: this lands before the
@@ -122,46 +122,42 @@ impl Journal {
         self.append(&format!("{{\"op\": \"{}\", \"job\": {id}}}", json_escape(state)));
     }
 
-    /// Appends one record as a single `write` call (plus fdatasync —
-    /// journal traffic is per job, not per point, so durability is cheap
-    /// here). The `torn_write` fault truncates the record mid-line and
-    /// drops the newline, reproducing exactly the tear a dying writer
-    /// leaves behind.
+    /// Appends one record (plus fdatasync — journal traffic is per job,
+    /// not per point, so durability is cheap here). The `torn_write`
+    /// fault writes only a prefix of the record, exactly the tear a dying
+    /// writer leaves behind.
     fn append(&self, record: &str) {
-        let payload = match crate::fault::torn_write(record) {
-            Some(torn) => torn,
-            None => format!("{record}\n"),
-        };
         temu_obs::time!("serve.journal_append_ns", {
-            let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-            let _ = file.write_all(payload.as_bytes());
-            let _ = file.sync_data();
+            let _ = self.log.append_with(record.as_bytes(), crate::fault::torn_write);
+            let _ = self.log.sync();
         });
     }
 }
 
-/// Replays journal text into the set of jobs to re-enqueue. Total: every
-/// decodable record is applied, every undecodable byte run is skipped
-/// (counted in [`JournalReplay::skipped`]), duplicates are idempotent,
-/// and a terminal record for an unknown job is ignored.
+/// Replays format-1 (JSON-lines) journal text, the reader behind the
+/// one-time conversion of an old journal. Total: every decodable record
+/// is applied, every undecodable byte run is skipped (counted in
+/// [`JournalReplay::skipped`]), duplicates are idempotent, and a terminal
+/// record for an unknown job is ignored.
 #[must_use]
-pub fn replay(text: &str) -> JournalReplay {
-    let mut order: Vec<u64> = Vec::new();
-    let mut specs: HashMap<u64, (String, SweepSpec, i64)> = HashMap::new();
-    let mut started: HashSet<u64> = HashSet::new();
-    let mut terminal: HashSet<u64> = HashSet::new();
-    let mut next_id: u64 = 1;
-    let mut skipped = 0usize;
+pub fn replay_v1(text: &str) -> JournalReplay {
+    let (records, skipped) = v1_records(text);
+    replay_records(records.iter().map(Vec::as_slice), skipped)
+}
+
+/// The decodable records of format-1 text, as their JSON bytes, and the
+/// number of byte runs skipped. A torn record is skipped by resyncing at
+/// the next `{"op"` marker, so complete records glued after the tear on
+/// the same line are still recovered.
+fn v1_records(text: &str) -> (Vec<Vec<u8>>, usize) {
+    let (mut records, mut skipped) = (Vec::new(), 0usize);
     for line in text.lines() {
         let mut rest = line.trim_start();
         while !rest.is_empty() {
-            match decode_prefix(rest) {
-                Some((record, consumed)) => {
-                    if let Some(id) = record.id {
-                        next_id = next_id.max(id.saturating_add(1));
-                    }
-                    apply(&record, &mut order, &mut specs, &mut started, &mut terminal);
-                    rest = rest[consumed..].trim_start();
+            match JsonValue::parse_prefix(rest).ok().filter(|(v, _)| decode(v).is_some()) {
+                Some((_, end)) => {
+                    records.push(rest.as_bytes()[..end].to_vec());
+                    rest = rest[end..].trim_start();
                 }
                 None => {
                     skipped += 1;
@@ -174,6 +170,50 @@ pub fn replay(text: &str) -> JournalReplay {
                     }
                 }
             }
+        }
+    }
+    (records, skipped)
+}
+
+/// Folds record payloads into the set of jobs to re-enqueue; a payload
+/// that does not decode counts as skipped.
+fn replay_records<'a>(payloads: impl Iterator<Item = &'a [u8]>, mut skipped: usize) -> JournalReplay {
+    let mut order: Vec<u64> = Vec::new();
+    let mut specs: HashMap<u64, (String, SweepSpec, i64)> = HashMap::new();
+    let mut started: HashSet<u64> = HashSet::new();
+    let mut terminal: HashSet<u64> = HashSet::new();
+    let mut next_id: u64 = 1;
+    for payload in payloads {
+        let record = std::str::from_utf8(payload)
+            .ok()
+            .and_then(|text| JsonValue::parse(text).ok())
+            .and_then(|v| decode(&v));
+        let Some(record) = record else {
+            skipped += 1;
+            continue;
+        };
+        let Some(id) = record.id else { continue };
+        next_id = next_id.max(id.saturating_add(1));
+        match record.op.as_str() {
+            "submit" => {
+                if let Some(spec) = record.spec {
+                    // First submit wins: a duplicated record cannot
+                    // re-order or overwrite the job.
+                    if let std::collections::hash_map::Entry::Vacant(slot) = specs.entry(id) {
+                        let name = record.name.unwrap_or_else(|| spec.name.clone());
+                        slot.insert((name, spec, record.priority));
+                        order.push(id);
+                    }
+                }
+            }
+            "start" => {
+                started.insert(id);
+            }
+            "done" | "failed" | "cancelled" => {
+                terminal.insert(id);
+            }
+            // Unknown ops from a newer writer are skipped, not fatal.
+            _ => {}
         }
     }
     let pending = order
@@ -195,94 +235,20 @@ struct Record {
     priority: i64,
 }
 
-fn apply(
-    record: &Record,
-    order: &mut Vec<u64>,
-    specs: &mut HashMap<u64, (String, SweepSpec, i64)>,
-    started: &mut HashSet<u64>,
-    terminal: &mut HashSet<u64>,
-) {
-    let Some(id) = record.id else { return };
-    match record.op.as_str() {
-        "submit" => {
-            if let Some(spec) = &record.spec {
-                // First submit wins: a duplicated line cannot re-order or
-                // overwrite the job.
-                if let std::collections::hash_map::Entry::Vacant(slot) = specs.entry(id) {
-                    let name = record.name.clone().unwrap_or_else(|| spec.name.clone());
-                    slot.insert((name, spec.clone(), record.priority));
-                    order.push(id);
-                }
-            }
-        }
-        "start" => {
-            started.insert(id);
-        }
-        "done" | "failed" | "cancelled" => {
-            terminal.insert(id);
-        }
-        // Unknown ops from a newer writer are skipped, not fatal.
-        _ => {}
-    }
-}
-
-/// Decodes one record at the head of `rest`, returning it and the bytes
-/// consumed. Journal records nest objects (the submit record embeds a
-/// spec), so the record's end is found by brace matching with JSON string
-/// awareness — the store's "first `}`" shortcut does not apply here.
-fn decode_prefix(rest: &str) -> Option<(Record, usize)> {
-    let end = object_end(rest)?;
-    let v = JsonValue::parse(&rest[..end]).ok()?;
-    let op = v.get("op")?.as_str()?.to_string();
+/// Decodes one journal record; `None` when it is not one (no `op`, or a
+/// spec that does not parse).
+fn decode(v: &JsonValue) -> Option<Record> {
     let spec = match v.get("spec") {
         Some(sv) => Some(SweepSpec::from_value(sv).ok()?),
         None => None,
     };
-    let record = Record {
-        op,
+    Some(Record {
+        op: v.get("op")?.as_str()?.to_string(),
         id: v.get("job").and_then(JsonValue::as_u64),
         name: v.get("name").and_then(JsonValue::as_str).map(String::from),
         spec,
         priority: v.get("priority").and_then(JsonValue::as_i64).unwrap_or(0),
-    };
-    Some((record, end))
-}
-
-/// Byte length of the complete JSON object at the head of `text` (which
-/// must start with `{`), honoring strings and escapes; `None` when the
-/// object never closes (a torn record).
-fn object_end(text: &str) -> Option<usize> {
-    let bytes = text.as_bytes();
-    if bytes.first() != Some(&b'{') {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i + 1);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    })
 }
 
 #[cfg(test)]
@@ -305,7 +271,7 @@ mod tests {
             submit_line(2),
             submit_line(3),
         );
-        let r = replay(&text);
+        let r = replay_v1(&text);
         assert_eq!(r.pending.iter().map(|j| j.id).collect::<Vec<_>>(), vec![1, 3]);
         assert!(r.pending[0].was_running);
         assert!(!r.pending[1].was_running);
@@ -319,7 +285,7 @@ mod tests {
         // glued onto the same line by O_APPEND.
         let torn = &submit_line(1)[..40];
         let text = format!("{torn}{}\n{{\"op\": \"done\", \"job\": 2}}\n", submit_line(2));
-        let r = replay(&text);
+        let r = replay_v1(&text);
         assert_eq!(r.pending.len(), 0, "job 1's record was torn, job 2 finished");
         assert_eq!(r.next_id, 3);
         assert!(r.skipped > 0);
@@ -332,7 +298,7 @@ mod tests {
             submit_line(1),
             submit_line(1),
         );
-        let r = replay(&text);
+        let r = replay_v1(&text);
         assert_eq!(r.pending.len(), 1);
         assert_eq!(r.pending[0].id, 1);
         assert_eq!(r.next_id, 10, "orphan terminal still advances the id horizon");
@@ -364,6 +330,68 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    fn temp_journal(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("temu-journal-{}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("jobs.jsonl");
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    fn pending_ids(r: &JournalReplay) -> Vec<u64> {
+        r.pending.iter().map(|j| j.id).collect()
+    }
+
+    #[test]
+    fn a_flipped_terminal_record_never_loses_a_job() {
+        // Bit rot that turns `done` for job 7 into a well-formed `done`
+        // for job 8: the checksum catches it, so job 7 re-runs (from the
+        // cache) and job 8 is not silently dropped.
+        let path = temp_journal("bitrot");
+        let spec = SweepSpec::named("smoke").unwrap();
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            journal.record_submit(7, "smoke", 0, &spec);
+            journal.record_submit(8, "smoke", 0, &spec);
+            journal.record_terminal(7, "done");
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert!(bytes.ends_with(b"\"job\": 7}"), "the terminal record is last");
+        let at = bytes.len() - 2;
+        bytes[at] = b'8';
+        std::fs::write(&path, &bytes).unwrap();
+        let (_, r) = Journal::open(&path).unwrap();
+        assert_eq!(pending_ids(&r), vec![7, 8]);
+        assert_eq!(r.skipped, 1);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn a_format_1_journal_is_converted_once_on_open() {
+        let path = temp_journal("convert");
+        let torn = &submit_line(2)[..40];
+        let text = format!(
+            "{}\n{torn}{}\n{{\"op\": \"start\", \"job\": 3}}\n",
+            submit_line(1),
+            submit_line(3)
+        );
+        std::fs::write(&path, &text).unwrap();
+        let v1 = replay_v1(&text);
+        assert_eq!((pending_ids(&v1), v1.next_id, v1.skipped), (vec![1, 3], 4, 1));
+
+        let (journal, r) = Journal::open(&path).unwrap();
+        assert_eq!(r, v1, "conversion replays what the format-1 reader finds");
+        assert!(std::fs::read(&path).unwrap().starts_with(&JOURNAL_MAGIC));
+        drop(journal);
+        let (journal, again) = Journal::open(&path).unwrap();
+        assert_eq!(again, JournalReplay { skipped: 0, ..v1 }, "reopens identically, damage gone");
+        journal.record_terminal(1, "done");
+        drop(journal);
+        let (_, after) = Journal::open(&path).unwrap();
+        assert_eq!(pending_ids(&after), vec![3], "the converted journal accepts appends");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
     #[test]
     fn priority_survives_replay_and_defaults_for_old_records() {
         let spec = SweepSpec::named("smoke").unwrap();
@@ -372,7 +400,7 @@ mod tests {
             submit_line(1),
             spec.to_json(),
         );
-        let r = replay(&text);
+        let r = replay_v1(&text);
         assert_eq!(r.pending.len(), 2);
         assert_eq!(r.pending[0].priority, 0, "pre-priority records default to the batch tier");
         assert_eq!(r.pending[1].priority, 5);

@@ -27,6 +27,10 @@
 //!   `jobs.jsonl` next to the store by default): on startup the server
 //!   replays the journal and re-enqueues jobs that were queued or running
 //!   when the previous process died, preserving their ids;
+//! * the journal, the store and the window checkpoints are checksummed
+//!   [`temu_state::AppendLog`]s: a torn or bit-rotten record is skipped
+//!   and counted (the startup banner reports it), never misread as
+//!   another job's;
 //! * every executed point is flushed to the store ([`ResultCache::sync`])
 //!   once banked, so a job killed at point *k* restarts as *k* cache hits;
 //! * one point observer per job sees each executed point's start (and,
@@ -68,17 +72,20 @@ pub struct ServeConfig {
     /// Maximum queued (not yet running) jobs; further submissions are
     /// refused with a typed error response.
     pub queue_limit: usize,
-    /// Optional JSON-lines path for the shared result cache
-    /// ([`ResultCache::with_store`]); `None` keeps results in memory only.
+    /// Optional store file for the shared result cache
+    /// ([`ResultCache::with_store`], a binary append log; a store in an
+    /// older format fails the bind); `None` keeps results in memory only.
     pub store: Option<PathBuf>,
     /// How many finished (done/failed/cancelled) jobs to keep queryable
     /// via `status`/`result`. Older terminal jobs are evicted so a
     /// long-running server's job registry stays bounded — their cached
     /// *results* live on in the shared [`ResultCache`].
     pub history_limit: usize,
-    /// Job journal path. `None` derives `jobs.jsonl` next to the store
-    /// (no journal at all when the cache is purely in-memory); an explicit
-    /// path journals regardless of the store.
+    /// Job journal path (a binary append log; a format-1 JSON-lines
+    /// journal found there is converted on bind). `None` derives
+    /// `jobs.jsonl` next to the store (no journal at all when the cache is
+    /// purely in-memory); an explicit path journals regardless of the
+    /// store.
     pub journal: Option<PathBuf>,
     /// Read/write deadline on every accepted connection (`None` disables
     /// deadlines). A peer that stops sending mid-request or stops draining
@@ -89,8 +96,8 @@ pub struct ServeConfig {
     /// per-member breakdown with it); `None` omits the field.
     pub member: Option<String>,
     /// Persist each running point's serialized run state every N sampling
-    /// windows (`<journal>.checkpoints.jsonl`, e.g. `jobs.checkpoints.jsonl`
-    /// for the default journal), so a killed
+    /// windows (a binary append log at `<journal>.checkpoints.jsonl`, e.g.
+    /// `jobs.checkpoints.jsonl` for the default journal), so a killed
     /// server resumes an in-flight point from its last window boundary
     /// instead of re-running it. 0 (the default) disables capture; resume
     /// *seeding* from an existing checkpoint file happens regardless, so
@@ -518,6 +525,9 @@ fn point_line(job_id: u64, p: &SweepProgress<'_>) -> String {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
+    /// Damaged records the journal and the checkpoint store skipped at
+    /// bind time.
+    skipped: (usize, usize),
 }
 
 /// Handle to a server running on a background thread (see
@@ -562,7 +572,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Any I/O error binding the address or opening the store.
+    /// Any I/O error binding the address or opening a durable file.
     pub fn bind(config: ServeConfig) -> std::io::Result<Server> {
         let cache = match &config.store {
             Some(path) => ResultCache::with_store(path)?,
@@ -582,28 +592,25 @@ impl Server {
             }
             None => (None, crate::journal::JournalReplay { next_id: 1, ..Default::default() }),
         };
-        // The window-checkpoint store rides with the journal: replay it,
-        // seed the recovered jobs' mid-point states, and compact away the
-        // checkpoints of jobs that reached a terminal record. A state that
-        // fails to decode (version skew, torn bytes) is dropped — its
-        // point re-runs from scratch, which is correct, just slower. The
-        // path derives from the *journal* (`jobs.jsonl` →
+        // The window-checkpoint store rides with the journal: opening it
+        // compacts away the checkpoints of jobs that reached a terminal
+        // record, and the rest seed the recovered jobs' mid-point states.
+        // A state that fails to decode (version skew, damaged bytes) is
+        // dropped — its point re-runs from scratch, which is correct, just
+        // slower. The path derives from the *journal* (`jobs.jsonl` →
         // `jobs.checkpoints.jsonl`), not a fixed sibling name: records
         // are keyed by journal-local job ids, and fleet members sharing
         // one store directory run distinct journals — a shared
         // checkpoints file would mix their id spaces and race the
         // startup compaction's tmp+rename.
         let mut resume_states: HashMap<u64, Vec<EmulationState>> = HashMap::new();
-        let checkpoints = match &journal {
+        let (checkpoints, checkpoints_skipped) = match &journal {
             Some(journal) => {
                 let path = journal.path().with_extension("checkpoints.jsonl");
-                let (store, ck_replay) = CheckpointStore::open(&path)?;
                 let pending: std::collections::HashSet<u64> =
                     replayed.pending.iter().map(|job| job.id).collect();
-                for (&job, points) in &ck_replay.states {
-                    if !pending.contains(&job) {
-                        continue;
-                    }
+                let (store, ck_replay) = CheckpointStore::open(&path, |job| pending.contains(&job))?;
+                for (job, points) in ck_replay.states {
                     let states: Vec<EmulationState> = points
                         .values()
                         .filter_map(|(_, bytes)| EmulationState::from_bytes(bytes).ok())
@@ -612,12 +619,13 @@ impl Server {
                         resume_states.insert(job, states);
                     }
                 }
-                store.compact(&ck_replay, |job| pending.contains(&job))?;
-                Some(store)
+                (Some(store), ck_replay.skipped)
             }
-            None => None,
+            None => (None, 0),
         };
-        let listener = TcpListener::bind(&config.addr)?;
+        let listener = TcpListener::bind(&config.addr).map_err(|e| {
+            std::io::Error::new(e.kind(), format!("cannot bind {}: {e}", config.addr))
+        })?;
         let shared = Arc::new(Shared {
             cache,
             artifacts: Arc::new(ArtifactCache::new()),
@@ -669,7 +677,7 @@ impl Server {
             drop(jobs);
             shared.obs.jobs_recovered.inc();
         }
-        Ok(Server { listener, shared })
+        Ok(Server { listener, shared, skipped: (replayed.skipped, checkpoints_skipped) })
     }
 
     /// Jobs the journal recovered at bind time (queued again, not yet
@@ -691,6 +699,13 @@ impl Server {
             .values()
             .map(Vec::len)
             .sum()
+    }
+
+    /// Damaged records skipped at bind time, replaying the journal and
+    /// the window-checkpoint store (in that order).
+    #[must_use]
+    pub(crate) fn skipped_records(&self) -> (usize, usize) {
+        self.skipped
     }
 
     /// The window-checkpoint store path, when active.

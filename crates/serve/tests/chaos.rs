@@ -12,8 +12,7 @@ use temu_framework::{
     AxisSpec, ImplicitSolve, JsonValue, ScenarioSpec, SweepSpec, WorkloadSpec,
 };
 use temu_serve::client::submit_with_retry;
-use temu_serve::journal::replay;
-use temu_serve::{Client, ClientError, FaultPlan, RetryPolicy, ServeConfig, Server};
+use temu_serve::{Client, ClientError, FaultPlan, Journal, RetryPolicy, ServeConfig, Server};
 
 /// A 4-point sweep on one campaign thread, so a checkpoint (and therefore
 /// a `worker_panic` roll) lands between every grid point.
@@ -130,8 +129,7 @@ fn server_under_injected_faults_stays_terminal_and_converges_to_cached() {
     // The journal the chaos run left behind — torn appends and all —
     // replays without panicking, and never resurrects a job id that was
     // never submitted.
-    let text = std::fs::read_to_string(&journal).expect("journal exists next to the store");
-    let replayed = replay(&text);
+    let (_, replayed) = Journal::open(&journal).expect("journal exists next to the store");
     let submitted = counter("jobs_submitted");
     for job in &replayed.pending {
         assert!(job.id >= 1 && job.id <= submitted, "phantom pending job {}", job.id);

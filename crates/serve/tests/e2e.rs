@@ -9,7 +9,9 @@
 use temu_framework::{
     AxisSpec, ImplicitSolve, JsonValue, ResultCache, ScenarioSpec, SweepSpec, WorkloadSpec,
 };
+use temu_serve::journal::JOURNAL_MAGIC;
 use temu_serve::{Client, ClientError, ServeConfig, Server};
+use temu_state::AppendLog;
 
 /// A 4-point near-instant sweep (two tiny workloads × two solvers).
 fn tiny_sweep(name: &str) -> SweepSpec {
@@ -433,9 +435,10 @@ fn cancel_inside_the_last_point_ends_the_job_cancelled_not_failed() {
     assert_eq!(stats.get("jobs_completed").and_then(JsonValue::as_u64), Some(0), "{stats}");
     handle.shutdown();
 
-    let journal = std::fs::read_to_string(dir.join("jobs.jsonl")).expect("journal next to the store");
+    let (_, journal) =
+        AppendLog::open(dir.join("jobs.jsonl"), JOURNAL_MAGIC).expect("journal next to the store");
     let terminal = format!("{{\"op\": \"cancelled\", \"job\": {}}}", outcome.job);
-    assert!(journal.lines().any(|line| line == terminal), "journaled as cancelled:\n{journal}");
+    assert!(journal.records.iter().any(|r| r == terminal.as_bytes()), "journaled as cancelled: {journal:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,11 +1,12 @@
-//! Property tests for the journal replayer: whatever bytes a crash (or
-//! the `torn_write` fault) leaves in `jobs.jsonl`, replay must stay
-//! total, deterministic, and truthful about which jobs are pending.
+//! Property tests for the format-1 (JSON-lines) journal reader, which
+//! converts an old `jobs.jsonl` on open: whatever bytes a crash (or the
+//! `torn_write` fault) left in it, replay must stay total, deterministic,
+//! and truthful about which jobs are pending.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
 use temu_framework::SweepSpec;
-use temu_serve::journal::replay;
+use temu_serve::journal::replay_v1;
 
 #[derive(Clone, Copy, Debug)]
 struct Op {
@@ -75,8 +76,8 @@ proptest! {
 
         // Total: no panic on arbitrary tears/duplicates/interleavings,
         // and deterministic.
-        let replayed = replay(&text);
-        prop_assert_eq!(&replayed, &replay(&text));
+        let replayed = replay_v1(&text);
+        prop_assert_eq!(&replayed, &replay_v1(&text));
 
         // Pending ids are unique and only ever ids that some submit op
         // could have written.
@@ -105,7 +106,7 @@ proptest! {
     ) {
         let spec_json = SweepSpec::named("smoke").unwrap().to_json();
         let text = corrupt_text(&ops, &spec_json);
-        let replayed = replay(&text);
+        let replayed = replay_v1(&text);
         prop_assert_eq!(replayed.skipped, 0);
 
         // Exactly the submitted-but-never-terminal ids, in first-submit

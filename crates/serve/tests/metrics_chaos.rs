@@ -14,7 +14,9 @@ use temu_framework::{
     AxisSpec, ImplicitSolve, JsonValue, ScenarioSpec, SweepSpec, WorkloadSpec,
 };
 use temu_serve::client::submit_with_retry;
+use temu_serve::journal::JOURNAL_MAGIC;
 use temu_serve::{Client, ClientError, FaultPlan, RetryPolicy, ServeConfig, Server};
+use temu_state::AppendLog;
 
 /// A 4-point sweep on one campaign thread, so a checkpoint (and a
 /// `worker_panic` roll) lands between every grid point.
@@ -139,10 +141,11 @@ fn metrics_job_counters_match_stats_and_the_journal_after_a_chaos_run() {
     // View 3: with torn writes disabled, the journal holds exactly one
     // submit record per counted submission and one terminal record per
     // counted completion/failure/cancellation.
-    let text = std::fs::read_to_string(&journal).expect("journal exists next to the store");
+    let (_, replay) =
+        AppendLog::open(&journal, JOURNAL_MAGIC).expect("journal exists next to the store");
     let records = |op: &str| -> u64 {
         let prefix = format!("{{\"op\": \"{op}\",");
-        text.lines().filter(|line| line.starts_with(&prefix)).count() as u64
+        replay.records.iter().filter(|r| r.starts_with(prefix.as_bytes())).count() as u64
     };
     assert_eq!(records("submit"), counter("serve.jobs_submitted"), "journal submit records");
     assert_eq!(

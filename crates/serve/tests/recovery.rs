@@ -148,3 +148,72 @@ fn killed_server_recovers_the_job_and_resumes_from_the_cache() {
     let dir = store.parent().unwrap().to_path_buf();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn startup_banner_reports_damaged_records_skipped_by_replay() {
+    let dir = std::env::temp_dir().join(format!("temu_banner_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("cache.jsonl");
+    let journal = dir.join("jobs.jsonl");
+    for stale in [&store, &journal] {
+        let _ = std::fs::remove_file(stale);
+    }
+    // A finished job, then a torn tail: one damaged journal record. A
+    // format-1 checkpoint file is one damaged record of that log.
+    {
+        let (j, _) = temu_serve::Journal::open(&journal).unwrap();
+        j.record_submit(1, "smoke", 0, &SweepSpec::named("smoke").unwrap());
+        j.record_terminal(1, "done");
+    }
+    let mut bytes = std::fs::read(&journal).unwrap();
+    bytes.extend_from_slice(b"TREC torn");
+    std::fs::write(&journal, bytes).unwrap();
+    std::fs::write(dir.join("jobs.checkpoints.jsonl"), "{\"temu_checkpoints\": 1}\n").unwrap();
+
+    let (mut child, _stdout, addr, banner) = {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_temu-serve"))
+            .args(["--addr", "127.0.0.1:0", "--store"])
+            .arg(&store)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn temu-serve");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let (mut addr, mut banner, mut line) = (None, String::new(), String::new());
+        while !line.contains("worker(s)") {
+            line.clear();
+            assert!(stdout.read_line(&mut line).expect("read banner") > 0, "banner ended early");
+            addr = addr.or_else(|| line.trim().strip_prefix("temu-serve listening on ").map(String::from));
+            banner.push_str(&line);
+        }
+        (child, stdout, addr.expect("server printed its address"), banner)
+    };
+    assert!(
+        banner.contains("0 job(s) recovered and re-enqueued, 1 damaged record(s) skipped\n"),
+        "{banner}"
+    );
+    assert!(banner.contains("0 mid-point state(s) recovered, 1 damaged record(s) skipped\n"), "{banner}");
+    Client::connect(&addr).expect("connect").shutdown().expect("graceful shutdown");
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_old_json_lines_store_makes_the_server_exit_1_naming_the_file() {
+    let dir = std::env::temp_dir().join(format!("temu_old_store_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("cache.jsonl");
+    let old = "{\"temu_store\": 1, \"entries\": 0}\n";
+    std::fs::write(&store, old).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_temu-serve"))
+        .args(["--addr", "127.0.0.1:0", "--store"])
+        .arg(&store)
+        .output()
+        .expect("run temu-serve");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&store.display().to_string()), "names the store: {stderr}");
+    assert!(!stderr.contains("cannot bind"), "a store error is not a bind error: {stderr}");
+    assert_eq!(std::fs::read_to_string(&store).unwrap(), old, "the old store is left untouched");
+    let _ = std::fs::remove_dir_all(&dir);
+}

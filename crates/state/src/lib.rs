@@ -18,9 +18,40 @@
 //! Large, mostly-zero byte arrays (emulated memories) go through a zero-run
 //! RLE ([`StateWriter::bytes_rle`]) — a 16 MiB idle memory image costs a few
 //! dozen bytes on the wire.
+//!
+//! The crate also owns how durable files are framed: [`AppendLog`] is the
+//! one checksummed append log behind every one of them.
 
 use std::error::Error;
 use std::fmt;
+
+mod log;
+
+pub use log::{AppendLog, LogReplay};
+
+/// 64-bit FNV-1a: a small, dependency-free hash whose value is defined by
+/// the algorithm alone — unlike `DefaultHasher`, it cannot drift between
+/// compiler releases, so on-disk cache keys stay valid. Content keys, the
+/// fleet's rendezvous scoring and the [`AppendLog`] checksum all use it.
+#[inline]
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_fold(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues a 64-bit FNV-1a hash from a prior state:
+/// `fnv1a64_fold(fnv1a64(a), b) == fnv1a64(a ++ b)`, which lets a content
+/// key be chained from per-segment prefix states.
+#[inline]
+#[must_use]
+pub fn fnv1a64_fold(state: u64, bytes: &[u8]) -> u64 {
+    let mut h = state;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// Hard cap on a single decoded array, in elements. A window checkpoint of
 /// the mega mesh (110k cells) is a few MB; anything asking for more than

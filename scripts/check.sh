@@ -30,6 +30,10 @@ wait_addr() { # logfile prefix -> prints the bound address
     echo "$found"
 }
 
+file_size() { # path -> its length in bytes, 0 when absent
+    if [ -f "$1" ]; then wc -c < "$1"; else echo 0; fi
+}
+
 reap() { # pid -> waits for it, drops it from PIDS, returns its exit status
     local status=0 pid kept=""
     wait "$1" || status=$?
@@ -155,10 +159,12 @@ RESUME_PID=$!
 PIDS="$PIDS $RESUME_PID"
 addr=$(wait_addr "$RESUME_TMP/serve.log" temu-serve)
 target/release/temu-client --addr "$addr" submit --spec "$RESUME_TMP/spec.json" --no-watch
-# Wait for a persisted mid-point checkpoint record, then SIGKILL.
+# Wait for a persisted mid-point checkpoint record (the binary log grows
+# past its 8-byte magic), then SIGKILL.
+CK_FILE="$RESUME_TMP/jobs.checkpoints.jsonl"
 ck_seen=""
 for _ in $(seq 1 200); do
-    if grep -q '{"ck"' "$RESUME_TMP/jobs.checkpoints.jsonl" 2>/dev/null; then
+    if [ "$(file_size "$CK_FILE")" -gt 8 ]; then
         ck_seen=yes
         break
     fi
@@ -184,11 +190,14 @@ fi
 target/release/temu-client --addr "$addr" watch 1
 target/release/temu-client --addr "$addr" submit --spec "$RESUME_TMP/spec.json" --require-cached
 sed 's/"windows": 400/"windows": 4000/' "$RESUME_TMP/spec.json" > "$RESUME_TMP/cancel.json"
+# The recovered job is done, so the checkpoint log only grows again once
+# the cancel job persists its first window checkpoint.
+ck_before=$(file_size "$CK_FILE")
 job=$(target/release/temu-client --addr "$addr" submit --spec "$RESUME_TMP/cancel.json" --no-watch \
     | sed -n 's/^queued as job \([0-9]*\) .*/\1/p')
 ck_seen=""
 for _ in $(seq 1 200); do
-    if grep -q "{\"ck\": \"window\", \"job\": $job," "$RESUME_TMP/jobs.checkpoints.jsonl" 2>/dev/null; then
+    if [ "$(file_size "$CK_FILE")" -gt "$ck_before" ]; then
         ck_seen=yes
         break
     fi
