@@ -23,7 +23,7 @@
 //!   --out <path>  output path (default BENCH_sweep.json)
 
 use std::time::Instant;
-use temu_framework::{Sweep, SweepReport, SweepSpec};
+use temu_framework::{JsonObject, Sweep, SweepReport, SweepSpec};
 
 /// A point's golden fields: windows, then the peak and final temperature
 /// bit patterns.
@@ -101,9 +101,9 @@ fn main() {
         }
     }
 
-    let mut rows = String::new();
+    let mut rows = Vec::new();
     let presets = ["explore", "grid100"];
-    for (i, name) in presets.iter().enumerate() {
+    for name in presets {
         println!("{name}: timing {reps} interleaved rep(s) per leg on one thread");
         // Interleaved, so slow drift in host state biases neither leg.
         let (mut per_point_walls, mut campaign_walls) = (Vec::new(), Vec::new());
@@ -125,25 +125,28 @@ fn main() {
             "  per_point {per_point_s:.4} s   campaign {campaign_s:.4} s ({speedup:.2}x)   [golden: bitwise-identical]"
         );
         let a = campaign.artifacts;
-        rows.push_str(&format!(
-            "    {{\"sweep\": \"{name}\", \"points\": {}, \"reps\": {reps}, \
-             \"per_point_wall_s\": {per_point_s:.6}, \"campaign_wall_s\": {campaign_s:.6}, \
-             \"speedup_campaign_vs_per_point\": {speedup:.3}, \
-             \"golden_bitwise\": true, \
-             \"mesh_builds\": {}, \"mesh_hits\": {}, \"operator_builds\": {}, \"operator_hits\": {}}}{}\n",
-            campaign.points.len(),
-            a.mesh_misses,
-            a.mesh_hits,
-            a.operator_misses,
-            a.operator_hits,
-            if i + 1 < presets.len() { "," } else { "" },
-        ));
+        rows.push(
+            JsonObject::line()
+                .str("sweep", name)
+                .raw("points", campaign.points.len())
+                .raw("reps", reps)
+                .num("per_point_wall_s", per_point_s, 6)
+                .num("campaign_wall_s", campaign_s, 6)
+                .num("speedup_campaign_vs_per_point", speedup, 3)
+                .raw("golden_bitwise", true)
+                .raw("mesh_builds", a.mesh_misses)
+                .raw("mesh_hits", a.mesh_hits)
+                .raw("operator_builds", a.operator_misses)
+                .raw("operator_hits", a.operator_hits)
+                .finish(),
+        );
     }
 
-    let json = format!(
-        "{{\n  \"host_cores\": {},\n  \"threads\": 1,\n  \"rows\": [\n{rows}  ]\n}}\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    );
+    let json = JsonObject::document()
+        .raw("host_cores", std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .raw("threads", 1)
+        .rows("rows", rows)
+        .finish();
     std::fs::write(&out, json).expect("write report");
     println!("wrote {out}");
 }

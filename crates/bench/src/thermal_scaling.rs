@@ -16,6 +16,7 @@
 //! solver exists to kill stays loud forever.
 
 use std::time::Instant;
+use temu_framework::{JsonObject, JsonValue};
 use temu_power::floorplans::fig4b_arm11;
 use temu_thermal::{GridConfig, ImplicitSolve, Integrator, SweepMode, ThermalGrid, ThermalModel};
 
@@ -296,63 +297,49 @@ impl ScalingReport {
         Some(find(sweep)? / find("reference")?)
     }
 
-    /// Serializes to the committed `BENCH_thermal.json` format.
+    /// Serializes to the committed `BENCH_thermal.json` format (a
+    /// non-finite measurement, or the speedup over a reference that ran
+    /// at 0 substeps/s, is `null`).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"host_cores\": {},\n", self.host_cores));
-        s.push_str(&format!(
-            "  \"threads_override\": {},\n",
-            self.threads_override.map_or("null".into(), |t| t.to_string())
-        ));
-        s.push_str(&format!("  \"smoke\": {},\n", self.smoke));
-        s.push_str("  \"mesh_builds\": [\n");
-        for (i, b) in self.builds.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"mesh\": \"{}\", \"tiles\": {}, \"cells\": {}, \
-                 \"mesh_build_ms\": {:.3}, \"hierarchy_build_ms\": {:.3}}}{}\n",
-                b.mesh,
-                b.tiles,
-                b.cells,
-                b.mesh_build_ms,
-                b.hierarchy_build_ms,
-                if i + 1 < self.builds.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ],\n  \"cases\": [\n");
-        for (i, c) in self.cases.iter().enumerate() {
-            let speedup = self
-                .speedup(c.mesh, c.integrator, c.sweep)
-                .map_or("null".into(), |v| format!("{v:.3}"));
-            s.push_str(&format!(
-                "    {{\"mesh\": \"{}\", \"cells\": {}, \"edges\": {}, \"colors\": {}, \
-                 \"integrator\": \"{}\", \"sweep\": \"{}\", \"solver\": \"{}\", \
-                 \"parallel_active\": {}, \
-                 \"windows\": {}, \"substeps\": {}, \"wall_s\": {:.6}, \
-                 \"substeps_per_s\": {:.1}, \"avg_sweeps\": {:.2}, \"avg_cycles\": {:.2}, \
-                 \"unconverged_substeps\": {}, \"max_temp_k\": {:.3}, \
-                 \"speedup_vs_reference\": {}}}{}\n",
-                c.mesh,
-                c.cells,
-                c.edges,
-                c.colors,
-                c.integrator,
-                c.sweep,
-                c.solver,
-                c.parallel_active,
-                c.windows,
-                c.substeps,
-                c.wall_s,
-                c.substeps_per_s,
-                c.avg_sweeps,
-                c.avg_cycles,
-                c.unconverged,
-                c.max_temp_k,
-                speedup,
-                if i + 1 < self.cases.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let builds = self.builds.iter().map(|b| {
+            JsonObject::line()
+                .str("mesh", b.mesh)
+                .raw("tiles", b.tiles)
+                .raw("cells", b.cells)
+                .num("mesh_build_ms", b.mesh_build_ms, 3)
+                .num("hierarchy_build_ms", b.hierarchy_build_ms, 3)
+                .finish()
+        });
+        let cases = self.cases.iter().map(|c| {
+            JsonObject::line()
+                .str("mesh", c.mesh)
+                .raw("cells", c.cells)
+                .raw("edges", c.edges)
+                .raw("colors", c.colors)
+                .str("integrator", c.integrator)
+                .str("sweep", c.sweep)
+                .str("solver", c.solver)
+                .raw("parallel_active", c.parallel_active)
+                .raw("windows", c.windows)
+                .raw("substeps", c.substeps)
+                .num("wall_s", c.wall_s, 6)
+                .num("substeps_per_s", c.substeps_per_s, 1)
+                .num("avg_sweeps", c.avg_sweeps, 2)
+                .num("avg_cycles", c.avg_cycles, 2)
+                .raw("unconverged_substeps", c.unconverged)
+                .num("max_temp_k", c.max_temp_k, 3)
+                .num("speedup_vs_reference", self.speedup(c.mesh, c.integrator, c.sweep), 3)
+                .finish()
+        });
+        let threads_override =
+            self.threads_override.map_or(JsonValue::Null, |t| JsonValue::Num(t as f64));
+        JsonObject::document()
+            .raw("host_cores", self.host_cores)
+            .raw("threads_override", threads_override)
+            .raw("smoke", self.smoke)
+            .rows("mesh_builds", builds)
+            .rows("cases", cases)
+            .finish()
     }
 }
 
@@ -418,6 +405,116 @@ mod tests {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
     }
+
+    fn case(mesh: &'static str, sweep: &'static str, substeps_per_s: f64) -> CaseResult {
+        CaseResult {
+            mesh,
+            cells: 640,
+            edges: 1936,
+            colors: 6,
+            integrator: "semi_implicit",
+            sweep,
+            solver: "gs",
+            parallel_active: sweep == "auto",
+            windows: 3,
+            substeps: 60,
+            wall_s: 0.1234567,
+            substeps_per_s,
+            avg_sweeps: 7.456,
+            avg_cycles: 0.0,
+            unconverged: 0,
+            max_temp_k: 301.0004,
+        }
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let report = ScalingReport {
+            host_cores: 2,
+            threads_override: Some(4),
+            smoke: false,
+            // `fine` has no reference case, so its speedup is null.
+            cases: vec![
+                case("paper660", "reference", 600.0),
+                case("paper660", "auto", 1500.25),
+                case("fine", "serial", 90.0),
+            ],
+            builds: vec![
+                MeshBuild {
+                    mesh: "paper660",
+                    tiles: 160,
+                    cells: 640,
+                    mesh_build_ms: 1.0,
+                    hierarchy_build_ms: 2.5,
+                },
+                MeshBuild {
+                    mesh: "fine",
+                    tiles: 1600,
+                    cells: 6400,
+                    mesh_build_ms: 10.0625,
+                    hierarchy_build_ms: 0.0,
+                },
+            ],
+        };
+        assert_eq!(report.to_json(), GOLDEN_SCALING);
+        let empty = ScalingReport {
+            host_cores: 1,
+            threads_override: None,
+            smoke: true,
+            cases: Vec::new(),
+            builds: Vec::new(),
+        };
+        assert_eq!(empty.to_json(), GOLDEN_EMPTY_SCALING);
+    }
+
+    #[test]
+    fn non_finite_measurements_serialize_as_null() {
+        // A NaN temperature and a reference measured at 0 substeps/s (so
+        // every other case's speedup is infinite) must still yield a
+        // parseable document, with those fields null.
+        let mut nan = case("paper660", "serial", 900.0);
+        nan.max_temp_k = f64::NAN;
+        let report = ScalingReport {
+            host_cores: 1,
+            threads_override: None,
+            smoke: true,
+            cases: vec![case("paper660", "reference", 0.0), nan],
+            builds: Vec::new(),
+        };
+        let json = report.to_json();
+        let doc = JsonValue::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        let cases = doc.get("cases").and_then(JsonValue::as_arr).unwrap();
+        assert_eq!(cases[1].get("max_temp_k"), Some(&JsonValue::Null));
+        assert_eq!(cases[1].get("speedup_vs_reference"), Some(&JsonValue::Null));
+    }
+
+    const GOLDEN_SCALING: &str = concat!(
+        "{\n",
+        "  \"host_cores\": 2,\n",
+        "  \"threads_override\": 4,\n",
+        "  \"smoke\": false,\n",
+        "  \"mesh_builds\": [\n",
+        "    {\"mesh\": \"paper660\", \"tiles\": 160, \"cells\": 640, \"mesh_build_ms\": 1.000, \"hierarchy_build_ms\": 2.500},\n",
+        "    {\"mesh\": \"fine\", \"tiles\": 1600, \"cells\": 6400, \"mesh_build_ms\": 10.062, \"hierarchy_build_ms\": 0.000}\n",
+        "  ],\n",
+        "  \"cases\": [\n",
+        "    {\"mesh\": \"paper660\", \"cells\": 640, \"edges\": 1936, \"colors\": 6, \"integrator\": \"semi_implicit\", \"sweep\": \"reference\", \"solver\": \"gs\", \"parallel_active\": false, \"windows\": 3, \"substeps\": 60, \"wall_s\": 0.123457, \"substeps_per_s\": 600.0, \"avg_sweeps\": 7.46, \"avg_cycles\": 0.00, \"unconverged_substeps\": 0, \"max_temp_k\": 301.000, \"speedup_vs_reference\": 1.000},\n",
+        "    {\"mesh\": \"paper660\", \"cells\": 640, \"edges\": 1936, \"colors\": 6, \"integrator\": \"semi_implicit\", \"sweep\": \"auto\", \"solver\": \"gs\", \"parallel_active\": true, \"windows\": 3, \"substeps\": 60, \"wall_s\": 0.123457, \"substeps_per_s\": 1500.2, \"avg_sweeps\": 7.46, \"avg_cycles\": 0.00, \"unconverged_substeps\": 0, \"max_temp_k\": 301.000, \"speedup_vs_reference\": 2.500},\n",
+        "    {\"mesh\": \"fine\", \"cells\": 640, \"edges\": 1936, \"colors\": 6, \"integrator\": \"semi_implicit\", \"sweep\": \"serial\", \"solver\": \"gs\", \"parallel_active\": false, \"windows\": 3, \"substeps\": 60, \"wall_s\": 0.123457, \"substeps_per_s\": 90.0, \"avg_sweeps\": 7.46, \"avg_cycles\": 0.00, \"unconverged_substeps\": 0, \"max_temp_k\": 301.000, \"speedup_vs_reference\": null}\n",
+        "  ]\n",
+        "}\n",
+    );
+    const GOLDEN_EMPTY_SCALING: &str = concat!(
+        "{\n",
+        "  \"host_cores\": 1,\n",
+        "  \"threads_override\": null,\n",
+        "  \"smoke\": true,\n",
+        "  \"mesh_builds\": [\n",
+        "  ],\n",
+        "  \"cases\": [\n",
+        "  ]\n",
+        "}\n",
+    );
 
     #[test]
     fn ladder_has_a_100k_rung() {

@@ -29,7 +29,7 @@
 
 use crate::artifacts::ArtifactCache;
 use crate::error::TemuError;
-use crate::export::{csv_f64, csv_field, csv_opt, json_escape, json_f64, json_num_or_null};
+use crate::export::{csv_f64, csv_field, csv_opt, JsonObject};
 use crate::scenario::{Scenario, ScenarioRun};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -286,50 +286,40 @@ impl CampaignReport {
         self.results.iter().filter(|r| !r.is_ok()).count()
     }
 
-    /// Serializes the report as JSON (no external dependencies; failures
-    /// carry their error string). Non-finite floats serialize as `null` —
+    /// Serializes the report as a JSON document (failures carry their
+    /// error string). Non-finite floats serialize as `null` —
     /// bare `NaN`/`inf` would make the whole document unparseable.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"wall_s\": {},\n", json_f64(self.wall.as_secs_f64(), 6)));
-        out.push_str("  \"scenarios\": [\n");
-        for (i, r) in self.results.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"name\": \"{}\", ", json_escape(&r.name)));
-            out.push_str(&format!("\"ok\": {}, ", r.is_ok()));
-            out.push_str(&format!("\"wall_s\": {}", json_f64(r.wall.as_secs_f64(), 6)));
+        let rows = self.results.iter().map(|r| {
+            let row = JsonObject::line()
+                .str("name", &r.name)
+                .raw("ok", r.is_ok())
+                .num("wall_s", r.wall.as_secs_f64(), 6);
             match &r.outcome {
                 Ok(run) => {
                     let rep = &run.report;
-                    out.push_str(&format!(", \"windows\": {}", rep.windows));
-                    out.push_str(&format!(", \"virtual_s\": {}", json_f64(rep.virtual_seconds, 6)));
-                    out.push_str(&format!(", \"virtual_cycles\": {}", rep.virtual_cycles));
-                    out.push_str(&format!(", \"fpga_s\": {}", json_f64(rep.fpga_seconds, 6)));
-                    out.push_str(&format!(", \"all_halted\": {}", rep.all_halted));
-                    out.push_str(&format!(", \"instructions\": {}", rep.aggregate.total_instructions()));
-                    out.push_str(&json_num_or_null(", \"peak_temp_k\": ", run.trace.peak_temp()));
-                    out.push_str(&json_num_or_null(", \"final_temp_k\": ", run.trace.final_temp()));
-                    out.push_str(&format!(
-                        ", \"throttled_fraction\": {}",
-                        json_f64(run.trace.throttled_fraction(), 4)
-                    ));
-                    out.push_str(&format!(
-                        ", \"unconverged_substeps\": {}",
-                        rep.solver.unconverged_substeps
-                    ));
-                    out.push_str(&format!(
-                        ", \"worst_residual_k\": {}",
-                        json_f64(rep.solver.worst_residual_k, 9)
-                    ));
+                    row.raw("windows", rep.windows)
+                        .num("virtual_s", rep.virtual_seconds, 6)
+                        .raw("virtual_cycles", rep.virtual_cycles)
+                        .num("fpga_s", rep.fpga_seconds, 6)
+                        .raw("all_halted", rep.all_halted)
+                        .raw("instructions", rep.aggregate.total_instructions())
+                        .num("peak_temp_k", run.trace.peak_temp(), 3)
+                        .num("final_temp_k", run.trace.final_temp(), 3)
+                        .num("throttled_fraction", run.trace.throttled_fraction(), 4)
+                        .raw("unconverged_substeps", rep.solver.unconverged_substeps)
+                        .num("worst_residual_k", rep.solver.worst_residual_k, 9)
                 }
-                Err(e) => out.push_str(&format!(", \"error\": \"{}\"", json_escape(&e.to_string()))),
+                Err(e) => row.str("error", &e.to_string()),
             }
-            out.push_str(if i + 1 < self.results.len() { "},\n" } else { "}\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            .finish()
+        });
+        JsonObject::document()
+            .raw("threads", self.threads)
+            .num("wall_s", self.wall.as_secs_f64(), 6)
+            .rows("scenarios", rows)
+            .finish()
     }
 
     /// Serializes the per-scenario summary lines as CSV (non-finite floats
@@ -371,3 +361,76 @@ impl CampaignReport {
     }
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::emulation::EmulationReport;
+    use crate::trace::{ThermalTrace, TraceSample};
+
+    fn sample(t: f64, max_temp_k: f64, virtual_hz: u64) -> TraceSample {
+        TraceSample {
+            t_virtual_s: t,
+            temps_k: vec![max_temp_k],
+            max_temp_k,
+            virtual_hz,
+            total_power_w: 1.0,
+            fpga_seconds: t,
+        }
+    }
+
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let mut aggregate = temu_platform::WindowStats::default();
+        aggregate.cores.push(temu_cpu::CoreStats { instructions: 1200, ..Default::default() });
+        aggregate.cores.push(temu_cpu::CoreStats { instructions: 34, ..Default::default() });
+        let mut solver = temu_thermal::SolverStats::default();
+        solver.unconverged_substeps = 2;
+        solver.worst_residual_k = 0.000_031_25;
+        let mut trace = ThermalTrace::new(vec![String::from("cpu")]);
+        trace.push(sample(0.01, 351.2509, 500_000_000));
+        trace.push(sample(0.02, 349.5, 100_000_000));
+        let run = ScenarioRun {
+            name: String::from("ok \"one\""),
+            report: EmulationReport {
+                windows: 2,
+                virtual_seconds: 0.02,
+                virtual_cycles: 6_000_000,
+                fpga_seconds: 0.1234567,
+                wall: Duration::from_millis(7),
+                all_halted: false,
+                aggregate,
+                link: temu_link::LinkStats::default(),
+                solver,
+            },
+            trace,
+        };
+        let report = CampaignReport {
+            results: vec![
+                ScenarioResult {
+                    name: String::from("ok \"one\""),
+                    wall: Duration::from_micros(250_125),
+                    outcome: Ok(run),
+                },
+                ScenarioResult {
+                    name: String::from("bad\\two"),
+                    wall: Duration::ZERO,
+                    outcome: Err(TemuError::ScenarioPanicked(String::from("boom\n\"q\""))),
+                },
+            ],
+            wall: Duration::from_micros(1_000_001),
+            threads: 2,
+        };
+        assert_eq!(report.to_json(), GOLDEN_REPORT);
+    }
+
+    const GOLDEN_REPORT: &str = concat!(
+        "{\n",
+        "  \"threads\": 2,\n",
+        "  \"wall_s\": 1.000001,\n",
+        "  \"scenarios\": [\n",
+        "    {\"name\": \"ok \\\"one\\\"\", \"ok\": true, \"wall_s\": 0.250125, \"windows\": 2, \"virtual_s\": 0.020000, \"virtual_cycles\": 6000000, \"fpga_s\": 0.123457, \"all_halted\": false, \"instructions\": 1234, \"peak_temp_k\": 351.251, \"final_temp_k\": 349.500, \"throttled_fraction\": 0.5000, \"unconverged_substeps\": 2, \"worst_residual_k\": 0.000031250},\n",
+        "    {\"name\": \"bad\\\\two\", \"ok\": false, \"wall_s\": 0.000000, \"error\": \"scenario panicked: boom\\n\\\"q\\\"\"}\n",
+        "  ]\n",
+        "}\n",
+    );
+}

@@ -1,19 +1,27 @@
-//! Shared CSV/JSON serialization helpers for the report exporters
-//! ([`crate::CampaignReport`], [`crate::ThermalTrace`],
-//! [`crate::SweepReport`]) and the [`JsonValue`] reader behind the wire
-//! formats ([`crate::ScenarioSpec`]/[`crate::SweepSpec`] and the
-//! [`crate::ResultCache`] disk store).
+//! The workspace's one JSON writer and reader, plus the CSV field helpers
+//! of the report exporters.
 //!
-//! The framework hand-rolls its exports (no external dependencies), so the
-//! escaping rules live in exactly one place: CSV fields are quoted whenever
-//! they contain a separator, quote, or line break (`\r` included — a bare
-//! carriage return splits a record under RFC 4180 just like `\n`), and every
-//! floating-point JSON value is emitted as a number only when finite
-//! (`NaN`/`inf` are not valid JSON). Reading goes through [`JsonValue`]: a
-//! small recursive-descent parser that grew out of the result store's flat
-//! line reader when the spec wire format needed nested objects and arrays.
+//! Every JSON object temu emits — reports, store and journal records,
+//! `temu-serve` and `temu-router` frames, client requests, `BENCH_*.json`
+//! — is built by [`JsonObject`], so this module alone decides escaping,
+//! float formatting and layout. It has two layouts:
+//!
+//! * [`JsonObject::line`]: `{"a": 1, "b": "x"}`, every frame and record;
+//! * [`JsonObject::document`]: one field per line at a two-space indent,
+//!   with [`JsonObject::rows`] arrays of one row per line — the reports
+//!   and `BENCH_*.json`.
+//!
+//! The float rule: a float is a JSON number only when finite, `null` when
+//! absent, `NaN` or infinite (bare `NaN`/`inf` are not JSON).
+//! [`JsonObject::num`] writes fixed decimals; the spec wire format, whose
+//! content keys need shortest round-trip floats, writes [`JsonValue::Num`].
+//!
+//! CSV fields are quoted whenever they contain a separator, quote, or line
+//! break (`\r` included — a bare carriage return splits a record under
+//! RFC 4180 just like `\n`). Reading goes through [`JsonValue`]: a small
+//! recursive-descent parser that keeps object key order.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Quotes a CSV field when it contains separators, quotes, or line breaks.
 pub(crate) fn csv_field(s: &str) -> String {
@@ -38,47 +46,161 @@ pub(crate) fn csv_opt(v: Option<f64>) -> String {
     v.filter(|x| x.is_finite()).map_or_else(String::new, |x| format!("{x:.3}"))
 }
 
-/// Escapes a string for inclusion inside a JSON string literal (public:
-/// the `temu-serve` wire protocol hand-rolls its frames with the same
-/// rules the report exporters use).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Writes `s` with JSON string escapes, without the surrounding quotes.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
+    Ok(())
+}
+
+/// Builds one JSON object, appending every field straight into one
+/// `String` (see the module docs for the layouts and the float rule).
+#[derive(Debug)]
+#[must_use]
+pub struct JsonObject {
+    out: String,
+    document: bool,
+    empty: bool,
+}
+
+impl JsonObject {
+    /// A one-line object: `{"a": 1, "b": "x"}`.
+    pub fn line() -> JsonObject {
+        JsonObject { out: String::from("{"), document: false, empty: true }
+    }
+
+    /// A document: one field per line at a two-space indent, ending with
+    /// `}` and a newline.
+    pub fn document() -> JsonObject {
+        JsonObject { out: String::from("{\n"), document: true, empty: true }
+    }
+
+    fn separate(&mut self) {
+        if !self.empty {
+            self.out.push_str(if self.document { ",\n" } else { ", " });
+        }
+        self.empty = false;
+        if self.document {
+            self.out.push_str("  ");
+        }
+    }
+
+    fn key(&mut self, key: &str) {
+        self.separate();
+        self.push_quoted(key);
+        self.out.push_str(": ");
+    }
+
+    fn push_quoted(&mut self, s: &str) {
+        self.out.push('"');
+        let _ = write_escaped(&mut self.out, s);
+        self.out.push('"');
+    }
+
+    /// `"key": value` with `value` already JSON: an integer, a bool, a
+    /// nested object or array, or a [`JsonValue`] (a nullable string or
+    /// integer, or a shortest round-trip float).
+    pub fn raw(mut self, key: &str, value: impl fmt::Display) -> JsonObject {
+        self.key(key);
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// `"key": "value"` with `value` escaped.
+    pub fn str(mut self, key: &str, value: &str) -> JsonObject {
+        self.key(key);
+        self.push_quoted(value);
+        self
+    }
+
+    /// `"key": value` with `decimals` places, or `null` when the value is
+    /// absent or not finite.
+    pub fn num(mut self, key: &str, value: impl Into<Option<f64>>, decimals: usize) -> JsonObject {
+        self.key(key);
+        match value.into().filter(|v| v.is_finite()) {
+            Some(v) => {
+                let _ = write!(self.out, "{v:.decimals$}");
+            }
+            None => self.out.push_str("null"),
+        }
+        self
+    }
+
+    /// [`JsonObject::raw`] when `value` is present; nothing for `None`.
+    pub fn opt_raw(self, key: &str, value: Option<impl fmt::Display>) -> JsonObject {
+        match value {
+            Some(v) => self.raw(key, v),
+            None => self,
+        }
+    }
+
+    /// [`JsonObject::str`] when `value` is present; nothing for `None`.
+    pub fn opt_str(self, key: &str, value: Option<&str>) -> JsonObject {
+        match value {
+            Some(v) => self.str(key, v),
+            None => self,
+        }
+    }
+
+    /// Splices in fields that are already rendered (`"a": 1, "b": 2`,
+    /// without braces) as the next field; nothing when `rendered` is empty.
+    pub fn fields(mut self, rendered: &str) -> JsonObject {
+        if !rendered.is_empty() {
+            self.separate();
+            self.out.push_str(rendered);
+        }
+        self
+    }
+
+    /// `"key": [...]` in the document layout: `[`, one already-rendered
+    /// row per line at a four-space indent, then `  ]` (an empty list is
+    /// `[\n  ]`).
+    pub fn rows(mut self, key: &str, rows: impl IntoIterator<Item = String>) -> JsonObject {
+        self.key(key);
+        self.out.push('[');
+        let mut first = true;
+        for row in rows {
+            self.out.push_str(if first { "\n    " } else { ",\n    " });
+            self.out.push_str(&row);
+            first = false;
+        }
+        self.out.push_str("\n  ]");
+        self
+    }
+
+    /// Closes the object and returns its text.
+    #[must_use]
+    pub fn finish(mut self) -> String {
+        self.out.push_str(if self.document { "\n}\n" } else { "}" });
+        self.out
+    }
+}
+
+/// A one-line JSON array of already-rendered items: `[1, 2, 3]`.
+#[must_use]
+pub fn json_array<T: fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        let _ = write!(out, "{item}");
+    }
+    out.push(']');
     out
 }
 
-/// A float as a JSON number with `decimals` places, or `null` when it is
-/// not finite (bare `NaN`/`inf` are not valid JSON).
-pub(crate) fn json_f64(v: f64, decimals: usize) -> String {
-    if v.is_finite() {
-        format!("{v:.decimals$}")
-    } else {
-        String::from("null")
-    }
-}
-
-/// `prefix` followed by the float as a JSON number, or by `null` when the
-/// value is absent or not finite.
-pub(crate) fn json_num_or_null(prefix: &str, v: Option<f64>) -> String {
-    match v.filter(|x| x.is_finite()) {
-        Some(x) => format!("{prefix}{x:.3}"),
-        None => format!("{prefix}null"),
-    }
-}
-
 // ---------------------------------------------------------------------------
-// JsonValue: the reading half of the hand-rolled JSON layer
+// JsonValue: the reading half of the JSON layer
 // ---------------------------------------------------------------------------
 
 /// One parsed JSON value.
@@ -252,7 +374,11 @@ impl fmt::Display for JsonValue {
             JsonValue::Bool(b) => write!(f, "{b}"),
             JsonValue::Num(n) if n.is_finite() => write!(f, "{n}"),
             JsonValue::Num(_) => f.write_str("null"),
-            JsonValue::Str(s) => write!(f, "\"{}\"", json_escape(s)),
+            JsonValue::Str(s) => {
+                f.write_char('"')?;
+                write_escaped(f, s)?;
+                f.write_char('"')
+            }
             JsonValue::Arr(items) => {
                 f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
@@ -269,7 +395,9 @@ impl fmt::Display for JsonValue {
                     if i > 0 {
                         f.write_str(", ")?;
                     }
-                    write!(f, "\"{}\": {v}", json_escape(k))?;
+                    f.write_char('"')?;
+                    write_escaped(f, k)?;
+                    write!(f, "\": {v}")?;
                 }
                 f.write_str("}")
             }
@@ -478,6 +606,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn csv_field_quotes_all_breaking_characters() {
@@ -490,11 +619,49 @@ mod tests {
 
     #[test]
     fn float_helpers_guard_non_finite_values() {
-        assert_eq!(json_f64(1.5, 2), "1.50");
-        assert_eq!(json_f64(f64::NAN, 2), "null");
+        let line = JsonObject::line()
+            .num("a", 1.5, 2)
+            .num("b", f64::NAN, 2)
+            .num("c", None, 3)
+            .num("d", Some(f64::NEG_INFINITY), 1)
+            .finish();
+        assert_eq!(line, r#"{"a": 1.50, "b": null, "c": null, "d": null}"#);
         assert_eq!(csv_f64(f64::INFINITY, 2), "");
         assert_eq!(csv_opt(Some(f64::NAN)), "");
-        assert_eq!(json_num_or_null("x: ", None), "x: null");
+    }
+
+    #[test]
+    fn writer_layouts_are_exact() {
+        let inner = JsonObject::line().raw("n", 1).str("s", "x").finish();
+        let line = JsonObject::line()
+            .str("k\"ey", "a\"b\\c\n\u{1}/é😀")
+            .raw("nested", &inner)
+            .raw("arr", json_array([1, 2]))
+            .raw("null_str", JsonValue::Null)
+            .opt_raw("absent", None::<u64>)
+            .opt_str("present", Some("p"))
+            .fields("\"spliced\": true, \"more\": 2")
+            .fields("")
+            .finish();
+        assert_eq!(
+            line,
+            "{\"k\\\"ey\": \"a\\\"b\\\\c\\n\\u0001/é😀\", \"nested\": {\"n\": 1, \"s\": \"x\"}, \"arr\": [1, 2], \
+             \"null_str\": null, \"present\": \"p\", \"spliced\": true, \"more\": 2}"
+        );
+        assert_eq!(JsonObject::line().finish(), "{}");
+        assert_eq!(JsonObject::line().fields("\"seq\": 1").finish(), "{\"seq\": 1}");
+        let doc = JsonObject::document()
+            .raw("a", 1)
+            .rows("rows", vec![inner.clone(), inner])
+            .rows("none", Vec::new())
+            .finish();
+        assert_eq!(
+            doc,
+            "{\n  \"a\": 1,\n  \"rows\": [\n    {\"n\": 1, \"s\": \"x\"},\n    {\"n\": 1, \"s\": \"x\"}\n  ],\n  \"none\": [\n  ]\n}\n"
+        );
+        assert_eq!(json_array(Vec::<u8>::new()), "[]");
+        let rows = JsonValue::parse(&doc).unwrap().get("rows").and_then(|r| r.as_arr().map(<[_]>::len));
+        assert_eq!(rows, Some(2));
     }
 
     #[test]
@@ -574,5 +741,83 @@ mod tests {
         assert_eq!(JsonValue::Num(3.5).as_i64(), None);
         assert_eq!(JsonValue::Num(9223372036854775808.0).as_i64(), None);
         assert_eq!(JsonValue::Num(-9223372036854775808.0).as_i64(), Some(i64::MIN));
+    }
+
+    /// Characters that stress the escaper: quotes, backslashes, control
+    /// characters, `/`, non-ASCII and astral-plane characters.
+    const NASTY: &[char] = &[
+        'a', 'Z', '0', ' ', ':', ',', '{', '}', '[', ']', '"', '\\', '/', '\n', '\r', '\t', '\u{0}',
+        '\u{1}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}', 'é', 'ß', '中', '\u{2028}', '\u{fffd}', '😀',
+        '𝄞', '\u{10ffff}',
+    ];
+
+    fn nasty_string() -> impl Strategy<Value = String> {
+        prop::collection::vec(prop::sample::select(NASTY), 0..16)
+            .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    fn any_float() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            any::<u64>().prop_map(f64::from_bits),
+            (-1_000_000_000i64..1_000_000_000).prop_map(|v| v as f64 / 1024.0),
+        ]
+    }
+
+    /// The float `num` wrote, as read back: `null` exactly when it was not
+    /// finite, and otherwise within half a unit of the last decimal.
+    fn check_float(read: &JsonValue, wrote: f64, decimals: i32) {
+        if !wrote.is_finite() {
+            assert_eq!(read, &JsonValue::Null);
+            return;
+        }
+        let got = read.as_f64().unwrap_or_else(|| panic!("{wrote} read back as {read:?}"));
+        let tolerance = 0.5 * 10f64.powi(-decimals) + wrote.abs() * 1e-15;
+        assert!((got - wrote).abs() <= tolerance, "{wrote} read back as {got}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn everything_the_writer_emits_parses_back(
+            k1 in nasty_string(),
+            k2 in nasty_string(),
+            v1 in nasty_string(),
+            v2 in nasty_string(),
+            x in any_float(),
+            decimals in 0usize..10,
+        ) {
+            let inner = JsonObject::line().str(&k2, &v2).num(&k1, x, decimals).finish();
+            for doc in [false, true] {
+                let obj = if doc { JsonObject::document() } else { JsonObject::line() };
+                let text = obj
+                    .str(&k1, &v1)
+                    .num(&k2, x, decimals)
+                    .opt_str(&v1, Some(&v2))
+                    .raw("nested", &inner)
+                    .raw("array", json_array([JsonValue::Str(v1.clone()), JsonValue::Num(x)]))
+                    .rows("rows", vec![inner.clone(), inner.clone()])
+                    .finish();
+                let parsed = JsonValue::parse(&text).unwrap_or_else(|e| panic!("{e}: {text:?}"));
+                let fields = parsed.as_obj().unwrap();
+                let text = |(k, v): &(String, JsonValue)| (k.clone(), v.as_str().map(String::from));
+                prop_assert_eq!(fields.len(), 6);
+                prop_assert_eq!(text(&fields[0]), (k1.clone(), Some(v1.clone())));
+                prop_assert_eq!(fields[1].0.as_str(), k2.as_str());
+                check_float(&fields[1].1, x, decimals as i32);
+                prop_assert_eq!(text(&fields[2]), (v1.clone(), Some(v2.clone())));
+                let nested = fields[3].1.as_obj().unwrap();
+                prop_assert_eq!(text(&nested[0]), (k2.clone(), Some(v2.clone())));
+                check_float(&nested[1].1, x, decimals as i32);
+                let array = fields[4].1.as_arr().unwrap();
+                prop_assert_eq!(array[0].as_str(), Some(v1.as_str()));
+                let bits = array[1].as_f64().map(f64::to_bits);
+                prop_assert_eq!(bits, x.is_finite().then_some(x.to_bits()));
+                prop_assert_eq!(fields[5].1.as_arr().map(<[_]>::len), Some(2));
+            }
+        }
     }
 }

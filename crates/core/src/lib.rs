@@ -73,15 +73,12 @@
 //! println!("{}", report.to_csv());
 //! ```
 //!
-//! ## Execution transports
+//! ## One window loop
 //!
-//! * [`ThermalEmulation`] — in-process sequential loop (deterministic,
-//!   benchmark-friendly); built directly or via [`Scenario::build`];
-//! * [`threaded::run_threaded`] — the thermal tool runs on its own host
-//!   thread connected by channels, mirroring the paper's concurrent
-//!   FPGA-plus-host-PC execution. Both produce identical traces (the
-//!   feedback is pipelined by one window in either case, exactly like the
-//!   physical system).
+//! [`ThermalEmulation::run_window`] is the one loop that advances an
+//! emulation, with the feedback pipelined by one window like the paper's
+//! FPGA-plus-host-PC system. Every run — scenario, campaign, sweep point,
+//! served job — goes through it.
 //!
 //! ## Errors
 //!
@@ -97,7 +94,6 @@ mod export;
 mod scenario;
 mod spec;
 mod sweep;
-pub mod threaded;
 mod trace;
 
 pub use artifacts::{ArtifactCache, ArtifactStats};
@@ -105,7 +101,7 @@ pub use campaign::{Campaign, CampaignProgress, CampaignReport, ResultSink, Scena
 pub use emulation::{EmulationConfig, EmulationReport, EmulationState, ThermalEmulation};
 pub use error::TemuError;
 pub use emulation::EmulationTotals;
-pub use export::{json_escape, JsonValue};
+pub use export::{json_array, JsonObject, JsonValue};
 pub use scenario::{LayeredKeys, RunBudget, Scenario, ScenarioRun, Workload};
 pub use spec::{
     AxisSpec, DfsSpec, MeshSpec, PlatformSpec, ScenarioSpec, SpecError, SweepSpec, WorkloadSpec,

@@ -52,7 +52,7 @@
 //! key — and is refused instead.
 
 use crate::error::TemuError;
-use crate::export::{json_escape, JsonValue};
+use crate::export::{json_array, JsonObject, JsonValue};
 use crate::scenario::{Scenario, Workload};
 use crate::sweep::Sweep;
 use std::error::Error;
@@ -234,64 +234,14 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Incremental single-line JSON object writer (the encode half; reading
-/// goes through [`JsonValue`]).
-struct ObjWriter(String);
-
-impl ObjWriter {
-    fn new() -> ObjWriter {
-        ObjWriter(String::from("{"))
-    }
-
-    /// Appends `"key": value` with `value` already rendered as JSON.
-    fn raw(mut self, key: &str, value: impl fmt::Display) -> ObjWriter {
-        if self.0.len() > 1 {
-            self.0.push_str(", ");
-        }
-        self.0.push('"');
-        self.0.push_str(&json_escape(key));
-        self.0.push_str("\": ");
-        self.0.push_str(&value.to_string());
-        self
-    }
-
-    fn str_field(self, key: &str, value: &str) -> ObjWriter {
-        let rendered = format!("\"{}\"", json_escape(value));
-        self.raw(key, rendered)
-    }
-
-    fn opt_raw(self, key: &str, value: Option<impl fmt::Display>) -> ObjWriter {
-        match value {
-            Some(v) => self.raw(key, v),
-            None => self,
-        }
-    }
-
-    fn finish(mut self) -> String {
-        self.0.push('}');
-        self.0
-    }
-}
-
-/// Renders a slice as a JSON array of already-JSON-rendered items.
-fn json_array<T: fmt::Display>(items: impl IntoIterator<Item = T>) -> String {
-    let rendered: Vec<String> = items.into_iter().map(|v| v.to_string()).collect();
-    format!("[{}]", rendered.join(", "))
-}
-
-/// Renders an `f64` so that parsing it back yields the identical bits
-/// (Rust's shortest round-trip `Display`) — spec → JSON → spec must not
-/// perturb a content key.
-fn json_float(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        String::from("null")
-    }
-}
-
+/// Bands as `[[hot_k, cool_k], ...]`, each float in shortest round-trip
+/// form ([`JsonValue::Num`]) so spec → JSON → spec keeps its content key.
 fn bands_array(bands: &[DfsBand]) -> String {
-    json_array(bands.iter().map(|b| format!("[{}, {}]", json_float(b.hot_k), json_float(b.cool_k))))
+    json_array(bands.iter().map(|b| band_pair(b.hot_k, b.cool_k)))
+}
+
+fn band_pair(hot_k: f64, cool_k: f64) -> String {
+    json_array([JsonValue::Num(hot_k), JsonValue::Num(cool_k)])
 }
 
 fn parse_band(object: &'static str, v: &JsonValue) -> Result<DfsBand, SpecError> {
@@ -369,14 +319,14 @@ impl WorkloadSpec {
 
     fn to_json(&self) -> String {
         match *self {
-            WorkloadSpec::Matrix { n, iters, cores } => ObjWriter::new()
-                .str_field("kind", "matrix")
+            WorkloadSpec::Matrix { n, iters, cores } => JsonObject::line()
+                .str("kind", "matrix")
                 .raw("n", n)
                 .raw("iters", iters)
                 .raw("cores", cores)
                 .finish(),
-            WorkloadSpec::Dithering { width, height, images, cores, seed } => ObjWriter::new()
-                .str_field("kind", "dithering")
+            WorkloadSpec::Dithering { width, height, images, cores, seed } => JsonObject::line()
+                .str("kind", "dithering")
                 .raw("width", width)
                 .raw("height", height)
                 .raw("images", images)
@@ -452,7 +402,7 @@ impl DfsSpec {
     fn to_json(&self) -> String {
         match self {
             DfsSpec::Unmanaged => String::from("\"none\""),
-            DfsSpec::Ladder { levels_hz, bands } => ObjWriter::new()
+            DfsSpec::Ladder { levels_hz, bands } => JsonObject::line()
                 .raw("levels_hz", json_array(levels_hz.iter()))
                 .raw("bands", bands_array(bands))
                 .finish(),
@@ -513,7 +463,7 @@ impl PlatformSpec {
     }
 
     fn to_json(&self) -> String {
-        ObjWriter::new().str_field("kind", &self.kind).raw("cores", self.cores).finish()
+        JsonObject::line().str("kind", &self.kind).raw("cores", self.cores).finish()
     }
 
     fn from_value(v: &JsonValue) -> Result<PlatformSpec, SpecError> {
@@ -599,21 +549,21 @@ impl MeshSpec {
 
     /// Writes the set fields (plus `extra` leading fields, used by the
     /// `meshes` axis to prepend the point name).
-    fn fields_json(&self, writer: ObjWriter) -> String {
+    fn fields_json(&self, writer: JsonObject) -> String {
         writer
-            .opt_raw("ambient_k", self.ambient_k.map(json_float))
+            .opt_raw("ambient_k", self.ambient_k.map(JsonValue::Num))
             .opt_raw("si_layers", self.si_layers)
             .opt_raw("cu_layers", self.cu_layers)
             .opt_raw("default_div", self.default_div)
             .opt_raw("hot_div", self.hot_div)
-            .opt_raw("filler_pitch_um", self.filler_pitch_um.map(json_float))
-            .opt_raw("package_to_air", self.package_to_air.map(json_float))
-            .opt_raw("dt_s", self.dt_s.map(json_float))
+            .opt_raw("filler_pitch_um", self.filler_pitch_um.map(JsonValue::Num))
+            .opt_raw("package_to_air", self.package_to_air.map(JsonValue::Num))
+            .opt_raw("dt_s", self.dt_s.map(JsonValue::Num))
             .finish()
     }
 
     fn to_json(&self) -> String {
-        self.fields_json(ObjWriter::new())
+        self.fields_json(JsonObject::line())
     }
 
     fn read(r: &Reader<'_>) -> Result<MeshSpec, SpecError> {
@@ -789,27 +739,21 @@ impl ScenarioSpec {
     /// Serializes the spec as one JSON object (only the set fields).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut w = ObjWriter::new();
-        if let Some(p) = &self.preset {
-            w = w.str_field("preset", p);
-        }
-        w = w.opt_raw("preset_arg", self.preset_arg);
-        if let Some(n) = &self.name {
-            w = w.str_field("name", n);
-        }
-        w = w.opt_raw("cores", self.cores);
-        w = w.opt_raw("workload", self.workload.as_ref().map(WorkloadSpec::to_json));
-        w = w.opt_raw("dfs", self.dfs.as_ref().map(DfsSpec::to_json));
-        w = w.opt_raw("sampling_window_s", self.sampling_window_s.map(json_float));
-        w = w.opt_raw("mesh", self.mesh.as_ref().map(MeshSpec::to_json));
-        w = w.opt_raw("solver", self.solver.map(|s| format!("\"{}\"", solve_tag(s))));
-        w = w.opt_raw("strict_convergence", self.strict_convergence);
-        w = w.opt_raw("windows", self.windows);
-        w = w.opt_raw("to_halt", self.to_halt);
-        if self.check_fit_v2vp30 {
-            w = w.raw("check_fit_v2vp30", true);
-        }
-        w.finish()
+        JsonObject::line()
+            .opt_str("preset", self.preset.as_deref())
+            .opt_raw("preset_arg", self.preset_arg)
+            .opt_str("name", self.name.as_deref())
+            .opt_raw("cores", self.cores)
+            .opt_raw("workload", self.workload.as_ref().map(WorkloadSpec::to_json))
+            .opt_raw("dfs", self.dfs.as_ref().map(DfsSpec::to_json))
+            .opt_raw("sampling_window_s", self.sampling_window_s.map(JsonValue::Num))
+            .opt_raw("mesh", self.mesh.as_ref().map(MeshSpec::to_json))
+            .opt_str("solver", self.solver.map(solve_tag))
+            .opt_raw("strict_convergence", self.strict_convergence)
+            .opt_raw("windows", self.windows)
+            .opt_raw("to_halt", self.to_halt)
+            .opt_raw("check_fit_v2vp30", self.check_fit_v2vp30.then_some(true))
+            .finish()
     }
 
     /// Parses a spec from JSON text.
@@ -928,51 +872,49 @@ impl AxisSpec {
     fn to_json(&self) -> String {
         match self {
             AxisSpec::Cores(values) => {
-                ObjWriter::new().str_field("axis", "cores").raw("values", json_array(values.iter())).finish()
+                JsonObject::line().str("axis", "cores").raw("values", json_array(values.iter())).finish()
             }
-            AxisSpec::Windows(values) => ObjWriter::new()
-                .str_field("axis", "windows")
+            AxisSpec::Windows(values) => JsonObject::line()
+                .str("axis", "windows")
                 .raw("values", json_array(values.iter()))
                 .finish(),
-            AxisSpec::DfsBands { bands, high_hz, low_hz } => ObjWriter::new()
-                .str_field("axis", "dfs_bands")
+            AxisSpec::DfsBands { bands, high_hz, low_hz } => JsonObject::line()
+                .str("axis", "dfs_bands")
                 .raw(
                     "bands",
-                    json_array(
-                        bands.iter().map(|(hot, cool)| format!("[{}, {}]", json_float(*hot), json_float(*cool))),
-                    ),
+                    json_array(bands.iter().map(|(hot, cool)| band_pair(*hot, *cool))),
                 )
                 .raw("high_hz", high_hz)
                 .raw("low_hz", low_hz)
                 .finish(),
-            AxisSpec::DfsLadders { levels_hz, band_sets } => ObjWriter::new()
-                .str_field("axis", "dfs_ladders")
+            AxisSpec::DfsLadders { levels_hz, band_sets } => JsonObject::line()
+                .str("axis", "dfs_ladders")
                 .raw("levels_hz", json_array(levels_hz.iter()))
                 .raw("band_sets", json_array(band_sets.iter().map(|set| bands_array(set))))
                 .finish(),
-            AxisSpec::DfsPolicies(specs) => ObjWriter::new()
-                .str_field("axis", "dfs_policies")
+            AxisSpec::DfsPolicies(specs) => JsonObject::line()
+                .str("axis", "dfs_policies")
                 .raw("values", json_array(specs.iter().map(DfsSpec::to_json)))
                 .finish(),
-            AxisSpec::Platforms(specs) => ObjWriter::new()
-                .str_field("axis", "platforms")
+            AxisSpec::Platforms(specs) => JsonObject::line()
+                .str("axis", "platforms")
                 .raw("values", json_array(specs.iter().map(PlatformSpec::to_json)))
                 .finish(),
-            AxisSpec::Meshes(points) => ObjWriter::new()
-                .str_field("axis", "meshes")
+            AxisSpec::Meshes(points) => JsonObject::line()
+                .str("axis", "meshes")
                 .raw(
                     "values",
                     json_array(
-                        points.iter().map(|(name, m)| m.fields_json(ObjWriter::new().str_field("name", name))),
+                        points.iter().map(|(name, m)| m.fields_json(JsonObject::line().str("name", name))),
                     ),
                 )
                 .finish(),
-            AxisSpec::Workloads(specs) => ObjWriter::new()
-                .str_field("axis", "workloads")
+            AxisSpec::Workloads(specs) => JsonObject::line()
+                .str("axis", "workloads")
                 .raw("values", json_array(specs.iter().map(WorkloadSpec::to_json)))
                 .finish(),
-            AxisSpec::Solvers(values) => ObjWriter::new()
-                .str_field("axis", "solvers")
+            AxisSpec::Solvers(values) => JsonObject::line()
+                .str("axis", "solvers")
                 .raw("values", json_array(values.iter().map(|s| format!("\"{}\"", solve_tag(*s)))))
                 .finish(),
         }
@@ -1266,8 +1208,8 @@ impl SweepSpec {
     /// Serializes the spec as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        ObjWriter::new()
-            .str_field("sweep", &self.name)
+        JsonObject::line()
+            .str("sweep", &self.name)
             .opt_raw("threads", self.threads)
             .raw("base", self.base.to_json())
             .raw("axes", json_array(self.axes.iter().map(AxisSpec::to_json)))

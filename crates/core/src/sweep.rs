@@ -68,7 +68,7 @@ use crate::artifacts::{ArtifactCache, ArtifactStats};
 use crate::campaign::{Campaign, PointRunner};
 use crate::emulation::{EmulationState, ThermalEmulation};
 use crate::error::TemuError;
-use crate::export::{csv_f64, csv_field, csv_opt, json_escape, json_f64, json_num_or_null, JsonValue};
+use crate::export::{csv_f64, csv_field, csv_opt, JsonObject, JsonValue};
 use crate::scenario::{RunBudget, Scenario, ScenarioRun, Workload};
 use std::collections::HashMap;
 use std::fmt;
@@ -140,23 +140,21 @@ impl PointSummary {
         }
     }
 
-    /// The summary's fields as the inner part of a flat JSON object (no
-    /// braces) — shared between the report export and the disk store.
-    fn json_fields(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("\"windows\": {}", self.windows));
-        out.push_str(&format!(", \"virtual_s\": {}", json_f64(self.virtual_s, 6)));
-        out.push_str(&format!(", \"fpga_s\": {}", json_f64(self.fpga_s, 6)));
-        out.push_str(&format!(", \"wall_s\": {}", json_f64(self.wall_s, 6)));
-        out.push_str(&format!(", \"all_halted\": {}", self.all_halted));
-        out.push_str(&format!(", \"instructions\": {}", self.instructions));
-        out.push_str(&json_num_or_null(", \"peak_temp_k\": ", self.peak_temp_k));
-        out.push_str(&json_num_or_null(", \"final_temp_k\": ", self.final_temp_k));
-        out.push_str(&format!(", \"throttled_fraction\": {}", json_f64(self.throttled_fraction, 4)));
-        out.push_str(&format!(", \"time_at_hz\": \"{}\"", self.residency_field()));
-        out.push_str(&format!(", \"unconverged_substeps\": {}", self.unconverged_substeps));
-        out.push_str(&format!(", \"worst_residual_k\": {}", json_f64(self.worst_residual_k, 9)));
-        out
+    /// Appends the summary's fields to `row` — shared between the report
+    /// export and the disk store.
+    fn write_fields(&self, row: JsonObject) -> JsonObject {
+        row.raw("windows", self.windows)
+            .num("virtual_s", self.virtual_s, 6)
+            .num("fpga_s", self.fpga_s, 6)
+            .num("wall_s", self.wall_s, 6)
+            .raw("all_halted", self.all_halted)
+            .raw("instructions", self.instructions)
+            .num("peak_temp_k", self.peak_temp_k, 3)
+            .num("final_temp_k", self.final_temp_k, 3)
+            .num("throttled_fraction", self.throttled_fraction, 4)
+            .str("time_at_hz", &self.residency_field())
+            .raw("unconverged_substeps", self.unconverged_substeps)
+            .num("worst_residual_k", self.worst_residual_k, 9)
     }
 
     /// The residency encoded as space-separated `hz:seconds` pairs — one
@@ -366,7 +364,7 @@ impl ResultCache {
 
     /// One store record: a flat JSON object keyed by the content key.
     fn encode(key: u64, summary: &PointSummary) -> String {
-        format!("{{\"key\": \"{key:016x}\", {}}}", summary.json_fields())
+        summary.write_fields(JsonObject::line().str("key", &format!("{key:016x}"))).finish()
     }
 
     /// Decodes one store record; `None` when it is not one.
@@ -1048,52 +1046,44 @@ impl SweepReport {
         self.points.iter().filter(|p| p.outcome.as_ref().is_err_and(TemuError::is_cancellation)).count()
     }
 
-    /// Serializes the report as JSON (same conventions as
-    /// [`crate::CampaignReport::to_json`]: hand-rolled, non-finite floats
-    /// as `null`).
+    /// Serializes the report as a JSON document (same layout as
+    /// [`crate::CampaignReport::to_json`]; non-finite floats as `null`).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"sweep\": \"{}\",\n", json_escape(&self.name)));
-        out.push_str(&format!("  \"threads\": {},\n", self.threads));
-        out.push_str(&format!("  \"wall_s\": {},\n", json_f64(self.wall.as_secs_f64(), 6)));
-        out.push_str(&format!("  \"points_total\": {},\n", self.points.len()));
-        out.push_str(&format!("  \"executed\": {},\n", self.executed));
-        out.push_str(&format!("  \"cache_hits\": {},\n", self.cache_hits));
-        out.push_str(&format!("  \"cancelled\": {},\n", self.cancelled));
         let a = &self.artifacts;
-        out.push_str(&format!(
-            "  \"artifacts\": {{\"floorplan_hits\": {}, \"floorplan_misses\": {}, \"mesh_hits\": {}, \"mesh_misses\": {}, \"operator_hits\": {}, \"operator_misses\": {}, \"program_hits\": {}, \"program_misses\": {}}},\n",
-            a.floorplan_hits,
-            a.floorplan_misses,
-            a.mesh_hits,
-            a.mesh_misses,
-            a.operator_hits,
-            a.operator_misses,
-            a.program_hits,
-            a.program_misses
-        ));
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!("\"label\": \"{}\", ", json_escape(&p.label)));
-            match p.key {
-                Some(k) => out.push_str(&format!("\"key\": \"{k:016x}\", ")),
-                None => out.push_str("\"key\": null, "),
-            }
-            out.push_str(&format!("\"cache_hit\": {}, ", p.cache_hit));
-            out.push_str(&format!("\"ok\": {}", p.is_ok()));
+        let artifacts = JsonObject::line()
+            .raw("floorplan_hits", a.floorplan_hits)
+            .raw("floorplan_misses", a.floorplan_misses)
+            .raw("mesh_hits", a.mesh_hits)
+            .raw("mesh_misses", a.mesh_misses)
+            .raw("operator_hits", a.operator_hits)
+            .raw("operator_misses", a.operator_misses)
+            .raw("program_hits", a.program_hits)
+            .raw("program_misses", a.program_misses)
+            .finish();
+        let rows = self.points.iter().map(|p| {
+            let row = JsonObject::line()
+                .str("label", &p.label)
+                .raw("key", p.key.map_or(JsonValue::Null, |k| JsonValue::Str(format!("{k:016x}"))))
+                .raw("cache_hit", p.cache_hit)
+                .raw("ok", p.is_ok());
             match &p.outcome {
-                Ok(s) => {
-                    out.push_str(", ");
-                    out.push_str(&s.json_fields());
-                }
-                Err(e) => out.push_str(&format!(", \"error\": \"{}\"", json_escape(&e.to_string()))),
+                Ok(s) => s.write_fields(row),
+                Err(e) => row.str("error", &e.to_string()),
             }
-            out.push_str(if i + 1 < self.points.len() { "},\n" } else { "}\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            .finish()
+        });
+        JsonObject::document()
+            .str("sweep", &self.name)
+            .raw("threads", self.threads)
+            .num("wall_s", self.wall.as_secs_f64(), 6)
+            .raw("points_total", self.points.len())
+            .raw("executed", self.executed)
+            .raw("cache_hits", self.cache_hits)
+            .raw("cancelled", self.cancelled)
+            .raw("artifacts", artifacts)
+            .rows("points", rows)
+            .finish()
     }
 
     /// Serializes the per-point summary lines as CSV (field quoting
@@ -1142,6 +1132,7 @@ impl SweepReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use temu_platform::PlatformError;
 
     #[test]
@@ -1259,4 +1250,181 @@ mod tests {
         assert!(b.get(7).is_some());
         assert!(b.get(8).is_none());
     }
+
+    /// A summary with every float shape the writers must handle: a
+    /// rounded number, an absent temperature and a residency list.
+    fn golden_summary() -> PointSummary {
+        PointSummary {
+            windows: 12,
+            virtual_s: 0.012,
+            fpga_s: 0.0504,
+            wall_s: 0.25,
+            all_halted: true,
+            instructions: 34567,
+            peak_temp_k: Some(351.2509),
+            final_temp_k: None,
+            throttled_fraction: 0.25,
+            time_at_hz: vec![(500_000_000, 0.01), (100_000_000, 0.002)],
+            unconverged_substeps: 3,
+            worst_residual_k: 0.000_012_5,
+        }
+    }
+
+    #[test]
+    fn report_json_bytes_are_pinned() {
+        let mut cached = golden_summary();
+        cached.peak_temp_k = Some(f64::NAN);
+        cached.final_temp_k = Some(340.0);
+        cached.time_at_hz.clear();
+        let report = SweepReport {
+            name: String::from("golden \"grid\"\t\\"),
+            threads: 2,
+            wall: Duration::from_micros(1_500_250),
+            executed: 1,
+            cache_hits: 1,
+            cancelled: false,
+            artifacts: ArtifactStats {
+                floorplan_hits: 1,
+                floorplan_misses: 2,
+                mesh_hits: 3,
+                mesh_misses: 4,
+                operator_hits: 5,
+                operator_misses: 6,
+                program_hits: 7,
+                program_misses: 8,
+            },
+            points: vec![
+                SweepPointResult {
+                    label: String::from("cores=2/dfs=350/340K"),
+                    key: Some(0xdead_beef),
+                    cache_hit: false,
+                    outcome: Ok(golden_summary()),
+                },
+                SweepPointResult {
+                    label: String::from("cores=4/dfs=350/340K"),
+                    key: Some(0x0123_4567_89ab_cdef),
+                    cache_hit: true,
+                    outcome: Ok(cached),
+                },
+                SweepPointResult {
+                    label: String::from("cores=0/\"bad\""),
+                    key: None,
+                    cache_hit: false,
+                    outcome: Err(TemuError::ScenarioPanicked(String::from("boom \"q\"\nline"))),
+                },
+            ],
+        };
+        assert_eq!(report.to_json(), GOLDEN_REPORT);
+        let empty = SweepReport {
+            name: String::from("empty"),
+            threads: 1,
+            wall: Duration::ZERO,
+            executed: 0,
+            cache_hits: 0,
+            cancelled: true,
+            artifacts: ArtifactStats::default(),
+            points: Vec::new(),
+        };
+        assert_eq!(empty.to_json(), GOLDEN_EMPTY_REPORT);
+    }
+
+    #[test]
+    fn store_record_bytes_are_pinned() {
+        assert_eq!(ResultCache::encode(0xdead_beef, &golden_summary()), GOLDEN_RECORD);
+    }
+
+    /// Characters that stress the escaper (see `export.rs` for the full
+    /// writer property).
+    const NASTY: &[char] =
+        &['a', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', '中', '😀'];
+
+    fn nasty_string() -> impl Strategy<Value = String> {
+        prop::collection::vec(prop::sample::select(NASTY), 0..12)
+            .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn reports_and_records_parse_back(
+            name in nasty_string(),
+            label in nasty_string(),
+            message in nasty_string(),
+            nan_peak in any::<bool>(),
+        ) {
+            let mut summary = golden_summary();
+            summary.peak_temp_k = if nan_peak { Some(f64::NAN) } else { Some(f64::INFINITY) };
+            let report = SweepReport {
+                name: name.clone(),
+                threads: 1,
+                wall: Duration::ZERO,
+                executed: 1,
+                cache_hits: 0,
+                cancelled: false,
+                artifacts: ArtifactStats::default(),
+                points: vec![
+                    SweepPointResult {
+                        label: label.clone(),
+                        key: Some(1),
+                        cache_hit: false,
+                        outcome: Ok(summary.clone()),
+                    },
+                    SweepPointResult {
+                        label: label.clone(),
+                        key: None,
+                        cache_hit: false,
+                        outcome: Err(TemuError::ScenarioPanicked(message.clone())),
+                    },
+                ],
+            };
+            let json = report.to_json();
+            let doc = JsonValue::parse(&json).unwrap_or_else(|e| panic!("{e}: {json:?}"));
+            assert_eq!(doc.get("sweep").and_then(JsonValue::as_str), Some(name.as_str()));
+            let points = doc.get("points").and_then(JsonValue::as_arr).unwrap();
+            assert_eq!(points[0].get("label").and_then(JsonValue::as_str), Some(label.as_str()));
+            assert_eq!(points[0].get("peak_temp_k"), Some(&JsonValue::Null));
+            assert_eq!(points[1].get("key"), Some(&JsonValue::Null));
+            let error = format!("scenario panicked: {message}");
+            assert_eq!(points[1].get("error").and_then(JsonValue::as_str), Some(error.as_str()));
+
+            let record = ResultCache::encode(7, &summary);
+            assert_eq!(JsonValue::parse(&record).unwrap().get("peak_temp_k"), Some(&JsonValue::Null));
+            let (key, decoded) = ResultCache::decode(record.as_bytes()).expect("record decodes");
+            assert_eq!((key, decoded.peak_temp_k, decoded.time_at_hz), (7, None, summary.time_at_hz));
+        }
+    }
+
+    const GOLDEN_REPORT: &str = concat!(
+        "{\n",
+        "  \"sweep\": \"golden \\\"grid\\\"\\t\\\\\",\n",
+        "  \"threads\": 2,\n",
+        "  \"wall_s\": 1.500250,\n",
+        "  \"points_total\": 3,\n",
+        "  \"executed\": 1,\n",
+        "  \"cache_hits\": 1,\n",
+        "  \"cancelled\": false,\n",
+        "  \"artifacts\": {\"floorplan_hits\": 1, \"floorplan_misses\": 2, \"mesh_hits\": 3, \"mesh_misses\": 4, \"operator_hits\": 5, \"operator_misses\": 6, \"program_hits\": 7, \"program_misses\": 8},\n",
+        "  \"points\": [\n",
+        "    {\"label\": \"cores=2/dfs=350/340K\", \"key\": \"00000000deadbeef\", \"cache_hit\": false, \"ok\": true, \"windows\": 12, \"virtual_s\": 0.012000, \"fpga_s\": 0.050400, \"wall_s\": 0.250000, \"all_halted\": true, \"instructions\": 34567, \"peak_temp_k\": 351.251, \"final_temp_k\": null, \"throttled_fraction\": 0.2500, \"time_at_hz\": \"500000000:0.010000 100000000:0.002000\", \"unconverged_substeps\": 3, \"worst_residual_k\": 0.000012500},\n",
+        "    {\"label\": \"cores=4/dfs=350/340K\", \"key\": \"0123456789abcdef\", \"cache_hit\": true, \"ok\": true, \"windows\": 12, \"virtual_s\": 0.012000, \"fpga_s\": 0.050400, \"wall_s\": 0.250000, \"all_halted\": true, \"instructions\": 34567, \"peak_temp_k\": null, \"final_temp_k\": 340.000, \"throttled_fraction\": 0.2500, \"time_at_hz\": \"\", \"unconverged_substeps\": 3, \"worst_residual_k\": 0.000012500},\n",
+        "    {\"label\": \"cores=0/\\\"bad\\\"\", \"key\": null, \"cache_hit\": false, \"ok\": false, \"error\": \"scenario panicked: boom \\\"q\\\"\\nline\"}\n",
+        "  ]\n",
+        "}\n",
+    );
+    const GOLDEN_EMPTY_REPORT: &str = concat!(
+        "{\n",
+        "  \"sweep\": \"empty\",\n",
+        "  \"threads\": 1,\n",
+        "  \"wall_s\": 0.000000,\n",
+        "  \"points_total\": 0,\n",
+        "  \"executed\": 0,\n",
+        "  \"cache_hits\": 0,\n",
+        "  \"cancelled\": true,\n",
+        "  \"artifacts\": {\"floorplan_hits\": 0, \"floorplan_misses\": 0, \"mesh_hits\": 0, \"mesh_misses\": 0, \"operator_hits\": 0, \"operator_misses\": 0, \"program_hits\": 0, \"program_misses\": 0},\n",
+        "  \"points\": [\n",
+        "  ]\n",
+        "}\n",
+    );
+    const GOLDEN_RECORD: &str = "{\"key\": \"00000000deadbeef\", \"windows\": 12, \"virtual_s\": 0.012000, \"fpga_s\": 0.050400, \"wall_s\": 0.250000, \"all_halted\": true, \"instructions\": 34567, \"peak_temp_k\": 351.251, \"final_temp_k\": null, \"throttled_fraction\": 0.2500, \"time_at_hz\": \"500000000:0.010000 100000000:0.002000\", \"unconverged_substeps\": 3, \"worst_residual_k\": 0.000012500}";
 }

@@ -255,3 +255,61 @@ fn layered_keys_compose_to_the_content_key_for_every_named_preset() {
         }
     }
 }
+
+#[test]
+fn spec_json_bytes_are_pinned() {
+    // Every scenario field and every axis kind: the bytes clients send
+    // and the job journal stores.
+    let base = ScenarioSpec {
+        preset: Some(String::from("exploration_bus")),
+        preset_arg: Some(4),
+        name: Some(String::from("überride \"quoted\"\n")),
+        cores: Some(2),
+        workload: Some(WorkloadSpec::Dithering { width: 32, height: 32, images: 1, cores: 2, seed: 11 }),
+        dfs: Some(DfsSpec::Ladder {
+            levels_hz: vec![500_000_000, 100_000_000],
+            bands: vec![DfsBand { hot_k: 345.5, cool_k: 0.1 + 0.2 }],
+        }),
+        sampling_window_s: Some(0.00125),
+        mesh: Some(MeshSpec {
+            ambient_k: Some(301.5),
+            hot_div: Some(4),
+            dt_s: Some(1e-7),
+            ..MeshSpec::default()
+        }),
+        solver: Some(ImplicitSolve::Multigrid),
+        strict_convergence: Some(true),
+        windows: Some(7),
+        to_halt: None,
+        check_fit_v2vp30: true,
+    };
+    let spec = SweepSpec {
+        name: String::from("all\taxes"),
+        base,
+        axes: vec![
+            AxisSpec::Cores(vec![1, 2]),
+            AxisSpec::Windows(vec![3]),
+            AxisSpec::DfsBands { bands: vec![(350.0, 340.0)], high_hz: 500_000_000, low_hz: 100_000_000 },
+            AxisSpec::DfsLadders {
+                levels_hz: vec![500_000_000, 100_000_000],
+                band_sets: vec![vec![DfsBand { hot_k: 342.25, cool_k: 332.0 }]],
+            },
+            AxisSpec::DfsPolicies(vec![DfsSpec::Unmanaged, DfsSpec::paper()]),
+            AxisSpec::Platforms(vec![PlatformSpec { kind: String::from("noc"), cores: 2 }]),
+            AxisSpec::Meshes(vec![(
+                String::from("fine"),
+                MeshSpec { default_div: Some(3), ..MeshSpec::default() },
+            )]),
+            AxisSpec::Workloads(vec![WorkloadSpec::Matrix { n: 4, iters: 2, cores: 1 }]),
+            AxisSpec::Solvers(vec![ImplicitSolve::GaussSeidel, ImplicitSolve::Auto]),
+        ],
+        threads: Some(2),
+    };
+    assert_eq!(spec.to_json(), GOLDEN_SPEC);
+    let unmanaged =
+        ScenarioSpec { dfs: Some(DfsSpec::Unmanaged), to_halt: Some(50), ..ScenarioSpec::default() };
+    assert_eq!(unmanaged.to_json(), GOLDEN_UNMANAGED);
+}
+
+const GOLDEN_SPEC: &str = "{\"sweep\": \"all\\taxes\", \"threads\": 2, \"base\": {\"preset\": \"exploration_bus\", \"preset_arg\": 4, \"name\": \"überride \\\"quoted\\\"\\n\", \"cores\": 2, \"workload\": {\"kind\": \"dithering\", \"width\": 32, \"height\": 32, \"images\": 1, \"cores\": 2, \"seed\": 11}, \"dfs\": {\"levels_hz\": [500000000, 100000000], \"bands\": [[345.5, 0.30000000000000004]]}, \"sampling_window_s\": 0.00125, \"mesh\": {\"ambient_k\": 301.5, \"hot_div\": 4, \"dt_s\": 0.0000001}, \"solver\": \"mg\", \"strict_convergence\": true, \"windows\": 7, \"check_fit_v2vp30\": true}, \"axes\": [{\"axis\": \"cores\", \"values\": [1, 2]}, {\"axis\": \"windows\", \"values\": [3]}, {\"axis\": \"dfs_bands\", \"bands\": [[350, 340]], \"high_hz\": 500000000, \"low_hz\": 100000000}, {\"axis\": \"dfs_ladders\", \"levels_hz\": [500000000, 100000000], \"band_sets\": [[[342.25, 332]]]}, {\"axis\": \"dfs_policies\", \"values\": [\"none\", {\"levels_hz\": [500000000, 100000000], \"bands\": [[350, 340]]}]}, {\"axis\": \"platforms\", \"values\": [{\"kind\": \"noc\", \"cores\": 2}]}, {\"axis\": \"meshes\", \"values\": [{\"name\": \"fine\", \"default_div\": 3}]}, {\"axis\": \"workloads\", \"values\": [{\"kind\": \"matrix\", \"n\": 4, \"iters\": 2, \"cores\": 1}]}, {\"axis\": \"solvers\", \"values\": [\"gs\", \"auto\"]}]}";
+const GOLDEN_UNMANAGED: &str = "{\"dfs\": \"none\", \"to_halt\": 50}";

@@ -13,7 +13,7 @@
 //! only moves the keys that member owned.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use temu_framework::{fnv1a64, json_escape, JsonValue};
+use temu_framework::{fnv1a64, json_array, JsonObject, JsonValue};
 
 /// Health and traffic counters for one member.
 #[derive(Clone, Debug)]
@@ -174,30 +174,20 @@ impl MemberTable {
     /// frame.
     #[must_use]
     pub fn members_json(&self) -> String {
-        let parts: Vec<String> = self
-            .slots
-            .iter()
-            .map(|s| {
-                let h = lock(&s.health);
-                let mut obj = format!(
-                    "{{\"addr\": \"{}\", \"up\": {}, \"routed\": {}, \"failures\": {}",
-                    json_escape(&s.addr),
-                    h.up,
-                    h.routed,
-                    h.failures
-                );
-                if let Some(stats) = lock(&s.last_stats).as_ref() {
-                    for field in ["member", "queue_depth", "running", "workers", "cache_entries"] {
-                        if let Some(v) = stats.get(field) {
-                            obj.push_str(&format!(", \"{field}\": {v}"));
-                        }
-                    }
+        json_array(self.slots.iter().map(|s| {
+            let h = lock(&s.health);
+            let mut obj = JsonObject::line()
+                .str("addr", &s.addr)
+                .raw("up", h.up)
+                .raw("routed", h.routed)
+                .raw("failures", h.failures);
+            if let Some(stats) = lock(&s.last_stats).as_ref() {
+                for field in ["member", "queue_depth", "running", "workers", "cache_entries"] {
+                    obj = obj.opt_raw(field, stats.get(field));
                 }
-                obj.push('}');
-                obj
-            })
-            .collect();
-        format!("[{}]", parts.join(", "))
+            }
+            obj.finish()
+        }))
     }
 }
 
@@ -276,4 +266,20 @@ mod tests {
         t.set_up(0, false);
         assert_eq!(t.sum_stat("queue_depth"), 0, "down members don't count toward load");
     }
+
+    #[test]
+    fn members_json_bytes_are_pinned() {
+        let t = table(&["127.0.0.1:1", "host \"b\":2"]);
+        let frame = JsonValue::parse(
+            "{\"ok\": true, \"member\": \"a\", \"queue_depth\": 3, \"running\": 1, \"workers\": 2, \"cache_entries\": 40, \"other\": 9}",
+        )
+        .unwrap();
+        t.note_stats(0, frame);
+        t.mark_routed(0);
+        t.mark_down(1);
+        assert_eq!(t.members_json(), GOLDEN_MEMBERS);
+        assert_eq!(table(&[]).members_json(), "[]");
+    }
+
+    const GOLDEN_MEMBERS: &str = "[{\"addr\": \"127.0.0.1:1\", \"up\": true, \"routed\": 1, \"failures\": 0, \"member\": \"a\", \"queue_depth\": 3, \"running\": 1, \"workers\": 2, \"cache_entries\": 40}, {\"addr\": \"host \\\"b\\\":2\", \"up\": false, \"routed\": 0, \"failures\": 1}]";
 }

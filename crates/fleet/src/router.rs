@@ -35,10 +35,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use temu_framework::{json_escape, JsonValue, SweepSpec};
+use temu_framework::{JsonObject, JsonValue, SweepSpec};
 use temu_serve::{
-    coded_error_line, error_line, read_frame, Client, ClientError, ProtocolError, Request,
-    MAX_FRAME_LEN,
+    coded_error_line, error_line, read_frame, Client, ClientError, DoneSummary, ProtocolError,
+    Request, MAX_FRAME_LEN,
 };
 
 /// Default router listen address (one above the serve default).
@@ -315,11 +315,16 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
             // `metrics` directly.)
             Request::Metrics => writeln!(
                 writer,
-                "{{\"ok\": true, \"fleet\": true, {}}}",
-                temu_obs::global().snapshot().to_json_fields()
+                "{}",
+                JsonObject::line()
+                    .raw("ok", true)
+                    .raw("fleet", true)
+                    .fields(&temu_obs::global().snapshot().to_json_fields())
+                    .finish()
             )?,
             Request::Shutdown => {
-                writeln!(writer, "{{\"ok\": true, \"shutdown\": true}}")?;
+                let ack = JsonObject::line().raw("ok", true).raw("shutdown", true).finish();
+                writeln!(writer, "{ack}")?;
                 if let Some(addr) = addr {
                     request_shutdown(shared, addr);
                 }
@@ -467,11 +472,13 @@ fn handle_submit(
                 temu_obs::global().counter("fleet.submissions").inc();
                 // The ack an unmodified client expects, plus the member
                 // annotation (ignored by clients that don't know it).
-                writeln!(
-                    writer,
-                    "{{\"ok\": true, \"job\": {id}, \"total\": {total}, \"member\": \"{}\"}}",
-                    json_escape(&addr)
-                )?;
+                let ack = JsonObject::line()
+                    .raw("ok", true)
+                    .raw("job", id)
+                    .raw("total", total)
+                    .str("member", &addr)
+                    .finish();
+                writeln!(writer, "{ack}")?;
                 writer.flush()?;
                 acked = Some((id, total));
                 id
@@ -513,11 +520,10 @@ fn handle_submit(
             "{}",
             coded_error_line("no_members", &format!("every fleet member refused or failed: {detail}"))
         )?,
-        Some((id, total)) => writeln!(
-            writer,
-            "{{\"event\": \"done\", \"job\": {id}, \"ok\": false, \"points\": {total}, \"executed\": 0, \"cache_hits\": 0, \"failed\": 0, \"wall_s\": 0.0, \"error\": \"every fleet member failed: {}\"}}",
-            json_escape(&detail)
-        )?,
+        Some((id, total)) => {
+            let error = format!("every fleet member failed: {detail}");
+            writeln!(writer, "{}", failed_done(id, total, error))?;
+        }
     }
     Ok(())
 }
@@ -601,12 +607,8 @@ fn handle_watch(shared: &Arc<Shared>, writer: &mut TcpStream, router_job: u64) -
             // so). Close the stream with a failed done; resubmission
             // through the router is the idempotent recovery path.
             shared.table.mark_down(i);
-            writeln!(
-                writer,
-                "{{\"event\": \"done\", \"job\": {router_job}, \"ok\": false, \"points\": {total}, \"executed\": 0, \"cache_hits\": 0, \"failed\": 0, \"wall_s\": 0.0, \"error\": \"fleet member {} lost mid-watch: {} — resubmit to recover\"}}",
-                json_escape(&addr),
-                json_escape(&e.to_string())
-            )?;
+            let error = format!("fleet member {addr} lost mid-watch: {e} — resubmit to recover");
+            writeln!(writer, "{}", failed_done(router_job, total, error))?;
             Ok(())
         }
     }
@@ -618,15 +620,32 @@ fn handle_watch(shared: &Arc<Shared>, writer: &mut TcpStream, router_job: u64) -
 /// of the last probe tick.
 fn stats_response(shared: &Arc<Shared>) -> String {
     probe_members(shared);
-    format!(
-        "{{\"ok\": true, \"fleet\": true, \"members_up\": {}, \"submissions\": {}, \"failovers\": {}, \"routes\": {}, \"queue_depth\": {}, \"running\": {}, \"workers\": {}, \"members\": {}}}",
-        shared.table.up_count(),
-        shared.submissions.load(Ordering::Relaxed),
-        shared.failovers.load(Ordering::Relaxed),
-        shared.lock_routes().map.len(),
-        shared.table.sum_stat("queue_depth"),
-        shared.table.sum_stat("running"),
-        shared.table.sum_stat("workers"),
-        shared.table.members_json(),
-    )
+    JsonObject::line()
+        .raw("ok", true)
+        .raw("fleet", true)
+        .raw("members_up", shared.table.up_count())
+        .raw("submissions", shared.submissions.load(Ordering::Relaxed))
+        .raw("failovers", shared.failovers.load(Ordering::Relaxed))
+        .raw("routes", shared.lock_routes().map.len())
+        .raw("queue_depth", shared.table.sum_stat("queue_depth"))
+        .raw("running", shared.table.sum_stat("running"))
+        .raw("workers", shared.table.sum_stat("workers"))
+        .raw("members", shared.table.members_json())
+        .finish()
+}
+
+/// The `done` event that closes a router-side stream the fleet could not
+/// finish: no point ran here, so every counter is zero.
+fn failed_done(job: u64, total: u64, error: String) -> String {
+    DoneSummary {
+        ok: false,
+        points: total,
+        executed: 0,
+        cache_hits: 0,
+        failed: 0,
+        wall_s: 0.0,
+        error: Some(error),
+        cancelled: false,
+    }
+    .to_event(job)
 }

@@ -3,6 +3,8 @@
 //! submit/stream, cached resubmission on the same member, proxied
 //! status/result/watch/cancel, and the aggregated stats breakdown.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 use temu_fleet::{Router, RouterConfig};
 use temu_framework::{
@@ -179,3 +181,45 @@ fn distinct_sweeps_shard_by_content_key_not_by_name() {
     a.shutdown();
     b.shutdown();
 }
+
+/// Sends one raw frame and reads one raw reply line (newline stripped).
+fn ask(reader: &mut BufReader<TcpStream>, line: &str) -> String {
+    reader.get_mut().write_all(format!("{line}\n").as_bytes()).expect("send");
+    recv(reader)
+}
+
+fn recv(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("recv");
+    assert!(line.ends_with('\n'), "every frame ends in a newline: {line:?}");
+    line.pop();
+    line
+}
+
+#[test]
+fn router_frame_bytes_are_pinned() {
+    let member = spawn_member("a");
+    let router = Router::spawn(RouterConfig {
+        addr: String::from("127.0.0.1:0"),
+        members: vec![member.addr().to_string()],
+        probe_interval: Duration::from_secs(60),
+        ..RouterConfig::default()
+    })
+    .expect("bind the router on an ephemeral port");
+    let addr = member.addr().to_string();
+    let mut reader = BufReader::new(TcpStream::connect(router.addr()).expect("connect"));
+    let submit = format!("{{\"cmd\": \"submit\", \"watch\": true, \"sweep\": {}}}", tiny_sweep("wire").to_json());
+    assert_eq!(ask(&mut reader, &submit).replace(&addr, "MEMBER"), GOLDEN_ROUTER_ACK);
+    while !recv(&mut reader).starts_with("{\"event\": \"done\"") {}
+    let stats = ask(&mut reader, "{\"cmd\": \"stats\"}");
+    assert_eq!(stats.replace(&addr, "MEMBER"), GOLDEN_ROUTER_STATS);
+    let metrics = ask(&mut reader, "{\"cmd\": \"metrics\"}");
+    assert!(metrics.starts_with("{\"ok\": true, \"fleet\": true, \"temu_metrics\":1,\"counters\":{"), "{metrics}");
+    assert_eq!(ask(&mut reader, "{\"cmd\": \"shutdown\"}"), GOLDEN_ROUTER_SHUTDOWN);
+    router.shutdown();
+    member.shutdown();
+}
+
+const GOLDEN_ROUTER_ACK: &str = "{\"ok\": true, \"job\": 1, \"total\": 4, \"member\": \"MEMBER\"}";
+const GOLDEN_ROUTER_STATS: &str = "{\"ok\": true, \"fleet\": true, \"members_up\": 1, \"submissions\": 1, \"failovers\": 0, \"routes\": 1, \"queue_depth\": 0, \"running\": 0, \"workers\": 1, \"members\": [{\"addr\": \"MEMBER\", \"up\": true, \"routed\": 1, \"failures\": 0, \"member\": \"a\", \"queue_depth\": 0, \"running\": 0, \"workers\": 1, \"cache_entries\": 4}]}";
+const GOLDEN_ROUTER_SHUTDOWN: &str = "{\"ok\": true, \"shutdown\": true}";

@@ -17,7 +17,7 @@ use std::fmt;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
-use temu_framework::{JsonValue, SweepSpec};
+use temu_framework::{JsonObject, JsonValue, SweepSpec};
 
 /// A client-side failure.
 #[derive(Debug)]
@@ -171,6 +171,25 @@ pub struct DoneSummary {
 }
 
 impl DoneSummary {
+    /// Renders the summary as job `job`'s `done` event: the one builder
+    /// of that frame (the server's terminal events and the router's
+    /// synthesized failures), read back by [`DoneSummary::from_event`].
+    #[must_use]
+    pub fn to_event(&self, job: u64) -> String {
+        JsonObject::line()
+            .str("event", "done")
+            .raw("job", job)
+            .raw("ok", self.ok)
+            .raw("points", self.points)
+            .raw("executed", self.executed)
+            .raw("cache_hits", self.cache_hits)
+            .raw("failed", self.failed)
+            .num("wall_s", self.wall_s, 6)
+            .opt_str("error", self.error.as_deref())
+            .opt_raw("cancelled", self.cancelled.then_some(true))
+            .finish()
+    }
+
     fn from_event(v: &JsonValue) -> Result<DoneSummary, ClientError> {
         let int = |key: &str| v.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
         Ok(DoneSummary {
@@ -555,6 +574,40 @@ pub fn request_with_retry<T>(
                 std::thread::sleep(policy.backoff(attempts, &mut rng));
             }
             Err(e) => return Err(e),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn done_events_round_trip() {
+        let ok = DoneSummary {
+            ok: true,
+            points: 8,
+            executed: 5,
+            cache_hits: 3,
+            failed: 0,
+            wall_s: 1.25,
+            error: None,
+            cancelled: false,
+        };
+        let failed = DoneSummary {
+            ok: false,
+            failed: 2,
+            wall_s: 0.0,
+            error: Some(String::from("every fleet member failed: \"a\"\n\u{1}")),
+            ..ok.clone()
+        };
+        let cancelled = DoneSummary { ok: false, cancelled: true, ..ok.clone() };
+        for summary in [ok, failed, cancelled] {
+            let event = summary.to_event(7);
+            let parsed = JsonValue::parse(&event).unwrap();
+            assert_eq!(parsed.get("event").and_then(JsonValue::as_str), Some("done"));
+            assert_eq!(parsed.get("job").and_then(JsonValue::as_u64), Some(7));
+            assert_eq!(DoneSummary::from_event(&parsed).unwrap(), summary, "{event}");
         }
     }
 }

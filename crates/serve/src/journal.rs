@@ -27,7 +27,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use temu_framework::{json_escape, JsonValue, SweepSpec};
+use temu_framework::{JsonObject, JsonValue, SweepSpec};
 use temu_state::{AppendLog, LogReplay};
 
 /// The journal file's magic: format 2, the checksummed append log.
@@ -103,23 +103,25 @@ impl Journal {
     /// The default priority 0 is omitted, keeping records byte-identical
     /// to pre-priority journals.
     pub fn record_submit(&self, id: u64, name: &str, priority: i64, spec: &SweepSpec) {
-        let priority =
-            if priority == 0 { String::new() } else { format!("\"priority\": {priority}, ") };
-        self.append(&format!(
-            "{{\"op\": \"submit\", \"job\": {id}, \"name\": \"{}\", {priority}\"spec\": {}}}",
-            json_escape(name),
-            spec.to_json(),
-        ));
+        self.append(
+            &JsonObject::line()
+                .str("op", "submit")
+                .raw("job", id)
+                .str("name", name)
+                .opt_raw("priority", (priority != 0).then_some(priority))
+                .raw("spec", spec.to_json())
+                .finish(),
+        );
     }
 
     /// Records that a worker claimed the job.
     pub fn record_start(&self, id: u64) {
-        self.append(&format!("{{\"op\": \"start\", \"job\": {id}}}"));
+        self.append(&JsonObject::line().str("op", "start").raw("job", id).finish());
     }
 
     /// Records a terminal transition (`done` / `failed` / `cancelled`).
     pub fn record_terminal(&self, id: u64, state: &str) {
-        self.append(&format!("{{\"op\": \"{}\", \"job\": {id}}}", json_escape(state)));
+        self.append(&JsonObject::line().str("op", state).raw("job", id).finish());
     }
 
     /// Appends one record (plus fdatasync — journal traffic is per job,
@@ -405,4 +407,29 @@ mod tests {
         assert_eq!(r.pending[0].priority, 0, "pre-priority records default to the batch tier");
         assert_eq!(r.pending[1].priority, 5);
     }
+
+    #[test]
+    fn record_bytes_are_pinned() {
+        let path = temp_journal("golden");
+        let spec = SweepSpec::new("g", temu_framework::ScenarioSpec::preset("smoke"));
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            journal.record_submit(4, "name \"q\"", 0, &spec);
+            journal.record_submit(5, "p", -3, &spec);
+            journal.record_start(4);
+            journal.record_terminal(4, "cancelled");
+        }
+        let (_log, replay) = AppendLog::open(&path, JOURNAL_MAGIC).unwrap();
+        let records: Vec<String> =
+            replay.records.into_iter().map(|r| String::from_utf8(r).unwrap()).collect();
+        assert_eq!(records, GOLDEN_RECORDS);
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    const GOLDEN_RECORDS: [&str; 4] = [
+        "{\"op\": \"submit\", \"job\": 4, \"name\": \"name \\\"q\\\"\", \"spec\": {\"sweep\": \"g\", \"base\": {\"preset\": \"smoke\"}, \"axes\": []}}",
+        "{\"op\": \"submit\", \"job\": 5, \"name\": \"p\", \"priority\": -3, \"spec\": {\"sweep\": \"g\", \"base\": {\"preset\": \"smoke\"}, \"axes\": []}}",
+        "{\"op\": \"start\", \"job\": 4}",
+        "{\"op\": \"cancelled\", \"job\": 4}",
+    ];
 }

@@ -37,7 +37,7 @@
 use std::error::Error;
 use std::fmt;
 use std::io::BufRead;
-use temu_framework::{json_escape, JsonValue, SpecError, SweepSpec};
+use temu_framework::{JsonObject, JsonValue, SpecError, SweepSpec};
 
 /// The default server address (loopback; the server is an experiment
 /// cache, not an internet service).
@@ -279,42 +279,36 @@ impl Request {
     /// Renders the request as one protocol line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
+        let line = JsonObject::line();
         match self {
-            Request::Submit { spec, watch, priority } => {
-                // The default priority is omitted so the rendered line is
-                // byte-identical to what pre-priority clients sent.
-                let priority = if *priority == 0 {
-                    String::new()
-                } else {
-                    format!("\"priority\": {priority}, ")
-                };
-                format!(
-                    "{{\"cmd\": \"submit\", \"watch\": {watch}, {priority}\"sweep\": {}}}",
-                    spec.to_json()
-                )
-            }
-            Request::Status { job } => format!("{{\"cmd\": \"status\", \"job\": {job}}}"),
-            Request::Result { job } => format!("{{\"cmd\": \"result\", \"job\": {job}}}"),
-            Request::Cancel { job } => format!("{{\"cmd\": \"cancel\", \"job\": {job}}}"),
-            Request::Watch { job } => format!("{{\"cmd\": \"watch\", \"job\": {job}}}"),
-            Request::Stats => String::from("{\"cmd\": \"stats\"}"),
-            Request::Metrics => String::from("{\"cmd\": \"metrics\"}"),
-            Request::Results { after, follow, job } => {
-                let job = match job {
-                    Some(id) => format!(", \"job\": {id}"),
-                    None => String::new(),
-                };
-                format!("{{\"cmd\": \"results\", \"after\": {after}, \"follow\": {follow}{job}}}")
-            }
-            Request::Shutdown => String::from("{\"cmd\": \"shutdown\"}"),
+            // The default priority is omitted so the rendered line is
+            // byte-identical to what pre-priority clients sent.
+            Request::Submit { spec, watch, priority } => line
+                .str("cmd", "submit")
+                .raw("watch", watch)
+                .opt_raw("priority", (*priority != 0).then_some(priority))
+                .raw("sweep", spec.to_json()),
+            Request::Status { job } => line.str("cmd", "status").raw("job", job),
+            Request::Result { job } => line.str("cmd", "result").raw("job", job),
+            Request::Cancel { job } => line.str("cmd", "cancel").raw("job", job),
+            Request::Watch { job } => line.str("cmd", "watch").raw("job", job),
+            Request::Stats => line.str("cmd", "stats"),
+            Request::Metrics => line.str("cmd", "metrics"),
+            Request::Results { after, follow, job } => line
+                .str("cmd", "results")
+                .raw("after", after)
+                .raw("follow", follow)
+                .opt_raw("job", *job),
+            Request::Shutdown => line.str("cmd", "shutdown"),
         }
+        .finish()
     }
 }
 
 /// Renders the standard error response line.
 #[must_use]
 pub fn error_line(message: &str) -> String {
-    format!("{{\"ok\": false, \"error\": \"{}\"}}", json_escape(message))
+    JsonObject::line().raw("ok", false).str("error", message).finish()
 }
 
 /// Renders an error response line carrying a machine-readable `code`
@@ -323,11 +317,7 @@ pub fn error_line(message: &str) -> String {
 /// member in rendezvous order instead of surfacing it to the client.
 #[must_use]
 pub fn coded_error_line(code: &str, message: &str) -> String {
-    format!(
-        "{{\"ok\": false, \"code\": \"{}\", \"error\": \"{}\"}}",
-        json_escape(code),
-        json_escape(message)
-    )
+    JsonObject::line().raw("ok", false).str("code", code).str("error", message).finish()
 }
 
 /// Interprets a spec file's JSON as a submittable [`SweepSpec`]: a
@@ -419,4 +409,44 @@ mod tests {
             .unwrap();
         assert_eq!(spec_from_document(&v).unwrap().lower().unwrap().n_points(), 2);
     }
+
+    #[test]
+    fn request_and_error_line_bytes_are_pinned() {
+        let spec = || Box::new(SweepSpec::new("g", temu_framework::ScenarioSpec::preset("smoke")));
+        let lines: Vec<String> = [
+            Request::Submit { spec: spec(), watch: true, priority: 0 },
+            Request::Submit { spec: spec(), watch: false, priority: -2 },
+            Request::Status { job: 3 },
+            Request::Result { job: 4 },
+            Request::Cancel { job: 5 },
+            Request::Watch { job: 6 },
+            Request::Stats,
+            Request::Metrics,
+            Request::Results { after: 0, follow: false, job: None },
+            Request::Results { after: 41, follow: true, job: Some(7) },
+            Request::Shutdown,
+        ]
+        .iter()
+        .map(Request::to_line)
+        .collect();
+        assert_eq!(lines, GOLDEN_REQUESTS);
+        assert_eq!(error_line("no such job 9: \"x\"\n"), GOLDEN_ERROR);
+        assert_eq!(coded_error_line("queue_full", "queue is full\t(8)"), GOLDEN_CODED_ERROR);
+    }
+
+    const GOLDEN_REQUESTS: [&str; 11] = [
+        "{\"cmd\": \"submit\", \"watch\": true, \"sweep\": {\"sweep\": \"g\", \"base\": {\"preset\": \"smoke\"}, \"axes\": []}}",
+        "{\"cmd\": \"submit\", \"watch\": false, \"priority\": -2, \"sweep\": {\"sweep\": \"g\", \"base\": {\"preset\": \"smoke\"}, \"axes\": []}}",
+        "{\"cmd\": \"status\", \"job\": 3}",
+        "{\"cmd\": \"result\", \"job\": 4}",
+        "{\"cmd\": \"cancel\", \"job\": 5}",
+        "{\"cmd\": \"watch\", \"job\": 6}",
+        "{\"cmd\": \"stats\"}",
+        "{\"cmd\": \"metrics\"}",
+        "{\"cmd\": \"results\", \"after\": 0, \"follow\": false}",
+        "{\"cmd\": \"results\", \"after\": 41, \"follow\": true, \"job\": 7}",
+        "{\"cmd\": \"shutdown\"}",
+    ];
+    const GOLDEN_ERROR: &str = "{\"ok\": false, \"error\": \"no such job 9: \\\"x\\\"\\n\"}";
+    const GOLDEN_CODED_ERROR: &str = "{\"ok\": false, \"code\": \"queue_full\", \"error\": \"queue is full\\t(8)\"}";
 }

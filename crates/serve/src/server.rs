@@ -44,6 +44,7 @@
 //!   peer cannot pin a handler thread or buffer unbounded bytes.
 
 use crate::checkpoints::CheckpointStore;
+use crate::client::DoneSummary;
 use crate::journal::Journal;
 use crate::protocol::{coded_error_line, error_line, read_frame, ProtocolError, Request, MAX_FRAME_LEN};
 use std::collections::{HashMap, VecDeque};
@@ -56,8 +57,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use temu_framework::{
-    json_escape, ArtifactCache, CheckpointDecision, EmulationState, ResultCache, SweepProgress,
-    SweepSpec,
+    ArtifactCache, CheckpointDecision, EmulationState, JsonObject, JsonValue, ResultCache,
+    SweepProgress, SweepSpec,
 };
 
 /// Server configuration (see the module docs).
@@ -370,7 +371,7 @@ impl ResultsFeed {
         let mut state = self.lock();
         let seq = state.next_seq;
         state.next_seq += 1;
-        let stamped = format!("{{\"seq\": {seq}, {}", &line[1..]);
+        let stamped = JsonObject::line().raw("seq", seq).fields(&line[1..line.len() - 1]).finish();
         state.buf.push_back((seq, job, terminal, stamped));
         while state.buf.len() > FEED_RETAIN {
             state.buf.pop_front();
@@ -476,49 +477,41 @@ impl Shared {
 
 /// The terminal `done` event / non-terminal progress snapshot for a job.
 fn done_line(job_id: u64, job: &Job) -> String {
-    let mut line = format!(
-        "{{\"event\": \"done\", \"job\": {job_id}, \"ok\": {}, \"points\": {}, \"executed\": {}, \"cache_hits\": {}, \"failed\": {}, \"wall_s\": {:.6}",
-        job.state == JobState::Done && job.failed == 0,
-        job.total,
-        job.executed,
-        job.cache_hits,
-        job.failed,
-        job.wall_s,
-    );
-    if let Some(e) = &job.error {
-        line.push_str(&format!(", \"error\": \"{}\"", json_escape(e)));
+    DoneSummary {
+        ok: job.state == JobState::Done && job.failed == 0,
+        points: job.total as u64,
+        executed: job.executed as u64,
+        cache_hits: job.cache_hits as u64,
+        failed: job.failed as u64,
+        wall_s: job.wall_s,
+        error: job.error.clone(),
+        cancelled: job.state == JobState::Cancelled,
     }
-    if job.state == JobState::Cancelled {
-        line.push_str(", \"cancelled\": true");
-    }
-    line.push('}');
-    line
+    .to_event(job_id)
 }
 
 fn point_line(job_id: u64, p: &SweepProgress<'_>) -> String {
-    let mut line = format!(
-        "{{\"event\": \"point\", \"job\": {job_id}, \"index\": {}, \"completed\": {}, \"total\": {}, \"label\": \"{}\", \"cache_hit\": {}, \"ok\": {}",
-        p.index,
-        p.completed,
-        p.total,
-        json_escape(p.label),
-        p.cache_hit,
-        p.outcome.is_ok(),
-    );
+    let line = JsonObject::line()
+        .str("event", "point")
+        .raw("job", job_id)
+        .raw("index", p.index)
+        .raw("completed", p.completed)
+        .raw("total", p.total)
+        .str("label", p.label)
+        .raw("cache_hit", p.cache_hit)
+        .raw("ok", p.outcome.is_ok());
     match p.outcome {
         Ok(s) => {
-            if let Some(peak) = s.peak_temp_k.filter(|t| t.is_finite()) {
-                line.push_str(&format!(", \"peak_temp_k\": {peak:.3}"));
-            }
-            line.push_str(&format!(
-                ", \"windows\": {}, \"unconverged_substeps\": {}",
-                s.windows, s.unconverged_substeps
-            ));
+            // A point without a finite peak omits the field.
+            let line = match s.peak_temp_k.filter(|t| t.is_finite()) {
+                Some(peak) => line.num("peak_temp_k", peak, 3),
+                None => line,
+            };
+            line.raw("windows", s.windows).raw("unconverged_substeps", s.unconverged_substeps)
         }
-        Err(e) => line.push_str(&format!(", \"error\": \"{}\"", json_escape(&e.to_string()))),
+        Err(e) => line.str("error", &e.to_string()),
     }
-    line.push('}');
-    line
+    .finish()
 }
 
 /// A bound, not-yet-running job server.
@@ -874,7 +867,9 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicB
         }
     };
     let total = sweep.n_points();
-    shared.broadcast(id, &format!("{{\"event\": \"start\", \"job\": {id}, \"total\": {total}}}"), false);
+    let start =
+        JsonObject::line().str("event", "start").raw("job", id).raw("total", total).finish();
+    shared.broadcast(id, &start, false);
     let progress_shared = Arc::clone(shared);
     let observer_shared = Arc::clone(shared);
     let observer_cancel = Arc::clone(cancel);
@@ -902,13 +897,17 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicB
                 if let Some(store) = &observer_shared.checkpoints {
                     store.record(id, cp.key, cp.windows, &state.to_bytes());
                 }
-                let line = format!(
-                    "{{\"event\": \"point\", \"job\": {id}, \"index\": {}, \"label\": \"{}\", \"progress\": {{\"windows\": {}, \"total_windows\": {}}}}}",
-                    cp.index,
-                    json_escape(cp.label),
-                    cp.windows,
-                    cp.total_windows,
-                );
+                let progress = JsonObject::line()
+                    .raw("windows", cp.windows)
+                    .raw("total_windows", cp.total_windows)
+                    .finish();
+                let line = JsonObject::line()
+                    .str("event", "point")
+                    .raw("job", id)
+                    .raw("index", cp.index)
+                    .str("label", cp.label)
+                    .raw("progress", progress)
+                    .finish();
                 observer_shared.broadcast(id, &line, false);
             }
             if observer_cancel.load(Ordering::Acquire) || observer_shared.shutdown.load(Ordering::SeqCst) {
@@ -1018,10 +1017,12 @@ fn serve_connection(
                 // Typed refusal, then hang up: the rest of the oversized
                 // line is still in flight and nothing after it can be
                 // framed reliably.
-                let refusal = format!(
-                    "{{\"ok\": false, \"code\": \"frame_too_long\", \"limit\": {MAX_FRAME_LEN}, \"error\": \"{}\"}}",
-                    json_escape(&e.to_string())
-                );
+                let refusal = JsonObject::line()
+                    .raw("ok", false)
+                    .str("code", "frame_too_long")
+                    .raw("limit", MAX_FRAME_LEN)
+                    .str("error", &e.to_string())
+                    .finish();
                 writeln!(writer, "{refusal}")?;
                 return Ok(());
             }
@@ -1065,7 +1066,8 @@ fn serve_connection(
                 handle_results(shared, &mut writer, after, follow, job)?;
             }
             Request::Shutdown => {
-                writeln!(writer, "{{\"ok\": true, \"shutdown\": true}}")?;
+                let ack = JsonObject::line().raw("ok", true).raw("shutdown", true).finish();
+                writeln!(writer, "{ack}")?;
                 if let Some(addr) = addr {
                     request_shutdown(shared, addr);
                 }
@@ -1131,7 +1133,8 @@ fn handle_submit(
     let (id, rx) = subscription;
     shared.obs.jobs_submitted.inc();
     shared.cv.notify_one();
-    writeln!(writer, "{{\"ok\": true, \"job\": {id}, \"total\": {total}}}")?;
+    let ack = JsonObject::line().raw("ok", true).raw("job", id).raw("total", total).finish();
+    writeln!(writer, "{ack}")?;
     writer.flush()?;
     if let Some(rx) = rx {
         stream_events(writer, &rx)?;
@@ -1168,14 +1171,15 @@ fn handle_watch(shared: &Arc<Shared>, writer: &mut TcpStream, job_id: u64) -> st
             }
         }
     };
+    let ack = JsonObject::line().raw("ok", true).raw("job", job_id).finish();
     match outcome {
         WatchOutcome::Missing => writeln!(writer, "{}", error_line(&format!("no such job {job_id}"))),
         WatchOutcome::AlreadyTerminal(done) => {
-            writeln!(writer, "{{\"ok\": true, \"job\": {job_id}}}")?;
+            writeln!(writer, "{ack}")?;
             writeln!(writer, "{done}")
         }
         WatchOutcome::Attached(rx) => {
-            writeln!(writer, "{{\"ok\": true, \"job\": {job_id}}}")?;
+            writeln!(writer, "{ack}")?;
             writer.flush()?;
             stream_events(writer, &rx)
         }
@@ -1186,17 +1190,18 @@ fn status_response(shared: &Arc<Shared>, job_id: u64) -> String {
     let jobs = shared.lock_jobs();
     match jobs.map.get(&job_id) {
         None => error_line(&format!("no such job {job_id}")),
-        Some(job) => format!(
-            "{{\"ok\": true, \"job\": {job_id}, \"name\": \"{}\", \"state\": \"{}\", \"priority\": {}, \"completed\": {}, \"total\": {}, \"executed\": {}, \"cache_hits\": {}, \"failed\": {}}}",
-            json_escape(&job.name),
-            job.state.tag(),
-            job.priority,
-            job.completed,
-            job.total,
-            job.executed,
-            job.cache_hits,
-            job.failed,
-        ),
+        Some(job) => JsonObject::line()
+            .raw("ok", true)
+            .raw("job", job_id)
+            .str("name", &job.name)
+            .str("state", job.state.tag())
+            .raw("priority", job.priority)
+            .raw("completed", job.completed)
+            .raw("total", job.total)
+            .raw("executed", job.executed)
+            .raw("cache_hits", job.cache_hits)
+            .raw("failed", job.failed)
+            .finish(),
     }
 }
 
@@ -1205,13 +1210,13 @@ fn result_response(shared: &Arc<Shared>, job_id: u64) -> String {
     match jobs.map.get(&job_id) {
         None => error_line(&format!("no such job {job_id}")),
         Some(job) => match (&job.report_json, job.state) {
-            (Some(report), _) => {
-                format!(
-                    "{{\"ok\": true, \"job\": {job_id}, \"state\": \"{}\", \"failed\": {}, \"report\": {report}}}",
-                    job.state.tag(),
-                    job.failed
-                )
-            }
+            (Some(report), _) => JsonObject::line()
+                .raw("ok", true)
+                .raw("job", job_id)
+                .str("state", job.state.tag())
+                .raw("failed", job.failed)
+                .raw("report", report)
+                .finish(),
             (None, state) => error_line(&format!("job {job_id} has no report (state: {})", state.tag())),
         },
     }
@@ -1233,7 +1238,11 @@ fn cancel_response(shared: &Arc<Shared>, job_id: u64) -> String {
                 // next point start or window boundary, and the worker emits
                 // the terminal event (completed points stay cached).
                 job.cancel.store(true, Ordering::Release);
-                return format!("{{\"ok\": true, \"job\": {job_id}, \"cancelling\": true}}");
+                return JsonObject::line()
+                    .raw("ok", true)
+                    .raw("job", job_id)
+                    .raw("cancelling", true)
+                    .finish();
             }
             Some(job) => {
                 return error_line(&format!(
@@ -1250,7 +1259,7 @@ fn cancel_response(shared: &Arc<Shared>, job_id: u64) -> String {
     shared.feed.push(job_id, true, &line);
     shared.broadcast(job_id, &line, true);
     shared.lock_jobs().note_terminal(job_id, shared.history_limit);
-    format!("{{\"ok\": true, \"job\": {job_id}, \"cancelled\": true}}")
+    JsonObject::line().raw("ok", true).raw("job", job_id).raw("cancelled", true).finish()
 }
 
 fn stats_response(shared: &Arc<Shared>) -> String {
@@ -1263,46 +1272,43 @@ fn stats_response(shared: &Arc<Shared>) -> String {
     let hits = shared.obs.point_cache_hits.get();
     let served = executed + hits;
     let hit_rate = if served == 0 { 0.0 } else { hits as f64 / served as f64 };
-    let member = match &shared.member {
-        Some(name) => format!("\"member\": \"{}\", ", json_escape(name)),
-        None => String::new(),
-    };
     // The build-artifact layer: how much scenario construction the
     // process-wide cache absorbed, per layer, since the server started.
     let arts = shared.artifacts.stats();
     let art_served = arts.hits() + arts.misses();
     let art_rate = if art_served == 0 { 0.0 } else { arts.hits() as f64 / art_served as f64 };
-    let artifacts = format!(
-        "\"artifact_hit_rate\": {art_rate:.4}, \"artifact_floorplan_hits\": {}, \"artifact_floorplan_misses\": {}, \"artifact_mesh_hits\": {}, \"artifact_mesh_misses\": {}, \"artifact_operator_hits\": {}, \"artifact_operator_misses\": {}, \"artifact_program_hits\": {}, \"artifact_program_misses\": {}",
-        arts.floorplan_hits,
-        arts.floorplan_misses,
-        arts.mesh_hits,
-        arts.mesh_misses,
-        arts.operator_hits,
-        arts.operator_misses,
-        arts.program_hits,
-        arts.program_misses,
-    );
-    format!(
-        "{{\"ok\": true, {member}\"jobs_submitted\": {}, \"jobs_completed\": {}, \"jobs_failed\": {}, \"jobs_cancelled\": {}, \"jobs_recovered\": {}, \"queue_depth\": {queue_depth}, \"running\": {running}, \"workers\": {}, \"queue_limit\": {}, \"points_executed\": {executed}, \"point_cache_hits\": {hits}, \"points_failed\": {}, \"cache_hit_rate\": {hit_rate:.4}, {artifacts}, \"cache_entries\": {}, \"store\": {}, \"journal\": {}}}",
-        shared.obs.jobs_submitted.get(),
-        shared.obs.jobs_completed.get(),
-        shared.obs.jobs_failed.get(),
-        shared.obs.jobs_cancelled.get(),
-        shared.obs.jobs_recovered.get(),
-        shared.workers,
-        shared.queue_limit,
-        shared.obs.points_failed.get(),
-        shared.cache.len(),
-        match shared.cache.store_path() {
-            Some(path) => format!("\"{}\"", json_escape(&path.display().to_string())),
-            None => String::from("null"),
-        },
-        match shared.journal.as_ref().map(|j| j.path().display().to_string()) {
-            Some(path) => format!("\"{}\"", json_escape(&path)),
-            None => String::from("null"),
-        },
-    )
+    let path = |p: Option<&std::path::Path>| {
+        p.map_or(JsonValue::Null, |p| JsonValue::Str(p.display().to_string()))
+    };
+    JsonObject::line()
+        .raw("ok", true)
+        .opt_str("member", shared.member.as_deref())
+        .raw("jobs_submitted", shared.obs.jobs_submitted.get())
+        .raw("jobs_completed", shared.obs.jobs_completed.get())
+        .raw("jobs_failed", shared.obs.jobs_failed.get())
+        .raw("jobs_cancelled", shared.obs.jobs_cancelled.get())
+        .raw("jobs_recovered", shared.obs.jobs_recovered.get())
+        .raw("queue_depth", queue_depth)
+        .raw("running", running)
+        .raw("workers", shared.workers)
+        .raw("queue_limit", shared.queue_limit)
+        .raw("points_executed", executed)
+        .raw("point_cache_hits", hits)
+        .raw("points_failed", shared.obs.points_failed.get())
+        .num("cache_hit_rate", hit_rate, 4)
+        .num("artifact_hit_rate", art_rate, 4)
+        .raw("artifact_floorplan_hits", arts.floorplan_hits)
+        .raw("artifact_floorplan_misses", arts.floorplan_misses)
+        .raw("artifact_mesh_hits", arts.mesh_hits)
+        .raw("artifact_mesh_misses", arts.mesh_misses)
+        .raw("artifact_operator_hits", arts.operator_hits)
+        .raw("artifact_operator_misses", arts.operator_misses)
+        .raw("artifact_program_hits", arts.program_hits)
+        .raw("artifact_program_misses", arts.program_misses)
+        .raw("cache_entries", shared.cache.len())
+        .raw("store", path(shared.cache.store_path()))
+        .raw("journal", path(shared.journal.as_ref().map(Journal::path)))
+        .finish()
 }
 
 /// A point-in-time metrics snapshot: the process-wide registry (solver,
@@ -1324,11 +1330,11 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> temu_obs::Snapshot {
 }
 
 fn metrics_response(shared: &Arc<Shared>) -> String {
-    let member = match &shared.member {
-        Some(name) => format!("\"member\": \"{}\", ", json_escape(name)),
-        None => String::new(),
-    };
-    format!("{{\"ok\": true, {member}{}}}", metrics_snapshot(shared).to_json_fields())
+    JsonObject::line()
+        .raw("ok", true)
+        .opt_str("member", shared.member.as_deref())
+        .fields(&metrics_snapshot(shared).to_json_fields())
+        .finish()
 }
 
 /// Serves one `results` request: ack with the current cursor and
@@ -1343,12 +1349,12 @@ fn handle_results(
     follow: bool,
     job: Option<u64>,
 ) -> std::io::Result<()> {
-    writeln!(
-        writer,
-        "{{\"ok\": true, \"cursor\": {}, \"earliest_retained\": {}}}",
-        shared.feed.cursor(),
-        shared.feed.earliest_retained(),
-    )?;
+    let ack = JsonObject::line()
+        .raw("ok", true)
+        .raw("cursor", shared.feed.cursor())
+        .raw("earliest_retained", shared.feed.earliest_retained())
+        .finish();
+    writeln!(writer, "{ack}")?;
     writer.flush()?;
     let mut cursor = after;
     loop {
@@ -1373,7 +1379,7 @@ fn handle_results(
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-    writeln!(writer, "{{\"event\": \"end\", \"cursor\": {cursor}}}")?;
+    writeln!(writer, "{}", JsonObject::line().str("event", "end").raw("cursor", cursor).finish())?;
     writer.flush()
 }
 
@@ -1392,10 +1398,12 @@ fn metrics_log_loop(shared: &Arc<Shared>, path: &std::path::Path) {
         let unix_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(0, |d| d.as_millis());
-        let line = format!(
-            "{{\"seq\": {seq}, \"unix_ms\": {unix_ms}, {}}}\n",
-            metrics_snapshot(shared).to_json_fields()
-        );
+        let mut line = JsonObject::line()
+            .raw("seq", seq)
+            .raw("unix_ms", unix_ms)
+            .fields(&metrics_snapshot(shared).to_json_fields())
+            .finish();
+        line.push('\n');
         let _ = file.write_all(line.as_bytes());
     };
     while !shared.shutdown.load(Ordering::SeqCst) {
@@ -1416,6 +1424,7 @@ fn metrics_log_loop(shared: &Arc<Shared>, path: &std::path::Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn queued(priority: i64) -> Job {
         let spec = SweepSpec::named("smoke").expect("smoke preset");
@@ -1444,4 +1453,137 @@ mod tests {
         }
         assert_eq!(order, vec![2, 1, 3, 5], "priority desc, FIFO within a level");
     }
+
+    /// A real point summary with its floats pinned to fixed values
+    /// (`PointSummary` is non-exhaustive, so it comes from a tiny run).
+    fn pinned_summary() -> temu_framework::PointSummary {
+        let spec = SweepSpec::from_json(
+            r#"{"sweep": "one", "base": {"cores": 1, "workload": {"kind": "matrix", "n": 4, "iters": 1, "cores": 1}, "sampling_window_s": 0.0005, "windows": 2}, "axes": []}"#,
+        )
+        .unwrap();
+        let report = spec.lower().unwrap().run();
+        let mut s = report.points[0].outcome.as_ref().unwrap().clone();
+        s.windows = 12;
+        s.peak_temp_k = Some(351.2509);
+        s.unconverged_substeps = 3;
+        s
+    }
+
+    #[test]
+    fn event_line_bytes_are_pinned() {
+        let mut job = queued(0);
+        job.state = JobState::Done;
+        (job.total, job.executed, job.cache_hits, job.failed, job.wall_s) = (8, 5, 3, 0, 1.25);
+        let ok = done_line(7, &job);
+        job.state = JobState::Failed;
+        job.failed = 2;
+        job.wall_s = 0.000_000_4;
+        job.error = Some(String::from("worker panicked: \"boom\"\n"));
+        let failed = done_line(7, &job);
+        job.state = JobState::Cancelled;
+        job.error = None;
+        let cancelled = done_line(7, &job);
+        assert_eq!([ok.as_str(), &failed, &cancelled], GOLDEN_DONE);
+
+        fn progress<'a>(
+            label: &'a str,
+            outcome: Result<&'a temu_framework::PointSummary, &'a temu_framework::TemuError>,
+        ) -> SweepProgress<'a> {
+            SweepProgress { index: 2, completed: 3, total: 8, label, cache_hit: false, outcome }
+        }
+        let mut summary = pinned_summary();
+        let with_peak = point_line(7, &progress("cores=2/\"x\"", Ok(&summary)));
+        summary.peak_temp_k = Some(f64::INFINITY);
+        let non_finite = point_line(7, &progress("cores=2", Ok(&summary)));
+        summary.peak_temp_k = None;
+        let without = point_line(7, &progress("cores=2", Ok(&summary)));
+        let error = temu_framework::TemuError::ScenarioPanicked(String::from("bad\tpoint"));
+        let failed = point_line(7, &progress("cores=0", Err(&error)));
+        assert_eq!([with_peak.as_str(), &non_finite, &without, &failed], GOLDEN_POINT);
+    }
+
+    #[test]
+    fn feed_stamps_events_with_a_seq() {
+        let feed = ResultsFeed::new();
+        feed.push(3, false, "{\"event\": \"start\", \"job\": 3, \"total\": 1}");
+        feed.push(3, true, "{\"event\": \"done\", \"job\": 3}");
+        let (events, done) = feed.collect_after(0, Some(3));
+        assert!(done);
+        let lines: Vec<&str> = events.iter().map(|(_, line)| line.as_str()).collect();
+        assert_eq!(lines, GOLDEN_FEED);
+    }
+
+    /// Characters that stress the escaper (see `export.rs` in
+    /// `temu-framework` for the writer's own property).
+    const NASTY: &[char] =
+        &['a', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', '中', '😀'];
+
+    fn nasty_string() -> impl Strategy<Value = String> {
+        prop::collection::vec(prop::sample::select(NASTY), 0..12)
+            .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn frames_carrying_user_strings_parse_back(
+            name in nasty_string(),
+            label in nasty_string(),
+            message in nasty_string(),
+        ) {
+            let server = Server::bind(ServeConfig {
+                addr: String::from("127.0.0.1:0"),
+                member: Some(name.clone()),
+                ..ServeConfig::default()
+            })
+            .unwrap();
+            let shared = &server.shared;
+            let parse =
+                |line: String| JsonValue::parse(&line).unwrap_or_else(|e| panic!("{e}: {line:?}"));
+            let text =
+                |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_str).map(String::from);
+
+            let mut job = queued(0);
+            job.name = name.clone();
+            job.state = JobState::Failed;
+            job.error = Some(message.clone());
+            let done = parse(done_line(1, &job));
+            prop_assert_eq!(text(&done, "error"), Some(message.clone()));
+            shared.lock_jobs().map.insert(1, job);
+            prop_assert_eq!(text(&parse(status_response(shared, 1)), "name"), Some(name.clone()));
+
+            let error = temu_framework::TemuError::ScenarioPanicked(message.clone());
+            let progress = SweepProgress {
+                index: 0,
+                completed: 1,
+                total: 1,
+                label: &label,
+                cache_hit: false,
+                outcome: Err(&error),
+            };
+            let point = parse(point_line(1, &progress));
+            prop_assert_eq!(text(&point, "label"), Some(label.clone()));
+            prop_assert_eq!(text(&point, "error"), Some(error.to_string()));
+
+            prop_assert_eq!(text(&parse(stats_response(shared)), "member"), Some(name.clone()));
+            prop_assert_eq!(text(&parse(metrics_response(shared)), "member"), Some(name.clone()));
+        }
+    }
+
+    const GOLDEN_DONE: [&str; 3] = [
+        "{\"event\": \"done\", \"job\": 7, \"ok\": true, \"points\": 8, \"executed\": 5, \"cache_hits\": 3, \"failed\": 0, \"wall_s\": 1.250000}",
+        "{\"event\": \"done\", \"job\": 7, \"ok\": false, \"points\": 8, \"executed\": 5, \"cache_hits\": 3, \"failed\": 2, \"wall_s\": 0.000000, \"error\": \"worker panicked: \\\"boom\\\"\\n\"}",
+        "{\"event\": \"done\", \"job\": 7, \"ok\": false, \"points\": 8, \"executed\": 5, \"cache_hits\": 3, \"failed\": 2, \"wall_s\": 0.000000, \"cancelled\": true}",
+    ];
+    const GOLDEN_POINT: [&str; 4] = [
+        "{\"event\": \"point\", \"job\": 7, \"index\": 2, \"completed\": 3, \"total\": 8, \"label\": \"cores=2/\\\"x\\\"\", \"cache_hit\": false, \"ok\": true, \"peak_temp_k\": 351.251, \"windows\": 12, \"unconverged_substeps\": 3}",
+        "{\"event\": \"point\", \"job\": 7, \"index\": 2, \"completed\": 3, \"total\": 8, \"label\": \"cores=2\", \"cache_hit\": false, \"ok\": true, \"windows\": 12, \"unconverged_substeps\": 3}",
+        "{\"event\": \"point\", \"job\": 7, \"index\": 2, \"completed\": 3, \"total\": 8, \"label\": \"cores=2\", \"cache_hit\": false, \"ok\": true, \"windows\": 12, \"unconverged_substeps\": 3}",
+        "{\"event\": \"point\", \"job\": 7, \"index\": 2, \"completed\": 3, \"total\": 8, \"label\": \"cores=0\", \"cache_hit\": false, \"ok\": false, \"error\": \"scenario panicked: bad\\tpoint\"}",
+    ];
+    const GOLDEN_FEED: [&str; 2] = [
+        "{\"seq\": 1, \"event\": \"start\", \"job\": 3, \"total\": 1}",
+        "{\"seq\": 2, \"event\": \"done\", \"job\": 3}",
+    ];
 }

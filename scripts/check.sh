@@ -42,6 +42,32 @@ reap() { # pid -> waits for it, drops it from PIDS, returns its exit status
     return "$status"
 }
 
+echo "== json-writer gate =="
+# One JSON writer: every JSON object the workspace emits is built by
+# `JsonObject` in crates/core/src/export.rs, which alone decides escaping,
+# float formatting and layout. A string literal holding an escaped JSON
+# key followed by `: ` (`\"name\": `) in non-test source under
+# crates/*/src means an object is being built by hand; each file is
+# scanned up to its `#[cfg(test)] mod tests`. The one exception is
+# temu-obs: it sits below temu-framework in the dependency graph and
+# renders its own compact, versioned snapshot (`"temu_metrics":1`, no
+# spaces, so the pattern does not match it), which the server and the
+# router splice into their frames with `JsonObject::fields`.
+json_hits=$(find crates/*/src -name '*.rs' ! -path crates/core/src/export.rs | sort | while read -r f; do
+    awk -v file="$f" '
+        /^#\[cfg\(test\)\]/ { pending = 1; next }
+        pending && /^mod tests/ { exit }
+        { pending = 0 }
+        /\\"[A-Za-z0-9_]+\\": / { print file ":" FNR ": " $0 }
+    ' "$f"
+done)
+if [ -n "$json_hits" ]; then
+    echo "json-writer FAILED: $(echo "$json_hits" | wc -l) line(s) build JSON by hand:"
+    echo "$json_hits"
+    exit 1
+fi
+echo "json-writer OK"
+
 echo "== tier-1: release build =="
 cargo build --release
 

@@ -2,7 +2,7 @@
 //! `temu` facade — platform + workloads + thermal + link + framework + DES.
 
 use temu::des::DesMachine;
-use temu::framework::{threaded::run_threaded, EmulationConfig, ThermalEmulation};
+use temu::framework::{EmulationConfig, ThermalEmulation};
 use temu::isa::Width;
 use temu::platform::{DfsPolicy, Machine, PlatformConfig};
 use temu::power::floorplans::{fig4a_arm7, fig4b_arm11};
@@ -128,21 +128,6 @@ fn facade_cross_engine_agreement() {
         des.shared().read(off, Width::Word).unwrap()
     );
     assert_eq!(fast.shared().read(off, Width::Word).unwrap(), matrix::reference_total(&wl));
-}
-
-/// Threaded co-execution on a workload that halts: report and machine state
-/// stay coherent across the thread boundary.
-#[test]
-fn threaded_transport_full_run() {
-    let mut machine = Machine::new(PlatformConfig::paper_thermal(2)).unwrap();
-    let wl = MatrixConfig { n: 10, iters: 30, cores: 2 };
-    machine.load_program_all(&matrix::program(&wl).unwrap()).unwrap();
-    let cfg = EmulationConfig { sampling_window_s: 0.001, ..EmulationConfig::default() };
-    let (machine, trace) = run_threaded(machine, fig4b_arm11(), cfg, 10_000).unwrap();
-    assert!(machine.all_halted());
-    assert!(!trace.is_empty());
-    let off = matrix::layout().total_addr - temu::workloads::SHARED_BASE;
-    assert_eq!(machine.shared().read(off, Width::Word).unwrap(), matrix::reference_total(&wl));
 }
 
 /// Long-running thermal observation: virtual time accumulates correctly and
