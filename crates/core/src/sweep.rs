@@ -236,8 +236,10 @@ impl ResultCache {
     /// [`COMPACT_DEAD_FRACTION`] of at least [`COMPACT_MIN_RECORDS`] runs —
     /// it is rewritten deduped; a failed rewrite degrades to the dirty
     /// store. Rename caveat: a *concurrent* writer still holding the old
-    /// file keeps appending to the unlinked inode, so the others re-execute
-    /// its points on miss. Prefer starting a store's owners together.
+    /// file moves to the new one at its next [`ResultCache::refresh`] (every
+    /// miss runs one), which replays the compacted store from its first
+    /// record. What it appended in between went to the unlinked file, so
+    /// the others re-execute those points on miss.
     ///
     /// # Errors
     ///

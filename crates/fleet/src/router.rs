@@ -29,7 +29,7 @@
 
 use crate::member::MemberTable;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -37,8 +37,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use temu_framework::{JsonObject, JsonValue, SweepSpec};
 use temu_serve::{
-    coded_error_line, error_line, read_frame, Client, ClientError, DoneSummary, ProtocolError,
-    Request, MAX_FRAME_LEN,
+    coded_error_line, error_line, prepare_stream, read_frame, write_frame, Client, ClientError,
+    DoneSummary, ProtocolError, Request, MAX_FRAME_LEN,
 };
 
 /// Default router listen address (one above the serve default).
@@ -275,8 +275,7 @@ fn probe_members(shared: &Shared) {
 // ---------------------------------------------------------------------------
 
 fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(shared.io_timeout)?;
-    stream.set_write_timeout(shared.io_timeout)?;
+    prepare_stream(&stream, shared.io_timeout)?;
     let addr = stream.local_addr().ok();
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
@@ -285,7 +284,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
             Ok(Some(line)) => line,
             Ok(None) => return Ok(()),
             Err(e @ ProtocolError::FrameTooLong { .. }) => {
-                writeln!(writer, "{}", coded_error_line("frame_too_long", &e.to_string()))?;
+                write_frame(&mut writer, &coded_error_line("frame_too_long", &e.to_string()))?;
                 return Ok(());
             }
             Err(_) => return Ok(()),
@@ -296,7 +295,7 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
         let request = match Request::parse(&line) {
             Ok(request) => request,
             Err(e) => {
-                writeln!(writer, "{}", error_line(&e))?;
+                write_frame(&mut writer, &error_line(&e))?;
                 continue;
             }
         };
@@ -308,23 +307,22 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
             Request::Result { job } => forward_request(shared, &mut writer, job, Forward::Result)?,
             Request::Cancel { job } => forward_request(shared, &mut writer, job, Forward::Cancel)?,
             Request::Watch { job } => handle_watch(shared, &mut writer, job)?,
-            Request::Stats => writeln!(writer, "{}", stats_response(shared))?,
+            Request::Stats => write_frame(&mut writer, &stats_response(shared))?,
             // The router's own registry view: probe RTTs, submit-ack
             // latency, spill/failover counters, per-member routed counts.
             // (Member-level job metrics come from asking each member's
             // `metrics` directly.)
-            Request::Metrics => writeln!(
-                writer,
-                "{}",
-                JsonObject::line()
+            Request::Metrics => write_frame(
+                &mut writer,
+                &JsonObject::line()
                     .raw("ok", true)
                     .raw("fleet", true)
                     .fields(&temu_obs::global().snapshot().to_json_fields())
-                    .finish()
+                    .finish(),
             )?,
             Request::Shutdown => {
                 let ack = JsonObject::line().raw("ok", true).raw("shutdown", true).finish();
-                writeln!(writer, "{ack}")?;
+                write_frame(&mut writer, &ack)?;
                 if let Some(addr) = addr {
                     request_shutdown(shared, addr);
                 }
@@ -332,9 +330,8 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<
             }
             // `Request` is non-exhaustive: refuse anything a future
             // protocol adds rather than guessing how to route it.
-            _ => writeln!(writer, "{}", error_line("request not supported by the fleet router"))?,
+            _ => write_frame(&mut writer, &error_line("request not supported by the fleet router"))?,
         }
-        writer.flush()?;
     }
 }
 
@@ -379,8 +376,7 @@ fn relay_events(writer: &mut TcpStream, member: &mut Client, router_id: u64) -> 
             Ok(event) => event,
             Err(e) => return RelayOutcome::MemberLost(e),
         };
-        let line = with_job(&event, router_id);
-        if let Err(e) = writeln!(writer, "{line}").and_then(|()| writer.flush()) {
+        if let Err(e) = write_frame(writer, &with_job(&event, router_id)) {
             return RelayOutcome::ClientGone(e);
         }
         if event.get("event").and_then(JsonValue::as_str) == Some("done") {
@@ -404,7 +400,7 @@ fn handle_submit(
     let key = match spec.content_key() {
         Ok(key) => key,
         Err(e) => {
-            writeln!(writer, "{}", error_line(&e.to_string()))?;
+            write_frame(writer, &error_line(&e.to_string()))?;
             return Ok(());
         }
     };
@@ -452,7 +448,7 @@ fn handle_submit(
             }
             // Any other refusal (bad spec, ...) is deterministic — every
             // member would say the same, so forward the verdict.
-            writeln!(writer, "{ack}")?;
+            write_frame(writer, &ack.to_string())?;
             return Ok(());
         }
         let member_job = ack.get("job").and_then(JsonValue::as_u64).unwrap_or(0);
@@ -478,8 +474,7 @@ fn handle_submit(
                     .raw("total", total)
                     .str("member", &addr)
                     .finish();
-                writeln!(writer, "{ack}")?;
-                writer.flush()?;
+                write_frame(writer, &ack)?;
                 acked = Some((id, total));
                 id
             }
@@ -515,14 +510,13 @@ fn handle_submit(
     }
     let detail = errors.join("; ");
     match acked {
-        None => writeln!(
+        None => write_frame(
             writer,
-            "{}",
-            coded_error_line("no_members", &format!("every fleet member refused or failed: {detail}"))
+            &coded_error_line("no_members", &format!("every fleet member refused or failed: {detail}")),
         )?,
         Some((id, total)) => {
             let error = format!("every fleet member failed: {detail}");
-            writeln!(writer, "{}", failed_done(id, total, error))?;
+            write_frame(writer, &failed_done(id, total, error))?;
         }
     }
     Ok(())
@@ -542,7 +536,7 @@ fn forward_request(
 ) -> std::io::Result<()> {
     let route = shared.lock_routes().map.get(&router_job).map(|r| (r.member, r.member_job));
     let Some((i, member_job)) = route else {
-        writeln!(writer, "{}", error_line(&format!("no such job {router_job}")))?;
+        write_frame(writer, &error_line(&format!("no such job {router_job}")))?;
         return Ok(());
     };
     let addr = shared.table.addr(i).to_string();
@@ -550,7 +544,7 @@ fn forward_request(
         Ok(member) => member,
         Err(e) => {
             shared.table.mark_down(i);
-            writeln!(writer, "{}", coded_error_line("member_down", &format!("{addr}: {e}")))?;
+            write_frame(writer, &coded_error_line("member_down", &format!("{addr}: {e}")))?;
             return Ok(());
         }
     };
@@ -560,13 +554,13 @@ fn forward_request(
         Forward::Cancel => member.cancel(member_job),
     };
     match result {
-        Ok(frame) => writeln!(writer, "{}", with_job(&frame, router_job))?,
+        Ok(frame) => write_frame(writer, &with_job(&frame, router_job))?,
         // The member's refusal text references *its* job id; the message
         // is still the truth about this route, so forward it.
-        Err(ClientError::Server(message)) => writeln!(writer, "{}", error_line(&message))?,
+        Err(ClientError::Server(message)) => write_frame(writer, &error_line(&message))?,
         Err(e) => {
             shared.table.mark_down(i);
-            writeln!(writer, "{}", coded_error_line("member_down", &format!("{addr}: {e}")))?;
+            write_frame(writer, &coded_error_line("member_down", &format!("{addr}: {e}")))?;
         }
     }
     Ok(())
@@ -575,7 +569,7 @@ fn forward_request(
 fn handle_watch(shared: &Arc<Shared>, writer: &mut TcpStream, router_job: u64) -> std::io::Result<()> {
     let route = shared.lock_routes().map.get(&router_job).map(|r| (r.member, r.member_job, r.total));
     let Some((i, member_job, total)) = route else {
-        writeln!(writer, "{}", error_line(&format!("no such job {router_job}")))?;
+        write_frame(writer, &error_line(&format!("no such job {router_job}")))?;
         return Ok(());
     };
     let addr = shared.table.addr(i).to_string();
@@ -588,16 +582,15 @@ fn handle_watch(shared: &Arc<Shared>, writer: &mut TcpStream, router_job: u64) -
         Ok(attached) => attached,
         Err(e) => {
             shared.table.mark_down(i);
-            writeln!(writer, "{}", coded_error_line("member_down", &format!("{addr}: {e}")))?;
+            write_frame(writer, &coded_error_line("member_down", &format!("{addr}: {e}")))?;
             return Ok(());
         }
     };
     if ack.get("ok").and_then(JsonValue::as_bool) != Some(true) {
-        writeln!(writer, "{}", with_job(&ack, router_job))?;
+        write_frame(writer, &with_job(&ack, router_job))?;
         return Ok(());
     }
-    writeln!(writer, "{}", with_job(&ack, router_job))?;
-    writer.flush()?;
+    write_frame(writer, &with_job(&ack, router_job))?;
     match relay_events(writer, &mut member, router_job) {
         RelayOutcome::Done => Ok(()),
         RelayOutcome::ClientGone(e) => Err(e),
@@ -608,7 +601,7 @@ fn handle_watch(shared: &Arc<Shared>, writer: &mut TcpStream, router_job: u64) -
             // through the router is the idempotent recovery path.
             shared.table.mark_down(i);
             let error = format!("fleet member {addr} lost mid-watch: {e} — resubmit to recover");
-            writeln!(writer, "{}", failed_done(router_job, total, error))?;
+            write_frame(writer, &failed_done(router_job, total, error))?;
             Ok(())
         }
     }

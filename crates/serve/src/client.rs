@@ -9,12 +9,12 @@
 //! results are memoized by `content_key` (a re-run sweep is served from
 //! the cache, not re-executed).
 
-use crate::protocol::{read_frame, ProtocolError, Request, MAX_FRAME_LEN};
+use crate::protocol::{prepare_stream, read_frame, write_frame, ProtocolError, Request, MAX_FRAME_LEN};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::error::Error;
 use std::fmt;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 use temu_framework::{JsonObject, JsonValue, SweepSpec};
@@ -245,8 +245,7 @@ impl Client {
     /// Any socket error.
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
-        stream.set_write_timeout(Some(IO_TIMEOUT))?;
+        prepare_stream(&stream, Some(IO_TIMEOUT))?;
         let writer = stream.try_clone()?;
         Ok(Client { reader: BufReader::new(stream), writer })
     }
@@ -290,8 +289,7 @@ impl Client {
     ///
     /// Socket write failures.
     pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        writeln!(self.writer, "{}", request.to_line())?;
-        self.writer.flush()?;
+        write_frame(&mut self.writer, &request.to_line())?;
         Ok(())
     }
 

@@ -62,7 +62,7 @@ pub use client::{Client, ClientError, DoneSummary, RetryPolicy, Submission};
 pub use fault::FaultPlan;
 pub use journal::{Journal, JournalReplay, RecoveredJob};
 pub use protocol::{
-    coded_error_line, error_line, read_frame, spec_from_document, ProtocolError, Request, ADDR_ENV,
-    DEFAULT_ADDR, MAX_FRAME_LEN,
+    coded_error_line, error_line, prepare_stream, read_frame, spec_from_document, write_frame,
+    ProtocolError, Request, ADDR_ENV, DEFAULT_ADDR, MAX_FRAME_LEN,
 };
 pub use server::{ServeConfig, Server, ServerHandle};

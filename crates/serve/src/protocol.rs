@@ -33,10 +33,24 @@
 //! connection stays usable. Refusals a peer may want to branch on also
 //! carry a machine-readable `"code"` field (`frame_too_long`,
 //! `queue_full`) — see [`coded_error_line`].
+//!
+//! # Frames on the socket
+//!
+//! One frame, one write: [`write_frame`] hands a frame and its `\n` to the
+//! socket in a single `write_all`, and it is the only way a line reaches
+//! a socket. Every socket that carries frames, accepted or connected,
+//! goes through [`prepare_stream`], which sets `TCP_NODELAY` along with
+//! the deadlines. Under Nagle's algorithm a frame written in two pieces
+//! sends its second piece only once the peer ACKs the first, and the peer
+//! delays that ACK (~40 ms on Linux) waiting for the rest of the frame: a
+//! stall on every exchange that no server metric sees, because the kernel
+//! holds the bytes.
 
 use std::error::Error;
 use std::fmt;
-use std::io::BufRead;
+use std::io::{self, BufRead, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 use temu_framework::{JsonObject, JsonValue, SpecError, SweepSpec};
 
 /// The default server address (loopback; the server is an experiment
@@ -176,6 +190,32 @@ pub fn read_frame<R: BufRead>(reader: &mut R, max: usize) -> Result<Option<Strin
     String::from_utf8(frame)
         .map(Some)
         .map_err(|_| ProtocolError::Malformed(String::from("non-UTF-8 bytes")))
+}
+
+/// Writes one frame: `frame` (one line, no newline) and its `\n` in a
+/// single `write_all`, so the frame never leaves as two segments.
+///
+/// # Errors
+///
+/// The write's I/O error (a deadline elapsing surfaces as `WouldBlock` or
+/// `TimedOut`).
+pub fn write_frame(w: &mut impl Write, frame: &str) -> io::Result<()> {
+    let mut bytes = Vec::with_capacity(frame.len() + 1);
+    bytes.extend_from_slice(frame.as_bytes());
+    bytes.push(b'\n');
+    w.write_all(&bytes)
+}
+
+/// Readies an accepted or connected socket for frames: `TCP_NODELAY`, and
+/// both socket deadlines set to `deadline` (`None` disables them).
+///
+/// # Errors
+///
+/// Any socket option failure.
+pub fn prepare_stream(stream: &TcpStream, deadline: Option<Duration>) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(deadline)?;
+    stream.set_write_timeout(deadline)
 }
 
 /// One parsed client request.
@@ -340,6 +380,47 @@ pub fn spec_from_document(v: &JsonValue) -> Result<SweepSpec, SpecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sink that keeps each `write` call's bytes apart.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let ack = JsonObject::line().raw("ok", true).raw("job", 1).raw("total", 4).finish();
+        let big = "x".repeat(100 * 1024);
+        for frame in ["", &ack, &big] {
+            let mut log = WriteLog::default();
+            write_frame(&mut log, frame).unwrap();
+            assert_eq!(log.0.len(), 1, "a {}-byte frame took {} writes", frame.len(), log.0.len());
+            assert_eq!(log.0[0], format!("{frame}\n").into_bytes());
+        }
+    }
+
+    #[test]
+    fn prepared_streams_are_nodelay_with_both_deadlines() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let connected = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let deadline = Some(Duration::from_millis(1500));
+        for stream in [&connected, &accepted] {
+            prepare_stream(stream, deadline).unwrap();
+            assert!(stream.nodelay().unwrap());
+            assert_eq!(stream.read_timeout().unwrap(), deadline);
+            assert_eq!(stream.write_timeout().unwrap(), deadline);
+        }
+    }
 
     #[test]
     fn requests_round_trip_through_lines() {

@@ -41,12 +41,17 @@
 //!   the worker thread survives and keeps draining the queue;
 //! * accepted connections carry read/write deadlines and a bounded frame
 //!   reader ([`crate::protocol::read_frame`]), so a slowloris or garbage
-//!   peer cannot pin a handler thread or buffer unbounded bytes.
+//!   peer cannot pin a handler thread or buffer unbounded bytes; they are
+//!   `TCP_NODELAY` and take each frame in one write
+//!   ([`crate::protocol::write_frame`]).
 
 use crate::checkpoints::CheckpointStore;
 use crate::client::DoneSummary;
 use crate::journal::Journal;
-use crate::protocol::{coded_error_line, error_line, read_frame, ProtocolError, Request, MAX_FRAME_LEN};
+use crate::protocol::{
+    coded_error_line, error_line, prepare_stream, read_frame, write_frame, ProtocolError, Request,
+    MAX_FRAME_LEN,
+};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -80,7 +85,9 @@ pub struct ServeConfig {
     /// How many finished (done/failed/cancelled) jobs to keep queryable
     /// via `status`/`result`. Older terminal jobs are evicted so a
     /// long-running server's job registry stays bounded — their cached
-    /// *results* live on in the shared [`ResultCache`].
+    /// *results* live on in the shared [`ResultCache`]. The default, 1024,
+    /// matches the fleet router's route table, so a route the router
+    /// still holds finds its member job.
     pub history_limit: usize,
     /// Job journal path (a binary append log; a format-1 JSON-lines
     /// journal found there is converted on bind). `None` derives
@@ -124,7 +131,7 @@ impl Default for ServeConfig {
             workers: 1,
             queue_limit: 64,
             store: None,
-            history_limit: 256,
+            history_limit: 1024,
             journal: None,
             io_timeout: Some(Duration::from_secs(30)),
             member: None,
@@ -181,6 +188,9 @@ struct Job {
     /// When the job entered the queue — the base of the queue-wait
     /// histogram sample taken when a worker claims it.
     submitted: Instant,
+    /// When a worker claimed the job — the base of the run-duration
+    /// sample `finish_job` takes before it broadcasts `done`.
+    started: Option<Instant>,
 }
 
 fn new_job(name: String, spec: SweepSpec, total: usize, priority: i64) -> Job {
@@ -200,6 +210,7 @@ fn new_job(name: String, spec: SweepSpec, total: usize, priority: i64) -> Job {
         subscribers: Vec::new(),
         cancel: Arc::new(AtomicBool::new(false)),
         submitted: Instant::now(),
+        started: None,
     }
 }
 
@@ -461,17 +472,30 @@ impl Shared {
         self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Sends `line` to the job's subscribers, dropping the ones that went
-    /// away; a terminal line also detaches everyone (their receivers then
-    /// disconnect, ending the client-side stream loop).
-    fn broadcast(&self, job_id: u64, line: &str, terminal: bool) {
+    /// Sends a non-terminal event `line` to the job's subscribers,
+    /// dropping the ones that went away.
+    fn broadcast(&self, job_id: u64, line: &str) {
         let mut jobs = self.lock_jobs();
         if let Some(job) = jobs.map.get_mut(&job_id) {
             job.subscribers.retain(|tx| tx.send(line.to_string()).is_ok());
-            if terminal {
-                job.subscribers.clear();
+        }
+    }
+
+    /// Publishes a job's terminal event `line`: into the results feed, to
+    /// every subscriber, detaching them all (their receivers then
+    /// disconnect, ending the client-side stream loop), and into the
+    /// bounded history. The send and the history update share one jobs
+    /// lock, so a request sent after `done` already sees the history that
+    /// `done` implies.
+    fn publish_terminal(&self, job_id: u64, line: &str) {
+        self.feed.push(job_id, true, line);
+        let mut jobs = self.lock_jobs();
+        if let Some(job) = jobs.map.get_mut(&job_id) {
+            for tx in job.subscribers.drain(..) {
+                let _ = tx.send(line.to_string());
             }
         }
+        jobs.note_terminal(job_id, self.history_limit);
     }
 }
 
@@ -779,9 +803,7 @@ impl Server {
             if let Some(journal) = &self.shared.journal {
                 journal.record_terminal(id, JobState::Cancelled.tag());
             }
-            self.shared.feed.push(id, true, &line);
-            self.shared.broadcast(id, &line, true);
-            self.shared.lock_jobs().note_terminal(id, self.shared.history_limit);
+            self.shared.publish_terminal(id, &line);
         }
         if let Some(metrics) = metrics_thread {
             let _ = metrics.join();
@@ -820,6 +842,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                     if let Some(job) = jobs.map.get_mut(&id) {
                         if job.state == JobState::Queued {
                             job.state = JobState::Running;
+                            job.started = Some(Instant::now());
                             if temu_obs::enabled() {
                                 shared.obs.queue_wait_ns.record_duration(job.submitted.elapsed());
                             }
@@ -838,13 +861,9 @@ fn worker_loop(shared: &Arc<Shared>) {
         // A panicking job — a scenario bug past the campaign's own
         // isolation, or the `worker_panic` fault — fails that job with a
         // typed error; this worker thread survives to drain the queue.
-        let run_started = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_job(shared, id, &spec, &cancel);
         }));
-        if temu_obs::enabled() {
-            shared.obs.run_ns.record_duration(run_started.elapsed());
-        }
         if let Err(payload) = outcome {
             let message = payload
                 .downcast_ref::<&str>()
@@ -869,7 +888,7 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicB
     let total = sweep.n_points();
     let start =
         JsonObject::line().str("event", "start").raw("job", id).raw("total", total).finish();
-    shared.broadcast(id, &start, false);
+    shared.broadcast(id, &start);
     let progress_shared = Arc::clone(shared);
     let observer_shared = Arc::clone(shared);
     let observer_cancel = Arc::clone(cancel);
@@ -908,7 +927,7 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicB
                     .str("label", cp.label)
                     .raw("progress", progress)
                     .finish();
-                observer_shared.broadcast(id, &line, false);
+                observer_shared.broadcast(id, &line);
             }
             if observer_cancel.load(Ordering::Acquire) || observer_shared.shutdown.load(Ordering::SeqCst) {
                 CheckpointDecision::Cancel
@@ -933,7 +952,7 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicB
             }
             let line = point_line(id, p);
             progress_shared.feed.push(id, false, &line);
-            progress_shared.broadcast(id, &line, false);
+            progress_shared.broadcast(id, &line);
             // An executed point was just banked in the store: flush it so
             // a crash from here on resumes it as a cache hit, then inject
             // chaos — a panic propagates to this worker's catch_unwind and
@@ -958,7 +977,7 @@ fn finish_job(
     error: Option<String>,
     report: Option<temu_framework::SweepReport>,
 ) {
-    let line = {
+    let (line, started) = {
         let mut jobs = shared.lock_jobs();
         let Some(job) = jobs.map.get_mut(&id) else { return };
         job.state = state;
@@ -975,8 +994,13 @@ fn finish_job(
             // structural (strings escape theirs), so this stays valid JSON.
             job.report_json = Some(report.to_json().replace('\n', " "));
         }
-        done_line(id, job)
+        (done_line(id, job), job.started.take())
     };
+    // Sampled before `done` goes out, so a client reading `metrics` right
+    // after `done` sees this job's run.
+    if let Some(started) = started.filter(|_| temu_obs::enabled()) {
+        shared.obs.run_ns.record_duration(started.elapsed());
+    }
     match state {
         JobState::Done => shared.obs.jobs_completed.inc(),
         JobState::Cancelled => shared.obs.jobs_cancelled.inc(),
@@ -985,9 +1009,7 @@ fn finish_job(
     if let Some(journal) = &shared.journal {
         journal.record_terminal(id, state.tag());
     }
-    shared.feed.push(id, true, &line);
-    shared.broadcast(id, &line, true);
-    shared.lock_jobs().note_terminal(id, shared.history_limit);
+    shared.publish_terminal(id, &line);
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,8 +1026,7 @@ fn serve_connection(
     if crate::fault::drop_connection() {
         return Ok(());
     }
-    stream.set_read_timeout(shared.io_timeout)?;
-    stream.set_write_timeout(shared.io_timeout)?;
+    prepare_stream(&stream, shared.io_timeout)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     loop {
@@ -1023,7 +1044,7 @@ fn serve_connection(
                     .raw("limit", MAX_FRAME_LEN)
                     .str("error", &e.to_string())
                     .finish();
-                writeln!(writer, "{refusal}")?;
+                write_frame(&mut writer, &refusal)?;
                 return Ok(());
             }
             // Deadline elapsed or the socket failed: the peer is gone or
@@ -1036,7 +1057,7 @@ fn serve_connection(
         let request = match Request::parse(&line) {
             Ok(request) => request,
             Err(e) => {
-                writeln!(writer, "{}", error_line(&e))?;
+                write_frame(&mut writer, &error_line(&e))?;
                 continue;
             }
         };
@@ -1056,25 +1077,24 @@ fn serve_connection(
             Request::Submit { spec, watch, priority } => {
                 handle_submit(shared, &mut writer, *spec, watch, priority)?;
             }
-            Request::Status { job } => writeln!(writer, "{}", status_response(shared, job))?,
-            Request::Result { job } => writeln!(writer, "{}", result_response(shared, job))?,
-            Request::Cancel { job } => writeln!(writer, "{}", cancel_response(shared, job))?,
+            Request::Status { job } => write_frame(&mut writer, &status_response(shared, job))?,
+            Request::Result { job } => write_frame(&mut writer, &result_response(shared, job))?,
+            Request::Cancel { job } => write_frame(&mut writer, &cancel_response(shared, job))?,
             Request::Watch { job } => handle_watch(shared, &mut writer, job)?,
-            Request::Stats => writeln!(writer, "{}", stats_response(shared))?,
-            Request::Metrics => writeln!(writer, "{}", metrics_response(shared))?,
+            Request::Stats => write_frame(&mut writer, &stats_response(shared))?,
+            Request::Metrics => write_frame(&mut writer, &metrics_response(shared))?,
             Request::Results { after, follow, job } => {
                 handle_results(shared, &mut writer, after, follow, job)?;
             }
             Request::Shutdown => {
                 let ack = JsonObject::line().raw("ok", true).raw("shutdown", true).finish();
-                writeln!(writer, "{ack}")?;
+                write_frame(&mut writer, &ack)?;
                 if let Some(addr) = addr {
                     request_shutdown(shared, addr);
                 }
                 return Ok(());
             }
         }
-        writer.flush()?;
     }
 }
 
@@ -1090,7 +1110,7 @@ fn handle_submit(
     let total = match spec.lower() {
         Ok(sweep) => sweep.n_points(),
         Err(e) => {
-            writeln!(writer, "{}", error_line(&e.to_string()))?;
+            write_frame(writer, &error_line(&e.to_string()))?;
             return Ok(());
         }
     };
@@ -1101,14 +1121,11 @@ fn handle_submit(
             // Coded refusal: the fleet router spills `queue_full` to the
             // next member in rendezvous order instead of failing the
             // submission.
-            writeln!(
-                writer,
-                "{}",
-                coded_error_line(
-                    "queue_full",
-                    &format!("queue full ({} job(s) queued)", shared.queue_limit)
-                )
-            )?;
+            let refusal = coded_error_line(
+                "queue_full",
+                &format!("queue full ({} job(s) queued)", shared.queue_limit),
+            );
+            write_frame(writer, &refusal)?;
             return Ok(());
         }
         let id = jobs.next_id;
@@ -1134,8 +1151,7 @@ fn handle_submit(
     shared.obs.jobs_submitted.inc();
     shared.cv.notify_one();
     let ack = JsonObject::line().raw("ok", true).raw("job", id).raw("total", total).finish();
-    writeln!(writer, "{ack}")?;
-    writer.flush()?;
+    write_frame(writer, &ack)?;
     if let Some(rx) = rx {
         stream_events(writer, &rx)?;
     }
@@ -1146,8 +1162,7 @@ fn handle_submit(
 /// the sender side.
 fn stream_events(writer: &mut TcpStream, rx: &Receiver<String>) -> std::io::Result<()> {
     while let Ok(line) = rx.recv() {
-        writeln!(writer, "{line}")?;
-        writer.flush()?;
+        write_frame(writer, &line)?;
     }
     Ok(())
 }
@@ -1173,14 +1188,13 @@ fn handle_watch(shared: &Arc<Shared>, writer: &mut TcpStream, job_id: u64) -> st
     };
     let ack = JsonObject::line().raw("ok", true).raw("job", job_id).finish();
     match outcome {
-        WatchOutcome::Missing => writeln!(writer, "{}", error_line(&format!("no such job {job_id}"))),
+        WatchOutcome::Missing => write_frame(writer, &error_line(&format!("no such job {job_id}"))),
         WatchOutcome::AlreadyTerminal(done) => {
-            writeln!(writer, "{ack}")?;
-            writeln!(writer, "{done}")
+            write_frame(writer, &ack)?;
+            write_frame(writer, &done)
         }
         WatchOutcome::Attached(rx) => {
-            writeln!(writer, "{ack}")?;
-            writer.flush()?;
+            write_frame(writer, &ack)?;
             stream_events(writer, &rx)
         }
     }
@@ -1256,9 +1270,7 @@ fn cancel_response(shared: &Arc<Shared>, job_id: u64) -> String {
     if let Some(journal) = &shared.journal {
         journal.record_terminal(job_id, JobState::Cancelled.tag());
     }
-    shared.feed.push(job_id, true, &line);
-    shared.broadcast(job_id, &line, true);
-    shared.lock_jobs().note_terminal(job_id, shared.history_limit);
+    shared.publish_terminal(job_id, &line);
     JsonObject::line().raw("ok", true).raw("job", job_id).raw("cancelled", true).finish()
 }
 
@@ -1354,16 +1366,14 @@ fn handle_results(
         .raw("cursor", shared.feed.cursor())
         .raw("earliest_retained", shared.feed.earliest_retained())
         .finish();
-    writeln!(writer, "{ack}")?;
-    writer.flush()?;
+    write_frame(writer, &ack)?;
     let mut cursor = after;
     loop {
         let (events, job_done) = shared.feed.collect_after(cursor, job);
         for (seq, line) in events {
             cursor = seq;
-            writeln!(writer, "{line}")?;
+            write_frame(writer, &line)?;
         }
-        writer.flush()?;
         if job_done || !follow || shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
@@ -1379,8 +1389,7 @@ fn handle_results(
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-    writeln!(writer, "{}", JsonObject::line().str("event", "end").raw("cursor", cursor).finish())?;
-    writer.flush()
+    write_frame(writer, &JsonObject::line().str("event", "end").raw("cursor", cursor).finish())
 }
 
 /// The `--metrics-log` thread body: append one snapshot line per

@@ -5,7 +5,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use temu_framework::{AxisSpec, ImplicitSolve, ResultCache, ScenarioSpec, SweepSpec, WorkloadSpec};
 use temu_serve::{ServeConfig, Server, ServerHandle, MAX_FRAME_LEN};
 
@@ -167,11 +167,14 @@ fn server_reply_and_event_bytes_are_pinned() {
     assert_eq!(raw.ask(&submit_line(&long, false)), GOLDEN_LONG_ACK);
     assert_eq!(raw.ask(&submit_line(&tiny_sweep("queued", 2), false)), GOLDEN_QUEUED_ACK);
     assert_eq!(raw.ask("{\"cmd\": \"cancel\", \"job\": 3}"), GOLDEN_CANCELLED);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while !raw.ask("{\"cmd\": \"status\", \"job\": 2}").contains("\"state\": \"running\"") {
-        assert!(Instant::now() < deadline, "the long job never started");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    // Cancel the running job only once its first point is past its start
+    // check, so the cancel stops that point mid-run and it counts as
+    // executed: a second connection watches job 2 up to its first
+    // window-progress frame (the server runs with `window_checkpoint: 1`).
+    let mut watcher = Raw::connect(&handle);
+    watcher.send("{\"cmd\": \"watch\", \"job\": 2}");
+    while !watcher.recv().contains("\"progress\": ") {}
+    drop(watcher);
     assert_eq!(raw.ask("{\"cmd\": \"cancel\", \"job\": 2}"), GOLDEN_CANCELLING);
     raw.send("{\"cmd\": \"watch\", \"job\": 2}");
     let watched = raw.until_done();

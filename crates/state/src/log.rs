@@ -19,7 +19,7 @@
 
 use crate::fnv1a64;
 use std::ffi::OsString;
-use std::fs::{File, OpenOptions};
+use std::fs::{File, Metadata, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -137,12 +137,18 @@ impl AppendLog {
 
     /// The intact records appended since the last replay, by any writer
     /// sharing the file; a record still being written is returned by a
-    /// later call, once complete.
+    /// later call, once complete. When a sibling handle's
+    /// [`AppendLog::rewrite`] has renamed a new file over the path, this
+    /// handle reopens it by path (so its appends reach the file the others
+    /// read) and replays it from the first record.
     ///
     /// # Errors
     ///
-    /// Any I/O error seeking or reading.
+    /// Any I/O error reopening, seeking or reading.
     pub fn read_new(&mut self) -> io::Result<Vec<Vec<u8>>> {
+        if self.replaced() {
+            (self.file, self.settled) = (open_append(&self.path)?, MAGIC_LEN);
+        }
         let mut bytes = Vec::new();
         self.file.seek(SeekFrom::Start(self.settled))?;
         self.file.read_to_end(&mut bytes)?;
@@ -168,6 +174,14 @@ impl AppendLog {
             }
         }
         Ok(())
+    }
+
+    /// Whether the file at the path is no longer the one this handle holds.
+    fn replaced(&self) -> bool {
+        match (std::fs::metadata(&self.path), self.file.metadata()) {
+            (Ok(at_path), Ok(held)) => !same_file(&at_path, &held),
+            _ => false,
+        }
     }
 
     /// Replays `bytes` (the file from `settled` on) into its intact
@@ -212,6 +226,17 @@ fn push_record(out: &mut Vec<u8>, payload: &[u8]) -> io::Result<()> {
     out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
     out.extend_from_slice(payload);
     Ok(())
+}
+
+#[cfg(unix)]
+fn same_file(a: &Metadata, b: &Metadata) -> bool {
+    use std::os::unix::fs::MetadataExt as _;
+    (a.dev(), a.ino()) == (b.dev(), b.ino())
+}
+
+#[cfg(not(unix))]
+fn same_file(_: &Metadata, _: &Metadata) -> bool {
+    true
 }
 
 fn open_append(path: &Path) -> io::Result<File> {
@@ -320,6 +345,23 @@ mod tests {
         let mut tmp = OsString::from(path.as_os_str());
         tmp.push(".tmp");
         assert!(!Path::new(&tmp).exists(), "the temp file was renamed away");
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn a_sibling_rewrite_is_followed_by_the_other_handle() {
+        let path = temp_path("sibling-rewrite");
+        let (mut a, _) = AppendLog::open(&path, MAGIC).unwrap();
+        let (mut b, _) = AppendLog::open(&path, MAGIC).unwrap();
+        a.append(b"r1").unwrap();
+        assert_eq!(b.read_new().unwrap(), vec![b"r1".to_vec()]);
+        a.rewrite(&[b"r1"]).unwrap();
+        // B notices the new file and replays it from the first record.
+        assert_eq!(b.read_new().unwrap(), vec![b"r1".to_vec()]);
+        b.append(b"r2").unwrap();
+        assert_eq!(a.read_new().unwrap(), vec![b"r2".to_vec()], "B appends to the file at the path");
+        let (_, replay) = AppendLog::open(&path, MAGIC).unwrap();
+        assert_eq!(replay.records, vec![b"r1".to_vec(), b"r2".to_vec()]);
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 }

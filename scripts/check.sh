@@ -68,6 +68,29 @@ if [ -n "$json_hits" ]; then
 fi
 echo "json-writer OK"
 
+echo "== frame-writer gate =="
+# One frame writer: every NDJSON line reaches a socket through
+# `temu_serve::write_frame`, which sends the frame and its newline in one
+# write. A `writeln!` on an unbuffered socket is two writes, and under
+# Nagle the newline then waits ~40 ms for the peer's delayed ACK. Any
+# `writeln!` in non-test source under crates/serve/src or
+# crates/fleet/src (bins included) fails; each file is scanned up to its
+# `#[cfg(test)] mod tests`.
+frame_hits=$(find crates/serve/src crates/fleet/src -name '*.rs' | sort | while read -r f; do
+    awk -v file="$f" '
+        /^#\[cfg\(test\)\]/ { pending = 1; next }
+        pending && /^mod tests/ { exit }
+        { pending = 0 }
+        /writeln!/ { print file ":" FNR ": " $0 }
+    ' "$f"
+done)
+if [ -n "$frame_hits" ]; then
+    echo "frame-writer FAILED: $(echo "$frame_hits" | wc -l) line(s) write a frame without write_frame:"
+    echo "$frame_hits"
+    exit 1
+fi
+echo "frame-writer OK"
+
 echo "== tier-1: release build =="
 cargo build --release
 
