@@ -12,6 +12,20 @@
 //! in the core's private range touch only that core's own state, so the
 //! engine lets a core run them back to back ([`Cpu::run_local`]), ahead of
 //! the other cores, without changing any result.
+//!
+//! [`Cpu::run_local`] runs private cached text a block at a time: up to 8
+//! predecoded instructions of straight-line code, ending at (and
+//! including) the first data access, control transfer or `halt`. A block
+//! keeps the bytes it was decoded from and compares them with memory on
+//! every entry, so stores over the text and restored checkpoints need no
+//! invalidation. The first fetch on each I-cache line goes through the
+//! port as a lone fetch would; the fetches after it on that line are hits
+//! and are booked in one update, so every cycle, counter, cache tag, LRU
+//! stamp and access tick ends exactly where instruction-at-a-time
+//! execution leaves it. Text with no block (outside the private cacheable
+//! range, without an I-cache, misaligned or undecodable) runs one phase
+//! at a time, and [`Cpu::step`] always does: it is what the shared-phase
+//! order and the `temu-des` baseline run, with no block code in its path.
 
 use crate::port::MemoryPort;
 use crate::regfile::RegFile;
@@ -138,6 +152,79 @@ impl DecodeCache {
     }
 }
 
+/// Instructions a block holds at most.
+const BLOCK_LEN: usize = 8;
+
+/// Text bytes a block is decoded from at most.
+const BLOCK_BYTES: u32 = 4 * BLOCK_LEN as u32;
+
+/// Slots of the [`BlockCache`], direct-mapped by start PC like the
+/// [`DecodeCache`].
+const BLOCK_SLOTS: usize = 1024;
+
+/// A run of straight-line instructions starting at `pc`, ending at (and
+/// including) the first data access, control transfer or `halt`, or
+/// before an undecodable word.
+#[derive(Clone, Copy, Debug)]
+struct Block {
+    pc: u32,
+    /// Instructions in the block; 0 when its first word does not decode.
+    len: usize,
+    /// The text the block was decoded from; its first `4 * len` bytes count.
+    bytes: [u8; BLOCK_BYTES as usize],
+    instrs: [Instr; BLOCK_LEN],
+}
+
+impl Block {
+    const EMPTY: Block = Block { pc: 0, len: 0, bytes: [0; BLOCK_BYTES as usize], instrs: [Instr::NOP; BLOCK_LEN] };
+
+    /// Decodes the block at `pc` from `text`, the text from `pc` on; kept
+    /// out of line so the cache's hit path stays small.
+    #[cold]
+    #[inline(never)]
+    fn decode(pc: u32, text: &[u8]) -> Block {
+        let mut block = Block { pc, ..Block::EMPTY };
+        for (word, bytes) in text.chunks_exact(4).take(BLOCK_LEN).enumerate() {
+            let Ok(instr) = Instr::decode(u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"))) else { break };
+            block.instrs[word] = instr;
+            block.bytes[4 * word..4 * word + 4].copy_from_slice(bytes);
+            block.len = word + 1;
+            if instr.is_mem() || instr.is_control() || instr == Instr::Halt {
+                break;
+            }
+        }
+        block
+    }
+}
+
+/// Direct-mapped cache of [`Block`]s by start PC. A block is used only when
+/// the text at its PC still holds the bytes it was decoded from (one slice
+/// compare per entry), so, as with the decode cache, stores over the text
+/// and restored checkpoints need no invalidation and the cache no
+/// checkpoint state.
+#[derive(Clone, Debug, Default)]
+struct BlockCache {
+    /// Empty until the first block, so building a machine allocates nothing.
+    slots: Vec<Block>,
+}
+
+impl BlockCache {
+    /// The block at `pc`, decoded again from `text` (the text from `pc` on)
+    /// unless its slot holds one decoded from the same bytes.
+    #[inline]
+    fn get(&mut self, pc: u32, text: &[u8]) -> &Block {
+        if self.slots.is_empty() {
+            self.slots = vec![Block::EMPTY; BLOCK_SLOTS];
+        }
+        let block = &mut self.slots[(pc >> 2) as usize & (BLOCK_SLOTS - 1)];
+        let n = 4 * block.len;
+        if block.pc != pc || n == 0 || text.get(..n) != Some(&block.bytes[..n]) {
+            *block = Block::decode(pc, text);
+        }
+        block
+    }
+}
+
 /// One TE32 core instance.
 #[derive(Clone, Debug)]
 pub struct Cpu {
@@ -150,6 +237,7 @@ pub struct Cpu {
     pending: Option<(DataOp, u32)>, // (operation, pc of the owning instruction)
     stats: CoreStats,
     decoded: DecodeCache,
+    blocks: BlockCache,
 }
 
 impl Cpu {
@@ -166,6 +254,7 @@ impl Cpu {
             pending: None,
             stats: CoreStats::default(),
             decoded: DecodeCache::default(),
+            blocks: BlockCache::default(),
         }
     }
 
@@ -259,6 +348,14 @@ impl Cpu {
     /// memory and its counters), so these phases may run ahead of other
     /// cores' work; `0` runs nothing, `1 << 32` runs to `limit` or `halt`.
     ///
+    /// Fetch phases run as blocks where the port offers the text
+    /// ([`MemoryPort::text`]): each instruction of a block after its first
+    /// runs under the same `limit` and `local_end` rule, and its fetch, when
+    /// it stays on the I-cache line fetched before, is booked with the
+    /// others on that line through [`MemoryPort::fetch_hits`]. The result —
+    /// state, counters and cache — is the one phase-at-a-time execution
+    /// gives, which remains the path for text with no block.
+    ///
     /// # Errors
     ///
     /// Returns [`CpuError`] exactly as [`Cpu::step`] does; the core is left
@@ -271,7 +368,9 @@ impl Cpu {
                     self.data_phase(port, op, pc)?;
                 }
                 None if u64::from(self.pc) < local_end => {
-                    self.fetch_phase(port)?;
+                    if !self.run_block(port, limit, local_end)? {
+                        self.fetch_phase(port)?;
+                    }
                 }
                 _ => break,
             }
@@ -314,11 +413,64 @@ impl Cpu {
         let t0 = self.time;
         let pc = self.pc;
         let fetch = port.fetch(self.id, pc, t0).map_err(|err| CpuError::Mem { pc, err })?;
-        let mut t = fetch.done_at;
         let instr = self.decoded.decode(pc, fetch.value).map_err(|err| CpuError::Decode { pc, word: fetch.value, err })?;
+        self.execute(instr, pc, t0, fetch.done_at, fetch.stall);
+        Ok(if self.halted { StepOutcome::Halted } else { StepOutcome::Executed })
+    }
 
+    /// Runs the block of straight-line code at the PC, instruction by
+    /// instruction, as [`Cpu::fetch_phase`] would with the same `limit` and
+    /// `local_end` rule as [`Cpu::run_local`] between instructions; returns
+    /// `false`, having run nothing, when the PC has no block.
+    ///
+    /// The first fetch on each I-cache line goes through the port, and the
+    /// fetches after it on that line — hits, since only this core's fetches
+    /// touch its I-cache — are booked in one [`MemoryPort::fetch_hits`]
+    /// before the next full fetch and at the block's end.
+    fn run_block<P: MemoryPort + ?Sized>(&mut self, port: &mut P, limit: u64, local_end: u64) -> Result<bool, CpuError> {
+        let Some(text) = port.text(self.id, self.pc, BLOCK_BYTES) else { return Ok(false) };
+        let (line_shift, hit_latency) = (text.line_shift, u64::from(text.hit_latency));
+        let block = self.blocks.get(self.pc, text.bytes);
+        if block.len == 0 {
+            return Ok(false);
+        }
+        let (len, instrs) = (block.len, block.instrs);
+        let mut line = self.pc >> line_shift;
+        let mut hits = 0; // fetch hits on `line` not yet booked
+        for (i, &instr) in instrs[..len].iter().enumerate() {
+            let (pc, t0) = (self.pc, self.time);
+            if i > 0 {
+                if t0 >= limit || u64::from(pc) >= local_end {
+                    break;
+                }
+                if pc >> line_shift == line {
+                    hits += 1;
+                    self.execute(instr, pc, t0, t0 + hit_latency, 0);
+                    continue;
+                }
+            }
+            if hits > 0 {
+                port.fetch_hits(self.id, line << line_shift, hits);
+                hits = 0;
+            }
+            line = pc >> line_shift;
+            let fetch = port.fetch(self.id, pc, t0).map_err(|err| CpuError::Mem { pc, err })?;
+            self.execute(instr, pc, t0, fetch.done_at, fetch.stall);
+        }
+        if hits > 0 {
+            port.fetch_hits(self.id, line << line_shift, hits);
+        }
+        Ok(true)
+    }
+
+    /// Executes `instr`, fetched from `pc` in the fetch that started at
+    /// `t0` and ended at `fetched` with `stall` stall cycles: applies its
+    /// effect on registers, PC and counters, or parks its data access, and
+    /// ends its phase with the execute-phase extras.
+    #[inline(always)]
+    fn execute(&mut self, instr: Instr, pc: u32, t0: u64, fetched: u64, stall: u64) {
+        let mut t = fetched;
         let mut next_pc = pc.wrapping_add(4);
-        let mut halted_now = false;
         let mut retired = true;
         match instr {
             Instr::Alu { op, rd, rs1, rs2 } => {
@@ -380,23 +532,16 @@ impl Cpu {
                 self.stats.taken_branches += 1;
             }
             Instr::Halt => {
-                halted_now = true;
+                self.halted = true;
             }
         }
-
-        let elapsed = t - t0;
-        self.stats.stall_cycles += fetch.stall;
-        self.stats.active_cycles += elapsed - fetch.stall;
+        self.stats.stall_cycles += stall;
+        self.stats.active_cycles += t - t0 - stall;
         self.time = t;
         if retired {
             self.pc = next_pc;
             self.stats.instructions += 1;
         }
-        if halted_now {
-            self.halted = true;
-            return Ok(StepOutcome::Halted);
-        }
-        Ok(StepOutcome::Executed)
     }
 }
 
@@ -515,7 +660,7 @@ fn extend(value: u32, width: Width, signed: bool) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::port::MemReply;
+    use crate::port::{MemReply, Text};
     use temu_isa::asm::assemble;
     use temu_mem::MemArray;
 
@@ -673,6 +818,76 @@ mod tests {
         cpu.step(&mut port).unwrap();
         assert!(!cpu.mid_instruction());
         assert_eq!(cpu.stats().instructions, 1);
+    }
+
+    /// A [`TestPort`] that offers all its text as blocks behind 16-byte
+    /// lines with 1-cycle hits (which its fetches take) and counts the
+    /// fetches it serves and the hits booked in bulk.
+    struct BlockPort {
+        inner: TestPort,
+        fetches: u64,
+        bulk_hits: u64,
+    }
+
+    impl MemoryPort for BlockPort {
+        fn fetch(&mut self, core: usize, pc: u32, now: u64) -> Result<MemReply, MemError> {
+            self.fetches += 1;
+            self.inner.fetch(core, pc, now)
+        }
+
+        fn read(&mut self, core: usize, addr: u32, width: Width, now: u64) -> Result<MemReply, MemError> {
+            self.inner.read(core, addr, width, now)
+        }
+
+        fn write(&mut self, core: usize, addr: u32, width: Width, value: u32, now: u64) -> Result<MemReply, MemError> {
+            self.inner.write(core, addr, width, value, now)
+        }
+
+        fn tas(&mut self, core: usize, addr: u32, now: u64) -> Result<MemReply, MemError> {
+            self.inner.tas(core, addr, now)
+        }
+
+        fn text(&self, _core: usize, pc: u32, len: u32) -> Option<Text<'_>> {
+            let len = len.min(self.inner.mem.size() - pc);
+            Some(Text { bytes: self.inner.mem.slice(pc, len), line_shift: 4, hit_latency: 1 })
+        }
+
+        fn fetch_hits(&mut self, _core: usize, _pc: u32, hits: u32) {
+            self.bulk_hits += u64::from(hits);
+        }
+    }
+
+    fn state(cpu: &Cpu) -> Vec<u8> {
+        let mut w = StateWriter::new(*b"TEST", 1);
+        cpu.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn blocks_leave_the_state_phases_leave() {
+        let src = "li r1, 7\n
+                   loop: addi r2, r2, 3\n mul r3, r2, r1\n xor r4, r3, r2\n sw r4, 0x400(r0)\n
+                         lw r5, 0x400(r0)\n add r6, r6, r5\n addi r1, r1, -1\n bnez r1, loop\n
+                   halt\n";
+        let (stepped, port) = run(src);
+        let (mut cpu, inner) = TestPort::load_program(src);
+        let mut blocks = BlockPort { inner, fetches: 0, bulk_hits: 0 };
+        cpu.run_local(&mut blocks, u64::MAX, 1 << 32).unwrap();
+        assert!(cpu.is_halted());
+        assert_eq!(state(&cpu), state(&stepped));
+        assert_eq!(blocks.inner.mem, port.mem);
+        assert_eq!(blocks.fetches + blocks.bulk_hits, cpu.stats().instructions, "every instruction fetched once");
+        assert!(blocks.bulk_hits > 0, "fetches were booked in bulk");
+
+        // A limit inside a block stops it at the same instruction.
+        for limit in 1..30 {
+            let (mut cpu, inner) = TestPort::load_program(src);
+            let mut blocks = BlockPort { inner, fetches: 0, bulk_hits: 0 };
+            cpu.run_local(&mut blocks, limit, 1 << 32).unwrap();
+            let (mut stepped, mut port) = TestPort::load_program(src);
+            stepped.run_local(&mut port, limit, 1 << 32).unwrap();
+            assert_eq!(state(&cpu), state(&stepped), "limit {limit}");
+        }
     }
 
     #[test]

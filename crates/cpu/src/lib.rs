@@ -19,6 +19,6 @@ mod regfile;
 mod stats;
 
 pub use crate::core::{Cpu, CpuConfig, CpuError, StepOutcome};
-pub use port::{MemReply, MemoryPort};
+pub use port::{MemReply, MemoryPort, Text};
 pub use regfile::RegFile;
 pub use stats::CoreStats;

@@ -16,12 +16,30 @@ pub struct MemReply {
     pub stall: u64,
 }
 
+/// Instruction bytes a core may run as a block (see [`MemoryPort::text`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Text<'a> {
+    /// The text from the requested PC on, up to the requested length.
+    pub bytes: &'a [u8],
+    /// `log2` of the I-cache line size: two fetches hit the same line iff
+    /// their addresses agree above this bit.
+    pub line_shift: u32,
+    /// Cycles an I-cache hit takes.
+    pub hit_latency: u32,
+}
+
 /// Interface between a core and its memory controller.
 ///
 /// `now` is the absolute core cycle at which the access starts; `core` is the
 /// issuing core's index (the controller routes private memory per core and
 /// attributes statistics). Implementations perform the *functional* access
 /// immediately and model all timing in the returned [`MemReply`].
+///
+/// The two provided methods let a core run straight-line code as a block:
+/// [`MemoryPort::text`] hands it the instruction bytes, and
+/// [`MemoryPort::fetch_hits`] books the fetches that hit the line fetched
+/// just before in one update. Their defaults decline, so every fetch then
+/// goes through [`MemoryPort::fetch`].
 pub trait MemoryPort {
     /// Instruction fetch of the word at `pc`.
     ///
@@ -51,4 +69,19 @@ pub trait MemoryPort {
     ///
     /// Returns [`MemError`] for unmapped, misaligned or out-of-range access.
     fn tas(&mut self, core: usize, addr: u32, now: u64) -> Result<MemReply, MemError>;
+
+    /// The bytes of `[pc, pc + len)` — fewer where the range ends — when
+    /// `pc` is 4-aligned text in the core's private cacheable range behind
+    /// an I-cache, so that a fetch there has no effect beyond the I-cache
+    /// and its miss traffic to private memory; `None` otherwise (the
+    /// default).
+    fn text(&self, _core: usize, _pc: u32, _len: u32) -> Option<Text<'_>> {
+        None
+    }
+
+    /// Books `hits` I-cache fetch hits on the line holding `pc`, exactly as
+    /// that many [`MemoryPort::fetch`] calls on the line would, right after
+    /// a fetch of that line. Only called after [`MemoryPort::text`]
+    /// answered; the default does nothing.
+    fn fetch_hits(&mut self, _core: usize, _pc: u32, _hits: u32) {}
 }

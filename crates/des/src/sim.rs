@@ -142,6 +142,19 @@ impl DesMachine {
         &self.cores[i]
     }
 
+    /// The memory system (caches, memories, interconnect, MMIO), for
+    /// comparing its full state with the fast engine's.
+    pub fn uncore(&self) -> &Uncore {
+        &self.uncore
+    }
+
+    /// Publishes a new virtual frequency in the MMIO window, as
+    /// `temu_platform::Machine::set_virtual_hz` does (the baseline has no
+    /// VPCM to retune).
+    pub fn set_virtual_hz(&mut self, hz: u64) {
+        self.uncore.mmio.set_freq_mhz((hz / 1_000_000) as u32);
+    }
+
     /// Whether every core has halted.
     pub fn all_halted(&self) -> bool {
         self.cores.iter().all(Cpu::is_halted)

@@ -187,6 +187,13 @@ impl Cache {
         addr & !(self.cfg.line_bytes - 1)
     }
 
+    /// The set `addr` maps to, and its tag there.
+    #[inline]
+    fn set_and_tag(&self, addr: u32) -> (u32, u32) {
+        let line = addr >> self.line_shift;
+        (line & ((1 << self.set_bits) - 1), line >> self.set_bits)
+    }
+
     /// Performs one access, updating tags, LRU and statistics, and reports
     /// the generated memory traffic.
     #[inline]
@@ -199,9 +206,7 @@ impl Cache {
             self.stats.reads += 1;
         }
 
-        let line = addr >> self.line_shift;
-        let set = line & ((1 << self.set_bits) - 1);
-        let tag = line >> self.set_bits;
+        let (set, tag) = self.set_and_tag(addr);
         let ways = self.cfg.ways as usize;
         let base = set as usize * ways;
         let set_lines = &mut self.lines[base..base + ways];
@@ -247,6 +252,28 @@ impl Cache {
             victim.lru = self.tick;
             CacheResponse::Miss { writeback_addr }
         }
+    }
+
+    /// Books `k` read hits on the line holding `addr`, exactly as `k`
+    /// [`Cache::access`] calls would: the tick, the read and hit counters
+    /// and the line's LRU stamp all end where those calls leave them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the line is not present: the caller books only hits that
+    /// follow an access to the same line.
+    pub fn record_hits(&mut self, addr: u32, k: u64) {
+        self.tick += k;
+        self.stats.reads += k;
+        self.stats.hits += k;
+        let (set, tag) = self.set_and_tag(addr);
+        let ways = self.cfg.ways as usize;
+        let base = set as usize * ways;
+        let line = self.lines[base..base + ways]
+            .iter_mut()
+            .find(|l| l.valid && l.tag == tag)
+            .expect("bulk hits follow an access to the same line");
+        line.lru = self.tick;
     }
 
     /// Invalidates all lines (losing dirtiness — used on reset only).
@@ -427,6 +454,30 @@ mod tests {
         let s = c.take_stats();
         assert_eq!(s.misses, 1);
         assert_eq!(c.stats().accesses(), 0);
+    }
+
+    #[test]
+    fn recorded_hits_match_single_accesses() {
+        // Two ways, so the LRU stamps decide the victim of the last miss.
+        let cfg = CacheConfig { size_bytes: 64, line_bytes: 16, ways: 2, hit_latency: 1, write_policy: WritePolicy::WriteBack };
+        let (mut one, mut bulk) = (Cache::new(cfg, CacheKind::Instruction), Cache::new(cfg, CacheKind::Instruction));
+        for c in [&mut one, &mut bulk] {
+            c.access(0x00, AccessKind::Fetch);
+            c.access(0x20, AccessKind::Fetch);
+        }
+        for addr in [0x04, 0x08, 0x0C] {
+            assert_eq!(one.access(addr, AccessKind::Fetch), CacheResponse::Hit);
+        }
+        bulk.record_hits(0x0C, 3);
+        let state = |c: &Cache| {
+            let mut w = StateWriter::new(*b"TEST", 1);
+            c.save_state(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(state(&one), state(&bulk));
+        assert_eq!(bulk.stats().hits, 3);
+        assert_eq!(one.access(0x40, AccessKind::Fetch), bulk.access(0x40, AccessKind::Fetch));
+        assert_eq!(bulk.access(0x00, AccessKind::Fetch), CacheResponse::Hit, "0x20 was the LRU victim");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use crate::config::{IcChoice, PlatformConfig};
 use crate::mmio::Mmio;
 use crate::sniffer::{Event, EventBuffer, EventKind, SnifferMode};
-use temu_cpu::{MemReply, MemoryPort};
+use temu_cpu::{MemReply, MemoryPort, Text};
 use temu_interconnect::{Bus, Grant, IcStats, Interconnect, Noc, Request};
 use temu_isa::Width;
 use temu_mem::{
@@ -475,6 +475,27 @@ impl MemoryPort for Uncore {
         let done_at = self.service(core, range.target, addr, 1, 0, true, now);
         Ok(MemReply { value, done_at, stall: done_at - now - 1 })
     }
+
+    fn text(&self, core: usize, pc: u32, len: u32) -> Option<Text<'_>> {
+        let cm = &self.per_core[core];
+        let icache = cm.icache.as_ref()?.config();
+        let range = self.map.lookup(pc)?;
+        if range.target != RangeTarget::Private || !range.cacheable || !pc.is_multiple_of(4) {
+            return None;
+        }
+        let start = range.offset(pc);
+        let end = start.saturating_add(len).min(cm.private.size());
+        Some(Text {
+            bytes: cm.private.slice(start, end - start),
+            line_shift: icache.line_bytes.trailing_zeros(),
+            hit_latency: icache.hit_latency,
+        })
+    }
+
+    fn fetch_hits(&mut self, core: usize, pc: u32, hits: u32) {
+        let icache = self.per_core[core].icache.as_mut().expect("text answered only behind an I-cache");
+        icache.record_hits(pc, u64::from(hits));
+    }
 }
 
 #[cfg(test)]
@@ -494,6 +515,41 @@ mod tests {
         let b = u.fetch(0, 0x104, a.done_at).unwrap();
         assert_eq!(b.stall, 0, "same line hits");
         assert_eq!(b.done_at, a.done_at + 1);
+    }
+
+    #[test]
+    fn text_answers_only_for_private_cached_text() {
+        let mut u = uncore(1);
+        u.load_private(0, 0x100, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
+        let t = u.text(0, 0x100, 8).expect("private cacheable text");
+        assert_eq!(t.bytes, [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!((t.line_shift, t.hit_latency), (4, 1), "16-byte lines, 1-cycle hits");
+        let top = u.private(0).size() - 4;
+        assert_eq!(u.text(0, top, 32).unwrap().bytes.len(), 4, "clipped at the end of private memory");
+        assert!(u.text(0, 0x102, 4).is_none(), "misaligned");
+        assert!(u.text(0, SHARED_BASE_ADDR, 4).is_none(), "shared text");
+        assert!(u.text(0, MMIO_BASE_ADDR, 4).is_none(), "MMIO");
+        assert!(u.text(0, 0x0800_0000, 4).is_none(), "unmapped");
+        let mut cfg = PlatformConfig::paper_bus(1);
+        cfg.icache = None;
+        assert!(Uncore::new(&cfg).text(0, 0x100, 4).is_none(), "no I-cache");
+    }
+
+    #[test]
+    fn fetch_hits_book_what_single_fetches_would() {
+        let (mut one, mut bulk) = (uncore(1), uncore(1));
+        let t = one.fetch(0, 0x100, 0).unwrap().done_at;
+        assert_eq!(bulk.fetch(0, 0x100, 0).unwrap().done_at, t);
+        for (i, pc) in [0x104, 0x108, 0x10C].into_iter().enumerate() {
+            assert_eq!(one.fetch(0, pc, t + i as u64).unwrap(), MemReply { value: 0, done_at: t + i as u64 + 1, stall: 0 });
+        }
+        bulk.fetch_hits(0, 0x10C, 3);
+        let state = |u: &Uncore| {
+            let mut w = StateWriter::new(*b"TEST", 1);
+            u.save_state(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(state(&one), state(&bulk));
     }
 
     #[test]

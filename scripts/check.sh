@@ -109,6 +109,12 @@ echo "== ISS differential: 100 seeds per platform =="
 # random programs on every platform, to halt and window by window (997
 # cycles), fast engine against the cycle-driven baseline.
 cargo test --release -p temu-des --test random_programs -- --include-ignored
+# The full-state differential adds what random_programs does not compare:
+# every sniffer counter and the whole cache state (tags, LRU stamps,
+# access ticks) at halt and at every boundary, on programs aimed at the
+# ISS's block path, and DFS frequency switches mid-run read back by the
+# programs; 100 seeds per platform.
+cargo test --release -p temu-des --test full_state -- --include-ignored
 
 echo "== lint wall: clippy -D warnings =="
 # --all-targets: tests, benches and examples are linted too.
