@@ -4,9 +4,9 @@
 //!
 //! Each mesh is measured twice: `reference` is the seed-faithful solver
 //! (natural-order serial Gauss–Seidel, per-substep coefficient refresh),
-//! `optimized` is the CSR/colored path with lazy refresh, warm-started SOR
-//! sweeps and threshold-based parallelism — the ratio is the PR-over-PR
-//! perf trajectory the scaling benchmark tracks in `BENCH_thermal.json`.
+//! `optimized` is the serial CSR path with lazy refresh and warm-started
+//! SOR sweeps — the ratio is the PR-over-PR perf trajectory the scaling
+//! benchmark tracks in `BENCH_thermal.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use temu_power::floorplans::fig4b_arm11;
@@ -31,7 +31,7 @@ fn bench_thermal(c: &mut Criterion) {
     let mut group = c.benchmark_group("thermal_window_10ms");
     group.sample_size(20);
     for mesh in ["coarse", "default", "fine"] {
-        for (label, sweep) in [("reference", SweepMode::Reference), ("optimized", SweepMode::Auto)] {
+        for (label, sweep) in [("reference", SweepMode::Reference), ("optimized", SweepMode::Serial)] {
             let template = model_with_cells(mesh, sweep);
             let cells = template.grid().n_cells();
             group.bench_with_input(

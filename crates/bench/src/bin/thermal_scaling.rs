@@ -1,6 +1,6 @@
 //! Thermal-solver scaling benchmark (see `temu_bench::thermal_scaling`).
 //!
-//! Sweeps mesh sizes from the paper's ~660-cell operating point to ~46k
+//! Sweeps mesh sizes from the paper's ~660-cell operating point to ~105k
 //! cells, measuring substeps/second for both integrators and every sweep
 //! mode, and writes `BENCH_thermal.json` so the perf trajectory is tracked
 //! across PRs.
@@ -42,11 +42,8 @@ fn main() {
     let report = thermal_scaling::run_filtered(smoke, budget, mesh.as_deref());
 
     println!(
-        "Thermal solver scaling on the Fig. 4b ARM11 floorplan ({} host core(s){}):\n",
-        report.host_cores,
-        report
-            .threads_override
-            .map_or(String::new(), |t| format!(", TEMU_THERMAL_THREADS={t}"))
+        "Thermal solver scaling on the Fig. 4b ARM11 floorplan ({} host core(s), one solver thread):\n",
+        report.host_cores
     );
     println!(
         "{:<16} {:>7} {:>14} {:>10} {:>7} {:>12} {:>7} {:>7} {:>7} {:>9}",
@@ -57,7 +54,7 @@ fn main() {
             .speedup(c.mesh, c.integrator, c.sweep)
             .map_or(String::from("-"), |v| format!("{v:.2}x"));
         println!(
-            "{:<16} {:>7} {:>14} {:>10} {:>7} {:>12.0} {:>7.1} {:>7.1} {:>7} {:>9}{}",
+            "{:<16} {:>7} {:>14} {:>10} {:>7} {:>12.0} {:>7.1} {:>7.1} {:>7} {:>9}",
             c.mesh,
             c.cells,
             c.integrator,
@@ -68,7 +65,6 @@ fn main() {
             c.avg_cycles,
             c.unconverged,
             speedup,
-            if c.parallel_active { "  [parallel]" } else { "" },
         );
     }
     println!("\nArtifact build times (what one sweep-layer cache hit saves per point):");

@@ -5,10 +5,10 @@
 //! The mesh ladder refines the Fig. 4b ARM11 floorplan from the paper's
 //! ~660-cell operating point (§5.2: "2 s of simulation on 660 cells in
 //! 1.65 s") up to ~105k cells. Every rung measures the seed-faithful
-//! [`SweepMode::Reference`] solver against the optimized serial and
-//! threshold-resolved (`Auto`) paths, for both integrators; the
-//! semi-implicit rungs additionally measure the multigrid solver (`mg`
-//! rows) against the pinned-Gauss–Seidel rows.
+//! [`SweepMode::Reference`] solver against the optimized
+//! [`SweepMode::Serial`] path, for both integrators; the semi-implicit
+//! rungs additionally measure the multigrid solver (`mg` rows) against
+//! the pinned-Gauss–Seidel rows.
 //!
 //! Convergence is part of the contract, not just speed: every case records
 //! its `unconverged_substeps`, and the run **fails** if a multigrid case
@@ -16,7 +16,7 @@
 //! solver exists to kill stays loud forever.
 
 use std::time::Instant;
-use temu_framework::{JsonObject, JsonValue};
+use temu_framework::JsonObject;
 use temu_power::floorplans::fig4b_arm11;
 use temu_thermal::{GridConfig, ImplicitSolve, Integrator, SweepMode, ThermalGrid, ThermalModel};
 
@@ -29,16 +29,12 @@ pub struct CaseResult {
     pub cells: usize,
     /// Resistive edges.
     pub edges: usize,
-    /// Sweep colors of the mesh.
-    pub colors: usize,
     /// `"semi_implicit"` or `"explicit"`.
     pub integrator: &'static str,
-    /// `"reference"`, `"serial"`, `"auto"` or `"mg"`.
+    /// `"reference"`, `"serial"` or `"mg"`.
     pub sweep: &'static str,
     /// Implicit-solver strategy: `"gs"`, `"mg"`, or `"-"` for explicit.
     pub solver: &'static str,
-    /// Whether the run actually used parallel sweeps.
-    pub parallel_active: bool,
     /// 10 ms sampling windows executed.
     pub windows: u64,
     /// Integration substeps executed.
@@ -81,10 +77,8 @@ pub struct MeshBuild {
 /// A full scaling run.
 #[derive(Clone, Debug)]
 pub struct ScalingReport {
-    /// Host CPU count (parallel speedups are bounded by this).
+    /// Host CPU count (every case runs on one thread).
     pub host_cores: usize,
-    /// Solver worker-pool size override, if `TEMU_THERMAL_THREADS` is set.
-    pub threads_override: Option<usize>,
     /// Whether this was the reduced smoke run.
     pub smoke: bool,
     /// Per-combination measurements.
@@ -104,7 +98,7 @@ pub fn mesh_ladder(smoke: bool) -> Vec<(&'static str, GridConfig)> {
         ("criterion_fine", GridConfig { default_div: 3, hot_div: 6, filler_pitch_um: 700.0, ..GridConfig::default() }),
         // ~5.5k cells.
         ("xfine", GridConfig { default_div: 6, hot_div: 12, filler_pitch_um: 350.0, ..GridConfig::default() }),
-        // ~20k cells: above the default parallel threshold.
+        // ~20k cells: above the default multigrid threshold.
         ("xxfine", GridConfig { default_div: 12, hot_div: 24, filler_pitch_um: 180.0, ..GridConfig::default() }),
         // ~46k cells (11.5k tiles): the rung where plain Gauss–Seidel used
         // to pin at the sweep cap.
@@ -127,12 +121,8 @@ fn integrators() -> [(&'static str, Integrator); 2] {
     ]
 }
 
-fn sweeps() -> [(&'static str, SweepMode); 3] {
-    [
-        ("reference", SweepMode::Reference),
-        ("serial", SweepMode::Serial),
-        ("auto", SweepMode::Auto),
-    ]
+fn sweeps() -> [(&'static str, SweepMode); 2] {
+    [("reference", SweepMode::Reference), ("serial", SweepMode::Serial)]
 }
 
 fn measure_case(
@@ -177,11 +167,9 @@ fn measure_case(
         mesh,
         cells: model.grid().n_cells(),
         edges: model.grid().n_edges(),
-        colors: model.grid().sweep_colors(),
         integrator: integrator.0,
         sweep: sweep.0,
         solver: if implicit { solve.0 } else { "-" },
-        parallel_active: model.uses_parallel_sweeps(),
         windows,
         substeps,
         wall_s,
@@ -259,7 +247,7 @@ pub fn run_filtered(smoke: bool, budget_s: f64, only_mesh: Option<&str>) -> Scal
                     mesh,
                     &cfg,
                     integrator,
-                    ("mg", SweepMode::Auto),
+                    ("mg", SweepMode::Serial),
                     ("mg", ImplicitSolve::Multigrid),
                     budget_s,
                 ));
@@ -277,7 +265,6 @@ pub fn run_filtered(smoke: bool, budget_s: f64, only_mesh: Option<&str>) -> Scal
     }
     ScalingReport {
         host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        threads_override: std::env::var("TEMU_THERMAL_THREADS").ok().and_then(|v| v.parse().ok()),
         smoke,
         cases,
         builds,
@@ -315,11 +302,9 @@ impl ScalingReport {
                 .str("mesh", c.mesh)
                 .raw("cells", c.cells)
                 .raw("edges", c.edges)
-                .raw("colors", c.colors)
                 .str("integrator", c.integrator)
                 .str("sweep", c.sweep)
                 .str("solver", c.solver)
-                .raw("parallel_active", c.parallel_active)
                 .raw("windows", c.windows)
                 .raw("substeps", c.substeps)
                 .num("wall_s", c.wall_s, 6)
@@ -331,11 +316,8 @@ impl ScalingReport {
                 .num("speedup_vs_reference", self.speedup(c.mesh, c.integrator, c.sweep), 3)
                 .finish()
         });
-        let threads_override =
-            self.threads_override.map_or(JsonValue::Null, |t| JsonValue::Num(t as f64));
         JsonObject::document()
             .raw("host_cores", self.host_cores)
-            .raw("threads_override", threads_override)
             .raw("smoke", self.smoke)
             .rows("mesh_builds", builds)
             .rows("cases", cases)
@@ -346,6 +328,7 @@ impl ScalingReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use temu_framework::JsonValue;
 
     #[test]
     fn ladder_spans_paper_to_large() {
@@ -361,17 +344,14 @@ mod tests {
     fn json_shape_is_stable() {
         let report = ScalingReport {
             host_cores: 4,
-            threads_override: None,
             smoke: true,
             cases: vec![CaseResult {
                 mesh: "paper660",
                 cells: 640,
                 edges: 1936,
-                colors: 6,
                 integrator: "semi_implicit",
                 sweep: "reference",
                 solver: "gs",
-                parallel_active: false,
                 windows: 3,
                 substeps: 60,
                 wall_s: 0.1,
@@ -411,11 +391,9 @@ mod tests {
             mesh,
             cells: 640,
             edges: 1936,
-            colors: 6,
             integrator: "semi_implicit",
             sweep,
             solver: "gs",
-            parallel_active: sweep == "auto",
             windows: 3,
             substeps: 60,
             wall_s: 0.1234567,
@@ -431,12 +409,11 @@ mod tests {
     fn json_bytes_are_pinned() {
         let report = ScalingReport {
             host_cores: 2,
-            threads_override: Some(4),
             smoke: false,
             // `fine` has no reference case, so its speedup is null.
             cases: vec![
                 case("paper660", "reference", 600.0),
-                case("paper660", "auto", 1500.25),
+                case("paper660", "serial", 1500.25),
                 case("fine", "serial", 90.0),
             ],
             builds: vec![
@@ -459,7 +436,6 @@ mod tests {
         assert_eq!(report.to_json(), GOLDEN_SCALING);
         let empty = ScalingReport {
             host_cores: 1,
-            threads_override: None,
             smoke: true,
             cases: Vec::new(),
             builds: Vec::new(),
@@ -476,7 +452,6 @@ mod tests {
         nan.max_temp_k = f64::NAN;
         let report = ScalingReport {
             host_cores: 1,
-            threads_override: None,
             smoke: true,
             cases: vec![case("paper660", "reference", 0.0), nan],
             builds: Vec::new(),
@@ -491,23 +466,21 @@ mod tests {
     const GOLDEN_SCALING: &str = concat!(
         "{\n",
         "  \"host_cores\": 2,\n",
-        "  \"threads_override\": 4,\n",
         "  \"smoke\": false,\n",
         "  \"mesh_builds\": [\n",
         "    {\"mesh\": \"paper660\", \"tiles\": 160, \"cells\": 640, \"mesh_build_ms\": 1.000, \"hierarchy_build_ms\": 2.500},\n",
         "    {\"mesh\": \"fine\", \"tiles\": 1600, \"cells\": 6400, \"mesh_build_ms\": 10.062, \"hierarchy_build_ms\": 0.000}\n",
         "  ],\n",
         "  \"cases\": [\n",
-        "    {\"mesh\": \"paper660\", \"cells\": 640, \"edges\": 1936, \"colors\": 6, \"integrator\": \"semi_implicit\", \"sweep\": \"reference\", \"solver\": \"gs\", \"parallel_active\": false, \"windows\": 3, \"substeps\": 60, \"wall_s\": 0.123457, \"substeps_per_s\": 600.0, \"avg_sweeps\": 7.46, \"avg_cycles\": 0.00, \"unconverged_substeps\": 0, \"max_temp_k\": 301.000, \"speedup_vs_reference\": 1.000},\n",
-        "    {\"mesh\": \"paper660\", \"cells\": 640, \"edges\": 1936, \"colors\": 6, \"integrator\": \"semi_implicit\", \"sweep\": \"auto\", \"solver\": \"gs\", \"parallel_active\": true, \"windows\": 3, \"substeps\": 60, \"wall_s\": 0.123457, \"substeps_per_s\": 1500.2, \"avg_sweeps\": 7.46, \"avg_cycles\": 0.00, \"unconverged_substeps\": 0, \"max_temp_k\": 301.000, \"speedup_vs_reference\": 2.500},\n",
-        "    {\"mesh\": \"fine\", \"cells\": 640, \"edges\": 1936, \"colors\": 6, \"integrator\": \"semi_implicit\", \"sweep\": \"serial\", \"solver\": \"gs\", \"parallel_active\": false, \"windows\": 3, \"substeps\": 60, \"wall_s\": 0.123457, \"substeps_per_s\": 90.0, \"avg_sweeps\": 7.46, \"avg_cycles\": 0.00, \"unconverged_substeps\": 0, \"max_temp_k\": 301.000, \"speedup_vs_reference\": null}\n",
+        "    {\"mesh\": \"paper660\", \"cells\": 640, \"edges\": 1936, \"integrator\": \"semi_implicit\", \"sweep\": \"reference\", \"solver\": \"gs\", \"windows\": 3, \"substeps\": 60, \"wall_s\": 0.123457, \"substeps_per_s\": 600.0, \"avg_sweeps\": 7.46, \"avg_cycles\": 0.00, \"unconverged_substeps\": 0, \"max_temp_k\": 301.000, \"speedup_vs_reference\": 1.000},\n",
+        "    {\"mesh\": \"paper660\", \"cells\": 640, \"edges\": 1936, \"integrator\": \"semi_implicit\", \"sweep\": \"serial\", \"solver\": \"gs\", \"windows\": 3, \"substeps\": 60, \"wall_s\": 0.123457, \"substeps_per_s\": 1500.2, \"avg_sweeps\": 7.46, \"avg_cycles\": 0.00, \"unconverged_substeps\": 0, \"max_temp_k\": 301.000, \"speedup_vs_reference\": 2.500},\n",
+        "    {\"mesh\": \"fine\", \"cells\": 640, \"edges\": 1936, \"integrator\": \"semi_implicit\", \"sweep\": \"serial\", \"solver\": \"gs\", \"windows\": 3, \"substeps\": 60, \"wall_s\": 0.123457, \"substeps_per_s\": 90.0, \"avg_sweeps\": 7.46, \"avg_cycles\": 0.00, \"unconverged_substeps\": 0, \"max_temp_k\": 301.000, \"speedup_vs_reference\": null}\n",
         "  ]\n",
         "}\n",
     );
     const GOLDEN_EMPTY_SCALING: &str = concat!(
         "{\n",
         "  \"host_cores\": 1,\n",
-        "  \"threads_override\": null,\n",
         "  \"smoke\": true,\n",
         "  \"mesh_builds\": [\n",
         "  ],\n",

@@ -1,4 +1,4 @@
-//! Golden-trajectory regression: the optimized CSR/colored solver must
+//! Golden-trajectory regression: the optimized serial CSR solver must
 //! reproduce the seed-faithful reference solver on the Fig. 4b ARM11
 //! floorplan to within 1e-4 K over a 2 s heating transient, for both
 //! integrators, and forced multigrid must track plain Gauss–Seidel to the
@@ -69,7 +69,7 @@ fn assert_tracks(
 fn optimized_matches_reference(windows: usize, heated_k: f64) {
     for integrator in [Integrator::SemiImplicit { dt: 5e-4 }, Integrator::Explicit] {
         let mut reference = model(integrator, SweepMode::Reference);
-        let mut optimized = model(integrator, SweepMode::Auto);
+        let mut optimized = model(integrator, SweepMode::Serial);
         assert_tracks(&mut reference, &mut optimized, windows, heated_k, &format!("{integrator:?}"));
     }
 }
@@ -82,8 +82,8 @@ fn optimized_matches_reference(windows: usize, heated_k: f64) {
 /// reference contract, where the setting is a no-op.)
 fn multigrid_matches_gauss_seidel(windows: usize, heated_k: f64) {
     let integrator = Integrator::SemiImplicit { dt: 5e-4 };
-    let mut gs = model_with(integrator, SweepMode::Auto, ImplicitSolve::GaussSeidel);
-    let mut mg = model_with(integrator, SweepMode::Auto, ImplicitSolve::Multigrid);
+    let mut gs = model_with(integrator, SweepMode::Serial, ImplicitSolve::GaussSeidel);
+    let mut mg = model_with(integrator, SweepMode::Serial, ImplicitSolve::Multigrid);
     assert!(mg.uses_multigrid() && !gs.uses_multigrid());
     assert_tracks(&mut gs, &mut mg, windows, heated_k, "multigrid vs Gauss-Seidel");
     // Every substep of both solvers converged (the mesh is paper-scale).

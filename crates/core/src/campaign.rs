@@ -1,19 +1,17 @@
 //! Batch execution of scenarios across host threads.
 //!
 //! A [`Campaign`] takes any number of [`Scenario`]s and runs them
-//! concurrently on a dedicated worker pool (the panic-safe fork-join pool
-//! the thermal solver uses, instantiated separately so a scenario's own
-//! parallel sweeps never contend with campaign dispatch). Results come back
-//! as a [`CampaignReport`] in **input order**, regardless of which worker
-//! finished first — one failed or panicked scenario is carried as its typed
-//! [`TemuError`] without aborting its siblings.
+//! concurrently on scoped worker threads, each claiming the next unstarted
+//! scenario until none is left; every scenario runs on one thread. Results
+//! come back as a [`CampaignReport`] in **input order**, regardless of
+//! which worker finished first — one failed or panicked scenario is carried
+//! as its typed [`TemuError`] without aborting its siblings.
 //!
 //! Thread count resolution: an explicit [`Campaign::threads`] call wins;
-//! otherwise [`temu_thermal::default_workers`] resolves
-//! `TEMU_CAMPAIGN_THREADS` with exactly the same syntax, clamping (1..=64)
-//! and fallback (available parallelism capped at 16) as the solver's
-//! `TEMU_THERMAL_THREADS`; the count is always capped by the number of
-//! scenarios.
+//! otherwise `TEMU_CAMPAIGN_THREADS` (clamped to 1..=64; a value that does
+//! not parse as an unsigned integer is ignored), and then the host's
+//! available parallelism capped at 16. The count is always capped by the
+//! number of scenarios.
 //!
 //! # Export format
 //!
@@ -35,7 +33,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use temu_thermal::{default_workers, WorkerPool};
 
 /// A streaming result sink: called once per finished scenario, in
 /// completion order (see [`Campaign::on_result`]).
@@ -180,7 +177,7 @@ impl Campaign {
         let next = AtomicUsize::new(0);
         let completed = Mutex::new(0usize);
         let slots: Vec<Mutex<Option<ScenarioResult>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
-        let worker = |_lane: usize, _lanes: usize| loop {
+        let worker = || loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n_jobs {
                 break;
@@ -197,9 +194,22 @@ impl Campaign {
             *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
         };
         if threads <= 1 {
-            worker(0, 1);
+            worker();
         } else {
-            WorkerPool::new(threads).run(&worker);
+            std::thread::scope(|scope| {
+                let lanes: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+                // Every worker stops before a panic (a panicking result
+                // sink) propagates, with its original payload.
+                let mut panicked = None;
+                for lane in lanes {
+                    if let Err(payload) = lane.join() {
+                        panicked.get_or_insert(payload);
+                    }
+                }
+                if let Some(payload) = panicked {
+                    std::panic::resume_unwind(payload);
+                }
+            });
         }
         let results = slots
             .into_iter()
@@ -224,13 +234,25 @@ impl Campaign {
     }
 
     fn resolve_threads(&self, n_jobs: usize) -> usize {
-        // An explicit `threads()` call wins; otherwise the shared
-        // environment-variable helper decides, so tests that pin a width
-        // stay meaningful on hosts that export the variable and both
-        // `TEMU_*_THREADS` knobs behave identically.
-        let configured = self.threads.unwrap_or_else(|| default_workers("TEMU_CAMPAIGN_THREADS"));
+        // An explicit `threads()` call wins, so tests that pin a width stay
+        // meaningful on hosts that export the variable.
+        let configured = self
+            .threads
+            .unwrap_or_else(|| default_workers(std::env::var("TEMU_CAMPAIGN_THREADS").ok().as_deref()));
         configured.min(n_jobs).max(1)
     }
+}
+
+/// Worker count from a `TEMU_CAMPAIGN_THREADS` value (clamped to 1..=64),
+/// falling back to the available parallelism capped at 16 when the value
+/// is absent or does not parse as an unsigned integer. Takes the value,
+/// not the variable, so tests never mutate the process environment, which
+/// would race with concurrent `getenv` calls from sibling tests.
+fn default_workers(value: Option<&str>) -> usize {
+    value
+        .and_then(|v| v.parse::<usize>().ok())
+        .map(|v| v.clamp(1, 64))
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()).min(16))
 }
 
 /// Runs one scenario, converting a panic into a typed error so sibling
@@ -376,6 +398,16 @@ mod tests {
             total_power_w: 1.0,
             fpga_seconds: t,
         }
+    }
+
+    #[test]
+    fn default_workers_parses_clamps_and_falls_back() {
+        let fallback = default_workers(None);
+        assert!((1..=16).contains(&fallback), "availability-derived default, capped at 16");
+        assert_eq!(default_workers(Some("3")), 3);
+        assert_eq!(default_workers(Some("0")), 1, "clamped up");
+        assert_eq!(default_workers(Some("1000")), 64, "clamped down");
+        assert_eq!(default_workers(Some("not-a-number")), fallback, "garbage is ignored, not fatal");
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! ## Sweeping the design space: [`Campaign`]
 //!
 //! A [`Campaign`] executes many scenarios concurrently across host threads
-//! (`TEMU_CAMPAIGN_THREADS` overrides the width) and returns an
+//! (`TEMU_CAMPAIGN_THREADS` overrides the width; each scenario, its thermal
+//! solver included, runs on one thread) and returns an
 //! input-ordered [`CampaignReport`] with JSON/CSV export — the batching
 //! layer for design-space exploration, where each scenario is one
 //! "synthesis-free" evaluation point:

@@ -32,7 +32,7 @@ use temu_mem::CacheConfig;
 use temu_platform::{DfsPolicy, IcChoice, Machine, PlatformConfig};
 use temu_power::floorplans::quad_core;
 use temu_power::{CoreKind, FloorplanMap, PowerModel};
-use temu_thermal::{GridConfig, ImplicitSolve, Integrator, SweepMode, ThermalGrid, ThermalModel};
+use temu_thermal::{GridConfig, ImplicitSolve, SweepMode, ThermalGrid, ThermalModel};
 use temu_workloads::dithering::{self, DitherConfig};
 use temu_workloads::image::GreyImage;
 use temu_workloads::matrix::{self, MatrixConfig};
@@ -267,7 +267,8 @@ impl Scenario {
         self
     }
 
-    /// Selects the solver's sweep execution strategy.
+    /// Selects the optimized solver or the seed-faithful reference one
+    /// (see [`SweepMode`]).
     pub fn sweep(mut self, sweep: SweepMode) -> Scenario {
         self.emu.grid.sweep = sweep;
         self
@@ -506,7 +507,7 @@ impl Scenario {
         map.check_cores(machine.num_cores())?;
         let grid = cache
             .mesh(keys.mesh, || ThermalGrid::build(&map.floorplan, &self.emu.grid).map_err(TemuError::from))?;
-        let topo = if wants_multigrid(&self.emu.grid, grid.n_cells()) {
+        let topo = if self.emu.grid.uses_multigrid(grid.n_cells()) {
             Some(cache.operator(keys.operator, &grid, &self.emu.grid)?)
         } else {
             None
@@ -604,22 +605,6 @@ impl Scenario {
             IcChoice::Noc(n) => n.topology.switches(),
         };
         Ok(quad_core(CoreKind::Arm11, cores, switches))
-    }
-}
-
-/// Whether a scenario built from `cfg` over a mesh of `n_cells` cells
-/// will run multigrid substeps — the same resolution
-/// `ThermalModel::uses_multigrid` performs, applied at build time so
-/// [`Scenario::build_with`] only constructs (and caches) the hierarchy
-/// topology for models that will actually use it.
-fn wants_multigrid(cfg: &GridConfig, n_cells: usize) -> bool {
-    if cfg.sweep == SweepMode::Reference || !matches!(cfg.integrator, Integrator::SemiImplicit { .. }) {
-        return false;
-    }
-    match cfg.implicit_solve {
-        ImplicitSolve::GaussSeidel => false,
-        ImplicitSolve::Multigrid => true,
-        _ => n_cells >= cfg.multigrid_threshold,
     }
 }
 

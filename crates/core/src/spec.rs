@@ -256,7 +256,7 @@ fn parse_band(object: &'static str, v: &JsonValue) -> Result<DfsBand, SpecError>
     }
 }
 
-fn solve_tag(solve: ImplicitSolve) -> &'static str {
+pub(crate) fn solve_tag(solve: ImplicitSolve) -> &'static str {
     match solve {
         ImplicitSolve::GaussSeidel => "gs",
         ImplicitSolve::Multigrid => "mg",

@@ -70,6 +70,7 @@ use crate::emulation::{EmulationState, ThermalEmulation};
 use crate::error::TemuError;
 use crate::export::{csv_f64, csv_field, csv_opt, JsonObject, JsonValue};
 use crate::scenario::{RunBudget, Scenario, ScenarioRun, Workload};
+use crate::spec::solve_tag;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -613,13 +614,7 @@ impl Sweep {
         self.axis(
             "solver",
             solves.to_vec(),
-            |s| {
-                String::from(match s {
-                    ImplicitSolve::GaussSeidel => "gs",
-                    ImplicitSolve::Multigrid => "mg",
-                    _ => "auto",
-                })
-            },
+            |&s| String::from(solve_tag(s)),
             |s, &solve| Ok(s.implicit_solve(solve)),
         )
     }

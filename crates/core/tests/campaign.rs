@@ -84,6 +84,26 @@ fn streaming_sink_sees_every_result_exactly_once_under_two_threads() {
 }
 
 #[test]
+fn panicking_sink_panics_run_after_every_worker_stops() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let calls = Arc::new(AtomicUsize::new(0));
+    let sink_calls = Arc::clone(&calls);
+    let campaign = Campaign::new().scenarios(four_scenarios()).threads(2).on_result(move |p| {
+        sink_calls.fetch_add(1, Ordering::SeqCst);
+        if p.completed == 1 {
+            panic!("deliberate sink panic");
+        }
+    });
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| campaign.run()));
+    let Err(payload) = outcome else { panic!("a panicking sink must panic run") };
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"deliberate sink panic"), "original payload");
+    // The panicking worker stopped after its first scenario; the other one
+    // claimed and delivered the remaining three before `run` panicked.
+    assert_eq!(calls.load(Ordering::SeqCst), 4);
+}
+
+#[test]
 fn failing_scenario_does_not_abort_siblings() {
     let bad_grid = GridConfig { si_layers: 0, ..GridConfig::default() };
     let report = Campaign::new()

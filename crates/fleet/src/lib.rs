@@ -32,7 +32,7 @@
 //! partial streams, and keeps the router stateless enough to restart
 //! freely. The cost — one sweep never spans members — is the right
 //! trade for a cache-first fleet; point-level spreading is already
-//! provided *inside* each member by the campaign thread pool.
+//! provided *inside* each member by the campaign's worker threads.
 //!
 //! Failover is safe for the same reason sharding works: members memoize
 //! results by content key, so replaying a submission on the next member

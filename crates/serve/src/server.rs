@@ -72,8 +72,8 @@ pub struct ServeConfig {
     /// Listen address; use port 0 for an ephemeral port (the bound
     /// address is reported by [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads draining the job queue (each job additionally
-    /// parallelizes its points through the campaign pool).
+    /// Worker threads draining the job queue (each job additionally runs
+    /// its points on the campaign's own worker threads).
     pub workers: usize,
     /// Maximum queued (not yet running) jobs; further submissions are
     /// refused with a typed error response.

@@ -1,5 +1,4 @@
-//! Flat CSR adjacency for the cell network, plus a conflict-free sweep
-//! coloring.
+//! Flat CSR adjacency for the cell network.
 //!
 //! The solver's hot loops — Gauss–Seidel sweeps and explicit flow
 //! accumulation — walk every cell's incident resistances. A
@@ -9,22 +8,13 @@
 //! linear pass over contiguous memory. Convection is folded in as a per-cell
 //! entry alongside, so the per-cell update needs no branch for "has a
 //! convection path".
-//!
-//! The coloring partitions cells so that no two adjacent cells share a
-//! color. Sweeping color by color makes the Gauss–Seidel update free of
-//! intra-color dependencies — every cell of one color can be updated in
-//! parallel while reading only cells of other colors. On bipartite meshes
-//! (uniform grids) the greedy coloring degenerates to the classic red-black
-//! two-coloring; multi-resolution T-junctions introduce odd cycles and cost
-//! one or two extra colors, which changes nothing about the sweep's
-//! correctness.
 
 use crate::grid::Edge;
 
 /// Sentinel for "cell has no convection entry".
 pub(crate) const NO_CONV: u32 = u32::MAX;
 
-/// CSR-flattened cell adjacency with sweep coloring.
+/// CSR-flattened cell adjacency.
 #[derive(Clone, Debug)]
 pub(crate) struct CellCsr {
     /// `offsets[i]..offsets[i + 1]` indexes `nbr`/`edge` for cell `i`
@@ -37,15 +27,10 @@ pub(crate) struct CellCsr {
     pub edge: Vec<u32>,
     /// Convection-entry index per cell ([`NO_CONV`] when absent).
     pub conv: Vec<u32>,
-    /// Cell ids grouped by color (a permutation of `0..n`).
-    pub order: Vec<u32>,
-    /// `order[color_offsets[c]..color_offsets[c + 1]]` are the cells of
-    /// color `c`.
-    pub color_offsets: Vec<u32>,
 }
 
 impl CellCsr {
-    /// Builds the CSR layout and coloring for `n` cells.
+    /// Builds the CSR layout for `n` cells.
     ///
     /// Per-cell entry order follows edge order, matching what a
     /// `push`-per-edge neighbour list would produce — sweeps in natural cell
@@ -80,52 +65,7 @@ impl CellCsr {
             conv[cell] = ci as u32;
         }
 
-        // Greedy coloring in natural cell order: the smallest color absent
-        // from the already-colored neighbours. Physical meshes need 2-4
-        // colors; 64 is an assertion bound, not a tuning knob.
-        let mut color = vec![u8::MAX; n];
-        let mut n_colors = 0usize;
-        for i in 0..n {
-            let mut used = 0u64;
-            for k in offsets[i] as usize..offsets[i + 1] as usize {
-                let c = color[nbr[k] as usize];
-                if c != u8::MAX {
-                    used |= 1 << c;
-                }
-            }
-            let c = used.trailing_ones() as usize;
-            assert!(c < 64, "mesh adjacency needs more than 64 sweep colors");
-            color[i] = c as u8;
-            n_colors = n_colors.max(c + 1);
-        }
-
-        let mut color_counts = vec![0u32; n_colors + 1];
-        for &c in &color {
-            color_counts[c as usize + 1] += 1;
-        }
-        let mut color_offsets = color_counts;
-        for c in 0..n_colors {
-            color_offsets[c + 1] += color_offsets[c];
-        }
-        let mut color_cursor: Vec<u32> = color_offsets[..n_colors].to_vec();
-        let mut order = vec![0u32; n];
-        for (i, &c) in color.iter().enumerate() {
-            let c = c as usize;
-            order[color_cursor[c] as usize] = i as u32;
-            color_cursor[c] += 1;
-        }
-
-        CellCsr { offsets, nbr, edge, conv, order, color_offsets }
-    }
-
-    /// Number of sweep colors.
-    pub fn n_colors(&self) -> usize {
-        self.color_offsets.len() - 1
-    }
-
-    /// The cells of one color, in ascending cell order.
-    pub fn color_cells(&self, c: usize) -> &[u32] {
-        &self.order[self.color_offsets[c] as usize..self.color_offsets[c + 1] as usize]
+        CellCsr { offsets, nbr, edge, conv }
     }
 
     /// Number of resistive edges incident to `cell` (excluding convection).
@@ -168,47 +108,5 @@ mod tests {
         }
         assert_eq!(csr.conv[4], 0);
         assert_eq!(csr.conv[0], NO_CONV);
-    }
-
-    #[test]
-    fn coloring_is_proper_and_covers_all_cells() {
-        // Odd cycle (triangle) forces a third color; coloring stays proper.
-        let edges = [edge(0, 1), edge(1, 2), edge(0, 2), edge(2, 3)];
-        let csr = CellCsr::build(4, &edges, &[]);
-        assert!(csr.n_colors() >= 3);
-        let mut seen = [false; 4];
-        for c in 0..csr.n_colors() {
-            for &i in csr.color_cells(c) {
-                assert!(!seen[i as usize], "each cell appears once");
-                seen[i as usize] = true;
-                for k in csr.offsets[i as usize] as usize..csr.offsets[i as usize + 1] as usize {
-                    let j = csr.nbr[k];
-                    assert!(
-                        !csr.color_cells(c).contains(&j),
-                        "neighbours {i} and {j} share color {c}"
-                    );
-                }
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn bipartite_grid_gets_two_colors() {
-        // 3x3 uniform grid: classic red-black.
-        let mut edges = Vec::new();
-        for y in 0..3usize {
-            for x in 0..3usize {
-                let i = y * 3 + x;
-                if x + 1 < 3 {
-                    edges.push(edge(i, i + 1));
-                }
-                if y + 1 < 3 {
-                    edges.push(edge(i, i + 3));
-                }
-            }
-        }
-        let csr = CellCsr::build(9, &edges, &[]);
-        assert_eq!(csr.n_colors(), 2);
     }
 }

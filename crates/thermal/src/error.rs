@@ -35,8 +35,6 @@ pub enum ThermalError {
         /// The offending substep, seconds.
         dt_s: f64,
     },
-    /// The parallel-sweep threshold is zero cells.
-    ZeroParallelThreshold,
     /// The multigrid switch-over threshold is zero cells.
     ZeroMultigridThreshold,
     /// An implicit substep exhausted its iteration budget without meeting
@@ -81,7 +79,6 @@ impl fmt::Display for ThermalError {
             ThermalError::NonPositiveSubstep { dt_s } => {
                 write!(f, "semi-implicit substep must be positive (got {dt_s})")
             }
-            ThermalError::ZeroParallelThreshold => write!(f, "parallel threshold must be >= 1 cell"),
             ThermalError::ZeroMultigridThreshold => write!(f, "multigrid threshold must be >= 1 cell"),
             ThermalError::NotConverged { time_s, residual_k, sweeps } => write!(
                 f,

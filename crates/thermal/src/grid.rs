@@ -53,7 +53,7 @@ pub enum ImplicitSolve {
     Auto,
 }
 
-/// Gauss–Seidel sweep ordering and execution strategy of the solver.
+/// Which implementation runs the solver's sweeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepMode {
     /// Seed-faithful reference path: natural-order serial sweeps with
@@ -61,17 +61,9 @@ pub enum SweepMode {
     /// for equivalence tests and perf comparisons; do not use for
     /// production runs.
     Reference,
-    /// Optimized serial path: CSR linear sweeps, lagged coefficient
-    /// refresh, single-threaded.
+    /// Optimized path (the default): CSR linear sweeps in natural cell
+    /// order with lagged coefficient refresh, on the calling thread.
     Serial,
-    /// Colored (red-black generalized) sweeps executed on the worker pool
-    /// regardless of mesh size.
-    Parallel,
-    /// [`SweepMode::Serial`] below
-    /// [`GridConfig::parallel_threshold`] cells, [`SweepMode::Parallel`] at
-    /// or above it — small meshes stay single-threaded to avoid fork-join
-    /// overhead.
-    Auto,
 }
 
 /// Meshing and boundary-condition configuration.
@@ -98,11 +90,8 @@ pub struct GridConfig {
     pub silicon_k_override: Option<f64>,
     /// Time-integration scheme.
     pub integrator: Integrator,
-    /// Sweep ordering/execution strategy.
+    /// Reference or optimized sweeps.
     pub sweep: SweepMode,
-    /// Cell count at which [`SweepMode::Auto`] switches to parallel
-    /// colored sweeps.
-    pub parallel_threshold: usize,
     /// Linear-system strategy of the semi-implicit substep (ignored by the
     /// explicit integrator and by [`SweepMode::Reference`], which stays
     /// seed-faithful).
@@ -134,8 +123,7 @@ impl Default for GridConfig {
             package_to_air: crate::props::PACKAGE_TO_AIR_K_PER_W,
             silicon_k_override: None,
             integrator: Integrator::SemiImplicit { dt: 5e-4 },
-            sweep: SweepMode::Auto,
-            parallel_threshold: 6144,
+            sweep: SweepMode::Serial,
             implicit_solve: ImplicitSolve::Auto,
             multigrid_threshold: 12288,
             strict_convergence: false,
@@ -179,6 +167,23 @@ impl GridConfig {
         format!("amb={:?};k_si={:?};", self.ambient_k, self.silicon_k_override)
     }
 
+    /// Whether a model with this configuration runs multigrid substeps on
+    /// a mesh of `n_cells` cells: never on the explicit integrator or the
+    /// seed-faithful [`SweepMode::Reference`] path, otherwise as
+    /// [`GridConfig::implicit_solve`] says, with [`ImplicitSolve::Auto`]
+    /// switching at [`GridConfig::multigrid_threshold`] cells.
+    #[must_use]
+    pub fn uses_multigrid(&self, n_cells: usize) -> bool {
+        if self.sweep == SweepMode::Reference || !matches!(self.integrator, Integrator::SemiImplicit { .. }) {
+            return false;
+        }
+        match self.implicit_solve {
+            ImplicitSolve::GaussSeidel => false,
+            ImplicitSolve::Multigrid => true,
+            ImplicitSolve::Auto => n_cells >= self.multigrid_threshold,
+        }
+    }
+
     /// Validates the configuration.
     ///
     /// # Errors
@@ -208,9 +213,6 @@ impl GridConfig {
             if dt <= 0.0 || dt.is_nan() {
                 return Err(ThermalError::NonPositiveSubstep { dt_s: dt });
             }
-        }
-        if self.parallel_threshold == 0 {
-            return Err(ThermalError::ZeroParallelThreshold);
         }
         if self.multigrid_threshold == 0 {
             return Err(ThermalError::ZeroMultigridThreshold);
@@ -265,7 +267,7 @@ pub struct ThermalGrid {
     /// Per component: bottom-layer cells and their fraction of the
     /// component's power.
     pub(crate) comp_cells: Vec<Vec<(usize, f64)>>,
-    /// Flat CSR adjacency (edges + convection) with sweep coloring.
+    /// Flat CSR adjacency (edges + convection).
     pub(crate) csr: CellCsr,
 }
 
@@ -447,13 +449,6 @@ impl ThermalGrid {
     /// offsets in O(1) (the seed scanned every edge per query).
     pub fn degree(&self, cell: usize) -> usize {
         self.csr.degree(cell) + usize::from(self.csr.conv[cell] != crate::csr::NO_CONV)
-    }
-
-    /// Number of sweep colors of the cell network (2 for bipartite meshes,
-    /// a couple more when multi-resolution T-junctions introduce odd
-    /// cycles).
-    pub fn sweep_colors(&self) -> usize {
-        self.csr.n_colors()
     }
 
     /// Whether the cell sits in a silicon layer.
@@ -693,6 +688,28 @@ mod tests {
         assert!(GridConfig { filler_pitch_um: 0.0, ..GridConfig::default() }.validate().is_err());
         assert!(GridConfig { package_to_air: -1.0, ..GridConfig::default() }.validate().is_err());
         assert!(GridConfig::default().validate().is_ok());
+    }
+
+    #[test]
+    fn multigrid_decision_table() {
+        let threshold = GridConfig::default().multigrid_threshold;
+        let cfg = |sweep, integrator, implicit_solve| GridConfig {
+            sweep,
+            integrator,
+            implicit_solve,
+            ..GridConfig::default()
+        };
+        let implicit = Integrator::SemiImplicit { dt: 5e-4 };
+        for n in [threshold - 1, threshold] {
+            for solve in [ImplicitSolve::GaussSeidel, ImplicitSolve::Multigrid, ImplicitSolve::Auto] {
+                assert!(!cfg(SweepMode::Reference, implicit, solve).uses_multigrid(n), "Reference never");
+                assert!(!cfg(SweepMode::Serial, Integrator::Explicit, solve).uses_multigrid(n), "Explicit never");
+            }
+            assert!(!cfg(SweepMode::Serial, implicit, ImplicitSolve::GaussSeidel).uses_multigrid(n));
+            assert!(cfg(SweepMode::Serial, implicit, ImplicitSolve::Multigrid).uses_multigrid(n));
+        }
+        assert!(!cfg(SweepMode::Serial, implicit, ImplicitSolve::Auto).uses_multigrid(threshold - 1));
+        assert!(cfg(SweepMode::Serial, implicit, ImplicitSolve::Auto).uses_multigrid(threshold));
     }
 
     #[test]

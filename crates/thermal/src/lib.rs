@@ -27,11 +27,6 @@
 //!   branch-free per-cell conductance. The mesher itself builds lateral
 //!   adjacency with a sorted boundary-line sweep, O(n log n + E), so 10k+
 //!   tile floorplans mesh in milliseconds.
-//! * **Colored (generalized red-black) sweeps** — cells are greedily
-//!   colored so no color holds two adjacent cells; Gauss–Seidel then
-//!   processes colors in order with every cell of a color updatable in
-//!   parallel. Uniform grids get the classic 2 colors; multi-resolution
-//!   T-junctions cost a few more.
 //! * **Lazy coefficient refresh** — the non-linear silicon conductivity
 //!   (`powf` per cell) and the derived conductances are refreshed when the
 //!   temperature field has drifted enough to matter (5 mK for the implicit
@@ -60,15 +55,15 @@
 //!   residual recorded) instead of silently accepted;
 //!   [`GridConfig::strict_convergence`] escalates it to
 //!   [`ThermalError::NotConverged`] via [`ThermalModel::try_step`].
-//! * **Threshold-based parallelism** — [`SweepMode::Auto`] (the default)
-//!   runs serial below [`GridConfig::parallel_threshold`] cells and moves
-//!   the sweeps (multigrid smoothing included) onto a persistent worker
-//!   pool above it (pool width = available cores, overridable via
-//!   `TEMU_THERMAL_THREADS`). Small meshes never pay fork-join overhead; a
-//!   single-core host never pays dispatch overhead.
+//! * **One serial solver** — every optimized sweep runs on the calling
+//!   thread, in natural cell order. A model's trajectory therefore
+//!   depends on its inputs alone, never on the host's core count, and
+//!   parallelism lives one level up: campaigns and sweeps run whole
+//!   points on separate threads.
 //! * **[`SweepMode::Reference`]** preserves the seed solver exactly and
-//!   anchors the equivalence tests: every optimized mode — multigrid
-//!   included — must track it within 1e-4 K over a 2 s transient
+//!   anchors the equivalence tests: the optimized [`SweepMode::Serial`]
+//!   path — multigrid included — must track it within 1e-4 K over a 2 s
+//!   transient
 //!   (`tests/` + the bench crate's golden tests on the Fig. 4b floorplan).
 //!
 //! ```
@@ -83,12 +78,13 @@
 //! assert!(model.component_temp(cpu) > 300.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod csr;
 mod error;
 mod floorplan;
 mod grid;
 mod mg;
-mod pool;
 mod props;
 mod reference;
 mod solver;
@@ -97,7 +93,6 @@ pub use error::ThermalError;
 pub use floorplan::{Component, ComponentId, Floorplan};
 pub use grid::{GridConfig, ImplicitSolve, Integrator, SweepMode, ThermalGrid};
 pub use mg::MgTopology;
-pub use pool::{default_workers, Pool as WorkerPool};
 pub use props::{
     silicon_conductivity, ThermalProps, COPPER_CONDUCTIVITY, COPPER_SPECIFIC_HEAT_PER_UM3,
     COPPER_THICKNESS_UM, PACKAGE_TO_AIR_K_PER_W, SILICON_SPECIFIC_HEAT_PER_UM3, SILICON_THICKNESS_UM,

@@ -39,8 +39,9 @@
 //! the recursive correction, an exact dense Cholesky solve at the coarsest
 //! ≤ [`COARSEST_MAX`] cells) re-scaled by an energy-norm line search, and
 //! the fine level runs flexible CG with the cycle as its preconditioner.
-//! The **fine** level stays in `solver.rs` so its smoothing reuses the
-//! colored-sweep worker pool; this module owns everything below it.
+//! The **fine** level stays in `solver.rs`, next to the CSR sweeps its
+//! forward + backward Gauss–Seidel smoother shares with the plain path;
+//! this module owns everything below it.
 
 use crate::grid::{GridConfig, ThermalGrid};
 use crate::props::{silicon_conductivity, COPPER_CONDUCTIVITY};

@@ -1,6 +1,6 @@
 //! Transient RC solver with non-linear silicon conductivity.
 //!
-//! # Hot-path layout (CSR + colored sweeps)
+//! # Hot-path layout (CSR)
 //!
 //! The solver keeps every per-substep quantity in flat arrays indexed by the
 //! grid's CSR adjacency (see [`crate::csr`]): per-entry conductances
@@ -23,16 +23,10 @@
 //! below 1e-4 K over a transient) while removing the `powf`s and the
 //! per-edge divisions from the per-substep cost.
 //!
-//! # Parallel colored sweeps
+//! # One thread
 //!
-//! With cells partitioned into colors such that no color contains two
-//! adjacent cells, a Gauss–Seidel sweep processes colors in order and every
-//! cell within a color in parallel — the update of a cell reads only cells
-//! of other colors, so there are no intra-color dependencies. Above
-//! [`crate::GridConfig::parallel_threshold`] cells (mode
-//! [`SweepMode::Auto`]) the color passes and the explicit flow accumulation
-//! run on a persistent worker pool; below it everything stays on one thread
-//! because fork-join overhead would exceed the sweep cost.
+//! Every sweep runs on the calling thread in natural cell order, so a
+//! trajectory depends only on the model's inputs, never on the host.
 //!
 //! [`SweepMode::Reference`] preserves the seed implementation's exact
 //! arithmetic (natural-order serial sweeps, per-substep refresh) as the
@@ -41,11 +35,9 @@
 use crate::csr::{CellCsr, NO_CONV};
 use crate::error::ThermalError;
 use crate::floorplan::{ComponentId, Floorplan};
-use crate::grid::{GridConfig, ImplicitSolve, Integrator, SweepMode, ThermalGrid};
+use crate::grid::{GridConfig, Integrator, SweepMode, ThermalGrid};
 use crate::mg::{MgTopology, Multigrid};
-use crate::pool::{self, SpinBarrier, UnsafeSlice};
 use crate::props::{silicon_conductivity, COPPER_CONDUCTIVITY};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use temu_state::{StateError, StateReader, StateWriter};
 
@@ -133,9 +125,9 @@ const MAX_SWEEPS: usize = 60;
 /// must *converge*, not merely stay within a pretty budget.
 const MAX_CYCLES: usize = 40;
 
-/// Fine-grid Gauss–Seidel sweeps after each cycle's coarse-grid correction
-/// (the piecewise-constant prolongation re-introduces high-frequency error
-/// that the post-sweeps must kill). There is no fine pre-smoothing: with a
+/// Fine-grid Gauss–Seidel sweeps after each cycle's coarse-grid correction,
+/// one forward and one backward (the piecewise-constant prolongation
+/// re-introduces high-frequency error that the post-sweeps must kill). There is no fine pre-smoothing: with a
 /// zero initial guess the coarse correction restricts the outer FCG
 /// residual directly — the calibrated sweet spot on the 46k-cell rung, a
 /// full residual pass cheaper per cycle than the textbook pre+post shape.
@@ -325,8 +317,6 @@ pub struct ThermalModel {
     /// Substeps taken since construction (perf accounting).
     substeps: u64,
     work: Vec<f64>,
-    /// Per-worker reduction slots for parallel sweeps.
-    worker_acc: Vec<f64>,
     time: f64,
     energy_in: f64,
     energy_out: f64,
@@ -403,7 +393,6 @@ impl ThermalModel {
             since_refresh: REFRESH_MAX_INTERVAL,
             substeps: 0,
             work: vec![cfg.ambient_k; n],
-            worker_acc: Vec::new(),
             time: 0.0,
             energy_in: 0.0,
             energy_out: 0.0,
@@ -435,38 +424,16 @@ impl ThermalModel {
         self.time
     }
 
-    /// Whether sweeps currently execute on the worker pool (resolves
-    /// [`SweepMode::Auto`] against the mesh size and the pool width —
-    /// a single-worker pool would add dispatch overhead for nothing, so
-    /// `Auto` only engages when there is real parallelism to buy).
-    pub fn uses_parallel_sweeps(&self) -> bool {
-        match self.cfg.sweep {
-            SweepMode::Reference | SweepMode::Serial => false,
-            SweepMode::Parallel => true,
-            SweepMode::Auto => {
-                self.temps.len() >= self.cfg.parallel_threshold
-                    && pool::global().n_workers() > 1
-            }
-        }
-    }
-
     fn reference_mode(&self) -> bool {
         self.cfg.sweep == SweepMode::Reference
     }
 
-    /// Whether the semi-implicit substeps run multigrid W-cycles (resolves
-    /// [`ImplicitSolve::Auto`] against the mesh size). Always false for the
+    /// Whether the semi-implicit substeps run multigrid W-cycles on this
+    /// model's mesh ([`GridConfig::uses_multigrid`]). Always false for the
     /// explicit integrator and for the seed-faithful
     /// [`SweepMode::Reference`] path.
     pub fn uses_multigrid(&self) -> bool {
-        if self.reference_mode() || !matches!(self.cfg.integrator, Integrator::SemiImplicit { .. }) {
-            return false;
-        }
-        match self.cfg.implicit_solve {
-            ImplicitSolve::GaussSeidel => false,
-            ImplicitSolve::Multigrid => true,
-            ImplicitSolve::Auto => self.temps.len() >= self.cfg.multigrid_threshold,
-        }
+        self.cfg.uses_multigrid(self.temps.len())
     }
 
     /// Number of multigrid levels (including the fine grid) once the
@@ -727,61 +694,20 @@ impl ThermalModel {
 
     /// Recomputes per-cell conductivities at the current temperatures.
     fn refresh_conductivities(&mut self) {
-        if self.uses_parallel_sweeps() && self.cfg.silicon_k_override.is_none() {
-            // The powf per silicon cell is the single most expensive part of
-            // a refresh — fan it out.
-            let n = self.temps.len();
-            let grid = &self.grid;
-            let temps = &self.temps;
-            let k_slice = UnsafeSlice::new(&mut self.k_cell);
-            pool::global().run(&|w, nw| {
-                for i in pool::chunk(n, w, nw) {
-                    let k = if grid.is_silicon(i) {
-                        silicon_conductivity(temps[i])
-                    } else {
-                        COPPER_CONDUCTIVITY
-                    };
-                    // SAFETY: chunks are disjoint; one writer per index.
-                    unsafe { k_slice.write(i, k) };
-                }
-            });
-        } else {
-            for i in 0..self.temps.len() {
-                self.k_cell[i] = self.conductivity(i, self.temps[i]);
-            }
+        for i in 0..self.temps.len() {
+            self.k_cell[i] = self.conductivity(i, self.temps[i]);
         }
     }
 
     /// Recomputes edge/entry/convection conductances from `k_cell` and
     /// marks the implicit diagonal stale.
     fn refresh_conductances(&mut self) {
-        if self.uses_parallel_sweeps() {
-            let (edges, csr, k_cell) = (&self.grid.edges, &self.grid.csr, &self.k_cell);
-            let g_edge = UnsafeSlice::new(&mut self.g_edge);
-            let g_entry = UnsafeSlice::new(&mut self.g_entry);
-            let barrier = SpinBarrier::new(pool::global().n_workers());
-            let n_entries = csr.edge.len();
-            pool::global().run(&|w, nw| {
-                for gi in pool::chunk(edges.len(), w, nw) {
-                    let e = &edges[gi];
-                    // SAFETY: chunks are disjoint; one writer per index.
-                    unsafe { g_edge.write(gi, 1.0 / (e.g_a / k_cell[e.a] + e.g_b / k_cell[e.b])) };
-                }
-                // Every edge conductance lands before any entry copies it.
-                barrier.wait();
-                for k in pool::chunk(n_entries, w, nw) {
-                    // SAFETY: disjoint writes; `g_edge` is read-only now.
-                    unsafe { g_entry.write(k, g_edge.read(csr.edge[k] as usize)) };
-                }
-            });
-        } else {
-            for (gi, e) in self.grid.edges.iter().enumerate() {
-                self.g_edge[gi] = 1.0 / (e.g_a / self.k_cell[e.a] + e.g_b / self.k_cell[e.b]);
-            }
-            let csr = &self.grid.csr;
-            for (k, g) in self.g_entry.iter_mut().enumerate() {
-                *g = self.g_edge[csr.edge[k] as usize];
-            }
+        for (gi, e) in self.grid.edges.iter().enumerate() {
+            self.g_edge[gi] = 1.0 / (e.g_a / self.k_cell[e.a] + e.g_b / self.k_cell[e.b]);
+        }
+        let csr = &self.grid.csr;
+        for (k, g) in self.g_entry.iter_mut().enumerate() {
+            *g = self.g_edge[csr.edge[k] as usize];
         }
         for &(cell, r_pkg, g_half) in &self.grid.convection {
             self.g_conv[cell] = 1.0 / (r_pkg + g_half / self.k_cell[cell]);
@@ -810,35 +736,15 @@ impl ThermalModel {
 
     /// Builds the semi-implicit diagonal arrays for substep `h`.
     fn build_diag(&mut self, h: f64) {
-        let n = self.temps.len();
-        let (csr, capacity) = (&self.grid.csr, &self.grid.capacity);
-        let (g_entry, g_conv) = (&self.g_entry, &self.g_conv);
-        if self.uses_parallel_sweeps() {
-            let c_over_h = UnsafeSlice::new(&mut self.c_over_h);
-            let diag = UnsafeSlice::new(&mut self.diag);
-            let inv_diag = UnsafeSlice::new(&mut self.inv_diag);
-            pool::global().run(&|w, nw| {
-                for i in pool::chunk(n, w, nw) {
-                    let c = capacity[i] / h;
-                    let g_sum: f64 =
-                        g_entry[csr.offsets[i] as usize..csr.offsets[i + 1] as usize].iter().sum();
-                    let d = c + g_sum + g_conv[i];
-                    // SAFETY: chunks are disjoint; one writer per index.
-                    unsafe { c_over_h.write(i, c) };
-                    unsafe { diag.write(i, d) };
-                    unsafe { inv_diag.write(i, 1.0 / d) };
-                }
-            });
-        } else {
-            for i in 0..n {
-                let c = capacity[i] / h;
-                let g_sum: f64 =
-                    g_entry[csr.offsets[i] as usize..csr.offsets[i + 1] as usize].iter().sum();
-                let d = c + g_sum + g_conv[i];
-                self.c_over_h[i] = c;
-                self.diag[i] = d;
-                self.inv_diag[i] = 1.0 / d;
-            }
+        let csr = &self.grid.csr;
+        for i in 0..self.temps.len() {
+            let c = self.grid.capacity[i] / h;
+            let g_sum: f64 =
+                self.g_entry[csr.offsets[i] as usize..csr.offsets[i + 1] as usize].iter().sum();
+            let d = c + g_sum + self.g_conv[i];
+            self.c_over_h[i] = c;
+            self.diag[i] = d;
+            self.inv_diag[i] = 1.0 / d;
         }
         self.diag_h = h;
     }
@@ -865,10 +771,9 @@ impl ThermalModel {
 
     /// Advances the model by `seconds`, substepping for stability.
     ///
-    /// See the module docs for the refresh-lag and parallel-sweep
-    /// machinery; the paper's §5.2 real-time budget (2 s of simulation on a
-    /// 660-cell floorplan in under 2 s of host time) is what this hot path
-    /// exists to beat.
+    /// See the module docs for the refresh-lag machinery; the paper's §5.2
+    /// real-time budget (2 s of simulation on a 660-cell floorplan in under
+    /// 2 s of host time) is what this hot path exists to beat.
     ///
     /// An implicit substep that exhausts its iteration budget is accepted
     /// and *recorded* in [`SolverStats`]; under
@@ -979,26 +884,21 @@ impl ThermalModel {
     }
 
     /// One backward-Euler substep on the optimized path: solve
-    /// `(C/h + G) T' = C/h * T + P + G_conv * T_amb` by colored Gauss–Seidel
+    /// `(C/h + G) T' = C/h * T + P + G_conv * T_amb` by Gauss–Seidel/SOR
     /// with conductances lagged at the last refresh. The system matrix is
     /// strictly diagonally dominant, so the sweeps converge unconditionally
     /// in any order.
     fn implicit_substep_csr(&mut self, h: f64) {
         self.implicit_substep_begin(h);
         let amb = self.cfg.ambient_k;
-        let (sweeps, delta, converged) = if self.uses_parallel_sweeps() {
-            self.solve_colored_parallel(amb)
-        } else {
-            self.solve_serial(amb)
-        };
+        let (sweeps, delta, converged) = self.solve_serial(amb);
         self.record_implicit(sweeps, 0, delta, converged);
         self.implicit_substep_finish(h, amb);
     }
 
     /// One backward-Euler substep solved by multigrid W-cycles: the
-    /// warm-started fine-grid Gauss–Seidel sweeps act as the smoother
-    /// (colored and pool-parallel exactly like the plain path), and the
-    /// smooth error remainder is corrected on the aggregated coarse
+    /// warm-started fine-grid Gauss–Seidel sweeps act as the smoother, and
+    /// the smooth error remainder is corrected on the aggregated coarse
     /// hierarchy ([`crate::mg`]). Falls back to plain sweeps when the mesh
     /// is too small to coarsen.
     fn implicit_substep_mg(&mut self, h: f64) {
@@ -1033,7 +933,6 @@ impl ThermalModel {
         for i in 0..self.rhs.len() {
             self.rhs[i] = self.c_over_h[i] * self.temps[i] + self.cell_power[i] + self.g_conv[i] * amb;
         }
-        let parallel = self.uses_parallel_sweeps();
         let csr = &self.grid.csr;
         let mg = self.mg.as_mut().expect("just built");
         let (g_entry, diag, inv_diag) = (&self.g_entry, &self.diag, &self.inv_diag);
@@ -1058,16 +957,12 @@ impl ThermalModel {
             // outer residual restricts directly (see [`FINE_POST_SWEEPS`])
             // and the prolonged correction is assigned, not accumulated.
             mg.coarse_correction(resid, z);
-            if parallel {
-                gs_sweeps_colored_parallel(csr, g_entry, inv_diag, resid, z, FINE_POST_SWEEPS);
-            } else {
-                // Forward + backward: a symmetric smoother keeps the whole
-                // preconditioner symmetric positive definite, which the
-                // outer conjugate-gradient acceleration rewards with
-                // visibly fewer cycles than two forward sweeps.
-                gs_sweeps_serial(csr, g_entry, inv_diag, resid, z, 1);
-                gs_sweep_serial_rev(csr, g_entry, inv_diag, resid, z);
-            }
+            // Forward + backward: a symmetric smoother keeps the whole
+            // preconditioner symmetric positive definite, which the outer
+            // conjugate-gradient acceleration rewards with visibly fewer
+            // cycles than two forward sweeps.
+            gs_sweep_serial(csr, g_entry, inv_diag, resid, z);
+            gs_sweep_serial_rev(csr, g_entry, inv_diag, resid, z);
             sweeps += FINE_POST_SWEEPS;
             // Flexible CG update (β from the stored A·p — the
             // preconditioner is not constant across iterations).
@@ -1162,8 +1057,6 @@ impl ThermalModel {
         }
     }
 
-    // (The SOR factor derivation lives on `SorTuner`.)
-
     /// Fine-grid Gauss–Seidel sweeps the last implicit substep needed
     /// (diagnostic, for the scaling benchmark's sweep statistics).
     pub fn last_sweep_count(&self) -> usize {
@@ -1210,80 +1103,6 @@ impl ThermalModel {
         (MAX_SWEEPS, max_delta, false)
     }
 
-    /// Colored Gauss–Seidel/SOR solve on the worker pool, dispatched as a
-    /// *single* pool job per substep: workers sweep color by color with a
-    /// spin barrier at each color boundary (within a color no two cells are
-    /// adjacent, so the chunked updates race on nothing) and worker 0
-    /// reduces the convergence test and the SOR factor between sweeps.
-    /// Returns `(sweeps, final max |ΔT|, converged)`.
-    fn solve_colored_parallel(&mut self, amb: f64) -> (usize, f64, bool) {
-        let pool = pool::global();
-        let nw = pool.n_workers();
-        self.worker_acc.resize(nw, 0.0);
-        let csr = &self.grid.csr;
-        let (g_entry, g_conv) = (&self.g_entry, &self.g_conv);
-        let (c_over_h, inv_diag) = (&self.c_over_h, &self.inv_diag);
-        let (temps, cell_power) = (&self.temps, &self.cell_power);
-        let work = UnsafeSlice::new(&mut self.work);
-        let acc = UnsafeSlice::new(&mut self.worker_acc);
-        let barrier = SpinBarrier::new(nw);
-        let omega_bits = AtomicU64::new(1.0f64.to_bits());
-        let stop = AtomicUsize::new(0);
-        let sweeps_done = AtomicUsize::new(MAX_SWEEPS);
-        let delta_bits = AtomicU64::new(f64::INFINITY.to_bits());
-        pool.run(&|w, n| {
-            let mut tuner = SorTuner::new(); // only worker 0's is consulted
-            for sweep in 0..MAX_SWEEPS {
-                let omega = f64::from_bits(omega_bits.load(Ordering::Acquire));
-                let mut local_max = 0.0f64;
-                for color in 0..csr.n_colors() {
-                    let cells = csr.color_cells(color);
-                    for &cell in &cells[pool::chunk(cells.len(), w, n)] {
-                        let i = cell as usize;
-                        let mut num = c_over_h[i] * temps[i] + cell_power[i] + g_conv[i] * amb;
-                        let (lo, hi) = (csr.offsets[i] as usize, csr.offsets[i + 1] as usize);
-                        for (&g, &nb) in g_entry[lo..hi].iter().zip(&csr.nbr[lo..hi]) {
-                            // SAFETY: neighbours are never this color, so no
-                            // worker writes them during this color pass.
-                            num += g * unsafe { work.read(nb as usize) };
-                        }
-                        // SAFETY: cell `i` is in exactly one worker's chunk.
-                        let old = unsafe { work.read(i) };
-                        let new = old + omega * (num * inv_diag[i] - old);
-                        local_max = local_max.max((new - old).abs());
-                        unsafe { work.write(i, new) };
-                    }
-                    barrier.wait();
-                }
-                // SAFETY: one slot per worker.
-                unsafe { acc.write(w, local_max) };
-                barrier.wait();
-                if w == 0 {
-                    let mut max_delta = 0.0f64;
-                    for i in 0..n {
-                        // SAFETY: every worker wrote its slot before the
-                        // barrier.
-                        max_delta = max_delta.max(unsafe { acc.read(i) });
-                    }
-                    delta_bits.store(max_delta.to_bits(), Ordering::Relaxed);
-                    if max_delta < SWEEP_TOL {
-                        stop.store(1, Ordering::Release);
-                        sweeps_done.store(sweep + 1, Ordering::Relaxed);
-                    } else {
-                        omega_bits.store(tuner.observe(sweep, max_delta).to_bits(), Ordering::Release);
-                    }
-                }
-                barrier.wait();
-                if stop.load(Ordering::Acquire) == 1 {
-                    break;
-                }
-            }
-        });
-        let delta = f64::from_bits(delta_bits.load(Ordering::Relaxed));
-        let converged = stop.load(Ordering::Relaxed) == 1;
-        (sweeps_done.load(Ordering::Relaxed), delta, converged)
-    }
-
     /// One forward-Euler substep on the optimized path: per-cell flow
     /// accumulation over the CSR entries (each edge is visited from both
     /// ends, which keeps the update conflict-free and the conservation
@@ -1291,64 +1110,22 @@ impl ThermalModel {
     fn substep_csr(&mut self, dt: f64) {
         let amb = self.cfg.ambient_k;
         let n = self.temps.len();
-        let out = if self.uses_parallel_sweeps() {
-            let pool = pool::global();
-            let nw = pool.n_workers();
-            self.worker_acc.resize(nw, 0.0);
-            let csr = &self.grid.csr;
-            let (g_entry, g_conv) = (&self.g_entry, &self.g_conv);
-            let (cell_power, capacity) = (&self.cell_power, &self.grid.capacity);
-            let temps = UnsafeSlice::new(&mut self.temps);
-            let flow = UnsafeSlice::new(&mut self.flow);
-            let acc = UnsafeSlice::new(&mut self.worker_acc);
-            let barrier = SpinBarrier::new(nw);
-            pool.run(&|w, n_workers| {
-                let range = pool::chunk(n, w, n_workers);
-                let mut local_out = 0.0;
-                for i in range.clone() {
-                    // SAFETY: nobody writes `temps` before the barrier.
-                    let t_i = unsafe { temps.read(i) };
-                    let mut f = cell_power[i];
-                    let (lo, hi) = (csr.offsets[i] as usize, csr.offsets[i + 1] as usize);
-                    for (&g, &nb) in g_entry[lo..hi].iter().zip(&csr.nbr[lo..hi]) {
-                        f += g * (unsafe { temps.read(nb as usize) } - t_i);
-                    }
-                    let q_conv = g_conv[i] * (t_i - amb);
-                    f -= q_conv;
-                    local_out += q_conv;
-                    // SAFETY: chunks are disjoint; one writer per index.
-                    unsafe { flow.write(i, f) };
-                }
-                // SAFETY: one slot per worker.
-                unsafe { acc.write(w, local_out) };
-                // All flows are computed before any temperature moves.
-                barrier.wait();
-                for i in range {
-                    // SAFETY: chunks are disjoint; one writer per index, and
-                    // no worker reads foreign temperatures after the barrier.
-                    unsafe { temps.write(i, temps.read(i) + flow.read(i) * dt / capacity[i]) };
-                }
-            });
-            self.worker_acc[..nw].iter().sum()
-        } else {
-            let csr = &self.grid.csr;
-            let mut out = 0.0;
-            for i in 0..n {
-                let mut f = self.cell_power[i];
-                let t_i = self.temps[i];
-                for k in csr.offsets[i] as usize..csr.offsets[i + 1] as usize {
-                    f += self.g_entry[k] * (self.temps[csr.nbr[k] as usize] - t_i);
-                }
-                let q_conv = self.g_conv[i] * (t_i - amb);
-                f -= q_conv;
-                out += q_conv;
-                self.flow[i] = f;
+        let csr = &self.grid.csr;
+        let mut out = 0.0;
+        for i in 0..n {
+            let mut f = self.cell_power[i];
+            let t_i = self.temps[i];
+            for k in csr.offsets[i] as usize..csr.offsets[i + 1] as usize {
+                f += self.g_entry[k] * (self.temps[csr.nbr[k] as usize] - t_i);
             }
-            for i in 0..n {
-                self.temps[i] += self.flow[i] * dt / self.grid.capacity[i];
-            }
-            out
-        };
+            let q_conv = self.g_conv[i] * (t_i - amb);
+            f -= q_conv;
+            out += q_conv;
+            self.flow[i] = f;
+        }
+        for i in 0..n {
+            self.temps[i] += self.flow[i] * dt / self.grid.capacity[i];
+        }
         self.energy_in += self.total_power() * dt;
         self.energy_out += out * dt;
         self.time += dt;
@@ -1519,61 +1296,17 @@ impl ThermalModel {
     }
 }
 
-/// `sweeps` natural-order Gauss–Seidel sweeps of `A x = rhs` on the fine
-/// grid (plain, no over-relaxation — multigrid smoothing).
-fn gs_sweeps_serial(
-    csr: &CellCsr,
-    g_entry: &[f64],
-    inv_diag: &[f64],
-    rhs: &[f64],
-    work: &mut [f64],
-    sweeps: usize,
-) {
-    for _ in 0..sweeps {
-        for i in 0..work.len() {
-            let mut num = rhs[i];
-            for k in csr.offsets[i] as usize..csr.offsets[i + 1] as usize {
-                num += g_entry[k] * work[csr.nbr[k] as usize];
-            }
-            work[i] = num * inv_diag[i];
+/// One natural-order Gauss–Seidel sweep of `A x = rhs` on the fine grid
+/// (plain, no over-relaxation — the forward half of the symmetric
+/// multigrid smoother).
+fn gs_sweep_serial(csr: &CellCsr, g_entry: &[f64], inv_diag: &[f64], rhs: &[f64], work: &mut [f64]) {
+    for i in 0..work.len() {
+        let mut num = rhs[i];
+        for k in csr.offsets[i] as usize..csr.offsets[i + 1] as usize {
+            num += g_entry[k] * work[csr.nbr[k] as usize];
         }
+        work[i] = num * inv_diag[i];
     }
-}
-
-/// The colored worker-pool counterpart of [`gs_sweeps_serial`]: one pool
-/// job runs all `sweeps` with a spin barrier at every color boundary.
-fn gs_sweeps_colored_parallel(
-    csr: &CellCsr,
-    g_entry: &[f64],
-    inv_diag: &[f64],
-    rhs: &[f64],
-    work: &mut [f64],
-    sweeps: usize,
-) {
-    let pool = pool::global();
-    let nw = pool.n_workers();
-    let work = UnsafeSlice::new(work);
-    let barrier = SpinBarrier::new(nw);
-    pool.run(&|w, n| {
-        for _ in 0..sweeps {
-            for color in 0..csr.n_colors() {
-                let cells = csr.color_cells(color);
-                for &cell in &cells[pool::chunk(cells.len(), w, n)] {
-                    let i = cell as usize;
-                    let mut num = rhs[i];
-                    let (lo, hi) = (csr.offsets[i] as usize, csr.offsets[i + 1] as usize);
-                    for (&g, &nb) in g_entry[lo..hi].iter().zip(&csr.nbr[lo..hi]) {
-                        // SAFETY: neighbours are never this color, so no
-                        // worker writes them during this color pass.
-                        num += g * unsafe { work.read(nb as usize) };
-                    }
-                    // SAFETY: cell `i` is in exactly one worker's chunk.
-                    unsafe { work.write(i, num * inv_diag[i]) };
-                }
-                barrier.wait();
-            }
-        }
-    });
 }
 
 /// One *reverse*-order Gauss–Seidel sweep of `A x = rhs` on the fine grid
@@ -1651,6 +1384,7 @@ fn fine_residual(
 mod tests {
     use super::*;
     use crate::floorplan::Floorplan;
+    use crate::grid::ImplicitSolve;
     use crate::reference::analytic_stack_temp;
 
     fn uniform(power: f64, cfg: &GridConfig) -> ThermalModel {
@@ -2001,7 +1735,7 @@ mod tests {
 
     #[test]
     fn optimized_modes_match_reference_trajectory() {
-        // Every optimized sweep mode must track the seed-faithful reference
+        // The optimized serial path must track the seed-faithful reference
         // within 1e-4 K over a transient, for both integrators.
         for integrator in [Integrator::SemiImplicit { dt: 5e-4 }, Integrator::Explicit] {
             let base = GridConfig { integrator, hot_div: 4, ..GridConfig::default() };
@@ -2017,44 +1751,13 @@ mod tests {
             };
             let mut reference = build(SweepMode::Reference);
             let mut serial = build(SweepMode::Serial);
-            let mut parallel = build(SweepMode::Parallel);
-            assert!(!serial.uses_parallel_sweeps());
-            assert!(parallel.uses_parallel_sweeps());
             for _ in 0..20 {
                 reference.step(0.01);
                 serial.step(0.01);
-                parallel.step(0.01);
             }
             let ds = max_abs_diff(&reference, &serial);
-            let dp = max_abs_diff(&reference, &parallel);
             assert!(ds < 1e-4, "serial drift {ds:.2e} K ({integrator:?})");
-            assert!(dp < 1e-4, "parallel drift {dp:.2e} K ({integrator:?})");
         }
-    }
-
-    #[test]
-    fn parallel_sweeps_are_deterministic() {
-        let cfg = GridConfig { sweep: SweepMode::Parallel, ..GridConfig::default() };
-        let mut a = uniform(3.0, &cfg);
-        let mut b = uniform(3.0, &cfg);
-        for _ in 0..10 {
-            a.step(0.01);
-            b.step(0.01);
-        }
-        assert_eq!(a.temps(), b.temps(), "identical trajectories run-to-run");
-    }
-
-    #[test]
-    fn auto_mode_resolves_by_threshold_and_pool_width() {
-        let small = uniform(1.0, &GridConfig { parallel_threshold: 1_000_000, ..GridConfig::default() });
-        assert!(!small.uses_parallel_sweeps());
-        // Above threshold, Auto engages exactly when the pool is really
-        // parallel (on a single-core host it stays serial).
-        let big = uniform(1.0, &GridConfig { parallel_threshold: 1, ..GridConfig::default() });
-        assert_eq!(big.uses_parallel_sweeps(), crate::pool::global().n_workers() > 1);
-        // Forced Parallel ignores both gates.
-        let forced = uniform(1.0, &GridConfig { sweep: SweepMode::Parallel, ..GridConfig::default() });
-        assert!(forced.uses_parallel_sweeps());
     }
 
     #[test]
