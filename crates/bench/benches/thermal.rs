@@ -2,7 +2,7 @@
 //! window must run far faster than real time; the paper quotes 2 s of
 //! simulation on 660 cells in 1.65 s).
 //!
-//! Each mesh is measured twice: `reference` is the seed-faithful solver
+//! Each mesh is measured twice: `reference` is the seed's solver algorithm
 //! (natural-order serial Gauss–Seidel, per-substep coefficient refresh),
 //! `optimized` is the serial CSR path with lazy refresh and warm-started
 //! SOR sweeps — the ratio is the PR-over-PR perf trajectory the scaling

@@ -4,7 +4,7 @@
 //!
 //! The mesh ladder refines the Fig. 4b ARM11 floorplan from the paper's
 //! ~660-cell operating point (§5.2: "2 s of simulation on 660 cells in
-//! 1.65 s") up to ~105k cells. Every rung measures the seed-faithful
+//! 1.65 s") up to ~105k cells. Every rung measures the seed's reference
 //! [`SweepMode::Reference`] solver against the optimized
 //! [`SweepMode::Serial`] path, for both integrators; the semi-implicit
 //! rungs additionally measure the multigrid solver (`mg` rows) against

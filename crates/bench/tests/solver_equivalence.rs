@@ -1,6 +1,6 @@
 //! Golden-trajectory regression: the optimized serial CSR solver must
-//! reproduce the seed-faithful reference solver on the Fig. 4b ARM11
-//! floorplan to within 1e-4 K over a 2 s heating transient, for both
+//! reproduce the reference solver (the seed's algorithm) on the Fig. 4b
+//! ARM11 floorplan to within 1e-4 K over a 2 s heating transient, for both
 //! integrators, and forced multigrid must track plain Gauss–Seidel to the
 //! same bound. This is the contract that lets every later perf change be
 //! judged purely on speed.

@@ -267,8 +267,8 @@ impl Scenario {
         self
     }
 
-    /// Selects the optimized solver or the seed-faithful reference one
-    /// (see [`SweepMode`]).
+    /// Selects the optimized solver or the reference one, the seed's
+    /// algorithm (see [`SweepMode`]).
     pub fn sweep(mut self, sweep: SweepMode) -> Scenario {
         self.emu.grid.sweep = sweep;
         self

@@ -37,15 +37,17 @@ pub enum Integrator {
 /// warm-started SOR Gauss–Seidel iteration is unbeatable on paper-scale
 /// meshes, but its contraction degrades with refinement — on ~46k-cell
 /// meshes it exhausts the sweep budget without converging. The geometric
-/// multigrid option wraps the same sweeps as the smoother of a W-cycle over
-/// a hierarchy of aggregated coarse RC networks (see [`crate`] docs), which
-/// keeps the per-substep cost mesh-size-robust.
+/// multigrid option runs flexible CG preconditioned by a K-cycle over a
+/// hierarchy of aggregated coarse RC networks, with symmetric Gauss–Seidel
+/// smoothing (see [`crate`] docs), which keeps the per-substep cost
+/// mesh-size-robust.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ImplicitSolve {
     /// Warm-started SOR Gauss–Seidel sweeps only (the PR 1 solver).
     GaussSeidel,
-    /// Geometric multigrid W-cycles with Gauss–Seidel smoothing and a dense
-    /// Cholesky solve at the coarsest level.
+    /// Flexible CG preconditioned by geometric multigrid K-cycles, with
+    /// Gauss–Seidel smoothing and a dense Cholesky solve at the coarsest
+    /// level.
     Multigrid,
     /// [`ImplicitSolve::GaussSeidel`] below
     /// [`GridConfig::multigrid_threshold`] cells,
@@ -56,10 +58,11 @@ pub enum ImplicitSolve {
 /// Which implementation runs the solver's sweeps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SweepMode {
-    /// Seed-faithful reference path: natural-order serial sweeps with
-    /// conductivities refreshed every substep. Kept as the golden baseline
-    /// for equivalence tests and perf comparisons; do not use for
-    /// production runs.
+    /// Reference path: the seed's algorithm — natural-order serial sweeps
+    /// with conductivities refreshed every substep and per-edge divisions —
+    /// summing each row in neighbour order like every path. Kept as the
+    /// golden baseline for equivalence tests and perf comparisons; do not
+    /// use for production runs.
     Reference,
     /// Optimized path (the default): CSR linear sweeps in natural cell
     /// order with lagged coefficient refresh, on the calling thread.
@@ -93,8 +96,8 @@ pub struct GridConfig {
     /// Reference or optimized sweeps.
     pub sweep: SweepMode,
     /// Linear-system strategy of the semi-implicit substep (ignored by the
-    /// explicit integrator and by [`SweepMode::Reference`], which stays
-    /// seed-faithful).
+    /// explicit integrator and by [`SweepMode::Reference`], which keeps the
+    /// seed's Gauss–Seidel algorithm).
     pub implicit_solve: ImplicitSolve,
     /// Cell count at which [`ImplicitSolve::Auto`] switches from plain
     /// Gauss–Seidel to multigrid cycles.
@@ -169,7 +172,7 @@ impl GridConfig {
 
     /// Whether a model with this configuration runs multigrid substeps on
     /// a mesh of `n_cells` cells: never on the explicit integrator or the
-    /// seed-faithful [`SweepMode::Reference`] path, otherwise as
+    /// [`SweepMode::Reference`] path, otherwise as
     /// [`GridConfig::implicit_solve`] says, with [`ImplicitSolve::Auto`]
     /// switching at [`GridConfig::multigrid_threshold`] cells.
     #[must_use]
@@ -448,7 +451,7 @@ impl ThermalGrid {
     /// bottom cell of a uniform mesh. Served from the precomputed CSR
     /// offsets in O(1) (the seed scanned every edge per query).
     pub fn degree(&self, cell: usize) -> usize {
-        self.csr.degree(cell) + usize::from(self.csr.conv[cell] != crate::csr::NO_CONV)
+        self.csr.rows.degree(cell) + usize::from(self.csr.conv[cell] != crate::csr::NO_CONV)
     }
 
     /// Whether the cell sits in a silicon layer.

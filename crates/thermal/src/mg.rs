@@ -39,10 +39,22 @@
 //! the recursive correction, an exact dense Cholesky solve at the coarsest
 //! ≤ [`COARSEST_MAX`] cells) re-scaled by an energy-norm line search, and
 //! the fine level runs flexible CG with the cycle as its preconditioner.
-//! The **fine** level stays in `solver.rs`, next to the CSR sweeps its
-//! forward + backward Gauss–Seidel smoother shares with the plain path;
-//! this module owns everything below it.
+//! The **fine** level's cycle stays in `solver.rs`, next to the fine
+//! grid's arrays; this module owns everything below it.
+//!
+//! # Kernels
+//!
+//! Each level's rows are sorted and split at the diagonal
+//! ([`crate::csr::SortedRows`]), and no pass walks a half-row whose sum an
+//! earlier pass already formed. The pre-smoother starts from zero, so it
+//! walks only lower halves, and its residual is exactly the upper-half sum.
+//! The post-smoother's upper sums are those of its final iterate, so the
+//! line search's `A·z` walks only lower halves. That is two and a half
+//! row passes per level visit instead of four. Restriction and the
+//! coefficient refresh gather each aggregate's (or coarse edge's) finer
+//! members in ascending order, bit for bit the scatter-add they replace.
 
+use crate::csr::{entries_dot, entries_dot_fresh_first, entries_dot_fresh_last, EdgeOrderRows, SortedRows};
 use crate::grid::{GridConfig, ThermalGrid};
 use crate::props::{silicon_conductivity, COPPER_CONDUCTIVITY};
 use std::sync::Arc;
@@ -75,12 +87,6 @@ const MIN_COARSENING_RATIO: f64 = 0.75;
 /// same number of outer cycles at ~2/3 the cost.
 const MATCHING_PASSES: usize = 3;
 
-/// Gauss–Seidel sweeps before restricting a coarse level's residual.
-const PRE_SWEEPS: usize = 1;
-
-/// Gauss–Seidel sweeps after prolonging a coarse level's correction.
-const POST_SWEEPS: usize = 1;
-
 /// A weighted cell-adjacency graph, the input of one coarsening step.
 struct Graph {
     n: usize,
@@ -88,6 +94,55 @@ struct Graph {
     edges: Vec<(u32, u32)>,
     /// Conductance per edge (the matching strength).
     w: Vec<f64>,
+}
+
+/// The inverse of a many-to-one map `of: finer index → group` in CSR form:
+/// `members[offsets[a]..offsets[a + 1]]` lists the finer indices of group
+/// `a`, ascending. Indices mapped to [`INTERNAL`] join no group.
+#[derive(Debug)]
+struct Groups {
+    offsets: Vec<u32>,
+    members: Vec<u32>,
+}
+
+impl Groups {
+    /// Inverts `of` into `n` groups by a counting sort: scanning the finer
+    /// indices in ascending order lists every group's members ascending.
+    fn invert(of: &[u32], n: usize) -> Groups {
+        let mut offsets = vec![0u32; n + 1];
+        for &a in of.iter().filter(|&&a| a != INTERNAL) {
+            offsets[a as usize + 1] += 1;
+        }
+        for a in 0..n {
+            offsets[a + 1] += offsets[a];
+        }
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let mut members = vec![0u32; offsets[n] as usize];
+        for (i, &a) in of.iter().enumerate().filter(|&(_, &a)| a != INTERNAL) {
+            members[cursor[a as usize] as usize] = i as u32;
+            cursor[a as usize] += 1;
+        }
+        Groups { offsets, members }
+    }
+
+    /// Number of groups.
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// `dst[a] = Σ src[i]` over group `a`'s members in ascending order —
+    /// bit for bit what an ascending scatter-add into a zeroed `dst` forms,
+    /// without its store-to-load chain through `dst`.
+    fn sum_into(&self, src: &[f64], dst: &mut [f64]) {
+        let off = &self.offsets[..=dst.len()];
+        for (a, d) in dst.iter_mut().enumerate() {
+            let mut s = 0.0;
+            for &i in &self.members[off[a] as usize..off[a + 1] as usize] {
+                s += src[i as usize];
+            }
+            *d = s;
+        }
+    }
 }
 
 /// The immutable topology of one coarse level: aggregation maps, CSR
@@ -99,44 +154,36 @@ pub(crate) struct LevelTopology {
     n: usize,
     /// Finer-level cell → this level's aggregate.
     pub(crate) agg_of: Vec<u32>,
-    /// Finer-level edge → this level's edge ([`INTERNAL`] when the fine
-    /// edge lies inside one aggregate).
-    edge_map: Vec<u32>,
-    /// CSR adjacency: `offsets[i]..offsets[i+1]` spans `nbr`/`entry_edge`.
-    offsets: Vec<u32>,
-    nbr: Vec<u32>,
-    entry_edge: Vec<u32>,
+    /// Each aggregate's finer-level cells (the inverse of `agg_of`):
+    /// restriction and the convection refresh sum over them.
+    members: Groups,
+    /// Each edge's finer-level edges — the inverse of the finer edge →
+    /// coarse edge map, whose fine edges inside one aggregate join no
+    /// coarse edge. The conductance refresh sums over them.
+    edge_members: Groups,
+    /// Sorted, split CSR adjacency; `rows.edge` indexes `g_edge`.
+    rows: SortedRows,
     /// Σ of the finer capacities per aggregate, J/K (static).
     pub(crate) capacity: Vec<f64>,
-    /// Number of coarse edges at this level (sizes `LevelState::g_edge`).
-    n_edges: usize,
 }
 
 impl LevelTopology {
-    fn new(agg_of: Vec<u32>, edge_map: Vec<u32>, graph: &Graph, capacity: Vec<f64>) -> LevelTopology {
+    /// The level `graph` aggregated from a finer level by `agg_of` and
+    /// `edge_map` (see [`coarsen_level`]), whose cells hold
+    /// `finer_capacity`.
+    fn new(agg_of: Vec<u32>, edge_map: &[u32], graph: &Graph, finer_capacity: &[f64]) -> LevelTopology {
         let n = graph.n;
-        let mut counts = vec![0u32; n + 1];
-        for &(a, b) in &graph.edges {
-            counts[a as usize + 1] += 1;
-            counts[b as usize + 1] += 1;
+        let members = Groups::invert(&agg_of, n);
+        let mut capacity = vec![0.0; n];
+        members.sum_into(finer_capacity, &mut capacity);
+        LevelTopology {
+            n,
+            members,
+            edge_members: Groups::invert(edge_map, graph.edges.len()),
+            rows: SortedRows::build(n, graph.edges.iter().map(|&(a, b)| (a as usize, b as usize))),
+            agg_of,
+            capacity,
         }
-        let mut offsets = counts;
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut nbr = vec![0u32; offsets[n] as usize];
-        let mut entry_edge = vec![0u32; offsets[n] as usize];
-        for (ei, &(a, b)) in graph.edges.iter().enumerate() {
-            let (a, b) = (a as usize, b as usize);
-            nbr[cursor[a] as usize] = b as u32;
-            entry_edge[cursor[a] as usize] = ei as u32;
-            cursor[a] += 1;
-            nbr[cursor[b] as usize] = a as u32;
-            entry_edge[cursor[b] as usize] = ei as u32;
-            cursor[b] += 1;
-        }
-        LevelTopology { n, agg_of, edge_map, offsets, nbr, entry_edge, capacity, n_edges: graph.edges.len() }
     }
 }
 
@@ -160,82 +207,83 @@ pub(crate) struct LevelState {
     b: Vec<f64>,
     /// Preconditioner output (one cycle applied to `b`).
     z: Vec<f64>,
-    /// Cycle-internal residual scratch.
-    r: Vec<f64>,
-    /// `A·z` scratch for the line search.
-    az: Vec<f64>,
+    /// Upper-half row sums one pass hands to the next: the pre-smoother's
+    /// residual, then the post-smoother's sums for the line search.
+    upper: Vec<f64>,
 }
 
 impl LevelState {
     fn new(topo: &LevelTopology) -> LevelState {
         let n = topo.n;
         LevelState {
-            g_edge: vec![0.0; topo.n_edges],
-            g_entry: vec![0.0; topo.nbr.len()],
+            g_edge: vec![0.0; topo.edge_members.len()],
+            g_entry: vec![0.0; topo.rows.n_entries()],
             g_conv: vec![0.0; n],
             diag: vec![0.0; n],
             inv_diag: vec![0.0; n],
             x: vec![0.0; n],
             b: vec![0.0; n],
             z: vec![0.0; n],
-            r: vec![0.0; n],
-            az: vec![0.0; n],
+            upper: vec![0.0; n],
         }
     }
 
-    /// `sweeps` natural-order Gauss–Seidel sweeps on `A z = b`.
-    fn smooth_z(&mut self, t: &LevelTopology, sweeps: usize) {
-        for _ in 0..sweeps {
-            for i in 0..t.n {
-                let mut num = self.b[i];
-                for k in t.offsets[i] as usize..t.offsets[i + 1] as usize {
-                    num += self.g_entry[k] * self.z[t.nbr[k] as usize];
-                }
-                self.z[i] = num * self.inv_diag[i];
-            }
+    /// Pre-smoother: one forward Gauss–Seidel sweep on `A z = b` from a
+    /// zero guess. When row `i` is updated only its lower half holds
+    /// non-zero values, so only that half is walked. The sweep's residual
+    /// `b − A z` is then exactly each row's upper-half sum (the diagonal
+    /// term cancels `b` plus the lower sum), which a pass over the upper
+    /// halves stores in `upper`.
+    fn presmooth(&mut self, rows: &SortedRows) {
+        let n = self.z.len();
+        let (b, inv_diag, z) = (&self.b[..n], &self.inv_diag[..n], &mut self.z[..n]);
+        let (off, split, g, nbr) = (&rows.offsets[..=n], &rows.split[..n], &self.g_entry[..], &rows.nbr[..]);
+        for i in 0..n {
+            let (lo, mid) = (off[i] as usize, split[i] as usize);
+            let (low, fresh) = entries_dot_fresh_last(&g[lo..mid], &nbr[lo..mid], z);
+            z[i] = (b[i] + low + fresh) * inv_diag[i];
+        }
+        for (i, r) in self.upper[..n].iter_mut().enumerate() {
+            let (mid, hi) = (split[i] as usize, off[i + 1] as usize);
+            *r = entries_dot(&g[mid..hi], &nbr[mid..hi], z);
         }
     }
 
-    /// `sweeps` *reverse*-order Gauss–Seidel sweeps on `A z = b`. A
-    /// forward pre-sweep and a backward post-sweep make the level's cycle
-    /// a symmetric operator (restriction is the transpose of
-    /// prolongation, the coarsest solve is exact), which is what lets the
-    /// outer conjugate-gradient acceleration work at full strength.
-    fn smooth_z_rev(&mut self, t: &LevelTopology, sweeps: usize) {
-        for _ in 0..sweeps {
-            for i in (0..t.n).rev() {
-                let mut num = self.b[i];
-                for k in t.offsets[i] as usize..t.offsets[i + 1] as usize {
-                    num += self.g_entry[k] * self.z[t.nbr[k] as usize];
-                }
-                self.z[i] = num * self.inv_diag[i];
-            }
+    /// Post-smoother: one *reverse*-order Gauss–Seidel sweep on `A z = b`
+    /// from the corrected iterate. A forward pre-sweep and a backward
+    /// post-sweep make the level's cycle a symmetric operator (restriction
+    /// is the transpose of prolongation, the coarsest solve is exact),
+    /// which is what lets the outer conjugate-gradient acceleration work
+    /// at full strength. Each row's upper half reads this sweep's values,
+    /// which are final, so its sum is kept in `upper` for
+    /// [`LevelState::line_search_dots`].
+    fn postsmooth(&mut self, rows: &SortedRows) {
+        let n = self.z.len();
+        let (b, inv_diag, z) = (&self.b[..n], &self.inv_diag[..n], &mut self.z[..n]);
+        let (off, split, g, nbr) = (&rows.offsets[..=n], &rows.split[..n], &self.g_entry[..], &rows.nbr[..]);
+        let upper = &mut self.upper[..n];
+        for i in (0..n).rev() {
+            let (lo, mid, hi) = (off[i] as usize, split[i] as usize, off[i + 1] as usize);
+            let low = entries_dot(&g[lo..mid], &nbr[lo..mid], z);
+            let (up, fresh) = entries_dot_fresh_first(&g[mid..hi], &nbr[mid..hi], z);
+            z[i] = (b[i] + low + up + fresh) * inv_diag[i];
+            upper[i] = up + fresh;
         }
     }
 
-    /// `r = b - A z` (the cycle-internal residual).
-    fn residual_z(&mut self, t: &LevelTopology) {
-        for i in 0..t.n {
-            let mut r = self.b[i] - self.diag[i] * self.z[i];
-            for k in t.offsets[i] as usize..t.offsets[i + 1] as usize {
-                r += self.g_entry[k] * self.z[t.nbr[k] as usize];
-            }
-            self.r[i] = r;
-        }
-    }
-
-    /// `az = A z`, returning `(z·az, z·b)` for the line search in one pass.
-    fn apply_z(&mut self, t: &LevelTopology) -> (f64, f64) {
-        let mut z_az = 0.0;
-        let mut z_b = 0.0;
-        for i in 0..t.n {
-            let mut s = self.diag[i] * self.z[i];
-            for k in t.offsets[i] as usize..t.offsets[i + 1] as usize {
-                s -= self.g_entry[k] * self.z[t.nbr[k] as usize];
-            }
-            self.az[i] = s;
-            z_az += self.z[i] * s;
-            z_b += self.z[i] * self.b[i];
+    /// `(z·A z, z·b)` for the line search, in one pass over the lower
+    /// halves: `(A z)_i = d_i z_i − lower_i − upper_i`, with the upper sums
+    /// the post-smoother kept.
+    fn line_search_dots(&self, rows: &SortedRows) -> (f64, f64) {
+        let n = self.z.len();
+        let (b, diag, z, upper) = (&self.b[..n], &self.diag[..n], &self.z[..n], &self.upper[..n]);
+        let (off, split, g, nbr) = (&rows.offsets[..=n], &rows.split[..n], &self.g_entry[..], &rows.nbr[..]);
+        let (mut z_az, mut z_b) = (0.0, 0.0);
+        for i in 0..n {
+            let (lo, mid) = (off[i] as usize, split[i] as usize);
+            let az = diag[i] * z[i] - entries_dot(&g[lo..mid], &nbr[lo..mid], z) - upper[i];
+            z_az += z[i] * az;
+            z_b += z[i] * b[i];
         }
         (z_az, z_b)
     }
@@ -264,16 +312,11 @@ impl MgTopology {
             edges: grid.edges.iter().map(|e| (e.a as u32, e.b as u32)).collect(),
             w: g_edge.to_vec(),
         };
-        let mut capacity: Vec<f64> = grid.capacity.clone();
-        let mut levels = Vec::new();
+        let mut levels: Vec<LevelTopology> = Vec::new();
         while graph.n > COARSEST_MAX {
             let Some((agg_of, coarse, edge_map)) = coarsen_level(&graph) else { break };
-            let mut cap_c = vec![0.0; coarse.n];
-            for (i, &a) in agg_of.iter().enumerate() {
-                cap_c[a as usize] += capacity[i];
-            }
-            capacity = cap_c.clone();
-            levels.push(LevelTopology::new(agg_of, edge_map, &coarse, cap_c));
+            let finer_capacity = levels.last().map_or(&grid.capacity[..], |l| &l.capacity[..]);
+            levels.push(LevelTopology::new(agg_of, &edge_map, &coarse, finer_capacity));
             graph = coarse;
         }
         MgTopology { levels }
@@ -367,7 +410,7 @@ impl Multigrid {
     }
 
     /// Propagates refreshed fine-grid conductances down the hierarchy
-    /// (scatter-add per level) and invalidates the per-`h` diagonals.
+    /// (one gather-sum per level) and invalidates the per-`h` diagonals.
     pub(crate) fn refresh_g(&mut self, fine_g_edge: &[f64], fine_g_conv: &[f64]) {
         for l in 0..self.states.len() {
             let topo = &self.topo.levels[l];
@@ -377,19 +420,11 @@ impl Multigrid {
                 Some(prev) => (&prev.g_edge, &prev.g_conv),
             };
             let lev = &mut rest[0];
-            lev.g_edge.fill(0.0);
-            for (e, &m) in topo.edge_map.iter().enumerate() {
-                if m != INTERNAL {
-                    lev.g_edge[m as usize] += src_g[e];
-                }
+            topo.edge_members.sum_into(src_g, &mut lev.g_edge);
+            for (g, &e) in lev.g_entry.iter_mut().zip(&topo.rows.edge) {
+                *g = lev.g_edge[e as usize];
             }
-            for (k, g) in lev.g_entry.iter_mut().enumerate() {
-                *g = lev.g_edge[topo.entry_edge[k] as usize];
-            }
-            lev.g_conv.fill(0.0);
-            for (i, &a) in topo.agg_of.iter().enumerate() {
-                lev.g_conv[a as usize] += src_conv[i];
-            }
+            topo.members.sum_into(src_conv, &mut lev.g_conv);
         }
         self.stale_g = false;
         self.diag_h = f64::NAN;
@@ -405,9 +440,9 @@ impl Multigrid {
     /// coarsest operator.
     pub(crate) fn build_diag(&mut self, h: f64) {
         for (topo, lev) in self.topo.levels.iter().zip(&mut self.states) {
+            let off = &topo.rows.offsets;
             for i in 0..topo.n {
-                let g_sum: f64 =
-                    lev.g_entry[topo.offsets[i] as usize..topo.offsets[i + 1] as usize].iter().sum();
+                let g_sum: f64 = lev.g_entry[off[i] as usize..off[i + 1] as usize].iter().sum();
                 let d = topo.capacity[i] / h + g_sum + lev.g_conv[i];
                 lev.diag[i] = d;
                 lev.inv_diag[i] = 1.0 / d;
@@ -420,8 +455,8 @@ impl Multigrid {
             let mut a = vec![0.0; n * n];
             for i in 0..n {
                 a[i * n + i] = c.diag[i];
-                for k in ct.offsets[i] as usize..ct.offsets[i + 1] as usize {
-                    a[i * n + ct.nbr[k] as usize] = -c.g_entry[k];
+                for k in ct.rows.offsets[i] as usize..ct.rows.offsets[i + 1] as usize {
+                    a[i * n + ct.rows.nbr[k] as usize] = -c.g_entry[k];
                 }
             }
             cholesky_in_place(&mut a, n);
@@ -436,15 +471,11 @@ impl Multigrid {
     /// starts from a zero guess, so no separate clear of `z` is needed).
     pub(crate) fn coarse_correction(&mut self, r: &[f64], z: &mut [f64]) {
         let t0 = &self.topo.levels[0];
-        let l0 = &mut self.states[0];
-        l0.b.fill(0.0);
-        for (i, &ri) in r.iter().enumerate() {
-            l0.b[t0.agg_of[i] as usize] += ri;
-        }
+        t0.members.sum_into(r, &mut self.states[0].b);
         k_solve(&self.topo.levels, &mut self.states, &self.chol);
-        let l0 = &self.states[0];
-        for (i, t) in z.iter_mut().enumerate() {
-            *t = l0.x[t0.agg_of[i] as usize];
+        let x = &self.states[0].x;
+        for (z, &a) in z.iter_mut().zip(&t0.agg_of) {
+            *z = x[a as usize];
         }
     }
 }
@@ -462,41 +493,34 @@ fn k_solve(topo: &[LevelTopology], states: &mut [LevelState], chol: &[f64]) {
         return;
     }
     precond(topo, states, chol);
-    let t = &topo[0];
     let cur = &mut states[0];
-    let (z_az, z_b) = cur.apply_z(t);
+    let (z_az, z_b) = cur.line_search_dots(&topo[0].rows);
     if z_az <= 0.0 {
         // Numerically degenerate (the correction vanished): take it as-is.
         cur.x.copy_from_slice(&cur.z);
         return;
     }
     let alpha = z_b / z_az;
-    for i in 0..t.n {
-        cur.x[i] = alpha * cur.z[i];
+    for (x, &z) in cur.x.iter_mut().zip(&cur.z) {
+        *x = alpha * z;
     }
 }
 
-/// One preconditioner application at `levels[0]`: `z ≈ A⁻¹ b` by
-/// pre-smoothing, a recursive K-cycle correction, and post-smoothing.
+/// One preconditioner application at `levels[0]`: `z ≈ A⁻¹ b` by one
+/// pre-smoothing sweep from zero, a recursive K-cycle correction of its
+/// residual, and one post-smoothing sweep.
 fn precond(topo: &[LevelTopology], states: &mut [LevelState], chol: &[f64]) {
-    let t = &topo[0];
     let (cur, rest) = states.split_at_mut(1);
     let cur = &mut cur[0];
-    cur.z.fill(0.0);
-    cur.smooth_z(t, PRE_SWEEPS);
-    cur.residual_z(t);
+    cur.presmooth(&topo[0].rows);
     let next_topo = &topo[1];
-    let next = &mut rest[0];
-    next.b.fill(0.0);
-    for (i, &ri) in cur.r.iter().enumerate() {
-        next.b[next_topo.agg_of[i] as usize] += ri;
-    }
+    next_topo.members.sum_into(&cur.upper, &mut rest[0].b);
     k_solve(&topo[1..], rest, chol);
-    let next = &rest[0];
-    for (i, z) in cur.z.iter_mut().enumerate() {
-        *z += next.x[next_topo.agg_of[i] as usize];
+    let x = &rest[0].x;
+    for (z, &a) in cur.z.iter_mut().zip(&next_topo.agg_of) {
+        *z += x[a as usize];
     }
-    cur.smooth_z_rev(t, POST_SWEEPS);
+    cur.postsmooth(&topo[0].rows);
 }
 
 /// In-place dense Cholesky of the SPD matrix `a` (row-major `n×n`); the
@@ -547,28 +571,11 @@ fn cholesky_solve(l: &[f64], n: usize, b: &[f64], x: &mut [f64]) {
 /// fine-to-coarse map, the coarsened graph, and the fine-edge →
 /// coarse-edge map.
 fn coarsen_once(g: &Graph) -> (Vec<u32>, Graph, Vec<u32>) {
-    // CSR adjacency of the pass's graph.
-    let mut counts = vec![0u32; g.n + 1];
-    for &(a, b) in &g.edges {
-        counts[a as usize + 1] += 1;
-        counts[b as usize + 1] += 1;
-    }
-    let mut offsets = counts;
-    for i in 0..g.n {
-        offsets[i + 1] += offsets[i];
-    }
-    let mut cursor: Vec<u32> = offsets[..g.n].to_vec();
-    let mut nbr = vec![0u32; offsets[g.n] as usize];
-    let mut entry_edge = vec![0u32; offsets[g.n] as usize];
-    for (ei, &(a, b)) in g.edges.iter().enumerate() {
-        let (a, b) = (a as usize, b as usize);
-        nbr[cursor[a] as usize] = b as u32;
-        entry_edge[cursor[a] as usize] = ei as u32;
-        cursor[a] += 1;
-        nbr[cursor[b] as usize] = a as u32;
-        entry_edge[cursor[b] as usize] = ei as u32;
-        cursor[b] += 1;
-    }
+    // Edge-order adjacency: the matching breaks ties between equally
+    // strong neighbours by it, so the aggregates do not depend on the
+    // solver's sorted rows.
+    let EdgeOrderRows { offsets, nbr, edge: entry_edge } =
+        EdgeOrderRows::build(g.n, g.edges.iter().map(|&(a, b)| (a as usize, b as usize)));
 
     let mut agg = vec![u32::MAX; g.n];
     let mut next = 0u32;
@@ -623,9 +630,10 @@ fn coarsen_once(g: &Graph) -> (Vec<u32>, Graph, Vec<u32>) {
     (agg, Graph { n: n_c, edges: edges_c, w: w_c }, edge_map)
 }
 
-/// Double pairwise aggregation: two matching passes composed into aggregates
-/// of ~4 cells (~4× coarsening per level). Returns `None` when the graph
-/// refuses to coarsen (see [`MIN_COARSENING_RATIO`]).
+/// Composed pairwise aggregation: [`MATCHING_PASSES`] matching passes
+/// composed into aggregates of ~8 cells (~8× coarsening per level).
+/// Returns `None` when the graph refuses to coarsen (see
+/// [`MIN_COARSENING_RATIO`]).
 fn coarsen_level(g: &Graph) -> Option<(Vec<u32>, Graph, Vec<u32>)> {
     let (mut agg, mut coarse, mut edge_map) = coarsen_once(g);
     for _ in 1..MATCHING_PASSES {
@@ -733,6 +741,132 @@ mod tests {
         mg.build_diag(5e-4);
         assert!(mg.diag_ready(5e-4));
         assert!(!mg.chol.is_empty());
+    }
+
+    /// A deterministic stream of values of mixed sign spanning six orders
+    /// of magnitude (xorshift64).
+    fn values(seed: u64, n: usize) -> Vec<f64> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let unit = (x >> 11) as f64 / (1u64 << 53) as f64;
+                let scale = 10f64.powi((x % 7) as i32 - 3);
+                (unit - 0.5) * scale
+            })
+            .collect()
+    }
+
+    /// A hierarchy on a two-component mesh, refreshed with uneven
+    /// conductances and its diagonals built.
+    fn refreshed_hierarchy() -> (ThermalGrid, Multigrid) {
+        let mut fp = Floorplan::new("mg", 4000.0, 4000.0);
+        fp.add_component("hot", 500.0, 500.0, 1500.0, 1500.0, true);
+        fp.add_component("cool", 2500.0, 2500.0, 1000.0, 1000.0, false);
+        let cfg = GridConfig { hot_div: 12, default_div: 6, ..GridConfig::default() };
+        let grid = ThermalGrid::build(&fp, &cfg).unwrap();
+        let g_edge: Vec<f64> = values(7, grid.edges.len()).iter().map(|v| 1.0 + v.abs()).collect();
+        let mut g_conv = vec![0.0; grid.n_cells()];
+        for &(cell, _, _) in &grid.convection {
+            g_conv[cell] = 0.5;
+        }
+        let mut mg = Multigrid::build(&grid, &g_edge);
+        assert!(!mg.is_degenerate() && mg.n_levels() >= 3, "{} levels", mg.n_levels());
+        mg.refresh_g(&g_edge, &g_conv);
+        mg.build_diag(5e-4);
+        (grid, mg)
+    }
+
+    /// `groups` lists, for each of `n` groups, exactly the indices `of`
+    /// maps to it, ascending; indices mapped to [`INTERNAL`] appear nowhere.
+    fn assert_inverts(groups: &Groups, of: &[u32], n: usize) {
+        assert_eq!(groups.len(), n);
+        assert_eq!(groups.members.len(), of.iter().filter(|&&a| a != INTERNAL).count());
+        for a in 0..n {
+            let members = &groups.members[groups.offsets[a] as usize..groups.offsets[a + 1] as usize];
+            assert!(!members.is_empty(), "group {a} is empty");
+            assert!(members.windows(2).all(|w| w[0] < w[1]), "group {a} ascending");
+            assert!(members.iter().all(|&i| of[i as usize] as usize == a), "group {a}");
+        }
+    }
+
+    #[test]
+    fn level_rows_are_sorted_and_members_invert_agg_of() {
+        let mut fp = Floorplan::new("mg", 4000.0, 4000.0);
+        fp.add_component("hot", 500.0, 500.0, 1500.0, 1500.0, true);
+        let cfg = GridConfig { hot_div: 12, default_div: 4, ..GridConfig::default() };
+        let grid = ThermalGrid::build(&fp, &cfg).unwrap();
+        let mut graph = Graph {
+            n: grid.n_cells(),
+            edges: grid.edges.iter().map(|e| (e.a as u32, e.b as u32)).collect(),
+            w: values(3, grid.edges.len()).iter().map(|v| 1.0 + v.abs()).collect(),
+        };
+        for _ in 0..2 {
+            let (agg_of, coarse, edge_map) = coarsen_level(&graph).expect("the mesh coarsens");
+            let t = LevelTopology::new(agg_of, &edge_map, &coarse, &vec![1.0; graph.n]);
+            let ends: Vec<(usize, usize)> =
+                coarse.edges.iter().map(|&(a, b)| (a as usize, b as usize)).collect();
+            crate::csr::assert_sorted_split(&t.rows, t.n, &ends);
+            assert_inverts(&t.members, &t.agg_of, t.n);
+            assert_inverts(&t.edge_members, &edge_map, coarse.edges.len());
+            graph = coarse;
+        }
+    }
+
+    #[test]
+    fn gather_restriction_matches_the_scatter_bit_for_bit() {
+        let (grid, mg) = refreshed_hierarchy();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut finer_edges = grid.edges.len();
+        for (l, t) in mg.topo.levels.iter().enumerate() {
+            let r = values(11 + l as u64, t.agg_of.len());
+            let mut scatter = vec![0.0; t.n];
+            for (i, &a) in t.agg_of.iter().enumerate() {
+                scatter[a as usize] += r[i];
+            }
+            let mut gather = vec![f64::NAN; t.n];
+            t.members.sum_into(&r, &mut gather);
+            assert_eq!(bits(&gather), bits(&scatter), "level {l} restriction");
+            // The conductance refresh gathers the same way over edges.
+            let g = values(31 + l as u64, finer_edges);
+            let mut edge_of = vec![INTERNAL; finer_edges];
+            for e in 0..t.edge_members.len() {
+                let span = t.edge_members.offsets[e] as usize..t.edge_members.offsets[e + 1] as usize;
+                for &f in &t.edge_members.members[span] {
+                    edge_of[f as usize] = e as u32;
+                }
+            }
+            let mut scatter = vec![0.0; t.edge_members.len()];
+            for (f, &e) in edge_of.iter().enumerate().filter(|&(_, &e)| e != INTERNAL) {
+                scatter[e as usize] += g[f];
+            }
+            let mut gather = vec![f64::NAN; t.edge_members.len()];
+            t.edge_members.sum_into(&g, &mut gather);
+            assert_eq!(bits(&gather), bits(&scatter), "level {l} conductances");
+            finer_edges = t.edge_members.len();
+        }
+    }
+
+    #[test]
+    fn upper_half_residual_matches_the_direct_residual() {
+        let (_, mut mg) = refreshed_hierarchy();
+        for (l, t) in mg.topo.levels.iter().enumerate().take(mg.states.len() - 1) {
+            let lev = &mut mg.states[l];
+            lev.b = values(21 + l as u64, t.n);
+            lev.presmooth(&t.rows);
+            let direct: Vec<f64> = (0..t.n)
+                .map(|i| {
+                    let row = t.rows.offsets[i] as usize..t.rows.offsets[i + 1] as usize;
+                    lev.b[i] - lev.diag[i] * lev.z[i]
+                        + entries_dot(&lev.g_entry[row.clone()], &t.rows.nbr[row], &lev.z)
+                })
+                .collect();
+            let scale = direct.iter().fold(0.0f64, |m, r| m.max(r.abs()));
+            let worst = direct.iter().zip(&lev.upper).fold(0.0f64, |m, (d, u)| m.max((d - u).abs()));
+            assert!(scale > 0.0 && worst <= 1e-12 * scale, "level {l}: {worst:e} against {scale:e}");
+        }
     }
 
     #[test]

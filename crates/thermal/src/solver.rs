@@ -28,17 +28,30 @@
 //! Every sweep runs on the calling thread in natural cell order, so a
 //! trajectory depends only on the model's inputs, never on the host.
 //!
-//! [`SweepMode::Reference`] preserves the seed implementation's exact
-//! arithmetic (natural-order serial sweeps, per-substep refresh) as the
-//! golden baseline for equivalence tests and speedup measurements.
+//! # Multigrid kernels
+//!
+//! The CSR rows are sorted and split at the diagonal (see [`crate::csr`]),
+//! and each flexible-CG cycle walks the fine grid twice: a full-row
+//! forward sweep that stores its lower sums, then one pass over the upper
+//! halves (the backward sweep, reusing those lower sums) and one over the
+//! lower halves (`A·z` from the stored upper sums, fused with the search
+//! direction update) — Eisenstat's trick for symmetric Gauss–Seidel
+//! (SIAM J. Sci. Stat. Comput. 2(1), 1981). `A·p` follows from `A·z` by
+//! the CG recurrence instead of its own pass.
+//!
+//! [`SweepMode::Reference`] keeps the seed implementation's algorithm
+//! (natural-order serial sweeps, per-substep refresh, per-edge divisions)
+//! as the golden baseline for equivalence tests and speedup measurements;
+//! like every path, it sums each row in neighbour order.
 
-use crate::csr::{CellCsr, NO_CONV};
+use crate::csr::{entries_dot, entries_dot_fresh_first, entries_dot_fresh_last, SortedRows, NO_CONV};
 use crate::error::ThermalError;
 use crate::floorplan::{ComponentId, Floorplan};
 use crate::grid::{GridConfig, Integrator, SweepMode, ThermalGrid};
 use crate::mg::{MgTopology, Multigrid};
 use crate::props::{silicon_conductivity, COPPER_CONDUCTIVITY};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use temu_state::{StateError, StateReader, StateWriter};
 
 /// Cached handles into the process-wide metrics registry for the
@@ -57,6 +70,13 @@ struct SubstepObs {
     substeps_mg: Arc<temu_obs::Counter>,
     substeps_gs: Arc<temu_obs::Counter>,
     substeps_explicit: Arc<temu_obs::Counter>,
+    /// Coefficient-refresh check (and refresh, when due) before each
+    /// optimized implicit substep, nanoseconds. It lies outside
+    /// `substep_ns`.
+    refresh_ns: Arc<temu_obs::Histogram>,
+    /// Per-[`Phase`] wall time of one substep, nanoseconds (indexed by
+    /// `Phase as usize`).
+    phase_ns: [Arc<temu_obs::Histogram>; 4],
 }
 
 fn substep_obs() -> &'static SubstepObs {
@@ -70,8 +90,83 @@ fn substep_obs() -> &'static SubstepObs {
             substeps_mg: scope.counter("substeps_mg"),
             substeps_gs: scope.counter("substeps_gs"),
             substeps_explicit: scope.counter("substeps_explicit"),
+            refresh_ns: scope.histogram("phase.refresh_ns"),
+            phase_ns: [
+                scope.histogram("phase.residual_ns"),
+                scope.histogram("phase.coarse_ns"),
+                scope.histogram("phase.smooth_ns"),
+                scope.histogram("phase.krylov_ns"),
+            ],
         }
     })
+}
+
+/// The phases of an optimized implicit substep, timed into the
+/// `thermal.phase.*` spans. Together they cover `substep_ns` except its
+/// bookkeeping tail (warm-start deltas, energy books).
+#[derive(Clone, Copy)]
+enum Phase {
+    /// Set-up: warm start, diagonals, hierarchy refresh, right-hand side
+    /// and the initial fine residual.
+    Residual,
+    /// The coarse-grid corrections.
+    Coarse,
+    /// Fine smoothing: the two multigrid sweeps per cycle, or the plain
+    /// path's SOR sweeps.
+    Smooth,
+    /// The flexible-CG direction (`A·z`, `p`, `A·p`) and update.
+    Krylov,
+}
+
+/// Per-[`Phase`] wall time of one substep, summed over its cycles. A no-op
+/// unless the metrics registry is enabled when the substep starts.
+struct PhaseClock {
+    last: Option<Instant>,
+    spent: [Duration; 4],
+}
+
+impl PhaseClock {
+    fn start() -> PhaseClock {
+        PhaseClock { last: temu_obs::enabled().then(Instant::now), spent: [Duration::ZERO; 4] }
+    }
+
+    /// Books the time since the previous lap to `phase`.
+    fn lap(&mut self, phase: Phase) {
+        if let Some(last) = &mut self.last {
+            let now = Instant::now();
+            self.spent[phase as usize] += now - *last;
+            *last = now;
+        }
+    }
+
+    /// Records every phase the substep ran.
+    fn record(&self) {
+        if self.last.is_some() {
+            for (h, &d) in substep_obs().phase_ns.iter().zip(&self.spent) {
+                if !d.is_zero() {
+                    h.record_duration(d);
+                }
+            }
+        }
+    }
+}
+
+/// `max_i f(i)` over `0..n`, with `f` called in ascending `i`, kept in four
+/// independent lanes so four compare chains overlap. A max does not depend
+/// on order, so the result is bit-identical to a serial fold from 0.0.
+#[inline(always)]
+fn max_in_lanes(n: usize, mut f: impl FnMut(usize) -> f64) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let body = n - n % 4;
+    for i in (0..body).step_by(4) {
+        for (l, m) in lanes.iter_mut().enumerate() {
+            *m = m.max(f(i + l));
+        }
+    }
+    for i in body..n {
+        lanes[0] = lanes[0].max(f(i));
+    }
+    lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]))
 }
 
 /// A residual in kelvin as integer nano-kelvin, saturating (negative and
@@ -118,19 +213,23 @@ const REFRESH_MAX_INTERVAL: u64 = 256;
 const MAX_SWEEPS: usize = 60;
 
 /// Multigrid cycle cap per implicit substep. Each cycle costs roughly
-/// three fine-grid sweeps ([`FINE_POST_SWEEPS`] smoothing + one operator
-/// application + the coarse visit), so 40 cycles is about double the
-/// Gauss–Seidel sweep budget — warm-started substeps converge in 1–3
-/// cycles, and the headroom exists for the rare cold-start substep, which
-/// must *converge*, not merely stay within a pretty budget.
+/// three fine-grid sweeps: two full row passes (a full forward sweep, then
+/// an upper-half and a lower-half pass that finish the backward sweep and
+/// the operator application) plus the coarse visit and the CG update. So
+/// 40 cycles is about double the Gauss–Seidel sweep budget — warm-started
+/// substeps converge in a few cycles, and the headroom exists for the rare
+/// cold-start substep, which must *converge*, not merely stay within a
+/// pretty budget.
 const MAX_CYCLES: usize = 40;
 
 /// Fine-grid Gauss–Seidel sweeps after each cycle's coarse-grid correction,
 /// one forward and one backward (the piecewise-constant prolongation
-/// re-introduces high-frequency error that the post-sweeps must kill). There is no fine pre-smoothing: with a
-/// zero initial guess the coarse correction restricts the outer FCG
-/// residual directly — the calibrated sweet spot on the 46k-cell rung, a
-/// full residual pass cheaper per cycle than the textbook pre+post shape.
+/// re-introduces high-frequency error that the post-sweeps must kill); the
+/// backward sweep walks only upper halves (see the module docs). There is
+/// no fine pre-smoothing: with a zero initial guess the coarse correction
+/// restricts the outer FCG residual directly — the calibrated sweet spot
+/// on the 46k-cell rung, a full residual pass cheaper per cycle than the
+/// textbook pre+post shape.
 const FINE_POST_SWEEPS: usize = 2;
 
 /// Gauss–Seidel convergence threshold, kelvin: sub-tenth-of-a-microkelvin
@@ -199,8 +298,8 @@ pub struct SolverStats {
     pub worst_residual_k: f64,
     /// Fine-grid Gauss–Seidel sweeps spent by implicit substeps.
     pub total_sweeps: u64,
-    /// Multigrid W-cycles spent by implicit substeps (0 on the plain
-    /// Gauss–Seidel path).
+    /// Multigrid K-cycles (flexible-CG iterations) spent by implicit
+    /// substeps (0 on the plain Gauss–Seidel path).
     pub total_cycles: u64,
 }
 
@@ -272,6 +371,10 @@ pub struct ThermalModel {
     resid: Vec<f64>,
     /// Preconditioner output (multigrid path scratch).
     fcg_z: Vec<f64>,
+    /// Half-row sums the fine smoother hands forward: the forward sweep's
+    /// lower sums, then the backward sweep's upper sums (multigrid path
+    /// scratch).
+    fcg_half: Vec<f64>,
     /// FCG search direction (multigrid path scratch).
     fcg_p: Vec<f64>,
     /// `A·p` (multigrid path scratch).
@@ -307,7 +410,7 @@ pub struct ThermalModel {
     worst_unconverged_delta: f64,
     /// Fine-grid Gauss–Seidel sweeps spent by implicit substeps.
     total_sweeps: u64,
-    /// Multigrid W-cycles spent by implicit substeps.
+    /// Multigrid K-cycles spent by implicit substeps.
     total_cycles: u64,
     /// Implicit substeps since the last coefficient refresh. Persists
     /// across `step` calls: the coefficients depend only on temperatures,
@@ -356,7 +459,7 @@ impl ThermalModel {
             "shared grid geometry must match the model's config"
         );
         let n = grid.n_cells();
-        let n_entries = grid.csr.n_entries();
+        let n_entries = grid.csr.rows.n_entries();
         Ok(ThermalModel {
             temps: vec![cfg.ambient_k; n],
             comp_power: vec![0.0; grid.comp_cells.len()],
@@ -374,6 +477,7 @@ impl ThermalModel {
             rhs: vec![0.0; n],
             resid: vec![0.0; n],
             fcg_z: vec![0.0; n],
+            fcg_half: vec![0.0; n],
             fcg_p: vec![0.0; n],
             fcg_ap: vec![0.0; n],
             g_scratch: vec![0.0; n],
@@ -428,10 +532,9 @@ impl ThermalModel {
         self.cfg.sweep == SweepMode::Reference
     }
 
-    /// Whether the semi-implicit substeps run multigrid W-cycles on this
+    /// Whether the semi-implicit substeps run multigrid K-cycles on this
     /// model's mesh ([`GridConfig::uses_multigrid`]). Always false for the
-    /// explicit integrator and for the seed-faithful
-    /// [`SweepMode::Reference`] path.
+    /// explicit integrator and for the [`SweepMode::Reference`] path.
     pub fn uses_multigrid(&self) -> bool {
         self.cfg.uses_multigrid(self.temps.len())
     }
@@ -705,9 +808,8 @@ impl ThermalModel {
         for (gi, e) in self.grid.edges.iter().enumerate() {
             self.g_edge[gi] = 1.0 / (e.g_a / self.k_cell[e.a] + e.g_b / self.k_cell[e.b]);
         }
-        let csr = &self.grid.csr;
-        for (k, g) in self.g_entry.iter_mut().enumerate() {
-            *g = self.g_edge[csr.edge[k] as usize];
+        for (g, &e) in self.g_entry.iter_mut().zip(&self.grid.csr.rows.edge) {
+            *g = self.g_edge[e as usize];
         }
         for &(cell, r_pkg, g_half) in &self.grid.convection {
             self.g_conv[cell] = 1.0 / (r_pkg + g_half / self.k_cell[cell]);
@@ -727,24 +829,25 @@ impl ThermalModel {
 
     /// Max |ΔT| of any cell since the coefficients were last refreshed.
     fn drift_since_refresh(&self) -> f64 {
-        self.temps
-            .iter()
-            .zip(&self.refresh_temps)
-            .map(|(t, r)| (t - r).abs())
-            .fold(0.0, f64::max)
+        let n = self.temps.len();
+        let (t, r) = (&self.temps[..n], &self.refresh_temps[..n]);
+        max_in_lanes(n, |i| (t[i] - r[i]).abs())
     }
 
     /// Builds the semi-implicit diagonal arrays for substep `h`.
     fn build_diag(&mut self, h: f64) {
-        let csr = &self.grid.csr;
-        for i in 0..self.temps.len() {
-            let c = self.grid.capacity[i] / h;
-            let g_sum: f64 =
-                self.g_entry[csr.offsets[i] as usize..csr.offsets[i + 1] as usize].iter().sum();
-            let d = c + g_sum + self.g_conv[i];
-            self.c_over_h[i] = c;
-            self.diag[i] = d;
-            self.inv_diag[i] = 1.0 / d;
+        let n = self.temps.len();
+        let (capacity, g_conv) = (&self.grid.capacity[..n], &self.g_conv[..n]);
+        let off = &self.grid.csr.rows.offsets[..=n];
+        let (c_over_h, diag) = (&mut self.c_over_h[..n], &mut self.diag[..n]);
+        let inv_diag = &mut self.inv_diag[..n];
+        for i in 0..n {
+            let c = capacity[i] / h;
+            let g_sum: f64 = self.g_entry[off[i] as usize..off[i + 1] as usize].iter().sum();
+            let d = c + g_sum + g_conv[i];
+            c_over_h[i] = c;
+            diag[i] = d;
+            inv_diag[i] = 1.0 / d;
         }
         self.diag_h = h;
     }
@@ -755,9 +858,9 @@ impl ThermalModel {
     /// relies on this for its first substeps).
     pub fn stable_dt(&mut self) -> f64 {
         self.refresh_all();
-        let csr = &self.grid.csr;
+        let off = &self.grid.csr.rows.offsets;
         for i in 0..self.temps.len() {
-            let g_sum: f64 = self.g_entry[csr.offsets[i] as usize..csr.offsets[i + 1] as usize].iter().sum();
+            let g_sum: f64 = self.g_entry[off[i] as usize..off[i + 1] as usize].iter().sum();
             self.g_scratch[i] = g_sum + self.g_conv[i];
         }
         let mut dt = f64::INFINITY;
@@ -843,14 +946,18 @@ impl ThermalModel {
                     if reference {
                         self.implicit_substep_reference(h);
                     } else {
+                        let t0 = temu_obs::enabled().then(Instant::now);
                         if self.since_refresh >= REFRESH_MAX_INTERVAL
                             || self.drift_since_refresh() > REFRESH_DRIFT_K
                         {
                             self.refresh_all();
                         }
-                        let t0 = temu_obs::enabled().then(std::time::Instant::now);
+                        let t0 = t0.map(|t0| {
+                            substep_obs().refresh_ns.record_duration(t0.elapsed());
+                            Instant::now()
+                        });
                         if multigrid {
-                            self.implicit_substep_mg(h);
+                            self.implicit_substep_mg(h, &mut |_, _| {});
                         } else {
                             self.implicit_substep_csr(h);
                         }
@@ -889,19 +996,24 @@ impl ThermalModel {
     /// strictly diagonally dominant, so the sweeps converge unconditionally
     /// in any order.
     fn implicit_substep_csr(&mut self, h: f64) {
+        let mut clock = PhaseClock::start();
         self.implicit_substep_begin(h);
-        let amb = self.cfg.ambient_k;
-        let (sweeps, delta, converged) = self.solve_serial(amb);
+        clock.lap(Phase::Residual);
+        let (sweeps, delta, converged) = self.solve_serial();
+        clock.lap(Phase::Smooth);
         self.record_implicit(sweeps, 0, delta, converged);
-        self.implicit_substep_finish(h, amb);
+        self.implicit_substep_finish(h, self.cfg.ambient_k);
+        clock.record();
     }
 
-    /// One backward-Euler substep solved by multigrid W-cycles: the
-    /// warm-started fine-grid Gauss–Seidel sweeps act as the smoother, and
-    /// the smooth error remainder is corrected on the aggregated coarse
-    /// hierarchy ([`crate::mg`]). Falls back to plain sweeps when the mesh
-    /// is too small to coarsen.
-    fn implicit_substep_mg(&mut self, h: f64) {
+    /// One backward-Euler substep solved by flexible CG preconditioned
+    /// with one multigrid K-cycle per iteration: the coarse correction on
+    /// the aggregated hierarchy ([`crate::mg`]), then a symmetric
+    /// Gauss–Seidel smoothing of the fine grid (see the module docs for
+    /// the kernels). Falls back to plain sweeps when the mesh is too small
+    /// to coarsen. `on_cycle` sees `(p, A·p)` after every cycle's direction
+    /// update.
+    fn implicit_substep_mg(&mut self, h: f64, on_cycle: &mut impl FnMut(&[f64], &[f64])) {
         // The hierarchy topology is built once, from the first refreshed
         // conductances (the matching strengths); `refresh_all` has run by
         // the time any substep executes. A model built on a shared
@@ -917,94 +1029,80 @@ impl ThermalModel {
             self.implicit_substep_csr(h);
             return;
         }
+        let mut clock = PhaseClock::start();
         self.implicit_substep_begin(h);
-        {
-            let mg = self.mg.as_mut().expect("just built");
-            if mg.stale_g {
-                mg.refresh_g(&self.g_edge, &self.g_conv);
-            }
-            if !mg.diag_ready(h) {
-                mg.build_diag(h);
-            }
-        }
-        let amb = self.cfg.ambient_k;
-        // Precompute the right-hand side once: the smoother re-reads it
-        // every sweep and the residual pass every cycle.
-        for i in 0..self.rhs.len() {
-            self.rhs[i] = self.c_over_h[i] * self.temps[i] + self.cell_power[i] + self.g_conv[i] * amb;
-        }
-        let csr = &self.grid.csr;
         let mg = self.mg.as_mut().expect("just built");
-        let (g_entry, diag, inv_diag) = (&self.g_entry, &self.diag, &self.inv_diag);
-        let (rhs, work) = (&self.rhs, &mut self.work);
-        let resid = &mut self.resid;
-        let (z, p, ap) = (&mut self.fcg_z, &mut self.fcg_p, &mut self.fcg_ap);
+        if mg.stale_g {
+            mg.refresh_g(&self.g_edge, &self.g_conv);
+        }
+        if !mg.diag_ready(h) {
+            mg.build_diag(h);
+        }
+        let rows = &self.grid.csr.rows;
+        let (g, diag, inv_diag) = (&self.g_entry[..], &self.diag[..], &self.inv_diag[..]);
+        let (rhs, x, r) = (&self.rhs[..], &mut self.work[..], &mut self.resid[..]);
+        let (z, half) = (&mut self.fcg_z[..], &mut self.fcg_half[..]);
+        let (p, ap) = (&mut self.fcg_p[..], &mut self.fcg_ap[..]);
         let mut sweeps = 0usize;
         let mut cycles = 0usize;
-        let mut converged = false;
         // Outer flexible CG on the warm-started iterate, preconditioned by
         // one multigrid cycle per iteration. The convergence measure is the
         // diagonally-scaled residual `max |r_i| / A_ii` — the size of the
         // next Jacobi update, the same "last update below tolerance"
         // contract the Gauss–Seidel path enforces.
-        let mut delta = fine_residual(csr, g_entry, diag, inv_diag, rhs, work, resid);
-        if delta < SWEEP_TOL {
-            converged = true;
-        }
+        let mut delta = fine_residual(rows, g, diag, inv_diag, rhs, x, r);
+        let mut converged = delta < SWEEP_TOL;
+        clock.lap(Phase::Residual);
         let mut p_ap_prev = 0.0;
         while !converged && cycles < MAX_CYCLES {
-            // Preconditioner: z ≈ A⁻¹ resid. With a zero initial guess the
+            // Preconditioner: z ≈ A⁻¹ r. With a zero initial guess the
             // outer residual restricts directly (see [`FINE_POST_SWEEPS`])
             // and the prolonged correction is assigned, not accumulated.
-            mg.coarse_correction(resid, z);
+            mg.coarse_correction(r, z);
+            clock.lap(Phase::Coarse);
             // Forward + backward: a symmetric smoother keeps the whole
             // preconditioner symmetric positive definite, which the outer
             // conjugate-gradient acceleration rewards with visibly fewer
             // cycles than two forward sweeps.
-            gs_sweep_serial(csr, g_entry, inv_diag, resid, z);
-            gs_sweep_serial_rev(csr, g_entry, inv_diag, resid, z);
+            sweep_forward(rows, g, inv_diag, r, z, half);
+            let (z_ap, z_r) = sweep_backward(rows, g, inv_diag, r, z, half, ap);
             sweeps += FINE_POST_SWEEPS;
+            clock.lap(Phase::Smooth);
             // Flexible CG update (β from the stored A·p — the
             // preconditioner is not constant across iterations).
-            if cycles == 0 {
-                p.copy_from_slice(z);
-            } else {
-                let beta = -dot(z, ap) / p_ap_prev;
-                for i in 0..p.len() {
-                    p[i] = z[i] + beta * p[i];
-                }
-            }
-            let (p_ap, z_r) = fine_apply_dots(csr, g_entry, diag, p, ap, z, resid);
+            let beta = (cycles > 0).then(|| -z_ap / p_ap_prev);
+            let p_ap = fcg_direction(rows, g, diag, z, half, beta, p, ap);
+            on_cycle(p, ap);
             if p_ap <= 0.0 || z_r == 0.0 {
+                clock.lap(Phase::Krylov);
                 break;
             }
             p_ap_prev = p_ap;
-            let alpha = z_r / p_ap;
-            delta = 0.0;
-            for i in 0..work.len() {
-                work[i] += alpha * p[i];
-                let r = resid[i] - alpha * ap[i];
-                resid[i] = r;
-                delta = delta.max((r * inv_diag[i]).abs());
-            }
+            delta = fcg_update(z_r / p_ap, p, ap, inv_diag, x, r);
+            clock.lap(Phase::Krylov);
             cycles += 1;
-            if delta < SWEEP_TOL {
-                converged = true;
-            }
+            converged = delta < SWEEP_TOL;
         }
         self.record_implicit(sweeps, cycles, delta, converged);
-        self.implicit_substep_finish(h, amb);
+        self.implicit_substep_finish(h, self.cfg.ambient_k);
+        clock.record();
     }
 
-    /// Shared head of an optimized implicit substep: per-`h` diagonals and
-    /// the warm start. Extrapolating the previous substep's per-cell change
-    /// leaves an O(h²) leftover error under smooth heating instead of O(h)
-    /// — and with *two* previous changes available, extrapolating the
-    /// change linearly (`2δₙ − δₙ₋₁`) shaves another order, which
-    /// typically saves most of the iterations.
+    /// Shared head of an optimized implicit substep: per-`h` diagonals, the
+    /// right-hand side and the warm start. Extrapolating the previous
+    /// substep's per-cell change leaves an O(h²) leftover error under
+    /// smooth heating instead of O(h) — and with *two* previous changes
+    /// available, extrapolating the change linearly (`2δₙ − δₙ₋₁`) shaves
+    /// another order, which typically saves most of the iterations.
     fn implicit_substep_begin(&mut self, h: f64) {
         if self.diag_h != h {
             self.build_diag(h);
+        }
+        // The right-hand side `C/h·T + P + G_conv·T_amb`, formed once: every
+        // sweep and residual pass re-reads it.
+        let amb = self.cfg.ambient_k;
+        for i in 0..self.rhs.len() {
+            self.rhs[i] = self.c_over_h[i] * self.temps[i] + self.cell_power[i] + self.g_conv[i] * amb;
         }
         if self.step_delta_h == h {
             if self.step_delta_prev_h == h {
@@ -1063,7 +1161,7 @@ impl ThermalModel {
         self.last_sweeps
     }
 
-    /// Multigrid W-cycles the last implicit substep needed (0 on the plain
+    /// Multigrid K-cycles the last implicit substep needed (0 on the plain
     /// Gauss–Seidel path).
     pub fn last_cycle_count(&self) -> usize {
         self.last_cycles
@@ -1077,23 +1175,27 @@ impl ThermalModel {
 
     /// Serial Gauss–Seidel/SOR solve in natural cell order: plain sweeps
     /// until the contraction ratio stabilizes, then over-relaxed sweeps
-    /// until [`SWEEP_TOL`]. Returns `(sweeps, final max |ΔT|, converged)`.
-    fn solve_serial(&mut self, amb: f64) -> (usize, f64, bool) {
-        let csr = &self.grid.csr;
+    /// until [`SWEEP_TOL`]. Each row sums its upper half (the previous
+    /// sweep's values) first and its lower half last, ending on the
+    /// freshest neighbour. Returns `(sweeps, final max |ΔT|, converged)`.
+    fn solve_serial(&mut self) -> (usize, f64, bool) {
+        let rows = &self.grid.csr.rows;
+        let n = self.work.len();
+        let (rhs, inv_diag, x) = (&self.rhs[..n], &self.inv_diag[..n], &mut self.work[..n]);
+        let (off, split, g, nbr) = (&rows.offsets[..=n], &rows.split[..n], &self.g_entry[..], &rows.nbr[..]);
         let mut tuner = SorTuner::new();
         let mut omega = 1.0f64;
         let mut max_delta = f64::INFINITY;
         for sweep in 0..MAX_SWEEPS {
             max_delta = 0.0f64;
-            for i in 0..self.work.len() {
-                let mut num = self.c_over_h[i] * self.temps[i] + self.cell_power[i] + self.g_conv[i] * amb;
-                for k in csr.offsets[i] as usize..csr.offsets[i + 1] as usize {
-                    num += self.g_entry[k] * self.work[csr.nbr[k] as usize];
-                }
-                let old = self.work[i];
-                let new = old + omega * (num * self.inv_diag[i] - old);
+            for i in 0..n {
+                let (lo, mid, hi) = (off[i] as usize, split[i] as usize, off[i + 1] as usize);
+                let up = entries_dot(&g[mid..hi], &nbr[mid..hi], x);
+                let num = rhs[i] + up + entries_dot(&g[lo..mid], &nbr[lo..mid], x);
+                let old = x[i];
+                let new = old + omega * (num * inv_diag[i] - old);
                 max_delta = max_delta.max((new - old).abs());
-                self.work[i] = new;
+                x[i] = new;
             }
             if max_delta < SWEEP_TOL {
                 return (sweep + 1, max_delta, true);
@@ -1110,13 +1212,13 @@ impl ThermalModel {
     fn substep_csr(&mut self, dt: f64) {
         let amb = self.cfg.ambient_k;
         let n = self.temps.len();
-        let csr = &self.grid.csr;
+        let rows = &self.grid.csr.rows;
         let mut out = 0.0;
         for i in 0..n {
             let mut f = self.cell_power[i];
             let t_i = self.temps[i];
-            for k in csr.offsets[i] as usize..csr.offsets[i + 1] as usize {
-                f += self.g_entry[k] * (self.temps[csr.nbr[k] as usize] - t_i);
+            for k in rows.offsets[i] as usize..rows.offsets[i + 1] as usize {
+                f += self.g_entry[k] * (self.temps[rows.nbr[k] as usize] - t_i);
             }
             let q_conv = self.g_conv[i] * (t_i - amb);
             f -= q_conv;
@@ -1132,9 +1234,9 @@ impl ThermalModel {
         self.substeps += 1;
     }
 
-    /// Seed-faithful backward-Euler substep (refresh every substep,
-    /// natural-order serial sweeps, per-edge divisions) — the golden
-    /// baseline.
+    /// The seed's backward-Euler substep (refresh every substep,
+    /// natural-order serial sweeps, per-edge divisions, each row summed in
+    /// neighbour order) — the golden baseline.
     fn implicit_substep_reference(&mut self, h: f64) {
         let amb = self.cfg.ambient_k;
         for i in 0..self.temps.len() {
@@ -1145,6 +1247,7 @@ impl ThermalModel {
         }
         self.work.copy_from_slice(&self.temps);
         let csr = &self.grid.csr;
+        let rows = &csr.rows;
         let mut sweeps = MAX_SWEEPS;
         let mut final_delta = f64::INFINITY;
         let mut converged = false;
@@ -1154,9 +1257,9 @@ impl ThermalModel {
                 let c_over_h = self.grid.capacity[i] / h;
                 let mut num = c_over_h * self.temps[i] + self.cell_power[i];
                 let mut diag = c_over_h;
-                for k in csr.offsets[i] as usize..csr.offsets[i + 1] as usize {
-                    let g = self.g_edge[csr.edge[k] as usize];
-                    num += g * self.work[csr.nbr[k] as usize];
+                for k in rows.offsets[i] as usize..rows.offsets[i + 1] as usize {
+                    let g = self.g_edge[rows.edge[k] as usize];
+                    num += g * self.work[rows.nbr[k] as usize];
                     diag += g;
                 }
                 if csr.conv[i] != NO_CONV {
@@ -1176,7 +1279,7 @@ impl ThermalModel {
                 break;
             }
         }
-        // The arithmetic above is seed-faithful; the accounting is not part
+        // The arithmetic above is the seed's; the accounting is not part
         // of the trajectory, so the reference path surfaces non-convergence
         // like every other path.
         self.record_implicit(sweeps, 0, final_delta, converged);
@@ -1191,7 +1294,7 @@ impl ThermalModel {
         self.substeps += 1;
     }
 
-    /// Seed-faithful forward-Euler substep (edge-wise divisions).
+    /// The seed's forward-Euler substep (edge-wise divisions).
     fn substep_reference(&mut self, dt: f64) {
         let amb = self.cfg.ambient_k;
         self.flow.copy_from_slice(&self.cell_power);
@@ -1276,7 +1379,7 @@ impl ThermalModel {
                 // refresh the non-linear coefficients every stride here.
                 self.refresh_all();
                 if multigrid {
-                    self.implicit_substep_mg(50.0);
+                    self.implicit_substep_mg(50.0, &mut |_, _| {});
                 } else {
                     self.implicit_substep_csr(50.0);
                 }
@@ -1296,86 +1399,128 @@ impl ThermalModel {
     }
 }
 
-/// One natural-order Gauss–Seidel sweep of `A x = rhs` on the fine grid
-/// (plain, no over-relaxation — the forward half of the symmetric
-/// multigrid smoother).
-fn gs_sweep_serial(csr: &CellCsr, g_entry: &[f64], inv_diag: &[f64], rhs: &[f64], work: &mut [f64]) {
-    for i in 0..work.len() {
-        let mut num = rhs[i];
-        for k in csr.offsets[i] as usize..csr.offsets[i + 1] as usize {
-            num += g_entry[k] * work[csr.nbr[k] as usize];
-        }
-        work[i] = num * inv_diag[i];
-    }
-}
-
-/// One *reverse*-order Gauss–Seidel sweep of `A x = rhs` on the fine grid
-/// (the backward half of the symmetric smoother).
-fn gs_sweep_serial_rev(
-    csr: &CellCsr,
-    g_entry: &[f64],
+/// Forward half of the fine symmetric Gauss–Seidel smoother on `A z = b`,
+/// from the prolonged correction in `z`. Each row sums its upper half (the
+/// previous values) first and its lower half last, ending on the freshest
+/// neighbour; the lower sums are stored in `lower` for [`sweep_backward`].
+fn sweep_forward(
+    rows: &SortedRows,
+    g: &[f64],
     inv_diag: &[f64],
-    rhs: &[f64],
-    work: &mut [f64],
+    b: &[f64],
+    z: &mut [f64],
+    lower: &mut [f64],
 ) {
-    for i in (0..work.len()).rev() {
-        let mut num = rhs[i];
-        for k in csr.offsets[i] as usize..csr.offsets[i + 1] as usize {
-            num += g_entry[k] * work[csr.nbr[k] as usize];
-        }
-        work[i] = num * inv_diag[i];
+    let n = z.len();
+    let (inv_diag, b, lower) = (&inv_diag[..n], &b[..n], &mut lower[..n]);
+    let (off, split, nbr) = (&rows.offsets[..=n], &rows.split[..n], &rows.nbr[..]);
+    for i in 0..n {
+        let (lo, mid, hi) = (off[i] as usize, split[i] as usize, off[i + 1] as usize);
+        let up = entries_dot(&g[mid..hi], &nbr[mid..hi], z);
+        let (low, fresh) = entries_dot_fresh_last(&g[lo..mid], &nbr[lo..mid], z);
+        z[i] = (b[i] + up + low + fresh) * inv_diag[i];
+        lower[i] = low + fresh;
     }
 }
 
-/// `ap = A p` on the fine grid, with the FCG inner products `(p·ap, z·r)`
-/// accumulated in the same pass.
-fn fine_apply_dots(
-    csr: &CellCsr,
-    g_entry: &[f64],
-    diag: &[f64],
-    p: &[f64],
-    ap: &mut [f64],
-    z: &[f64],
-    r: &[f64],
+/// Backward half of the smoother, by Eisenstat's trick: when row `i` is
+/// updated its lower neighbours still hold the forward sweep's values, so
+/// the lower sum [`sweep_forward`] stored in `half` is reused and only the
+/// upper half is walked. The upper sums — those of the final `z` —
+/// replace the lower ones in `half`. Returns `(z·ap, z·b)`, the flexible
+/// CG's β and α numerators (`ap` still holds the previous `A·p`).
+fn sweep_backward(
+    rows: &SortedRows,
+    g: &[f64],
+    inv_diag: &[f64],
+    b: &[f64],
+    z: &mut [f64],
+    half: &mut [f64],
+    ap: &[f64],
 ) -> (f64, f64) {
-    let mut p_ap = 0.0;
-    let mut z_r = 0.0;
-    for i in 0..p.len() {
-        let mut s = diag[i] * p[i];
-        for k in csr.offsets[i] as usize..csr.offsets[i + 1] as usize {
-            s -= g_entry[k] * p[csr.nbr[k] as usize];
-        }
-        ap[i] = s;
-        p_ap += p[i] * s;
-        z_r += z[i] * r[i];
+    let n = z.len();
+    let (inv_diag, b, half, ap) = (&inv_diag[..n], &b[..n], &mut half[..n], &ap[..n]);
+    let (off, split, nbr) = (&rows.offsets[..=n], &rows.split[..n], &rows.nbr[..]);
+    let (mut z_ap, mut z_b) = (0.0, 0.0);
+    for i in (0..n).rev() {
+        let (mid, hi) = (split[i] as usize, off[i + 1] as usize);
+        let (up, fresh) = entries_dot_fresh_first(&g[mid..hi], &nbr[mid..hi], z);
+        let zi = (b[i] + half[i] + up + fresh) * inv_diag[i];
+        z[i] = zi;
+        half[i] = up + fresh;
+        z_ap += zi * ap[i];
+        z_b += zi * b[i];
     }
-    (p_ap, z_r)
+    (z_ap, z_b)
 }
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+/// The flexible-CG direction in one pass over the lower halves:
+/// `A·z = D·z − lower − upper`, with the upper sums [`sweep_backward`]
+/// stored, then `p = z + β·p` and `A·p = A·z + β·A·p` (the CG recurrence;
+/// `None` starts a fresh direction `p = z`). Returns `p·A·p`.
+#[allow(clippy::too_many_arguments)] // one fused pass over the cycle's vectors
+fn fcg_direction(
+    rows: &SortedRows,
+    g: &[f64],
+    diag: &[f64],
+    z: &[f64],
+    upper: &[f64],
+    beta: Option<f64>,
+    p: &mut [f64],
+    ap: &mut [f64],
+) -> f64 {
+    let n = z.len();
+    let (diag, upper, p, ap) = (&diag[..n], &upper[..n], &mut p[..n], &mut ap[..n]);
+    let (off, split, nbr) = (&rows.offsets[..=n], &rows.split[..n], &rows.nbr[..]);
+    let mut p_ap = 0.0;
+    for i in 0..n {
+        let (lo, mid) = (off[i] as usize, split[i] as usize);
+        let az = diag[i] * z[i] - entries_dot(&g[lo..mid], &nbr[lo..mid], z) - upper[i];
+        let (pi, api) = match beta {
+            Some(beta) => (z[i] + beta * p[i], az + beta * ap[i]),
+            None => (z[i], az),
+        };
+        p[i] = pi;
+        ap[i] = api;
+        p_ap += pi * api;
+    }
+    p_ap
+}
+
+/// The flexible-CG update `x += α·p`, `r −= α·A·p`; returns
+/// `max_i |r_i| / A_ii` (the size of the next Jacobi update).
+fn fcg_update(alpha: f64, p: &[f64], ap: &[f64], inv_diag: &[f64], x: &mut [f64], r: &mut [f64]) -> f64 {
+    let n = x.len();
+    let (p, ap, inv_diag, r) = (&p[..n], &ap[..n], &inv_diag[..n], &mut r[..n]);
+    max_in_lanes(n, |i| {
+        x[i] += alpha * p[i];
+        let ri = r[i] - alpha * ap[i];
+        r[i] = ri;
+        (ri * inv_diag[i]).abs()
+    })
 }
 
 /// Fine-grid residual `r = rhs - A x` of the implicit system; returns
 /// `max_i |r_i| / A_ii` (the size of the next Jacobi update) in the same
 /// pass.
 fn fine_residual(
-    csr: &CellCsr,
-    g_entry: &[f64],
+    rows: &SortedRows,
+    g: &[f64],
     diag: &[f64],
     inv_diag: &[f64],
     rhs: &[f64],
-    work: &[f64],
-    resid: &mut [f64],
+    x: &[f64],
+    r: &mut [f64],
 ) -> f64 {
+    let n = x.len();
+    let (diag, inv_diag, rhs, r) = (&diag[..n], &inv_diag[..n], &rhs[..n], &mut r[..n]);
+    let (off, nbr) = (&rows.offsets[..=n], &rows.nbr[..]);
     let mut delta = 0.0f64;
-    for i in 0..work.len() {
-        let mut r = rhs[i] - diag[i] * work[i];
-        for k in csr.offsets[i] as usize..csr.offsets[i + 1] as usize {
-            r += g_entry[k] * work[csr.nbr[k] as usize];
-        }
-        resid[i] = r;
-        delta = delta.max((r * inv_diag[i]).abs());
+    for i in 0..n {
+        let (lo, hi) = (off[i] as usize, off[i + 1] as usize);
+        let ri = rhs[i] - diag[i] * x[i] + entries_dot(&g[lo..hi], &nbr[lo..hi], x);
+        r[i] = ri;
+        delta = delta.max((ri * inv_diag[i]).abs());
     }
     delta
 }
@@ -1735,7 +1880,7 @@ mod tests {
 
     #[test]
     fn optimized_modes_match_reference_trajectory() {
-        // The optimized serial path must track the seed-faithful reference
+        // The optimized serial path must track the reference path
         // within 1e-4 K over a transient, for both integrators.
         for integrator in [Integrator::SemiImplicit { dt: 5e-4 }, Integrator::Explicit] {
             let base = GridConfig { integrator, hot_div: 4, ..GridConfig::default() };
@@ -1803,6 +1948,35 @@ mod tests {
         }
         assert_eq!(fresh.temps(), a.temps(), "shared mesh changes nothing");
         assert!(b.max_temp() < a.max_temp(), "sibling state stays independent");
+    }
+
+    #[test]
+    fn fcg_recurrence_tracks_the_direct_operator() {
+        // `A·p` comes from `A·z` by the CG recurrence instead of its own
+        // pass; after every cycle it must still be the operator applied
+        // to `p`.
+        let mut fp = Floorplan::new("rec", 4000.0, 4000.0);
+        let c = fp.add_component("hot", 500.0, 500.0, 2000.0, 2000.0, true);
+        let cfg = GridConfig { hot_div: 24, implicit_solve: ImplicitSolve::Multigrid, ..GridConfig::default() };
+        let mut m = ThermalModel::new(&fp, &cfg).unwrap();
+        m.set_component_power(c, 1.0);
+        m.step(0.004);
+        m.set_component_power(c, 6.0);
+        let mut log: Vec<(Vec<f64>, Vec<f64>)> = Vec::new();
+        m.implicit_substep_mg(5e-4, &mut |p, ap| log.push((p.to_vec(), ap.to_vec())));
+        assert!(log.len() >= 3, "the substep ran {} cycles", log.len());
+        let rows = &m.grid.csr.rows;
+        for (cycle, (p, ap)) in log.iter().enumerate() {
+            let direct: Vec<f64> = (0..p.len())
+                .map(|i| {
+                    let row = rows.offsets[i] as usize..rows.offsets[i + 1] as usize;
+                    m.diag[i] * p[i] - entries_dot(&m.g_entry[row.clone()], &rows.nbr[row], p)
+                })
+                .collect();
+            let scale = direct.iter().fold(0.0f64, |s, v| s.max(v.abs()));
+            let worst = direct.iter().zip(ap).fold(0.0f64, |s, (d, a)| s.max((d - a).abs()));
+            assert!(worst <= 1e-10 * scale, "cycle {cycle}: |Δ(A·p)| {worst:e} against {scale:e}");
+        }
     }
 
     #[test]

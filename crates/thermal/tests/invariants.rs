@@ -3,9 +3,9 @@
 //! the energy it was given, and a mirror-symmetric die reads equal
 //! sensors on both halves.
 //!
-//! The paths are the seed-faithful reference and the optimized serial
-//! solver, each on plain Gauss–Seidel, forced multigrid and the explicit
-//! integrator.
+//! The paths are the reference (the seed's algorithm) and the optimized
+//! serial solver, each on plain Gauss–Seidel, forced multigrid and the
+//! explicit integrator.
 
 use proptest::prelude::*;
 use temu_thermal::{Floorplan, GridConfig, ImplicitSolve, Integrator, SweepMode, ThermalModel};

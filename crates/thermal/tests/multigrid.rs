@@ -128,3 +128,48 @@ fn multigrid_tracks_gauss_seidel_where_both_converge() {
         .fold(0.0f64, f64::max);
     assert!(drift < 1e-4, "multigrid vs Gauss-Seidel drift {drift:.2e} K");
 }
+
+/// Multigrid cycles [`cycle_budget_run`] needs, measured on the kernels
+/// that walked three full fine-grid rows per cycle (forward sweep,
+/// backward sweep, `A·p`). Cheaper kernels for the same preconditioner
+/// need no more; one that weakens it (say, an `A·p` recurrence that
+/// drifts from the true operator) needs more and fails here instead of
+/// quietly costing time.
+const CYCLE_BUDGET: u64 = 965;
+
+/// 20 windows of 2 ms on a ~4.6k-cell two-component mesh under strict
+/// multigrid, with both components' power changing every window so the
+/// warm start never settles.
+fn cycle_budget_run() -> ThermalModel {
+    let mut fp = Floorplan::new("budget", 3000.0, 3000.0);
+    let a = fp.add_component("a", 250.0, 250.0, 1200.0, 1200.0, true);
+    let b = fp.add_component("b", 1550.0, 1550.0, 1200.0, 1200.0, true);
+    let cfg = GridConfig {
+        hot_div: 24,
+        implicit_solve: ImplicitSolve::Multigrid,
+        strict_convergence: true,
+        ..GridConfig::default()
+    };
+    let mut m = ThermalModel::new(&fp, &cfg).unwrap();
+    for w in 0..20 {
+        m.set_component_power(a, [3.0, 0.5, 2.0, 4.0][w % 4]);
+        m.set_component_power(b, [1.0, 2.5, 0.2, 1.5, 3.0][w % 5]);
+        m.try_step(0.002).expect("strict multigrid converges");
+    }
+    m
+}
+
+#[test]
+fn multigrid_cycle_budget_holds_under_changing_power() {
+    let m = cycle_budget_run();
+    assert!(m.uses_multigrid() && m.multigrid_levels().unwrap() >= 3);
+    let s = m.solver_stats();
+    assert_eq!(s.substeps, 80);
+    assert_eq!(s.unconverged_substeps, 0, "stats {s:?}");
+    assert_eq!(s.total_sweeps, 2 * s.total_cycles, "two fine sweeps per cycle: {s:?}");
+    assert!(
+        s.total_cycles <= CYCLE_BUDGET,
+        "{} cycles, budget {CYCLE_BUDGET}: the preconditioner got weaker",
+        s.total_cycles
+    );
+}
