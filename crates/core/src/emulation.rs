@@ -4,7 +4,7 @@ use crate::error::TemuError;
 use crate::scenario::RunBudget;
 use crate::trace::{ThermalTrace, TraceSample};
 use std::time::{Duration, Instant};
-use temu_link::{EthernetConfig, EthernetLink, LinkStats, StatsPacket, TempPacket};
+use temu_link::{stats_record_bytes, EthernetConfig, EthernetLink, LinkStats};
 use temu_platform::{DfsPolicy, Machine, WindowStats, EVENT_BYTES};
 use temu_power::{FloorplanMap, PowerModel};
 use temu_state::{StateError, StateReader, StateWriter};
@@ -140,7 +140,6 @@ pub struct ThermalEmulation {
     cfg: EmulationConfig,
     policy: Option<DfsPolicy>,
     trace: ThermalTrace,
-    seq: u32,
     windows: u64,
     virtual_seconds: f64,
     virtual_cycles: u64,
@@ -192,7 +191,6 @@ impl ThermalEmulation {
             policy: cfg.policy.clone(),
             cfg,
             trace: ThermalTrace::new(names),
-            seq: 0,
             windows: 0,
             virtual_seconds: 0.0,
             virtual_cycles: 0,
@@ -272,7 +270,7 @@ impl ThermalEmulation {
         // the window's physical-time budget.
         let fpga_hz = self.machine.vpcm().fpga_hz;
         let physical_window_s = (stats.cycles() + stats.freeze_mem) as f64 / fpga_hz as f64;
-        let link_freeze_s = temu_obs::time!("core.stage.link_ns", self.ship_stats(&stats, &powers, hz, physical_window_s));
+        let link_freeze_s = temu_obs::time!("core.stage.link_ns", self.ship_stats(&stats, powers.len(), physical_window_s));
 
         // Thermal step and temperature feedback.
         let temps = temu_obs::time!("core.stage.thermal_ns", {
@@ -283,7 +281,6 @@ impl ThermalEmulation {
         temu_obs::time!("core.stage.feedback_ns", self.feed_back(&temps, hz));
 
         // Bookkeeping.
-        self.seq = self.seq.wrapping_add(1);
         self.windows += 1;
         self.virtual_seconds += window_s;
         self.virtual_cycles += stats.cycles();
@@ -302,31 +299,23 @@ impl ThermalEmulation {
         Ok(())
     }
 
-    /// Sends the window's statistics packet, plus the event-log backlog,
-    /// over the link within the window's physical time, and records the
-    /// congestion freeze in the VPCM. Returns the freeze in seconds.
-    fn ship_stats(&mut self, stats: &WindowStats, powers: &[f64], hz: u64, physical_window_s: f64) -> f64 {
-        let packet = StatsPacket {
-            seq: self.seq,
-            window_start: stats.start_cycle,
-            window_cycles: stats.cycles(),
-            virtual_hz: hz,
-            power_mw: powers.iter().map(|&p| (p * 1000.0).round() as u32).collect(),
-        };
-        let mut payload = packet.encode().to_vec();
+    /// Sends the window's statistics record for `components` floorplan
+    /// components, plus the event-log backlog, over the link within the
+    /// window's physical time, and records the congestion freeze in the
+    /// VPCM. Returns the freeze in seconds.
+    fn ship_stats(&mut self, stats: &WindowStats, components: usize, physical_window_s: f64) -> f64 {
+        let mut payload_bytes = stats_record_bytes(components);
         if let Some(events) = self.machine.uncore_mut().events_mut() {
             // Every event must cross the link: the buffered ones and the ones
             // that found the BRAM buffer full (already counted into
-            // `stats.events_overflowed` by the window collection) — on the
+            // `stats.events_overflowed` by the window collection). On the
             // real platform the VPCM would have frozen the virtual clock
-            // mid-window instead of dropping them, so their transmission time
-            // is charged the same way (congestion accounted at window
-            // granularity, DESIGN.md §2).
-            let drained = events.drain(usize::MAX >> 1).len() as u64 + stats.events_overflowed;
-            payload.extend(std::iter::repeat_n(0u8, (drained as usize) * EVENT_BYTES));
+            // mid-window instead of dropping them, so their transmission
+            // time is charged the same way, at window granularity.
+            let shipped = events.drain(usize::MAX).len() as u64 + stats.events_overflowed;
+            payload_bytes += shipped * EVENT_BYTES as u64;
         }
-        let frames = self.link.packetize(&payload.into(), true);
-        let link_freeze_s = self.link.send_window(&frames, physical_window_s);
+        let link_freeze_s = self.link.send_window(payload_bytes, physical_window_s);
         // Surface the congestion freeze through the VPCM so the next window's
         // statistics carry it (the report accounts it directly).
         let fpga_hz = self.machine.vpcm().fpga_hz;
@@ -336,15 +325,11 @@ impl ThermalEmulation {
         link_freeze_s
     }
 
-    /// Returns the temperatures to the platform (reply packet, sensor
-    /// registers) and runs the §7 DFS state machine on the hottest one.
+    /// Returns the temperatures to the platform's sensor registers and runs
+    /// the §7 DFS state machine on the hottest one. The downlink carries a
+    /// few bytes per component and is never the bottleneck, so it is not
+    /// booked on the link.
     fn feed_back(&mut self, temps: &[f64], hz: u64) {
-        let reply = TempPacket {
-            seq: self.seq,
-            temps_centi_k: temps.iter().map(|&t| (t * 100.0).round() as u32).collect(),
-        };
-        let reply_frames = self.link.packetize(&reply.encode().to_vec().into(), false);
-        let _ = self.link.tx_seconds(&reply_frames); // downlink is never the bottleneck
         for (i, &t) in temps.iter().enumerate() {
             self.machine.set_sensor_kelvin(i, t);
         }
@@ -454,7 +439,6 @@ impl ThermalEmulation {
         self.link.save_state(&mut w);
         EmulationState {
             scenario_key: self.scenario_key,
-            seq: self.seq,
             windows: self.windows,
             virtual_seconds: self.virtual_seconds,
             virtual_cycles: self.virtual_cycles,
@@ -506,7 +490,6 @@ impl ThermalEmulation {
                 .into());
             }
         }
-        self.seq = state.seq;
         self.windows = state.windows;
         self.virtual_seconds = state.virtual_seconds;
         self.virtual_cycles = state.virtual_cycles;
@@ -611,7 +594,6 @@ impl ThermalEmulation {
 #[derive(Clone, Debug)]
 pub struct EmulationState {
     scenario_key: u64,
-    seq: u32,
     windows: u64,
     virtual_seconds: f64,
     virtual_cycles: u64,
@@ -645,7 +627,9 @@ impl EmulationState {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = StateWriter::new(STATE_MAGIC, STATE_VERSION);
         w.u64(self.scenario_key);
-        w.u32(self.seq);
+        // The statistics-record sequence counter: always the window count
+        // modulo 2^32. The layout keeps it; `from_bytes` skips it.
+        w.u32(self.windows as u32);
         w.u64(self.windows);
         w.f64(self.virtual_seconds);
         w.u64(self.virtual_cycles);
@@ -691,7 +675,7 @@ impl EmulationState {
     pub fn from_bytes(buf: &[u8]) -> Result<EmulationState, TemuError> {
         let (mut r, _) = StateReader::new(buf, STATE_MAGIC, STATE_VERSION)?;
         let scenario_key = r.u64()?;
-        let seq = r.u32()?;
+        let _seq = r.u32()?;
         let windows = r.u64()?;
         let virtual_seconds = r.f64()?;
         let virtual_cycles = r.u64()?;
@@ -739,7 +723,6 @@ impl EmulationState {
         trace.samples = samples;
         Ok(EmulationState {
             scenario_key,
-            seq,
             windows,
             virtual_seconds,
             virtual_cycles,
@@ -905,6 +888,43 @@ mod tests {
         let _ = emu.run_windows(4).unwrap();
         assert!(emu.link().stats().frames >= 4, "at least one frame per window");
         assert_eq!(emu.link().stats().freeze_seconds, 0.0, "count-logging never congests");
+    }
+
+    /// `(frames, wire_bytes, busy_seconds bits, freeze_seconds bits,
+    /// fpga_seconds bits)` of a finished run.
+    fn link_golden(run: &crate::ScenarioRun) -> (u64, u64, u64, u64, u64) {
+        let link = run.report.link;
+        (
+            link.frames,
+            link.wire_bytes,
+            link.busy_seconds.to_bits(),
+            link.freeze_seconds.to_bits(),
+            run.report.fpga_seconds.to_bits(),
+        )
+    }
+
+    #[test]
+    fn count_logging_link_books_are_pinned() {
+        let run = crate::Scenario::exploration_bus(2).sampling_window_s(0.002).windows(4).run().unwrap();
+        assert_eq!(link_golden(&run), (4, 428, 4552773954680481915, 0, 4575765307799480828));
+    }
+
+    #[test]
+    fn congesting_event_log_link_books_are_pinned() {
+        let mut platform = PlatformConfig::paper_thermal(4);
+        platform.sniffer_mode = temu_platform::SnifferMode::EventLogging { capacity: 1 << 10 };
+        let run = crate::Scenario::new()
+            .platform(platform)
+            .workload(crate::Workload::Matrix(MatrixConfig { n: 8, iters: 100_000, cores: 4 }))
+            .sampling_window_s(0.001)
+            .windows(3)
+            .run()
+            .unwrap();
+        assert!(run.report.link.freeze_seconds > 0.0, "the event log outruns the link");
+        assert_eq!(
+            link_golden(&run),
+            (4244, 6525015, 4602878339444778530, 4602743231455957415, 4602878339444778530)
+        );
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub use emulation::{EmulationConfig, EmulationReport, EmulationState, ThermalEmu
 pub use error::TemuError;
 pub use emulation::EmulationTotals;
 pub use export::{json_array, JsonObject, JsonValue};
-pub use scenario::{LayeredKeys, RunBudget, Scenario, ScenarioRun, Workload};
+pub use scenario::{RunBudget, Scenario, ScenarioRun, Workload};
 pub use spec::{
     AxisSpec, DfsSpec, MeshSpec, PlatformSpec, ScenarioSpec, SpecError, SweepSpec, WorkloadSpec,
     NAMED_SWEEPS,

@@ -362,72 +362,28 @@ impl Scenario {
     /// deliberately excluding the display name. Two scenarios with equal
     /// keys produce identical runs, which is what lets
     /// [`crate::ResultCache`] skip re-executing repeated sweep points.
+    ///
+    /// The key hashes a deterministic `Debug` rendering of those fields.
+    /// On-disk result caches and fleet routing depend on its exact bytes.
     #[must_use]
     pub fn content_key(&self) -> u64 {
-        crate::sweep::fnv1a64(self.fingerprint_source().as_bytes())
-    }
-
-    /// The canonical configuration description behind
-    /// [`Scenario::content_key`] (a deterministic `Debug` rendering of
-    /// every outcome-relevant field). Concatenation of the four
-    /// [`Scenario::layered_keys`] segments, in order — the layered
-    /// decomposition and the one-shot key hash the same bytes.
-    pub(crate) fn fingerprint_source(&self) -> String {
-        format!(
-            "{}{}{}{}",
-            self.fingerprint_floorplan_segment(),
-            self.fingerprint_mesh_segment(),
-            self.fingerprint_operator_segment(),
-            self.fingerprint_platform_segment()
+        fnv1a64(
+            format!(
+                "platform={:?};floorplan={:?};workload={:?};emu={:?};budget={:?};fit={:?}",
+                self.platform, self.floorplan, self.workload, self.emu, self.budget, self.fit_device
+            )
+            .as_bytes(),
         )
     }
 
-    // The four fingerprint segments. Their concatenation must stay
-    // byte-identical to the historical one-shot
-    // `"platform={:?};floorplan={:?};workload={:?};emu={:?};budget={:?};fit={:?}"`
-    // rendering — on-disk result-cache keys depend on it.
-    fn fingerprint_floorplan_segment(&self) -> String {
-        format!("platform={:?};floorplan={:?};", self.platform, self.floorplan)
-    }
-
-    fn fingerprint_mesh_segment(&self) -> String {
-        format!("workload={:?};emu={:?};", self.workload, self.emu)
-    }
-
-    fn fingerprint_operator_segment(&self) -> String {
-        format!("budget={:?};", self.budget)
-    }
-
-    fn fingerprint_platform_segment(&self) -> String {
-        format!("fit={:?}", self.fit_device)
-    }
-
-    /// The scenario content key decomposed into chained per-segment FNV-1a
-    /// prefix states: `floorplan_key` hashes the platform + floorplan
-    /// segment, and each later key folds one more segment onto the
-    /// previous state, so [`LayeredKeys::platform_key`] is **exactly**
-    /// [`Scenario::content_key`]. Two scenarios sharing a prefix of equal
-    /// segments share the corresponding key prefix — which is what lets
-    /// sweeps and servers reason about partial configuration overlap
-    /// without a second key scheme drifting from the frozen one.
-    #[must_use]
-    pub fn layered_keys(&self) -> LayeredKeys {
-        let floorplan_key = fnv1a64(self.fingerprint_floorplan_segment().as_bytes());
-        let mesh_key = fnv1a64_fold(floorplan_key, self.fingerprint_mesh_segment().as_bytes());
-        let operator_key = fnv1a64_fold(mesh_key, self.fingerprint_operator_segment().as_bytes());
-        let platform_key = fnv1a64_fold(operator_key, self.fingerprint_platform_segment().as_bytes());
-        LayeredKeys { floorplan_key, mesh_key, operator_key, platform_key }
-    }
-
     /// The semantic cache sub-keys of the scenario's build artifacts —
-    /// deliberately *narrower* than [`Scenario::layered_keys`] (which are
-    /// prefix states of the full fingerprint and therefore over-capture):
-    /// the mesh key covers only the platform, floorplan and
-    /// mesh-geometry knobs ([`GridConfig::mesh_fingerprint`]), so two
-    /// points differing in workload, budget or solver strategy still share
-    /// one meshed grid in an [`ArtifactCache`].
+    /// deliberately *narrower* than [`Scenario::content_key`]: the mesh
+    /// key covers only the platform, floorplan and mesh-geometry knobs
+    /// ([`GridConfig::mesh_fingerprint`]), so two points differing in
+    /// workload, budget or solver strategy still share one meshed grid in
+    /// an [`ArtifactCache`].
     pub(crate) fn artifact_keys(&self) -> ArtifactKeys {
-        let floorplan = fnv1a64(self.fingerprint_floorplan_segment().as_bytes());
+        let floorplan = fnv1a64(format!("platform={:?};floorplan={:?};", self.platform, self.floorplan).as_bytes());
         let mesh = fnv1a64_fold(floorplan, self.emu.grid.mesh_fingerprint().as_bytes());
         let operator = fnv1a64_fold(mesh, self.emu.grid.operator_fingerprint().as_bytes());
         let program = fnv1a64(format!("workload={:?};", self.workload).as_bytes());
@@ -608,23 +564,6 @@ impl Scenario {
     }
 }
 
-/// The scenario content key as four chained FNV-1a prefix states (see
-/// [`Scenario::layered_keys`]): each key extends the previous one by one
-/// fingerprint segment, and the last equals [`Scenario::content_key`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[non_exhaustive]
-pub struct LayeredKeys {
-    /// Prefix state over the platform + floorplan segment.
-    pub floorplan_key: u64,
-    /// `floorplan_key` folded with the workload + emulation segment.
-    pub mesh_key: u64,
-    /// `mesh_key` folded with the run-budget segment.
-    pub operator_key: u64,
-    /// `operator_key` folded with the fit-gate segment — byte-for-byte
-    /// the frozen [`Scenario::content_key`].
-    pub platform_key: u64,
-}
-
 /// The semantic sub-keys of a scenario's cacheable build artifacts (see
 /// [`Scenario::artifact_keys`]); each addresses one [`ArtifactCache`]
 /// layer.
@@ -708,35 +647,6 @@ mod tests {
         let run = Scenario::exploration_bus(2).sampling_window_s(0.002).run().unwrap();
         assert!(run.report.all_halted);
         assert!(run.trace.peak_temp().unwrap() > 300.0);
-    }
-
-    #[test]
-    fn layered_keys_compose_to_the_content_key() {
-        for s in [
-            Scenario::new(),
-            Scenario::paper_fig6(),
-            Scenario::exploration_noc(3).check_fit_v2vp30(),
-            Scenario::thermal_stress(500).windows(7),
-        ] {
-            let keys = s.layered_keys();
-            assert_eq!(keys.platform_key, s.content_key(), "final prefix state IS the frozen key");
-            // Each prefix state genuinely extends the previous one.
-            let distinct = [keys.floorplan_key, keys.mesh_key, keys.operator_key, keys.platform_key];
-            let mut dedup = distinct.to_vec();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(dedup.len(), 4, "all four prefix states differ: {distinct:?}");
-        }
-    }
-
-    #[test]
-    fn layered_key_prefixes_track_configuration_overlap() {
-        let a = Scenario::exploration_bus(2);
-        let b = Scenario::exploration_bus(2).windows(9); // same platform/workload, later budget
-        let c = Scenario::exploration_bus(3); // different platform from the first segment on
-        assert_eq!(a.layered_keys().mesh_key, b.layered_keys().mesh_key);
-        assert_ne!(a.layered_keys().operator_key, b.layered_keys().operator_key);
-        assert_ne!(a.layered_keys().floorplan_key, c.layered_keys().floorplan_key);
     }
 
     #[test]

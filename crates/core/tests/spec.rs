@@ -6,8 +6,8 @@
 //! results.
 
 use temu_framework::{
-    AxisSpec, DfsSpec, ImplicitSolve, MeshSpec, PlatformSpec, Scenario, ScenarioSpec, SweepSpec,
-    WorkloadSpec,
+    fnv1a64, fnv1a64_fold, AxisSpec, DfsSpec, ImplicitSolve, MeshSpec, PlatformSpec, Scenario,
+    ScenarioSpec, SweepSpec, WorkloadSpec,
 };
 use temu_platform::DfsBand;
 
@@ -233,27 +233,31 @@ fn spec_content_keys_match_the_equivalent_builder_chain() {
 }
 
 #[test]
-fn layered_keys_compose_to_the_content_key_for_every_named_preset() {
-    // The staged fingerprint (floorplan → mesh → operator → platform) must
-    // fold to the exact legacy content key for every point of every wire
-    // preset — on-disk result caches and fleet shard routing both hash
-    // this key, so the layered decomposition cannot move it by one bit.
+fn named_preset_point_keys_are_pinned() {
+    // On-disk result caches and fleet shard routing both hash these keys,
+    // so a change to the fingerprint rendering must show up here as a
+    // deliberate re-key, not pass silently.
+    let mut folds = Vec::new();
     for (name, _) in temu_framework::NAMED_SWEEPS {
-        let spec = SweepSpec::named(name).expect("named preset");
-        let points = spec.lower().expect("preset lowers").expand();
-        assert!(!points.is_empty(), "{name}: presets expand to at least one point");
+        let points = SweepSpec::named(name).expect("named preset").lower().expect("preset lowers").expand();
+        let mut fold = fnv1a64(b"");
         for p in &points {
-            let scenario = p.scenario.as_ref().expect("preset points are valid");
-            let keys = scenario.layered_keys();
-            assert_eq!(
-                keys.platform_key,
-                scenario.content_key(),
-                "{name}/{}: layered keys must compose to the legacy content key",
-                p.label
-            );
-            assert_eq!(p.key, Some(keys.platform_key));
+            let key = p.scenario.as_ref().expect("preset points are valid").content_key();
+            assert_eq!(p.key, Some(key), "{name}/{}", p.label);
+            fold = fnv1a64_fold(fold, &key.to_le_bytes());
         }
+        folds.push((*name, points.len(), fold));
     }
+    assert_eq!(
+        folds,
+        [
+            ("smoke", 8, 0xa98a_5143_4b08_2b38),
+            ("ladder", 8, 0xd606_18c1_ab77_d1a7),
+            ("mesh", 6, 0x8364_894d_bb8e_9d77),
+            ("explore", 12, 0xc24c_dd6e_b224_fe5c),
+            ("grid100", 100, 0xde15_07c2_9a63_52f9),
+        ]
+    );
 }
 
 #[test]

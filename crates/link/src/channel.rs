@@ -6,9 +6,25 @@
 //! transmission time is charged to the VPCM as clock-freeze time — emulation
 //! slows down, statistics survive.
 
-use crate::frame::{MacFrame, MAX_PAYLOAD};
-use bytes::Bytes;
 use temu_state::{StateError, StateReader, StateWriter};
+
+/// Largest payload of one MAC frame (the standard Ethernet MTU).
+const MTU: u64 = 1500;
+
+/// Smallest payload on the wire: a shorter frame is padded to it.
+const MIN_PAYLOAD: u64 = 46;
+
+/// Wire bytes every frame adds to its payload: 8-byte preamble, 14-byte
+/// MAC header, 4-byte FCS and 12-byte inter-frame gap.
+const FRAME_OVERHEAD: u64 = 8 + 14 + 4 + 12;
+
+/// Bytes of one window's statistics record for a floorplan of
+/// `components` components: a 33-byte header (type, sequence number,
+/// window start and length in cycles, virtual clock, component count) and
+/// one 32-bit power in milliwatts per component.
+pub fn stats_record_bytes(components: usize) -> u64 {
+    33 + 4 * components as u64
+}
 
 /// Link parameters.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -29,9 +45,9 @@ impl Default for EthernetConfig {
 /// Cumulative link statistics.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct LinkStats {
-    /// Frames transmitted in both directions.
+    /// Frames sent to the host.
     pub frames: u64,
-    /// Wire bytes transmitted (including preamble/IFG overhead).
+    /// Wire bytes sent to the host (frame overheads and padding included).
     pub wire_bytes: u64,
     /// Seconds of wire time consumed.
     pub busy_seconds: f64,
@@ -81,36 +97,9 @@ impl EthernetLink {
         EthernetLink { cfg, stats: LinkStats::default() }
     }
 
-    /// The link parameters.
-    pub fn config(&self) -> &EthernetConfig {
-        &self.cfg
-    }
-
     /// Statistics since construction.
     pub fn stats(&self) -> &LinkStats {
         &self.stats
-    }
-
-    /// Splits a payload into MTU-sized frames (the dispatcher's packetizer).
-    pub fn packetize(&self, payload: &Bytes, to_host: bool) -> Vec<MacFrame> {
-        let mut frames = Vec::with_capacity(payload.len().div_ceil(MAX_PAYLOAD).max(1));
-        let mut off = 0;
-        loop {
-            let end = (off + MAX_PAYLOAD).min(payload.len());
-            let chunk = payload.slice(off..end);
-            frames.push(if to_host { MacFrame::to_host(chunk) } else { MacFrame::to_fpga(chunk) });
-            off = end;
-            if off >= payload.len() {
-                break;
-            }
-        }
-        frames
-    }
-
-    /// Seconds the wire needs for a set of frames.
-    pub fn tx_seconds(&self, frames: &[MacFrame]) -> f64 {
-        let bytes: usize = frames.iter().map(MacFrame::wire_bytes).sum();
-        bytes as f64 * 8.0 / self.cfg.bandwidth_bps as f64 + self.cfg.latency_s
     }
 
     /// Serializes the cumulative statistics (the link's only mutable state).
@@ -127,14 +116,18 @@ impl EthernetLink {
         self.stats.load_state(r)
     }
 
-    /// Transmits `frames` within a sampling window of `window_seconds` of
-    /// physical time. Returns the **freeze seconds**: the transmission time
-    /// that did not fit into the window and must stall the virtual platform
-    /// clock (0.0 when the link keeps up).
-    pub fn send_window(&mut self, frames: &[MacFrame], window_seconds: f64) -> f64 {
-        let t = self.tx_seconds(frames);
-        self.stats.frames += frames.len() as u64;
-        self.stats.wire_bytes += frames.iter().map(|f| f.wire_bytes() as u64).sum::<u64>();
+    /// Sends a window's `payload_bytes` to the host within a sampling
+    /// window of `window_seconds` of physical time, as MTU-sized frames (an
+    /// empty payload still takes one). Returns the **freeze seconds**: the
+    /// transmission time that did not fit into the window and must stall
+    /// the virtual platform clock (0.0 when the link keeps up).
+    pub fn send_window(&mut self, payload_bytes: u64, window_seconds: f64) -> f64 {
+        let frames = payload_bytes.div_ceil(MTU).max(1);
+        let last_payload = payload_bytes - (frames - 1) * MTU;
+        let wire_bytes = (frames - 1) * (MTU + FRAME_OVERHEAD) + last_payload.max(MIN_PAYLOAD) + FRAME_OVERHEAD;
+        let t = wire_bytes as f64 * 8.0 / self.cfg.bandwidth_bps as f64 + self.cfg.latency_s;
+        self.stats.frames += frames;
+        self.stats.wire_bytes += wire_bytes;
         self.stats.busy_seconds += t;
         let freeze = (t - window_seconds).max(0.0);
         self.stats.freeze_seconds += freeze;
@@ -152,33 +145,50 @@ impl Default for EthernetLink {
 mod tests {
     use super::*;
 
+    /// `(frames, wire_bytes)` of one window carrying `payload_bytes`.
+    fn books(payload_bytes: u64) -> (u64, u64) {
+        let mut link = EthernetLink::default();
+        let _ = link.send_window(payload_bytes, 0.010);
+        (link.stats().frames, link.stats().wire_bytes)
+    }
+
     #[test]
-    fn packetize_splits_on_mtu() {
-        let link = EthernetLink::default();
-        let frames = link.packetize(&Bytes::from(vec![0u8; 3200]), true);
-        assert_eq!(frames.len(), 3);
-        assert_eq!(frames[0].payload.len(), 1500);
-        assert_eq!(frames[2].payload.len(), 200);
-        let empty = link.packetize(&Bytes::new(), true);
-        assert_eq!(empty.len(), 1, "empty payload still yields one frame");
+    fn frames_and_wire_bytes_match_mac_framing() {
+        // What splitting the payload into real MAC frames counts: one
+        // frame per started MTU, at least one, each padded to the minimum
+        // payload and carrying 38 bytes of overhead.
+        let table = [
+            (0, 1, 84),
+            (1, 1, 84),
+            (46, 1, 84),
+            (47, 1, 85),
+            (1500, 1, 1538),
+            (1501, 2, 1622),
+            (1546, 2, 1622),
+            (1547, 2, 1623),
+            (3000, 2, 3076),
+            (10_000_000, 6667, 10_253_346),
+        ];
+        for (payload, frames, wire_bytes) in table {
+            assert_eq!(books(payload), (frames, wire_bytes), "{payload}-byte payload");
+        }
     }
 
     #[test]
     fn tx_time_matches_bandwidth() {
-        let link = EthernetLink::default();
-        let frames = link.packetize(&Bytes::from(vec![0u8; 1500]), true);
+        let mut link = EthernetLink::default();
+        let _ = link.send_window(1500, 0.010);
         // 1500 payload + 38 overhead = 1538 wire bytes at 100 Mb/s ≈ 123 µs
         // plus 50 µs latency.
-        let t = link.tx_seconds(&frames);
+        let t = link.stats().busy_seconds;
         assert!((t - (1538.0 * 8.0 / 100e6 + 50e-6)).abs() < 1e-9);
     }
 
     #[test]
     fn small_window_payload_never_congests() {
-        // A count-logging stats packet (~100 bytes) in a 10 ms window.
+        // A count-logging statistics record in a 10 ms window.
         let mut link = EthernetLink::default();
-        let frames = link.packetize(&Bytes::from(vec![0u8; 100]), true);
-        assert_eq!(link.send_window(&frames, 0.010), 0.0);
+        assert_eq!(link.send_window(stats_record_bytes(9), 0.010), 0.0);
         assert_eq!(link.stats().frames, 1);
     }
 
@@ -186,8 +196,7 @@ mod tests {
     fn oversized_event_dump_freezes_the_clock() {
         // 10 MB of event logs cannot cross a 100 Mb/s link in 10 ms.
         let mut link = EthernetLink::default();
-        let frames = link.packetize(&Bytes::from(vec![0u8; 10_000_000]), true);
-        let freeze = link.send_window(&frames, 0.010);
+        let freeze = link.send_window(10_000_000, 0.010);
         assert!(freeze > 0.5, "10 MB at 100 Mb/s takes ~0.82 s: freeze = {freeze}");
         assert!(link.stats().freeze_seconds > 0.5);
     }
@@ -195,10 +204,8 @@ mod tests {
     #[test]
     fn freeze_scales_with_overload() {
         let mut link = EthernetLink::default();
-        let small = link.packetize(&Bytes::from(vec![0u8; 200_000]), true);
-        let big = link.packetize(&Bytes::from(vec![0u8; 400_000]), true);
-        let f1 = link.send_window(&small, 0.001);
-        let f2 = link.send_window(&big, 0.001);
+        let f1 = link.send_window(200_000, 0.001);
+        let f2 = link.send_window(400_000, 0.001);
         assert!(f2 > f1 && f1 > 0.0);
     }
 

@@ -6,21 +6,19 @@
 //! format to the SW thermal modelling tool running in the connected host
 //! PC", and the computed temperatures travel back the same way (§4, §6).
 //!
-//! This crate provides the real, byte-exact parts — [`MacFrame`] encoding
-//! with IEEE 802.3 CRC-32 and the custom statistics/temperature payload
-//! codecs — plus a bandwidth/latency [`EthernetLink`] model with a finite
-//! buffer. When a sampling window produces more statistics bytes than the
-//! link can drain in the window's physical time, the excess becomes VPCM
-//! clock-freeze time ("stopping/resuming the statistics extraction mechanism
-//! in case of congestion of the Ethernet connection", §4.2): the emulated
-//! platform never loses statistics, it just emulates more slowly.
+//! This crate is a byte-count model of that link. The host side never
+//! decodes the packets (the thermal model reads the window's powers
+//! directly), so only their lengths matter: [`stats_record_bytes`] sizes
+//! a window's statistics record, and [`EthernetLink`] books a window's
+//! payload as the MTU-sized MAC frames that carry it, with every frame's
+//! preamble, header, FCS, minimum-payload padding and inter-frame gap,
+//! against a bandwidth/latency budget. When a sampling window produces
+//! more statistics bytes than the link can drain in the window's physical
+//! time, the excess becomes VPCM clock-freeze time ("stopping/resuming the
+//! statistics extraction mechanism in case of congestion of the Ethernet
+//! connection", §4.2): the emulated platform never loses statistics, it
+//! just emulates more slowly.
 
 mod channel;
-mod crc;
-mod frame;
-mod packet;
 
-pub use channel::{EthernetConfig, EthernetLink, LinkStats};
-pub use crc::crc32;
-pub use frame::{FrameError, MacAddr, MacFrame, TEMU_ETHERTYPE};
-pub use packet::{PacketError, StatsPacket, TempPacket};
+pub use channel::{stats_record_bytes, EthernetConfig, EthernetLink, LinkStats};

@@ -490,7 +490,7 @@ mod tests {
         let p = assemble("li r1, 0x4000\n li r2, 50\nloop: sw r2, 0(r1)\n lw r3, 0(r1)\n addi r2, r2, -1\n bnez r2, loop\n halt\n");
         m.load_program_all(&p.unwrap()).unwrap();
         m.run_to_halt(1_000_000).unwrap();
-        let events = m.uncore_mut().events_mut().expect("event mode has a buffer").drain(usize::MAX);
+        let events: Vec<_> = m.uncore_mut().events_mut().expect("event mode has a buffer").drain(usize::MAX).collect();
         assert!(events.len() >= 200, "{} events", events.len());
         assert!(events.windows(2).all(|w| w[0].time <= w[1].time), "events out of time order");
     }

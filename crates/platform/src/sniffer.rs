@@ -12,7 +12,7 @@
 //!   saturates faster than the link can drain it, the VPCM freezes the
 //!   virtual clock (congestion backpressure).
 
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 use temu_state::{StateError, StateReader, StateWriter};
 
 /// Statistics-extraction mode of the platform.
@@ -57,10 +57,16 @@ pub struct Event {
     pub addr: u32,
 }
 
-/// Bytes one event occupies in the statistics-packet payload.
+/// Bytes one logged event occupies: in the BRAM buffer (the FPGA fit
+/// estimate sizes it with this) and on the statistics link, where every
+/// event of a window, buffered or overflowed, adds this many bytes to the
+/// window's payload.
 pub const EVENT_BYTES: usize = 16;
 
-/// The bounded event buffer (the paper's BRAM buffer).
+/// The bounded event buffer (the paper's BRAM buffer). The Ethernet
+/// dispatcher empties it once per sampling window
+/// ([`EventBuffer::drain`]); an event that finds it full is counted, not
+/// stored.
 #[derive(Clone, Debug)]
 pub struct EventBuffer {
     events: VecDeque<Event>,
@@ -119,10 +125,13 @@ impl EventBuffer {
         std::mem::take(&mut self.overflowed)
     }
 
-    /// Drains up to `max` events (the Ethernet dispatcher's packetizer).
-    pub fn drain(&mut self, max: usize) -> Vec<Event> {
+    /// Removes up to `max` of the oldest events (the Ethernet dispatcher
+    /// shipping them). They are removed even if the returned iterator is
+    /// dropped unread, so `drain(usize::MAX).len()` empties the buffer and
+    /// counts what it held without copying a single event.
+    pub fn drain(&mut self, max: usize) -> vec_deque::Drain<'_, Event> {
         let n = max.min(self.events.len());
-        self.events.drain(..n).collect()
+        self.events.drain(..n)
     }
 
     /// Serializes the buffered events and overflow accounting (capacity is
@@ -187,7 +196,7 @@ mod tests {
             b.push(ev(t));
         }
         assert_eq!(b.len(), 3);
-        let d = b.drain(2);
+        let d: Vec<Event> = b.drain(2).collect();
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].time, 0);
         assert_eq!(d[1].time, 1);

@@ -70,6 +70,9 @@ struct SubstepObs {
     substeps_mg: Arc<temu_obs::Counter>,
     substeps_gs: Arc<temu_obs::Counter>,
     substeps_explicit: Arc<temu_obs::Counter>,
+    /// Optimized implicit substeps that refreshed the non-linear
+    /// coefficients before solving.
+    refreshes: Arc<temu_obs::Counter>,
     /// Coefficient-refresh check (and refresh, when due) before each
     /// optimized implicit substep, nanoseconds. It lies outside
     /// `substep_ns`.
@@ -90,6 +93,7 @@ fn substep_obs() -> &'static SubstepObs {
             substeps_mg: scope.counter("substeps_mg"),
             substeps_gs: scope.counter("substeps_gs"),
             substeps_explicit: scope.counter("substeps_explicit"),
+            refreshes: scope.counter("refreshes"),
             refresh_ns: scope.histogram("phase.refresh_ns"),
             phase_ns: [
                 scope.histogram("phase.residual_ns"),
@@ -951,6 +955,9 @@ impl ThermalModel {
                             || self.drift_since_refresh() > REFRESH_DRIFT_K
                         {
                             self.refresh_all();
+                            if t0.is_some() {
+                                substep_obs().refreshes.inc();
+                            }
                         }
                         let t0 = t0.map(|t0| {
                             substep_obs().refresh_ns.record_duration(t0.elapsed());

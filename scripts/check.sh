@@ -120,6 +120,24 @@ echo "== lint wall: clippy -D warnings =="
 # --all-targets: tests, benches and examples are linted too.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== benchmark-smoke gate =="
+# The repo benchmark (benchmark/) is a cargo workspace of its own that
+# builds the crates by path and drives their public API (`SweepMode`,
+# `ServeConfig`, `AxisSpec`, ...), so nothing above compiles it. One 1 s
+# run per workload must build, finish, and end its stdout with a JSON
+# line reporting `"correct": true` and `"failed": 0`. The build goes to
+# its own target directory under target/.
+for workload in fig6 fine_mesh served; do
+    last=$(CARGO_TARGET_DIR=target/benchmark cargo run --release --offline --quiet \
+        --manifest-path benchmark/Cargo.toml -- --workload "$workload" --seed 1 --seconds 1 --trace 0 \
+        | tail -n 1)
+    if ! echo "$last" | grep -q '"correct": true' || ! echo "$last" | grep -q '"failed": 0'; then
+        echo "benchmark smoke FAILED: $workload ended with: $last"
+        exit 1
+    fi
+    echo "benchmark smoke $workload OK"
+done
+
 echo "== bench-smoke gate =="
 # Also the solver-convergence gate: the smoke rungs include multigrid
 # cases, and the bench fails if any multigrid substep is accepted
