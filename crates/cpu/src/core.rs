@@ -13,19 +13,31 @@
 //! engine lets a core run them back to back ([`Cpu::run_local`]), ahead of
 //! the other cores, without changing any result.
 //!
-//! [`Cpu::run_local`] runs private cached text a block at a time: up to 8
+//! [`Cpu::run_local`] runs private cached text a block at a time: up to 32
 //! predecoded instructions of straight-line code, ending at (and
-//! including) the first data access, control transfer or `halt`. A block
-//! keeps the bytes it was decoded from and compares them with memory on
-//! every entry, so stores over the text and restored checkpoints need no
-//! invalidation. The first fetch on each I-cache line goes through the
-//! port as a lone fetch would; the fetches after it on that line are hits
-//! and are booked in one update, so every cycle, counter, cache tag, LRU
-//! stamp and access tick ends exactly where instruction-at-a-time
-//! execution leaves it. Text with no block (outside the private cacheable
-//! range, without an I-cache, misaligned or undecodable) runs one phase
-//! at a time, and [`Cpu::step`] always does: it is what the shared-phase
-//! order and the `temu-des` baseline run, with no block code in its path.
+//! including) the first control transfer or `halt`, or before an
+//! undecodable word. Loads, stores and `tas` stay inside a block: each
+//! one's data phase runs in place, right after its fetch phase, under the
+//! rule `run_local` applies between phases (local time below the limit,
+//! address below the core-local end); where the rule fails, the block
+//! stops with the access parked. A store or `tas` over the block's own
+//! text ends the block right after it, so the words after it are fetched
+//! again. A block keeps the bytes it was decoded from and compares them
+//! with memory on every entry, so stores over the text and restored
+//! checkpoints need no invalidation.
+//!
+//! A fetch that stays on the I-cache line fetched before is a hit, since
+//! only this core's fetches touch its I-cache; those hits are booked in
+//! one update. A fetch on a new line — the block's first, and each line
+//! change — is a tag probe ([`MemoryPort::fetch_hits`] with one hit): a
+//! present line books the hit, and only an absent one goes through the
+//! full [`MemoryPort::fetch`], which misses as before. Every cycle,
+//! counter, cache tag, LRU stamp and access tick ends exactly where
+//! phase-at-a-time execution leaves it. Text with no block (outside the
+//! private cacheable range, without an I-cache, misaligned or
+//! undecodable) runs one phase at a time, and [`Cpu::step`] always does:
+//! it is what the shared-phase order and the `temu-des` baseline run,
+//! with no block code in its path.
 
 use crate::port::MemoryPort;
 use crate::regfile::RegFile;
@@ -111,6 +123,16 @@ impl DataOp {
             DataOp::Load { addr, .. } | DataOp::Store { addr, .. } | DataOp::Tas { addr, .. } => addr,
         }
     }
+
+    /// Whether the access writes a byte of `[start, end)`.
+    fn writes_into(self, start: u64, end: u64) -> bool {
+        let (addr, bytes) = match self {
+            DataOp::Load { .. } => return false,
+            DataOp::Store { addr, width, .. } => (addr, width.bytes()),
+            DataOp::Tas { addr, .. } => (addr, 4),
+        };
+        u64::from(addr) < end && u64::from(addr) + u64::from(bytes) > start
+    }
 }
 
 /// Slots of the [`DecodeCache`]: any 4 KB of contiguous text gets distinct
@@ -153,19 +175,28 @@ impl DecodeCache {
 }
 
 /// Instructions a block holds at most.
-const BLOCK_LEN: usize = 8;
+const BLOCK_LEN: usize = 32;
 
 /// Text bytes a block is decoded from at most.
 const BLOCK_BYTES: u32 = 4 * BLOCK_LEN as u32;
 
-/// Slots of the [`BlockCache`], direct-mapped by start PC like the
-/// [`DecodeCache`].
-const BLOCK_SLOTS: usize = 1024;
+/// Slots of the [`BlockCache`], direct-mapped by start PC: any 1 KB of
+/// contiguous text gets distinct slots (the MATRIX and DITHERING text is
+/// under 1 KB).
+const BLOCK_SLOTS: usize = 256;
+
+// A core's table, allocated on its first block, stays within 112 KB.
+const _: () = assert!(BLOCK_SLOTS * std::mem::size_of::<Block>() <= 112 * 1024);
 
 /// A run of straight-line instructions starting at `pc`, ending at (and
-/// including) the first data access, control transfer or `halt`, or
-/// before an undecodable word.
+/// including) the first control transfer or `halt`, before an
+/// undecodable word, or at [`BLOCK_LEN`] instructions.
+///
+/// Each block starts a cache line (448 bytes a block): with unaligned
+/// 400-byte blocks, the ISS ran ~4% slower on one-core DITHERING and the
+/// thermal step after each window 6–10% slower.
 #[derive(Clone, Copy, Debug)]
+#[repr(align(64))]
 struct Block {
     pc: u32,
     /// Instructions in the block; 0 when its first word does not decode.
@@ -189,7 +220,7 @@ impl Block {
             block.instrs[word] = instr;
             block.bytes[4 * word..4 * word + 4].copy_from_slice(bytes);
             block.len = word + 1;
-            if instr.is_mem() || instr.is_control() || instr == Instr::Halt {
+            if instr.is_control() || instr == Instr::Halt {
                 break;
             }
         }
@@ -349,10 +380,10 @@ impl Cpu {
     /// cores' work; `0` runs nothing, `1 << 32` runs to `limit` or `halt`.
     ///
     /// Fetch phases run as blocks where the port offers the text
-    /// ([`MemoryPort::text`]): each instruction of a block after its first
-    /// runs under the same `limit` and `local_end` rule, and its fetch, when
-    /// it stays on the I-cache line fetched before, is booked with the
-    /// others on that line through [`MemoryPort::fetch_hits`]. The result —
+    /// ([`MemoryPort::text`]): each phase of a block after its first — a
+    /// fetch, or the data phase of a load, store or `tas` — runs under the
+    /// same `limit` and `local_end` rule, and a fetch that hits the I-cache
+    /// is booked through [`MemoryPort::fetch_hits`]. The result —
     /// state, counters and cache — is the one phase-at-a-time execution
     /// gives, which remains the path for text with no block.
     ///
@@ -418,49 +449,90 @@ impl Cpu {
         Ok(if self.halted { StepOutcome::Halted } else { StepOutcome::Executed })
     }
 
-    /// Runs the block of straight-line code at the PC, instruction by
-    /// instruction, as [`Cpu::fetch_phase`] would with the same `limit` and
-    /// `local_end` rule as [`Cpu::run_local`] between instructions; returns
-    /// `false`, having run nothing, when the PC has no block.
+    /// Runs the block of straight-line code at the PC, phase by phase, as
+    /// [`Cpu::fetch_phase`] and [`Cpu::data_phase`] would with the same
+    /// `limit` and `local_end` rule as [`Cpu::run_local`] between phases;
+    /// returns `false`, having run nothing, when the PC has no block.
     ///
-    /// The first fetch on each I-cache line goes through the port, and the
-    /// fetches after it on that line — hits, since only this core's fetches
-    /// touch its I-cache — are booked in one [`MemoryPort::fetch_hits`]
-    /// before the next full fetch and at the block's end.
+    /// A fetch on a new I-cache line (the block's first, or a line change)
+    /// probes the line with one [`MemoryPort::fetch_hits`] and goes through
+    /// [`MemoryPort::fetch`] only when the line is absent. The fetches after
+    /// it on that line are hits, since only this core's fetches touch its
+    /// I-cache, and are booked in one `fetch_hits` before the next line's
+    /// probe, at the block's end and before a data-phase fault is returned.
+    /// A memory instruction's data phase runs in place after its fetch; a
+    /// store or `tas` over the block's own text ends the block.
     fn run_block<P: MemoryPort + ?Sized>(&mut self, port: &mut P, limit: u64, local_end: u64) -> Result<bool, CpuError> {
         let Some(text) = port.text(self.id, self.pc, BLOCK_BYTES) else { return Ok(false) };
         let (line_shift, hit_latency) = (text.line_shift, u64::from(text.hit_latency));
-        let block = self.blocks.get(self.pc, text.bytes);
-        if block.len == 0 {
-            return Ok(false);
-        }
-        let (len, instrs) = (block.len, block.instrs);
-        let mut line = self.pc >> line_shift;
+        // The table moves out while the block runs, so the block is
+        // borrowed from it rather than copied.
+        let mut blocks = std::mem::take(&mut self.blocks);
+        let block = blocks.get(self.pc, text.bytes);
+        let ran = block.len > 0;
+        let result = if ran { self.run_decoded(port, block, line_shift, hit_latency, limit, local_end) } else { Ok(()) };
+        self.blocks = blocks;
+        result.map(|()| ran)
+    }
+
+    /// The loop of [`Cpu::run_block`] over `block`, which starts at the PC,
+    /// behind I-cache lines of `1 << line_shift` bytes.
+    fn run_decoded<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        block: &Block,
+        line_shift: u32,
+        hit_latency: u64,
+        limit: u64,
+        local_end: u64,
+    ) -> Result<(), CpuError> {
+        let text_start = u64::from(block.pc);
+        let text_end = text_start + 4 * block.len as u64;
+        let mut line = u32::MAX; // the line fetched last; none yet
         let mut hits = 0; // fetch hits on `line` not yet booked
-        for (i, &instr) in instrs[..len].iter().enumerate() {
+        for (i, &instr) in block.instrs[..block.len].iter().enumerate() {
             let (pc, t0) = (self.pc, self.time);
-            if i > 0 {
-                if t0 >= limit || u64::from(pc) >= local_end {
-                    break;
-                }
-                if pc >> line_shift == line {
-                    hits += 1;
-                    self.execute(instr, pc, t0, t0 + hit_latency, 0);
-                    continue;
-                }
+            if i > 0 && (t0 >= limit || u64::from(pc) >= local_end) {
+                break;
             }
-            if hits > 0 {
-                port.fetch_hits(self.id, line << line_shift, hits);
+            if pc >> line_shift == line {
+                hits += 1;
+                self.execute(instr, pc, t0, t0 + hit_latency, 0);
+            } else {
+                self.book_hits(port, line << line_shift, hits);
                 hits = 0;
+                line = pc >> line_shift;
+                if port.fetch_hits(self.id, pc, 1) {
+                    self.execute(instr, pc, t0, t0 + hit_latency, 0);
+                } else {
+                    let fetch = port.fetch(self.id, pc, t0).map_err(|err| CpuError::Mem { pc, err })?;
+                    self.execute(instr, pc, t0, fetch.done_at, fetch.stall);
+                }
             }
-            line = pc >> line_shift;
-            let fetch = port.fetch(self.id, pc, t0).map_err(|err| CpuError::Mem { pc, err })?;
-            self.execute(instr, pc, t0, fetch.done_at, fetch.stall);
+            let Some((op, op_pc)) = self.pending else { continue };
+            if self.time >= limit || u64::from(op.addr()) >= local_end {
+                break;
+            }
+            self.pending = None;
+            if let Err(err) = self.data_phase(port, op, op_pc) {
+                self.book_hits(port, line << line_shift, hits);
+                return Err(err);
+            }
+            if op.writes_into(text_start, text_end) {
+                break;
+            }
         }
+        self.book_hits(port, line << line_shift, hits);
+        Ok(())
+    }
+
+    /// Books `hits` fetch hits on the I-cache line holding `pc`, which the
+    /// running block fetched last.
+    fn book_hits<P: MemoryPort + ?Sized>(&self, port: &mut P, pc: u32, hits: u32) {
         if hits > 0 {
-            port.fetch_hits(self.id, line << line_shift, hits);
+            let present = port.fetch_hits(self.id, pc, hits);
+            debug_assert!(present, "only this core's fetches touch its I-cache");
         }
-        Ok(true)
     }
 
     /// Executes `instr`, fetched from `pc` in the fetch that started at
@@ -821,17 +893,37 @@ mod tests {
     }
 
     /// A [`TestPort`] that offers all its text as blocks behind 16-byte
-    /// lines with 1-cycle hits (which its fetches take) and counts the
-    /// fetches it serves and the hits booked in bulk.
+    /// lines with 1-cycle hits (which its fetches take). A line is present
+    /// once a full fetch has touched it. The port counts the full fetches,
+    /// the hits a probe of a line other than the one touched last books
+    /// (always one), and the hits booked on the line touched last.
     struct BlockPort {
         inner: TestPort,
+        present: Vec<u32>,
+        last: Option<u32>,
         fetches: u64,
+        probed_hits: u64,
         bulk_hits: u64,
+    }
+
+    impl BlockPort {
+        fn new(inner: TestPort) -> BlockPort {
+            BlockPort { inner, present: Vec::new(), last: None, fetches: 0, probed_hits: 0, bulk_hits: 0 }
+        }
+
+        /// Instructions fetched, by any of the three means.
+        fn fetched(&self) -> u64 {
+            self.fetches + self.probed_hits + self.bulk_hits
+        }
     }
 
     impl MemoryPort for BlockPort {
         fn fetch(&mut self, core: usize, pc: u32, now: u64) -> Result<MemReply, MemError> {
             self.fetches += 1;
+            let line = pc >> 4;
+            assert!(!self.present.contains(&line), "a present line is probed, not fetched");
+            self.present.push(line);
+            self.last = Some(line);
             self.inner.fetch(core, pc, now)
         }
 
@@ -852,8 +944,19 @@ mod tests {
             Some(Text { bytes: self.inner.mem.slice(pc, len), line_shift: 4, hit_latency: 1 })
         }
 
-        fn fetch_hits(&mut self, _core: usize, _pc: u32, hits: u32) {
-            self.bulk_hits += u64::from(hits);
+        fn fetch_hits(&mut self, _core: usize, pc: u32, hits: u32) -> bool {
+            let line = pc >> 4;
+            if !self.present.contains(&line) {
+                return false;
+            }
+            if self.last == Some(line) {
+                self.bulk_hits += u64::from(hits);
+            } else {
+                assert_eq!(hits, 1, "hits in bulk go to the line touched last");
+                self.probed_hits += 1;
+                self.last = Some(line);
+            }
+            true
         }
     }
 
@@ -871,23 +974,40 @@ mod tests {
                    halt\n";
         let (stepped, port) = run(src);
         let (mut cpu, inner) = TestPort::load_program(src);
-        let mut blocks = BlockPort { inner, fetches: 0, bulk_hits: 0 };
+        let mut blocks = BlockPort::new(inner);
         cpu.run_local(&mut blocks, u64::MAX, 1 << 32).unwrap();
         assert!(cpu.is_halted());
         assert_eq!(state(&cpu), state(&stepped));
         assert_eq!(blocks.inner.mem, port.mem);
-        assert_eq!(blocks.fetches + blocks.bulk_hits, cpu.stats().instructions, "every instruction fetched once");
+        assert_eq!(blocks.fetched(), cpu.stats().instructions, "every instruction fetched once");
+        assert_eq!(blocks.fetches, 3, "one full fetch per line");
+        assert!(blocks.probed_hits > 0, "new lines were probed");
         assert!(blocks.bulk_hits > 0, "fetches were booked in bulk");
 
-        // A limit inside a block stops it at the same instruction.
-        for limit in 1..30 {
-            let (mut cpu, inner) = TestPort::load_program(src);
-            let mut blocks = BlockPort { inner, fetches: 0, bulk_hits: 0 };
-            cpu.run_local(&mut blocks, limit, 1 << 32).unwrap();
-            let (mut stepped, mut port) = TestPort::load_program(src);
-            stepped.run_local(&mut port, limit, 1 << 32).unwrap();
-            assert_eq!(state(&cpu), state(&stepped), "limit {limit}");
+        // A limit or a local end inside a block stops it at the same phase,
+        // also between a load's or store's fetch and its data access, and
+        // the block path resumes from there as the phases do.
+        let mut parked = 0;
+        for local_end in [0x400, 1 << 32] {
+            for limit in 1..110 {
+                let what = format!("limit {limit}, local end {local_end:#x}");
+                let (mut cpu, inner) = TestPort::load_program(src);
+                let mut blocks = BlockPort::new(inner);
+                cpu.run_local(&mut blocks, limit, local_end).unwrap();
+                let (mut stepped, mut port) = TestPort::load_program(src);
+                stepped.run_local(&mut port, limit, local_end).unwrap();
+                assert_eq!(state(&cpu), state(&stepped), "{what}");
+                if local_end == 1 << 32 && cpu.mid_instruction() {
+                    parked += 1;
+                }
+                cpu.run_local(&mut blocks, u64::MAX, 1 << 32).unwrap();
+                stepped.run_local(&mut port, u64::MAX, 1 << 32).unwrap();
+                assert!(cpu.is_halted(), "{what}");
+                assert_eq!(state(&cpu), state(&stepped), "{what}, resumed");
+                assert_eq!(blocks.fetched(), cpu.stats().instructions, "{what}, resumed");
+            }
         }
+        assert_eq!(parked, 14, "a limit fell between each load's and store's fetch and data phase");
     }
 
     #[test]

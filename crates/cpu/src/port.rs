@@ -37,9 +37,13 @@ pub struct Text<'a> {
 ///
 /// The two provided methods let a core run straight-line code as a block:
 /// [`MemoryPort::text`] hands it the instruction bytes, and
-/// [`MemoryPort::fetch_hits`] books the fetches that hit the line fetched
-/// just before in one update. Their defaults decline, so every fetch then
-/// goes through [`MemoryPort::fetch`].
+/// [`MemoryPort::fetch_hits`] books I-cache fetch hits without a fetch —
+/// a probe of one hit on each new line, and in one update the hits that
+/// follow on that line. Their defaults decline, so every fetch then goes
+/// through [`MemoryPort::fetch`]; a port that answers `text` books hits.
+/// A block runs its loads, stores and `tas` through [`MemoryPort::read`],
+/// [`MemoryPort::write`] and [`MemoryPort::tas`] between its fetches, as
+/// phase-at-a-time execution does.
 pub trait MemoryPort {
     /// Instruction fetch of the word at `pc`.
     ///
@@ -79,9 +83,13 @@ pub trait MemoryPort {
         None
     }
 
-    /// Books `hits` I-cache fetch hits on the line holding `pc`, exactly as
-    /// that many [`MemoryPort::fetch`] calls on the line would, right after
-    /// a fetch of that line. Only called after [`MemoryPort::text`]
-    /// answered; the default does nothing.
-    fn fetch_hits(&mut self, _core: usize, _pc: u32, _hits: u32) {}
+    /// When the I-cache line holding `pc` is present, books `hits` fetch
+    /// hits on it, exactly as that many [`MemoryPort::fetch`] calls on the
+    /// line would, and returns `true`. When it is absent, changes nothing
+    /// and returns `false` (the default); the core then fetches `pc`
+    /// through [`MemoryPort::fetch`], which misses. Only called for text
+    /// [`MemoryPort::text`] answered.
+    fn fetch_hits(&mut self, _core: usize, _pc: u32, _hits: u32) -> bool {
+        false
+    }
 }

@@ -527,6 +527,71 @@ fn store_rewrites_the_middle_of_a_cached_block() {
     }
 }
 
+#[test]
+fn store_rewrites_a_later_instruction_of_its_own_block() {
+    // The block at `loop` stores `addi r5, r5, 77` over its own `patch`
+    // two words further on, before `patch` runs, so every pass — the first
+    // too — must run the new word: r5 = 3 * 77. A block that ran on past
+    // the store would run the word it decoded on the first pass.
+    let new_word = assemble("addi r5, r5, 77").expect("valid asm").words[0];
+    let program = assemble(&format!(
+        "
+        start: la   r1, patch
+               li   r2, {new_word:#x}
+               li   r6, 3
+               j    loop
+        loop:  addi r3, r3, 1
+               sw   r2, 0(r1)
+               addi r4, r4, 1
+        patch: addi r5, r5, 11
+               addi r6, r6, -1
+               bnez r6, loop
+               halt
+        "
+    ))
+    .expect("valid asm");
+    for cores in [1, 4] {
+        let platform = PlatformConfig::paper_bus(cores);
+        let mut pair = Pair::new(&platform, &program);
+        pair.run_to_halt();
+        pair.assert_same(&format!("{cores} core(s), at halt"));
+        for core in 0..cores {
+            assert_eq!(pair.fast.core(core).regs().read(Reg::new(5)), 3 * 77, "{cores} core(s), core {core}");
+        }
+        at_boundaries(&platform, &program, &[ODD_WINDOW, 3], &format!("{cores} core(s)"));
+    }
+}
+
+#[test]
+fn data_fault_inside_a_block_books_its_fetch_hits() {
+    // `go` starts an I-cache line; its third word loads from a misaligned
+    // private address. The block fetches the line once and has two hits on
+    // it to book when the load's data phase faults.
+    let program = assemble(
+        "
+        start: li   r3, 5
+               j    go
+               .org 0x40
+        go:    addi r2, r2, 1
+               addi r3, r3, 1
+        bad:   lw   r4, 2(r0)
+               halt
+        ",
+    )
+    .expect("valid asm");
+    assert_eq!(program.symbol("bad"), 0x48, "the load is the line's third word");
+    for cores in [1, 2] {
+        let mut pair = Pair::new(&PlatformConfig::paper_bus(cores), &program);
+        let fast = pair.fast.run_until(BUDGET).unwrap_err();
+        let des = pair.des.run_to_halt(BUDGET).unwrap_err();
+        assert_eq!(fast, des, "{cores} core(s): the same fault");
+        assert!(matches!(fast, CpuError::Mem { pc: 0x48, err: MemError::Misaligned { addr: 2, .. } }), "{fast:?}");
+        pair.assert_same(&format!("{cores} core(s), at the fault"));
+        let icache = pair.fast.uncore().cache_stats(0).0.copied().expect("an I-cache");
+        assert_eq!((icache.reads, icache.misses), (5, 2), "{cores} core(s): every fetch up to the fault is booked");
+    }
+}
+
 /// Copies `sub`, a position-independent leaf routine of 12 words, into
 /// shared memory, then calls it there 20 times: the copy's fetches go over
 /// the interconnect, outside any block.

@@ -38,7 +38,7 @@ use std::time::Duration;
 use temu_framework::{JsonObject, JsonValue, SweepSpec};
 use temu_serve::{
     coded_error_line, error_line, prepare_stream, read_frame, write_frame, Client, ClientError,
-    DoneSummary, ProtocolError, Request, MAX_FRAME_LEN,
+    DoneSummary, ProtocolError, Request, DEFAULT_HISTORY_LIMIT, MAX_FRAME_LEN,
 };
 
 /// Default router listen address (one above the serve default).
@@ -58,7 +58,8 @@ pub struct RouterConfig {
     pub io_timeout: Option<Duration>,
     /// Routes (router job id → member job) kept before the oldest are
     /// evicted; evicted jobs answer `status`/`watch` with "no such job"
-    /// even though the member still remembers them.
+    /// even though the member still remembers them. The default is
+    /// [`DEFAULT_HISTORY_LIMIT`], the members' default job history.
     pub history_limit: usize,
 }
 
@@ -69,7 +70,7 @@ impl Default for RouterConfig {
             members: Vec::new(),
             probe_interval: Duration::from_secs(2),
             io_timeout: Some(Duration::from_secs(30)),
-            history_limit: 1024,
+            history_limit: DEFAULT_HISTORY_LIMIT,
         }
     }
 }
@@ -641,4 +642,16 @@ fn failed_done(job: u64, total: u64, error: String) -> String {
         cancelled: false,
     }
     .to_event(job)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn route_table_default_is_the_members_job_history() {
+        let (router, member) = (RouterConfig::default(), temu_serve::ServeConfig::default());
+        assert_eq!(router.history_limit, member.history_limit);
+        assert_eq!(router.history_limit, DEFAULT_HISTORY_LIMIT);
+    }
 }

@@ -295,11 +295,6 @@ impl Instr {
     /// Canonical `nop` encoding (`addi r0, r0, 0`).
     pub const NOP: Instr = Instr::AluImm { op: AluImmOp::Add, rd: Reg(0), rs1: Reg(0), imm: 0 };
 
-    /// Whether this instruction reads or writes data memory.
-    pub fn is_mem(self) -> bool {
-        matches!(self, Instr::Load { .. } | Instr::Store { .. } | Instr::Tas { .. })
-    }
-
     /// Whether this instruction may redirect the program counter.
     pub fn is_control(self) -> bool {
         matches!(self, Instr::Branch { .. } | Instr::Jal { .. } | Instr::Jalr { .. })
@@ -413,9 +408,8 @@ mod tests {
 
     #[test]
     fn classification_helpers() {
-        assert!(Instr::Load { width: Width::Word, signed: false, rd: Reg::ZERO, rs1: Reg::ZERO, off: 0 }.is_mem());
         assert!(Instr::Jal { off: 0 }.is_control());
-        assert!(!Instr::Halt.is_mem());
+        assert!(!Instr::Load { width: Width::Word, signed: false, rd: Reg::ZERO, rs1: Reg::ZERO, off: 0 }.is_control());
         assert!(!Instr::NOP.is_control());
     }
 }

@@ -254,26 +254,23 @@ impl Cache {
         }
     }
 
-    /// Books `k` read hits on the line holding `addr`, exactly as `k`
-    /// [`Cache::access`] calls would: the tick, the read and hit counters
-    /// and the line's LRU stamp all end where those calls leave them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the line is not present: the caller books only hits that
-    /// follow an access to the same line.
-    pub fn record_hits(&mut self, addr: u32, k: u64) {
-        self.tick += k;
-        self.stats.reads += k;
-        self.stats.hits += k;
+    /// When the line holding `addr` is present, books `k` read hits on it,
+    /// exactly as `k` [`Cache::access`] calls would — the tick, the read and
+    /// hit counters and the line's LRU stamp all end where those calls
+    /// leave them — and returns `true`. When it is absent, changes nothing
+    /// and returns `false`.
+    pub fn try_hits(&mut self, addr: u32, k: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         let ways = self.cfg.ways as usize;
         let base = set as usize * ways;
-        let line = self.lines[base..base + ways]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
-            .expect("bulk hits follow an access to the same line");
+        let Some(line) = self.lines[base..base + ways].iter_mut().find(|l| l.valid && l.tag == tag) else {
+            return false;
+        };
+        self.tick += k;
         line.lru = self.tick;
+        self.stats.reads += k;
+        self.stats.hits += k;
+        true
     }
 
     /// Invalidates all lines (losing dirtiness — used on reset only).
@@ -468,7 +465,7 @@ mod tests {
         for addr in [0x04, 0x08, 0x0C] {
             assert_eq!(one.access(addr, AccessKind::Fetch), CacheResponse::Hit);
         }
-        bulk.record_hits(0x0C, 3);
+        assert!(bulk.try_hits(0x0C, 3), "the line is present");
         let state = |c: &Cache| {
             let mut w = StateWriter::new(*b"TEST", 1);
             c.save_state(&mut w);
@@ -476,8 +473,21 @@ mod tests {
         };
         assert_eq!(state(&one), state(&bulk));
         assert_eq!(bulk.stats().hits, 3);
+
+        // An absent line — never filled, or filled and then evicted — is
+        // left to the full access, which misses.
+        for absent in [0x10, 0x40] {
+            let before = state(&bulk);
+            assert!(!bulk.try_hits(absent, 1), "{absent:#x} is absent");
+            assert_eq!(state(&bulk), before, "a failed probe changes no state byte");
+        }
         assert_eq!(one.access(0x40, AccessKind::Fetch), bulk.access(0x40, AccessKind::Fetch));
-        assert_eq!(bulk.access(0x00, AccessKind::Fetch), CacheResponse::Hit, "0x20 was the LRU victim");
+        assert!(!bulk.try_hits(0x20, 1), "0x20 was the LRU victim");
+        assert_eq!(bulk.access(0x00, AccessKind::Fetch), CacheResponse::Hit);
+        assert!(bulk.try_hits(0x44, 1));
+        assert_eq!(one.access(0x00, AccessKind::Fetch), CacheResponse::Hit);
+        assert_eq!(one.access(0x44, AccessKind::Fetch), CacheResponse::Hit);
+        assert_eq!(state(&one), state(&bulk));
     }
 
     #[test]

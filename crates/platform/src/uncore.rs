@@ -492,9 +492,9 @@ impl MemoryPort for Uncore {
         })
     }
 
-    fn fetch_hits(&mut self, core: usize, pc: u32, hits: u32) {
+    fn fetch_hits(&mut self, core: usize, pc: u32, hits: u32) -> bool {
         let icache = self.per_core[core].icache.as_mut().expect("text answered only behind an I-cache");
-        icache.record_hits(pc, u64::from(hits));
+        icache.try_hits(pc, u64::from(hits))
     }
 }
 
@@ -538,17 +538,24 @@ mod tests {
     #[test]
     fn fetch_hits_book_what_single_fetches_would() {
         let (mut one, mut bulk) = (uncore(1), uncore(1));
-        let t = one.fetch(0, 0x100, 0).unwrap().done_at;
-        assert_eq!(bulk.fetch(0, 0x100, 0).unwrap().done_at, t);
-        for (i, pc) in [0x104, 0x108, 0x10C].into_iter().enumerate() {
-            assert_eq!(one.fetch(0, pc, t + i as u64).unwrap(), MemReply { value: 0, done_at: t + i as u64 + 1, stall: 0 });
-        }
-        bulk.fetch_hits(0, 0x10C, 3);
         let state = |u: &Uncore| {
             let mut w = StateWriter::new(*b"TEST", 1);
             u.save_state(&mut w);
             w.into_bytes()
         };
+        // A probe of a line not yet fetched declines and changes nothing;
+        // the full fetch then misses as it would have anyway.
+        let before = state(&bulk);
+        assert!(!bulk.fetch_hits(0, 0x100, 1), "cold line");
+        assert_eq!(state(&bulk), before);
+        let t = one.fetch(0, 0x100, 0).unwrap().done_at;
+        assert_eq!(bulk.fetch(0, 0x100, 0).unwrap().done_at, t);
+        for (i, pc) in [0x104, 0x108, 0x10C].into_iter().enumerate() {
+            assert_eq!(one.fetch(0, pc, t + i as u64).unwrap(), MemReply { value: 0, done_at: t + i as u64 + 1, stall: 0 });
+        }
+        assert!(bulk.fetch_hits(0, 0x10C, 3));
+        assert_eq!(state(&one), state(&bulk));
+        assert!(!bulk.fetch_hits(0, 0x110, 1), "the next line is absent");
         assert_eq!(state(&one), state(&bulk));
     }
 

@@ -65,4 +65,4 @@ pub use protocol::{
     coded_error_line, error_line, prepare_stream, read_frame, spec_from_document, write_frame,
     ProtocolError, Request, ADDR_ENV, DEFAULT_ADDR, MAX_FRAME_LEN,
 };
-pub use server::{ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle, DEFAULT_HISTORY_LIMIT};

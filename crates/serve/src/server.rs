@@ -66,6 +66,14 @@ use temu_framework::{
     SweepProgress, SweepSpec,
 };
 
+/// Default size of a member's job history ([`ServeConfig::history_limit`])
+/// and of a fleet router's route table (`RouterConfig::history_limit` in
+/// `temu-fleet`). Both use this one value, so a route the router still
+/// holds finds its member's job. A client that asks for an early job's
+/// `result` after running many more jobs needs the history to hold all
+/// of them.
+pub const DEFAULT_HISTORY_LIMIT: usize = 4096;
+
 /// Server configuration (see the module docs).
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -85,9 +93,8 @@ pub struct ServeConfig {
     /// How many finished (done/failed/cancelled) jobs to keep queryable
     /// via `status`/`result`. Older terminal jobs are evicted so a
     /// long-running server's job registry stays bounded — their cached
-    /// *results* live on in the shared [`ResultCache`]. The default, 1024,
-    /// matches the fleet router's route table, so a route the router
-    /// still holds finds its member job.
+    /// *results* live on in the shared [`ResultCache`]. The default is
+    /// [`DEFAULT_HISTORY_LIMIT`].
     pub history_limit: usize,
     /// Job journal path (a binary append log; a format-1 JSON-lines
     /// journal found there is converted on bind). `None` derives
@@ -131,7 +138,7 @@ impl Default for ServeConfig {
             workers: 1,
             queue_limit: 64,
             store: None,
-            history_limit: 1024,
+            history_limit: DEFAULT_HISTORY_LIMIT,
             journal: None,
             io_timeout: Some(Duration::from_secs(30)),
             member: None,
