@@ -1,9 +1,9 @@
 //! Thermal-solver scaling benchmark (see `temu_bench::thermal_scaling`).
 //!
 //! Sweeps mesh sizes from the paper's ~660-cell operating point to ~105k
-//! cells, measuring substeps/second for both integrators and every sweep
-//! mode, and writes `BENCH_thermal.json` so the perf trajectory is tracked
-//! across PRs.
+//! cells, measuring substeps/second for every semi-implicit sweep mode and
+//! solver and for the explicit integrator, and writes `BENCH_thermal.json`
+//! so the perf trajectory is tracked across PRs.
 //!
 //! Flags:
 //!   --smoke          two smallest rungs only, short budget; intended as

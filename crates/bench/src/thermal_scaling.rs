@@ -5,10 +5,10 @@
 //! The mesh ladder refines the Fig. 4b ARM11 floorplan from the paper's
 //! ~660-cell operating point (§5.2: "2 s of simulation on 660 cells in
 //! 1.65 s") up to ~105k cells. Every rung measures the seed's reference
-//! [`SweepMode::Reference`] solver against the optimized
-//! [`SweepMode::Serial`] path, for both integrators; the semi-implicit
-//! rungs additionally measure the multigrid solver (`mg` rows) against
-//! the pinned-Gauss–Seidel rows.
+//! [`SweepMode::Reference`] semi-implicit solver against the optimized
+//! [`SweepMode::Serial`] path and the multigrid solver (`mg` rows), and
+//! the explicit integrator once: it runs the seed's arithmetic on every
+//! sweep mode.
 //!
 //! Convergence is part of the contract, not just speed: every case records
 //! its `unconverged_substeps`, and the run **fails** if a multigrid case
@@ -88,13 +88,14 @@ pub struct ScalingReport {
 }
 
 /// The mesh ladder (label, refinement config). Smoke mode keeps the two
-/// smallest rungs: the paper-scale mesh and the Criterion "fine" mesh.
+/// smallest rungs: the paper-scale mesh and `criterion_fine`.
 pub fn mesh_ladder(smoke: bool) -> Vec<(&'static str, GridConfig)> {
     let ladder = vec![
         // ~640 cells: the paper's §5.2 real-time operating point.
         ("paper660", GridConfig { default_div: 2, hot_div: 3, filler_pitch_um: 2000.0, ..GridConfig::default() }),
-        // ~1.5k cells: the Criterion bench's "fine" mesh — the acceptance
-        // rung for speedup-vs-reference.
+        // ~1.5k cells: the acceptance rung for speedup-vs-reference. The
+        // name is the deleted Criterion bench's, kept so that the
+        // `BENCH_thermal.json` rows stay comparable.
         ("criterion_fine", GridConfig { default_div: 3, hot_div: 6, filler_pitch_um: 700.0, ..GridConfig::default() }),
         // ~5.5k cells.
         ("xfine", GridConfig { default_div: 6, hot_div: 12, filler_pitch_um: 350.0, ..GridConfig::default() }),
@@ -114,16 +115,23 @@ pub fn mesh_ladder(smoke: bool) -> Vec<(&'static str, GridConfig)> {
     }
 }
 
-fn integrators() -> [(&'static str, Integrator); 2] {
-    [
-        ("semi_implicit", Integrator::SemiImplicit { dt: 5e-4 }),
-        ("explicit", Integrator::Explicit),
-    ]
-}
+/// The semi-implicit integrator every implicit case runs.
+const SEMI_IMPLICIT: (&str, Integrator) = ("semi_implicit", Integrator::SemiImplicit { dt: 5e-4 });
 
-fn sweeps() -> [(&'static str, SweepMode); 2] {
-    [("reference", SweepMode::Reference), ("serial", SweepMode::Serial)]
-}
+/// Gauss–Seidel, pinned so the multigrid comparison stays meaningful even
+/// where the library default (`Auto`) would already pick multigrid.
+const GAUSS_SEIDEL: (&str, ImplicitSolve) = ("gs", ImplicitSolve::GaussSeidel);
+
+/// One labelled (integrator, sweep mode, implicit solver) combination.
+type Case = ((&'static str, Integrator), (&'static str, SweepMode), (&'static str, ImplicitSolve));
+
+/// The cases measured on every rung.
+const CASES: [Case; 4] = [
+    (SEMI_IMPLICIT, ("reference", SweepMode::Reference), GAUSS_SEIDEL),
+    (SEMI_IMPLICIT, ("serial", SweepMode::Serial), GAUSS_SEIDEL),
+    (SEMI_IMPLICIT, ("mg", SweepMode::Serial), ("mg", ImplicitSolve::Multigrid)),
+    (("explicit", Integrator::Explicit), ("reference", SweepMode::Reference), GAUSS_SEIDEL),
+];
 
 fn measure_case(
     mesh: &'static str,
@@ -228,30 +236,8 @@ pub fn run_filtered(smoke: bool, budget_s: f64, only_mesh: Option<&str>) -> Scal
             mesh_build_ms,
             hierarchy_build_ms: t1.elapsed().as_secs_f64() * 1e3,
         });
-        for integrator in integrators() {
-            // The gs rows pin Gauss–Seidel so the multigrid comparison
-            // stays meaningful even where the library default (`Auto`)
-            // would already pick multigrid for the mesh.
-            for sweep in sweeps() {
-                cases.push(measure_case(
-                    mesh,
-                    &cfg,
-                    integrator,
-                    sweep,
-                    ("gs", ImplicitSolve::GaussSeidel),
-                    budget_s,
-                ));
-            }
-            if integrator.0 == "semi_implicit" {
-                cases.push(measure_case(
-                    mesh,
-                    &cfg,
-                    integrator,
-                    ("mg", SweepMode::Serial),
-                    ("mg", ImplicitSolve::Multigrid),
-                    budget_s,
-                ));
-            }
+        for (integrator, sweep, solve) in CASES {
+            cases.push(measure_case(mesh, &cfg, integrator, sweep, solve, budget_s));
         }
     }
     for c in &cases {

@@ -14,8 +14,8 @@ fn thermal_scaling_smoke() {
     // substep — that non-convergence gate is part of this smoke test.
     let report = thermal_scaling::run(true, 0.02);
     assert!(report.smoke);
-    // 2 rungs × (semi-implicit: 2 gs sweeps + 1 mg; explicit: 2 sweeps).
-    assert_eq!(report.cases.len(), 10);
+    // 2 rungs × (semi-implicit: 2 gs sweeps + 1 mg; explicit: 1).
+    assert_eq!(report.cases.len(), 8);
     let mut mg_cases = 0;
     for c in &report.cases {
         assert!(c.substeps > 0, "{}/{}/{} did no work", c.mesh, c.integrator, c.sweep);

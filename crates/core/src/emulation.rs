@@ -214,11 +214,6 @@ impl ThermalEmulation {
         &self.machine
     }
 
-    /// Mutable machine access (program loading, shared-data setup).
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
     /// The thermal model.
     pub fn model(&self) -> &ThermalModel {
         &self.model
@@ -266,8 +261,8 @@ impl ThermalEmulation {
         // Convert sniffer statistics to per-component power.
         let powers = temu_obs::time!("core.stage.power_ns", self.cfg.power.window_powers(&self.map, &stats, hz));
 
-        // Ship statistics (and any event-log backlog) over the link within
-        // the window's physical-time budget.
+        // Ship statistics (and the window's logged events) over the link
+        // within the window's physical-time budget.
         let fpga_hz = self.machine.vpcm().fpga_hz;
         let physical_window_s = (stats.cycles() + stats.freeze_mem) as f64 / fpga_hz as f64;
         let link_freeze_s = temu_obs::time!("core.stage.link_ns", self.ship_stats(&stats, powers.len(), physical_window_s));
@@ -300,21 +295,17 @@ impl ThermalEmulation {
     }
 
     /// Sends the window's statistics record for `components` floorplan
-    /// components, plus the event-log backlog, over the link within the
-    /// window's physical time, and records the congestion freeze in the
+    /// components, plus the window's logged events, over the link within
+    /// the window's physical time, and records the congestion freeze in the
     /// VPCM. Returns the freeze in seconds.
     fn ship_stats(&mut self, stats: &WindowStats, components: usize, physical_window_s: f64) -> f64 {
-        let mut payload_bytes = stats_record_bytes(components);
-        if let Some(events) = self.machine.uncore_mut().events_mut() {
-            // Every event must cross the link: the buffered ones and the ones
-            // that found the BRAM buffer full (already counted into
-            // `stats.events_overflowed` by the window collection). On the
-            // real platform the VPCM would have frozen the virtual clock
-            // mid-window instead of dropping them, so their transmission
-            // time is charged the same way, at window granularity.
-            let shipped = events.drain(usize::MAX).len() as u64 + stats.events_overflowed;
-            payload_bytes += shipped * EVENT_BYTES as u64;
-        }
+        // Every logged event must cross the link: the buffered ones and the
+        // ones that found the BRAM buffer full. On the real platform the
+        // VPCM would have frozen the virtual clock mid-window instead of
+        // dropping them, so their transmission time is charged the same way,
+        // at window granularity. Count-logging windows log none.
+        let events = stats.events_pending as u64 + stats.events_overflowed;
+        let payload_bytes = stats_record_bytes(components) + events * EVENT_BYTES as u64;
         let link_freeze_s = self.link.send_window(payload_bytes, physical_window_s);
         // Surface the congestion freeze through the VPCM so the next window's
         // statistics carry it (the report accounts it directly).
@@ -567,7 +558,7 @@ impl ThermalEmulation {
 ///
 /// * the **platform** — every core's registers and in-flight memory
 ///   operation, caches, private and shared memories, interconnect
-///   arbitration, sniffer counters and event backlog, VPCM clock state;
+///   arbitration, sniffer counters and event counts, VPCM clock state;
 /// * the **thermal model** — temperature field, lazily refreshed
 ///   coefficient anchors, second-order warm-start history, SOR/convergence
 ///   accounting ([`ThermalModel::snapshot`]);
@@ -892,39 +883,51 @@ mod tests {
 
     /// `(frames, wire_bytes, busy_seconds bits, freeze_seconds bits,
     /// fpga_seconds bits)` of a finished run.
-    fn link_golden(run: &crate::ScenarioRun) -> (u64, u64, u64, u64, u64) {
-        let link = run.report.link;
+    fn link_golden(report: &EmulationReport) -> (u64, u64, u64, u64, u64) {
+        let link = report.link;
         (
             link.frames,
             link.wire_bytes,
             link.busy_seconds.to_bits(),
             link.freeze_seconds.to_bits(),
-            run.report.fpga_seconds.to_bits(),
+            report.fpga_seconds.to_bits(),
         )
     }
 
     #[test]
     fn count_logging_link_books_are_pinned() {
         let run = crate::Scenario::exploration_bus(2).sampling_window_s(0.002).windows(4).run().unwrap();
-        assert_eq!(link_golden(&run), (4, 428, 4552773954680481915, 0, 4575765307799480828));
+        assert_eq!(link_golden(&run.report), (4, 428, 4552773954680481915, 0, 4575765307799480828));
     }
 
     #[test]
     fn congesting_event_log_link_books_are_pinned() {
         let mut platform = PlatformConfig::paper_thermal(4);
         platform.sniffer_mode = temu_platform::SnifferMode::EventLogging { capacity: 1 << 10 };
-        let run = crate::Scenario::new()
+        let mut emu = crate::Scenario::new()
             .platform(platform)
             .workload(crate::Workload::Matrix(MatrixConfig { n: 8, iters: 100_000, cores: 4 }))
             .sampling_window_s(0.001)
             .windows(3)
-            .run()
+            .build()
             .unwrap();
-        assert!(run.report.link.freeze_seconds > 0.0, "the event log outruns the link");
+        // One window per call, each continuing the first call's report as
+        // a resumed run does, so every window boundary's checkpoint bytes
+        // are pinned too.
+        let mut checkpoints = Vec::new();
+        let mut report = None;
+        for window in 1..=3 {
+            report = Some(emu.run_budget(RunBudget::Windows(window), window > 1, None).unwrap());
+            checkpoints.push(temu_state::fnv1a64(&emu.checkpoint().to_bytes()));
+        }
+        let report = report.expect("three windows ran");
+        assert!(report.link.freeze_seconds > 0.0, "the event log outruns the link");
         assert_eq!(
-            link_golden(&run),
+            link_golden(&report),
             (4244, 6525015, 4602878339444778530, 4602743231455957415, 4602878339444778530)
         );
+        assert_eq!((report.aggregate.events_pending, report.aggregate.events_overflowed), (1024, 394640));
+        assert_eq!(checkpoints, [2100650306435098543, 16756292368021505287, 5465299347607903970]);
     }
 
     #[test]

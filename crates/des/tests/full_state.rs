@@ -6,8 +6,9 @@
 //! PC, local time, a parked access and every sniffer counter) and the whole
 //! `Uncore::save_state` (cache tags, LRU stamps, access ticks and counters,
 //! memories, device counters, interconnect and MMIO state) must be equal
-//! bit for bit, so an I-cache hit booked once too often or an LRU stamp
-//! left behind shows even when no cycle count moves. The fast engine runs
+//! bit for bit, so an I-cache hit booked once too often, an LRU stamp
+//! left behind or an event-logging sniffer count off by one shows even
+//! when no cycle count moves. The fast engine runs
 //! through `Machine::run_until`, which takes no statistics, so its counters
 //! accumulate from the start exactly as the baseline's do.
 //!
@@ -35,7 +36,7 @@ use temu_interconnect::Arbitration;
 use temu_isa::asm::assemble;
 use temu_isa::{Program, Reg};
 use temu_mem::{CacheConfig, MemError};
-use temu_platform::{Machine, PlatformConfig, Uncore, MMIO_FREQ_MHZ};
+use temu_platform::{Machine, PlatformConfig, SnifferMode, Uncore, MMIO_FREQ_MHZ, MMIO_SNIFFER_CTRL};
 use temu_state::StateWriter;
 
 /// Cycle budget every program halts well within.
@@ -267,9 +268,19 @@ fn no_caches_bus(cores: usize) -> PlatformConfig {
     platform
 }
 
-/// The platforms of `random_programs.rs`, and whether their programs hit
-/// shared memory (private-only programs let the fast engine run whole
-/// windows of one core ahead of the others).
+/// `paper_bus` with event-logging sniffers: every data access and cache
+/// miss is counted into a buffer of 256 events, which most programs with
+/// shared accesses overflow.
+fn event_logging_bus(cores: usize) -> PlatformConfig {
+    let mut platform = PlatformConfig::paper_bus(cores);
+    platform.sniffer_mode = SnifferMode::EventLogging { capacity: 256 };
+    platform
+}
+
+/// The platforms of `random_programs.rs` plus an event-logging bus, and
+/// whether their programs hit shared memory (private-only programs let the
+/// fast engine run whole windows of one core ahead of the others, except
+/// under event logging).
 fn every_platform() -> Vec<(PlatformConfig, bool)> {
     vec![
         (PlatformConfig::paper_bus(1), true),
@@ -283,6 +294,8 @@ fn every_platform() -> Vec<(PlatformConfig, bool)> {
         (PlatformConfig::paper_custom_bus(4, Arbitration::Tdma { slot_cycles: 16 }), true),
         (PlatformConfig::paper_bus(4), false),
         (PlatformConfig::paper_thermal(4), false),
+        (event_logging_bus(4), true),
+        (event_logging_bus(4), false),
     ]
 }
 
@@ -647,4 +660,55 @@ fn fallback_paths_match() {
         assert_eq!(pair.fast.core(0).regs().read(Reg::new(5)), 60, "{what}: the copy ran 20 times");
         at_boundaries(&platform, &program, &[ODD_WINDOW, 7], &what);
     }
+}
+
+/// Core 1 writes `first`, then 1, to the sniffer-enable register, while
+/// the other cores store and load private words in a loop.
+fn sniffer_toggle(first: u32) -> Program {
+    let src = format!(
+        "
+        .equ MMIO, 0xFFFF0000
+        start:  li   r1, MMIO
+                lw   r2, 0(r1)
+                li   r3, 1
+                beq  r2, r3, toggle
+                li   r4, 0x4000
+                li   r5, 200
+        loop:   sw   r5, 0(r4)
+                lw   r6, 0(r4)
+                addi r4, r4, 4
+                addi r5, r5, -1
+                bnez r5, loop
+                halt
+        toggle: li   r7, 40
+        wait1:  addi r7, r7, -1
+                bnez r7, wait1
+                li   r8, {first}
+                sw   r8, {MMIO_SNIFFER_CTRL}(r1)
+                li   r7, 100
+        wait2:  addi r7, r7, -1
+                bnez r7, wait2
+                sw   r3, {MMIO_SNIFFER_CTRL}(r1)
+                halt
+        "
+    );
+    assemble(&src).expect("valid asm")
+}
+
+#[test]
+fn sniffers_switched_off_while_other_cores_run_private_accesses() {
+    // Whether an access is logged depends on the sniffer-enable register
+    // at the access's global time, so under event logging no core may run
+    // its private accesses ahead of another core's write to it.
+    let platform = event_logging_bus(4);
+    let program = sniffer_toggle(0);
+    at_halt(&platform, &program, "sniffers switched off and on");
+    at_boundaries(&platform, &program, &[ODD_WINDOW, 13], "sniffers switched off and on");
+    let logged = |program: &Program| {
+        let mut pair = Pair::new(&platform, program);
+        pair.run_to_halt();
+        pair.fast.uncore().events().expect("event logging").total()
+    };
+    let (toggled, always_on) = (logged(&program), logged(&sniffer_toggle(1)));
+    assert!(toggled < always_on, "the switched-off stretch logs nothing: {toggled} vs {always_on} events");
 }

@@ -26,18 +26,6 @@ pub struct Request {
     pub issue_cycle: u64,
 }
 
-impl Request {
-    /// A single-word read request (convenience constructor).
-    pub fn word_read(initiator: usize, addr: u32, issue_cycle: u64) -> Request {
-        Request { initiator, target: 0, is_write: false, words: 1, wb_words: 0, addr, issue_cycle }
-    }
-
-    /// A single-word write request (convenience constructor).
-    pub fn word_write(initiator: usize, addr: u32, issue_cycle: u64) -> Request {
-        Request { initiator, target: 0, is_write: true, words: 1, wb_words: 0, addr, issue_cycle }
-    }
-}
-
 /// Timing outcome of a scheduled transaction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Grant {

@@ -67,11 +67,6 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
-    /// Raise-only update, for high-watermark gauges.
-    pub fn set_max(&self, v: u64) {
-        self.value.fetch_max(v, Ordering::Relaxed);
-    }
-
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }

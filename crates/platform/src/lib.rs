@@ -39,7 +39,7 @@ pub use mmio::{
     Mmio, MMIO_CONSOLE, MMIO_CORE_ID, MMIO_CYCLE_HI, MMIO_CYCLE_LO, MMIO_FREQ_MHZ, MMIO_NCORES,
     MMIO_SENSOR_BASE, MMIO_SNIFFER_CTRL,
 };
-pub use sniffer::{Event, EventBuffer, EventKind, SnifferMode, EVENT_BYTES};
+pub use sniffer::{EventBuffer, SnifferMode, EVENT_BYTES};
 pub use stats::WindowStats;
 pub use uncore::Uncore;
 pub use vpcm::{DfsBand, DfsPolicy, Vpcm};

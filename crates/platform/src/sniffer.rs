@@ -7,12 +7,14 @@
 //!   collected per sampling window by the engine). They are free: adding more
 //!   monitored components does not slow the emulation down, which is the
 //!   paper's key scalability argument against SW simulators.
-//! * **event-logging** sniffers append one record per platform event to a
-//!   bounded BRAM buffer that the Ethernet dispatcher drains. When the buffer
-//!   saturates faster than the link can drain it, the VPCM freezes the
-//!   virtual clock (congestion backpressure).
+//! * **event-logging** sniffers log one record per platform event into a
+//!   bounded BRAM buffer that the Ethernet dispatcher drains once per
+//!   sampling window. When the events outrun the buffer and the link, the
+//!   VPCM freezes the virtual clock (congestion backpressure). The host
+//!   side needs only how many events a window logged, each of which costs
+//!   [`EVENT_BYTES`] on the link, so [`EventBuffer`] counts the events
+//!   instead of storing them.
 
-use std::collections::{vec_deque, VecDeque};
 use temu_state::{StateError, StateReader, StateWriter};
 
 /// Statistics-extraction mode of the platform.
@@ -20,41 +22,12 @@ use temu_state::{StateError, StateReader, StateWriter};
 pub enum SnifferMode {
     /// Counter-only extraction (the designers' default, per the paper).
     CountLogging,
-    /// Exhaustive event records into a buffer of `capacity` events
+    /// Exhaustive event logging into a buffer of `capacity` events
     /// (the paper's BRAM buffer).
     EventLogging {
         /// Buffer capacity in events.
         capacity: usize,
     },
-}
-
-/// Kind of logged event.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[repr(u8)]
-pub enum EventKind {
-    /// Data read retired.
-    Read = 0,
-    /// Data write retired.
-    Write = 1,
-    /// Instruction-cache miss.
-    MissI = 2,
-    /// Data-cache miss.
-    MissD = 3,
-    /// Interconnect transaction.
-    IcTxn = 4,
-}
-
-/// One event record. Serialized as 16 bytes on the statistics link.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Event {
-    /// Virtual cycle of the event.
-    pub time: u64,
-    /// Issuing core.
-    pub core: u8,
-    /// Event kind.
-    pub kind: EventKind,
-    /// Byte address involved.
-    pub addr: u32,
 }
 
 /// Bytes one logged event occupies: in the BRAM buffer (the FPGA fit
@@ -63,88 +36,60 @@ pub struct Event {
 /// window's payload.
 pub const EVENT_BYTES: usize = 16;
 
-/// The bounded event buffer (the paper's BRAM buffer). The Ethernet
-/// dispatcher empties it once per sampling window
-/// ([`EventBuffer::drain`]); an event that finds it full is counted, not
-/// stored.
+/// The bounded event buffer (the paper's BRAM buffer), as counts. The
+/// Ethernet dispatcher empties it once per sampling window
+/// ([`EventBuffer::take_window`]): of the `n` events a window logs, the
+/// first `capacity` are buffered and the rest found the buffer full.
 #[derive(Clone, Debug)]
 pub struct EventBuffer {
-    events: VecDeque<Event>,
     capacity: usize,
-    /// Events that arrived while the buffer was full. The framework converts
-    /// these into VPCM congestion freezes (the hardware would have stopped
-    /// the virtual clock instead of dropping them).
-    overflowed: u64,
-    /// Total events ever offered.
+    /// Events logged since the last [`EventBuffer::take_window`].
+    window: u64,
+    /// Events logged in total.
     total: u64,
 }
 
 impl EventBuffer {
-    /// Creates a buffer holding `capacity` events.
+    /// Creates an empty buffer holding `capacity` events.
     pub fn new(capacity: usize) -> EventBuffer {
-        EventBuffer { events: VecDeque::with_capacity(capacity.min(1 << 16)), capacity, overflowed: 0, total: 0 }
+        EventBuffer { capacity, window: 0, total: 0 }
     }
 
-    /// Offers an event; full buffers count an overflow instead of storing.
-    pub fn push(&mut self, e: Event) {
+    /// Logs one event.
+    pub fn push(&mut self) {
+        self.window += 1;
         self.total += 1;
-        if self.events.len() >= self.capacity {
-            self.overflowed += 1;
-        } else {
-            self.events.push_back(e);
-        }
     }
 
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
+    /// `(buffered, overflowed)`: the events logged since the last
+    /// [`EventBuffer::take_window`] that the buffer holds, and those that
+    /// found it full. The framework converts the overflowed ones into VPCM
+    /// congestion freezes (the hardware would have stopped the virtual
+    /// clock instead of dropping them).
+    pub fn pending(&self) -> (usize, u64) {
+        let buffered = self.window.min(self.capacity as u64);
+        (buffered as usize, self.window - buffered)
     }
 
-    /// Whether no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+    /// Empties the buffer (the dispatcher shipping the window's events) and
+    /// returns what [`EventBuffer::pending`] held.
+    pub fn take_window(&mut self) -> (usize, u64) {
+        let pending = self.pending();
+        self.window = 0;
+        pending
     }
 
-    /// Capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events that found the buffer full since the last [`EventBuffer::take_overflowed`].
-    pub fn overflowed(&self) -> u64 {
-        self.overflowed
-    }
-
-    /// Total events offered.
+    /// Total events logged.
     pub fn total(&self) -> u64 {
         self.total
     }
 
-    /// Resets and returns the overflow counter.
-    pub fn take_overflowed(&mut self) -> u64 {
-        std::mem::take(&mut self.overflowed)
-    }
-
-    /// Removes up to `max` of the oldest events (the Ethernet dispatcher
-    /// shipping them). They are removed even if the returned iterator is
-    /// dropped unread, so `drain(usize::MAX).len()` empties the buffer and
-    /// counts what it held without copying a single event.
-    pub fn drain(&mut self, max: usize) -> vec_deque::Drain<'_, Event> {
-        let n = max.min(self.events.len());
-        self.events.drain(..n)
-    }
-
-    /// Serializes the buffered events and overflow accounting (capacity is
+    /// Serializes the counts: buffered, overflowed, total (capacity is
     /// configuration, recomputed on rebuild).
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.usize(self.events.len());
-        for e in &self.events {
-            w.u64(e.time);
-            w.u8(e.core);
-            w.u8(e.kind as u8);
-            w.u32(e.addr);
-        }
-        w.u64(self.overflowed);
+        let (buffered, overflowed) = self.pending();
+        w.usize(buffered);
+        w.u64(overflowed);
         w.u64(self.total);
     }
 
@@ -152,30 +97,20 @@ impl EventBuffer {
     ///
     /// # Errors
     ///
-    /// Returns [`StateError::BadLength`] if more events were recorded than
-    /// this buffer's capacity, or [`StateError::BadValue`] on an unknown
-    /// event kind.
+    /// Returns [`StateError::BadLength`] if more events were buffered than
+    /// this buffer's capacity, or [`StateError::BadValue`] if events
+    /// overflowed a buffer that was not full.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        let n = r.usize()?;
-        if n > self.capacity {
-            return Err(StateError::BadLength { found: n as u64, max: self.capacity as u64 });
+        let buffered = r.usize()?;
+        if buffered > self.capacity {
+            return Err(StateError::BadLength { found: buffered as u64, max: self.capacity as u64 });
         }
-        self.events.clear();
-        for _ in 0..n {
-            let time = r.u64()?;
-            let core = r.u8()?;
-            let kind = match r.u8()? {
-                0 => EventKind::Read,
-                1 => EventKind::Write,
-                2 => EventKind::MissI,
-                3 => EventKind::MissD,
-                4 => EventKind::IcTxn,
-                k => return Err(StateError::BadValue { what: "event kind", value: u64::from(k) }),
-            };
-            let addr = r.u32()?;
-            self.events.push_back(Event { time, core, kind, addr });
-        }
-        self.overflowed = r.u64()?;
+        let overflowed = r.u64()?;
+        let full = buffered == self.capacity;
+        self.window = (buffered as u64)
+            .checked_add(overflowed)
+            .filter(|_| full || overflowed == 0)
+            .ok_or(StateError::BadValue { what: "events overflowing a buffer not full", value: overflowed })?;
         self.total = r.u64()?;
         Ok(())
     }
@@ -185,43 +120,50 @@ impl EventBuffer {
 mod tests {
     use super::*;
 
-    fn ev(time: u64) -> Event {
-        Event { time, core: 0, kind: EventKind::Read, addr: 0x10 }
-    }
-
-    #[test]
-    fn push_and_drain_fifo() {
-        let mut b = EventBuffer::new(4);
-        for t in 0..3 {
-            b.push(ev(t));
-        }
-        assert_eq!(b.len(), 3);
-        let d: Vec<Event> = b.drain(2).collect();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d[0].time, 0);
-        assert_eq!(d[1].time, 1);
-        assert_eq!(b.len(), 1);
-        assert!(!b.is_empty());
-    }
-
     #[test]
     fn overflow_counts_instead_of_storing() {
         let mut b = EventBuffer::new(2);
-        for t in 0..5 {
-            b.push(ev(t));
+        for _ in 0..5 {
+            b.push();
         }
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.overflowed(), 3);
+        assert_eq!(b.pending(), (2, 3));
         assert_eq!(b.total(), 5);
-        assert_eq!(b.take_overflowed(), 3);
-        assert_eq!(b.overflowed(), 0);
+        assert_eq!(b.take_window(), (2, 3));
+        assert_eq!(b.pending(), (0, 0), "the dispatcher emptied it");
+        assert_eq!(b.total(), 5);
     }
 
     #[test]
     fn drain_more_than_available() {
         let mut b = EventBuffer::new(8);
-        b.push(ev(1));
-        assert_eq!(b.drain(100).len(), 1);
-        assert!(b.is_empty());
+        b.push();
+        assert_eq!(b.take_window(), (1, 0));
+        assert_eq!(b.take_window(), (0, 0));
+    }
+
+    #[test]
+    fn state_round_trips_and_refuses_counts_no_buffer_holds() {
+        let bytes = |buffered: usize, overflowed: u64| {
+            let mut w = StateWriter::new(*b"EVTB", 1);
+            w.usize(buffered);
+            w.u64(overflowed);
+            w.u64(9);
+            w.into_bytes()
+        };
+        let load = |bytes: &[u8]| {
+            let mut b = EventBuffer::new(4);
+            let (mut r, _) = StateReader::new(bytes, *b"EVTB", 1).unwrap();
+            b.load_state(&mut r).map(|()| b)
+        };
+        for (buffered, overflowed) in [(0, 0), (3, 0), (4, 0), (4, 5)] {
+            let b = load(&bytes(buffered, overflowed)).unwrap();
+            assert_eq!((b.pending(), b.total()), ((buffered, overflowed), 9));
+            let mut w = StateWriter::new(*b"EVTB", 1);
+            b.save_state(&mut w);
+            assert_eq!(w.into_bytes(), bytes(buffered, overflowed));
+        }
+        assert!(matches!(load(&bytes(5, 0)), Err(StateError::BadLength { found: 5, max: 4 })));
+        assert!(matches!(load(&bytes(3, 1)), Err(StateError::BadValue { .. })));
+        assert!(matches!(load(&bytes(4, u64::MAX)), Err(StateError::BadValue { .. })));
     }
 }

@@ -30,7 +30,9 @@ pub struct WindowStats {
     pub freeze_mem: u64,
     /// VPCM freeze cycles caused by statistics-link congestion.
     pub freeze_link: u64,
-    /// Events sitting in the sniffer buffer at window end.
+    /// Events the window logged into the event-logging sniffers' buffer
+    /// (at most its capacity), shipped with the window; in an aggregate,
+    /// the last window's.
     pub events_pending: usize,
     /// Events that found the buffer full during the window.
     pub events_overflowed: u64,

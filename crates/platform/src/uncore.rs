@@ -13,7 +13,7 @@
 
 use crate::config::{IcChoice, PlatformConfig};
 use crate::mmio::Mmio;
-use crate::sniffer::{Event, EventBuffer, EventKind, SnifferMode};
+use crate::sniffer::{EventBuffer, SnifferMode};
 use temu_cpu::{MemReply, MemoryPort, Text};
 use temu_interconnect::{Bus, Grant, IcStats, Interconnect, Noc, Request};
 use temu_isa::Width;
@@ -74,7 +74,6 @@ pub struct Uncore {
     ic: IcModel,
     /// MMIO window (console, sensors, sniffer control).
     pub mmio: Mmio,
-    mode: SnifferMode,
     events: Option<EventBuffer>,
     freeze_mem: u64,
 }
@@ -110,7 +109,6 @@ impl Uncore {
             shared_stats: MemStats::default(),
             ic,
             mmio: Mmio::new(cfg.cores, (cfg.virtual_hz / 1_000_000) as u32),
-            mode: cfg.sniffer_mode,
             events,
             freeze_mem: 0,
         }
@@ -155,11 +153,6 @@ impl Uncore {
         self.events.as_ref()
     }
 
-    /// Mutable event buffer (drained by the Ethernet dispatcher).
-    pub fn events_mut(&mut self) -> Option<&mut EventBuffer> {
-        self.events.as_mut()
-    }
-
     /// Returns and clears accumulated memory-induced freeze cycles.
     pub(crate) fn take_freeze(&mut self) -> u64 {
         std::mem::take(&mut self.freeze_mem)
@@ -201,10 +194,18 @@ impl Uncore {
         self.ic.stats()
     }
 
-    fn log_event(&mut self, time: u64, core: usize, kind: EventKind, addr: u32) {
-        if matches!(self.mode, SnifferMode::EventLogging { .. }) && self.mmio.sniffers_enabled() {
-            if let Some(buf) = self.events.as_mut() {
-                buf.push(Event { time, core: core as u8, kind, addr });
+    /// The window's `(buffered, overflowed)` events, emptying the buffer
+    /// (the Ethernet dispatcher's drain); `(0, 0)` without event logging.
+    pub(crate) fn collect_events(&mut self) -> (usize, u64) {
+        self.events.as_mut().map_or((0, 0), EventBuffer::take_window)
+    }
+
+    /// Logs one event, when event-logging sniffers are configured and
+    /// software left them enabled.
+    fn log_event(&mut self) {
+        if let Some(buf) = self.events.as_mut() {
+            if self.mmio.sniffers_enabled() {
+                buf.push();
             }
         }
     }
@@ -256,7 +257,7 @@ impl Uncore {
         let freeze = self.shared_cfg.freeze_cycles();
         self.shared_stats.freeze_cycles += freeze;
         self.freeze_mem += freeze;
-        self.log_event(issue, core, EventKind::IcTxn, addr);
+        self.log_event();
         grant.complete
     }
 
@@ -292,8 +293,7 @@ impl Uncore {
         match response {
             CacheResponse::Hit => (now + hit_lat, 0),
             CacheResponse::Miss { writeback_addr } => {
-                let miss_kind = if is_icache { EventKind::MissI } else { EventKind::MissD };
-                self.log_event(now, core, miss_kind, addr);
+                self.log_event();
                 let issue = now + hit_lat;
                 let done = match writeback_addr {
                     None => self.service(core, target, line_base, line_words, 0, false, issue),
@@ -322,8 +322,14 @@ impl Uncore {
 
     /// Serializes all mutable memory-system state: caches, memory images,
     /// device statistics, interconnect occupancy, MMIO registers, the event
-    /// buffer and pending freeze cycles. The address map and configurations
+    /// counts and pending freeze cycles. The address map and configurations
     /// are rebuild-derived and not recorded.
+    ///
+    /// The event section is a presence flag, then the buffered count, the
+    /// overflowed count and the total. At a window boundary, where
+    /// checkpoints are taken, the dispatcher has just emptied the buffer,
+    /// so the section reads `(0, 0, total)` there; that layout is part of
+    /// the version-1 checkpoint format.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.usize(self.per_core.len());
         for cm in &self.per_core {
@@ -430,7 +436,7 @@ impl MemoryPort for Uncore {
             return Ok(MemReply { value, done_at: now + 1, stall: 0 });
         }
         let value = self.backing_read(core, range.target, range.offset(addr), width)?;
-        self.log_event(now, core, EventKind::Read, addr);
+        self.log_event();
         let (done_at, stall) = if range.cacheable && self.per_core[core].dcache.is_some() {
             self.cached_access(core, false, range.target, addr, AccessKind::Read, now)
         } else {
@@ -450,7 +456,7 @@ impl MemoryPort for Uncore {
             return Ok(MemReply { value: 0, done_at: now + 1, stall: 0 });
         }
         self.backing_write(core, range.target, range.offset(addr), width, value)?;
-        self.log_event(now, core, EventKind::Write, addr);
+        self.log_event();
         let (done_at, stall) = if range.cacheable && self.per_core[core].dcache.is_some() {
             self.cached_access(core, false, range.target, addr, AccessKind::Write, now)
         } else {
@@ -471,7 +477,7 @@ impl MemoryPort for Uncore {
         let offset = range.offset(addr);
         let value = self.backing_read(core, range.target, offset, Width::Word)?;
         self.backing_write(core, range.target, offset, Width::Word, 1)?;
-        self.log_event(now, core, EventKind::Write, addr);
+        self.log_event();
         let done_at = self.service(core, range.target, addr, 1, 0, true, now);
         Ok(MemReply { value, done_at, stall: done_at - now - 1 })
     }
@@ -671,9 +677,11 @@ mod tests {
         for i in 0..4 {
             u.read(0, SHARED_BASE_ADDR + 4 * i, Width::Word, u64::from(i) * 100).unwrap();
         }
-        let buf = u.events().expect("event mode has a buffer");
-        assert_eq!(buf.len(), 2);
-        assert!(buf.overflowed() > 0);
+        // Each uncached shared read logs the read and its bus transaction.
+        assert_eq!(u.events().expect("event mode has a buffer").pending(), (2, 6));
+        assert_eq!(u.collect_events(), (2, 6));
+        assert_eq!(u.collect_events(), (0, 0), "the drain emptied the buffer");
+        assert_eq!(u.events().unwrap().total(), 8);
     }
 
     #[test]
@@ -683,12 +691,14 @@ mod tests {
         let mut u = Uncore::new(&cfg);
         u.mmio.write(0, crate::mmio::MMIO_SNIFFER_CTRL, 0);
         u.read(0, SHARED_BASE_ADDR, Width::Word, 0).unwrap();
-        assert_eq!(u.events().unwrap().len(), 0);
+        assert_eq!(u.events().unwrap().total(), 0);
     }
 
     #[test]
     fn count_mode_has_no_buffer() {
-        let u = uncore(1);
+        let mut u = uncore(1);
         assert!(u.events().is_none());
+        u.read(0, SHARED_BASE_ADDR, Width::Word, 0).unwrap();
+        assert_eq!(u.collect_events(), (0, 0));
     }
 }

@@ -257,8 +257,6 @@ pub struct ThermalGrid {
     pub(crate) cfg: GridConfig,
     pub(crate) tiles: Vec<Tile>,
     pub(crate) n_layers: usize,
-    /// Layer thicknesses, m (bottom silicon first, top copper last).
-    pub(crate) layer_h: Vec<f64>,
     /// Whether each layer is silicon.
     pub(crate) layer_is_si: Vec<bool>,
     /// Heat capacity per cell, J/K.
@@ -423,7 +421,7 @@ impl ThermalGrid {
         }
 
         let csr = CellCsr::build(n_tiles * n_layers, &edges, &convection);
-        Ok(ThermalGrid { cfg: *cfg, tiles, n_layers, layer_h, layer_is_si, capacity, edges, convection, comp_cells, csr })
+        Ok(ThermalGrid { cfg: *cfg, tiles, n_layers, layer_is_si, capacity, edges, convection, comp_cells, csr })
     }
 
     /// Total number of cells (tiles × layers).
@@ -457,11 +455,6 @@ impl ThermalGrid {
     /// Whether the cell sits in a silicon layer.
     pub fn is_silicon(&self, cell: usize) -> bool {
         self.layer_is_si[cell / self.tiles.len()]
-    }
-
-    /// Thickness of layer `l` in meters (bottom silicon first).
-    pub fn layer_thickness_m(&self, l: usize) -> f64 {
-        self.layer_h[l]
     }
 }
 

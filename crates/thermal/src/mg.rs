@@ -355,12 +355,6 @@ impl MgTopology {
             Some(coarsest) => coarsest.n > DENSE_MAX,
         }
     }
-
-    /// Number of coarse levels (excluding the fine grid).
-    #[must_use]
-    pub fn n_coarse_levels(&self) -> usize {
-        self.levels.len()
-    }
 }
 
 /// The coarse-level hierarchy plus the coarsest-level dense factorization:

@@ -13,15 +13,22 @@
 //!
 //! Silicon conductivity `k(T) = 150·(300/T)^{4/3}` costs a `powf` per cell.
 //! The temperature drift across one substep is micro-kelvins, so the
-//! optimized paths refresh the non-linear coefficients lazily instead of
-//! every substep: the explicit path every [`K_REFRESH`] stability-bounded
-//! substeps (the seed's own cadence), the semi-implicit path whenever the
-//! temperature field has drifted more than [`REFRESH_DRIFT_K`] since the
-//! last refresh — tight in fast transients, nearly free at steady state.
-//! The lagged coefficients perturb the trajectory orders of magnitude less
-//! than the discretization error (the equivalence tests bound the drift
-//! below 1e-4 K over a transient) while removing the `powf`s and the
-//! per-edge divisions from the per-substep cost.
+//! optimized semi-implicit path refreshes the non-linear coefficients
+//! lazily instead of every substep: whenever the temperature field has
+//! drifted more than [`REFRESH_DRIFT_K`] since the last refresh — tight in
+//! fast transients, nearly free at steady state. The lagged coefficients
+//! perturb the trajectory orders of magnitude less than the discretization
+//! error (the equivalence tests bound the drift below 1e-4 K over a
+//! transient) while removing the `powf`s and the per-edge divisions from
+//! the per-substep cost.
+//!
+//! # One explicit path
+//!
+//! [`Integrator::Explicit`] runs the seed's forward-Euler arithmetic
+//! (per-edge divisions, conductivities refreshed every [`K_REFRESH`]
+//! stability-bounded substeps) on every sweep mode. No preset selects it:
+//! it stays as the independent physics check of the semi-implicit solver,
+//! and a faster copy of it would only be a second path to keep equal.
 //!
 //! # One thread
 //!
@@ -196,10 +203,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSNP";
 /// Version of the snapshot format written by this build.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// Substeps between non-linear coefficient refreshes on the optimized
-/// explicit path (the reference path matches the seed's fixed cadence; the
-/// stability-bounded explicit substep is small enough that 16 substeps of
-/// lag stay in the micro-kelvin range).
+/// Substeps between silicon-conductivity refreshes on the explicit path
+/// (the seed's fixed cadence; the stability-bounded explicit substep is
+/// small enough that 16 substeps of lag stay in the micro-kelvin range).
 const K_REFRESH: u64 = 16;
 
 /// Temperature drift since the last refresh that triggers a coefficient
@@ -759,14 +765,6 @@ impl ThermalModel {
         acc / total.max(f64::MIN_POSITIVE)
     }
 
-    /// Hottest bottom cell of a component.
-    pub fn component_max_temp(&self, comp: ComponentId) -> f64 {
-        self.grid.comp_cells[comp]
-            .iter()
-            .map(|&(tile, _)| self.temps[tile])
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Temperatures of every component (sensor vector for the platform).
     pub fn component_temps(&self) -> Vec<f64> {
         (0..self.comp_power.len()).map(|c| self.component_temp(c)).collect()
@@ -918,23 +916,16 @@ impl ThermalModel {
         }
         match self.cfg.integrator {
             Integrator::Explicit => {
+                // The seed's arithmetic on every sweep mode: this integrator
+                // is the independent physics check of the semi-implicit one.
                 let dt_max = self.stable_dt();
                 let n_sub = (seconds / dt_max).ceil().max(1.0) as u64;
                 let dt = seconds / n_sub as f64;
-                let reference = self.reference_mode();
                 for n in 0..n_sub {
                     if n > 0 && n % K_REFRESH == 0 {
-                        if reference {
-                            self.refresh_conductivities();
-                        } else {
-                            self.refresh_all();
-                        }
+                        self.refresh_conductivities();
                     }
-                    if reference {
-                        self.substep_reference(dt);
-                    } else {
-                        self.substep_csr(dt);
-                    }
+                    self.substep_reference(dt);
                 }
                 if temu_obs::enabled() {
                     substep_obs().substeps_explicit.add(n_sub);
@@ -1210,35 +1201,6 @@ impl ThermalModel {
             omega = tuner.observe(sweep, max_delta);
         }
         (MAX_SWEEPS, max_delta, false)
-    }
-
-    /// One forward-Euler substep on the optimized path: per-cell flow
-    /// accumulation over the CSR entries (each edge is visited from both
-    /// ends, which keeps the update conflict-free and the conservation
-    /// exact — `g·(T_i−T_j)` and `g·(T_j−T_i)` are exact negations).
-    fn substep_csr(&mut self, dt: f64) {
-        let amb = self.cfg.ambient_k;
-        let n = self.temps.len();
-        let rows = &self.grid.csr.rows;
-        let mut out = 0.0;
-        for i in 0..n {
-            let mut f = self.cell_power[i];
-            let t_i = self.temps[i];
-            for k in rows.offsets[i] as usize..rows.offsets[i + 1] as usize {
-                f += self.g_entry[k] * (self.temps[rows.nbr[k] as usize] - t_i);
-            }
-            let q_conv = self.g_conv[i] * (t_i - amb);
-            f -= q_conv;
-            out += q_conv;
-            self.flow[i] = f;
-        }
-        for i in 0..n {
-            self.temps[i] += self.flow[i] * dt / self.grid.capacity[i];
-        }
-        self.energy_in += self.total_power() * dt;
-        self.energy_out += out * dt;
-        self.time += dt;
-        self.substeps += 1;
     }
 
     /// The seed's backward-Euler substep (refresh every substep,
@@ -1887,29 +1849,27 @@ mod tests {
 
     #[test]
     fn optimized_modes_match_reference_trajectory() {
-        // The optimized serial path must track the reference path
-        // within 1e-4 K over a transient, for both integrators.
-        for integrator in [Integrator::SemiImplicit { dt: 5e-4 }, Integrator::Explicit] {
-            let base = GridConfig { integrator, hot_div: 4, ..GridConfig::default() };
-            let mut fp = Floorplan::new("eq", 4000.0, 2000.0);
-            let l = fp.add_component("left", 0.0, 0.0, 1000.0, 2000.0, true);
-            let r = fp.add_component("right", 3000.0, 0.0, 1000.0, 2000.0, true);
-            let build = |sweep| {
-                let cfg = GridConfig { sweep, ..base };
-                let mut m = ThermalModel::new(&fp, &cfg).unwrap();
-                m.set_component_power(l, 2.0);
-                m.set_component_power(r, 0.5);
-                m
-            };
-            let mut reference = build(SweepMode::Reference);
-            let mut serial = build(SweepMode::Serial);
-            for _ in 0..20 {
-                reference.step(0.01);
-                serial.step(0.01);
-            }
-            let ds = max_abs_diff(&reference, &serial);
-            assert!(ds < 1e-4, "serial drift {ds:.2e} K ({integrator:?})");
+        // The optimized serial path must track the reference path within
+        // 1e-4 K over a transient (the explicit integrator has one path).
+        let base = GridConfig { integrator: Integrator::SemiImplicit { dt: 5e-4 }, hot_div: 4, ..GridConfig::default() };
+        let mut fp = Floorplan::new("eq", 4000.0, 2000.0);
+        let l = fp.add_component("left", 0.0, 0.0, 1000.0, 2000.0, true);
+        let r = fp.add_component("right", 3000.0, 0.0, 1000.0, 2000.0, true);
+        let build = |sweep| {
+            let cfg = GridConfig { sweep, ..base };
+            let mut m = ThermalModel::new(&fp, &cfg).unwrap();
+            m.set_component_power(l, 2.0);
+            m.set_component_power(r, 0.5);
+            m
+        };
+        let mut reference = build(SweepMode::Reference);
+        let mut serial = build(SweepMode::Serial);
+        for _ in 0..20 {
+            reference.step(0.01);
+            serial.step(0.01);
         }
+        let ds = max_abs_diff(&reference, &serial);
+        assert!(ds < 1e-4, "serial drift {ds:.2e} K");
     }
 
     #[test]
