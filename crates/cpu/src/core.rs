@@ -17,7 +17,7 @@
 //! predecoded instructions of straight-line code, ending at (and
 //! including) the first control transfer or `halt`, or before an
 //! undecodable word. Loads, stores and `tas` stay inside a block: each
-//! one's data phase runs in place, right after its fetch phase, under the
+//! one's data phase runs right after its fetch phase, under the
 //! rule `run_local` applies between phases (local time below the limit,
 //! address below the core-local end); where the rule fails, the block
 //! stops with the access parked. A store or `tas` over the block's own
@@ -27,19 +27,30 @@
 //! checkpoints need no invalidation.
 //!
 //! A fetch that stays on the I-cache line fetched before is a hit, since
-//! only this core's fetches touch its I-cache; those hits are booked in
-//! one update. A fetch on a new line — the block's first, and each line
-//! change — is a tag probe ([`MemoryPort::fetch_hits`] with one hit): a
-//! present line books the hit, and only an absent one goes through the
-//! full [`MemoryPort::fetch`], which misses as before. Every cycle,
-//! counter, cache tag, LRU stamp and access tick ends exactly where
-//! phase-at-a-time execution leaves it. Text with no block (outside the
-//! private cacheable range, without an I-cache, misaligned or
+//! only this core's fetches touch its I-cache. A fetch on a new line — the
+//! block's first, and each line change — is a tag probe
+//! ([`MemoryPort::fetch_hits`] with one fetch): a present line books the
+//! hit, and only an absent one goes through the full
+//! [`MemoryPort::fetch`], which misses as before. An entry that fetches
+//! every instruction of its block with every probe hitting records the
+//! I-cache's generation ([`Text::generation`]), which the port changes
+//! whenever a line may leave the I-cache; while it reads the same, all
+//! the block's lines are still present and the block runs warm, with no
+//! probe. Hits are booked in one `fetch_hits` over the run since the last
+//! probe (warm: since the block's start), before the next probe, at the
+//! block's end and before a data fault is returned. A load or store that
+//! hits the core's private D-cache runs in place
+//! ([`MemoryPort::data_hit`]); every other data access (a miss, shared
+//! or MMIO data, `tas`, a write-through store, an access the port
+//! declines) goes through the full [`MemoryPort::read`], `write` or `tas`.
+//! Every cycle, counter, cache tag, LRU stamp and access tick ends exactly
+//! where phase-at-a-time execution leaves it. Text with no block (outside
+//! the private cacheable range, without an I-cache, misaligned or
 //! undecodable) runs one phase at a time, and [`Cpu::step`] always does:
-//! it is what the shared-phase order and the `temu-des` baseline run,
-//! with no block code in its path.
+//! it is what the shared-phase order and the `temu-des` baseline run, with
+//! no block code in its path.
 
-use crate::port::MemoryPort;
+use crate::port::{MemReply, MemoryPort, Text};
 use crate::regfile::RegFile;
 use crate::stats::CoreStats;
 use std::error::Error;
@@ -201,13 +212,18 @@ struct Block {
     pc: u32,
     /// Instructions in the block; 0 when its first word does not decode.
     len: usize,
+    /// The I-cache generation ([`Text::generation`]) at the end of an entry
+    /// that fetched every instruction with every line probe hitting: while
+    /// the I-cache reports it, all the block's lines are present.
+    warm: Option<u64>,
     /// The text the block was decoded from; its first `4 * len` bytes count.
     bytes: [u8; BLOCK_BYTES as usize],
     instrs: [Instr; BLOCK_LEN],
 }
 
 impl Block {
-    const EMPTY: Block = Block { pc: 0, len: 0, bytes: [0; BLOCK_BYTES as usize], instrs: [Instr::NOP; BLOCK_LEN] };
+    const EMPTY: Block =
+        Block { pc: 0, len: 0, warm: None, bytes: [0; BLOCK_BYTES as usize], instrs: [Instr::NOP; BLOCK_LEN] };
 
     /// Decodes the block at `pc` from `text`, the text from `pc` on; kept
     /// out of line so the cache's hit path stays small.
@@ -243,7 +259,7 @@ impl BlockCache {
     /// The block at `pc`, decoded again from `text` (the text from `pc` on)
     /// unless its slot holds one decoded from the same bytes.
     #[inline]
-    fn get(&mut self, pc: u32, text: &[u8]) -> &Block {
+    fn get(&mut self, pc: u32, text: &[u8]) -> &mut Block {
         if self.slots.is_empty() {
             self.slots = vec![Block::EMPTY; BLOCK_SLOTS];
         }
@@ -382,10 +398,11 @@ impl Cpu {
     /// Fetch phases run as blocks where the port offers the text
     /// ([`MemoryPort::text`]): each phase of a block after its first — a
     /// fetch, or the data phase of a load, store or `tas` — runs under the
-    /// same `limit` and `local_end` rule, and a fetch that hits the I-cache
-    /// is booked through [`MemoryPort::fetch_hits`]. The result —
-    /// state, counters and cache — is the one phase-at-a-time execution
-    /// gives, which remains the path for text with no block.
+    /// same `limit` and `local_end` rule, fetches that hit the I-cache are
+    /// booked through [`MemoryPort::fetch_hits`] (with no probe in a warm
+    /// block) and D-cache hits run through [`MemoryPort::data_hit`]. The
+    /// result — state, counters and cache — is the one phase-at-a-time
+    /// execution gives, which remains the path for text with no block.
     ///
     /// # Errors
     ///
@@ -420,6 +437,14 @@ impl Cpu {
             self.pending = Some((op, pc)); // stay at the faulting phase
             CpuError::Mem { pc, err }
         })?;
+        self.retire_data(op, pc, reply);
+        Ok(StepOutcome::Executed)
+    }
+
+    /// Ends the data phase of `op`, owned by the instruction at `pc`, with
+    /// the access's `reply`.
+    #[inline(always)]
+    fn retire_data(&mut self, op: DataOp, pc: u32, reply: MemReply) {
         match op {
             DataOp::Load { rd, width, signed, .. } => {
                 self.regs.write(rd, extend(reply.value, width, signed));
@@ -431,13 +456,12 @@ impl Cpu {
                 self.stats.loads += 1;
             }
         }
-        let elapsed = reply.done_at - t;
+        let elapsed = reply.done_at - self.time;
         self.stats.stall_cycles += reply.stall;
         self.stats.active_cycles += elapsed - reply.stall;
         self.stats.instructions += 1;
         self.time = reply.done_at;
         self.pc = pc.wrapping_add(4);
-        Ok(StepOutcome::Executed)
     }
 
     fn fetch_phase<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Result<StepOutcome, CpuError> {
@@ -454,57 +478,80 @@ impl Cpu {
     /// `limit` and `local_end` rule as [`Cpu::run_local`] between phases;
     /// returns `false`, having run nothing, when the PC has no block.
     ///
-    /// A fetch on a new I-cache line (the block's first, or a line change)
-    /// probes the line with one [`MemoryPort::fetch_hits`] and goes through
-    /// [`MemoryPort::fetch`] only when the line is absent. The fetches after
-    /// it on that line are hits, since only this core's fetches touch its
-    /// I-cache, and are booked in one `fetch_hits` before the next line's
-    /// probe, at the block's end and before a data-phase fault is returned.
-    /// A memory instruction's data phase runs in place after its fetch; a
-    /// store or `tas` over the block's own text ends the block.
+    /// A block that fetched every instruction of an entry with every line
+    /// probe hitting records the I-cache generation ([`Text::generation`]),
+    /// and runs warm while the I-cache reports the same one: all its lines
+    /// are still present, so it fetches with no probe. See
+    /// [`Cpu::run_decoded`] for the loop.
     fn run_block<P: MemoryPort + ?Sized>(&mut self, port: &mut P, limit: u64, local_end: u64) -> Result<bool, CpuError> {
         let Some(text) = port.text(self.id, self.pc, BLOCK_BYTES) else { return Ok(false) };
-        let (line_shift, hit_latency) = (text.line_shift, u64::from(text.hit_latency));
+        let Text { line_shift, hit_latency, generation, .. } = text;
         // The table moves out while the block runs, so the block is
         // borrowed from it rather than copied.
         let mut blocks = std::mem::take(&mut self.blocks);
         let block = blocks.get(self.pc, text.bytes);
         let ran = block.len > 0;
-        let result = if ran { self.run_decoded(port, block, line_shift, hit_latency, limit, local_end) } else { Ok(()) };
+        let result = if ran {
+            let warm = block.warm == Some(generation);
+            self.run_decoded(port, block, warm, line_shift, u64::from(hit_latency), limit, local_end).map(|all_hit| {
+                if all_hit {
+                    block.warm = Some(generation);
+                }
+            })
+        } else {
+            Ok(())
+        };
         self.blocks = blocks;
         result.map(|()| ran)
     }
 
     /// The loop of [`Cpu::run_block`] over `block`, which starts at the PC,
-    /// behind I-cache lines of `1 << line_shift` bytes.
+    /// behind I-cache lines of `1 << line_shift` bytes; returns whether it
+    /// fetched every instruction of the block and every fetch hit.
+    ///
+    /// Cold, a fetch on a new line (the block's first, or a line change)
+    /// probes the line with one [`MemoryPort::fetch_hits`] and goes through
+    /// [`MemoryPort::fetch`] only when the line is absent; the fetches
+    /// after it on that line are hits, since only this core's fetches touch
+    /// its I-cache. `warm`, every fetch is a hit. Hits are booked in one
+    /// `fetch_hits` over the run since the last probe (warm: since the
+    /// block's start), before the next probe, at the block's end and before
+    /// a data-phase fault is returned. A memory instruction's data phase
+    /// runs in place after its fetch, a private D-cache hit without a full
+    /// access ([`MemoryPort::data_hit`]); a store or `tas` over the block's
+    /// own text ends the block.
+    #[allow(clippy::too_many_arguments)] // the block loop's invariants, hoisted out of it
     fn run_decoded<P: MemoryPort + ?Sized>(
         &mut self,
         port: &mut P,
         block: &Block,
+        warm: bool,
         line_shift: u32,
         hit_latency: u64,
         limit: u64,
         local_end: u64,
-    ) -> Result<(), CpuError> {
+    ) -> Result<bool, CpuError> {
         let text_start = u64::from(block.pc);
         let text_end = text_start + 4 * block.len as u64;
-        let mut line = u32::MAX; // the line fetched last; none yet
-        let mut hits = 0; // fetch hits on `line` not yet booked
-        for (i, &instr) in block.instrs[..block.len].iter().enumerate() {
+        let mut line = u32::MAX; // the line probed last; none yet
+        let (mut first, mut hits) = (block.pc, 0); // fetch hits from `first` on, not booked yet
+        let (mut fetched, mut missed) = (0, false);
+        for &instr in &block.instrs[..block.len] {
             let (pc, t0) = (self.pc, self.time);
-            if i > 0 && (t0 >= limit || u64::from(pc) >= local_end) {
+            if fetched > 0 && (t0 >= limit || u64::from(pc) >= local_end) {
                 break;
             }
-            if pc >> line_shift == line {
+            fetched += 1;
+            if warm || pc >> line_shift == line {
                 hits += 1;
                 self.execute(instr, pc, t0, t0 + hit_latency, 0);
             } else {
-                self.book_hits(port, line << line_shift, hits);
-                hits = 0;
-                line = pc >> line_shift;
+                self.book_hits(port, first, hits);
+                (line, first, hits) = (pc >> line_shift, pc.wrapping_add(4), 0);
                 if port.fetch_hits(self.id, pc, 1) {
                     self.execute(instr, pc, t0, t0 + hit_latency, 0);
                 } else {
+                    missed = true;
                     let fetch = port.fetch(self.id, pc, t0).map_err(|err| CpuError::Mem { pc, err })?;
                     self.execute(instr, pc, t0, fetch.done_at, fetch.stall);
                 }
@@ -514,24 +561,42 @@ impl Cpu {
                 break;
             }
             self.pending = None;
-            if let Err(err) = self.data_phase(port, op, op_pc) {
-                self.book_hits(port, line << line_shift, hits);
+            if let Err(err) = self.block_data_phase(port, op, op_pc) {
+                self.book_hits(port, first, hits);
                 return Err(err);
             }
             if op.writes_into(text_start, text_end) {
                 break;
             }
         }
-        self.book_hits(port, line << line_shift, hits);
+        self.book_hits(port, first, hits);
+        Ok(fetched == block.len && !missed)
+    }
+
+    /// The data phase of a block's memory instruction: in place when the
+    /// port performs it as a D-cache hit, else as [`Cpu::data_phase`].
+    #[inline(always)]
+    fn block_data_phase<P: MemoryPort + ?Sized>(&mut self, port: &mut P, op: DataOp, pc: u32) -> Result<(), CpuError> {
+        let hit = match op {
+            DataOp::Load { addr, width, .. } => port.data_hit(self.id, addr, width, None, self.time),
+            DataOp::Store { addr, width, value } => port.data_hit(self.id, addr, width, Some(value), self.time),
+            DataOp::Tas { .. } => None,
+        };
+        match hit {
+            Some(reply) => self.retire_data(op, pc, reply),
+            None => {
+                self.data_phase(port, op, pc)?;
+            }
+        }
         Ok(())
     }
 
-    /// Books `hits` fetch hits on the I-cache line holding `pc`, which the
-    /// running block fetched last.
-    fn book_hits<P: MemoryPort + ?Sized>(&self, port: &mut P, pc: u32, hits: u32) {
+    /// Books `hits` fetch hits on the words from `first` on, which the
+    /// running block fetched.
+    fn book_hits<P: MemoryPort + ?Sized>(&self, port: &mut P, first: u32, hits: u32) {
         if hits > 0 {
-            let present = port.fetch_hits(self.id, pc, hits);
-            debug_assert!(present, "only this core's fetches touch its I-cache");
+            let present = port.fetch_hits(self.id, first, hits);
+            debug_assert!(present, "the lines of a block's fetch hits stay present until it books them");
         }
     }
 
@@ -893,27 +958,29 @@ mod tests {
     }
 
     /// A [`TestPort`] that offers all its text as blocks behind 16-byte
-    /// lines with 1-cycle hits (which its fetches take). A line is present
-    /// once a full fetch has touched it. The port counts the full fetches,
-    /// the hits a probe of a line other than the one touched last books
-    /// (always one), and the hits booked on the line touched last.
+    /// lines with 1-cycle hits (which its fetches take), and performs loads
+    /// and stores below 0x800 as 1-cycle D-cache hits (which its reads and
+    /// writes take). A line is present once a full fetch has touched it,
+    /// and each full fetch moves the generation. The port counts the full
+    /// fetches, logs every booked run of fetch hits as `(first pc, hits)`
+    /// and counts the data hits.
     struct BlockPort {
         inner: TestPort,
         present: Vec<u32>,
-        last: Option<u32>,
+        generation: u64,
         fetches: u64,
-        probed_hits: u64,
-        bulk_hits: u64,
+        booked: Vec<(u32, u32)>,
+        data_hits: u64,
     }
 
     impl BlockPort {
         fn new(inner: TestPort) -> BlockPort {
-            BlockPort { inner, present: Vec::new(), last: None, fetches: 0, probed_hits: 0, bulk_hits: 0 }
+            BlockPort { inner, present: Vec::new(), generation: 0, fetches: 0, booked: Vec::new(), data_hits: 0 }
         }
 
-        /// Instructions fetched, by any of the three means.
+        /// Instructions fetched, by either means.
         fn fetched(&self) -> u64 {
-            self.fetches + self.probed_hits + self.bulk_hits
+            self.fetches + self.booked.iter().map(|&(_, hits)| u64::from(hits)).sum::<u64>()
         }
     }
 
@@ -923,7 +990,7 @@ mod tests {
             let line = pc >> 4;
             assert!(!self.present.contains(&line), "a present line is probed, not fetched");
             self.present.push(line);
-            self.last = Some(line);
+            self.generation += 1;
             self.inner.fetch(core, pc, now)
         }
 
@@ -941,22 +1008,27 @@ mod tests {
 
         fn text(&self, _core: usize, pc: u32, len: u32) -> Option<Text<'_>> {
             let len = len.min(self.inner.mem.size() - pc);
-            Some(Text { bytes: self.inner.mem.slice(pc, len), line_shift: 4, hit_latency: 1 })
+            Some(Text { bytes: self.inner.mem.slice(pc, len), line_shift: 4, hit_latency: 1, generation: self.generation })
         }
 
         fn fetch_hits(&mut self, _core: usize, pc: u32, hits: u32) -> bool {
-            let line = pc >> 4;
-            if !self.present.contains(&line) {
+            if !(pc >> 4..=(pc + 4 * hits - 4) >> 4).all(|line| self.present.contains(&line)) {
                 return false;
             }
-            if self.last == Some(line) {
-                self.bulk_hits += u64::from(hits);
-            } else {
-                assert_eq!(hits, 1, "hits in bulk go to the line touched last");
-                self.probed_hits += 1;
-                self.last = Some(line);
-            }
+            self.booked.push((pc, hits));
             true
+        }
+
+        fn data_hit(&mut self, core: usize, addr: u32, width: Width, store: Option<u32>, now: u64) -> Option<MemReply> {
+            if addr >= 0x800 {
+                return None;
+            }
+            self.data_hits += 1;
+            Some(match store {
+                None => self.inner.read(core, addr, width, now),
+                Some(value) => self.inner.write(core, addr, width, value, now),
+            }
+            .expect("aligned test accesses"))
         }
     }
 
@@ -981,8 +1053,15 @@ mod tests {
         assert_eq!(blocks.inner.mem, port.mem);
         assert_eq!(blocks.fetched(), cpu.stats().instructions, "every instruction fetched once");
         assert_eq!(blocks.fetches, 3, "one full fetch per line");
-        assert!(blocks.probed_hits > 0, "new lines were probed");
-        assert!(blocks.bulk_hits > 0, "fetches were booked in bulk");
+        assert_eq!(blocks.data_hits, 14, "every load and store ran in place");
+        // The first pass runs the block at 0 and fills the three lines; the
+        // second enters the loop block at 4, probes its three lines and
+        // finds them present; passes 3 to 7 run it warm, each booking its
+        // eight fetches in one run with no probe and no full fetch.
+        assert_eq!(&blocks.booked[..2], [(4, 3), (0x14, 3)], "the first pass books the hits after each fill");
+        assert_eq!(&blocks.booked[2..7], [(4, 1), (8, 2), (0x10, 1), (0x14, 3), (0x20, 1)], "the cold pass probes");
+        assert_eq!(&blocks.booked[7..12], [(4, 8); 5], "warm passes book one run each");
+        assert_eq!(&blocks.booked[12..], [(0x24, 1)], "the halt block probes its line");
 
         // A limit or a local end inside a block stops it at the same phase,
         // also between a load's or store's fetch and its data access, and

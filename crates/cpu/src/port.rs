@@ -26,6 +26,11 @@ pub struct Text<'a> {
     pub line_shift: u32,
     /// Cycles an I-cache hit takes.
     pub hit_latency: u32,
+    /// The I-cache's generation: a value that changes whenever a line may
+    /// have left the I-cache (a fill, an invalidation, a restore), so
+    /// lines that were all present at one generation still are while it
+    /// reads the same.
+    pub generation: u64,
 }
 
 /// Interface between a core and its memory controller.
@@ -35,15 +40,22 @@ pub struct Text<'a> {
 /// attributes statistics). Implementations perform the *functional* access
 /// immediately and model all timing in the returned [`MemReply`].
 ///
-/// The two provided methods let a core run straight-line code as a block:
-/// [`MemoryPort::text`] hands it the instruction bytes, and
-/// [`MemoryPort::fetch_hits`] books I-cache fetch hits without a fetch —
-/// a probe of one hit on each new line, and in one update the hits that
-/// follow on that line. Their defaults decline, so every fetch then goes
-/// through [`MemoryPort::fetch`]; a port that answers `text` books hits.
-/// A block runs its loads, stores and `tas` through [`MemoryPort::read`],
-/// [`MemoryPort::write`] and [`MemoryPort::tas`] between its fetches, as
-/// phase-at-a-time execution does.
+/// The three provided methods let a core run straight-line code as a
+/// block with its core-local cache hits kept off the full access path:
+/// [`MemoryPort::text`] hands it the instruction bytes and the I-cache's
+/// generation, [`MemoryPort::fetch_hits`] books a run of I-cache fetch hits
+/// without a fetch, and [`MemoryPort::data_hit`] performs a load or store
+/// that hits the core's private D-cache in place. Their defaults decline,
+/// so every access then goes through [`MemoryPort::fetch`],
+/// [`MemoryPort::read`] and [`MemoryPort::write`], as phase-at-a-time
+/// execution does.
+///
+/// A port that answers `text` books fetch hits, and must change the
+/// generation it reports whenever a line may have left the I-cache: a
+/// core runs a block whose lines were all present at the generation it
+/// reads again without probing them. A block books its fetch hits after
+/// the data accesses between them, so data accesses must leave the I-cache
+/// alone.
 pub trait MemoryPort {
     /// Instruction fetch of the word at `pc`.
     ///
@@ -74,22 +86,35 @@ pub trait MemoryPort {
     /// Returns [`MemError`] for unmapped, misaligned or out-of-range access.
     fn tas(&mut self, core: usize, addr: u32, now: u64) -> Result<MemReply, MemError>;
 
-    /// The bytes of `[pc, pc + len)` — fewer where the range ends — when
-    /// `pc` is 4-aligned text in the core's private cacheable range behind
-    /// an I-cache, so that a fetch there has no effect beyond the I-cache
-    /// and its miss traffic to private memory; `None` otherwise (the
-    /// default).
+    /// The bytes of `[pc, pc + len)` — fewer where the range ends — with
+    /// the I-cache's geometry and generation, when `pc` is 4-aligned text
+    /// in the core's private cacheable range behind an I-cache, so that a
+    /// fetch there has no effect beyond the I-cache and its miss traffic to
+    /// private memory; `None` otherwise (the default).
     fn text(&self, _core: usize, _pc: u32, _len: u32) -> Option<Text<'_>> {
         None
     }
 
-    /// When the I-cache line holding `pc` is present, books `hits` fetch
-    /// hits on it, exactly as that many [`MemoryPort::fetch`] calls on the
-    /// line would, and returns `true`. When it is absent, changes nothing
-    /// and returns `false` (the default); the core then fetches `pc`
-    /// through [`MemoryPort::fetch`], which misses. Only called for text
-    /// [`MemoryPort::text`] answered.
-    fn fetch_hits(&mut self, _core: usize, _pc: u32, _hits: u32) -> bool {
+    /// When every I-cache line holding a word of `[pc, pc + 4 * fetches)`
+    /// is present, books `fetches` fetch hits on them, exactly as that many
+    /// [`MemoryPort::fetch`] calls on `pc`, `pc + 4`, … in turn would, and
+    /// returns `true`. Otherwise changes nothing and returns `false` (the
+    /// default); the core then fetches `pc` through [`MemoryPort::fetch`],
+    /// which misses. Only called for text [`MemoryPort::text`] answered.
+    fn fetch_hits(&mut self, _core: usize, _pc: u32, _fetches: u32) -> bool {
         false
+    }
+
+    /// Performs a load of `width` bytes at `addr` (`store` is `None`) or a
+    /// store of the low `width` bytes of the value in `store`, starting at
+    /// `now`, when it is a hit with no effect beyond the core's own
+    /// D-cache and private memory: width-aligned, inside the core's private
+    /// cacheable range, on a present D-cache line and, for a store, under
+    /// write-back. Books it exactly as [`MemoryPort::read`] or
+    /// [`MemoryPort::write`] would and returns their reply. Declines,
+    /// changing nothing, for every other access (the default); the core
+    /// then runs it through `read` or `write`.
+    fn data_hit(&mut self, _core: usize, _addr: u32, _width: Width, _store: Option<u32>, _now: u64) -> Option<MemReply> {
+        None
     }
 }

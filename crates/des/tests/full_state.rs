@@ -35,7 +35,7 @@ use temu_des::DesMachine;
 use temu_interconnect::Arbitration;
 use temu_isa::asm::assemble;
 use temu_isa::{Program, Reg};
-use temu_mem::{CacheConfig, MemError};
+use temu_mem::{CacheConfig, MemError, WritePolicy};
 use temu_platform::{Machine, PlatformConfig, SnifferMode, Uncore, MMIO_FREQ_MHZ, MMIO_SNIFFER_CTRL};
 use temu_state::StateWriter;
 
@@ -405,6 +405,108 @@ fn blocks_crossing_into_lines_that_miss() {
         pair.run_to_halt();
         let icache = pair.fast.uncore().cache_stats(0).0.copied().expect("an I-cache");
         assert!(icache.misses > 100, "{what}: every pass misses ({icache:?})");
+    }
+}
+
+/// 48 passes of a loop over three I-cache lines (0x04–0x2B) that calls
+/// `clash` every fourth pass. `clash` sits at 0x84: on a 128-byte
+/// direct-mapped I-cache it maps onto the loop's sets and evicts the lines
+/// the loop's blocks ran from while warm.
+const CLASHING_CALLS: &str = "
+    start: li   r1, 48
+    loop:  addi r2, r2, 1
+           addi r3, r3, 2
+           xor  r4, r2, r3
+           add  r5, r5, r4
+           slli r6, r5, 1
+           andi r9, r1, 3
+           bnez r9, skip
+           call clash
+    skip:  addi r1, r1, -1
+           bnez r1, loop
+           halt
+           .org 0x84
+    clash: addi r10, r10, 1
+           addi r11, r11, 3
+           xor  r12, r10, r11
+           add  r13, r13, r12
+           slli r14, r13, 2
+           sub  r15, r14, r10
+           or   r16, r15, r11
+           and  r17, r16, r14
+           addi r18, r18, 5
+           xor  r19, r18, r17
+           ret
+";
+
+#[test]
+fn warm_blocks_whose_lines_a_call_evicts() {
+    let program = assemble(CLASHING_CALLS).expect("valid asm");
+    assert_eq!((program.symbol("loop"), program.symbol("clash")), (0x04, 0x84));
+    for cores in [1, 2] {
+        let platform = small_icache_bus(cores, 8, 1);
+        let what = format!("{cores} core(s)");
+        at_halt(&platform, &program, &what);
+        at_boundaries(&platform, &program, &[ODD_WINDOW, 13], &what);
+        let mut pair = Pair::new(&platform, &program);
+        pair.run_to_halt();
+        let icache = pair.fast.uncore().cache_stats(0).0.copied().expect("an I-cache");
+        assert!(icache.misses > 30, "{what}: each call evicts the loop ({icache:?})");
+    }
+}
+
+/// 40 passes over two private words 0x4000 and 0x4010, and 0x5000, which
+/// maps onto the first word's D-cache line on a 4 KB direct-mapped D-cache.
+/// Each pass loads the first word's line clean and stores into it, then a
+/// conflicting load evicts it and the next load brings it back clean for
+/// two stores more; the other line is stored to while dirty.
+const STORES_ON_CLEAN_LINES: &str = "
+    start: li   r1, 40
+           li   r2, 0x4000
+           li   r3, 0x5000
+    loop:  lw   r4, 0(r2)
+           addi r4, r4, 1
+           sw   r4, 0(r2)
+           lw   r5, 0(r3)
+           add  r6, r6, r5
+           lw   r7, 4(r2)
+           sh   r7, 6(r2)
+           sb   r1, 9(r2)
+           lbu  r8, 9(r2)
+           sw   r8, 16(r2)
+           lw   r9, 16(r2)
+           sw   r9, 20(r2)
+           addi r1, r1, -1
+           bnez r1, loop
+           halt
+";
+
+#[test]
+fn store_hits_on_clean_lines() {
+    let program = assemble(STORES_ON_CLEAN_LINES).expect("valid asm");
+    let write_through = |cores| {
+        let mut platform = PlatformConfig::paper_bus(cores);
+        platform.dcache = Some(CacheConfig { write_policy: WritePolicy::WriteThrough, ..CacheConfig::paper_l1_4k() });
+        platform
+    };
+    let platforms = [
+        ("write-back, 1 core", PlatformConfig::paper_bus(1)),
+        ("write-back, 2 cores", PlatformConfig::paper_bus(2)),
+        ("write-through, 1 core", write_through(1)),
+        ("write-through, 2 cores", write_through(2)),
+        ("event logging, 1 core", event_logging_bus(1)),
+    ];
+    for (what, platform) in platforms {
+        at_halt(&platform, &program, what);
+        at_boundaries(&platform, &program, &[ODD_WINDOW, 13], what);
+        let mut pair = Pair::new(&platform, &program);
+        pair.run_to_halt();
+        let dcache = pair.fast.uncore().cache_stats(0).1.copied().expect("a D-cache");
+        if platform.dcache.is_some_and(|c| c.write_policy == WritePolicy::WriteThrough) {
+            assert_eq!(dcache.write_throughs, 5 * 40, "{what}: every store goes to memory ({dcache:?})");
+        } else {
+            assert!(dcache.writebacks >= 40, "{what}: each pass writes the dirtied line back ({dcache:?})");
+        }
     }
 }
 

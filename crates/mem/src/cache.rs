@@ -136,6 +136,8 @@ pub struct Cache {
     line_shift: u32,
     /// `log2(sets)`: a line index splits into `tag << set_bits | set`.
     set_bits: u32,
+    /// See [`Cache::generation`]; never saved.
+    generation: u64,
 }
 
 impl Cache {
@@ -158,6 +160,7 @@ impl Cache {
             stats: CacheStats::default(),
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_bits: cfg.sets().trailing_zeros(),
+            generation: 0,
         }
     }
 
@@ -181,6 +184,14 @@ impl Cache {
         std::mem::take(&mut self.stats)
     }
 
+    /// A host-side count that changes on every line fill, on
+    /// [`Cache::invalidate_all`] and on [`Cache::load_state`], and on
+    /// nothing else: while it stays the same, every line that was present
+    /// still is. It is not part of the cache's state and is never saved.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Base address of the line containing `addr`.
     #[inline]
     pub fn line_base(&self, addr: u32) -> u32 {
@@ -190,8 +201,22 @@ impl Cache {
     /// The set `addr` maps to, and its tag there.
     #[inline]
     fn set_and_tag(&self, addr: u32) -> (u32, u32) {
-        let line = addr >> self.line_shift;
+        self.split(addr >> self.line_shift)
+    }
+
+    /// The set of line index `line`, and its tag there.
+    #[inline]
+    fn split(&self, line: u32) -> (u32, u32) {
         (line & ((1 << self.set_bits) - 1), line >> self.set_bits)
+    }
+
+    /// Index into `lines` of line index `line`, when it is present.
+    #[inline]
+    fn find(&self, line: u32) -> Option<usize> {
+        let (set, tag) = self.split(line);
+        let ways = self.cfg.ways as usize;
+        let base = set as usize * ways;
+        self.lines[base..base + ways].iter().position(|l| l.valid && l.tag == tag).map(|way| base + way)
     }
 
     /// Performs one access, updating tags, LRU and statistics, and reports
@@ -250,26 +275,61 @@ impl Cache {
             victim.dirty = is_write;
             victim.tag = tag;
             victim.lru = self.tick;
+            self.generation += 1;
             CacheResponse::Miss { writeback_addr }
         }
     }
 
-    /// When the line holding `addr` is present, books `k` read hits on it,
-    /// exactly as `k` [`Cache::access`] calls would — the tick, the read and
-    /// hit counters and the line's LRU stamp all end where those calls
-    /// leave them — and returns `true`. When it is absent, changes nothing
-    /// and returns `false`.
-    pub fn try_hits(&mut self, addr: u32, k: u64) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        let ways = self.cfg.ways as usize;
-        let base = set as usize * ways;
-        let Some(line) = self.lines[base..base + ways].iter_mut().find(|l| l.valid && l.tag == tag) else {
+    /// When every line holding a word of `[addr, addr + 4 * words)` is
+    /// present, books `words` read hits on them, exactly as [`Cache::access`]
+    /// calls on `addr`, `addr + 4`, … in turn would — the tick, the read
+    /// and hit counters and each line's LRU stamp all end where those calls
+    /// leave them — and returns `true`. Otherwise changes nothing and
+    /// returns `false`. `addr` is word-aligned.
+    pub fn try_hits(&mut self, addr: u32, words: u32) -> bool {
+        if words == 0 {
+            return true;
+        }
+        let end = u64::from(addr) + 4 * u64::from(words);
+        let lines = (addr >> self.line_shift)..=((end - 1) >> self.line_shift) as u32;
+        if !lines.clone().all(|line| self.find(line).is_some()) {
             return false;
-        };
-        self.tick += k;
+        }
+        let mut at = u64::from(addr);
+        for line in lines {
+            let line_end = (u64::from(line) + 1) << self.line_shift;
+            let i = self.find(line).expect("checked present");
+            self.tick += (line_end.min(end) - at) / 4;
+            self.lines[i].lru = self.tick;
+            at = line_end;
+        }
+        self.stats.reads += u64::from(words);
+        self.stats.hits += u64::from(words);
+        true
+    }
+
+    /// When a `kind` access to `addr` hits with no memory traffic — the
+    /// line is present, and the access is a read or, under write-back, a
+    /// write — books it exactly as [`Cache::access`] would (the tick, the
+    /// read or write counter, the hit counter, the line's LRU stamp and,
+    /// for a write, its dirty bit) and returns `true`. Otherwise changes
+    /// nothing and returns `false`.
+    pub fn try_hit(&mut self, addr: u32, kind: AccessKind) -> bool {
+        let is_write = kind == AccessKind::Write;
+        if is_write && self.cfg.write_policy == WritePolicy::WriteThrough {
+            return false;
+        }
+        let Some(i) = self.find(addr >> self.line_shift) else { return false };
+        self.tick += 1;
+        let line = &mut self.lines[i];
         line.lru = self.tick;
-        self.stats.reads += k;
-        self.stats.hits += k;
+        if is_write {
+            line.dirty = true;
+            self.stats.writes += 1;
+        } else {
+            self.stats.reads += 1;
+        }
+        self.stats.hits += 1;
         true
     }
 
@@ -278,6 +338,7 @@ impl Cache {
         for l in &mut self.lines {
             *l = Line::default();
         }
+        self.generation += 1;
     }
 
     /// Serializes tags, LRU state, the access tick and statistics.
@@ -300,6 +361,7 @@ impl Cache {
     /// Returns [`StateError::BadLength`] if the recorded geometry differs
     /// from this cache's, or a decode error on a corrupt stream.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
+        self.generation += 1;
         let n = r.usize()?;
         if n != self.lines.len() {
             return Err(StateError::BadLength { found: n as u64, max: self.lines.len() as u64 });
@@ -465,12 +527,7 @@ mod tests {
         for addr in [0x04, 0x08, 0x0C] {
             assert_eq!(one.access(addr, AccessKind::Fetch), CacheResponse::Hit);
         }
-        assert!(bulk.try_hits(0x0C, 3), "the line is present");
-        let state = |c: &Cache| {
-            let mut w = StateWriter::new(*b"TEST", 1);
-            c.save_state(&mut w);
-            w.into_bytes()
-        };
+        assert!(bulk.try_hits(0x04, 3), "the line is present");
         assert_eq!(state(&one), state(&bulk));
         assert_eq!(bulk.stats().hits, 3);
 
@@ -488,6 +545,101 @@ mod tests {
         assert_eq!(one.access(0x00, AccessKind::Fetch), CacheResponse::Hit);
         assert_eq!(one.access(0x44, AccessKind::Fetch), CacheResponse::Hit);
         assert_eq!(state(&one), state(&bulk));
+    }
+
+    fn state(c: &Cache) -> Vec<u8> {
+        let mut w = StateWriter::new(*b"TEST", 1);
+        c.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn fetch_hit_runs_across_lines_book_what_per_line_runs_do() {
+        // Two ways, so the LRU stamps decide later victims.
+        let cfg = CacheConfig { size_bytes: 128, line_bytes: 16, ways: 2, hit_latency: 1, write_policy: WritePolicy::WriteBack };
+        let (mut lines, mut run) = (Cache::new(cfg, CacheKind::Instruction), Cache::new(cfg, CacheKind::Instruction));
+        for c in [&mut lines, &mut run] {
+            for addr in [0x00, 0x10, 0x20, 0x30] {
+                c.access(addr, AccessKind::Fetch);
+            }
+        }
+        // Eleven fetches from 0x08: two on the first line, four on each of
+        // the next two, one on the last.
+        for (addr, words) in [(0x08, 2), (0x10, 4), (0x20, 4), (0x30, 1)] {
+            assert!(lines.try_hits(addr, words));
+        }
+        assert!(run.try_hits(0x08, 11));
+        assert_eq!(state(&lines), state(&run));
+        assert_eq!(run.stats().hits, 11);
+        assert!(run.try_hits(0x34, 0), "an empty run books nothing");
+        assert_eq!(state(&lines), state(&run));
+
+        // A run over any absent line books nothing, not even on the
+        // present lines before it.
+        let before = state(&run);
+        assert!(!run.try_hits(0x30, 5), "0x40 is absent");
+        assert!(!run.try_hits(0x7C, 1));
+        assert_eq!(state(&run), before);
+    }
+
+    #[test]
+    fn generation_moves_on_fills_invalidation_and_restore_only() {
+        let mut c = dm_cache();
+        let moved = |c: &mut Cache, f: &dyn Fn(&mut Cache)| {
+            let g = c.generation();
+            f(c);
+            c.generation() != g
+        };
+        assert!(moved(&mut c, &|c| assert_eq!(c.access(0x00, AccessKind::Read), CacheResponse::Miss { writeback_addr: None })));
+        assert!(!moved(&mut c, &|c| assert_eq!(c.access(0x04, AccessKind::Write), CacheResponse::Hit)));
+        assert!(!moved(&mut c, &|c| assert!(c.try_hits(0x00, 4))), "a fetch-hit run");
+        assert!(!moved(&mut c, &|c| assert!(!c.try_hits(0x10, 1))), "a probe that declines");
+        assert!(!moved(&mut c, &|c| assert!(c.try_hit(0x08, AccessKind::Write))), "a data hit");
+        assert!(moved(&mut c, &|c| assert!(matches!(c.access(0x40, AccessKind::Read), CacheResponse::Miss { .. }))));
+        assert!(moved(&mut c, &|c| c.invalidate_all()));
+
+        let cfg = CacheConfig { write_policy: WritePolicy::WriteThrough, ..*dm_cache().config() };
+        let mut wt = Cache::new(cfg, CacheKind::Data);
+        assert!(!moved(&mut wt, &|c| assert_eq!(c.access(0x00, AccessKind::Write), CacheResponse::WriteThrough { hit: false })));
+
+        // A restore moves it even when it restores the very same lines:
+        // the generation is not part of the saved state.
+        let saved = state(&c);
+        let (mut r, _) = temu_state::StateReader::new(&saved, *b"TEST", 1).unwrap();
+        let g = c.generation();
+        c.load_state(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_ne!(c.generation(), g);
+        assert_eq!(state(&c), saved);
+    }
+
+    #[test]
+    fn data_hits_book_what_accesses_do() {
+        let (mut one, mut hit) = (dm_cache(), dm_cache());
+        for c in [&mut one, &mut hit] {
+            c.access(0x00, AccessKind::Read); // clean line
+            c.access(0x10, AccessKind::Write); // dirty line
+        }
+        for (addr, kind) in [(0x04, AccessKind::Read), (0x08, AccessKind::Write), (0x14, AccessKind::Write), (0x18, AccessKind::Read)]
+        {
+            assert_eq!(one.access(addr, kind), CacheResponse::Hit);
+            assert!(hit.try_hit(addr, kind), "{addr:#x} is present");
+            assert_eq!(state(&one), state(&hit), "{kind:?} at {addr:#x}");
+        }
+        // The store hit dirtied the clean line: evicting it writes it back.
+        assert_eq!(hit.access(0x40, AccessKind::Read), CacheResponse::Miss { writeback_addr: Some(0x00) });
+
+        let before = state(&hit);
+        assert!(!hit.try_hit(0x00, AccessKind::Read), "evicted");
+        assert!(!hit.try_hit(0x20, AccessKind::Write), "never filled");
+        assert_eq!(state(&hit), before, "a declined access changes nothing");
+        let cfg = CacheConfig { write_policy: WritePolicy::WriteThrough, ..*dm_cache().config() };
+        let mut wt = Cache::new(cfg, CacheKind::Data);
+        wt.access(0x00, AccessKind::Read);
+        let before = state(&wt);
+        assert!(!wt.try_hit(0x04, AccessKind::Write), "a write-through store has memory traffic");
+        assert_eq!(state(&wt), before);
+        assert!(wt.try_hit(0x04, AccessKind::Read), "a write-through read hit has none");
     }
 
     #[test]

@@ -530,6 +530,65 @@ mod tests {
         }
     }
 
+    fn state(m: &Machine) -> Vec<u8> {
+        let mut w = temu_state::StateWriter::new(*b"MACH", 1);
+        m.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn restore(m: &mut Machine, bytes: &[u8]) {
+        let (mut r, _) = temu_state::StateReader::new(bytes, *b"MACH", 1).unwrap();
+        m.load_state(&mut r).unwrap();
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn restore_into_a_machine_that_ran_on_continues_like_a_fresh_one() {
+        // A 128-byte direct-mapped I-cache: the second loop, at 0x80, maps
+        // onto the first loop's lines. The checkpoint is taken in the first
+        // loop; the machine then runs on into the second, whose blocks go
+        // warm. After the restore the first loop's lines are present again
+        // and the second's are not, so those warm blocks must probe again.
+        let src = "
+            start: li   r1, 30
+            first: addi r2, r2, 1
+                   addi r3, r3, 2
+                   xor  r4, r2, r3
+                   addi r1, r1, -1
+                   bnez r1, first
+                   li   r1, 400
+                   j    second
+                   .org 0x80
+            second: addi r5, r5, 1
+                   addi r6, r6, 3
+                   xor  r7, r5, r6
+                   add  r8, r8, r7
+                   addi r1, r1, -1
+                   bnez r1, second
+                   halt
+        ";
+        let mut cfg = PlatformConfig::paper_bus(1);
+        cfg.icache = Some(temu_mem::CacheConfig { size_bytes: 128, ..temu_mem::CacheConfig::paper_l1_4k() });
+        let build = || {
+            let mut m = Machine::new(cfg.clone()).unwrap();
+            m.load_program_all(&assemble(src).unwrap()).unwrap();
+            m
+        };
+        let mut ran_on = build();
+        ran_on.run_window(100).unwrap();
+        let checkpoint = state(&ran_on);
+        ran_on.run_window(2000).unwrap();
+        assert!(ran_on.core(0).pc() >= 0x80, "the machine ran on into the second loop");
+        restore(&mut ran_on, &checkpoint);
+        let mut fresh = build();
+        restore(&mut fresh, &checkpoint);
+        while !fresh.all_halted() {
+            assert_eq!(ran_on.run_window(97).unwrap(), fresh.run_window(97).unwrap());
+            assert!(state(&ran_on) == state(&fresh), "diverged by cycle {}", fresh.time());
+        }
+        assert!(ran_on.all_halted());
+    }
+
     #[test]
     fn restore_rejects_wrong_shape() {
         let mut a = machine(2, "halt\n");

@@ -18,8 +18,8 @@ use temu_cpu::{MemReply, MemoryPort, Text};
 use temu_interconnect::{Bus, Grant, IcStats, Interconnect, Noc, Request};
 use temu_isa::Width;
 use temu_mem::{
-    AccessKind, AddressMap, Cache, CacheKind, CacheResponse, CacheStats, MemArray, MemError, MemStats, MemoryConfig,
-    RangeTarget,
+    AccessKind, AddressMap, Cache, CacheKind, CacheResponse, CacheStats, MappedRange, MemArray, MemError, MemStats,
+    MemoryConfig, RangeTarget,
 };
 use temu_state::{StateError, StateReader, StateWriter};
 
@@ -67,6 +67,9 @@ impl IcModel {
 #[derive(Clone, Debug)]
 pub struct Uncore {
     map: AddressMap,
+    /// The private range when it is cacheable: a core's text there may run
+    /// as blocks and its D-cache hits there may run in place.
+    private_cached: Option<MappedRange>,
     per_core: Vec<CoreMem>,
     shared: MemArray,
     shared_cfg: MemoryConfig,
@@ -101,8 +104,10 @@ impl Uncore {
             SnifferMode::CountLogging => None,
             SnifferMode::EventLogging { capacity } => Some(EventBuffer::new(capacity)),
         };
+        let private_cached = map.iter().find(|r| r.target == RangeTarget::Private && r.cacheable).copied();
         Uncore {
             map,
+            private_cached,
             per_core,
             shared: MemArray::new(cfg.shared_mem.size),
             shared_cfg: cfg.shared_mem,
@@ -484,23 +489,44 @@ impl MemoryPort for Uncore {
 
     fn text(&self, core: usize, pc: u32, len: u32) -> Option<Text<'_>> {
         let cm = &self.per_core[core];
-        let icache = cm.icache.as_ref()?.config();
-        let range = self.map.lookup(pc)?;
-        if range.target != RangeTarget::Private || !range.cacheable || !pc.is_multiple_of(4) {
-            return None;
-        }
+        let icache = cm.icache.as_ref()?;
+        let range = self.private_cached.filter(|r| r.contains(pc) && pc.is_multiple_of(4))?;
         let start = range.offset(pc);
         let end = start.saturating_add(len).min(cm.private.size());
         Some(Text {
             bytes: cm.private.slice(start, end - start),
-            line_shift: icache.line_bytes.trailing_zeros(),
-            hit_latency: icache.hit_latency,
+            line_shift: icache.config().line_bytes.trailing_zeros(),
+            hit_latency: icache.config().hit_latency,
+            generation: icache.generation(),
         })
     }
 
-    fn fetch_hits(&mut self, core: usize, pc: u32, hits: u32) -> bool {
+    fn fetch_hits(&mut self, core: usize, pc: u32, fetches: u32) -> bool {
         let icache = self.per_core[core].icache.as_mut().expect("text answered only behind an I-cache");
-        icache.try_hits(pc, u64::from(hits))
+        icache.try_hits(pc, fetches)
+    }
+
+    fn data_hit(&mut self, core: usize, addr: u32, width: Width, store: Option<u32>, now: u64) -> Option<MemReply> {
+        // Under event logging every data access is an event, which the
+        // full path logs.
+        if self.events.is_some() || !addr.is_multiple_of(width.bytes()) {
+            return None;
+        }
+        let offset = self.private_cached.filter(|r| r.contains(addr))?.offset(addr);
+        let cm = &mut self.per_core[core];
+        if u64::from(offset) + u64::from(width.bytes()) > u64::from(cm.private.size()) {
+            return None;
+        }
+        let dcache = cm.dcache.as_mut()?;
+        if !dcache.try_hit(addr, if store.is_some() { AccessKind::Write } else { AccessKind::Read }) {
+            return None;
+        }
+        let value = match store {
+            None => cm.private.read(offset, width),
+            Some(value) => cm.private.write(offset, width, value).map(|()| 0),
+        }
+        .expect("an aligned access inside private memory");
+        Some(MemReply { value, done_at: now + u64::from(dcache.config().hit_latency), stall: 0 })
     }
 }
 
@@ -541,14 +567,15 @@ mod tests {
         assert!(Uncore::new(&cfg).text(0, 0x100, 4).is_none(), "no I-cache");
     }
 
+    fn state(u: &Uncore) -> Vec<u8> {
+        let mut w = StateWriter::new(*b"TEST", 1);
+        u.save_state(&mut w);
+        w.into_bytes()
+    }
+
     #[test]
     fn fetch_hits_book_what_single_fetches_would() {
         let (mut one, mut bulk) = (uncore(1), uncore(1));
-        let state = |u: &Uncore| {
-            let mut w = StateWriter::new(*b"TEST", 1);
-            u.save_state(&mut w);
-            w.into_bytes()
-        };
         // A probe of a line not yet fetched declines and changes nothing;
         // the full fetch then misses as it would have anyway.
         let before = state(&bulk);
@@ -559,10 +586,115 @@ mod tests {
         for (i, pc) in [0x104, 0x108, 0x10C].into_iter().enumerate() {
             assert_eq!(one.fetch(0, pc, t + i as u64).unwrap(), MemReply { value: 0, done_at: t + i as u64 + 1, stall: 0 });
         }
-        assert!(bulk.fetch_hits(0, 0x10C, 3));
+        assert!(bulk.fetch_hits(0, 0x104, 3));
         assert_eq!(state(&one), state(&bulk));
         assert!(!bulk.fetch_hits(0, 0x110, 1), "the next line is absent");
         assert_eq!(state(&one), state(&bulk));
+
+        // Once the next two lines are filled, one run over all three books
+        // what one fetch per word does.
+        for u in [&mut one, &mut bulk] {
+            u.fetch(0, 0x110, 100).unwrap();
+            u.fetch(0, 0x120, 200).unwrap();
+        }
+        for pc in (0x108..0x128).step_by(4) {
+            assert_eq!(one.fetch(0, pc, 300).unwrap().stall, 0, "{pc:#x} hits");
+        }
+        assert!(bulk.fetch_hits(0, 0x108, 8));
+        assert_eq!(state(&one), state(&bulk));
+        let before = state(&bulk);
+        assert!(!bulk.fetch_hits(0, 0x128, 3), "a run into an absent line declines");
+        assert_eq!(state(&bulk), before);
+    }
+
+    #[test]
+    fn text_reports_the_icache_generation() {
+        let mut u = uncore(1);
+        let generation = |u: &Uncore| u.text(0, 0x100, 4).unwrap().generation;
+        let g = generation(&u);
+        u.fetch(0, 0x100, 0).unwrap();
+        let filled = generation(&u);
+        assert_ne!(filled, g, "a fill moves it");
+        u.fetch(0, 0x104, 10).unwrap();
+        assert!(u.fetch_hits(0, 0x108, 2));
+        u.read(0, 0x2000, Width::Word, 20).unwrap();
+        assert_eq!(generation(&u), filled, "hits, and D-cache fills, leave it");
+        let saved = state(&u);
+        let (mut r, _) = StateReader::new(&saved, *b"TEST", 1).unwrap();
+        u.load_state(&mut r).unwrap();
+        assert_ne!(generation(&u), filled, "a restore moves it");
+    }
+
+    #[test]
+    fn data_hits_book_what_reads_and_writes_do() {
+        let (mut full, mut hit) = (uncore(1), uncore(1));
+        for u in [&mut full, &mut hit] {
+            u.read(0, 0x2000, Width::Word, 0).unwrap(); // a clean line
+            u.write(0, 0x2010, Width::Word, 7, 10).unwrap(); // a dirty line
+        }
+        let accesses = [
+            (0x2004, Width::Word, None),          // a read
+            (0x2008, Width::Half, Some(0xBEEF)),   // a write to the clean line
+            (0x2014, Width::Byte, Some(0x1FF)),    // a write to the dirty line
+            (0x2008, Width::Word, None),           // reads back the half word
+        ];
+        for (i, (addr, width, store)) in accesses.into_iter().enumerate() {
+            let now = 100 + 10 * i as u64;
+            let reply = match store {
+                None => full.read(0, addr, width, now),
+                Some(value) => full.write(0, addr, width, value, now),
+            }
+            .unwrap();
+            assert_eq!(reply, MemReply { value: reply.value, done_at: now + 1, stall: 0 }, "{addr:#x} hits");
+            assert_eq!(hit.data_hit(0, addr, width, store, now), Some(reply), "{addr:#x}");
+            assert_eq!(state(&full), state(&hit), "{addr:#x}");
+        }
+        assert_eq!(hit.data_hit(0, 0x2008, Width::Word, None, 0).unwrap().value, 0xBEEF);
+        // The store dirtied the clean line: evicting it writes it back.
+        let (_, d) = hit.collect_cache_stats();
+        assert_eq!(d[0].writebacks, 0);
+        hit.read(0, 0x3000, Width::Word, 500).unwrap();
+        assert_eq!(hit.collect_cache_stats().1[0].writebacks, 1);
+    }
+
+    #[test]
+    fn data_hits_decline_everything_but_private_cached_hits() {
+        let declines = |u: &mut Uncore, addr: u32, width: Width, store: Option<u32>, what: &str| {
+            let before = state(u);
+            assert_eq!(u.data_hit(0, addr, width, store, 50), None, "{what}");
+            assert!(state(u) == before, "{what}: a declined access changes nothing");
+        };
+        let mut u = uncore(1);
+        u.read(0, 0x2000, Width::Word, 0).unwrap();
+        u.read(0, SHARED_BASE_ADDR, Width::Word, 10).unwrap();
+        declines(&mut u, 0x2100, Width::Word, None, "an absent line");
+        declines(&mut u, 0x2100, Width::Word, Some(1), "an absent line, stored");
+        declines(&mut u, SHARED_BASE_ADDR, Width::Word, None, "shared");
+        declines(&mut u, MMIO_BASE_ADDR, Width::Word, None, "MMIO");
+        declines(&mut u, 0x2002, Width::Word, None, "misaligned");
+        declines(&mut u, 0x2001, Width::Half, Some(1), "misaligned");
+        let top = u.private(0).size();
+        declines(&mut u, top, Width::Word, None, "past private memory");
+        declines(&mut u, 0x0800_0000, Width::Word, Some(1), "unmapped");
+        assert!(u.data_hit(0, 0x2000, Width::Word, Some(1), 60).is_some(), "a write-back store hit");
+
+        let mut cfg = PlatformConfig::paper_bus(1);
+        cfg.dcache.as_mut().unwrap().write_policy = temu_mem::WritePolicy::WriteThrough;
+        let mut wt = Uncore::new(&cfg);
+        wt.read(0, 0x2000, Width::Word, 0).unwrap();
+        declines(&mut wt, 0x2004, Width::Word, Some(1), "a write-through store");
+        assert!(wt.data_hit(0, 0x2004, Width::Word, None, 60).is_some(), "a write-through read hit");
+
+        cfg = PlatformConfig::paper_bus(1);
+        cfg.dcache = None;
+        declines(&mut Uncore::new(&cfg), 0x2000, Width::Word, None, "no D-cache");
+
+        cfg = PlatformConfig::paper_bus(1);
+        cfg.sniffer_mode = SnifferMode::EventLogging { capacity: 64 };
+        let mut logging = Uncore::new(&cfg);
+        logging.read(0, 0x2000, Width::Word, 0).unwrap();
+        declines(&mut logging, 0x2004, Width::Word, None, "event logging");
+        declines(&mut logging, 0x2004, Width::Word, Some(1), "event logging, stored");
     }
 
     #[test]
