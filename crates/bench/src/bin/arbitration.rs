@@ -2,14 +2,15 @@
 //! arbitration policies, measured on the shared-memory-heavy Dithering
 //! workload.
 
-use temu_bench::Workload;
+use temu_framework::Workload;
 use temu_interconnect::Arbitration;
 use temu_platform::{Machine, PlatformConfig};
 use temu_workloads::dithering::DitherConfig;
 
 fn main() {
     let cores = 4;
-    let workload = Workload::Dither(DitherConfig { width: 64, height: 64, images: 2, cores }, 99);
+    let workload = Workload::Dithering { cfg: DitherConfig { width: 64, height: 64, images: 2, cores }, seed: 99 };
+    let program = workload.program().expect("assembles");
     println!("Bus-arbitration ablation: Dithering, {cores} cores, shared-memory images\n");
     println!("{:<28} {:>12} {:>16} {:>18}", "policy", "cycles", "bus contention", "per-core balance");
 
@@ -20,7 +21,8 @@ fn main() {
     ] {
         let platform = PlatformConfig::paper_custom_bus(cores as usize, arb);
         let mut machine = Machine::new(platform).expect("valid platform");
-        workload.load_fast(&mut machine);
+        machine.load_program_all(&program).expect("fits");
+        workload.load_inputs(machine.shared_mut()).expect("images fit in shared memory");
         let s = machine.run_to_halt(u64::MAX).expect("runs");
         assert!(s.all_halted);
         let times: Vec<u64> = s.stats.cores.iter().map(|c| c.active_cycles + c.stall_cycles).collect();

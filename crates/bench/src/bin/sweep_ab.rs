@@ -19,8 +19,11 @@
 //! not a toy grid.
 //!
 //! Flags:
-//!   --reps <n>    repetitions per leg (default 5)
-//!   --out <path>  output path (default BENCH_sweep.json)
+//!
+//! ```text
+//! --reps <n>    repetitions per leg (default 5)
+//! --out <path>  output path (default BENCH_sweep.json)
+//! ```
 
 use std::time::Instant;
 use temu_framework::{JsonObject, Sweep, SweepReport, SweepSpec};

@@ -14,7 +14,8 @@
 //! count.
 
 use std::time::Duration;
-use temu_bench::{fmt_seconds, measure_row, scale, Workload};
+use temu_bench::{fmt_seconds, measure_row, scale};
+use temu_framework::Workload;
 use temu_platform::PlatformConfig;
 use temu_workloads::dithering::DitherConfig;
 use temu_workloads::matrix::MatrixConfig;
@@ -68,7 +69,7 @@ fn main() {
         PaperRow {
             name: "Dithering (4 cores-bus)",
             platform: PlatformConfig::paper_bus(4),
-            workload: Workload::Dither(dither_cfg(4), 2006),
+            workload: Workload::Dithering { cfg: dither_cfg(4), seed: 2006 },
             paper_mparm_s: 155.0,
             paper_emu_s: 0.18,
             paper_speedup: 861.0,
@@ -77,7 +78,7 @@ fn main() {
         PaperRow {
             name: "Dithering (4 cores-NoC)",
             platform: PlatformConfig::paper_noc(4),
-            workload: Workload::Dither(dither_cfg(4), 2006),
+            workload: Workload::Dithering { cfg: dither_cfg(4), seed: 2006 },
             paper_mparm_s: 195.0,
             paper_emu_s: 0.17,
             paper_speedup: 1147.0,

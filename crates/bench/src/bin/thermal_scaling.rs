@@ -6,12 +6,15 @@
 //! so the perf trajectory is tracked across PRs.
 //!
 //! Flags:
-//!   --smoke          two smallest rungs only, short budget; intended as
-//!                    the tier-1 bench-smoke gate (fails on panic/NaN)
-//!   --budget <s>     wall-clock budget per measurement (default 0.4;
-//!                    smoke default 0.05)
-//!   --mesh <name>    only measure one ladder rung (solver tuning)
-//!   --out <path>     output path (default BENCH_thermal.json)
+//!
+//! ```text
+//! --smoke          two smallest rungs only, short budget; intended as
+//!                  the tier-1 bench-smoke gate (fails on panic/NaN)
+//! --budget <s>     wall-clock budget per measurement (default 0.4;
+//!                  smoke default 0.05)
+//! --mesh <name>    only measure one ladder rung (solver tuning)
+//! --out <path>     output path (default BENCH_thermal.json)
+//! ```
 
 use temu_bench::thermal_scaling;
 

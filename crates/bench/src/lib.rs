@@ -27,10 +27,8 @@ pub mod thermal_scaling;
 
 use std::time::Duration;
 use temu_des::{DesMachine, DesSummary};
+use temu_framework::Workload;
 use temu_platform::{Machine, PlatformConfig, RunSummary};
-use temu_workloads::dithering::DitherConfig;
-use temu_workloads::matrix::MatrixConfig;
-use temu_workloads::{dithering, image::GreyImage, matrix};
 
 /// Workload scale factor from `TEMU_SCALE` (1.0 = paper size).
 pub fn scale() -> f64 {
@@ -39,51 +37,6 @@ pub fn scale() -> f64 {
         .and_then(|s| s.parse::<f64>().ok())
         .filter(|&s| s > 0.0)
         .unwrap_or(0.05)
-}
-
-/// A workload the Table 3 harness can run on either engine.
-#[derive(Clone, Debug)]
-pub enum Workload {
-    /// The MATRIX kernel.
-    Matrix(MatrixConfig),
-    /// The DITHERING driver (with its input seed).
-    Dither(DitherConfig, u64),
-}
-
-impl Workload {
-    /// Loads the workload into a fast-engine machine.
-    pub fn load_fast(&self, machine: &mut Machine) {
-        match self {
-            Workload::Matrix(cfg) => {
-                machine.load_program_all(&matrix::program(cfg).expect("assembles")).expect("fits");
-            }
-            Workload::Dither(cfg, seed) => {
-                machine.load_program_all(&dithering::program(cfg).expect("assembles")).expect("fits");
-                for i in 0..cfg.images {
-                    let img = GreyImage::synthetic(cfg.width as usize, cfg.height as usize, seed + u64::from(i));
-                    let off = cfg.image_addr(i) - temu_workloads::SHARED_BASE;
-                    machine.shared_mut().load(off, &img.pixels).expect("image fits in shared memory");
-                }
-            }
-        }
-    }
-
-    /// Loads the workload into a cycle-driven baseline machine.
-    pub fn load_des(&self, machine: &mut DesMachine) {
-        match self {
-            Workload::Matrix(cfg) => {
-                machine.load_program_all(&matrix::program(cfg).expect("assembles")).expect("fits");
-            }
-            Workload::Dither(cfg, seed) => {
-                machine.load_program_all(&dithering::program(cfg).expect("assembles")).expect("fits");
-                for i in 0..cfg.images {
-                    let img = GreyImage::synthetic(cfg.width as usize, cfg.height as usize, seed + u64::from(i));
-                    let off = cfg.image_addr(i) - temu_workloads::SHARED_BASE;
-                    machine.shared_mut().load(off, &img.pixels).expect("image fits in shared memory");
-                }
-            }
-        }
-    }
 }
 
 /// Outcome of one Table 3 row measurement.
@@ -112,13 +65,16 @@ impl RowMeasurement {
 /// `des_budget`; when the budget expires before completion, its full-run
 /// time is extrapolated from the measured cycles-per-second rate.
 pub fn measure_row(platform: &PlatformConfig, workload: &Workload, des_budget: Duration) -> RowMeasurement {
+    let program = workload.program().expect("assembles");
     let mut fast = Machine::new(platform.clone()).expect("valid platform");
-    workload.load_fast(&mut fast);
+    fast.load_program_all(&program).expect("fits");
+    workload.load_inputs(fast.shared_mut()).expect("inputs fit in shared memory");
     let fast_summary = fast.run_to_halt(u64::MAX).expect("workload runs");
     assert!(fast_summary.all_halted, "workload must complete on the fast engine");
 
     let mut des = DesMachine::new(platform.clone()).expect("valid platform");
-    workload.load_des(&mut des);
+    des.load_program_all(&program).expect("fits");
+    workload.load_inputs(des.shared_mut()).expect("inputs fit in shared memory");
     let mut des_summary = des.run_slice(200_000).expect("baseline runs"); // warm slice
     let mut extrapolated = false;
     while !des.all_halted() {
@@ -161,6 +117,8 @@ pub fn fmt_seconds(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use temu_workloads::dithering::DitherConfig;
+    use temu_workloads::matrix::MatrixConfig;
 
     #[test]
     fn measure_row_completes_and_speedup_positive() {
@@ -204,7 +162,7 @@ mod tests {
     #[test]
     fn dither_workload_loads_on_both_engines() {
         let platform = PlatformConfig::paper_bus(2);
-        let w = Workload::Dither(DitherConfig::small(2), 11);
+        let w = Workload::Dithering { cfg: DitherConfig::small(2), seed: 11 };
         let row = measure_row(&platform, &w, Duration::from_secs(20));
         assert!(row.fast.all_halted);
         assert!(row.des.all_halted);

@@ -1,4 +1,4 @@
-//! The layered build-artifact cache behind [`Scenario::build_with`]
+//! The layered build-artifact cache behind [`crate::Scenario::build_with`]
 //! (build/run phase split).
 //!
 //! Building a scenario factors into staged artifacts — resolve the

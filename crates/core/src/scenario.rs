@@ -28,7 +28,7 @@ use crate::trace::ThermalTrace;
 use temu_fpga::{estimate, CostModel, Device, V2VP30};
 use temu_isa::Program;
 use temu_link::EthernetConfig;
-use temu_mem::CacheConfig;
+use temu_mem::{CacheConfig, MemArray, MemError};
 use temu_platform::{DfsPolicy, IcChoice, Machine, PlatformConfig};
 use temu_power::floorplans::quad_core;
 use temu_power::{CoreKind, FloorplanMap, PowerModel};
@@ -85,13 +85,17 @@ impl Workload {
         }
     }
 
-    /// Loads the workload's input data into the machine's shared memory.
-    fn load_inputs(&self, machine: &mut Machine) -> Result<(), TemuError> {
+    /// Loads the workload's input data into `shared`, a machine's shared
+    /// memory (either engine's).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError`] when an input does not fit in `shared`.
+    pub fn load_inputs(&self, shared: &mut MemArray) -> Result<(), MemError> {
         if let Workload::Dithering { cfg, seed } = self {
             for i in 0..cfg.images {
                 let img = GreyImage::synthetic(cfg.width as usize, cfg.height as usize, seed + u64::from(i));
-                let off = cfg.image_addr(i) - SHARED_BASE;
-                machine.shared_mut().load(off, &img.pixels)?;
+                shared.load(cfg.image_addr(i) - SHARED_BASE, &img.pixels)?;
             }
         }
         Ok(())
@@ -416,7 +420,7 @@ impl Scenario {
     /// [`Scenario::build`] with an optional layered [`ArtifactCache`]: the
     /// resolved floorplan, the meshed thermal grid, the multigrid
     /// hierarchy topology and the generated program are each looked up
-    /// under their [`Scenario::artifact_keys`] sub-key and built only on
+    /// under their `Scenario::artifact_keys` sub-key and built only on
     /// miss, so sibling sweep points that share geometry share one mesh
     /// (behind an `Arc`) instead of re-meshing per point.
     ///
@@ -451,14 +455,14 @@ impl Scenario {
             let program = self.workload.program()?;
             let mut machine = Machine::new(self.platform.clone())?;
             machine.load_program_all(&program)?;
-            self.workload.load_inputs(&mut machine)?;
+            self.workload.load_inputs(machine.shared_mut())?;
             return ThermalEmulation::new(machine, self.resolved_floorplan()?, self.emu.clone());
         };
         let keys = self.artifact_keys();
         let program = cache.program(keys.program, || self.workload.program().map_err(TemuError::from))?;
         let mut machine = Machine::new(self.platform.clone())?;
         machine.load_program_all(&program)?;
-        self.workload.load_inputs(&mut machine)?;
+        self.workload.load_inputs(machine.shared_mut())?;
         let map = cache.floorplan(keys.floorplan, || self.resolved_floorplan())?;
         map.check_cores(machine.num_cores())?;
         let grid = cache

@@ -234,7 +234,7 @@ impl ResultCache {
     /// (threads of one server, or processes appending to one file); a torn
     /// or corrupted record costs only itself. When loading finds the file
     /// mostly dead — duplicate and damaged records over
-    /// [`COMPACT_DEAD_FRACTION`] of at least [`COMPACT_MIN_RECORDS`] runs —
+    /// `COMPACT_DEAD_FRACTION` of at least `COMPACT_MIN_RECORDS` runs —
     /// it is rewritten deduped; a failed rewrite degrades to the dirty
     /// store. Rename caveat: a *concurrent* writer still holding the old
     /// file moves to the new one at its next [`ResultCache::refresh`] (every

@@ -26,22 +26,18 @@
 //! with memory on every entry, so stores over the text and restored
 //! checkpoints need no invalidation.
 //!
-//! A fetch that stays on the I-cache line fetched before is a hit, since
-//! only this core's fetches touch its I-cache. A fetch on a new line — the
-//! block's first, and each line change — is a tag probe
-//! ([`MemoryPort::fetch_hits`] with one fetch): a present line books the
-//! hit, and only an absent one goes through the full
-//! [`MemoryPort::fetch`], which misses as before. An entry that fetches
-//! every instruction of its block with every probe hitting records the
-//! I-cache's generation ([`Text::generation`]), which the port changes
-//! whenever a line may leave the I-cache; while it reads the same, all
-//! the block's lines are still present and the block runs warm, with no
-//! probe. Hits are booked in one `fetch_hits` over the run since the last
-//! probe (warm: since the block's start), before the next probe, at the
-//! block's end and before a data fault is returned. A load or store that
-//! hits the core's private D-cache runs in place
-//! ([`MemoryPort::data_hit`]); every other data access (a miss, shared
-//! or MMIO data, `tas`, a write-through store, an access the port
+//! A cold entry fetches each instruction through the full
+//! [`MemoryPort::fetch`], as phase-at-a-time execution does. An entry that
+//! fetched every instruction of its block records the I-cache's generation
+//! ([`Text::generation`]) read at its start. The port changes the
+//! generation on every fill and whenever else a line may leave the
+//! I-cache, so the mark matches again only if no fetch of the entry
+//! missed, and while it does all the block's lines are present: the block
+//! runs warm, every fetch a hit, and books all of them in one
+//! [`MemoryPort::fetch_hits`] run at its end and before a data fault is
+//! returned. A load or store that hits the core's private D-cache runs in
+//! place ([`MemoryPort::data_hit`]); every other data access (a miss,
+//! shared or MMIO data, `tas`, a write-through store, an access the port
 //! declines) goes through the full [`MemoryPort::read`], `write` or `tas`.
 //! Every cycle, counter, cache tag, LRU stamp and access tick ends exactly
 //! where phase-at-a-time execution leaves it. Text with no block (outside
@@ -212,9 +208,9 @@ struct Block {
     pc: u32,
     /// Instructions in the block; 0 when its first word does not decode.
     len: usize,
-    /// The I-cache generation ([`Text::generation`]) at the end of an entry
-    /// that fetched every instruction with every line probe hitting: while
-    /// the I-cache reports it, all the block's lines are present.
+    /// The I-cache generation ([`Text::generation`]) at the start of an
+    /// entry that fetched every instruction: while the I-cache reports it,
+    /// all the block's lines are present.
     warm: Option<u64>,
     /// The text the block was decoded from; its first `4 * len` bytes count.
     bytes: [u8; BLOCK_BYTES as usize],
@@ -398,11 +394,11 @@ impl Cpu {
     /// Fetch phases run as blocks where the port offers the text
     /// ([`MemoryPort::text`]): each phase of a block after its first — a
     /// fetch, or the data phase of a load, store or `tas` — runs under the
-    /// same `limit` and `local_end` rule, fetches that hit the I-cache are
-    /// booked through [`MemoryPort::fetch_hits`] (with no probe in a warm
-    /// block) and D-cache hits run through [`MemoryPort::data_hit`]. The
-    /// result — state, counters and cache — is the one phase-at-a-time
-    /// execution gives, which remains the path for text with no block.
+    /// same `limit` and `local_end` rule, a warm block books its fetch hits
+    /// in one [`MemoryPort::fetch_hits`] run and D-cache hits run through
+    /// [`MemoryPort::data_hit`]. The result — state, counters and cache —
+    /// is the one phase-at-a-time execution gives, which remains the path
+    /// for text with no block.
     ///
     /// # Errors
     ///
@@ -478,14 +474,15 @@ impl Cpu {
     /// `limit` and `local_end` rule as [`Cpu::run_local`] between phases;
     /// returns `false`, having run nothing, when the PC has no block.
     ///
-    /// A block that fetched every instruction of an entry with every line
-    /// probe hitting records the I-cache generation ([`Text::generation`]),
-    /// and runs warm while the I-cache reports the same one: all its lines
-    /// are still present, so it fetches with no probe. See
-    /// [`Cpu::run_decoded`] for the loop.
+    /// After an entry that fetched every instruction of the block, the
+    /// block records the I-cache generation ([`Text::generation`]) read at
+    /// the entry's start. A fill during the entry moves the generation, so
+    /// only an entry whose fetches all hit leaves a mark that can match;
+    /// while the I-cache reports it, all the block's lines are present and
+    /// the block runs warm. See [`Cpu::run_decoded`] for the loop.
     fn run_block<P: MemoryPort + ?Sized>(&mut self, port: &mut P, limit: u64, local_end: u64) -> Result<bool, CpuError> {
         let Some(text) = port.text(self.id, self.pc, BLOCK_BYTES) else { return Ok(false) };
-        let Text { line_shift, hit_latency, generation, .. } = text;
+        let Text { hit_latency, generation, .. } = text;
         // The table moves out while the block runs, so the block is
         // borrowed from it rather than copied.
         let mut blocks = std::mem::take(&mut self.blocks);
@@ -493,8 +490,8 @@ impl Cpu {
         let ran = block.len > 0;
         let result = if ran {
             let warm = block.warm == Some(generation);
-            self.run_decoded(port, block, warm, line_shift, u64::from(hit_latency), limit, local_end).map(|all_hit| {
-                if all_hit {
+            self.run_decoded(port, block, warm, u64::from(hit_latency), limit, local_end).map(|whole| {
+                if whole {
                     block.warm = Some(generation);
                 }
             })
@@ -505,56 +502,40 @@ impl Cpu {
         result.map(|()| ran)
     }
 
-    /// The loop of [`Cpu::run_block`] over `block`, which starts at the PC,
-    /// behind I-cache lines of `1 << line_shift` bytes; returns whether it
-    /// fetched every instruction of the block and every fetch hit.
+    /// The loop of [`Cpu::run_block`] over `block`, which starts at the PC;
+    /// returns whether it fetched every instruction of the block.
     ///
-    /// Cold, a fetch on a new line (the block's first, or a line change)
-    /// probes the line with one [`MemoryPort::fetch_hits`] and goes through
-    /// [`MemoryPort::fetch`] only when the line is absent; the fetches
-    /// after it on that line are hits, since only this core's fetches touch
-    /// its I-cache. `warm`, every fetch is a hit. Hits are booked in one
-    /// `fetch_hits` over the run since the last probe (warm: since the
-    /// block's start), before the next probe, at the block's end and before
-    /// a data-phase fault is returned. A memory instruction's data phase
-    /// runs in place after its fetch, a private D-cache hit without a full
-    /// access ([`MemoryPort::data_hit`]); a store or `tas` over the block's
-    /// own text ends the block.
-    #[allow(clippy::too_many_arguments)] // the block loop's invariants, hoisted out of it
+    /// Cold, each instruction is fetched through [`MemoryPort::fetch`], as
+    /// [`Cpu::fetch_phase`] fetches it. `warm`, every fetch is a hit taking
+    /// `hit_latency` cycles, and the entry books its fetches in one
+    /// [`MemoryPort::fetch_hits`] run from the block's start, at exit and
+    /// before a data-phase fault is returned. A memory instruction's data
+    /// phase runs in place after its fetch, a private D-cache hit without a
+    /// full access ([`MemoryPort::data_hit`]); a store or `tas` over the
+    /// block's own text ends the block.
     fn run_decoded<P: MemoryPort + ?Sized>(
         &mut self,
         port: &mut P,
         block: &Block,
         warm: bool,
-        line_shift: u32,
         hit_latency: u64,
         limit: u64,
         local_end: u64,
     ) -> Result<bool, CpuError> {
         let text_start = u64::from(block.pc);
         let text_end = text_start + 4 * block.len as u64;
-        let mut line = u32::MAX; // the line probed last; none yet
-        let (mut first, mut hits) = (block.pc, 0); // fetch hits from `first` on, not booked yet
-        let (mut fetched, mut missed) = (0, false);
+        let mut fetched = 0;
         for &instr in &block.instrs[..block.len] {
             let (pc, t0) = (self.pc, self.time);
             if fetched > 0 && (t0 >= limit || u64::from(pc) >= local_end) {
                 break;
             }
             fetched += 1;
-            if warm || pc >> line_shift == line {
-                hits += 1;
+            if warm {
                 self.execute(instr, pc, t0, t0 + hit_latency, 0);
             } else {
-                self.book_hits(port, first, hits);
-                (line, first, hits) = (pc >> line_shift, pc.wrapping_add(4), 0);
-                if port.fetch_hits(self.id, pc, 1) {
-                    self.execute(instr, pc, t0, t0 + hit_latency, 0);
-                } else {
-                    missed = true;
-                    let fetch = port.fetch(self.id, pc, t0).map_err(|err| CpuError::Mem { pc, err })?;
-                    self.execute(instr, pc, t0, fetch.done_at, fetch.stall);
-                }
+                let fetch = port.fetch(self.id, pc, t0).map_err(|err| CpuError::Mem { pc, err })?;
+                self.execute(instr, pc, t0, fetch.done_at, fetch.stall);
             }
             let Some((op, op_pc)) = self.pending else { continue };
             if self.time >= limit || u64::from(op.addr()) >= local_end {
@@ -562,15 +543,15 @@ impl Cpu {
             }
             self.pending = None;
             if let Err(err) = self.block_data_phase(port, op, op_pc) {
-                self.book_hits(port, first, hits);
+                self.book_warm_run(port, block.pc, warm, fetched);
                 return Err(err);
             }
             if op.writes_into(text_start, text_end) {
                 break;
             }
         }
-        self.book_hits(port, first, hits);
-        Ok(fetched == block.len && !missed)
+        self.book_warm_run(port, block.pc, warm, fetched);
+        Ok(fetched as usize == block.len)
     }
 
     /// The data phase of a block's memory instruction: in place when the
@@ -591,12 +572,12 @@ impl Cpu {
         Ok(())
     }
 
-    /// Books `hits` fetch hits on the words from `first` on, which the
-    /// running block fetched.
-    fn book_hits<P: MemoryPort + ?Sized>(&self, port: &mut P, first: u32, hits: u32) {
-        if hits > 0 {
-            let present = port.fetch_hits(self.id, first, hits);
-            debug_assert!(present, "the lines of a block's fetch hits stay present until it books them");
+    /// Books the `fetched` fetch hits of a warm entry of the block at `pc`;
+    /// a cold entry fetched through the port and has nothing to book.
+    fn book_warm_run<P: MemoryPort + ?Sized>(&self, port: &mut P, pc: u32, warm: bool, fetched: u32) {
+        if warm {
+            let present = port.fetch_hits(self.id, pc, fetched);
+            debug_assert!(present, "a warm block's lines stay present until it books its run");
         }
     }
 
@@ -961,7 +942,7 @@ mod tests {
     /// lines with 1-cycle hits (which its fetches take), and performs loads
     /// and stores below 0x800 as 1-cycle D-cache hits (which its reads and
     /// writes take). A line is present once a full fetch has touched it,
-    /// and each full fetch moves the generation. The port counts the full
+    /// and only that fill moves the generation. The port counts the full
     /// fetches, logs every booked run of fetch hits as `(first pc, hits)`
     /// and counts the data hits.
     struct BlockPort {
@@ -988,9 +969,10 @@ mod tests {
         fn fetch(&mut self, core: usize, pc: u32, now: u64) -> Result<MemReply, MemError> {
             self.fetches += 1;
             let line = pc >> 4;
-            assert!(!self.present.contains(&line), "a present line is probed, not fetched");
-            self.present.push(line);
-            self.generation += 1;
+            if !self.present.contains(&line) {
+                self.present.push(line);
+                self.generation += 1;
+            }
             self.inner.fetch(core, pc, now)
         }
 
@@ -1008,7 +990,7 @@ mod tests {
 
         fn text(&self, _core: usize, pc: u32, len: u32) -> Option<Text<'_>> {
             let len = len.min(self.inner.mem.size() - pc);
-            Some(Text { bytes: self.inner.mem.slice(pc, len), line_shift: 4, hit_latency: 1, generation: self.generation })
+            Some(Text { bytes: self.inner.mem.slice(pc, len), hit_latency: 1, generation: self.generation })
         }
 
         fn fetch_hits(&mut self, _core: usize, pc: u32, hits: u32) -> bool {
@@ -1052,16 +1034,14 @@ mod tests {
         assert_eq!(state(&cpu), state(&stepped));
         assert_eq!(blocks.inner.mem, port.mem);
         assert_eq!(blocks.fetched(), cpu.stats().instructions, "every instruction fetched once");
-        assert_eq!(blocks.fetches, 3, "one full fetch per line");
         assert_eq!(blocks.data_hits, 14, "every load and store ran in place");
-        // The first pass runs the block at 0 and fills the three lines; the
-        // second enters the loop block at 4, probes its three lines and
-        // finds them present; passes 3 to 7 run it warm, each booking its
-        // eight fetches in one run with no probe and no full fetch.
-        assert_eq!(&blocks.booked[..2], [(4, 3), (0x14, 3)], "the first pass books the hits after each fill");
-        assert_eq!(&blocks.booked[2..7], [(4, 1), (8, 2), (0x10, 1), (0x14, 3), (0x20, 1)], "the cold pass probes");
-        assert_eq!(&blocks.booked[7..12], [(4, 8); 5], "warm passes book one run each");
-        assert_eq!(&blocks.booked[12..], [(0x24, 1)], "the halt block probes its line");
+        // The first pass runs the block at 0 cold and fills the three
+        // lines; the second enters the loop block at 4 cold, fetching its
+        // eight words with every line present; passes 3 to 7 run it warm,
+        // each booking its eight fetches in one run with no full fetch; the
+        // halt block runs cold.
+        assert_eq!(blocks.fetches, 9 + 8 + 1, "cold entries fetch every word");
+        assert_eq!(blocks.booked, [(4, 8); 5], "warm passes book one run each");
 
         // A limit or a local end inside a block stops it at the same phase,
         // also between a load's or store's fetch and its data access, and

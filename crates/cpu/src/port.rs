@@ -21,9 +21,6 @@ pub struct MemReply {
 pub struct Text<'a> {
     /// The text from the requested PC on, up to the requested length.
     pub bytes: &'a [u8],
-    /// `log2` of the I-cache line size: two fetches hit the same line iff
-    /// their addresses agree above this bit.
-    pub line_shift: u32,
     /// Cycles an I-cache hit takes.
     pub hit_latency: u32,
     /// The I-cache's generation: a value that changes whenever a line may
@@ -43,19 +40,20 @@ pub struct Text<'a> {
 /// The three provided methods let a core run straight-line code as a
 /// block with its core-local cache hits kept off the full access path:
 /// [`MemoryPort::text`] hands it the instruction bytes and the I-cache's
-/// generation, [`MemoryPort::fetch_hits`] books a run of I-cache fetch hits
-/// without a fetch, and [`MemoryPort::data_hit`] performs a load or store
-/// that hits the core's private D-cache in place. Their defaults decline,
-/// so every access then goes through [`MemoryPort::fetch`],
+/// generation, [`MemoryPort::fetch_hits`] books a warm block's fetches in
+/// one run, and [`MemoryPort::data_hit`] performs a load or store that
+/// hits the core's private D-cache in place. Their defaults decline, so
+/// every access then goes through [`MemoryPort::fetch`],
 /// [`MemoryPort::read`] and [`MemoryPort::write`], as phase-at-a-time
 /// execution does.
 ///
 /// A port that answers `text` books fetch hits, and must change the
-/// generation it reports whenever a line may have left the I-cache: a
-/// core runs a block whose lines were all present at the generation it
-/// reads again without probing them. A block books its fetch hits after
-/// the data accesses between them, so data accesses must leave the I-cache
-/// alone.
+/// generation it reports on every I-cache fill and whenever else a line
+/// may leave the I-cache. A core that fetched a whole block through
+/// `fetch` runs it warm while the port reports the generation read at
+/// the start of that entry: it fetches nothing and books the block's
+/// fetches in one `fetch_hits` run after the data accesses between them,
+/// so data accesses must leave the I-cache alone.
 pub trait MemoryPort {
     /// Instruction fetch of the word at `pc`.
     ///
@@ -87,7 +85,7 @@ pub trait MemoryPort {
     fn tas(&mut self, core: usize, addr: u32, now: u64) -> Result<MemReply, MemError>;
 
     /// The bytes of `[pc, pc + len)` — fewer where the range ends — with
-    /// the I-cache's geometry and generation, when `pc` is 4-aligned text
+    /// the I-cache's hit latency and generation, when `pc` is 4-aligned text
     /// in the core's private cacheable range behind an I-cache, so that a
     /// fetch there has no effect beyond the I-cache and its miss traffic to
     /// private memory; `None` otherwise (the default).
@@ -99,8 +97,8 @@ pub trait MemoryPort {
     /// is present, books `fetches` fetch hits on them, exactly as that many
     /// [`MemoryPort::fetch`] calls on `pc`, `pc + 4`, … in turn would, and
     /// returns `true`. Otherwise changes nothing and returns `false` (the
-    /// default); the core then fetches `pc` through [`MemoryPort::fetch`],
-    /// which misses. Only called for text [`MemoryPort::text`] answered.
+    /// default). A core calls it only to book the fetches of a warm block,
+    /// whose lines are all present, in text [`MemoryPort::text`] answered.
     fn fetch_hits(&mut self, _core: usize, _pc: u32, _fetches: u32) -> bool {
         false
     }

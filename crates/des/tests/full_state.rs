@@ -707,6 +707,36 @@ fn data_fault_inside_a_block_books_its_fetch_hits() {
     }
 }
 
+#[test]
+fn data_fault_inside_a_warm_block() {
+    // The loop block runs warm from its third pass. On the pass where r5 is
+    // 2 its load reads 0x402 and faults, with every fetch of that entry
+    // still to book.
+    let program = assemble(
+        "
+        start: li    r5, 8
+        loop:  addi  r2, r2, 1
+               addi  r6, r5, -2
+               sltiu r7, r6, 1
+               slli  r3, r7, 1
+        load:  lw    r4, 0x400(r3)
+               addi  r5, r5, -1
+               bnez  r5, loop
+               halt
+        ",
+    )
+    .expect("valid asm");
+    assert_eq!((program.symbol("loop"), program.symbol("load")), (0x04, 0x14));
+    for cores in [1, 2] {
+        let mut pair = Pair::new(&PlatformConfig::paper_bus(cores), &program);
+        let fast = pair.fast.run_until(BUDGET).unwrap_err();
+        let des = pair.des.run_to_halt(BUDGET).unwrap_err();
+        assert_eq!(fast, des, "{cores} core(s): the same fault");
+        assert!(matches!(fast, CpuError::Mem { pc: 0x14, err: MemError::Misaligned { addr: 0x402, .. } }), "{fast:?}");
+        pair.assert_same(&format!("{cores} core(s), at the fault"));
+    }
+}
+
 /// Copies `sub`, a position-independent leaf routine of 12 words, into
 /// shared memory, then calls it there 20 times: the copy's fetches go over
 /// the interconnect, outside any block.

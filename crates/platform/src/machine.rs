@@ -85,11 +85,6 @@ impl Machine {
         &self.uncore
     }
 
-    /// Mutable memory system (shared-data initialization).
-    pub fn uncore_mut(&mut self) -> &mut Uncore {
-        &mut self.uncore
-    }
-
     /// The VPCM.
     pub fn vpcm(&self) -> &Vpcm {
         &self.vpcm
@@ -548,7 +543,7 @@ mod tests {
         // onto the first loop's lines. The checkpoint is taken in the first
         // loop; the machine then runs on into the second, whose blocks go
         // warm. After the restore the first loop's lines are present again
-        // and the second's are not, so those warm blocks must probe again.
+        // and the second's are not, so those warm blocks must fetch again.
         let src = "
             start: li   r1, 30
             first: addi r2, r2, 1

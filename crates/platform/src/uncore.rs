@@ -495,7 +495,6 @@ impl MemoryPort for Uncore {
         let end = start.saturating_add(len).min(cm.private.size());
         Some(Text {
             bytes: cm.private.slice(start, end - start),
-            line_shift: icache.config().line_bytes.trailing_zeros(),
             hit_latency: icache.config().hit_latency,
             generation: icache.generation(),
         })
@@ -555,7 +554,7 @@ mod tests {
         u.load_private(0, 0x100, &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
         let t = u.text(0, 0x100, 8).expect("private cacheable text");
         assert_eq!(t.bytes, [1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!((t.line_shift, t.hit_latency), (4, 1), "16-byte lines, 1-cycle hits");
+        assert_eq!(t.hit_latency, 1, "1-cycle hits");
         let top = u.private(0).size() - 4;
         assert_eq!(u.text(0, top, 32).unwrap().bytes.len(), 4, "clipped at the end of private memory");
         assert!(u.text(0, 0x102, 4).is_none(), "misaligned");
@@ -576,8 +575,8 @@ mod tests {
     #[test]
     fn fetch_hits_book_what_single_fetches_would() {
         let (mut one, mut bulk) = (uncore(1), uncore(1));
-        // A probe of a line not yet fetched declines and changes nothing;
-        // the full fetch then misses as it would have anyway.
+        // A run on a line not yet fetched declines and changes nothing; the
+        // full fetch then misses as it would have anyway.
         let before = state(&bulk);
         assert!(!bulk.fetch_hits(0, 0x100, 1), "cold line");
         assert_eq!(state(&bulk), before);

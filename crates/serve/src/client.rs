@@ -173,7 +173,7 @@ pub struct DoneSummary {
 impl DoneSummary {
     /// Renders the summary as job `job`'s `done` event: the one builder
     /// of that frame (the server's terminal events and the router's
-    /// synthesized failures), read back by [`DoneSummary::from_event`].
+    /// synthesized failures), read back by `DoneSummary::from_event`.
     #[must_use]
     pub fn to_event(&self, job: u64) -> String {
         JsonObject::line()

@@ -294,7 +294,7 @@ impl LevelState {
 /// hierarchy that does not change as temperatures move. Build it once per
 /// (mesh, operator) pair and hand an `Arc` of it to each
 /// [`crate::ThermalModel`] via `ThermalModel::with_artifacts`; each model
-/// then allocates only its own per-run [`LevelState`]s.
+/// then allocates only its own per-run `LevelState`s.
 #[derive(Debug)]
 pub struct MgTopology {
     /// Coarse levels, finest first. `levels[0].agg_of` maps **fine grid**
@@ -322,20 +322,15 @@ impl MgTopology {
         MgTopology { levels }
     }
 
-    /// Builds the hierarchy a fresh model at ambient temperature would
-    /// build lazily on its first multigrid substep: the matching strengths
-    /// are the edge conductances evaluated at a uniform `cfg.ambient_k`
-    /// field (a model's temperatures before its first substep), so a
-    /// shared topology is identical to the per-model lazy build.
+    /// Builds the hierarchy of a model's first multigrid substep: the
+    /// matching strengths are the edge conductances evaluated at a uniform
+    /// `cfg.ambient_k` field (a model's temperatures before its first
+    /// substep). A model without a shared topology builds its own with
+    /// this function on that substep, so the two are identical.
     #[must_use]
     pub fn for_grid(grid: &ThermalGrid, cfg: &GridConfig) -> MgTopology {
-        let k_at_ambient = |cell: usize| {
-            if grid.is_silicon(cell) {
-                cfg.silicon_k_override.unwrap_or_else(|| silicon_conductivity(cfg.ambient_k))
-            } else {
-                COPPER_CONDUCTIVITY
-            }
-        };
+        let k_silicon = cfg.silicon_k_override.unwrap_or_else(|| silicon_conductivity(cfg.ambient_k));
+        let k_at_ambient = |cell: usize| if grid.is_silicon(cell) { k_silicon } else { COPPER_CONDUCTIVITY };
         let g_edge: Vec<f64> = grid
             .edges
             .iter()
@@ -379,13 +374,6 @@ pub(crate) struct Multigrid {
 }
 
 impl Multigrid {
-    /// Builds the hierarchy topology from the grid's edges (using the
-    /// current conductances as matching strengths) and wraps it in a
-    /// solver instance.
-    pub(crate) fn build(grid: &ThermalGrid, g_edge: &[f64]) -> Multigrid {
-        Multigrid::from_topology(Arc::new(MgTopology::build(grid, g_edge)))
-    }
-
     /// Instantiates a solver on a shared topology: allocates this
     /// instance's per-level numeric state, everything else is the `Arc`.
     pub(crate) fn from_topology(topo: Arc<MgTopology>) -> Multigrid {
@@ -718,7 +706,7 @@ mod tests {
         for &(cell, _, _) in &grid.convection {
             g_conv[cell] = 0.5;
         }
-        let mut mg = Multigrid::build(&grid, &g_edge);
+        let mut mg = Multigrid::from_topology(Arc::new(MgTopology::build(&grid, &g_edge)));
         assert!(!mg.is_degenerate());
         assert!(mg.n_levels() >= 2, "{} cells built {} levels", grid.n_cells(), mg.n_levels());
         mg.refresh_g(&g_edge, &g_conv);
@@ -766,7 +754,7 @@ mod tests {
         for &(cell, _, _) in &grid.convection {
             g_conv[cell] = 0.5;
         }
-        let mut mg = Multigrid::build(&grid, &g_edge);
+        let mut mg = Multigrid::from_topology(Arc::new(MgTopology::build(&grid, &g_edge)));
         assert!(!mg.is_degenerate() && mg.n_levels() >= 3, "{} levels", mg.n_levels());
         mg.refresh_g(&g_edge, &g_conv);
         mg.build_diag(5e-4);
@@ -866,7 +854,8 @@ mod tests {
     #[test]
     fn shared_topology_instances_are_independent_but_identical() {
         // Two solver instances on one Arc'd topology: same hierarchy shape,
-        // separate numeric state; for_grid matches the lazy in-model build.
+        // separate numeric state; for_grid matches the hierarchy of the
+        // ambient conductances.
         let mut fp = Floorplan::new("shared", 4000.0, 4000.0);
         fp.add_component("hot", 500.0, 500.0, 2000.0, 2000.0, true);
         let cfg = GridConfig { hot_div: 10, default_div: 4, ..GridConfig::default() };
@@ -883,16 +872,16 @@ mod tests {
         assert!(!a.stale_g);
         assert!(b.stale_g, "sibling instance state is independent");
         assert!(b.states[0].g_edge.iter().all(|&g| g == 0.0));
-        // The ambient-weight builder reproduces what Multigrid::build would
-        // do from the model's first refreshed conductances.
+        // The ambient-weight builder reproduces the hierarchy of a model's
+        // first refreshed conductances, written out here on their own.
         let k = |cell: usize| {
             if grid.is_silicon(cell) { silicon_conductivity(cfg.ambient_k) } else { COPPER_CONDUCTIVITY }
         };
         let lazy_g: Vec<f64> =
             grid.edges.iter().map(|e| 1.0 / (e.g_a / k(e.a) + e.g_b / k(e.b))).collect();
-        let lazy = Multigrid::build(&grid, &lazy_g);
-        assert_eq!(lazy.n_levels(), a.n_levels());
-        for (lt, st) in lazy.topo.levels.iter().zip(&topo.levels) {
+        let lazy = MgTopology::build(&grid, &lazy_g);
+        assert_eq!(lazy.levels.len(), topo.levels.len());
+        for (lt, st) in lazy.levels.iter().zip(&topo.levels) {
             assert_eq!(lt.n, st.n);
             assert_eq!(lt.agg_of, st.agg_of, "identical aggregation under identical weights");
         }

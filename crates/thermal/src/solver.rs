@@ -584,7 +584,7 @@ impl ThermalModel {
     /// rebuilds them deterministically from the same floorplan and config.
     ///
     /// The SOR tuner holds no state across substeps (a fresh
-    /// [`SorTuner`] is constructed inside every solve), so snapshots taken
+    /// `SorTuner` is constructed inside every solve), so snapshots taken
     /// at step boundaries cover it vacuously.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = StateWriter::new(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
@@ -659,21 +659,7 @@ impl ThermalModel {
         }
         self.set_powers(&comp_power);
         if mg_built && self.mg.is_none() {
-            // The original hierarchy was aggregated from the first refresh's
-            // conductances — the ambient-uniform field, since every model
-            // starts at ambient. Rebuild from the same inputs so the
-            // aggregation (and hence every coarse-grid visit) is identical.
-            self.mg = Some(match &self.mg_topo {
-                Some(topo) => Multigrid::from_topology(topo.clone()),
-                None => {
-                    let amb = self.cfg.ambient_k;
-                    for i in 0..n {
-                        self.k_cell[i] = self.conductivity(i, amb);
-                    }
-                    self.refresh_conductances();
-                    Multigrid::build(&self.grid, &self.g_edge)
-                }
-            });
+            self.mg = Some(self.build_multigrid());
         }
         // Re-derive the lagged coefficients at the recorded refresh anchor,
         // then install the live temperatures on top. `refresh_conductances`
@@ -1004,6 +990,17 @@ impl ThermalModel {
         clock.record();
     }
 
+    /// The model's multigrid hierarchy: on the shared topology artifact
+    /// when the model has one, else aggregated from the conductances of a
+    /// uniform ambient field ([`MgTopology::for_grid`]). Either way it is
+    /// the hierarchy of the conductances the first multigrid substep runs
+    /// with, since that substep follows a refresh at the ambient field
+    /// every model starts at; a restored model rebuilds the same one.
+    fn build_multigrid(&self) -> Multigrid {
+        let topo = self.mg_topo.clone().unwrap_or_else(|| Arc::new(MgTopology::for_grid(&self.grid, &self.cfg)));
+        Multigrid::from_topology(topo)
+    }
+
     /// One backward-Euler substep solved by flexible CG preconditioned
     /// with one multigrid K-cycle per iteration: the coarse correction on
     /// the aggregated hierarchy ([`crate::mg`]), then a symmetric
@@ -1012,16 +1009,8 @@ impl ThermalModel {
     /// to coarsen. `on_cycle` sees `(p, A·p)` after every cycle's direction
     /// update.
     fn implicit_substep_mg(&mut self, h: f64, on_cycle: &mut impl FnMut(&[f64], &[f64])) {
-        // The hierarchy topology is built once, from the first refreshed
-        // conductances (the matching strengths); `refresh_all` has run by
-        // the time any substep executes. A model built on a shared
-        // topology artifact instantiates on it instead — identical, since
-        // the artifact was built at the same ambient-uniform conductances.
         if self.mg.is_none() {
-            self.mg = Some(match &self.mg_topo {
-                Some(topo) => Multigrid::from_topology(topo.clone()),
-                None => Multigrid::build(&self.grid, &self.g_edge),
-            });
+            self.mg = Some(self.build_multigrid());
         }
         if self.mg.as_ref().expect("just built").is_degenerate() {
             self.implicit_substep_csr(h);
@@ -1314,57 +1303,6 @@ impl ThermalModel {
             }
         }
         self.time - start
-    }
-
-    /// Jumps directly to the steady state of the current power vector by
-    /// relaxing the network with the capacitive terms removed (backward
-    /// Euler with an effectively infinite step). Simulated time does not
-    /// advance; energy counters are untouched. Useful for worst-case
-    /// floorplan screening before running transients.
-    pub fn solve_steady_state(&mut self) {
-        // March with steps much longer than the package time constant: the
-        // capacitive diagonal keeps Gauss-Seidel contracting per step while
-        // each step closes most of the remaining distance, and the lagged
-        // non-linear conductivities settle along the way.
-        let saved_time = self.time;
-        let (saved_in, saved_out) = (self.energy_in, self.energy_out);
-        // Individual strides are *expected* to stop short of the transient
-        // tolerance (the outer loop converges, not each stride), so they
-        // must not pollute the convergence accounting or trip strict mode.
-        let saved_unconverged = self.unconverged_substeps;
-        let saved_worst = self.worst_unconverged_delta;
-        let (saved_sweeps, saved_cycles) = (self.total_sweeps, self.total_cycles);
-        // With the capacitive diagonal nearly gone at h = 50 s, the system
-        // is the pure conduction network — exactly where large meshes need
-        // the multigrid strides (plain Gauss–Seidel stagnates there, which
-        // would fool the max-temp convergence test below).
-        let multigrid = self.uses_multigrid();
-        for _ in 0..64 {
-            let before = self.max_temp();
-            if self.reference_mode() {
-                self.implicit_substep_reference(50.0);
-            } else {
-                // Temperatures move by tens of kelvin per 50 s stride, so
-                // refresh the non-linear coefficients every stride here.
-                self.refresh_all();
-                if multigrid {
-                    self.implicit_substep_mg(50.0, &mut |_, _| {});
-                } else {
-                    self.implicit_substep_csr(50.0);
-                }
-            }
-            if (self.max_temp() - before).abs() < 1e-6 {
-                break;
-            }
-        }
-        self.time = saved_time;
-        self.energy_in = saved_in;
-        self.energy_out = saved_out;
-        self.unconverged_substeps = saved_unconverged;
-        self.worst_unconverged_delta = saved_worst;
-        self.total_sweeps = saved_sweeps;
-        self.total_cycles = saved_cycles;
-        self.last_substep_unconverged = false;
     }
 }
 
@@ -1785,25 +1723,6 @@ mod tests {
         m.step(5.0);
         assert!(m.max_temp().is_finite());
         assert!(m.max_temp() > 300.0 && m.max_temp() < 600.0, "no blow-up: {}", m.max_temp());
-    }
-
-    #[test]
-    fn solve_steady_state_matches_transient_limit() {
-        let cfg = GridConfig { silicon_k_override: Some(120.0), ..GridConfig::default() };
-        let mut direct = uniform(2.0, &cfg);
-        direct.solve_steady_state();
-        assert_eq!(direct.time(), 0.0, "no simulated time consumed");
-        let mut transient = uniform(2.0, &cfg);
-        transient.run_to_steady(200.0, 1e-3);
-        assert!(
-            (direct.component_temp(0) - transient.component_temp(0)).abs() < 0.05,
-            "direct {:.3} K vs transient {:.3} K",
-            direct.component_temp(0),
-            transient.component_temp(0)
-        );
-        let die_area = 2e-3 * 2e-3;
-        let analytic = analytic_stack_temp(2.0, die_area, &cfg, 120.0);
-        assert!((direct.component_temp(0) - analytic).abs() < 0.05);
     }
 
     #[test]

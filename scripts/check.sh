@@ -120,6 +120,13 @@ echo "== lint wall: clippy -D warnings =="
 # --all-targets: tests, benches and examples are linted too.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== docs gate: rustdoc -D warnings =="
+# Every doc link must resolve, so a doc that still links a deleted item
+# fails here. The first pass checks the private items' docs too; the
+# second, public docs alone, which must not link private items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --document-private-items
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== benchmark-smoke gate =="
 # The repo benchmark (benchmark/) is a cargo workspace of its own that
 # builds the crates by path and drives their public API (`SweepMode`,
