@@ -29,16 +29,15 @@
 
 use crate::member::MemberTable;
 use std::collections::{HashMap, VecDeque};
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
 use std::time::Duration;
 use temu_framework::{JsonObject, JsonValue, SweepSpec};
+use temu_serve::protocol::{accept_loop, Service};
 use temu_serve::{
-    coded_error_line, error_line, prepare_stream, read_frame, write_frame, Client, ClientError,
-    DoneSummary, ProtocolError, Request, DEFAULT_HISTORY_LIMIT, MAX_FRAME_LEN,
+    coded_error_line, error_line, write_frame, Client, ClientError, DoneSummary, Request, ServerHandle,
+    DEFAULT_HISTORY_LIMIT,
 };
 
 /// Default router listen address (one above the serve default).
@@ -54,8 +53,6 @@ pub struct RouterConfig {
     /// Health-probe period: each member's `stats` is polled this often
     /// and the member marked up/down accordingly.
     pub probe_interval: Duration,
-    /// Read/write deadline on accepted client connections.
-    pub io_timeout: Option<Duration>,
     /// Routes (router job id → member job) kept before the oldest are
     /// evicted; evicted jobs answer `status`/`watch` with "no such job"
     /// even though the member still remembers them. The default is
@@ -69,7 +66,6 @@ impl Default for RouterConfig {
             addr: String::from(DEFAULT_ROUTER_ADDR),
             members: Vec::new(),
             probe_interval: Duration::from_secs(2),
-            io_timeout: Some(Duration::from_secs(30)),
             history_limit: DEFAULT_HISTORY_LIMIT,
         }
     }
@@ -102,7 +98,6 @@ impl Routes {
 struct Shared {
     table: MemberTable,
     routes: Mutex<Routes>,
-    io_timeout: Option<Duration>,
     history_limit: usize,
     probe_interval: Duration,
     shutdown: AtomicBool,
@@ -122,34 +117,10 @@ pub struct Router {
     shared: Arc<Shared>,
 }
 
-/// Handle to a router running on a background thread.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound address.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the router (idempotent) and joins its thread. Members keep
-    /// running — they are independent processes.
-    pub fn shutdown(mut self) {
-        request_shutdown(&self.shared, self.addr);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-fn request_shutdown(shared: &Shared, addr: SocketAddr) {
-    shared.shutdown.store(true, Ordering::SeqCst);
-    let _ = TcpStream::connect(addr);
-}
+/// A router running on a background thread ([`Router::spawn`]). Its
+/// `shutdown` stops the router only: members are independent processes
+/// and keep running.
+pub type RouterHandle = ServerHandle;
 
 impl Router {
     /// Binds the listen socket.
@@ -168,7 +139,6 @@ impl Router {
         let shared = Arc::new(Shared {
             table: MemberTable::new(config.members),
             routes: Mutex::new(Routes { map: HashMap::new(), order: VecDeque::new(), next_id: 1 }),
-            io_timeout: config.io_timeout,
             history_limit: config.history_limit.max(1),
             probe_interval: config.probe_interval,
             shutdown: AtomicBool::new(false),
@@ -201,16 +171,7 @@ impl Router {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || prober_loop(&shared))
         };
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || {
-                let _ = serve_connection(&shared, stream);
-            });
-        }
+        accept_loop(&self.listener, &self.shared);
         let _ = prober.join();
     }
 
@@ -224,8 +185,7 @@ impl Router {
         let router = Router::bind(config)?;
         let addr = router.local_addr()?;
         let shared = Arc::clone(&router.shared);
-        let thread = std::thread::spawn(move || router.run());
-        Ok(RouterHandle { addr, shared, thread: Some(thread) })
+        Ok(ServerHandle::spawn(addr, shared, move || router.run()))
     }
 }
 
@@ -233,7 +193,7 @@ impl Router {
 /// Probe verdicts use [`MemberTable::set_up`], so a member that stays
 /// down doesn't accrue one "failure" per interval — the failure counter
 /// tracks traffic, the prober tracks availability.
-fn prober_loop(shared: &Arc<Shared>) {
+fn prober_loop(shared: &Shared) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
@@ -275,64 +235,41 @@ fn probe_members(shared: &Shared) {
 // Connections
 // ---------------------------------------------------------------------------
 
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()> {
-    prepare_stream(&stream, shared.io_timeout)?;
-    let addr = stream.local_addr().ok();
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        let line = match read_frame(&mut reader, MAX_FRAME_LEN) {
-            Ok(Some(line)) => line,
-            Ok(None) => return Ok(()),
-            Err(e @ ProtocolError::FrameTooLong { .. }) => {
-                write_frame(&mut writer, &coded_error_line("frame_too_long", &e.to_string()))?;
-                return Ok(());
-            }
-            Err(_) => return Ok(()),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match Request::parse(&line) {
-            Ok(request) => request,
-            Err(e) => {
-                write_frame(&mut writer, &error_line(&e))?;
-                continue;
-            }
-        };
+impl Service for Shared {
+    fn dispatch(&self, writer: &mut TcpStream, request: Request) -> std::io::Result<()> {
         match request {
-            Request::Submit { spec, watch, priority } => {
-                handle_submit(shared, &mut writer, *spec, watch, priority)?;
-            }
-            Request::Status { job } => forward_request(shared, &mut writer, job, Forward::Status)?,
-            Request::Result { job } => forward_request(shared, &mut writer, job, Forward::Result)?,
-            Request::Cancel { job } => forward_request(shared, &mut writer, job, Forward::Cancel)?,
-            Request::Watch { job } => handle_watch(shared, &mut writer, job)?,
-            Request::Stats => write_frame(&mut writer, &stats_response(shared))?,
+            Request::Submit { spec, watch, priority } => handle_submit(self, writer, *spec, watch, priority),
+            Request::Status { job } => forward_request(self, writer, job, Forward::Status),
+            Request::Result { job } => forward_request(self, writer, job, Forward::Result),
+            Request::Cancel { job } => forward_request(self, writer, job, Forward::Cancel),
+            Request::Watch { job } => handle_watch(self, writer, job),
+            Request::Stats => write_frame(writer, &stats_response(self)),
             // The router's own registry view: probe RTTs, submit-ack
             // latency, spill/failover counters, per-member routed counts.
             // (Member-level job metrics come from asking each member's
             // `metrics` directly.)
             Request::Metrics => write_frame(
-                &mut writer,
+                writer,
                 &JsonObject::line()
                     .raw("ok", true)
                     .raw("fleet", true)
                     .fields(&temu_obs::global().snapshot().to_json_fields())
                     .finish(),
-            )?,
-            Request::Shutdown => {
-                let ack = JsonObject::line().raw("ok", true).raw("shutdown", true).finish();
-                write_frame(&mut writer, &ack)?;
-                if let Some(addr) = addr {
-                    request_shutdown(shared, addr);
-                }
-                return Ok(());
-            }
+            ),
+            // The request loop acks it and stops the router.
+            Request::Shutdown => Ok(()),
             // `Request` is non-exhaustive: refuse anything a future
             // protocol adds rather than guessing how to route it.
-            _ => write_frame(&mut writer, &error_line("request not supported by the fleet router"))?,
+            _ => write_frame(writer, &error_line("request not supported by the fleet router")),
         }
+    }
+
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+    }
+
+    fn stopped(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -388,7 +325,7 @@ fn relay_events(writer: &mut TcpStream, member: &mut Client, router_id: u64) -> 
 
 #[allow(clippy::too_many_lines)]
 fn handle_submit(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     writer: &mut TcpStream,
     spec: SweepSpec,
     watch: bool,
@@ -530,7 +467,7 @@ enum Forward {
 }
 
 fn forward_request(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     writer: &mut TcpStream,
     router_job: u64,
     kind: Forward,
@@ -567,7 +504,7 @@ fn forward_request(
     Ok(())
 }
 
-fn handle_watch(shared: &Arc<Shared>, writer: &mut TcpStream, router_job: u64) -> std::io::Result<()> {
+fn handle_watch(shared: &Shared, writer: &mut TcpStream, router_job: u64) -> std::io::Result<()> {
     let route = shared.lock_routes().map.get(&router_job).map(|r| (r.member, r.member_job, r.total));
     let Some((i, member_job, total)) = route else {
         write_frame(writer, &error_line(&format!("no such job {router_job}")))?;
@@ -612,7 +549,7 @@ fn handle_watch(shared: &Arc<Shared>, writer: &mut TcpStream, router_job: u64) -
 /// *up* members, and the per-member breakdown. Members are probed live
 /// here (and marked up/down) so `stats` reflects the fleet now, not as
 /// of the last probe tick.
-fn stats_response(shared: &Arc<Shared>) -> String {
+fn stats_response(shared: &Shared) -> String {
     probe_members(shared);
     JsonObject::line()
         .raw("ok", true)

@@ -10,7 +10,7 @@ use temu_fleet::{Router, RouterConfig};
 use temu_framework::{
     AxisSpec, ImplicitSolve, JsonValue, ScenarioSpec, SweepSpec, WorkloadSpec,
 };
-use temu_serve::{Client, ClientError, ServeConfig, Server, ServerHandle};
+use temu_serve::{Client, ClientError, ServeConfig, Server, ServerHandle, MAX_FRAME_LEN};
 
 /// A 4-point near-instant sweep (two tiny workloads × two solvers).
 fn tiny_sweep(name: &str) -> SweepSpec {
@@ -208,6 +208,14 @@ fn router_frame_bytes_are_pinned() {
     .expect("bind the router on an ephemeral port");
     let addr = member.addr().to_string();
     let mut reader = BufReader::new(TcpStream::connect(router.addr()).expect("connect"));
+    // Unparsable lines get the member's reply, byte for byte, and the
+    // connection stays open for the requests below.
+    let mut direct = BufReader::new(TcpStream::connect(member.addr()).expect("connect"));
+    for garbage in ["not json", "{\"cmd\": \"nope\"}"] {
+        assert_eq!(ask(&mut reader, garbage), ask(&mut direct, garbage), "{garbage}");
+    }
+    assert_eq!(ask(&mut reader, "{\"cmd\": \"nope\"}"), GOLDEN_ROUTER_UNKNOWN_CMD);
+    drop(direct);
     let submit = format!("{{\"cmd\": \"submit\", \"watch\": true, \"sweep\": {}}}", tiny_sweep("wire").to_json());
     assert_eq!(ask(&mut reader, &submit).replace(&addr, "MEMBER"), GOLDEN_ROUTER_ACK);
     while !recv(&mut reader).starts_with("{\"event\": \"done\"") {}
@@ -215,11 +223,33 @@ fn router_frame_bytes_are_pinned() {
     assert_eq!(stats.replace(&addr, "MEMBER"), GOLDEN_ROUTER_STATS);
     let metrics = ask(&mut reader, "{\"cmd\": \"metrics\"}");
     assert!(metrics.starts_with("{\"ok\": true, \"fleet\": true, \"temu_metrics\":1,\"counters\":{"), "{metrics}");
+
+    // An oversized frame is refused with the member's bytes, then the
+    // router hangs up.
+    let mut big = BufReader::new(TcpStream::connect(router.addr()).expect("connect"));
+    big.get_ref().set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut sink = big.get_ref().try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let _ = sink.write_all(&vec![b'x'; MAX_FRAME_LEN + 3]);
+    });
+    assert_eq!(recv(&mut big), GOLDEN_FRAME_TOO_LONG);
+    match big.read_line(&mut String::new()) {
+        Ok(n) => assert_eq!(n, 0, "nothing follows the refusal"),
+        Err(e) => assert!(
+            !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+            "the router hangs up after the refusal: {e}"
+        ),
+    }
+    flood.join().unwrap();
+
     assert_eq!(ask(&mut reader, "{\"cmd\": \"shutdown\"}"), GOLDEN_ROUTER_SHUTDOWN);
     router.shutdown();
     member.shutdown();
 }
 
+const GOLDEN_ROUTER_UNKNOWN_CMD: &str = "{\"ok\": false, \"error\": \"unknown cmd \\\"nope\\\"\"}";
+/// The member's refusal (`GOLDEN_FRAME_TOO_LONG` in `crates/serve/tests/wire.rs`).
+const GOLDEN_FRAME_TOO_LONG: &str = "{\"ok\": false, \"code\": \"frame_too_long\", \"limit\": 1048576, \"error\": \"frame exceeds the 1048576-byte protocol bound\"}";
 const GOLDEN_ROUTER_ACK: &str = "{\"ok\": true, \"job\": 1, \"total\": 4, \"member\": \"MEMBER\"}";
 const GOLDEN_ROUTER_STATS: &str = "{\"ok\": true, \"fleet\": true, \"members_up\": 1, \"submissions\": 1, \"failovers\": 0, \"routes\": 1, \"queue_depth\": 0, \"running\": 0, \"workers\": 1, \"members\": [{\"addr\": \"MEMBER\", \"up\": true, \"routed\": 1, \"failures\": 0, \"member\": \"a\", \"queue_depth\": 0, \"running\": 0, \"workers\": 1, \"cache_entries\": 4}]}";
 const GOLDEN_ROUTER_SHUTDOWN: &str = "{\"ok\": true, \"shutdown\": true}";

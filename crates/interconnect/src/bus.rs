@@ -15,7 +15,7 @@
 //! ```
 
 use crate::req::{Grant, IcStats, Request};
-use crate::{addr_transitions, data_transitions, IcError, Interconnect};
+use crate::{addr_transitions, data_transitions, IcError};
 use temu_state::{StateError, StateReader, StateWriter};
 
 /// Arbitration policy of the custom bus.
@@ -200,10 +200,11 @@ impl Bus {
         self.stats.load_state(r)?;
         Ok(())
     }
-}
 
-impl Interconnect for Bus {
-    fn transact(&mut self, req: &Request, mem_latency: u32) -> Grant {
+    /// Schedules one transaction and returns its timing. The bus is held
+    /// for the whole access, `mem_latency` (the target memory's service
+    /// latency) included: the paper's platform has no split transactions.
+    pub fn transact(&mut self, req: &Request, mem_latency: u32) -> Grant {
         debug_assert!(req.initiator < self.cfg.initiators, "initiator {} out of range", req.initiator);
         let earliest = req.issue_cycle + u64::from(self.cfg.arb_latency);
         let free = earliest.max(self.busy_until);
@@ -226,20 +227,15 @@ impl Interconnect for Bus {
         Grant { start, complete }
     }
 
-    fn stats(&self) -> &IcStats {
+    /// Statistics since construction or the last [`Bus::take_stats`].
+    #[must_use]
+    pub fn stats(&self) -> &IcStats {
         &self.stats
     }
 
-    fn take_stats(&mut self) -> IcStats {
+    /// Returns and resets the statistics (sampling-window collection).
+    pub fn take_stats(&mut self) -> IcStats {
         std::mem::take(&mut self.stats)
-    }
-
-    fn initiators(&self) -> usize {
-        self.cfg.initiators
-    }
-
-    fn describe(&self) -> String {
-        format!("{:?} bus, {} initiators, {:?}", self.cfg.kind, self.cfg.initiators, self.cfg.arbitration)
     }
 }
 

@@ -30,29 +30,6 @@ pub use error::IcError;
 pub use noc::{Noc, NocConfig, Topology};
 pub use req::{Grant, IcStats, Request};
 
-/// Common interface of the transaction-timing interconnect models.
-pub trait Interconnect {
-    /// Schedules one transaction and returns its timing.
-    ///
-    /// `mem_latency` is the service latency of the target memory (the paper's
-    /// platform has no split transactions: the interconnect is held for the
-    /// whole access on a bus, while a NoC only occupies links while packets
-    /// are in flight).
-    fn transact(&mut self, req: &Request, mem_latency: u32) -> Grant;
-
-    /// Statistics since construction or the last [`Interconnect::take_stats`].
-    fn stats(&self) -> &IcStats;
-
-    /// Returns and resets the statistics (sampling-window collection).
-    fn take_stats(&mut self) -> IcStats;
-
-    /// Number of initiator ports (cores).
-    fn initiators(&self) -> usize;
-
-    /// Short human-readable description (for reports).
-    fn describe(&self) -> String;
-}
-
 /// Average-case data-line toggle estimate: half the 32 data wires switch per
 /// transferred word.
 pub(crate) fn data_transitions(words: u32) -> u64 {

@@ -19,7 +19,7 @@
 //! discipline, keeping the two engines cycle-exact).
 
 use crate::req::{Grant, IcStats, Request};
-use crate::{addr_transitions, data_transitions, IcError, Interconnect};
+use crate::{addr_transitions, data_transitions, IcError};
 use temu_state::{StateError, StateReader, StateWriter};
 
 /// NoC topology.
@@ -322,10 +322,11 @@ impl Noc {
         self.stats.load_state(r)?;
         Ok(())
     }
-}
 
-impl Interconnect for Noc {
-    fn transact(&mut self, req: &Request, mem_latency: u32) -> Grant {
+    /// Schedules one transaction and returns its timing. Links are
+    /// occupied only while packets are in flight; the target memory's
+    /// service latency `mem_latency` sits between request and response.
+    pub fn transact(&mut self, req: &Request, mem_latency: u32) -> Grant {
         debug_assert!(req.initiator < self.cfg.core_switch.len());
         debug_assert!(req.target < self.cfg.mem_switch.len());
         let src = self.cfg.core_switch[req.initiator];
@@ -349,26 +350,15 @@ impl Interconnect for Noc {
         Grant { start, complete }
     }
 
-    fn stats(&self) -> &IcStats {
+    /// Statistics since construction or the last [`Noc::take_stats`].
+    #[must_use]
+    pub fn stats(&self) -> &IcStats {
         &self.stats
     }
 
-    fn take_stats(&mut self) -> IcStats {
+    /// Returns and resets the statistics (sampling-window collection).
+    pub fn take_stats(&mut self) -> IcStats {
         std::mem::take(&mut self.stats)
-    }
-
-    fn initiators(&self) -> usize {
-        self.cfg.core_switch.len()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "NoC: {} switches, {} links, router latency {}, {}-flit buffers",
-            self.switches,
-            self.cfg.topology.links().len(),
-            self.cfg.router_latency,
-            self.cfg.buffer_flits
-        )
     }
 }
 
@@ -484,12 +474,6 @@ mod tests {
         let s = noc.take_stats();
         assert_eq!(s.transactions, 1);
         assert_eq!(noc.stats().transactions, 0);
-    }
-
-    #[test]
-    fn describe_mentions_switches() {
-        let noc = Noc::new(NocConfig::paper_four_switch(4));
-        assert!(noc.describe().contains("4 switches"));
     }
 
     #[test]

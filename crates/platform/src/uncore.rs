@@ -15,7 +15,7 @@ use crate::config::{IcChoice, PlatformConfig};
 use crate::mmio::Mmio;
 use crate::sniffer::{EventBuffer, SnifferMode};
 use temu_cpu::{MemReply, MemoryPort, Text};
-use temu_interconnect::{Bus, Grant, IcStats, Interconnect, Noc, Request};
+use temu_interconnect::{Bus, Grant, IcStats, Noc, Request};
 use temu_isa::Width;
 use temu_mem::{
     AccessKind, AddressMap, Cache, CacheKind, CacheResponse, CacheStats, MappedRange, MemArray, MemError, MemStats,

@@ -9,7 +9,9 @@
 //! results are memoized by `content_key` (a re-run sweep is served from
 //! the cache, not re-executed).
 
-use crate::protocol::{prepare_stream, read_frame, write_frame, ProtocolError, Request, MAX_FRAME_LEN};
+use crate::protocol::{
+    prepare_stream, read_frame, write_frame, ProtocolError, Request, IO_TIMEOUT, MAX_FRAME_LEN,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::error::Error;
@@ -222,19 +224,16 @@ pub struct Submission {
 
 /// One protocol connection.
 ///
-/// Request/response exchanges run under the socket deadline set at
-/// connect time; event *streams* (`submit --watch`, `watch`) lift the
-/// read deadline while waiting, because a slow grid point legitimately
-/// produces long silences (a killed server still surfaces immediately as
+/// Request/response exchanges run under the socket deadline
+/// ([`IO_TIMEOUT`]) set at connect time; event *streams* (`submit
+/// --watch`, `watch`) lift the read deadline while waiting, because a
+/// slow grid point legitimately produces long silences (a killed server still surfaces immediately as
 /// [`ClientError::Closed`] — TCP delivers the reset). Dropping the client
 /// shuts the socket down cleanly ([`Client::close`]).
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
 }
-
-/// The deadline on each request/response exchange.
-const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 impl Client {
     /// Connects to a server (single attempt; see
@@ -245,7 +244,7 @@ impl Client {
     /// Any socket error.
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
-        prepare_stream(&stream, Some(IO_TIMEOUT))?;
+        prepare_stream(&stream)?;
         let writer = stream.try_clone()?;
         Ok(Client { reader: BufReader::new(stream), writer })
     }
@@ -419,12 +418,15 @@ impl Client {
         self.request(&Request::Result { job })
     }
 
-    /// Cancels a queued job.
+    /// Cancels a job. A queued job is cancelled at once
+    /// (`"cancelled": true`); a running one is acked with
+    /// `"cancelling": true` and stops at its next point start or window
+    /// boundary, ending `cancelled`.
     ///
     /// # Errors
     ///
     /// [`ClientError::Server`] when the job is unknown or already
-    /// running/finished.
+    /// finished.
     pub fn cancel(&mut self, job: u64) -> Result<JsonValue, ClientError> {
         self.request(&Request::Cancel { job })
     }

@@ -44,7 +44,7 @@
 //! persisted every N sampling windows ([`checkpoints`]), so a `SIGKILL`
 //! mid-point resumes from the last window boundary instead of re-running
 //! the point. Accepted
-//! connections carry socket deadlines and bounded frames
+//! connections carry socket deadlines ([`IO_TIMEOUT`]) and bounded frames
 //! ([`protocol::read_frame`]), the client retries transient failures with
 //! exponential backoff ([`RetryPolicy`]), and a [`fault`]-injection
 //! harness (`TEMU_FAULT`) drives the chaos tests that prove all of it.
@@ -63,6 +63,6 @@ pub use fault::FaultPlan;
 pub use journal::{Journal, JournalReplay, RecoveredJob};
 pub use protocol::{
     coded_error_line, error_line, prepare_stream, read_frame, spec_from_document, write_frame,
-    ProtocolError, Request, ADDR_ENV, DEFAULT_ADDR, MAX_FRAME_LEN,
+    ProtocolError, Request, ServerHandle, ADDR_ENV, DEFAULT_ADDR, IO_TIMEOUT, MAX_FRAME_LEN,
 };
-pub use server::{ServeConfig, Server, ServerHandle, DEFAULT_HISTORY_LIMIT};
+pub use server::{ServeConfig, Server, DEFAULT_HISTORY_LIMIT};

@@ -13,18 +13,21 @@
 //! | `submit` | `sweep` ([`SweepSpec`] object), optional `watch`, optional `priority` (default 0; higher runs first, FIFO within a level) | `{"ok", "job", "total"}` (+ events) |
 //! | `status` | `job` | job state and progress counters |
 //! | `result` | `job` | the finished job's [`SweepReport`](temu_framework::SweepReport) JSON |
-//! | `cancel` | `job` | ok for queued jobs; running/finished jobs refuse |
+//! | `cancel` | `job` | `{"ok", "job", "cancelled": true}` for a queued job; `{"ok", "job", "cancelling": true}` for a running one, which stops at its next point start or window boundary; finished jobs refuse |
 //! | `watch` | `job` | `{"ok"}` + event stream until the job finishes |
 //! | `stats` | — | server counters (jobs, queue depth, cache hit rate) |
 //! | `metrics` | — | versioned metrics snapshot (`{"ok", "temu_metrics", "counters", "gauges", "histograms"}`) |
 //! | `results` | optional `after` (cursor, default 0), `follow`, `job` | `{"ok", "cursor", "earliest_retained"}` + completed-point NDJSON events, ending in `{"event": "end", "cursor"}` |
-//! | `shutdown` | — | `{"ok"}`; the server then stops accepting and exits |
+//! | `shutdown` | — | `{"ok", "shutdown": true}`; the server then stops accepting and exits |
 //!
 //! # Events
 //!
 //! `{"event": "start", "job", "total"}` once when a job begins executing;
 //! `{"event": "point", ...}` per finished grid point (label, cache_hit,
 //! ok, and either summary headline numbers or the point's error);
+//! `{"event": "point", "job", "index", "label", "progress": {"windows",
+//! "total_windows"}}` at each window checkpoint inside a running point
+//! (servers started with `--window-checkpoint N`: every N windows);
 //! `{"event": "done", "job", "ok", "points", "executed", "cache_hits",
 //! "failed", "wall_s"}` exactly once, last (with `"error"` when the job
 //! failed to lower and `"cancelled": true` when it was cancelled).
@@ -40,16 +43,26 @@
 //! socket in a single `write_all`, and it is the only way a line reaches
 //! a socket. Every socket that carries frames, accepted or connected,
 //! goes through [`prepare_stream`], which sets `TCP_NODELAY` along with
-//! the deadlines. Under Nagle's algorithm a frame written in two pieces
-//! sends its second piece only once the peer ACKs the first, and the peer
-//! delays that ACK (~40 ms on Linux) waiting for the rest of the frame: a
-//! stall on every exchange that no server metric sees, because the kernel
-//! holds the bytes.
+//! the [`IO_TIMEOUT`] deadlines. Under Nagle's algorithm a frame written
+//! in two pieces sends its second piece only once the peer ACKs the
+//! first, and the peer delays that ACK (~40 ms on Linux) waiting for the
+//! rest of the frame: a stall on every exchange that no server metric
+//! sees, because the kernel holds the bytes.
+//!
+//! # One request loop
+//!
+//! The job server and the fleet router are two [`Service`]s behind one
+//! loop: [`accept_loop`] serves each accepted connection on a thread of
+//! its own, which frames, refuses and parses requests, acks `shutdown`,
+//! and hands everything else to [`Service::dispatch`]. [`ServerHandle`]
+//! runs either on a background thread.
 
 use std::error::Error;
 use std::fmt;
-use std::io::{self, BufRead, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 use temu_framework::{JsonObject, JsonValue, SpecError, SweepSpec};
 
@@ -64,6 +77,13 @@ pub const ADDR_ENV: &str = "TEMU_SERVE_ADDR";
 /// line — slowloris drip, a runaway spec, or plain garbage — is refused
 /// with a typed error instead of being buffered unbounded into memory.
 pub const MAX_FRAME_LEN: usize = 1 << 20;
+
+/// The read and write deadline of every socket that carries frames
+/// ([`prepare_stream`]): a peer that stops sending mid-request or stops
+/// draining its replies is disconnected instead of pinning a thread
+/// forever. The client lifts its read deadline while it waits on an
+/// event stream, whose silences last as long as a grid point runs.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A transport-level failure of the NDJSON framing layer, shared by the
 /// server's connection handler and the [`Client`](crate::Client).
@@ -207,15 +227,145 @@ pub fn write_frame(w: &mut impl Write, frame: &str) -> io::Result<()> {
 }
 
 /// Readies an accepted or connected socket for frames: `TCP_NODELAY`, and
-/// both socket deadlines set to `deadline` (`None` disables them).
+/// both socket deadlines set to [`IO_TIMEOUT`].
 ///
 /// # Errors
 ///
 /// Any socket option failure.
-pub fn prepare_stream(stream: &TcpStream, deadline: Option<Duration>) -> io::Result<()> {
+pub fn prepare_stream(stream: &TcpStream) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(deadline)?;
-    stream.set_write_timeout(deadline)
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))
+}
+
+/// A service behind the one request loop: the job server and the fleet
+/// router each answer requests their own way and share everything else.
+pub trait Service: Send + Sync + 'static {
+    /// Answers one request on `writer`. `shutdown` arrives here too, with
+    /// nothing to answer: the loop acks it and stops the service once
+    /// this returns.
+    ///
+    /// # Errors
+    ///
+    /// A write failure, which ends the connection.
+    fn dispatch(&self, writer: &mut TcpStream, request: Request) -> io::Result<()>;
+
+    /// Flags the service down and wakes whatever waits on it (idempotent).
+    fn stop(&self);
+
+    /// Whether [`Service::stop`] has run.
+    fn stopped(&self) -> bool;
+
+    /// Whether to serve an accepted connection at all; `false` hangs up
+    /// before a single frame is read.
+    fn admit(&self) -> bool {
+        true
+    }
+}
+
+/// Serves one accepted connection until the peer hangs up or goes quiet
+/// past the deadline: each non-blank frame is parsed and dispatched; an
+/// unparsable one is answered with [`error_line`] and the connection
+/// kept; an oversized one is refused with the `frame_too_long` code and
+/// the connection closed, since nothing after it can be framed reliably.
+/// `shutdown` is acked, then the service stops and its accept loop wakes.
+///
+/// # Errors
+///
+/// A socket option failure or a write failure.
+fn serve_connection(service: &dyn Service, stream: TcpStream) -> io::Result<()> {
+    prepare_stream(&stream)?;
+    let mut writer = stream.try_clone()?;
+    let mut reader = BufReader::new(stream);
+    loop {
+        let line = match read_frame(&mut reader, MAX_FRAME_LEN) {
+            Ok(Some(line)) => line,
+            // Clean EOF: the peer is done with the connection.
+            Ok(None) => return Ok(()),
+            Err(e @ ProtocolError::FrameTooLong { limit }) => {
+                let refusal = JsonObject::line()
+                    .raw("ok", false)
+                    .str("code", "frame_too_long")
+                    .raw("limit", limit)
+                    .str("error", &e.to_string())
+                    .finish();
+                return write_frame(&mut writer, &refusal);
+            }
+            // Deadline elapsed or the socket failed: the peer is gone or
+            // unresponsive (a live client reconnects).
+            Err(_) => return Ok(()),
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
+        let request = match Request::parse(&line) {
+            Ok(request) => request,
+            Err(e) => {
+                write_frame(&mut writer, &error_line(&e))?;
+                continue;
+            }
+        };
+        let shutdown = matches!(request, Request::Shutdown);
+        service.dispatch(&mut writer, request)?;
+        if shutdown {
+            write_frame(&mut writer, &JsonObject::line().raw("ok", true).raw("shutdown", true).finish())?;
+            stop_and_wake(service, writer.local_addr()?);
+            return Ok(());
+        }
+    }
+}
+
+/// Stops `service`, then wakes its accept loop, blocked in `accept`, with
+/// a loopback connect to the listen address `addr`.
+fn stop_and_wake(service: &dyn Service, addr: SocketAddr) {
+    service.stop();
+    let _ = TcpStream::connect(addr);
+}
+
+/// Accepts connections until `service` stops, serving each one it admits
+/// on a thread of its own (`serve_connection`).
+pub fn accept_loop<S: Service>(listener: &TcpListener, service: &Arc<S>) {
+    for stream in listener.incoming() {
+        if service.stopped() {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        let service = Arc::clone(service);
+        std::thread::spawn(move || {
+            if service.admit() {
+                let _ = serve_connection(&*service, stream);
+            }
+        });
+    }
+}
+
+/// A service running on a background thread, as
+/// [`Server::spawn`](crate::Server::spawn) and the fleet's `Router::spawn`
+/// return it.
+pub struct ServerHandle {
+    addr: SocketAddr,
+    service: Arc<dyn Service>,
+    thread: JoinHandle<()>,
+}
+
+impl ServerHandle {
+    /// Runs `run`, the body of a service bound to `addr`, on a new thread.
+    pub fn spawn(addr: SocketAddr, service: Arc<dyn Service>, run: impl FnOnce() + Send + 'static) -> ServerHandle {
+        ServerHandle { addr, service, thread: std::thread::spawn(run) }
+    }
+
+    /// The bound address.
+    #[must_use]
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops the service (idempotent), wakes its accept loop and joins
+    /// its thread.
+    pub fn shutdown(self) {
+        stop_and_wake(&*self.service, self.addr);
+        let _ = self.thread.join();
+    }
 }
 
 /// One parsed client request.
@@ -316,30 +466,40 @@ impl Request {
         }
     }
 
+    /// The request's `cmd` name.
+    #[must_use]
+    pub(crate) fn cmd(&self) -> &'static str {
+        match self {
+            Request::Submit { .. } => "submit",
+            Request::Status { .. } => "status",
+            Request::Result { .. } => "result",
+            Request::Cancel { .. } => "cancel",
+            Request::Watch { .. } => "watch",
+            Request::Stats => "stats",
+            Request::Metrics => "metrics",
+            Request::Results { .. } => "results",
+            Request::Shutdown => "shutdown",
+        }
+    }
+
     /// Renders the request as one protocol line (no trailing newline).
     #[must_use]
     pub fn to_line(&self) -> String {
-        let line = JsonObject::line();
+        let line = JsonObject::line().str("cmd", self.cmd());
         match self {
             // The default priority is omitted so the rendered line is
             // byte-identical to what pre-priority clients sent.
             Request::Submit { spec, watch, priority } => line
-                .str("cmd", "submit")
                 .raw("watch", watch)
                 .opt_raw("priority", (*priority != 0).then_some(priority))
                 .raw("sweep", spec.to_json()),
-            Request::Status { job } => line.str("cmd", "status").raw("job", job),
-            Request::Result { job } => line.str("cmd", "result").raw("job", job),
-            Request::Cancel { job } => line.str("cmd", "cancel").raw("job", job),
-            Request::Watch { job } => line.str("cmd", "watch").raw("job", job),
-            Request::Stats => line.str("cmd", "stats"),
-            Request::Metrics => line.str("cmd", "metrics"),
-            Request::Results { after, follow, job } => line
-                .str("cmd", "results")
-                .raw("after", after)
-                .raw("follow", follow)
-                .opt_raw("job", *job),
-            Request::Shutdown => line.str("cmd", "shutdown"),
+            Request::Status { job } | Request::Result { job } | Request::Cancel { job } | Request::Watch { job } => {
+                line.raw("job", job)
+            }
+            Request::Results { after, follow, job } => {
+                line.raw("after", after).raw("follow", follow).opt_raw("job", *job)
+            }
+            Request::Stats | Request::Metrics | Request::Shutdown => line,
         }
         .finish()
     }
@@ -410,15 +570,14 @@ mod tests {
 
     #[test]
     fn prepared_streams_are_nodelay_with_both_deadlines() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let connected = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
-        let deadline = Some(Duration::from_millis(1500));
         for stream in [&connected, &accepted] {
-            prepare_stream(stream, deadline).unwrap();
+            prepare_stream(stream).unwrap();
             assert!(stream.nodelay().unwrap());
-            assert_eq!(stream.read_timeout().unwrap(), deadline);
-            assert_eq!(stream.write_timeout().unwrap(), deadline);
+            assert_eq!(stream.read_timeout().unwrap(), Some(IO_TIMEOUT));
+            assert_eq!(stream.write_timeout().unwrap(), Some(IO_TIMEOUT));
         }
     }
 

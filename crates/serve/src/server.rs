@@ -3,8 +3,9 @@
 //!
 //! Architecture (all `std`, no external dependencies):
 //!
-//! * one **accept loop** ([`Server::run`]) spawning a thread per
-//!   connection;
+//! * the protocol's one **request loop** ([`crate::protocol::accept_loop`],
+//!   a thread per connection), which hands each request to the server's
+//!   dispatch;
 //! * a **bounded job queue** (`VecDeque` under the jobs mutex, refused at
 //!   [`ServeConfig::queue_limit`]) drained by [`ServeConfig::workers`]
 //!   worker threads;
@@ -39,9 +40,10 @@
 //! * a worker that panics (a scenario bug, or the `worker_panic` fault
 //!   from [`crate::fault`]) fails only its own job with a typed error —
 //!   the worker thread survives and keeps draining the queue;
-//! * accepted connections carry read/write deadlines and a bounded frame
-//!   reader ([`crate::protocol::read_frame`]), so a slowloris or garbage
-//!   peer cannot pin a handler thread or buffer unbounded bytes; they are
+//! * accepted connections carry read/write deadlines
+//!   ([`crate::protocol::IO_TIMEOUT`]) and a bounded frame reader
+//!   ([`crate::protocol::read_frame`]), so a slowloris or garbage peer
+//!   cannot pin a handler thread or buffer unbounded bytes; they are
 //!   `TCP_NODELAY` and take each frame in one write
 //!   ([`crate::protocol::write_frame`]).
 
@@ -49,11 +51,10 @@ use crate::checkpoints::CheckpointStore;
 use crate::client::DoneSummary;
 use crate::journal::Journal;
 use crate::protocol::{
-    coded_error_line, error_line, prepare_stream, read_frame, write_frame, ProtocolError, Request,
-    MAX_FRAME_LEN,
+    accept_loop, coded_error_line, error_line, write_frame, Request, ServerHandle, Service,
 };
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -102,11 +103,6 @@ pub struct ServeConfig {
     /// purely in-memory); an explicit path journals regardless of the
     /// store.
     pub journal: Option<PathBuf>,
-    /// Read/write deadline on every accepted connection (`None` disables
-    /// deadlines). A peer that stops sending mid-request or stops draining
-    /// its event stream is disconnected instead of pinning a handler
-    /// thread forever.
-    pub io_timeout: Option<Duration>,
     /// Fleet member identity advertised in `stats` (the router labels its
     /// per-member breakdown with it); `None` omits the field.
     pub member: Option<String>,
@@ -140,7 +136,6 @@ impl Default for ServeConfig {
             store: None,
             history_limit: DEFAULT_HISTORY_LIMIT,
             journal: None,
-            io_timeout: Some(Duration::from_secs(30)),
             member: None,
             window_checkpoint: 0,
             metrics_log: None,
@@ -457,7 +452,6 @@ struct Shared {
     /// re-enqueued job to be claimed (the worker takes them out).
     resume_states: Mutex<HashMap<u64, Vec<EmulationState>>>,
     member: Option<String>,
-    io_timeout: Option<Duration>,
     queue_limit: usize,
     history_limit: usize,
     workers: usize,
@@ -554,42 +548,6 @@ pub struct Server {
     skipped: (usize, usize),
 }
 
-/// Handle to a server running on a background thread (see
-/// [`Server::spawn`]).
-pub struct ServerHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl ServerHandle {
-    /// The bound address.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops the server (idempotent): closes the queue, wakes the accept
-    /// loop, and joins the server thread.
-    pub fn shutdown(mut self) {
-        request_shutdown(&self.shared, self.addr);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Flags the server down and unblocks its accept loop with a dummy
-/// connection.
-fn request_shutdown(shared: &Shared, addr: SocketAddr) {
-    shared.shutdown.store(true, Ordering::SeqCst);
-    shared.cv.notify_all();
-    // Followers of the results feed block on its condvar; wake them so
-    // they observe the flag and end their streams.
-    shared.feed.cv.notify_all();
-    let _ = TcpStream::connect(addr);
-}
-
 impl Server {
     /// Binds the listen socket and opens the shared cache (loading any
     /// existing store entries).
@@ -658,7 +616,6 @@ impl Server {
             window_every: config.window_checkpoint,
             resume_states: Mutex::new(resume_states),
             member: config.member.clone(),
-            io_timeout: config.io_timeout,
             queue_limit: config.queue_limit.max(1),
             history_limit: config.history_limit.max(1),
             workers: config.workers.max(1),
@@ -764,7 +721,6 @@ impl Server {
     /// arrives: spawns the worker pool, then accepts and serves
     /// connections.
     pub fn run(self) {
-        let addr = self.listener.local_addr().ok();
         let workers: Vec<JoinHandle<()>> = (0..self.shared.workers)
             .map(|_| {
                 let shared = Arc::clone(&self.shared);
@@ -775,16 +731,7 @@ impl Server {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || metrics_log_loop(&shared, &path))
         });
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let shared = Arc::clone(&self.shared);
-            std::thread::spawn(move || {
-                let _ = serve_connection(&shared, stream, addr);
-            });
-        }
+        accept_loop(&self.listener, &self.shared);
         self.shared.cv.notify_all();
         for worker in workers {
             let _ = worker.join();
@@ -828,8 +775,7 @@ impl Server {
         let server = Server::bind(config)?;
         let addr = server.local_addr()?;
         let shared = Arc::clone(&server.shared);
-        let thread = std::thread::spawn(move || server.run());
-        Ok(ServerHandle { addr, shared, thread: Some(thread) })
+        Ok(ServerHandle::spawn(addr, shared, move || server.run()))
     }
 }
 
@@ -1023,90 +969,44 @@ fn finish_job(
 // Connections
 // ---------------------------------------------------------------------------
 
-fn serve_connection(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    addr: Option<SocketAddr>,
-) -> std::io::Result<()> {
-    // The `drop_conn` fault: hang up before serving, as a crashing or
-    // partitioned server would, leaving the client to retry.
-    if crate::fault::drop_connection() {
-        return Ok(());
-    }
-    prepare_stream(&stream, shared.io_timeout)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    loop {
-        let line = match read_frame(&mut reader, MAX_FRAME_LEN) {
-            Ok(Some(line)) => line,
-            // Clean EOF: the client is done with the connection.
-            Ok(None) => return Ok(()),
-            Err(e @ ProtocolError::FrameTooLong { .. }) => {
-                // Typed refusal, then hang up: the rest of the oversized
-                // line is still in flight and nothing after it can be
-                // framed reliably.
-                let refusal = JsonObject::line()
-                    .raw("ok", false)
-                    .str("code", "frame_too_long")
-                    .raw("limit", MAX_FRAME_LEN)
-                    .str("error", &e.to_string())
-                    .finish();
-                write_frame(&mut writer, &refusal)?;
-                return Ok(());
-            }
-            // Deadline elapsed or the socket failed: the peer is gone or
-            // unresponsive — stop serving it (a live client reconnects).
-            Err(_) => return Ok(()),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match Request::parse(&line) {
-            Ok(request) => request,
-            Err(e) => {
-                write_frame(&mut writer, &error_line(&e))?;
-                continue;
-            }
-        };
-        let cmd = match &request {
-            Request::Submit { .. } => "submit",
-            Request::Status { .. } => "status",
-            Request::Result { .. } => "result",
-            Request::Cancel { .. } => "cancel",
-            Request::Watch { .. } => "watch",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::Results { .. } => "results",
-            Request::Shutdown => "shutdown",
-        };
-        shared.obs.registry.counter(&format!("serve.req.{cmd}")).inc();
+impl Service for Shared {
+    fn dispatch(&self, writer: &mut TcpStream, request: Request) -> std::io::Result<()> {
+        self.obs.registry.counter(&format!("serve.req.{}", request.cmd())).inc();
         match request {
-            Request::Submit { spec, watch, priority } => {
-                handle_submit(shared, &mut writer, *spec, watch, priority)?;
-            }
-            Request::Status { job } => write_frame(&mut writer, &status_response(shared, job))?,
-            Request::Result { job } => write_frame(&mut writer, &result_response(shared, job))?,
-            Request::Cancel { job } => write_frame(&mut writer, &cancel_response(shared, job))?,
-            Request::Watch { job } => handle_watch(shared, &mut writer, job)?,
-            Request::Stats => write_frame(&mut writer, &stats_response(shared))?,
-            Request::Metrics => write_frame(&mut writer, &metrics_response(shared))?,
-            Request::Results { after, follow, job } => {
-                handle_results(shared, &mut writer, after, follow, job)?;
-            }
-            Request::Shutdown => {
-                let ack = JsonObject::line().raw("ok", true).raw("shutdown", true).finish();
-                write_frame(&mut writer, &ack)?;
-                if let Some(addr) = addr {
-                    request_shutdown(shared, addr);
-                }
-                return Ok(());
-            }
+            Request::Submit { spec, watch, priority } => handle_submit(self, writer, *spec, watch, priority),
+            Request::Status { job } => write_frame(writer, &status_response(self, job)),
+            Request::Result { job } => write_frame(writer, &result_response(self, job)),
+            Request::Cancel { job } => write_frame(writer, &cancel_response(self, job)),
+            Request::Watch { job } => handle_watch(self, writer, job),
+            Request::Stats => write_frame(writer, &stats_response(self)),
+            Request::Metrics => write_frame(writer, &metrics_response(self)),
+            Request::Results { after, follow, job } => handle_results(self, writer, after, follow, job),
+            // The request loop acks it and stops the server.
+            Request::Shutdown => Ok(()),
         }
+    }
+
+    /// Closes the queue and wakes the workers and the followers of the
+    /// results feed, so they observe the flag.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.cv.notify_all();
+        self.feed.cv.notify_all();
+    }
+
+    fn stopped(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// The `drop_conn` fault: hang up before serving, as a crashing or
+    /// partitioned server would, leaving the client to retry.
+    fn admit(&self) -> bool {
+        !crate::fault::drop_connection()
     }
 }
 
 fn handle_submit(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     writer: &mut TcpStream,
     spec: SweepSpec,
     watch: bool,
@@ -1180,7 +1080,7 @@ enum WatchOutcome {
     Attached(Receiver<String>),
 }
 
-fn handle_watch(shared: &Arc<Shared>, writer: &mut TcpStream, job_id: u64) -> std::io::Result<()> {
+fn handle_watch(shared: &Shared, writer: &mut TcpStream, job_id: u64) -> std::io::Result<()> {
     let outcome = {
         let mut jobs = shared.lock_jobs();
         match jobs.map.get_mut(&job_id) {
@@ -1207,7 +1107,7 @@ fn handle_watch(shared: &Arc<Shared>, writer: &mut TcpStream, job_id: u64) -> st
     }
 }
 
-fn status_response(shared: &Arc<Shared>, job_id: u64) -> String {
+fn status_response(shared: &Shared, job_id: u64) -> String {
     let jobs = shared.lock_jobs();
     match jobs.map.get(&job_id) {
         None => error_line(&format!("no such job {job_id}")),
@@ -1226,7 +1126,7 @@ fn status_response(shared: &Arc<Shared>, job_id: u64) -> String {
     }
 }
 
-fn result_response(shared: &Arc<Shared>, job_id: u64) -> String {
+fn result_response(shared: &Shared, job_id: u64) -> String {
     let jobs = shared.lock_jobs();
     match jobs.map.get(&job_id) {
         None => error_line(&format!("no such job {job_id}")),
@@ -1243,7 +1143,7 @@ fn result_response(shared: &Arc<Shared>, job_id: u64) -> String {
     }
 }
 
-fn cancel_response(shared: &Arc<Shared>, job_id: u64) -> String {
+fn cancel_response(shared: &Shared, job_id: u64) -> String {
     let line = {
         let mut jobs = shared.lock_jobs();
         match jobs.map.get_mut(&job_id) {
@@ -1281,7 +1181,7 @@ fn cancel_response(shared: &Arc<Shared>, job_id: u64) -> String {
     JsonObject::line().raw("ok", true).raw("job", job_id).raw("cancelled", true).finish()
 }
 
-fn stats_response(shared: &Arc<Shared>) -> String {
+fn stats_response(shared: &Shared) -> String {
     let (queue_depth, running) = {
         let jobs = shared.lock_jobs();
         let running = jobs.map.values().filter(|j| j.state == JobState::Running).count();
@@ -1334,7 +1234,7 @@ fn stats_response(shared: &Arc<Shared>) -> String {
 /// core, store instrumentation) merged with the server's own (job and
 /// point counters, request counters, latency histograms; server values
 /// win a name collision). Point-in-time gauges are refreshed first.
-fn metrics_snapshot(shared: &Arc<Shared>) -> temu_obs::Snapshot {
+fn metrics_snapshot(shared: &Shared) -> temu_obs::Snapshot {
     {
         let jobs = shared.lock_jobs();
         let running = jobs.map.values().filter(|j| j.state == JobState::Running).count();
@@ -1348,7 +1248,7 @@ fn metrics_snapshot(shared: &Arc<Shared>) -> temu_obs::Snapshot {
     snapshot
 }
 
-fn metrics_response(shared: &Arc<Shared>) -> String {
+fn metrics_response(shared: &Shared) -> String {
     JsonObject::line()
         .raw("ok", true)
         .opt_str("member", shared.member.as_deref())
@@ -1362,7 +1262,7 @@ fn metrics_response(shared: &Arc<Shared>) -> String {
 /// the client hangs up, or the server shuts down. Every stream ends with
 /// an `end` event carrying the cursor to resume from.
 fn handle_results(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     writer: &mut TcpStream,
     after: u64,
     follow: bool,

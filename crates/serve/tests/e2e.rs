@@ -211,8 +211,8 @@ fn disk_store_serves_resubmissions_across_server_restarts() {
         "the reloaded store answers the whole resubmission"
     );
     second.shutdown();
-    let _ = std::fs::remove_file(&store);
-    let _ = std::fs::remove_dir(&dir);
+    // The journal and the checkpoint log sit beside the store.
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

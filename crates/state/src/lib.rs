@@ -7,13 +7,20 @@
 //!
 //! The stream is self-describing only as far as crash safety needs:
 //!
-//! * a 4-byte magic and a `u32` format version up front,
-//! * a `u32` *tag* before each logical section ([`StateWriter::tag`] /
-//!   [`StateReader::expect_tag`]) so a writer/reader ordering bug surfaces
-//!   as a typed [`StateError::TagMismatch`] instead of silently decoding
-//!   garbage floats,
-//! * length-prefixed arrays with a hard element cap so a torn or corrupt
-//!   record cannot ask for a multi-gigabyte allocation.
+//! * a 4-byte magic and a `u32` format version up front, checked by
+//!   [`StateReader::new`] ([`StateError::BadMagic`],
+//!   [`StateError::UnsupportedVersion`]);
+//! * length-prefixed arrays with a hard element cap, so a torn or corrupt
+//!   record cannot ask for a multi-gigabyte allocation
+//!   ([`StateError::BadLength`]);
+//! * [`StateReader::finish`], which fails with
+//!   [`StateError::TrailingBytes`] when the reader consumed less than the
+//!   writer wrote.
+//!
+//! Values carry no per-section tags: a reader that disagrees with its
+//! writer about the field order decodes whatever bytes sit there, until a
+//! capped length, an out-of-range value ([`StateError::BadValue`]), the
+//! end of the stream or `finish` stops it.
 //!
 //! Large, mostly-zero byte arrays (emulated memories) go through a zero-run
 //! RLE ([`StateWriter::bytes_rle`]) — a 16 MiB idle memory image costs a few
@@ -81,14 +88,6 @@ pub enum StateError {
         /// Byte offset at which more data was needed.
         offset: usize,
     },
-    /// A section tag did not match the reader's expectation — the writer and
-    /// reader disagree about the field order.
-    TagMismatch {
-        /// Tag the reader expected.
-        expected: u32,
-        /// Tag found in the stream.
-        found: u32,
-    },
     /// An array length exceeded the sanity cap or the expected size.
     BadLength {
         /// Length found in the stream.
@@ -129,9 +128,6 @@ impl fmt::Display for StateError {
             StateError::UnexpectedEof { offset } => {
                 write!(f, "state stream truncated at byte {offset}")
             }
-            StateError::TagMismatch { expected, found } => {
-                write!(f, "state section tag mismatch: expected {expected:#x}, found {found:#x}")
-            }
             StateError::BadLength { found, max } => {
                 write!(f, "state array length {found} exceeds limit {max}")
             }
@@ -165,11 +161,6 @@ impl StateWriter {
     /// Finishes the stream and returns the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Writes a section tag; [`StateReader::expect_tag`] checks it.
-    pub fn tag(&mut self, tag: u32) {
-        self.u32(tag);
     }
 
     /// Writes one byte.
@@ -334,19 +325,6 @@ impl<'a> StateReader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
-    }
-
-    /// Reads a section tag and checks it against the expectation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StateError::TagMismatch`] on disagreement.
-    pub fn expect_tag(&mut self, expected: u32) -> Result<(), StateError> {
-        let found = self.u32()?;
-        if found != expected {
-            return Err(StateError::TagMismatch { expected, found });
-        }
-        Ok(())
     }
 
     /// Reads one byte.
@@ -519,7 +497,6 @@ mod tests {
     #[test]
     fn primitives_round_trip_bitwise() {
         let mut w = StateWriter::new(MAGIC, 1);
-        w.tag(0xA1);
         w.u8(7);
         w.bool(true);
         w.u32(0xDEAD_BEEF);
@@ -532,7 +509,6 @@ mod tests {
 
         let (mut r, version) = StateReader::new(&bytes, MAGIC, 1).unwrap();
         assert_eq!(version, 1);
-        r.expect_tag(0xA1).unwrap();
         assert_eq!(r.u8().unwrap(), 7);
         assert!(r.bool().unwrap());
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
@@ -619,16 +595,13 @@ mod tests {
     }
 
     #[test]
-    fn tag_mismatch_and_truncation_are_typed() {
+    fn truncation_is_typed() {
         let mut w = StateWriter::new(MAGIC, 1);
-        w.tag(1);
+        w.u32(1);
         w.u64(5);
         let bytes = w.into_bytes();
-        let (mut r, _) = StateReader::new(&bytes, MAGIC, 1).unwrap();
-        assert!(matches!(r.expect_tag(2), Err(StateError::TagMismatch { expected: 2, found: 1 })));
-
         let (mut r, _) = StateReader::new(&bytes[..bytes.len() - 2], MAGIC, 1).unwrap();
-        r.expect_tag(1).unwrap();
+        assert_eq!(r.u32().unwrap(), 1);
         assert!(matches!(r.u64(), Err(StateError::UnexpectedEof { .. })));
     }
 

@@ -82,12 +82,24 @@ fn render(segments: &[Segment]) -> (Vec<u8>, Vec<Vec<u8>>, usize) {
     (bytes, intact, runs)
 }
 
-fn temp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("temu-log-prop-{}", std::process::id()));
+/// A log path in a scratch directory of its own (the tests run in
+/// parallel), removed with the directory when dropped.
+struct TempLog {
+    dir: PathBuf,
+    path: PathBuf,
+}
+
+impl Drop for TempLog {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+fn temp_log(tag: &str) -> TempLog {
+    let dir = std::env::temp_dir().join(format!("temu-log-prop-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("{tag}.log"));
-    let _ = std::fs::remove_file(&path);
-    path
+    TempLog { dir, path }
 }
 
 fn write_log(path: &PathBuf, body: &[u8]) {
@@ -102,9 +114,10 @@ proptest! {
     #[test]
     fn replay_returns_exactly_the_intact_records(segments in prop::collection::vec(segment(), 0..12)) {
         let (body, intact, runs) = render(&segments);
-        let path = temp_path("replay");
-        write_log(&path, &body);
-        let (_, replay) = AppendLog::open(&path, MAGIC).unwrap();
+        let tmp = temp_log("replay");
+        let path = &tmp.path;
+        write_log(path, &body);
+        let (_, replay) = AppendLog::open(path, MAGIC).unwrap();
         prop_assert_eq!(&replay.records, &intact);
         prop_assert_eq!(replay.skipped, runs);
     }
@@ -115,10 +128,11 @@ proptest! {
         chunks in prop::collection::vec(1usize..40, 1..64),
     ) {
         let (body, intact, _) = render(&segments);
-        let path = temp_path("grow");
-        write_log(&path, &[]);
-        let (mut reader, _) = AppendLog::open(&path, MAGIC).unwrap();
-        let mut file = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        let tmp = temp_log("grow");
+        let path = &tmp.path;
+        write_log(path, &[]);
+        let (mut reader, _) = AppendLog::open(path, MAGIC).unwrap();
+        let mut file = std::fs::OpenOptions::new().append(true).open(path).unwrap();
         let (mut seen, mut at) = (Vec::new(), 0);
         for chunk in chunks.iter().cycle() {
             let end = (at + chunk).min(body.len());
@@ -137,12 +151,13 @@ proptest! {
         junk in prop::collection::vec(prop::sample::select(&[0u8, 1, 7, 0xff, b'T', b'R', b'E', b'C']), 0..96),
         payload in prop::collection::vec(any::<u8>(), 0..32),
     ) {
-        let path = temp_path("junk");
-        write_log(&path, &junk);
-        let (log, first) = AppendLog::open(&path, MAGIC).unwrap();
+        let tmp = temp_log("junk");
+        let path = &tmp.path;
+        write_log(path, &junk);
+        let (log, first) = AppendLog::open(path, MAGIC).unwrap();
         prop_assert!(first.skipped <= 1, "junk with no intact record is one damaged run");
         log.append(&payload).unwrap();
-        let (_, replay) = AppendLog::open(&path, MAGIC).unwrap();
+        let (_, replay) = AppendLog::open(path, MAGIC).unwrap();
         prop_assert_eq!(replay.records.last(), Some(&payload));
     }
 }

@@ -91,6 +91,31 @@ if [ -n "$frame_hits" ]; then
 fi
 echo "frame-writer OK"
 
+echo "== request-loop gate =="
+# One request loop: the job server and the fleet router serve their
+# connections through `temu_serve::protocol` (`accept_loop` and
+# `serve_connection`), which frames, refuses and parses every request and
+# acks `shutdown` in one place; each side keeps only its dispatch. In
+# non-test source under crates/serve/src and crates/fleet/src (bins
+# included, each file up to its `#[cfg(test)] mod tests`), `read_frame(`
+# may appear only in protocol.rs and client.rs (the client reads
+# replies), and `.incoming()` only in protocol.rs.
+loop_hits=$(find crates/serve/src crates/fleet/src -name '*.rs' | sort | while read -r f; do
+    awk -v file="$f" '
+        /^#\[cfg\(test\)\]/ { pending = 1; next }
+        pending && /^mod tests/ { exit }
+        { pending = 0 }
+        /read_frame\(/ && file !~ /\/(protocol|client)\.rs$/ { print file ":" FNR ": " $0 }
+        /\.incoming\(\)/ && file !~ /\/protocol\.rs$/ { print file ":" FNR ": " $0 }
+    ' "$f"
+done)
+if [ -n "$loop_hits" ]; then
+    echo "request-loop FAILED: $(echo "$loop_hits" | wc -l) line(s) run a request loop outside temu_serve::protocol:"
+    echo "$loop_hits"
+    exit 1
+fi
+echo "request-loop OK"
+
 echo "== tier-1: release build =="
 cargo build --release
 
