@@ -1,4 +1,5 @@
-//! Batch execution of scenarios across host threads.
+//! Batch execution of scenarios across host threads, and the one worker
+//! pool that every batch runs on.
 //!
 //! A [`Campaign`] takes any number of [`Scenario`]s and runs them
 //! concurrently on scoped worker threads, each claiming the next unstarted
@@ -7,11 +8,14 @@
 //! which worker finished first — one failed or panicked scenario is carried
 //! as its typed [`TemuError`] without aborting its siblings.
 //!
-//! Thread count resolution: an explicit [`Campaign::threads`] call wins;
-//! otherwise `TEMU_CAMPAIGN_THREADS` (clamped to 1..=64; a value that does
-//! not parse as an unsigned integer is ignored), and then the host's
-//! available parallelism capped at 16. The count is always capped by the
-//! number of scenarios.
+//! A [`Sweep`](crate::Sweep) runs its executed points on the same pool,
+//! under the same panic containment: the pool is crate-private, and
+//! [`Campaign::run`] and the sweep are its only callers.
+//!
+//! Width: an explicit [`Campaign::threads`] call wins; otherwise the host's
+//! available parallelism capped at 16. The width is then capped by the
+//! number of scenarios, with a minimum of 1; a width of 1 runs inline on
+//! the calling thread.
 //!
 //! # Export format
 //!
@@ -29,37 +33,9 @@ use crate::artifacts::ArtifactCache;
 use crate::error::TemuError;
 use crate::export::{csv_f64, csv_field, csv_opt, JsonObject};
 use crate::scenario::{Scenario, ScenarioRun};
-use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A streaming result sink: called once per finished scenario, in
-/// completion order (see [`Campaign::on_result`]).
-pub type ResultSink = dyn Fn(&CampaignProgress<'_>) + Send + Sync;
-
-/// A custom point executor installed by [`Campaign::runner`], called with
-/// the scenario's input index instead of the default
-/// [`Scenario::run_with`] — the sweep layer's one point runner (resume,
-/// observation, cancellation), which the campaign knows nothing about.
-pub(crate) type PointRunner =
-    dyn Fn(usize, &Scenario, Option<&ArtifactCache>) -> Result<ScenarioRun, TemuError> + Send + Sync;
-
-/// One finished scenario, delivered to a [`Campaign::on_result`] sink while
-/// the rest of the batch is still running.
-#[derive(Debug)]
-pub struct CampaignProgress<'a> {
-    /// Input index of the scenario that just finished (its slot in the
-    /// final [`CampaignReport::results`]).
-    pub index: usize,
-    /// Scenarios finished so far, this one included (monotonically
-    /// increasing across sink invocations: 1, 2, …, `total`).
-    pub completed: usize,
-    /// Scenarios in the whole batch.
-    pub total: usize,
-    /// The finished scenario's result.
-    pub result: &'a ScenarioResult,
-}
 
 /// The outcome of one scenario inside a campaign.
 #[derive(Debug)]
@@ -81,23 +57,11 @@ impl ScenarioResult {
 }
 
 /// A batch of scenarios executed concurrently (see the module docs).
-#[derive(Clone, Default)]
+#[derive(Clone, Default, Debug)]
 pub struct Campaign {
     scenarios: Vec<Scenario>,
     threads: Option<usize>,
-    sink: Option<Arc<ResultSink>>,
     artifacts: Option<Arc<ArtifactCache>>,
-    runner: Option<Arc<PointRunner>>,
-}
-
-impl fmt::Debug for Campaign {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Campaign")
-            .field("scenarios", &self.scenarios)
-            .field("threads", &self.threads)
-            .field("sink", &self.sink.as_ref().map(|_| "Fn(&CampaignProgress)"))
-            .finish()
-    }
 }
 
 impl Campaign {
@@ -118,9 +82,8 @@ impl Campaign {
         self
     }
 
-    /// Sets the worker-thread count explicitly. When unset, the
-    /// `TEMU_CAMPAIGN_THREADS` environment variable and then the host's
-    /// available parallelism decide.
+    /// Sets the worker-thread count explicitly. When unset, the host's
+    /// available parallelism (capped at 16) decides.
     pub fn threads(mut self, threads: usize) -> Campaign {
         self.threads = Some(threads);
         self
@@ -133,27 +96,6 @@ impl Campaign {
     /// cost is.
     pub fn artifacts(mut self, artifacts: Arc<ArtifactCache>) -> Campaign {
         self.artifacts = Some(artifacts);
-        self
-    }
-
-    /// Replaces the default per-scenario executor
-    /// ([`Scenario::run_with`]) — the sweep layer's point runner. Panic
-    /// containment and result ordering are unchanged.
-    pub(crate) fn runner(mut self, runner: Arc<PointRunner>) -> Campaign {
-        self.runner = Some(runner);
-        self
-    }
-
-    /// Installs a streaming result sink: `sink` is called once per
-    /// scenario as it finishes — in **completion order**, from whichever
-    /// worker thread ran it — so long batches can report progress (or
-    /// persist results) incrementally instead of only at the final join.
-    ///
-    /// Invocations are serialized (never concurrent), and
-    /// [`CampaignProgress::completed`] counts them 1..=total; the final
-    /// [`CampaignReport`] is unchanged and stays input-ordered.
-    pub fn on_result(mut self, sink: impl Fn(&CampaignProgress<'_>) + Send + Sync + 'static) -> Campaign {
-        self.sink = Some(Arc::new(sink));
         self
     }
 
@@ -172,105 +114,82 @@ impl Campaign {
     /// Runs every scenario and collects the report (input-ordered).
     pub fn run(&self) -> CampaignReport {
         let t0 = Instant::now();
-        let n_jobs = self.scenarios.len();
-        let threads = self.resolve_threads(n_jobs);
-        let next = AtomicUsize::new(0);
-        let completed = Mutex::new(0usize);
-        let slots: Vec<Mutex<Option<ScenarioResult>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
-        let worker = || loop {
+        let (results, threads) = pool(self.threads, self.scenarios.len(), |i| {
+            let scenario = &self.scenarios[i];
+            let name = scenario.label();
+            let (outcome, wall) = contained(|| scenario.run_with(self.artifacts.as_deref()));
+            ScenarioResult { name, wall, outcome }
+        });
+        CampaignReport { results, wall: t0.elapsed(), threads }
+    }
+}
+
+/// The pool width for `n_jobs` jobs: `threads` when set, else the host's
+/// available parallelism capped at 16; then capped by `n_jobs`, with a
+/// minimum of 1.
+fn width(threads: Option<usize>, n_jobs: usize) -> usize {
+    threads
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(16))
+        .min(n_jobs)
+        .max(1)
+}
+
+/// The one worker pool: runs `job(i)` for every `i` in `0..n_jobs` and
+/// returns the results in input order, with the width it ran at
+/// ([`width`]). Workers claim indices from one atomic counter; a width of
+/// 1 runs inline on the calling thread. Each worker hands back the
+/// `(index, result)` pairs it ran, so every index is filled exactly once.
+/// A panic escaping `job` stops its worker, and is re-raised with its
+/// original payload once every worker has stopped.
+pub(crate) fn pool<T: Send>(
+    threads: Option<usize>,
+    n_jobs: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> (Vec<T>, usize) {
+    let width = width(threads, n_jobs);
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut ran = Vec::new();
+        loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= n_jobs {
-                break;
+                return ran;
             }
-            let result = run_one(i, &self.scenarios[i], self.artifacts.as_deref(), self.runner.as_deref());
-            if let Some(sink) = &self.sink {
-                // The lock is held across the sink call: invocations are
-                // serialized and `completed` increases monotonically even
-                // when results race in from several workers.
-                let mut done = completed.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                *done += 1;
-                sink(&CampaignProgress { index: i, completed: *done, total: n_jobs, result: &result });
-            }
-            *slots[i].lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
-        };
-        if threads <= 1 {
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                let lanes: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-                // Every worker stops before a panic (a panicking result
-                // sink) propagates, with its original payload.
-                let mut panicked = None;
-                for lane in lanes {
-                    if let Err(payload) = lane.join() {
+            ran.push((i, job(i)));
+        }
+    };
+    let mut ran = if width == 1 {
+        worker()
+    } else {
+        std::thread::scope(|scope| {
+            let lanes: Vec<_> = (0..width).map(|_| scope.spawn(worker)).collect();
+            let mut ran = Vec::with_capacity(n_jobs);
+            let mut panicked = None;
+            for lane in lanes {
+                match lane.join() {
+                    Ok(pairs) => ran.extend(pairs),
+                    Err(payload) => {
                         panicked.get_or_insert(payload);
                     }
                 }
-                if let Some(payload) = panicked {
-                    std::panic::resume_unwind(payload);
-                }
-            });
-        }
-        let results = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| {
-                // A slot can only be empty if its worker aborted between
-                // claiming the scenario and storing the result (e.g. a
-                // panicking result sink). Surface that as the scenario's
-                // typed error instead of panicking the whole report.
-                m.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner).unwrap_or_else(|| {
-                    ScenarioResult {
-                        name: self.scenarios[i].label(),
-                        wall: Duration::ZERO,
-                        outcome: Err(TemuError::ScenarioPanicked(String::from(
-                            "scenario result was never delivered",
-                        ))),
-                    }
-                })
-            })
-            .collect();
-        CampaignReport { results, wall: t0.elapsed(), threads }
-    }
-
-    fn resolve_threads(&self, n_jobs: usize) -> usize {
-        // An explicit `threads()` call wins, so tests that pin a width stay
-        // meaningful on hosts that export the variable.
-        let configured = self
-            .threads
-            .unwrap_or_else(|| default_workers(std::env::var("TEMU_CAMPAIGN_THREADS").ok().as_deref()));
-        configured.min(n_jobs).max(1)
-    }
+            }
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
+            }
+            ran
+        })
+    };
+    ran.sort_unstable_by_key(|&(i, _)| i);
+    (ran.into_iter().map(|(_, result)| result).collect(), width)
 }
 
-/// Worker count from a `TEMU_CAMPAIGN_THREADS` value (clamped to 1..=64),
-/// falling back to the available parallelism capped at 16 when the value
-/// is absent or does not parse as an unsigned integer. Takes the value,
-/// not the variable, so tests never mutate the process environment, which
-/// would race with concurrent `getenv` calls from sibling tests.
-fn default_workers(value: Option<&str>) -> usize {
-    value
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|v| v.clamp(1, 64))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()).min(16))
-}
-
-/// Runs one scenario, converting a panic into a typed error so sibling
-/// scenarios keep running.
-fn run_one(
-    index: usize,
-    scenario: &Scenario,
-    artifacts: Option<&ArtifactCache>,
-    runner: Option<&PointRunner>,
-) -> ScenarioResult {
-    let name = scenario.label();
+/// Runs one job of the pool, timed, converting a panic into
+/// [`TemuError::ScenarioPanicked`] so sibling jobs keep running.
+pub(crate) fn contained<T>(job: impl FnOnce() -> Result<T, TemuError>) -> (Result<T, TemuError>, Duration) {
     let t0 = Instant::now();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match runner {
-        Some(run) => run(index, scenario, artifacts),
-        None => scenario.run_with(artifacts),
-    }))
-    .unwrap_or_else(|payload| Err(TemuError::ScenarioPanicked(panic_message(&payload))));
-    ScenarioResult { name, wall: t0.elapsed(), outcome }
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
+        .unwrap_or_else(|payload| Err(TemuError::ScenarioPanicked(panic_message(&payload))));
+    (outcome, t0.elapsed())
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -401,13 +320,23 @@ mod tests {
     }
 
     #[test]
-    fn default_workers_parses_clamps_and_falls_back() {
-        let fallback = default_workers(None);
-        assert!((1..=16).contains(&fallback), "availability-derived default, capped at 16");
-        assert_eq!(default_workers(Some("3")), 3);
-        assert_eq!(default_workers(Some("0")), 1, "clamped up");
-        assert_eq!(default_workers(Some("1000")), 64, "clamped down");
-        assert_eq!(default_workers(Some("not-a-number")), fallback, "garbage is ignored, not fatal");
+    fn width_is_explicit_else_the_host_then_capped_by_jobs_and_at_least_one() {
+        let host = width(None, usize::MAX);
+        assert!((1..=16).contains(&host), "availability-derived default, capped at 16");
+        // (threads, jobs, width)
+        let table = [
+            (Some(3), 10, 3),
+            (Some(40), 100, 40),
+            (Some(8), 2, 2),
+            (Some(0), 5, 1),
+            (Some(4), 0, 1),
+            (None, 0, 1),
+            (None, 1, 1),
+            (None, usize::MAX, host),
+        ];
+        for (threads, jobs, expected) in table {
+            assert_eq!(width(threads, jobs), expected, "threads {threads:?}, {jobs} job(s)");
+        }
     }
 
     #[test]

@@ -253,7 +253,7 @@ impl JsonValue {
     /// # Errors
     ///
     /// A human-readable description with the byte offset of the problem.
-    pub fn parse_prefix(text: &str) -> Result<(JsonValue, usize), String> {
+    fn parse_prefix(text: &str) -> Result<(JsonValue, usize), String> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;

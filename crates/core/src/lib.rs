@@ -31,11 +31,11 @@
 //! ## Sweeping the design space: [`Campaign`]
 //!
 //! A [`Campaign`] executes many scenarios concurrently across host threads
-//! (`TEMU_CAMPAIGN_THREADS` overrides the width; each scenario, its thermal
-//! solver included, runs on one thread) and returns an
-//! input-ordered [`CampaignReport`] with JSON/CSV export — the batching
-//! layer for design-space exploration, where each scenario is one
-//! "synthesis-free" evaluation point:
+//! ([`Campaign::threads`] sets the width, else the host's parallelism up
+//! to 16; each scenario, its thermal solver included, runs on one thread)
+//! and returns an input-ordered [`CampaignReport`] with JSON/CSV export —
+//! the batching layer for design-space exploration, where each scenario is
+//! one "synthesis-free" evaluation point:
 //!
 //! ```no_run
 //! use temu_framework::{Campaign, Scenario};
@@ -49,19 +49,20 @@
 //!
 //! Failures stay local: a scenario that returns a [`TemuError`] (or
 //! panics) is carried in its slot of the report while its siblings run to
-//! completion. [`Campaign::on_result`] streams each result as it finishes,
-//! so long batches report incrementally instead of only at the join.
+//! completion.
 //!
 //! ## Sweeping parameter grids: [`Sweep`]
 //!
 //! A [`Sweep`] expands cartesian axes — core counts, DFS frequency
 //! ladders ([`temu_platform::DfsPolicy::ladder`]) or threshold bands,
 //! mesh resolutions, workloads, implicit-solver choices, run budgets, or
-//! custom knobs — into one campaign and reports per grid point
-//! ([`SweepReport`]). A [`ResultCache`] memoizes each point under its
-//! configuration content key ([`Scenario::content_key`], optionally
-//! persisted to an on-disk store, a checksummed append log), so re-running an identical
-//! or overlapping sweep skips every already-solved point:
+//! custom knobs — into grid points, runs them on the campaign's worker
+//! pool, streams each as it finishes ([`Sweep::on_progress`]) and reports
+//! per grid point ([`SweepReport`]). A [`ResultCache`] memoizes each point
+//! under its configuration content key ([`Scenario::content_key`],
+//! optionally persisted to an on-disk store, a checksummed append log), so
+//! re-running an identical or overlapping sweep skips every already-solved
+//! point:
 //!
 //! ```no_run
 //! use temu_framework::{ResultCache, Scenario, Sweep};
@@ -98,7 +99,7 @@ mod sweep;
 mod trace;
 
 pub use artifacts::{ArtifactCache, ArtifactStats};
-pub use campaign::{Campaign, CampaignProgress, CampaignReport, ResultSink, ScenarioResult};
+pub use campaign::{Campaign, CampaignReport, ScenarioResult};
 pub use emulation::{EmulationConfig, EmulationReport, EmulationState, ThermalEmulation};
 pub use error::TemuError;
 pub use emulation::EmulationTotals;

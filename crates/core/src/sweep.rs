@@ -6,8 +6,9 @@
 //! **axes** — core counts, DFS frequency ladders or threshold bands, mesh
 //! resolutions ([`GridConfig`]), workloads, implicit-solver choices, run
 //! budgets, or arbitrary custom knobs — and expands their cartesian product
-//! into one [`Campaign`] run. Results come back as a [`SweepReport`] keyed
-//! by grid point (one row per parameter combination, labelled
+//! into grid points that it runs on the campaign's worker pool (see
+//! [`Campaign`](crate::Campaign)). Results come back as a [`SweepReport`]
+//! keyed by grid point (one row per parameter combination, labelled
 //! `axis=value/axis=value/…`), with JSON/CSV export.
 //!
 //! ```no_run
@@ -44,8 +45,9 @@
 //!
 //! [`Sweep::on_progress`] installs a sink that is called once per grid
 //! point — cache hits first, then executed points in completion order off
-//! the campaign's worker threads — so a long sweep reports incrementally
-//! instead of only at the join (see [`SweepProgress`]).
+//! the pool's worker threads — so a long sweep reports incrementally
+//! instead of only at the join (see [`SweepProgress`]). Each executed
+//! point is summarized, cached and streamed on the worker that ran it.
 //!
 //! # Observing, cancelling and resuming points
 //!
@@ -55,7 +57,8 @@
 //! stops that point and every later one. [`Sweep::resume_point`] seeds a
 //! point with such a state. Every executed point — fresh or resumed,
 //! observed or not — runs through one point runner and one [`Scenario`]
-//! spine.
+//! spine, contained like a campaign scenario: a panic becomes that
+//! point's [`TemuError::ScenarioPanicked`].
 //!
 //! # Error containment
 //!
@@ -65,7 +68,7 @@
 //! sibling points.
 
 use crate::artifacts::{ArtifactCache, ArtifactStats};
-use crate::campaign::{Campaign, PointRunner};
+use crate::campaign::{contained, pool};
 use crate::emulation::{EmulationState, ThermalEmulation};
 use crate::error::TemuError;
 use crate::export::{csv_f64, csv_field, csv_opt, JsonObject, JsonValue};
@@ -91,7 +94,8 @@ pub use temu_state::{fnv1a64, fnv1a64_fold};
 /// actually consumes (and what the cache stores) — run totals, the Fig. 6
 /// thermal headline numbers, the per-frequency DFS residency and the
 /// solver-convergence accounting. When the full [`ScenarioRun`] (trace
-/// included) is needed, run the point through a plain [`Campaign`].
+/// included) is needed, run the point through a plain
+/// [`Campaign`](crate::Campaign).
 #[derive(Clone, PartialEq, Debug)]
 #[non_exhaustive]
 pub struct PointSummary {
@@ -624,7 +628,9 @@ impl Sweep {
         self.axis("windows", windows.to_vec(), |n| format!("{n}w"), |s, &n| Ok(s.windows(n)))
     }
 
-    /// Sets the campaign worker-thread count for executed points.
+    /// Sets the worker-thread count for executed points (the campaign's
+    /// width rule: explicit, else the host's available parallelism capped
+    /// at 16; capped by the points to execute).
     pub fn threads(mut self, threads: usize) -> Sweep {
         self.threads = Some(threads);
         self
@@ -722,16 +728,15 @@ impl Sweep {
 
     /// Runs the sweep against a [`ResultCache`]: points whose content key
     /// is already cached are reported (and streamed) without executing
-    /// their scenario; fresh points run through one [`Campaign`] and are
-    /// inserted into the cache as they finish.
+    /// their scenario; fresh points run on the campaign's worker pool and
+    /// are inserted into the cache as they finish.
     pub fn run_cached(&self, cache: &ResultCache) -> SweepReport {
         self.run_with(Some(cache))
     }
 
-    /// Resolves, executes and assembles the grid: [`Sweep::resolve`]
-    /// settles every point that needs no execution, [`Sweep::execute`]
-    /// runs the rest through one campaign, and [`assemble`] puts the
-    /// results back in grid order.
+    /// Resolves and executes the grid: [`Sweep::resolve`] settles every
+    /// point that needs no execution, [`Sweep::execute`] runs the rest on
+    /// the worker pool, and the results go back in grid order.
     fn run_with(&self, cache: Option<&ResultCache>) -> SweepReport {
         let t0 = Instant::now();
         // Build-artifact reuse is always on within a sweep; an injected
@@ -740,15 +745,14 @@ impl Sweep {
         let artifacts = self.artifacts.clone().unwrap_or_else(|| Arc::new(ArtifactCache::new()));
         let artifact_base = artifacts.stats();
         let total = self.n_points();
-        let progress = Arc::new(Progress { sink: self.sink.clone(), total, completed: Mutex::new(0) });
-        // Finished points in arbitrary order. (No pre-sized Option slots:
-        // report assembly must be panic-free — a long-running server
-        // survives any malformed point.)
+        let progress = Progress { sink: self.sink.clone(), total, completed: Mutex::new(0) };
+        // Finished points in arbitrary order; each grid index appears
+        // exactly once, from resolve or from execute.
         let mut filled = Vec::with_capacity(total);
         let queue = self.resolve(cache, &progress, &mut filled);
         let cache_hits = filled.iter().filter(|(_, p)| p.cache_hit).count();
-        let (executed, cancelled, threads) = self.execute(queue, cache, &artifacts, &progress, &mut filled);
-        let points = assemble(filled, total);
+        let (executed, cancelled, threads) = self.execute(&queue, cache, &artifacts, &progress, &mut filled);
+        filled.sort_unstable_by_key(|&(index, _)| index);
         SweepReport {
             name: self.name.clone(),
             threads,
@@ -757,7 +761,7 @@ impl Sweep {
             cache_hits,
             cancelled,
             artifacts: artifacts.stats().delta_since(&artifact_base),
-            points,
+            points: filled.into_iter().map(|(_, point)| point).collect(),
         }
     }
 
@@ -793,63 +797,41 @@ impl Sweep {
         queue
     }
 
-    /// Runs the queued points through one [`Campaign`] and its
-    /// [`Sweep::point_runner`], memoizing each summary as it lands and
-    /// streaming it to the sink. Returns `(executed, cancelled, threads)`;
+    /// Runs the queued points on the campaign's worker pool. Each worker
+    /// runs its point through [`Sweep::run_point`] under the pool's panic
+    /// containment, then summarizes it, memoizes the summary and streams
+    /// it to the sink. Returns `(executed, cancelled, threads)`;
     /// `executed` leaves out points cancelled before they started.
     fn execute(
         &self,
-        queue: Vec<(PointId, Scenario)>,
+        queue: &[(PointId, Scenario)],
         cache: Option<&ResultCache>,
-        artifacts: &Arc<ArtifactCache>,
-        progress: &Arc<Progress>,
+        artifacts: &ArtifactCache,
+        progress: &Progress,
         filled: &mut Vec<(usize, SweepPointResult)>,
     ) -> (usize, bool, usize) {
-        let (ids, scenarios): (Vec<PointId>, Vec<Scenario>) = queue.into_iter().unzip();
-        let ids = Arc::new(ids);
-        let cancelled = Arc::new(AtomicBool::new(false));
-        // Summaries computed in the result sink are stashed per campaign
-        // slot so the filling pass below doesn't re-scan every trace.
-        let stash: Arc<Vec<Mutex<Option<PointSummary>>>> =
-            Arc::new((0..ids.len()).map(|_| Mutex::new(None)).collect());
-        let mut campaign = Campaign::new()
-            .scenarios(scenarios)
-            .artifacts(Arc::clone(artifacts))
-            .runner(self.point_runner(&ids, &cancelled));
-        if let Some(t) = self.threads {
-            campaign = campaign.threads(t);
-        }
-        {
-            let (ids, stash, progress) = (Arc::clone(&ids), Arc::clone(&stash), Arc::clone(progress));
-            let cache = cache.cloned();
-            campaign = campaign.on_result(move |p| {
-                let id = &ids[p.index];
-                match &p.result.outcome {
-                    Ok(run) => {
-                        let summary = PointSummary::from_run(run, p.result.wall);
-                        if let Some((cache, key)) = cache.as_ref().zip(id.key) {
-                            cache.insert(key, summary.clone());
-                        }
-                        progress.emit(id, false, Ok(&summary));
-                        *lock(&stash[p.index]) = Some(summary);
+        let cancelled = AtomicBool::new(false);
+        let (results, threads) = pool(self.threads, queue.len(), |slot| {
+            let (id, scenario) = &queue[slot];
+            let (outcome, wall) = contained(|| self.run_point(id, scenario, artifacts, &cancelled));
+            let outcome = outcome.map(|run| PointSummary::from_run(&run, wall));
+            match &outcome {
+                Ok(summary) => {
+                    if let Some((cache, key)) = cache.zip(id.key) {
+                        cache.insert(key, summary.clone());
                     }
-                    // Points that never started are not streamed: the
-                    // terminal report is their record.
-                    Err(TemuError::Cancelled) => {}
-                    Err(e) => progress.emit(id, false, Err(e)),
+                    progress.emit(id, false, Ok(summary));
                 }
-            });
-        }
-        let report = campaign.run();
-        let mut executed = 0;
-        for (slot, result) in report.results.into_iter().enumerate() {
-            executed += usize::from(!matches!(result.outcome, Err(TemuError::Cancelled)));
-            let outcome = result.outcome.map(|run| {
-                lock(&stash[slot]).take().unwrap_or_else(|| PointSummary::from_run(&run, result.wall))
-            });
-            filled.push(ids[slot].result(false, outcome));
-        }
-        (executed, cancelled.load(Ordering::Acquire), report.threads)
+                // Points that never started are not streamed: the
+                // terminal report is their record.
+                Err(TemuError::Cancelled) => {}
+                Err(e) => progress.emit(id, false, Err(e)),
+            }
+            id.result(false, outcome)
+        });
+        let executed = results.iter().filter(|(_, p)| !matches!(p.outcome, Err(TemuError::Cancelled))).count();
+        filled.extend(results);
+        (executed, cancelled.load(Ordering::Acquire), threads)
     }
 
     /// The one executor of every queued point — fresh or resumed,
@@ -858,37 +840,38 @@ impl Sweep {
     /// observer, then runs the scenario spine with the point's seeded
     /// state (if any) and the observer at its window boundaries. A
     /// [`CheckpointDecision::Cancel`] raises the sweep's `cancelled` flag.
-    fn point_runner(&self, ids: &Arc<Vec<PointId>>, cancelled: &Arc<AtomicBool>) -> Arc<PointRunner> {
-        let (ids, cancelled) = (Arc::clone(ids), Arc::clone(cancelled));
-        let (resume, observer) = (self.resume.clone(), self.observer.clone());
-        Arc::new(move |slot: usize, scenario: &Scenario, artifacts: Option<&ArtifactCache>| {
-            let id = &ids[slot];
-            let key = id.key.unwrap_or_else(|| scenario.content_key());
-            let seed = resume.get(&key);
-            let (RunBudget::Windows(total_windows) | RunBudget::ToHalt { max_windows: total_windows }) =
-                scenario.budget();
-            let (index, label) = (id.index, id.label.as_str());
-            let windows = seed.map_or(0, EmulationState::windows);
-            let start = PointCheckpoint { index, label, key, windows, total_windows, state: None };
-            let cancel = |cp: &PointCheckpoint<'_>| {
-                let stop = observer.as_ref().is_some_and(|(_, hook)| hook(cp) == CheckpointDecision::Cancel);
-                cancelled.fetch_or(stop, Ordering::AcqRel);
-                stop
-            };
-            if cancelled.load(Ordering::Acquire) || cancel(&start) {
-                return Err(TemuError::Cancelled);
+    fn run_point(
+        &self,
+        id: &PointId,
+        scenario: &Scenario,
+        artifacts: &ArtifactCache,
+        cancelled: &AtomicBool,
+    ) -> Result<ScenarioRun, TemuError> {
+        let key = id.key.unwrap_or_else(|| scenario.content_key());
+        let seed = self.resume.get(&key);
+        let (RunBudget::Windows(total_windows) | RunBudget::ToHalt { max_windows: total_windows }) =
+            scenario.budget();
+        let (index, label) = (id.index, id.label.as_str());
+        let windows = seed.map_or(0, EmulationState::windows);
+        let start = PointCheckpoint { index, label, key, windows, total_windows, state: None };
+        let cancel = |cp: &PointCheckpoint<'_>| {
+            let stop = self.observer.as_ref().is_some_and(|(_, hook)| hook(cp) == CheckpointDecision::Cancel);
+            cancelled.fetch_or(stop, Ordering::AcqRel);
+            stop
+        };
+        if cancelled.load(Ordering::Acquire) || cancel(&start) {
+            return Err(TemuError::Cancelled);
+        }
+        let mut observe = |emu: &ThermalEmulation| {
+            let state = emu.checkpoint();
+            let windows = state.windows();
+            if cancel(&PointCheckpoint { windows, state: Some(&state), ..start }) {
+                return Err(TemuError::CancelledMidPoint { windows });
             }
-            let mut observe = |emu: &ThermalEmulation| {
-                let state = emu.checkpoint();
-                let windows = state.windows();
-                if cancel(&PointCheckpoint { windows, state: Some(&state), ..start }) {
-                    return Err(TemuError::CancelledMidPoint { windows });
-                }
-                Ok(())
-            };
-            let every = observer.as_ref().map_or(0, |(every, _)| *every);
-            scenario.run_observed(artifacts, seed, Some((every, &mut observe)))
-        })
+            Ok(())
+        };
+        let every = self.observer.as_ref().map_or(0, |(every, _)| *every);
+        scenario.run_observed(Some(artifacts), seed, Some((every, &mut observe)))
     }
 }
 
@@ -909,7 +892,7 @@ impl PointId {
 }
 
 /// Serialized progress streaming: numbers finished points 1..=total, in
-/// call order across the resolve pass and every campaign worker, and
+/// call order across the resolve pass and every pool worker, and
 /// forwards each to the sweep's sink.
 struct Progress {
     sink: Option<Arc<SweepSink>>,
@@ -938,25 +921,6 @@ impl Progress {
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Grid-orders the finished points. Every index is filled exactly once by
-/// resolve and execute; if a slot were ever skipped (a campaign delivering
-/// short — which [`Campaign::run`] prevents by construction), it surfaces
-/// as a typed per-point error rather than a server-killing panic.
-fn assemble(mut filled: Vec<(usize, SweepPointResult)>, total: usize) -> Vec<SweepPointResult> {
-    filled.sort_unstable_by_key(|(index, _)| *index);
-    let mut it = filled.into_iter().peekable();
-    (0..total)
-        .map(|index| match it.next_if(|(i, _)| *i == index) {
-            Some((_, result)) => result,
-            None => {
-                let missing =
-                    TemuError::ScenarioPanicked(String::from("sweep point result was never delivered"));
-                PointId { index, label: format!("point-{index}"), key: None }.result(false, Err(missing)).1
-            }
-        })
-        .collect()
 }
 
 /// One expanded grid point (see [`Sweep::expand`]).

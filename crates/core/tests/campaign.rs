@@ -1,7 +1,7 @@
 //! Campaign-runner and typed-error-path integration tests: the acceptance
 //! surface of the Scenario/Campaign API redesign.
 
-use temu_framework::{Campaign, Scenario, TemuError, Workload};
+use temu_framework::{Campaign, Scenario, Sweep, TemuError, Workload};
 use temu_isa::asm::assemble;
 use temu_mem::MemError;
 use temu_platform::{Machine, PlatformConfig, PlatformError};
@@ -53,52 +53,24 @@ fn campaign_runs_concurrently_in_input_order_with_json_export() {
 }
 
 #[test]
-fn streaming_sink_sees_every_result_exactly_once_under_two_threads() {
-    use std::sync::{Arc, Mutex};
-    type SinkLog = Arc<Mutex<Vec<(usize, usize, String, bool)>>>;
-    let seen: SinkLog = Arc::new(Mutex::new(Vec::new()));
-    let sink_log = Arc::clone(&seen);
-    let report = Campaign::new()
-        .scenarios(four_scenarios())
-        .threads(2)
-        .on_result(move |p| {
-            assert_eq!(p.total, 4);
-            sink_log.lock().unwrap().push((p.completed, p.index, p.result.name.clone(), p.result.is_ok()));
-        })
-        .run();
-    assert!(report.all_ok());
-    let log = seen.lock().unwrap();
-    assert_eq!(log.len(), 4, "one sink call per scenario");
-    // `completed` counts invocations in call order: 1, 2, 3, 4 — even with
-    // two workers racing results in.
-    assert_eq!(log.iter().map(|e| e.0).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
-    // Every input index is delivered exactly once, and the streamed names
-    // match the final (input-ordered) report slots.
-    let mut indices: Vec<usize> = log.iter().map(|e| e.1).collect();
-    indices.sort_unstable();
-    assert_eq!(indices, vec![0, 1, 2, 3]);
-    for (_, index, name, ok) in log.iter() {
-        assert_eq!(&report.results[*index].name, name);
-        assert!(*ok);
-    }
-}
-
-#[test]
 fn panicking_sink_panics_run_after_every_worker_stops() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     let calls = Arc::new(AtomicUsize::new(0));
     let sink_calls = Arc::clone(&calls);
-    let campaign = Campaign::new().scenarios(four_scenarios()).threads(2).on_result(move |p| {
-        sink_calls.fetch_add(1, Ordering::SeqCst);
-        if p.completed == 1 {
-            panic!("deliberate sink panic");
-        }
-    });
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| campaign.run()));
+    let sweep = Sweep::new("panicking-sink", Scenario::new())
+        .axis("scenario", four_scenarios(), Scenario::label, |_, s| Ok(s.clone()))
+        .threads(2)
+        .on_progress(move |p| {
+            sink_calls.fetch_add(1, Ordering::SeqCst);
+            if p.completed == 1 {
+                panic!("deliberate sink panic");
+            }
+        });
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sweep.run()));
     let Err(payload) = outcome else { panic!("a panicking sink must panic run") };
     assert_eq!(payload.downcast_ref::<&str>(), Some(&"deliberate sink panic"), "original payload");
-    // The panicking worker stopped after its first scenario; the other one
+    // The panicking worker stopped after its first point; the other one
     // claimed and delivered the remaining three before `run` panicked.
     assert_eq!(calls.load(Ordering::SeqCst), 4);
 }

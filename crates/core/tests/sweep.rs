@@ -1,6 +1,6 @@
-//! Integration tests of the design-space sweep engine: grid execution
-//! through `Campaign`, streaming progress, content-keyed caching (memory
-//! and disk), and per-point error containment.
+//! Integration tests of the design-space sweep engine: grid execution on
+//! the campaign's worker pool, streaming progress, content-keyed caching
+//! (memory and disk), and per-point error containment.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

@@ -95,7 +95,13 @@ fn print_event(event: &JsonValue) {
                 };
                 format!("peak {peak} windows {}{cached}", field("windows"))
             } else {
-                format!("FAILED: {}", event.get("error").and_then(JsonValue::as_str).unwrap_or("?"))
+                let error = event.get("error").and_then(JsonValue::as_str).unwrap_or("?");
+                // A point that a cancel stopped says so in its error.
+                if event.get("cancelled").and_then(JsonValue::as_bool) == Some(true) {
+                    String::from(error)
+                } else {
+                    format!("FAILED: {error}")
+                }
             };
             println!("  [{:>3}/{}] {:<60} {status}", field("completed"), field("total"), label);
         }

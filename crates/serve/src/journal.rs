@@ -22,8 +22,11 @@
 //! injected `torn_write` fault) and bit rot alike are skipped and counted
 //! in [`JournalReplay::skipped`]. A damaged record may cost a re-run from
 //! the cache, never a job: a flipped terminal record cannot pass as
-//! another job's. A format-1 (JSON-lines) journal is converted once on
-//! open: [`replay_v1`]'s decodable records become the format-2 records.
+//! another job's. A journal in an older format (format 1 was JSON lines)
+//! fails closed, as an older result store does: [`Journal::open`] returns
+//! the [`AppendLog`] error naming the file and leaves the file as it is,
+//! so `temu-serve` refuses to start. Moving the file aside starts an
+//! empty journal, and the jobs it held are not re-enqueued.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -73,23 +76,16 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (creating if absent) the journal at `path` and replays its
-    /// existing records, converting a format-1 journal first.
+    /// existing records.
     ///
     /// # Errors
     ///
-    /// Any I/O error opening, reading or converting the file.
+    /// Any I/O error opening or reading the file, and
+    /// [`std::io::ErrorKind::InvalidData`] naming the file for a journal in
+    /// an older format, which is left unchanged.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<(Journal, JournalReplay)> {
-        let path = path.as_ref();
-        let (log, replay) = match AppendLog::open(path, JOURNAL_MAGIC) {
-            Ok(opened) => opened,
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                let (records, skipped) = v1_records(&String::from_utf8_lossy(&std::fs::read(path)?));
-                (AppendLog::replace(path, JOURNAL_MAGIC, &records)?, LogReplay { records, skipped })
-            }
-            Err(e) => return Err(e),
-        };
-        let replayed = replay_records(replay.records.iter().map(Vec::as_slice), replay.skipped);
-        Ok((Journal { log }, replayed))
+        let (log, replay) = AppendLog::open(path, JOURNAL_MAGIC)?;
+        Ok((Journal { log }, replay_records(&replay)))
     }
 
     /// The journal file's path.
@@ -136,56 +132,18 @@ impl Journal {
     }
 }
 
-/// Replays format-1 (JSON-lines) journal text, the reader behind the
-/// one-time conversion of an old journal. Total: every decodable record
-/// is applied, every undecodable byte run is skipped (counted in
-/// [`JournalReplay::skipped`]), duplicates are idempotent, and a terminal
-/// record for an unknown job is ignored.
-#[must_use]
-pub fn replay_v1(text: &str) -> JournalReplay {
-    let (records, skipped) = v1_records(text);
-    replay_records(records.iter().map(Vec::as_slice), skipped)
-}
-
-/// The decodable records of format-1 text, as their JSON bytes, and the
-/// number of byte runs skipped. A torn record is skipped by resyncing at
-/// the next `{"op"` marker, so complete records glued after the tear on
-/// the same line are still recovered.
-fn v1_records(text: &str) -> (Vec<Vec<u8>>, usize) {
-    let (mut records, mut skipped) = (Vec::new(), 0usize);
-    for line in text.lines() {
-        let mut rest = line.trim_start();
-        while !rest.is_empty() {
-            match JsonValue::parse_prefix(rest).ok().filter(|(v, _)| decode(v).is_some()) {
-                Some((_, end)) => {
-                    records.push(rest.as_bytes()[..end].to_vec());
-                    rest = rest[end..].trim_start();
-                }
-                None => {
-                    skipped += 1;
-                    // Resync past one whole character (foreign lines may
-                    // start mid-UTF-8) at the next record marker.
-                    let skip = rest.chars().next().map_or(1, char::len_utf8);
-                    match rest[skip..].find("{\"op\"") {
-                        Some(off) => rest = &rest[skip + off..],
-                        None => break,
-                    }
-                }
-            }
-        }
-    }
-    (records, skipped)
-}
-
-/// Folds record payloads into the set of jobs to re-enqueue; a payload
-/// that does not decode counts as skipped.
-fn replay_records<'a>(payloads: impl Iterator<Item = &'a [u8]>, mut skipped: usize) -> JournalReplay {
+/// Folds the intact records into the set of jobs to re-enqueue: the first
+/// submit of a job wins and duplicates are idempotent, a terminal record
+/// for an unknown job still advances `next_id`, and unknown ops are
+/// skipped. A record that does not decode counts as skipped.
+fn replay_records(replay: &LogReplay) -> JournalReplay {
+    let mut skipped = replay.skipped;
     let mut order: Vec<u64> = Vec::new();
     let mut specs: HashMap<u64, (String, SweepSpec, i64)> = HashMap::new();
     let mut started: HashSet<u64> = HashSet::new();
     let mut terminal: HashSet<u64> = HashSet::new();
     let mut next_id: u64 = 1;
-    for payload in payloads {
+    for payload in &replay.records {
         let record = std::str::from_utf8(payload)
             .ok()
             .and_then(|text| JsonValue::parse(text).ok())
@@ -257,81 +215,11 @@ fn decode(v: &JsonValue) -> Option<Record> {
 mod tests {
     use super::*;
 
-    fn submit_line(id: u64) -> String {
-        let spec = SweepSpec::named("smoke").unwrap();
-        format!(
-            "{{\"op\": \"submit\", \"job\": {id}, \"name\": \"smoke\", \"spec\": {}}}",
-            spec.to_json()
-        )
+    fn smoke() -> SweepSpec {
+        SweepSpec::named("smoke").unwrap()
     }
 
-    #[test]
-    fn replay_recovers_non_terminal_jobs_in_submit_order() {
-        let text = format!(
-            "{}\n{}\n{{\"op\": \"start\", \"job\": 1}}\n{}\n{{\"op\": \"done\", \"job\": 2}}\n",
-            submit_line(1),
-            submit_line(2),
-            submit_line(3),
-        );
-        let r = replay_v1(&text);
-        assert_eq!(r.pending.iter().map(|j| j.id).collect::<Vec<_>>(), vec![1, 3]);
-        assert!(r.pending[0].was_running);
-        assert!(!r.pending[1].was_running);
-        assert_eq!(r.next_id, 4);
-        assert_eq!(r.skipped, 0);
-    }
-
-    #[test]
-    fn replay_resyncs_past_a_torn_record() {
-        // A writer died mid-submit; the next writer's complete record was
-        // glued onto the same line by O_APPEND.
-        let torn = &submit_line(1)[..40];
-        let text = format!("{torn}{}\n{{\"op\": \"done\", \"job\": 2}}\n", submit_line(2));
-        let r = replay_v1(&text);
-        assert_eq!(r.pending.len(), 0, "job 1's record was torn, job 2 finished");
-        assert_eq!(r.next_id, 3);
-        assert!(r.skipped > 0);
-    }
-
-    #[test]
-    fn replay_is_idempotent_over_duplicates_and_orphan_terminals() {
-        let text = format!(
-            "{}\n{}\n{{\"op\": \"cancelled\", \"job\": 9}}\n{{\"op\": \"weird\", \"job\": 1}}\n",
-            submit_line(1),
-            submit_line(1),
-        );
-        let r = replay_v1(&text);
-        assert_eq!(r.pending.len(), 1);
-        assert_eq!(r.pending[0].id, 1);
-        assert_eq!(r.next_id, 10, "orphan terminal still advances the id horizon");
-    }
-
-    #[test]
-    fn open_round_trips_through_the_file() {
-        let dir = std::env::temp_dir().join(format!("temu-journal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("jobs.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let spec = SweepSpec::named("smoke").unwrap();
-        {
-            let (journal, r) = Journal::open(&path).unwrap();
-            assert_eq!(r, JournalReplay { next_id: 1, ..JournalReplay::default() });
-            journal.record_submit(1, "smoke", 0, &spec);
-            journal.record_start(1);
-            journal.record_submit(2, "smoke", 7, &spec);
-        }
-        let (_journal, r) = Journal::open(&path).unwrap();
-        assert_eq!(r.pending.len(), 2);
-        assert_eq!(r.next_id, 3);
-        assert!(r.pending[0].was_running && !r.pending[1].was_running);
-        assert_eq!(
-            (r.pending[0].priority, r.pending[1].priority),
-            (0, 7),
-            "replay preserves submission priorities"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
+    /// A fresh journal path in a directory of its own.
     fn temp_journal(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("temu-journal-{}-{tag}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -340,8 +228,100 @@ mod tests {
         path
     }
 
+    /// Replays the journal at `path` and removes its directory.
+    fn reopen_and_remove(path: &Path) -> JournalReplay {
+        let (_, replay) = Journal::open(path).unwrap();
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
+        replay
+    }
+
     fn pending_ids(r: &JournalReplay) -> Vec<u64> {
         r.pending.iter().map(|j| j.id).collect()
+    }
+
+    #[test]
+    fn replay_recovers_non_terminal_jobs_in_submit_order() {
+        let path = temp_journal("order");
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            journal.record_submit(1, "smoke", 0, &smoke());
+            journal.record_submit(2, "smoke", 0, &smoke());
+            journal.record_start(1);
+            journal.record_submit(3, "smoke", 0, &smoke());
+            journal.record_terminal(2, "done");
+        }
+        let r = reopen_and_remove(&path);
+        assert_eq!(pending_ids(&r), vec![1, 3]);
+        assert!(r.pending[0].was_running);
+        assert!(!r.pending[1].was_running);
+        assert_eq!(r.next_id, 4);
+        assert_eq!(r.skipped, 0);
+    }
+
+    #[test]
+    fn replay_resyncs_past_a_torn_record() {
+        // A writer died mid-submit; the next writer's records were
+        // appended right after the tear.
+        let path = temp_journal("torn");
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            let (log, _) = AppendLog::open(&path, JOURNAL_MAGIC).unwrap();
+            let submit = JsonObject::line()
+                .str("op", "submit")
+                .raw("job", 1)
+                .str("name", "smoke")
+                .raw("spec", smoke().to_json())
+                .finish();
+            log.append_with(submit.as_bytes(), |_| Some(40)).unwrap();
+            journal.record_submit(2, "smoke", 0, &smoke());
+            journal.record_terminal(2, "done");
+        }
+        let r = reopen_and_remove(&path);
+        assert_eq!(r.pending.len(), 0, "job 1's record was torn, job 2 finished");
+        assert_eq!(r.next_id, 3);
+        assert_eq!(r.skipped, 1);
+    }
+
+    #[test]
+    fn replay_is_idempotent_over_duplicates_and_orphan_terminals() {
+        let path = temp_journal("dups");
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            journal.record_submit(1, "smoke", 0, &smoke());
+            journal.record_submit(1, "again", 4, &smoke());
+            journal.record_terminal(9, "cancelled");
+            let (log, _) = AppendLog::open(&path, JOURNAL_MAGIC).unwrap();
+            let unknown = JsonObject::line().str("op", "weird").raw("job", 1).finish();
+            log.append(unknown.as_bytes()).unwrap();
+        }
+        let r = reopen_and_remove(&path);
+        assert_eq!(pending_ids(&r), vec![1]);
+        let first = &r.pending[0];
+        assert_eq!((first.name.as_str(), first.priority), ("smoke", 0), "the first submit wins");
+        assert_eq!(r.next_id, 10, "orphan terminal still advances the id horizon");
+        assert_eq!(r.skipped, 0, "an unknown op is skipped, not counted as damage");
+    }
+
+    #[test]
+    fn open_round_trips_through_the_file() {
+        let path = temp_journal("round-trip");
+        let spec = smoke();
+        {
+            let (journal, r) = Journal::open(&path).unwrap();
+            assert_eq!(r, JournalReplay { next_id: 1, ..JournalReplay::default() });
+            journal.record_submit(1, "smoke", 0, &spec);
+            journal.record_start(1);
+            journal.record_submit(2, "smoke", 7, &spec);
+        }
+        let r = reopen_and_remove(&path);
+        assert_eq!(r.pending.len(), 2);
+        assert_eq!(r.next_id, 3);
+        assert!(r.pending[0].was_running && !r.pending[1].was_running);
+        assert_eq!(
+            (r.pending[0].priority, r.pending[1].priority),
+            (0, 7),
+            "replay preserves submission priorities"
+        );
     }
 
     #[test]
@@ -350,7 +330,7 @@ mod tests {
         // for job 8: the checksum catches it, so job 7 re-runs (from the
         // cache) and job 8 is not silently dropped.
         let path = temp_journal("bitrot");
-        let spec = SweepSpec::named("smoke").unwrap();
+        let spec = smoke();
         {
             let (journal, _) = Journal::open(&path).unwrap();
             journal.record_submit(7, "smoke", 0, &spec);
@@ -362,49 +342,48 @@ mod tests {
         let at = bytes.len() - 2;
         bytes[at] = b'8';
         std::fs::write(&path, &bytes).unwrap();
-        let (_, r) = Journal::open(&path).unwrap();
+        let r = reopen_and_remove(&path);
         assert_eq!(pending_ids(&r), vec![7, 8]);
         assert_eq!(r.skipped, 1);
-        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
-    fn a_format_1_journal_is_converted_once_on_open() {
-        let path = temp_journal("convert");
-        let torn = &submit_line(2)[..40];
-        let text = format!(
-            "{}\n{torn}{}\n{{\"op\": \"start\", \"job\": 3}}\n",
-            submit_line(1),
-            submit_line(3)
-        );
-        std::fs::write(&path, &text).unwrap();
-        let v1 = replay_v1(&text);
-        assert_eq!((pending_ids(&v1), v1.next_id, v1.skipped), (vec![1, 3], 4, 1));
-
-        let (journal, r) = Journal::open(&path).unwrap();
-        assert_eq!(r, v1, "conversion replays what the format-1 reader finds");
-        assert!(std::fs::read(&path).unwrap().starts_with(&JOURNAL_MAGIC));
-        drop(journal);
-        let (journal, again) = Journal::open(&path).unwrap();
-        assert_eq!(again, JournalReplay { skipped: 0, ..v1 }, "reopens identically, damage gone");
-        journal.record_terminal(1, "done");
-        drop(journal);
-        let (_, after) = Journal::open(&path).unwrap();
-        assert_eq!(pending_ids(&after), vec![3], "the converted journal accepts appends");
+    fn a_json_lines_journal_from_an_older_version_fails_closed() {
+        let path = temp_journal("old");
+        let spec = smoke().to_json();
+        let old =
+            format!("{{\"op\": \"submit\", \"job\": 1, \"spec\": {spec}}}\n{{\"op\": \"start\", \"job\": 1}}\n");
+        std::fs::write(&path, &old).unwrap();
+        let err = Journal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains(&path.display().to_string()), "names the file: {err}");
+        // The server refuses to bind on it, with the same error.
+        let config = crate::ServeConfig {
+            addr: String::from("127.0.0.1:0"),
+            journal: Some(path.clone()),
+            ..crate::ServeConfig::default()
+        };
+        let bind = crate::Server::bind(config).err().expect("the bind fails");
+        assert_eq!(bind.to_string(), err.to_string());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), old, "the old journal is left untouched");
         std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
     fn priority_survives_replay_and_defaults_for_old_records() {
-        let spec = SweepSpec::named("smoke").unwrap();
-        let text = format!(
-            "{}\n{{\"op\": \"submit\", \"job\": 2, \"name\": \"hot\", \"priority\": 5, \"spec\": {}}}\n",
-            submit_line(1),
-            spec.to_json(),
-        );
-        let r = replay_v1(&text);
+        // Priority 0 is omitted from the record, so a record without a
+        // priority (an older writer's) replays as the batch tier.
+        let path = temp_journal("priority");
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            journal.record_submit(1, "smoke", 0, &smoke());
+            journal.record_submit(2, "hot", 5, &smoke());
+        }
+        let (_log, raw) = AppendLog::open(&path, JOURNAL_MAGIC).unwrap();
+        assert!(!String::from_utf8_lossy(&raw.records[0]).contains("priority"));
+        let r = reopen_and_remove(&path);
         assert_eq!(r.pending.len(), 2);
-        assert_eq!(r.pending[0].priority, 0, "pre-priority records default to the batch tier");
+        assert_eq!(r.pending[0].priority, 0, "records without a priority default to the batch tier");
         assert_eq!(r.pending[1].priority, 5);
     }
 

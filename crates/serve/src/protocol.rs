@@ -24,7 +24,9 @@
 //!
 //! `{"event": "start", "job", "total"}` once when a job begins executing;
 //! `{"event": "point", ...}` per finished grid point (label, cache_hit,
-//! ok, and either summary headline numbers or the point's error);
+//! ok, and either summary headline numbers or the point's error, with
+//! `"cancelled": true` after the error when a cancel stopped the point
+//! mid-run: it counts as cancelled, not failed);
 //! `{"event": "point", "job", "index", "label", "progress": {"windows",
 //! "total_windows"}}` at each window checkpoint inside a running point
 //! (servers started with `--window-checkpoint N`: every N windows);

@@ -10,10 +10,9 @@
 //!   [`ServeConfig::queue_limit`]) drained by [`ServeConfig::workers`]
 //!   worker threads;
 //! * each job re-lowers its [`SweepSpec`] and executes through the
-//!   ordinary [`Sweep`](temu_framework::Sweep) →
-//!   [`Campaign`](temu_framework::Campaign) engine — the server is a
-//!   transport in front of the experiment API, never a second execution
-//!   path;
+//!   ordinary [`Sweep`](temu_framework::Sweep) engine, on the campaign's
+//!   worker pool — the server is a transport in front of the experiment
+//!   API, never a second execution path;
 //! * every job runs against the **shared cache** (optionally persisted via
 //!   [`ResultCache::with_store`]), so resubmitted or overlapping sweeps
 //!   are served without executing scenarios, across jobs, connections and
@@ -97,8 +96,8 @@ pub struct ServeConfig {
     /// *results* live on in the shared [`ResultCache`]. The default is
     /// [`DEFAULT_HISTORY_LIMIT`].
     pub history_limit: usize,
-    /// Job journal path (a binary append log; a format-1 JSON-lines
-    /// journal found there is converted on bind). `None` derives
+    /// Job journal path (a binary append log; a journal in an older
+    /// format fails the bind, like the store). `None` derives
     /// `jobs.jsonl` next to the store (no journal at all when the cache is
     /// purely in-memory); an explicit path journals regardless of the
     /// store.
@@ -534,7 +533,9 @@ fn point_line(job_id: u64, p: &SweepProgress<'_>) -> String {
             };
             line.raw("windows", s.windows).raw("unconverged_substeps", s.unconverged_substeps)
         }
-        Err(e) => line.str("error", &e.to_string()),
+        // A point that a cancel stopped is not a failure: the flag keeps
+        // it apart, as the job's counters and its `done` event do.
+        Err(e) => line.str("error", &e.to_string()).opt_raw("cancelled", e.is_cancellation().then_some(true)),
     }
     .finish()
 }

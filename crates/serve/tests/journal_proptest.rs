@@ -1,67 +1,91 @@
-//! Property tests for the format-1 (JSON-lines) journal reader, which
-//! converts an old `jobs.jsonl` on open: whatever bytes a crash (or the
-//! `torn_write` fault) left in it, replay must stay total, deterministic,
-//! and truthful about which jobs are pending.
+//! Property tests for journal replay: ops are written through [`Journal`]
+//! into a temp file and replayed by [`Journal::open`]. Whatever a crash
+//! (or the `torn_write` fault) or bit rot leaves in the file — torn
+//! records with later records appended after them, duplicates, flipped
+//! bytes — replay must stay total, deterministic, and truthful about
+//! which jobs are pending; an intact journal replays exactly.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 use temu_framework::SweepSpec;
-use temu_serve::journal::replay_v1;
+use temu_serve::journal::{Journal, JournalReplay};
 
 #[derive(Clone, Copy, Debug)]
 struct Op {
     /// 0 = submit, 1 = start, 2+ = terminal (done/failed/cancelled).
     kind: u8,
     id: u64,
-    /// Keep the first `trunc`% of the line's bytes (100 = intact).
-    trunc: usize,
-    /// Write the line twice (a replayed/duplicated record).
+    /// Keep the first `trunc`% of the record's bytes (100 = intact); the
+    /// next record is appended right after the tear.
+    trunc: u64,
+    /// Write the record twice (a replayed/duplicated record).
     dup: bool,
-    /// Drop the trailing newline, gluing the next record onto this line
-    /// (what `O_APPEND` does after a torn write).
-    glue: bool,
 }
 
-fn render(op: &Op, spec_json: &str) -> String {
-    match op.kind {
-        0 => format!(
-            "{{\"op\": \"submit\", \"job\": {}, \"name\": \"p{}\", \"spec\": {spec_json}}}",
-            op.id, op.id
-        ),
-        1 => format!("{{\"op\": \"start\", \"job\": {}}}", op.id),
-        2 => format!("{{\"op\": \"done\", \"job\": {}}}", op.id),
-        3 => format!("{{\"op\": \"failed\", \"job\": {}}}", op.id),
-        _ => format!("{{\"op\": \"cancelled\", \"job\": {}}}", op.id),
+/// A journal file in a directory of its own, removed on drop.
+struct TempJournal(PathBuf);
+
+impl TempJournal {
+    fn new(tag: &str) -> TempJournal {
+        let dir = std::env::temp_dir().join(format!("temu-journal-prop-{}-{tag}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        TempJournal(dir.join("jobs.jsonl"))
     }
-}
 
-/// Renders the op list into journal bytes with the sampled corruption.
-fn corrupt_text(ops: &[Op], spec_json: &str) -> String {
-    let mut text = String::new();
-    for op in ops {
-        let line = render(op, spec_json);
-        let mut repeats = 1 + usize::from(op.dup);
-        while repeats > 0 {
-            repeats -= 1;
-            if op.trunc >= 100 {
-                text.push_str(&line);
-            } else {
-                // Truncate on a char boundary at roughly trunc% of the line.
-                let cut = (line.len() * op.trunc / 100).max(1);
-                let cut = (1..=cut).rev().find(|&i| line.is_char_boundary(i)).unwrap_or(1);
-                text.push_str(&line[..cut]);
-            }
-            if !op.glue {
-                text.push('\n');
+    /// Writes `ops` through a fresh journal at this path, tearing each
+    /// record as its op says, then flips the sampled bytes.
+    fn write(&self, ops: &[Op], flips: &[(u16, u8)], spec: &SweepSpec) {
+        let _ = std::fs::remove_file(&self.0);
+        let (journal, _) = Journal::open(&self.0).unwrap();
+        for op in ops {
+            for _ in 0..1 + usize::from(op.dup) {
+                let before = file_len(&self.0);
+                match op.kind {
+                    0 => journal.record_submit(op.id, &format!("p{}", op.id), priority(op.id), spec),
+                    1 => journal.record_start(op.id),
+                    k => journal.record_terminal(op.id, ["done", "failed", "cancelled"][usize::from(k - 2)]),
+                }
+                if op.trunc < 100 {
+                    let torn = before + ((file_len(&self.0) - before) * op.trunc / 100).max(1);
+                    std::fs::OpenOptions::new().write(true).open(&self.0).unwrap().set_len(torn).unwrap();
+                }
             }
         }
+        drop(journal);
+        let mut bytes = std::fs::read(&self.0).unwrap();
+        // Past the 8-byte magic: a damaged magic is an older format,
+        // which fails closed (see the unit tests).
+        let body = bytes.len() - 8;
+        for &(at, mask) in flips.iter().filter(|_| body > 0) {
+            bytes[8 + usize::from(at) % body] ^= mask;
+        }
+        std::fs::write(&self.0, &bytes).unwrap();
     }
-    text
+
+    fn replay(&self) -> JournalReplay {
+        Journal::open(&self.0).expect("a journal with damaged records still opens").1
+    }
+}
+
+impl Drop for TempJournal {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(self.0.parent().unwrap());
+    }
+}
+
+fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).unwrap().len()
+}
+
+/// Each job's priority, so replay can be checked to preserve it.
+fn priority(id: u64) -> i64 {
+    i64::try_from(id % 3).unwrap() - 1
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..5, 1u64..6, prop::sample::select(&[7usize, 30, 60, 90, 100, 100, 100]), prop::bool::ANY, prop::bool::ANY)
-        .prop_map(|(kind, id, trunc, dup, glue)| Op { kind, id, trunc, dup, glue })
+    (0u8..5, 1u64..6, prop::sample::select(&[7u64, 30, 60, 90, 100, 100, 100]), prop::bool::ANY)
+        .prop_map(|(kind, id, trunc, dup)| Op { kind, id, trunc, dup })
 }
 
 proptest! {
@@ -70,14 +94,16 @@ proptest! {
     #[test]
     fn replay_is_total_and_truthful_over_corrupted_journals(
         ops in prop::collection::vec(op_strategy(), 0..12),
+        flips in prop::collection::vec((any::<u16>(), 1u8..=255), 0..3),
     ) {
-        let spec_json = SweepSpec::named("smoke").unwrap().to_json();
-        let text = corrupt_text(&ops, &spec_json);
+        let spec = SweepSpec::named("smoke").unwrap();
+        let journal = TempJournal::new("corrupt");
+        journal.write(&ops, &flips, &spec);
 
-        // Total: no panic on arbitrary tears/duplicates/interleavings,
-        // and deterministic.
-        let replayed = replay_v1(&text);
-        prop_assert_eq!(&replayed, &replay_v1(&text));
+        // Total: the damaged file still opens, and replay is
+        // deterministic.
+        let replayed = journal.replay();
+        prop_assert_eq!(&replayed, &journal.replay());
 
         // Pending ids are unique and only ever ids that some submit op
         // could have written.
@@ -88,7 +114,8 @@ proptest! {
             prop_assert!(seen.insert(job.id), "duplicate pending id {}", job.id);
             prop_assert!(submitted.contains(&job.id), "pending id {} never submitted", job.id);
             // The recovered spec survived the corruption intact.
-            prop_assert_eq!(&job.spec.to_json(), &spec_json);
+            prop_assert_eq!(job.spec.to_json(), spec.to_json());
+            prop_assert_eq!(job.priority, priority(job.id));
         }
 
         // The fresh-id horizon clears every recovered id.
@@ -100,14 +127,16 @@ proptest! {
     #[test]
     fn replay_of_an_intact_journal_is_exact(
         ops in prop::collection::vec(
-            (0u8..5, 1u64..6).prop_map(|(kind, id)| Op { kind, id, trunc: 100, dup: false, glue: false }),
+            (0u8..5, 1u64..6).prop_map(|(kind, id)| Op { kind, id, trunc: 100, dup: false }),
             0..14,
         ),
     ) {
-        let spec_json = SweepSpec::named("smoke").unwrap().to_json();
-        let text = corrupt_text(&ops, &spec_json);
-        let replayed = replay_v1(&text);
+        let spec = SweepSpec::named("smoke").unwrap();
+        let journal = TempJournal::new("intact");
+        journal.write(&ops, &[], &spec);
+        let replayed = journal.replay();
         prop_assert_eq!(replayed.skipped, 0);
+        prop_assert_eq!(replayed.next_id, ops.iter().map(|op| op.id + 1).max().unwrap_or(1));
 
         // Exactly the submitted-but-never-terminal ids, in first-submit
         // order; started-ness reflects any start record.
@@ -125,6 +154,7 @@ proptest! {
         prop_assert_eq!(got, expected);
         for job in &replayed.pending {
             prop_assert_eq!(job.was_running, started.contains(&job.id));
+            prop_assert_eq!(job.priority, priority(job.id));
         }
     }
 }

@@ -68,6 +68,16 @@ fn mask(line: &str) -> String {
     out
 }
 
+/// Replaces the window count of a mid-point cancellation by `N`: how far
+/// the point got depends on when the cancel lands.
+fn mask_windows_run(frame: &str) -> String {
+    const AT: &str = "cancelled mid-point after ";
+    match frame.split_once(AT).and_then(|(head, rest)| Some((head, rest.split_once(" windows")?.1))) {
+        Some((head, tail)) => format!("{head}{AT}N windows{tail}"),
+        None => frame.to_string(),
+    }
+}
+
 struct Raw {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -180,6 +190,15 @@ fn server_reply_and_event_bytes_are_pinned() {
     let watched = raw.until_done();
     assert_eq!(watched[0], "{\"ok\": true, \"job\": 2}");
     assert_eq!(mask(watched.last().unwrap()), GOLDEN_CANCELLED_DONE);
+    // Job 2's results feed keeps the point the cancel stopped, whenever
+    // the watch attached: flagged cancelled, not failed.
+    raw.send("{\"cmd\": \"results\", \"job\": 2}");
+    let mut feed = vec![raw.recv()];
+    while !feed.last().unwrap().starts_with("{\"event\": \"end\"") {
+        feed.push(raw.recv());
+    }
+    let feed: Vec<String> = feed.iter().map(|f| mask(&mask_windows_run(f))).collect();
+    assert_eq!(feed, GOLDEN_CANCELLED_RESULTS);
 
     // The metrics reply wraps the versioned snapshot.
     let metrics = raw.ask("{\"cmd\": \"metrics\"}");
@@ -263,6 +282,12 @@ const GOLDEN_QUEUED_ACK: &str = "{\"ok\": true, \"job\": 3, \"total\": 4}";
 const GOLDEN_CANCELLED: &str = "{\"ok\": true, \"job\": 3, \"cancelled\": true}";
 const GOLDEN_CANCELLING: &str = "{\"ok\": true, \"job\": 2, \"cancelling\": true}";
 const GOLDEN_CANCELLED_DONE: &str = "{\"event\": \"done\", \"job\": 2, \"ok\": false, \"points\": 4, \"executed\": 1, \"cache_hits\": 0, \"failed\": 0, \"wall_s\": F, \"cancelled\": true}";
+const GOLDEN_CANCELLED_RESULTS: [&str; 4] = [
+    "{\"ok\": true, \"cursor\": 8, \"earliest_retained\": 1}",
+    "{\"seq\": 7, \"event\": \"point\", \"job\": 2, \"index\": 0, \"completed\": 1, \"total\": 4, \"label\": \"workload=matrix-4x4x1/solver=gs\", \"cache_hit\": false, \"ok\": false, \"error\": \"cancelled mid-point after N windows\", \"cancelled\": true}",
+    "{\"seq\": 8, \"event\": \"done\", \"job\": 2, \"ok\": false, \"points\": 4, \"executed\": 1, \"cache_hits\": 0, \"failed\": 0, \"wall_s\": F, \"cancelled\": true}",
+    "{\"event\": \"end\", \"cursor\": 8}",
+];
 const GOLDEN_FRAME_TOO_LONG: &str = "{\"ok\": false, \"code\": \"frame_too_long\", \"limit\": 1048576, \"error\": \"frame exceeds the 1048576-byte protocol bound\"}";
 const GOLDEN_SHUTDOWN: &str = "{\"ok\": true, \"shutdown\": true}";
 const GOLDEN_MEMBER_STATS: &str = "{\"ok\": true, \"member\": \"member \\\"a\\\"\", \"jobs_submitted\": 0, \"jobs_completed\": 0, \"jobs_failed\": 0, \"jobs_cancelled\": 0, \"jobs_recovered\": 0, \"queue_depth\": 0, \"running\": 0, \"workers\": 1, \"queue_limit\": 64, \"points_executed\": 0, \"point_cache_hits\": 0, \"points_failed\": 0, \"cache_hit_rate\": F, \"artifact_hit_rate\": F, \"artifact_floorplan_hits\": 0, \"artifact_floorplan_misses\": 0, \"artifact_mesh_hits\": 0, \"artifact_mesh_misses\": 0, \"artifact_operator_hits\": 0, \"artifact_operator_misses\": 0, \"artifact_program_hits\": 0, \"artifact_program_misses\": 0, \"cache_entries\": 0, \"store\": \"STORE\", \"journal\": \"JOURNAL\"}";

@@ -116,6 +116,28 @@ if [ -n "$loop_hits" ]; then
 fi
 echo "request-loop OK"
 
+echo "== one-pool gate =="
+# One worker pool: campaigns and sweeps run their jobs on the crate-private
+# pool in crates/core/src/campaign.rs, which claims jobs on scoped workers,
+# contains each job's panic and re-raises a worker's panic once every
+# worker has stopped. In non-test source under crates/core/src (each file
+# up to its `#[cfg(test)] mod tests`), `thread::scope(`, `thread::spawn(`
+# and `catch_unwind(` may appear only in campaign.rs.
+pool_hits=$(find crates/core/src -name '*.rs' | sort | while read -r f; do
+    awk -v file="$f" '
+        /^#\[cfg\(test\)\]/ { pending = 1; next }
+        pending && /^mod tests/ { exit }
+        { pending = 0 }
+        /thread::(scope|spawn)\(|catch_unwind\(/ && file !~ /\/campaign\.rs$/ { print file ":" FNR ": " $0 }
+    ' "$f"
+done)
+if [ -n "$pool_hits" ]; then
+    echo "one-pool FAILED: $(echo "$pool_hits" | wc -l) line(s) run jobs outside the campaign's pool:"
+    echo "$pool_hits"
+    exit 1
+fi
+echo "one-pool OK"
+
 echo "== tier-1: release build =="
 cargo build --release
 

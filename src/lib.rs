@@ -33,9 +33,10 @@
 //!
 //! For full design-space grids there is [`Sweep`]: cartesian parameter
 //! axes (core counts, DFS frequency ladders, mesh resolutions, workloads,
-//! solver choices) expand into one campaign, stream per-point progress,
-//! and memoize results by configuration content key ([`ResultCache`]) so
-//! repeated or overlapping sweeps skip already-solved points.
+//! solver choices) expand into grid points that run on the campaign's
+//! worker pool, stream per-point progress, and memoize results by
+//! configuration content key ([`ResultCache`]) so repeated or
+//! overlapping sweeps skip already-solved points.
 //!
 //! Experiments are also expressible as *data*: a [`ScenarioSpec`] /
 //! [`SweepSpec`] is the JSON wire form of the same builders, and the
@@ -63,7 +64,7 @@ pub use temu_thermal as thermal;
 pub use temu_workloads as workloads;
 
 pub use temu_framework::{
-    Campaign, CampaignProgress, CampaignReport, ImplicitSolve, PointSummary, ResultCache, Scenario,
-    ScenarioResult, ScenarioRun, ScenarioSpec, SolverStats, SpecError, Sweep, SweepPoint,
-    SweepPointResult, SweepProgress, SweepReport, SweepSpec, TemuError, Workload,
+    Campaign, CampaignReport, ImplicitSolve, PointSummary, ResultCache, Scenario, ScenarioResult,
+    ScenarioRun, ScenarioSpec, SolverStats, SpecError, Sweep, SweepPoint, SweepPointResult,
+    SweepProgress, SweepReport, SweepSpec, TemuError, Workload,
 };
