@@ -63,11 +63,13 @@ fn retrying<T>(
     request_with_retry(addr, policy, call).unwrap_or_else(|e| fail_client(&e))
 }
 
-fn print_event(event: &JsonValue) {
+/// The line `submit` and `watch` print for one streamed event; `None` for
+/// the `done` event, which [`summarize`] reports.
+fn event_line(event: &JsonValue) -> Option<String> {
     match event.get("event").and_then(JsonValue::as_str) {
         Some("start") => {
             let total = event.get("total").and_then(JsonValue::as_u64).unwrap_or(0);
-            println!("running {total} point(s)");
+            Some(format!("running {total} point(s)"))
         }
         Some("point") => {
             let field = |k: &str| event.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
@@ -76,12 +78,11 @@ fn print_event(event: &JsonValue) {
             // --window-checkpoint); finished-point events never carry it.
             if let Some(progress) = event.get("progress") {
                 let at = |k: &str| progress.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-                println!(
+                return Some(format!(
                     "  [  ...  ] {label:<60} running {}/{} windows",
                     at("windows"),
                     at("total_windows")
-                );
-                return;
+                ));
             }
             let status = if event.get("ok").and_then(JsonValue::as_bool) == Some(true) {
                 let peak = event
@@ -103,10 +104,16 @@ fn print_event(event: &JsonValue) {
                     format!("FAILED: {error}")
                 }
             };
-            println!("  [{:>3}/{}] {:<60} {status}", field("completed"), field("total"), label);
+            Some(format!("  [{:>3}/{}] {:<60} {status}", field("completed"), field("total"), label))
         }
-        Some("done") => {}
-        _ => println!("{event}"),
+        Some("done") => None,
+        _ => Some(event.to_string()),
+    }
+}
+
+fn print_event(event: &JsonValue) {
+    if let Some(line) = event_line(event) {
+        println!("{line}");
     }
 }
 
@@ -541,5 +548,62 @@ fn main() {
             println!("server at {addr} shutting down");
         }
         other => fail(format!("unknown command {other:?}\n{USAGE}"), 2),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line(event: &str) -> Option<String> {
+        event_line(&JsonValue::parse(event).unwrap())
+    }
+
+    /// The label column: every point line pads its label to 60 columns.
+    fn col(label: &str) -> String {
+        format!("{label:<60}")
+    }
+
+    #[test]
+    fn start_and_done_events() {
+        assert_eq!(line(r#"{"event": "start", "job": 3, "total": 8}"#).unwrap(), "running 8 point(s)");
+        assert_eq!(line(r#"{"event": "done", "job": 3, "ok": true}"#), None, "summarize reports it");
+    }
+
+    #[test]
+    fn finished_and_cached_points() {
+        let finished = r#"{"event": "point", "job": 1, "index": 0, "completed": 1, "total": 4,
+            "label": "cores=2", "cache_hit": false, "ok": true, "peak_temp_k": 351.236,
+            "windows": 40, "unconverged_substeps": 0}"#;
+        assert_eq!(line(finished).unwrap(), format!("  [  1/4] {} peak 351.24K windows 40", col("cores=2")));
+        let cached = r#"{"event": "point", "job": 1, "index": 3, "completed": 4, "total": 4,
+            "label": "cores=4", "cache_hit": true, "ok": true, "windows": 40}"#;
+        assert_eq!(
+            line(cached).unwrap(),
+            format!("  [  4/4] {} peak - windows 40  [cached]", col("cores=4")),
+            "a point without a finite peak prints a dash"
+        );
+    }
+
+    #[test]
+    fn failed_and_cancelled_points() {
+        let failed = r#"{"event": "point", "job": 2, "index": 1, "completed": 2, "total": 2,
+            "label": "mesh=9", "cache_hit": false, "ok": false, "error": "thermal: diverged"}"#;
+        assert_eq!(line(failed).unwrap(), format!("  [  2/2] {} FAILED: thermal: diverged", col("mesh=9")));
+        let cancelled = r#"{"event": "point", "job": 2, "index": 0, "completed": 1, "total": 1,
+            "label": "resume-smoke", "cache_hit": false, "ok": false,
+            "error": "cancelled mid-point after 25 windows", "cancelled": true}"#;
+        assert_eq!(
+            line(cancelled).unwrap(),
+            format!("  [  1/1] {} cancelled mid-point after 25 windows", col("resume-smoke")),
+            "a point a cancel stopped is not a failure"
+        );
+    }
+
+    #[test]
+    fn mid_point_progress() {
+        let progress = r#"{"event": "point", "job": 5, "index": 0, "label": "cores=2",
+            "progress": {"windows": 25, "total_windows": 400}}"#;
+        assert_eq!(line(progress).unwrap(), format!("  [  ...  ] {} running 25/400 windows", col("cores=2")));
     }
 }

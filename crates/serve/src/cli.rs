@@ -99,29 +99,18 @@ pub fn serve_main(args: &[String]) {
         None => println!("cache: in-memory only (pass --store to persist results)"),
     }
     // A restart that skipped damaged records says so.
-    let (journal_skipped, checkpoints_skipped) = server.skipped_records();
-    let skipped =
-        |n: usize| if n == 0 { String::new() } else { format!(", {n} damaged record(s) skipped") };
+    let skipped = match server.skipped_records() {
+        0 => String::new(),
+        n => format!(", {n} damaged record(s) skipped"),
+    };
     match server.journal_path() {
         Some(path) => println!(
-            "job journal {}: {} job(s) recovered and re-enqueued{}",
+            "job journal {}: {} job(s) recovered and re-enqueued, {} mid-point state(s) recovered{skipped}",
             path.display(),
             server.recovered_jobs(),
-            skipped(journal_skipped)
+            server.recovered_checkpoints(),
         ),
         None => println!("job journal: off (in-memory server; pass --store or --journal)"),
-    }
-    if let Some(path) = server.checkpoints_path() {
-        let cadence = match config.window_checkpoint {
-            0 => String::from("capture off"),
-            n => format!("every {n} window(s)"),
-        };
-        println!(
-            "window checkpoints {}: {cadence}, {} mid-point state(s) recovered{}",
-            path.display(),
-            server.recovered_checkpoints(),
-            skipped(checkpoints_skipped)
-        );
     }
     if let Some(path) = &config.metrics_log {
         println!(
@@ -138,7 +127,7 @@ pub fn serve_main(args: &[String]) {
 
 /// Prints a one-line window-checkpoint cost summary at shutdown, read
 /// from the process-wide metrics registry: capture (state serialization
-/// in the emulator) plus the store's write and fsync phases, so the
+/// in the emulator) plus the journal's write and fsync phases, so the
 /// per-checkpoint cost is visible in every server run instead of
 /// requiring a profiler.
 fn checkpoint_overhead_summary() {

@@ -1,5 +1,5 @@
-//! The job journal: a write-ahead log that makes `temu-serve` restarts
-//! lossless.
+//! The job journal: the one write-ahead log that makes `temu-serve`
+//! restarts lossless.
 //!
 //! Every job transition is one JSON record appended to `jobs.jsonl` (by
 //! default next to the result store):
@@ -10,31 +10,52 @@
 //! {"op": "done", "job": 3}          // or "failed" / "cancelled"
 //! ```
 //!
+//! With `--window-checkpoint N` the same log also holds window records,
+//! each running point's run state every N sampling windows
+//! ([`Journal::record_window`]): the byte `W` (every JSON record starts
+//! with `{`), the job id, the point's scenario content key and the window
+//! count (three `u64` LE), then the
+//! [`EmulationState::to_bytes`](temu_framework::EmulationState::to_bytes)
+//! bytes.
+//!
 //! On startup the server replays the journal and re-enqueues every job
 //! that was submitted but never reached a terminal record — the jobs that
-//! were queued or running when the previous process died. Combined with
-//! the incremental [`ResultCache`](temu_framework::ResultCache) store
-//! (flushed after every executed point), a job killed at point *k*
-//! restarts as *k* cache hits plus the remaining points.
+//! were queued or running when the previous process died — with the last
+//! window record of each of its in-flight points, from which those points
+//! resume. Combined with the incremental
+//! [`ResultCache`](temu_framework::ResultCache) store (flushed after
+//! every executed point), a job killed at point *k* restarts as *k* cache
+//! hits plus the remaining points. Opening also compacts the file to the
+//! records those jobs still need, so a restart replays the jobs in
+//! flight, not every job the server ever ran.
 //!
 //! The file is a binary [`AppendLog`] (magic `temuJRN2`): each record is
 //! checksummed, so a torn write (a writer that died mid-append, or an
 //! injected `torn_write` fault) and bit rot alike are skipped and counted
 //! in [`JournalReplay::skipped`]. A damaged record may cost a re-run from
 //! the cache, never a job: a flipped terminal record cannot pass as
-//! another job's. A journal in an older format (format 1 was JSON lines)
-//! fails closed, as an older result store does: [`Journal::open`] returns
-//! the [`AppendLog`] error naming the file and leaves the file as it is,
-//! so `temu-serve` refuses to start. Moving the file aside starts an
-//! empty journal, and the jobs it held are not re-enqueued.
+//! another job's, and a lost or undecodable window record only means its
+//! point re-runs from scratch. A journal in an older format (format 1 was
+//! JSON lines) fails closed, as an older result store does:
+//! [`Journal::open`] returns the [`AppendLog`] error naming the file and
+//! leaves the file as it is, so `temu-serve` refuses to start. Moving the
+//! file aside starts an empty journal, and the jobs it held are not
+//! re-enqueued.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
 use temu_framework::{JsonObject, JsonValue, SweepSpec};
 use temu_state::{AppendLog, LogReplay};
 
 /// The journal file's magic: format 2, the checksummed append log.
 pub const JOURNAL_MAGIC: [u8; 8] = *b"temuJRN2";
+
+/// The first byte of a window record.
+const WINDOW_TAG: u8 = b'W';
+
+/// A window record's tag, job id, content key and window count, ahead of
+/// the state bytes.
+const WINDOW_HEADER: usize = 25;
 
 /// A job the journal proves was in flight when the process died.
 #[derive(Clone, PartialEq, Debug)]
@@ -53,6 +74,9 @@ pub struct RecoveredJob {
     /// priorities) — replay preserves it so a restart re-enqueues the
     /// queue in the same order a live server would have run it.
     pub priority: i64,
+    /// The state bytes of the last window record of each of the job's
+    /// in-flight points, keyed by the point's scenario content key.
+    pub states: BTreeMap<u64, Vec<u8>>,
 }
 
 /// The outcome of replaying a journal file.
@@ -75,17 +99,25 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (creating if absent) the journal at `path` and replays its
-    /// existing records.
+    /// Opens (creating if absent) the journal at `path`, replays its
+    /// existing records and compacts the file to the records still
+    /// needed: each pending job's first submit and start records and the
+    /// last window record of each of its points, plus, when the highest
+    /// job id is not a pending job's, the last other record carrying it
+    /// (that job's terminal record), so [`JournalReplay::next_id`] never
+    /// moves back. Reopening the compacted file replays the same jobs,
+    /// states and `next_id`.
     ///
     /// # Errors
     ///
-    /// Any I/O error opening or reading the file, and
+    /// Any I/O error opening, reading or rewriting the file, and
     /// [`std::io::ErrorKind::InvalidData`] naming the file for a journal in
     /// an older format, which is left unchanged.
     pub fn open(path: impl AsRef<Path>) -> std::io::Result<(Journal, JournalReplay)> {
-        let (log, replay) = AppendLog::open(path, JOURNAL_MAGIC)?;
-        Ok((Journal { log }, replay_records(&replay)))
+        let (mut log, replay) = AppendLog::open(path, JOURNAL_MAGIC)?;
+        let (replayed, kept) = replay_records(replay);
+        log.rewrite(&kept)?;
+        Ok((Journal { log }, replayed))
     }
 
     /// The journal file's path.
@@ -120,6 +152,30 @@ impl Journal {
         self.append(&JsonObject::line().str("op", state).raw("job", id).finish());
     }
 
+    /// Records a window checkpoint: job `id`'s point `key` after `windows`
+    /// sampling windows, as
+    /// [`EmulationState::to_bytes`](temu_framework::EmulationState::to_bytes)
+    /// bytes, in one `write` plus fdatasync (every N windows, so off the
+    /// emulation's critical path). Both phases are timed, which tells a
+    /// large state from a slow disk, and the record is counted
+    /// (`serve.checkpoints_recorded`) only once both succeed.
+    pub fn record_window(&self, id: u64, key: u64, windows: u64, state: &[u8]) {
+        let mut payload = Vec::with_capacity(WINDOW_HEADER + state.len());
+        payload.push(WINDOW_TAG);
+        for v in [id, key, windows] {
+            payload.extend_from_slice(&v.to_le_bytes());
+        }
+        payload.extend_from_slice(state);
+        let durable = temu_obs::time!("serve.checkpoint_write_ns", self.log.append(&payload))
+            .and_then(|()| temu_obs::time!("serve.checkpoint_fsync_ns", self.log.sync()));
+        if durable.is_ok() {
+            temu_obs::global().counter("serve.checkpoints_recorded").inc();
+            if temu_obs::enabled() {
+                temu_obs::global().histogram("serve.checkpoint_bytes").record(state.len() as u64);
+            }
+        }
+    }
+
     /// Appends one record (plus fdatasync — journal traffic is per job,
     /// not per point, so durability is cheap here). The `torn_write`
     /// fault writes only a prefix of the record, exactly the tear a dying
@@ -132,83 +188,121 @@ impl Journal {
     }
 }
 
-/// Folds the intact records into the set of jobs to re-enqueue: the first
-/// submit of a job wins and duplicates are idempotent, a terminal record
-/// for an unknown job still advances `next_id`, and unknown ops are
-/// skipped. A record that does not decode counts as skipped.
-fn replay_records(replay: &LogReplay) -> JournalReplay {
-    let mut skipped = replay.skipped;
+/// One decoded record.
+enum Record {
+    Submit { name: Option<String>, spec: Box<SweepSpec>, priority: i64 },
+    Start,
+    Terminal,
+    Window { key: u64 },
+    /// An op this version does not know (a newer writer's), or a submit
+    /// without a spec: it only advances `next_id`.
+    Other,
+}
+
+/// Folds the intact records into the jobs to re-enqueue and the records
+/// the compacted log keeps, in file order. The first submit of a job wins
+/// and duplicates are idempotent; every record's job id advances
+/// `next_id`, a terminal record for an unknown job included; the last
+/// window record per (job, point) wins; unknown ops are skipped. A record
+/// that does not decode counts as skipped.
+fn replay_records(replay: LogReplay) -> (JournalReplay, Vec<Vec<u8>>) {
+    let LogReplay { mut records, mut skipped } = replay;
     let mut order: Vec<u64> = Vec::new();
-    let mut specs: HashMap<u64, (String, SweepSpec, i64)> = HashMap::new();
-    let mut started: HashSet<u64> = HashSet::new();
+    // Per job: its first submit record's index, name, spec and priority.
+    let mut submits: HashMap<u64, (usize, String, SweepSpec, i64)> = HashMap::new();
+    let mut starts: HashMap<u64, usize> = HashMap::new();
     let mut terminal: HashSet<u64> = HashSet::new();
+    // Per job: the index of each point's last window record.
+    let mut windows: HashMap<u64, BTreeMap<u64, usize>> = HashMap::new();
     let mut next_id: u64 = 1;
-    for payload in &replay.records {
-        let record = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|text| JsonValue::parse(text).ok())
-            .and_then(|v| decode(&v));
-        let Some(record) = record else {
+    // The last record other than a submit that carries the highest id:
+    // kept when no pending job holds that id, it keeps `next_id` from
+    // moving back (a submit kept alone would re-enqueue a finished job).
+    let mut horizon: Option<usize> = None;
+    for (at, payload) in records.iter().enumerate() {
+        let Some((id, record)) = decode(payload) else {
             skipped += 1;
             continue;
         };
-        let Some(id) = record.id else { continue };
-        next_id = next_id.max(id.saturating_add(1));
-        match record.op.as_str() {
-            "submit" => {
-                if let Some(spec) = record.spec {
-                    // First submit wins: a duplicated record cannot
-                    // re-order or overwrite the job.
-                    if let std::collections::hash_map::Entry::Vacant(slot) = specs.entry(id) {
-                        let name = record.name.unwrap_or_else(|| spec.name.clone());
-                        slot.insert((name, spec, record.priority));
-                        order.push(id);
-                    }
+        let Some(id) = id else { continue };
+        if id >= next_id {
+            next_id = id.saturating_add(1);
+            horizon = None;
+        }
+        if id.saturating_add(1) == next_id && !matches!(record, Record::Submit { .. }) {
+            horizon = Some(at);
+        }
+        match record {
+            Record::Submit { name, spec, priority } => {
+                // First submit wins: a duplicated record cannot
+                // re-order or overwrite the job.
+                if let std::collections::hash_map::Entry::Vacant(slot) = submits.entry(id) {
+                    let name = name.unwrap_or_else(|| spec.name.clone());
+                    slot.insert((at, name, *spec, priority));
+                    order.push(id);
                 }
             }
-            "start" => {
-                started.insert(id);
+            Record::Start => {
+                starts.entry(id).or_insert(at);
             }
-            "done" | "failed" | "cancelled" => {
+            Record::Terminal => {
                 terminal.insert(id);
             }
-            // Unknown ops from a newer writer are skipped, not fatal.
-            _ => {}
+            Record::Window { key } => {
+                windows.entry(id).or_default().insert(key, at);
+            }
+            Record::Other => {}
         }
     }
-    let pending = order
-        .into_iter()
-        .filter(|id| !terminal.contains(id))
-        .filter_map(|id| {
-            let (name, spec, priority) = specs.get(&id)?.clone();
-            Some(RecoveredJob { id, name, spec, was_running: started.contains(&id), priority })
-        })
-        .collect();
-    JournalReplay { pending, next_id, skipped }
+    let mut kept: Vec<usize> = Vec::new();
+    let mut pending = Vec::new();
+    for id in order.into_iter().filter(|id| !terminal.contains(id)) {
+        let Some((at, name, spec, priority)) = submits.remove(&id) else { continue };
+        let start = starts.get(&id).copied();
+        let points = windows.remove(&id).unwrap_or_default();
+        kept.push(at);
+        kept.extend(start);
+        kept.extend(points.values());
+        let states =
+            points.into_iter().map(|(key, at)| (key, records[at][WINDOW_HEADER..].to_vec())).collect();
+        pending.push(RecoveredJob { id, name, spec, was_running: start.is_some(), priority, states });
+    }
+    if !pending.iter().any(|job| job.id.saturating_add(1) == next_id) {
+        kept.extend(horizon);
+    }
+    kept.sort_unstable();
+    let kept = kept.into_iter().map(|at| std::mem::take(&mut records[at])).collect();
+    (JournalReplay { pending, next_id, skipped }, kept)
 }
 
-struct Record {
-    op: String,
-    id: Option<u64>,
-    name: Option<String>,
-    spec: Option<SweepSpec>,
-    priority: i64,
-}
-
-/// Decodes one journal record; `None` when it is not one (no `op`, or a
-/// spec that does not parse).
-fn decode(v: &JsonValue) -> Option<Record> {
+/// Decodes one record into its job id (`None` for a JSON record without
+/// one) and kind; `None` when it is not a record: a window record shorter
+/// than its header, or JSON without an `op` or with a spec that does not
+/// parse.
+fn decode(payload: &[u8]) -> Option<(Option<u64>, Record)> {
+    if payload.first() == Some(&WINDOW_TAG) {
+        let word = |at: usize| Some(u64::from_le_bytes(payload.get(at..at + 8)?.try_into().ok()?));
+        // Replay needs no window count, but a record too short for one is
+        // damaged.
+        let (id, key, _windows) = (word(1)?, word(9)?, word(17)?);
+        return Some((Some(id), Record::Window { key }));
+    }
+    let v = JsonValue::parse(std::str::from_utf8(payload).ok()?).ok()?;
     let spec = match v.get("spec") {
         Some(sv) => Some(SweepSpec::from_value(sv).ok()?),
         None => None,
     };
-    Some(Record {
-        op: v.get("op")?.as_str()?.to_string(),
-        id: v.get("job").and_then(JsonValue::as_u64),
-        name: v.get("name").and_then(JsonValue::as_str).map(String::from),
-        spec,
-        priority: v.get("priority").and_then(JsonValue::as_i64).unwrap_or(0),
-    })
+    let record = match (v.get("op")?.as_str()?, spec) {
+        ("submit", Some(spec)) => Record::Submit {
+            name: v.get("name").and_then(JsonValue::as_str).map(String::from),
+            spec: Box::new(spec),
+            priority: v.get("priority").and_then(JsonValue::as_i64).unwrap_or(0),
+        },
+        ("start", _) => Record::Start,
+        ("done" | "failed" | "cancelled", _) => Record::Terminal,
+        _ => Record::Other,
+    };
+    Some((v.get("job").and_then(JsonValue::as_u64), record))
 }
 
 #[cfg(test)]
@@ -385,6 +479,148 @@ mod tests {
         assert_eq!(r.pending.len(), 2);
         assert_eq!(r.pending[0].priority, 0, "records without a priority default to the batch tier");
         assert_eq!(r.pending[1].priority, 5);
+    }
+
+    /// Appends a submit and a start record for each of `ids`.
+    fn start_jobs(journal: &Journal, ids: &[u64]) {
+        for &id in ids {
+            journal.record_submit(id, "smoke", 0, &smoke());
+            journal.record_start(id);
+        }
+    }
+
+    fn file_len(path: &Path) -> usize {
+        std::fs::read(path).unwrap().len()
+    }
+
+    /// The journal's intact records, read without replaying or compacting.
+    fn raw_records(path: &Path) -> Vec<Vec<u8>> {
+        AppendLog::open(path, JOURNAL_MAGIC).unwrap().1.records
+    }
+
+    #[test]
+    fn record_replay_round_trips_and_last_record_wins() {
+        let path = temp_journal("windows");
+        let before = {
+            let (journal, _) = Journal::open(&path).unwrap();
+            start_jobs(&journal, &[1, 2]);
+            let before = file_len(&path);
+            journal.record_window(1, 0xabc, 5, &[1, 2, 3]);
+            journal.record_window(1, 0xabc, 10, &[4, 5]);
+            journal.record_window(1, 0xdef, 2, &[9]);
+            journal.record_window(2, 0xabc, 7, &[7, 7]);
+            before
+        };
+        let bytes = file_len(&path) - before;
+        assert_eq!(bytes, 4 * 41 + 3 + 2 + 1 + 2, "a record costs its state plus 41 bytes");
+        let r = reopen_and_remove(&path);
+        assert_eq!(r.skipped, 0);
+        assert_eq!(pending_ids(&r), vec![1, 2]);
+        assert_eq!(
+            r.pending[0].states,
+            BTreeMap::from([(0xabc, vec![4, 5]), (0xdef, vec![9])]),
+            "one state per point, and the later record wins"
+        );
+        assert_eq!(r.pending[1].states, BTreeMap::from([(0xabc, vec![7, 7])]));
+    }
+
+    #[test]
+    fn torn_tail_is_skipped_and_glued_records_are_recovered() {
+        // A writer died mid-append; O_APPEND glued the next complete
+        // record onto the torn one.
+        let path = temp_journal("torn-window");
+        let start = {
+            let (journal, _) = Journal::open(&path).unwrap();
+            start_jobs(&journal, &[1, 2]);
+            let start = file_len(&path);
+            journal.record_window(1, 0x1, 3, &[0xee; 64]);
+            journal.record_window(2, 0xa, 3, &[0xff]);
+            start
+        };
+        let bytes = std::fs::read(&path).unwrap();
+        let first_end = start + 41 + 64;
+        let torn = [&bytes[..first_end - 20], &bytes[first_end..], &bytes[start..start + 22]].concat();
+        std::fs::write(&path, torn).unwrap();
+        let r = reopen_and_remove(&path);
+        assert_eq!(r.skipped, 2, "the torn record and the torn tail");
+        assert_eq!(pending_ids(&r), vec![1, 2]);
+        assert!(r.pending[0].states.is_empty(), "job 1's only window record was torn");
+        assert_eq!(r.pending[1].states, BTreeMap::from([(0xa, vec![0xff])]));
+    }
+
+    #[test]
+    fn compact_drops_finished_jobs_and_keeps_the_file_appendable() {
+        let path = temp_journal("compact");
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            start_jobs(&journal, &[1, 2, 3]);
+            journal.record_window(1, 0x1, 5, &[1]);
+            journal.record_window(2, 0x2, 5, &[2]);
+            journal.record_window(2, 0x3, 5, &[3]);
+            journal.record_window(2, 0x2, 10, &[2, 2]);
+            journal.record_window(3, 0x1, 5, &[3]);
+            journal.record_window(2, 0x3, 10, &[3, 3]);
+            journal.record_terminal(1, "done");
+            journal.record_terminal(3, "failed");
+        }
+        let raw = raw_records(&path);
+        let (journal, r) = Journal::open(&path).unwrap();
+        assert_eq!(pending_ids(&r), vec![2]);
+        assert_eq!(r.next_id, 4);
+        // Job 2's submit and start records, its last window record per
+        // point, and job 3's terminal record, which holds the id horizon.
+        let expected = [2, 3, 9, 11, 13].map(|at| raw[at].clone());
+        assert_eq!(raw_records(&path), expected, "finished jobs and superseded states are dropped");
+        journal.record_submit(4, "smoke", 0, &smoke());
+        journal.record_window(2, 0x2, 15, &[2, 2, 2]);
+        drop(journal);
+        let r = reopen_and_remove(&path);
+        assert_eq!(pending_ids(&r), vec![2, 4], "appends after the compaction land in the file");
+        assert_eq!(r.next_id, 5);
+        assert_eq!(r.pending[0].states, BTreeMap::from([(0x2, vec![2, 2, 2]), (0x3, vec![3, 3])]));
+    }
+
+    #[test]
+    fn reopening_is_idempotent() {
+        let path = temp_journal("reopen");
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            start_jobs(&journal, &[1, 2]);
+            journal.record_submit(3, "queued", 4, &smoke());
+            journal.record_window(1, 0x1, 5, &[1]);
+            journal.record_window(2, 0x2, 5, &[2]);
+            journal.record_window(1, 0x1, 9, &[1, 1]);
+            journal.record_terminal(2, "failed");
+        }
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"TREC torn");
+        std::fs::write(&path, bytes).unwrap();
+        let (_, first) = Journal::open(&path).unwrap();
+        assert_eq!(first.skipped, 1, "the torn tail");
+        let second = reopen_and_remove(&path);
+        assert_eq!(second, JournalReplay { skipped: 0, ..first }, "the same jobs, states and next_id");
+        assert_eq!(pending_ids(&second), vec![1, 3]);
+        assert_eq!(second.pending[0].states, BTreeMap::from([(0x1, vec![1, 1])]));
+        assert_eq!(second.next_id, 4);
+    }
+
+    #[test]
+    fn next_id_survives_a_compaction_whose_highest_job_finished() {
+        let path = temp_journal("horizon");
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            start_jobs(&journal, &[1, 2]);
+            journal.record_window(2, 0x2, 5, &[2]);
+            journal.record_terminal(2, "done");
+            journal.record_terminal(1, "cancelled");
+        }
+        let (_, r) = Journal::open(&path).unwrap();
+        assert!(r.pending.is_empty());
+        assert_eq!(r.next_id, 3);
+        let horizon = JsonObject::line().str("op", "done").raw("job", 2).finish();
+        assert_eq!(raw_records(&path), [horizon.into_bytes()], "only job 2's terminal record is left");
+        let r = reopen_and_remove(&path);
+        assert_eq!(r.next_id, 3, "a restart never hands out a finished job's id again");
     }
 
     #[test]

@@ -41,15 +41,15 @@
 //! ([`journal`]) and replayed on restart, every executed point is flushed
 //! to the result store as soon as it is banked — and, with
 //! `--window-checkpoint N`, each running point's serialized run state is
-//! persisted every N sampling windows ([`checkpoints`]), so a `SIGKILL`
+//! appended to the same journal every N sampling windows, so a `SIGKILL`
 //! mid-point resumes from the last window boundary instead of re-running
-//! the point. Accepted
+//! the point. The journal compacts itself when the server opens it, to
+//! the records of the jobs still in flight. Accepted
 //! connections carry socket deadlines ([`IO_TIMEOUT`]) and bounded frames
 //! ([`protocol::read_frame`]), the client retries transient failures with
 //! exponential backoff ([`RetryPolicy`]), and a [`fault`]-injection
 //! harness (`TEMU_FAULT`) drives the chaos tests that prove all of it.
 
-pub mod checkpoints;
 pub mod cli;
 pub mod client;
 pub mod fault;
@@ -57,7 +57,6 @@ pub mod journal;
 pub mod protocol;
 pub mod server;
 
-pub use checkpoints::{CheckpointReplay, CheckpointStore};
 pub use client::{Client, ClientError, DoneSummary, RetryPolicy, Submission};
 pub use fault::FaultPlan;
 pub use journal::{Journal, JournalReplay, RecoveredJob};

@@ -27,7 +27,10 @@
 //!   `jobs.jsonl` next to the store by default): on startup the server
 //!   replays the journal and re-enqueues jobs that were queued or running
 //!   when the previous process died, preserving their ids;
-//! * the journal, the store and the window checkpoints are checksummed
+//! * under `--window-checkpoint N`, every N-th window boundary of a
+//!   running point appends its run state to the same journal, so a
+//!   recovered job resumes its in-flight points from their last boundary;
+//! * the journal and the store are checksummed
 //!   [`temu_state::AppendLog`]s: a torn or bit-rotten record is skipped
 //!   and counted (the startup banner reports it), never misread as
 //!   another job's;
@@ -46,7 +49,6 @@
 //!   `TCP_NODELAY` and take each frame in one write
 //!   ([`crate::protocol::write_frame`]).
 
-use crate::checkpoints::CheckpointStore;
 use crate::client::DoneSummary;
 use crate::journal::Journal;
 use crate::protocol::{
@@ -96,21 +98,21 @@ pub struct ServeConfig {
     /// *results* live on in the shared [`ResultCache`]. The default is
     /// [`DEFAULT_HISTORY_LIMIT`].
     pub history_limit: usize,
-    /// Job journal path (a binary append log; a journal in an older
-    /// format fails the bind, like the store). `None` derives
-    /// `jobs.jsonl` next to the store (no journal at all when the cache is
-    /// purely in-memory); an explicit path journals regardless of the
-    /// store.
+    /// Job journal path (a binary append log, which also holds the
+    /// [`window_checkpoint`](ServeConfig::window_checkpoint) records and
+    /// is compacted at every bind; a journal in an older format fails the
+    /// bind, like the store). `None` derives `jobs.jsonl` next to the
+    /// store (no journal at all when the cache is purely in-memory); an
+    /// explicit path journals regardless of the store.
     pub journal: Option<PathBuf>,
     /// Fleet member identity advertised in `stats` (the router labels its
     /// per-member breakdown with it); `None` omits the field.
     pub member: Option<String>,
     /// Persist each running point's serialized run state every N sampling
-    /// windows (a binary append log at `<journal>.checkpoints.jsonl`, e.g.
-    /// `jobs.checkpoints.jsonl` for the default journal), so a killed
-    /// server resumes an in-flight point from its last window boundary
-    /// instead of re-running it. 0 (the default) disables capture; resume
-    /// *seeding* from an existing checkpoint file happens regardless, so
+    /// windows as a window record in the job journal, so a killed server
+    /// resumes an in-flight point from its last window boundary instead
+    /// of re-running it. 0 (the default) disables capture; resuming from
+    /// the window records a journal already holds happens regardless, so
     /// turning the flag off never strands recoverable state. Requires a
     /// journal (in-memory servers have nothing durable to resume into).
     pub window_checkpoint: u64,
@@ -192,6 +194,9 @@ struct Job {
     /// When a worker claimed the job — the base of the run-duration
     /// sample `finish_job` takes before it broadcasts `done`.
     started: Option<Instant>,
+    /// Mid-point run states the journal recovered for the job, which the
+    /// worker that claims it seeds its sweep with.
+    resume: Vec<EmulationState>,
 }
 
 fn new_job(name: String, spec: SweepSpec, total: usize, priority: i64) -> Job {
@@ -212,6 +217,7 @@ fn new_job(name: String, spec: SweepSpec, total: usize, priority: i64) -> Job {
         cancel: Arc::new(AtomicBool::new(false)),
         submitted: Instant::now(),
         started: None,
+        resume: Vec::new(),
     }
 }
 
@@ -442,14 +448,9 @@ struct Shared {
     /// by job).
     artifacts: Arc<ArtifactCache>,
     journal: Option<Journal>,
-    /// The window-checkpoint store (present whenever the journal is) and
-    /// the capture cadence (0 = record nothing; seeded resume still
-    /// happens).
-    checkpoints: Option<CheckpointStore>,
+    /// The window-checkpoint cadence (0 = record nothing; recovered jobs
+    /// still resume from their window records).
     window_every: u64,
-    /// Mid-point run states recovered at bind time, waiting for their
-    /// re-enqueued job to be claimed (the worker takes them out).
-    resume_states: Mutex<HashMap<u64, Vec<EmulationState>>>,
     member: Option<String>,
     queue_limit: usize,
     history_limit: usize,
@@ -544,9 +545,8 @@ fn point_line(job_id: u64, p: &SweepProgress<'_>) -> String {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    /// Damaged records the journal and the checkpoint store skipped at
-    /// bind time.
-    skipped: (usize, usize),
+    /// Damaged records the journal skipped at bind time.
+    skipped: usize,
 }
 
 impl Server {
@@ -575,37 +575,6 @@ impl Server {
             }
             None => (None, crate::journal::JournalReplay { next_id: 1, ..Default::default() }),
         };
-        // The window-checkpoint store rides with the journal: opening it
-        // compacts away the checkpoints of jobs that reached a terminal
-        // record, and the rest seed the recovered jobs' mid-point states.
-        // A state that fails to decode (version skew, damaged bytes) is
-        // dropped — its point re-runs from scratch, which is correct, just
-        // slower. The path derives from the *journal* (`jobs.jsonl` →
-        // `jobs.checkpoints.jsonl`), not a fixed sibling name: records
-        // are keyed by journal-local job ids, and fleet members sharing
-        // one store directory run distinct journals — a shared
-        // checkpoints file would mix their id spaces and race the
-        // startup compaction's tmp+rename.
-        let mut resume_states: HashMap<u64, Vec<EmulationState>> = HashMap::new();
-        let (checkpoints, checkpoints_skipped) = match &journal {
-            Some(journal) => {
-                let path = journal.path().with_extension("checkpoints.jsonl");
-                let pending: std::collections::HashSet<u64> =
-                    replayed.pending.iter().map(|job| job.id).collect();
-                let (store, ck_replay) = CheckpointStore::open(&path, |job| pending.contains(&job))?;
-                for (job, points) in ck_replay.states {
-                    let states: Vec<EmulationState> = points
-                        .values()
-                        .filter_map(|(_, bytes)| EmulationState::from_bytes(bytes).ok())
-                        .collect();
-                    if !states.is_empty() {
-                        resume_states.insert(job, states);
-                    }
-                }
-                (Some(store), ck_replay.skipped)
-            }
-            None => (None, 0),
-        };
         let listener = TcpListener::bind(&config.addr).map_err(|e| {
             std::io::Error::new(e.kind(), format!("cannot bind {}: {e}", config.addr))
         })?;
@@ -613,9 +582,7 @@ impl Server {
             cache,
             artifacts: Arc::new(ArtifactCache::new()),
             journal,
-            checkpoints,
             window_every: config.window_checkpoint,
-            resume_states: Mutex::new(resume_states),
             member: config.member.clone(),
             queue_limit: config.queue_limit.max(1),
             history_limit: config.history_limit.max(1),
@@ -635,7 +602,10 @@ impl Server {
         });
         // Re-enqueue what the previous incarnation never finished — their
         // executed points are already cache entries, so a recovered job
-        // resumes as cache hits plus the remaining grid.
+        // resumes as cache hits plus the remaining grid, and its in-flight
+        // points from their last window records. A state that fails to
+        // decode (version skew) is dropped: its point re-runs from
+        // scratch, which is correct, just slower.
         for recovered in replayed.pending {
             let total = match recovered.spec.lower() {
                 Ok(sweep) => sweep.n_points(),
@@ -650,16 +620,16 @@ impl Server {
                     continue;
                 }
             };
+            let mut job = new_job(recovered.name, recovered.spec, total, recovered.priority);
+            job.resume =
+                recovered.states.values().filter_map(|bytes| EmulationState::from_bytes(bytes).ok()).collect();
             let mut jobs = shared.lock_jobs();
-            jobs.map.insert(
-                recovered.id,
-                new_job(recovered.name, recovered.spec, total, recovered.priority),
-            );
+            jobs.map.insert(recovered.id, job);
             jobs.queue.push_back(recovered.id);
             drop(jobs);
             shared.obs.jobs_recovered.inc();
         }
-        Ok(Server { listener, shared, skipped: (replayed.skipped, checkpoints_skipped) })
+        Ok(Server { listener, shared, skipped: replayed.skipped })
     }
 
     /// Jobs the journal recovered at bind time (queued again, not yet
@@ -669,31 +639,18 @@ impl Server {
         self.shared.obs.jobs_recovered.get()
     }
 
-    /// Mid-point run states recovered from the window-checkpoint store at
-    /// bind time — points that will resume from a window boundary instead
-    /// of re-running.
+    /// Mid-point run states the journal recovered at bind time, still
+    /// waiting for their job to be claimed — points that will resume from
+    /// a window boundary instead of re-running.
     #[must_use]
     pub fn recovered_checkpoints(&self) -> usize {
-        self.shared
-            .resume_states
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .map(Vec::len)
-            .sum()
+        self.shared.lock_jobs().map.values().map(|job| job.resume.len()).sum()
     }
 
-    /// Damaged records skipped at bind time, replaying the journal and
-    /// the window-checkpoint store (in that order).
+    /// Damaged records the journal skipped at bind time.
     #[must_use]
-    pub(crate) fn skipped_records(&self) -> (usize, usize) {
+    pub(crate) fn skipped_records(&self) -> usize {
         self.skipped
-    }
-
-    /// The window-checkpoint store path, when active.
-    #[must_use]
-    pub fn checkpoints_path(&self) -> Option<&std::path::Path> {
-        self.shared.checkpoints.as_ref().map(CheckpointStore::path)
     }
 
     /// The journal path, when journaling is active.
@@ -800,7 +757,8 @@ fn worker_loop(shared: &Arc<Shared>) {
                             if temu_obs::enabled() {
                                 shared.obs.queue_wait_ns.record_duration(job.submitted.elapsed());
                             }
-                            break Some((id, job.spec.clone(), Arc::clone(&job.cancel)));
+                            let resume = std::mem::take(&mut job.resume);
+                            break Some((id, job.spec.clone(), Arc::clone(&job.cancel), resume));
                         }
                     }
                     continue;
@@ -808,7 +766,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 jobs = shared.cv.wait(jobs).unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let Some((id, spec, cancel)) = claimed else { return };
+        let Some((id, spec, cancel, resume)) = claimed else { return };
         if let Some(journal) = &shared.journal {
             journal.record_start(id);
         }
@@ -816,7 +774,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // isolation, or the `worker_panic` fault — fails that job with a
         // typed error; this worker thread survives to drain the queue.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(shared, id, &spec, &cancel);
+            run_job(shared, id, &spec, &cancel, resume);
         }));
         if let Err(payload) = outcome {
             let message = payload
@@ -829,7 +787,13 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicBool>) {
+fn run_job(
+    shared: &Arc<Shared>,
+    id: u64,
+    spec: &SweepSpec,
+    cancel: &Arc<AtomicBool>,
+    resume: Vec<EmulationState>,
+) {
     let sweep = match spec.lower() {
         Ok(sweep) => sweep,
         Err(e) => {
@@ -850,13 +814,7 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicB
     // Seed recovered mid-point states: a point whose content key matches
     // resumes from its last window boundary; everything else (including a
     // state whose grid point changed across versions) builds fresh.
-    let seeds = shared
-        .resume_states
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .remove(&id)
-        .unwrap_or_default();
-    for state in seeds {
+    for state in resume {
         sweep = sweep.resume_point(state);
     }
     let report = sweep
@@ -867,8 +825,8 @@ fn run_job(shared: &Arc<Shared>, id: u64, spec: &SweepSpec, cancel: &Arc<AtomicB
         // job at the next point start or resumable window boundary.
         .on_point(shared.window_every, move |cp| {
             if let Some(state) = cp.state {
-                if let Some(store) = &observer_shared.checkpoints {
-                    store.record(id, cp.key, cp.windows, &state.to_bytes());
+                if let Some(journal) = &observer_shared.journal {
+                    journal.record_window(id, cp.key, cp.windows, &state.to_bytes());
                 }
                 let progress = JsonObject::line()
                     .raw("windows", cp.windows)

@@ -214,7 +214,7 @@ fn sigkill_mid_point_resumes_from_the_window_checkpoint() {
     let dir = std::env::temp_dir().join(format!("temu_midpoint_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let store = dir.join("cache.jsonl");
-    for stale in ["cache.jsonl", "jobs.jsonl", "jobs.checkpoints.jsonl"] {
+    for stale in ["cache.jsonl", "jobs.jsonl"] {
         let _ = std::fs::remove_file(dir.join(stale));
     }
     let spec = long_point_sweep();

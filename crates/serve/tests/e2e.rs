@@ -211,39 +211,7 @@ fn disk_store_serves_resubmissions_across_server_restarts() {
         "the reloaded store answers the whole resubmission"
     );
     second.shutdown();
-    // The journal and the checkpoint log sit beside the store.
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn fleet_members_sharing_a_store_dir_get_distinct_checkpoint_files() {
-    // Fleet members share one cache store but run distinct journals; the
-    // window-checkpoint file must follow the *journal* (job ids are
-    // journal-local), or two members would mix id spaces in one file and
-    // race each other's startup compaction (tmp+rename over a path the
-    // sibling just replaced).
-    let dir = std::env::temp_dir().join(format!("temu_serve_ckpath_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let member = |tag: &str| {
-        Server::bind(ServeConfig {
-            addr: String::from("127.0.0.1:0"),
-            store: Some(dir.join("cache.jsonl")),
-            journal: Some(dir.join(format!("jobs-{tag}.jsonl"))),
-            member: Some(String::from(tag)),
-            window_checkpoint: 1,
-            ..ServeConfig::default()
-        })
-        .expect("bind a member sharing the store directory")
-    };
-    let a = member("a");
-    let b = member("b");
-    let path_a = a.checkpoints_path().expect("member a checkpoints").to_path_buf();
-    let path_b = b.checkpoints_path().expect("member b checkpoints").to_path_buf();
-    assert_eq!(path_a, dir.join("jobs-a.checkpoints.jsonl"));
-    assert_eq!(path_b, dir.join("jobs-b.checkpoints.jsonl"));
-    assert_ne!(path_a, path_b, "shared checkpoint file would collide job ids");
-    drop(a);
-    drop(b);
+    // The journal sits beside the store.
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -382,7 +350,7 @@ fn cancel_inside_the_last_point_ends_the_job_cancelled_not_failed() {
     // — in the done event, in `status`, in the counters and the journal.
     let dir = std::env::temp_dir().join(format!("temu_serve_lastcancel_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for stale in ["cache.jsonl", "jobs.jsonl", "jobs.checkpoints.jsonl"] {
+    for stale in ["cache.jsonl", "jobs.jsonl"] {
         let _ = std::fs::remove_file(dir.join(stale));
     }
     let handle = Server::spawn(ServeConfig {

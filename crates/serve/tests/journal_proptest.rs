@@ -1,19 +1,23 @@
-//! Property tests for journal replay: ops are written through [`Journal`]
-//! into a temp file and replayed by [`Journal::open`]. Whatever a crash
-//! (or the `torn_write` fault) or bit rot leaves in the file — torn
-//! records with later records appended after them, duplicates, flipped
-//! bytes — replay must stay total, deterministic, and truthful about
-//! which jobs are pending; an intact journal replays exactly.
+//! Property tests for journal replay: ops (job transitions and window
+//! records) are written through [`Journal`] into a temp file and replayed
+//! by [`Journal::open`]. Whatever a crash (or the `torn_write` fault) or
+//! bit rot leaves in the file — torn records with later records appended
+//! after them, duplicates, flipped bytes — replay must stay total and
+//! truthful about which jobs are pending and what states they resume
+//! from, and the compaction that opening does must replay the same way
+//! again; an intact journal replays exactly.
 
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use temu_framework::SweepSpec;
 use temu_serve::journal::{Journal, JournalReplay};
 
 #[derive(Clone, Copy, Debug)]
 struct Op {
-    /// 0 = submit, 1 = start, 2+ = terminal (done/failed/cancelled).
+    /// 0 = submit, 1 = start, 2..=4 = terminal (done/failed/cancelled),
+    /// 5 = a window record for point `id % 2` whose state is `state(at)`,
+    /// `at` being the op's index.
     kind: u8,
     id: u64,
     /// Keep the first `trunc`% of the record's bytes (100 = intact); the
@@ -38,12 +42,13 @@ impl TempJournal {
     fn write(&self, ops: &[Op], flips: &[(u16, u8)], spec: &SweepSpec) {
         let _ = std::fs::remove_file(&self.0);
         let (journal, _) = Journal::open(&self.0).unwrap();
-        for op in ops {
+        for (at, op) in ops.iter().enumerate() {
             for _ in 0..1 + usize::from(op.dup) {
                 let before = file_len(&self.0);
                 match op.kind {
                     0 => journal.record_submit(op.id, &format!("p{}", op.id), priority(op.id), spec),
                     1 => journal.record_start(op.id),
+                    5 => journal.record_window(op.id, op.id % 2, at as u64, &state(at)),
                     k => journal.record_terminal(op.id, ["done", "failed", "cancelled"][usize::from(k - 2)]),
                 }
                 if op.trunc < 100 {
@@ -83,8 +88,13 @@ fn priority(id: u64) -> i64 {
     i64::try_from(id % 3).unwrap() - 1
 }
 
+/// The state bytes of the window record written by the op at `at`.
+fn state(at: usize) -> Vec<u8> {
+    vec![at as u8; 1 + at % 4]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..5, 1u64..6, prop::sample::select(&[7u64, 30, 60, 90, 100, 100, 100]), prop::bool::ANY)
+    (0u8..6, 1u64..6, prop::sample::select(&[7u64, 30, 60, 90, 100, 100, 100]), prop::bool::ANY)
         .prop_map(|(kind, id, trunc, dup)| Op { kind, id, trunc, dup })
 }
 
@@ -100,10 +110,11 @@ proptest! {
         let journal = TempJournal::new("corrupt");
         journal.write(&ops, &flips, &spec);
 
-        // Total: the damaged file still opens, and replay is
-        // deterministic.
+        // Total: the damaged file still opens. Opening compacts it, and
+        // the compacted file replays the same jobs, states and id horizon,
+        // with no damage left.
         let replayed = journal.replay();
-        prop_assert_eq!(&replayed, &journal.replay());
+        prop_assert_eq!(&journal.replay(), &JournalReplay { skipped: 0, ..replayed.clone() });
 
         // Pending ids are unique and only ever ids that some submit op
         // could have written.
@@ -116,6 +127,15 @@ proptest! {
             // The recovered spec survived the corruption intact.
             prop_assert_eq!(job.spec.to_json(), spec.to_json());
             prop_assert_eq!(job.priority, priority(job.id));
+            // Every state is one that a window record of this job's point
+            // carried.
+            for (&key, bytes) in &job.states {
+                let written = ops
+                    .iter()
+                    .enumerate()
+                    .any(|(at, op)| op.kind == 5 && op.id == job.id && op.id % 2 == key && state(at) == *bytes);
+                prop_assert!(written, "job {} point {} resumes from a state never written", job.id, key);
+            }
         }
 
         // The fresh-id horizon clears every recovered id.
@@ -127,7 +147,7 @@ proptest! {
     #[test]
     fn replay_of_an_intact_journal_is_exact(
         ops in prop::collection::vec(
-            (0u8..5, 1u64..6).prop_map(|(kind, id)| Op { kind, id, trunc: 100, dup: false }),
+            (0u8..6, 1u64..6).prop_map(|(kind, id)| Op { kind, id, trunc: 100, dup: false }),
             0..14,
         ),
     ) {
@@ -135,13 +155,14 @@ proptest! {
         let journal = TempJournal::new("intact");
         journal.write(&ops, &[], &spec);
         let replayed = journal.replay();
+        prop_assert_eq!(&journal.replay(), &replayed, "the compacted journal replays the same");
         prop_assert_eq!(replayed.skipped, 0);
         prop_assert_eq!(replayed.next_id, ops.iter().map(|op| op.id + 1).max().unwrap_or(1));
 
         // Exactly the submitted-but-never-terminal ids, in first-submit
         // order; started-ness reflects any start record.
         let terminal: HashSet<u64> =
-            ops.iter().filter(|op| op.kind >= 2).map(|op| op.id).collect();
+            ops.iter().filter(|op| (2..=4).contains(&op.kind)).map(|op| op.id).collect();
         let started: HashSet<u64> =
             ops.iter().filter(|op| op.kind == 1).map(|op| op.id).collect();
         let mut expected: Vec<u64> = Vec::new();
@@ -155,6 +176,14 @@ proptest! {
         for job in &replayed.pending {
             prop_assert_eq!(job.was_running, started.contains(&job.id));
             prop_assert_eq!(job.priority, priority(job.id));
+            // The last window record per point wins.
+            let mut states = BTreeMap::new();
+            for (at, op) in ops.iter().enumerate() {
+                if op.kind == 5 && op.id == job.id {
+                    states.insert(op.id % 2, state(at));
+                }
+            }
+            prop_assert_eq!(&job.states, &states);
         }
     }
 }

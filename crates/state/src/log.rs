@@ -1,8 +1,8 @@
 //! The checksummed append log behind every durable file: the result
-//! store, the job journal and the window checkpoints.
+//! store and the job journal.
 //!
 //! A log opens with its owner's 8-byte magic, which names the format and
-//! its version (`temuSTO2`, `temuJRN2`, `temuCKP2`). Records follow, each
+//! its version (`temuSTO2`, `temuJRN2`). Records follow, each
 //! written in one `write` to an `O_APPEND` handle, so concurrent writers
 //! never interleave them:
 //!
@@ -77,13 +77,8 @@ impl AppendLog {
     }
 
     /// Atomically replaces whatever is at `path` with a log holding
-    /// exactly `records` (the way owners convert an older format), and
-    /// opens it.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error writing, renaming or reopening.
-    pub fn replace(
+    /// exactly `records`, and opens it.
+    fn replace(
         path: impl AsRef<Path>,
         magic: [u8; 8],
         records: &[impl AsRef<[u8]>],

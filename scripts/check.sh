@@ -30,8 +30,9 @@ wait_addr() { # logfile prefix -> prints the bound address
     echo "$found"
 }
 
-file_size() { # path -> its length in bytes, 0 when absent
-    if [ -f "$1" ]; then wc -c < "$1"; else echo 0; fi
+checkpoints_recorded() { # server address -> its durable window checkpoints so far
+    target/release/temu-client --addr "$1" metrics \
+        | awk '$1 == "serve.checkpoints_recorded" { n = $2 } END { print n + 0 }'
 }
 
 reap() { # pid -> waits for it, drops it from PIDS, returns its exit status
@@ -137,6 +138,28 @@ if [ -n "$pool_hits" ]; then
     exit 1
 fi
 echo "one-pool OK"
+
+echo "== one-log gate =="
+# One log per durable job state: the result store and the job journal,
+# whose window records carry the mid-point checkpoints, are the only
+# append logs a program opens. In non-test source under crates/*/src
+# (each file up to its `#[cfg(test)] mod tests`), `AppendLog::open(` may
+# appear only in core/src/sweep.rs (the result store) and
+# serve/src/journal.rs (the job journal).
+log_hits=$(find crates/*/src -name '*.rs' | sort | while read -r f; do
+    awk -v file="$f" '
+        /^#\[cfg\(test\)\]/ { pending = 1; next }
+        pending && /^mod tests/ { exit }
+        { pending = 0 }
+        /AppendLog::open\(/ && file !~ /^crates\/(core\/src\/sweep|serve\/src\/journal)\.rs$/ { print file ":" FNR ": " $0 }
+    ' "$f"
+done)
+if [ -n "$log_hits" ]; then
+    echo "one-log FAILED: $(echo "$log_hits" | wc -l) line(s) open an append log outside the store and the journal:"
+    echo "$log_hits"
+    exit 1
+fi
+echo "one-log OK"
 
 echo "== tier-1: release build =="
 cargo build --release
@@ -265,13 +288,15 @@ echo "obs smoke OK"
 echo "== resume-smoke gate =="
 # The window-checkpoint gate, through the real bins: start temu-serve
 # with --window-checkpoint 5, submit a single long point (~4 s), kill
-# the server -9 once a mid-point checkpoint record has been persisted,
-# restart it on the same store, and watch the recovered job to
-# completion — the restart banner must report the recovered mid-point
-# state, and the finished job must land in the cache (the final
-# --require-cached resubmission exits 3 if anything re-executes). Then
-# the cancel leg: a fresh long point, cancelled once its first window
-# checkpoint is persisted, must end `cancelled`, not `done`.
+# the server -9 once a mid-point checkpoint record has been persisted
+# (the server's `serve.checkpoints_recorded` counter counts a window
+# record only once it is written and synced to the journal), restart it
+# on the same store, and watch the recovered job to completion — the
+# restart banner must report the recovered mid-point state, and the
+# finished job must land in the cache (the final --require-cached
+# resubmission exits 3 if anything re-executes). Then the cancel leg: a
+# fresh long point, cancelled once its first window checkpoint is
+# persisted, must end `cancelled`, not `done`.
 RESUME_TMP="$TMP_ROOT/resume"
 mkdir "$RESUME_TMP"
 cat > "$RESUME_TMP/spec.json" <<'SPEC'
@@ -286,12 +311,10 @@ RESUME_PID=$!
 PIDS="$PIDS $RESUME_PID"
 addr=$(wait_addr "$RESUME_TMP/serve.log" temu-serve)
 target/release/temu-client --addr "$addr" submit --spec "$RESUME_TMP/spec.json" --no-watch
-# Wait for a persisted mid-point checkpoint record (the binary log grows
-# past its 8-byte magic), then SIGKILL.
-CK_FILE="$RESUME_TMP/jobs.checkpoints.jsonl"
+# Wait for a persisted mid-point checkpoint record, then SIGKILL.
 ck_seen=""
 for _ in $(seq 1 200); do
-    if [ "$(file_size "$CK_FILE")" -gt 8 ]; then
+    if [ "$(checkpoints_recorded "$addr")" -gt 0 ]; then
         ck_seen=yes
         break
     fi
@@ -317,14 +340,14 @@ fi
 target/release/temu-client --addr "$addr" watch 1
 target/release/temu-client --addr "$addr" submit --spec "$RESUME_TMP/spec.json" --require-cached
 sed 's/"windows": 400/"windows": 4000/' "$RESUME_TMP/spec.json" > "$RESUME_TMP/cancel.json"
-# The recovered job is done, so the checkpoint log only grows again once
-# the cancel job persists its first window checkpoint.
-ck_before=$(file_size "$CK_FILE")
+# The recovered job is done, so the counter only rises again once the
+# cancel job persists its first window checkpoint.
+ck_before=$(checkpoints_recorded "$addr")
 job=$(target/release/temu-client --addr "$addr" submit --spec "$RESUME_TMP/cancel.json" --no-watch \
     | sed -n 's/^queued as job \([0-9]*\) .*/\1/p')
 ck_seen=""
 for _ in $(seq 1 200); do
-    if [ "$(file_size "$CK_FILE")" -gt "$ck_before" ]; then
+    if [ "$(checkpoints_recorded "$addr")" -gt "$ck_before" ]; then
         ck_seen=yes
         break
     fi
