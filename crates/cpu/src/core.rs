@@ -13,18 +13,25 @@
 //! engine lets a core run them back to back ([`Cpu::run_local`]), ahead of
 //! the other cores, without changing any result.
 //!
+//! Every decoded instruction is lowered once into an [`Op`]: one
+//! discriminant per TE32 operation (`add`, `mulh`, `lhu`, `bgeu`, `jalr`,
+//! …) with its registers and its immediate already extended.
+//! [`Cpu::execute`] is one `match` over ops and the only definition of
+//! each instruction's effect; the phase-at-a-time path and both kinds of
+//! block entry below run it, and each times the phase and books the
+//! counters itself.
+//!
 //! [`Cpu::run_local`] runs private cached text a block at a time: up to 32
-//! predecoded instructions of straight-line code, ending at (and
-//! including) the first control transfer or `halt`, or before an
-//! undecodable word. Loads, stores and `tas` stay inside a block: each
-//! one's data phase runs right after its fetch phase, under the
-//! rule `run_local` applies between phases (local time below the limit,
-//! address below the core-local end); where the rule fails, the block
-//! stops with the access parked. A store or `tas` over the block's own
-//! text ends the block right after it, so the words after it are fetched
-//! again. A block keeps the bytes it was decoded from and compares them
-//! with memory on every entry, so stores over the text and restored
-//! checkpoints need no invalidation.
+//! ops of straight-line code, ending at (and including) the first control
+//! transfer or `halt`, or before an undecodable word. Loads, stores and
+//! `tas` stay inside a block: each one's data phase runs right after its
+//! fetch phase, under the rule `run_local` applies between phases (local
+//! time below the limit, address below the core-local end); where the rule
+//! fails, the block stops with the access parked. A store or `tas` over the
+//! block's own text ends the block right after it, so the words after it
+//! are fetched again. A block keeps the bytes it was decoded from and
+//! compares them with memory on every entry, so stores over the text and
+//! restored checkpoints need no invalidation.
 //!
 //! A cold entry fetches each instruction through the full
 //! [`MemoryPort::fetch`], as phase-at-a-time execution does. An entry that
@@ -33,25 +40,28 @@
 //! generation on every fill and whenever else a line may leave the
 //! I-cache, so the mark matches again only if no fetch of the entry
 //! missed, and while it does all the block's lines are present: the block
-//! runs warm, every fetch a hit, and books all of them in one
-//! [`MemoryPort::fetch_hits`] run at its end and before a data fault is
-//! returned. A load or store that hits the core's private D-cache runs in
-//! place ([`MemoryPort::data_hit`]); every other data access (a miss,
-//! shared or MMIO data, `tas`, a write-through store, an access the port
-//! declines) goes through the full [`MemoryPort::read`], `write` or `tas`.
-//! Every cycle, counter, cache tag, LRU stamp and access tick ends exactly
-//! where phase-at-a-time execution leaves it. Text with no block (outside
-//! the private cacheable range, without an I-cache, misaligned or
-//! undecodable) runs one phase at a time, and [`Cpu::step`] always does:
-//! it is what the shared-phase order and the `temu-des` baseline run, with
-//! no block code in its path.
+//! runs warm, every fetch a hit. An entry keeps the local clock in a local
+//! and the PC as the index of the op it is at, and books the clock, the PC
+//! and the counters of the ops it retired once, at exit. `run_local` books
+//! the fetch hits of warm entries of one block in a row in one
+//! [`MemoryPort::fetch_hits`] call, before any other fetch of the core and
+//! before it returns, also with a data fault. A load or store that hits the
+//! core's private D-cache runs in place ([`MemoryPort::data_hit`]); every
+//! other data access (a miss, shared or MMIO data, `tas`, a write-through
+//! store, an access the port declines) goes through the full
+//! [`MemoryPort::read`], `write` or `tas`. Every cycle, counter, cache tag,
+//! LRU stamp and access tick ends exactly where phase-at-a-time execution
+//! leaves it. Text with no block (outside the private cacheable range,
+//! without an I-cache, misaligned or undecodable) runs one phase at a time,
+//! and [`Cpu::step`] always does: it is what the shared-phase order and the
+//! `temu-des` baseline run, with no block code in its path.
 
 use crate::port::{MemReply, MemoryPort, Text};
 use crate::regfile::RegFile;
 use crate::stats::CoreStats;
 use std::error::Error;
 use std::fmt;
-use temu_isa::{DecodeError, Instr, Reg, Width};
+use temu_isa::{AluImmOp, AluOp, Cond, DecodeError, Instr, Reg, ShiftOp, Width};
 use temu_mem::MemError;
 use temu_state::{StateError, StateReader, StateWriter};
 
@@ -142,28 +152,286 @@ impl DataOp {
     }
 }
 
+/// A TE32 operation: one per opcode, and one per function of the
+/// register-register opcode.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Kind {
+    Add,
+    Sub,
+    And,
+    Or,
+    Xor,
+    Nor,
+    Sll,
+    Srl,
+    Sra,
+    Slt,
+    Sltu,
+    Mul,
+    Mulh,
+    Div,
+    Rem,
+    Addi,
+    Andi,
+    Ori,
+    Xori,
+    Slti,
+    Sltiu,
+    Slli,
+    Srli,
+    Srai,
+    Lui,
+    Lb,
+    Lbu,
+    Lh,
+    Lhu,
+    Lw,
+    Sb,
+    Sh,
+    Sw,
+    Tas,
+    Beq,
+    Bne,
+    Blt,
+    Bge,
+    Bltu,
+    Bgeu,
+    Jal,
+    Jalr,
+    Halt,
+}
+
+/// A decoded instruction lowered for [`Cpu::execute`]: its operation, its
+/// registers (`r0` where it has none; `r31` for `jal`) and its immediate
+/// extended to the 32-bit operand it is — sign- or zero-extended as its
+/// operation reads it, `lui`'s shifted into the upper half, and a
+/// branch's or `jal`'s offset turned into the byte distance from its PC to
+/// its target. The operation names its execute-phase extra from the core's
+/// [`CpuConfig`] (`mul_extra`, `div_extra`, or `branch_penalty` once
+/// taken) and the [`CoreStats`] counters it books ([`Mix`]). Eight bytes,
+/// so a [`Block`] holds 32 ops beside the 128 text bytes they came from in
+/// one 448-byte slot; an extra held per op would not fit.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Op {
+    kind: Kind,
+    rd: Reg,
+    rs1: Reg,
+    rs2: Reg,
+    imm: u32,
+}
+
+impl Op {
+    const NOP: Op = Op { kind: Kind::Addi, rd: Reg::ZERO, rs1: Reg::ZERO, rs2: Reg::ZERO, imm: 0 };
+
+    /// Lowers a decoded instruction (the decoder marks every word load
+    /// signed, which is what `lw`'s parked access records).
+    fn lower(instr: Instr) -> Op {
+        let z = Reg::ZERO;
+        let offset = |off: i16| off as i32 as u32;
+        // `pc + 4 + 4 * off` as a distance from the PC.
+        let target = |off: i32| 4u32.wrapping_add((off as u32).wrapping_mul(4));
+        let (kind, rd, rs1, rs2, imm) = match instr {
+            Instr::Alu { op, rd, rs1, rs2 } => {
+                let kind = match op {
+                    AluOp::Add => Kind::Add,
+                    AluOp::Sub => Kind::Sub,
+                    AluOp::And => Kind::And,
+                    AluOp::Or => Kind::Or,
+                    AluOp::Xor => Kind::Xor,
+                    AluOp::Nor => Kind::Nor,
+                    AluOp::Sll => Kind::Sll,
+                    AluOp::Srl => Kind::Srl,
+                    AluOp::Sra => Kind::Sra,
+                    AluOp::Slt => Kind::Slt,
+                    AluOp::Sltu => Kind::Sltu,
+                    AluOp::Mul => Kind::Mul,
+                    AluOp::Mulh => Kind::Mulh,
+                    AluOp::Div => Kind::Div,
+                    AluOp::Rem => Kind::Rem,
+                };
+                (kind, rd, rs1, rs2, 0)
+            }
+            Instr::AluImm { op, rd, rs1, imm } => {
+                let kind = match op {
+                    AluImmOp::Add => Kind::Addi,
+                    AluImmOp::And => Kind::Andi,
+                    AluImmOp::Or => Kind::Ori,
+                    AluImmOp::Xor => Kind::Xori,
+                    AluImmOp::Slt => Kind::Slti,
+                    AluImmOp::Sltu => Kind::Sltiu,
+                };
+                (kind, rd, rs1, z, op.expand_imm(imm))
+            }
+            Instr::ShiftImm { op, rd, rs1, sh } => {
+                let kind = match op {
+                    ShiftOp::Sll => Kind::Slli,
+                    ShiftOp::Srl => Kind::Srli,
+                    ShiftOp::Sra => Kind::Srai,
+                };
+                (kind, rd, rs1, z, u32::from(sh & 31))
+            }
+            Instr::Lui { rd, imm } => (Kind::Lui, rd, z, z, u32::from(imm) << 16),
+            Instr::Load { width, signed, rd, rs1, off } => {
+                let kind = match (width, signed) {
+                    (Width::Byte, true) => Kind::Lb,
+                    (Width::Byte, false) => Kind::Lbu,
+                    (Width::Half, true) => Kind::Lh,
+                    (Width::Half, false) => Kind::Lhu,
+                    (Width::Word, _) => Kind::Lw,
+                };
+                (kind, rd, rs1, z, offset(off))
+            }
+            Instr::Store { width, rs2, rs1, off } => {
+                let kind = match width {
+                    Width::Byte => Kind::Sb,
+                    Width::Half => Kind::Sh,
+                    Width::Word => Kind::Sw,
+                };
+                (kind, z, rs1, rs2, offset(off))
+            }
+            Instr::Tas { rd, rs1, off } => (Kind::Tas, rd, rs1, z, offset(off)),
+            Instr::Branch { cond, rs1, rs2, off } => {
+                let kind = match cond {
+                    Cond::Eq => Kind::Beq,
+                    Cond::Ne => Kind::Bne,
+                    Cond::Lt => Kind::Blt,
+                    Cond::Ge => Kind::Bge,
+                    Cond::Ltu => Kind::Bltu,
+                    Cond::Geu => Kind::Bgeu,
+                };
+                (kind, z, rs1, rs2, target(i32::from(off)))
+            }
+            Instr::Jal { off } => (Kind::Jal, Reg::RA, z, z, target(off)),
+            Instr::Jalr { rd, rs1, off } => (Kind::Jalr, rd, rs1, z, offset(off)),
+            Instr::Halt => (Kind::Halt, z, z, z, 0),
+        };
+        Op { kind, rd, rs1, rs2, imm }
+    }
+}
+
+/// The instruction-mix counters of [`CoreStats`] that retired ops book:
+/// loads (`tas` among them) and stores in their data phase, branches
+/// (jumps among them), multiplies and divides in their fetch phase.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct Mix {
+    loads: u8,
+    stores: u8,
+    branches: u8,
+    muls: u8,
+    divs: u8,
+}
+
+impl Mix {
+    /// The counters `ops`, all retired, book (at most 255 of each).
+    fn of(ops: &[Op]) -> Mix {
+        let mut mix = Mix::default();
+        for op in ops {
+            let counter = match op.kind {
+                Kind::Lb | Kind::Lbu | Kind::Lh | Kind::Lhu | Kind::Lw | Kind::Tas => &mut mix.loads,
+                Kind::Sb | Kind::Sh | Kind::Sw => &mut mix.stores,
+                Kind::Beq | Kind::Bne | Kind::Blt | Kind::Bge | Kind::Bltu | Kind::Bgeu | Kind::Jal | Kind::Jalr => {
+                    &mut mix.branches
+                }
+                Kind::Mul | Kind::Mulh => &mut mix.muls,
+                Kind::Div | Kind::Rem => &mut mix.divs,
+                _ => continue,
+            };
+            *counter += 1;
+        }
+        mix
+    }
+
+    fn book(self, stats: &mut CoreStats) {
+        stats.loads += u64::from(self.loads);
+        stats.stores += u64::from(self.stores);
+        stats.branches += u64::from(self.branches);
+        stats.muls += u64::from(self.muls);
+        stats.divs += u64::from(self.divs);
+    }
+}
+
+/// How an op's fetch/execute phase ends.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Flow {
+    /// Retired; the next instruction follows (also after `halt`, which
+    /// sets the halt flag).
+    Next,
+    /// A taken branch or a jump: retired, and continues at the target.
+    Jump(u32),
+    /// A load, store or `tas`, whose data access is its next phase.
+    Data(DataOp),
+}
+
+/// The fetch hits of warm block entries still to book: `runs` entries in a
+/// row of the block at `pc`, each of which fetched `fetches` instructions.
+/// [`Cpu::run_local`] books them in one [`MemoryPort::fetch_hits`] call
+/// when another entry follows, before any other fetch of the core and
+/// before it returns, so the I-cache is never seen with runs unbooked.
+#[derive(Clone, Copy, Debug, Default)]
+struct WarmRuns {
+    pc: u32,
+    fetches: u32,
+    runs: u32,
+}
+
+impl WarmRuns {
+    /// Adds a warm entry of the block at `pc` that fetched `fetches`
+    /// instructions; the runs before it are booked unless it repeats them.
+    fn add<P: MemoryPort + ?Sized>(&mut self, port: &mut P, core: usize, pc: u32, fetches: u32) {
+        if self.runs > 0 && self.runs < u32::MAX && (self.pc, self.fetches) == (pc, fetches) {
+            self.runs += 1;
+        } else {
+            self.book(port, core);
+            *self = WarmRuns { pc, fetches, runs: 1 };
+        }
+    }
+
+    fn book<P: MemoryPort + ?Sized>(&mut self, port: &mut P, core: usize) {
+        if self.runs > 0 {
+            let present = port.fetch_hits(core, self.pc, self.fetches, self.runs);
+            debug_assert!(present, "a warm block's lines stay present until its runs are booked");
+            self.runs = 0;
+        }
+    }
+}
+
+/// Why a block entry stopped ([`Cpu::run_decoded`]).
+enum Exit {
+    /// At the end of the block, at the limit, or after a store over the
+    /// block's text.
+    Ran,
+    /// After a taken branch or a jump to the target.
+    Jumped(u32),
+    /// A fetch faulted.
+    Fault(CpuError),
+    /// With the data access of the instruction at the PC parked for later.
+    Parked(DataOp, u32),
+    /// The data access of the instruction at the PC faulted.
+    DataFault(DataOp, u32, MemError),
+}
+
 /// Slots of the [`DecodeCache`]: any 4 KB of contiguous text gets distinct
 /// slots (the MATRIX and DITHERING programs are ~120 words); words 4 KB
 /// apart share one and decode again when they alternate.
 const DECODE_SLOTS: usize = 1024;
 
-/// Direct-mapped memo of decoded instructions, indexed by word address.
+/// Direct-mapped memo of lowered instructions, indexed by word address.
 /// A slot keeps the word it decoded and is used only when the fetched word
 /// matches it, so a store over the text can never leave a stale decode
 /// behind: the cache needs no invalidation and no checkpoint state.
 #[derive(Clone, Debug, Default)]
 struct DecodeCache {
-    /// `(word, its decode)` per slot; empty until the first fetch, so
+    /// `(word, its op)` per slot; empty until the first fetch, so
     /// building a machine allocates nothing.
-    slots: Vec<(u32, Instr)>,
+    slots: Vec<(u32, Op)>,
 }
 
 impl DecodeCache {
     #[inline]
-    fn decode(&mut self, pc: u32, word: u32) -> Result<Instr, DecodeError> {
+    fn decode(&mut self, pc: u32, word: u32) -> Result<Op, DecodeError> {
         let slot = (pc >> 2) as usize & (DECODE_SLOTS - 1);
         match self.slots.get(slot) {
-            Some(&(w, instr)) if w == word => Ok(instr),
+            Some(&(w, op)) if w == word => Ok(op),
             _ => self.fill(slot, word),
         }
     }
@@ -171,13 +439,13 @@ impl DecodeCache {
     /// The decode itself, kept out of line so the hit path stays small.
     #[cold]
     #[inline(never)]
-    fn fill(&mut self, slot: usize, word: u32) -> Result<Instr, DecodeError> {
-        let instr = Instr::decode(word)?;
+    fn fill(&mut self, slot: usize, word: u32) -> Result<Op, DecodeError> {
+        let op = Op::lower(Instr::decode(word)?);
         if self.slots.is_empty() {
-            self.slots = vec![(word, instr); DECODE_SLOTS];
+            self.slots = vec![(word, op); DECODE_SLOTS];
         }
-        self.slots[slot] = (word, instr);
-        Ok(instr)
+        self.slots[slot] = (word, op);
+        Ok(op)
     }
 }
 
@@ -197,7 +465,7 @@ const _: () = assert!(BLOCK_SLOTS * std::mem::size_of::<Block>() <= 112 * 1024);
 
 /// A run of straight-line instructions starting at `pc`, ending at (and
 /// including) the first control transfer or `halt`, before an
-/// undecodable word, or at [`BLOCK_LEN`] instructions.
+/// undecodable word, or at [`BLOCK_LEN`] instructions, lowered to ops.
 ///
 /// Each block starts a cache line (448 bytes a block): with unaligned
 /// 400-byte blocks, the ISS ran ~4% slower on one-core DITHERING and the
@@ -208,18 +476,26 @@ struct Block {
     pc: u32,
     /// Instructions in the block; 0 when its first word does not decode.
     len: usize,
+    /// The counters a run of all `len` ops books.
+    mix: Mix,
     /// The I-cache generation ([`Text::generation`]) at the start of an
     /// entry that fetched every instruction: while the I-cache reports it,
     /// all the block's lines are present.
     warm: Option<u64>,
     /// The text the block was decoded from; its first `4 * len` bytes count.
     bytes: [u8; BLOCK_BYTES as usize],
-    instrs: [Instr; BLOCK_LEN],
+    ops: [Op; BLOCK_LEN],
 }
 
 impl Block {
-    const EMPTY: Block =
-        Block { pc: 0, len: 0, warm: None, bytes: [0; BLOCK_BYTES as usize], instrs: [Instr::NOP; BLOCK_LEN] };
+    const EMPTY: Block = Block {
+        pc: 0,
+        len: 0,
+        mix: Mix { loads: 0, stores: 0, branches: 0, muls: 0, divs: 0 },
+        warm: None,
+        bytes: [0; BLOCK_BYTES as usize],
+        ops: [Op::NOP; BLOCK_LEN],
+    };
 
     /// Decodes the block at `pc` from `text`, the text from `pc` on; kept
     /// out of line so the cache's hit path stays small.
@@ -229,13 +505,14 @@ impl Block {
         let mut block = Block { pc, ..Block::EMPTY };
         for (word, bytes) in text.chunks_exact(4).take(BLOCK_LEN).enumerate() {
             let Ok(instr) = Instr::decode(u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"))) else { break };
-            block.instrs[word] = instr;
+            block.ops[word] = Op::lower(instr);
             block.bytes[4 * word..4 * word + 4].copy_from_slice(bytes);
             block.len = word + 1;
             if instr.is_control() || instr == Instr::Halt {
                 break;
             }
         }
+        block.mix = Mix::of(&block.ops[..block.len]);
         block
     }
 }
@@ -394,78 +671,107 @@ impl Cpu {
     /// Fetch phases run as blocks where the port offers the text
     /// ([`MemoryPort::text`]): each phase of a block after its first — a
     /// fetch, or the data phase of a load, store or `tas` — runs under the
-    /// same `limit` and `local_end` rule, a warm block books its fetch hits
-    /// in one [`MemoryPort::fetch_hits`] run and D-cache hits run through
-    /// [`MemoryPort::data_hit`]. The result — state, counters and cache —
-    /// is the one phase-at-a-time execution gives, which remains the path
-    /// for text with no block.
+    /// same `limit` and `local_end` rule, and D-cache hits run through
+    /// [`MemoryPort::data_hit`]. The fetch hits of warm entries of one
+    /// block in a row are booked in one [`MemoryPort::fetch_hits`] call,
+    /// before any other fetch and before the call returns. The result —
+    /// state, counters and cache — is the one phase-at-a-time execution
+    /// gives, which remains the path for text with no block.
     ///
     /// # Errors
     ///
     /// Returns [`CpuError`] exactly as [`Cpu::step`] does; the core is left
     /// at the faulting phase, with its local time at the phase's start.
     pub fn run_local<P: MemoryPort + ?Sized>(&mut self, port: &mut P, limit: u64, local_end: u64) -> Result<(), CpuError> {
-        while !self.halted && self.time < limit {
-            match self.pending {
+        let mut warm = WarmRuns::default();
+        let result = loop {
+            if self.halted || self.time >= limit {
+                break Ok(());
+            }
+            let phase = match self.pending {
                 Some((op, pc)) if u64::from(op.addr()) < local_end => {
                     self.pending = None;
-                    self.data_phase(port, op, pc)?;
+                    self.data_phase(port, op, pc).map(drop)
                 }
-                None if u64::from(self.pc) < local_end => {
-                    if !self.run_block(port, limit, local_end)? {
-                        self.fetch_phase(port)?;
+                None if u64::from(self.pc) < local_end => match self.run_block(port, limit, local_end, &mut warm) {
+                    Ok(true) => Ok(()),
+                    Ok(false) => {
+                        warm.book(port, self.id);
+                        self.fetch_phase(port).map(drop)
                     }
-                }
-                _ => break,
+                    Err(err) => Err(err),
+                },
+                _ => break Ok(()),
+            };
+            if let Err(err) = phase {
+                break Err(err);
             }
-        }
-        Ok(())
+        };
+        warm.book(port, self.id);
+        result
     }
 
     fn data_phase<P: MemoryPort + ?Sized>(&mut self, port: &mut P, op: DataOp, pc: u32) -> Result<StepOutcome, CpuError> {
-        let t = self.time;
-        let reply = match op {
-            DataOp::Load { addr, width, .. } => port.read(self.id, addr, width, t),
-            DataOp::Store { addr, width, value } => port.write(self.id, addr, width, value, t),
-            DataOp::Tas { addr, .. } => port.tas(self.id, addr, t),
-        }
-        .map_err(|err| {
+        let reply = self.access(port, op, self.time).map_err(|err| {
             self.pending = Some((op, pc)); // stay at the faulting phase
             CpuError::Mem { pc, err }
         })?;
-        self.retire_data(op, pc, reply);
-        Ok(StepOutcome::Executed)
-    }
-
-    /// Ends the data phase of `op`, owned by the instruction at `pc`, with
-    /// the access's `reply`.
-    #[inline(always)]
-    fn retire_data(&mut self, op: DataOp, pc: u32, reply: MemReply) {
+        self.finish(op, reply.value);
         match op {
-            DataOp::Load { rd, width, signed, .. } => {
-                self.regs.write(rd, extend(reply.value, width, signed));
-                self.stats.loads += 1;
-            }
             DataOp::Store { .. } => self.stats.stores += 1,
-            DataOp::Tas { rd, .. } => {
-                self.regs.write(rd, reply.value);
-                self.stats.loads += 1;
-            }
+            DataOp::Load { .. } | DataOp::Tas { .. } => self.stats.loads += 1,
         }
-        let elapsed = reply.done_at - self.time;
         self.stats.stall_cycles += reply.stall;
-        self.stats.active_cycles += elapsed - reply.stall;
+        self.stats.active_cycles += reply.done_at - self.time - reply.stall;
         self.stats.instructions += 1;
         self.time = reply.done_at;
         self.pc = pc.wrapping_add(4);
+        Ok(StepOutcome::Executed)
+    }
+
+    /// The full access of `op`, starting at `now`.
+    fn access<P: MemoryPort + ?Sized>(&self, port: &mut P, op: DataOp, now: u64) -> Result<MemReply, MemError> {
+        match op {
+            DataOp::Load { addr, width, .. } => port.read(self.id, addr, width, now),
+            DataOp::Store { addr, width, value } => port.write(self.id, addr, width, value, now),
+            DataOp::Tas { addr, .. } => port.tas(self.id, addr, now),
+        }
+    }
+
+    /// Writes the result of a load or `tas` whose access returned `value`.
+    #[inline(always)]
+    fn finish(&mut self, op: DataOp, value: u32) {
+        match op {
+            DataOp::Load { rd, width, signed, .. } => self.regs.write(rd, extend(value, width, signed)),
+            DataOp::Tas { rd, .. } => self.regs.write(rd, value),
+            DataOp::Store { .. } => {}
+        }
     }
 
     fn fetch_phase<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Result<StepOutcome, CpuError> {
-        let t0 = self.time;
-        let pc = self.pc;
+        let (pc, t0) = (self.pc, self.time);
         let fetch = port.fetch(self.id, pc, t0).map_err(|err| CpuError::Mem { pc, err })?;
-        let instr = self.decoded.decode(pc, fetch.value).map_err(|err| CpuError::Decode { pc, word: fetch.value, err })?;
-        self.execute(instr, pc, t0, fetch.done_at, fetch.stall);
+        let op = self.decoded.decode(pc, fetch.value).map_err(|err| CpuError::Decode { pc, word: fetch.value, err })?;
+        let mut t = fetch.done_at;
+        let next = match self.execute(op, pc, &mut t) {
+            Flow::Next => Some(pc.wrapping_add(4)),
+            Flow::Jump(target) => {
+                self.stats.taken_branches += 1;
+                Some(target)
+            }
+            Flow::Data(data) => {
+                self.pending = Some((data, pc));
+                None
+            }
+        };
+        if let Some(next) = next {
+            self.pc = next;
+            self.stats.instructions += 1;
+            Mix::of(&[op]).book(&mut self.stats);
+        }
+        self.stats.stall_cycles += fetch.stall;
+        self.stats.active_cycles += t - t0 - fetch.stall;
+        self.time = t;
         Ok(if self.halted { StepOutcome::Halted } else { StepOutcome::Executed })
     }
 
@@ -480,7 +786,13 @@ impl Cpu {
     /// only an entry whose fetches all hit leaves a mark that can match;
     /// while the I-cache reports it, all the block's lines are present and
     /// the block runs warm. See [`Cpu::run_decoded`] for the loop.
-    fn run_block<P: MemoryPort + ?Sized>(&mut self, port: &mut P, limit: u64, local_end: u64) -> Result<bool, CpuError> {
+    fn run_block<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        limit: u64,
+        local_end: u64,
+        warm: &mut WarmRuns,
+    ) -> Result<bool, CpuError> {
         let Some(text) = port.text(self.id, self.pc, BLOCK_BYTES) else { return Ok(false) };
         let Text { hit_latency, generation, .. } = text;
         // The table moves out while the block runs, so the block is
@@ -488,15 +800,17 @@ impl Cpu {
         let mut blocks = std::mem::take(&mut self.blocks);
         let block = blocks.get(self.pc, text.bytes);
         let ran = block.len > 0;
-        let result = if ran {
-            let warm = block.warm == Some(generation);
-            self.run_decoded(port, block, warm, u64::from(hit_latency), limit, local_end).map(|whole| {
+        let result = if !ran {
+            Ok(())
+        } else if block.warm == Some(generation) {
+            self.run_decoded::<P, true>(port, block, u64::from(hit_latency), limit, local_end, warm).map(drop)
+        } else {
+            warm.book(port, self.id);
+            self.run_decoded::<P, false>(port, block, 0, limit, local_end, warm).map(|whole| {
                 if whole {
                     block.warm = Some(generation);
                 }
             })
-        } else {
-            Ok(())
         };
         self.blocks = blocks;
         result.map(|()| ran)
@@ -505,161 +819,215 @@ impl Cpu {
     /// The loop of [`Cpu::run_block`] over `block`, which starts at the PC;
     /// returns whether it fetched every instruction of the block.
     ///
-    /// Cold, each instruction is fetched through [`MemoryPort::fetch`], as
-    /// [`Cpu::fetch_phase`] fetches it. `warm`, every fetch is a hit taking
-    /// `hit_latency` cycles, and the entry books its fetches in one
-    /// [`MemoryPort::fetch_hits`] run from the block's start, at exit and
-    /// before a data-phase fault is returned. A memory instruction's data
-    /// phase runs in place after its fetch, a private D-cache hit without a
-    /// full access ([`MemoryPort::data_hit`]); a store or `tas` over the
-    /// block's own text ends the block.
-    fn run_decoded<P: MemoryPort + ?Sized>(
+    /// Cold (`WARM` false), each instruction is fetched through
+    /// [`MemoryPort::fetch`], as [`Cpu::fetch_phase`] fetches it, after the
+    /// warm runs before it are booked. `WARM`, every fetch is a hit taking
+    /// `hit_latency` cycles, and the entry adds its fetches to the `warm`
+    /// runs that [`Cpu::run_local`] books. Each op runs through
+    /// [`Cpu::execute`]; a memory instruction's data phase runs in place
+    /// after its fetch, a private D-cache hit without a full access
+    /// ([`MemoryPort::data_hit`]). A store or `tas` over the block's own
+    /// text ends the block.
+    ///
+    /// The entry keeps the local clock and the stall cycles in locals and
+    /// the PC as the index of the op it is at; `local_end` is checked
+    /// against the block's text once, at entry. The ops up to each data
+    /// phase run in an inner loop with no call, and the function stays out
+    /// of line, so the clock and the index stay in registers. At exit the
+    /// entry books the clock, the PC and the counters of the ops it
+    /// retired at once: their number, the cycles, a taken branch, and
+    /// their [`Mix`], the block's own when it retired them all.
+    #[inline(never)]
+    fn run_decoded<P: MemoryPort + ?Sized, const WARM: bool>(
         &mut self,
         port: &mut P,
         block: &Block,
-        warm: bool,
         hit_latency: u64,
         limit: u64,
         local_end: u64,
+        warm: &mut WarmRuns,
     ) -> Result<bool, CpuError> {
-        let text_start = u64::from(block.pc);
-        let text_end = text_start + 4 * block.len as u64;
+        let start = block.pc;
+        let text_end = u64::from(start) + 4 * block.len as u64;
+        // `run_local` checked the first fetch against `local_end`; these
+        // ops lie below it.
+        let ops = &block.ops[..block.len.min((local_end - u64::from(start)).div_ceil(4) as usize)];
+        let t0 = self.time;
+        let (mut t, mut stall) = (t0, 0);
         let mut fetched = 0;
-        for &instr in &block.instrs[..block.len] {
-            let (pc, t0) = (self.pc, self.time);
-            if fetched > 0 && (t0 >= limit || u64::from(pc) >= local_end) {
-                break;
+        let exit = 'entry: loop {
+            // The ops up to the next data phase, which run on registers.
+            let (data, pc) = loop {
+                let op = ops[fetched];
+                let pc = start + 4 * fetched as u32;
+                if WARM {
+                    t += hit_latency;
+                } else {
+                    match port.fetch(self.id, pc, t) {
+                        Ok(fetch) => {
+                            stall += fetch.stall;
+                            t = fetch.done_at;
+                        }
+                        Err(err) => break 'entry Exit::Fault(CpuError::Mem { pc, err }),
+                    }
+                }
+                fetched += 1;
+                match self.execute(op, pc, &mut t) {
+                    Flow::Next if fetched < ops.len() && t < limit => {}
+                    Flow::Next => break 'entry Exit::Ran,
+                    Flow::Jump(target) => break 'entry Exit::Jumped(target),
+                    Flow::Data(data) => break (data, pc),
+                }
+            };
+            if t >= limit || u64::from(data.addr()) >= local_end {
+                break Exit::Parked(data, pc);
             }
-            fetched += 1;
-            if warm {
-                self.execute(instr, pc, t0, t0 + hit_latency, 0);
-            } else {
-                let fetch = port.fetch(self.id, pc, t0).map_err(|err| CpuError::Mem { pc, err })?;
-                self.execute(instr, pc, t0, fetch.done_at, fetch.stall);
+            match self.block_data_phase(port, data, t) {
+                Ok(reply) => {
+                    stall += reply.stall;
+                    t = reply.done_at;
+                }
+                Err(err) => break Exit::DataFault(data, pc, err),
             }
-            let Some((op, op_pc)) = self.pending else { continue };
-            if self.time >= limit || u64::from(op.addr()) >= local_end {
-                break;
+            if data.writes_into(u64::from(start), text_end) || fetched == ops.len() || t >= limit {
+                break Exit::Ran;
             }
-            self.pending = None;
-            if let Err(err) = self.block_data_phase(port, op, op_pc) {
-                self.book_warm_run(port, block.pc, warm, fetched);
-                return Err(err);
+        };
+        let (retired, jump, fault) = match exit {
+            Exit::Ran => (fetched, None, None),
+            Exit::Jumped(target) => (fetched, Some(target), None),
+            Exit::Fault(err) => (fetched, None, Some(err)),
+            Exit::Parked(data, pc) => {
+                self.pending = Some((data, pc));
+                (fetched - 1, None, None)
             }
-            if op.writes_into(text_start, text_end) {
-                break;
+            Exit::DataFault(data, pc, err) => {
+                self.pending = Some((data, pc)); // stay at the faulting phase
+                (fetched - 1, None, Some(CpuError::Mem { pc, err }))
             }
+        };
+        self.time = t;
+        self.pc = jump.unwrap_or(start + 4 * retired as u32);
+        let stats = &mut self.stats;
+        stats.instructions += retired as u64;
+        stats.stall_cycles += stall;
+        stats.active_cycles += t - t0 - stall;
+        stats.taken_branches += u64::from(jump.is_some());
+        if retired == block.len { block.mix } else { Mix::of(&block.ops[..retired]) }.book(stats);
+        if WARM {
+            warm.add(port, self.id, start, fetched as u32);
         }
-        self.book_warm_run(port, block.pc, warm, fetched);
-        Ok(fetched as usize == block.len)
+        fault.map_or(Ok(fetched == block.len), Err)
     }
 
-    /// The data phase of a block's memory instruction: in place when the
-    /// port performs it as a D-cache hit, else as [`Cpu::data_phase`].
+    /// The data phase of a block's memory instruction, starting at `now`:
+    /// in place when the port performs it as a D-cache hit, else through
+    /// the full access ([`Cpu::access`]). Writes a load's result and
+    /// returns the reply; the block books the counters.
     #[inline(always)]
-    fn block_data_phase<P: MemoryPort + ?Sized>(&mut self, port: &mut P, op: DataOp, pc: u32) -> Result<(), CpuError> {
+    fn block_data_phase<P: MemoryPort + ?Sized>(&mut self, port: &mut P, op: DataOp, now: u64) -> Result<MemReply, MemError> {
         let hit = match op {
-            DataOp::Load { addr, width, .. } => port.data_hit(self.id, addr, width, None, self.time),
-            DataOp::Store { addr, width, value } => port.data_hit(self.id, addr, width, Some(value), self.time),
+            DataOp::Load { addr, width, .. } => port.data_hit(self.id, addr, width, None, now),
+            DataOp::Store { addr, width, value } => port.data_hit(self.id, addr, width, Some(value), now),
             DataOp::Tas { .. } => None,
         };
-        match hit {
-            Some(reply) => self.retire_data(op, pc, reply),
-            None => {
-                self.data_phase(port, op, pc)?;
-            }
-        }
-        Ok(())
+        let reply = match hit {
+            Some(reply) => reply,
+            None => self.access(port, op, now)?,
+        };
+        self.finish(op, reply.value);
+        Ok(reply)
     }
 
-    /// Books the `fetched` fetch hits of a warm entry of the block at `pc`;
-    /// a cold entry fetched through the port and has nothing to book.
-    fn book_warm_run<P: MemoryPort + ?Sized>(&self, port: &mut P, pc: u32, warm: bool, fetched: u32) {
-        if warm {
-            let present = port.fetch_hits(self.id, pc, fetched);
-            debug_assert!(present, "a warm block's lines stay present until it books its run");
-        }
-    }
-
-    /// Executes `instr`, fetched from `pc` in the fetch that started at
-    /// `t0` and ended at `fetched` with `stall` stall cycles: applies its
-    /// effect on registers, PC and counters, or parks its data access, and
-    /// ends its phase with the execute-phase extras.
+    /// Executes `op`, fetched from `pc`, in the phase whose clock is `t`:
+    /// writes its result register (and, for `halt`, the halt flag), adds
+    /// the execute-phase extra its operation takes to `t` and returns how
+    /// the phase ends. The one definition of every instruction's effect,
+    /// run by [`Cpu::step`] and by cold and warm block entries alike, which
+    /// time the rest of the phase and book its counters: `step` per phase,
+    /// a block once per entry.
     #[inline(always)]
-    fn execute(&mut self, instr: Instr, pc: u32, t0: u64, fetched: u64, stall: u64) {
-        let mut t = fetched;
-        let mut next_pc = pc.wrapping_add(4);
-        let mut retired = true;
-        match instr {
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                let v = op.eval(self.regs.read(rs1), self.regs.read(rs2));
-                if op.is_mul() {
-                    self.stats.muls += 1;
-                    t += u64::from(self.cfg.mul_extra);
-                } else if op.is_div() {
-                    self.stats.divs += 1;
-                    t += u64::from(self.cfg.div_extra);
-                }
-                self.regs.write(rd, v);
+    fn execute(&mut self, op: Op, pc: u32, t: &mut u64) -> Flow {
+        let Op { kind, rd, rs1, rs2, imm } = op;
+        let (a, b) = (self.regs.read(rs1), self.regs.read(rs2));
+        let CpuConfig { branch_penalty, mul_extra, div_extra } = self.cfg;
+        let addr = || a.wrapping_add(imm);
+        let load = |width, signed| Flow::Data(DataOp::Load { rd, addr: addr(), width, signed });
+        let store = |width| Flow::Data(DataOp::Store { addr: addr(), width, value: b });
+        let jump = |t: &mut u64, target| {
+            *t += u64::from(branch_penalty);
+            Flow::Jump(target)
+        };
+        let value = match kind {
+            Kind::Add => AluOp::Add.eval(a, b),
+            Kind::Sub => AluOp::Sub.eval(a, b),
+            Kind::And => AluOp::And.eval(a, b),
+            Kind::Or => AluOp::Or.eval(a, b),
+            Kind::Xor => AluOp::Xor.eval(a, b),
+            Kind::Nor => AluOp::Nor.eval(a, b),
+            Kind::Sll => AluOp::Sll.eval(a, b),
+            Kind::Srl => AluOp::Srl.eval(a, b),
+            Kind::Sra => AluOp::Sra.eval(a, b),
+            Kind::Slt => AluOp::Slt.eval(a, b),
+            Kind::Sltu => AluOp::Sltu.eval(a, b),
+            Kind::Mul => {
+                *t += u64::from(mul_extra);
+                AluOp::Mul.eval(a, b)
             }
-            Instr::AluImm { op, rd, rs1, imm } => {
-                self.regs.write(rd, op.eval(self.regs.read(rs1), imm));
+            Kind::Mulh => {
+                *t += u64::from(mul_extra);
+                AluOp::Mulh.eval(a, b)
             }
-            Instr::ShiftImm { op, rd, rs1, sh } => {
-                self.regs.write(rd, op.eval(self.regs.read(rs1), sh));
+            Kind::Div => {
+                *t += u64::from(div_extra);
+                AluOp::Div.eval(a, b)
             }
-            Instr::Lui { rd, imm } => {
-                self.regs.write(rd, u32::from(imm) << 16);
+            Kind::Rem => {
+                *t += u64::from(div_extra);
+                AluOp::Rem.eval(a, b)
             }
-            Instr::Load { width, signed, rd, rs1, off } => {
-                let addr = self.regs.read(rs1).wrapping_add(off as i32 as u32);
-                self.pending = Some((DataOp::Load { rd, addr, width, signed }, pc));
-                retired = false;
-            }
-            Instr::Store { width, rs2, rs1, off } => {
-                let addr = self.regs.read(rs1).wrapping_add(off as i32 as u32);
-                self.pending = Some((DataOp::Store { addr, width, value: self.regs.read(rs2) }, pc));
-                retired = false;
-            }
-            Instr::Tas { rd, rs1, off } => {
-                let addr = self.regs.read(rs1).wrapping_add(off as i32 as u32);
-                self.pending = Some((DataOp::Tas { rd, addr }, pc));
-                retired = false;
-            }
-            Instr::Branch { cond, rs1, rs2, off } => {
-                self.stats.branches += 1;
-                if cond.eval(self.regs.read(rs1), self.regs.read(rs2)) {
-                    self.stats.taken_branches += 1;
-                    next_pc = branch_target(pc, i32::from(off));
-                    t += u64::from(self.cfg.branch_penalty);
-                }
-            }
-            Instr::Jal { off } => {
-                self.regs.write(Reg::RA, pc.wrapping_add(4));
-                next_pc = branch_target(pc, off);
-                t += u64::from(self.cfg.branch_penalty);
-                self.stats.branches += 1;
-                self.stats.taken_branches += 1;
-            }
-            Instr::Jalr { rd, rs1, off } => {
-                let target = self.regs.read(rs1).wrapping_add(off as i32 as u32) & !3;
+            Kind::Addi => AluOp::Add.eval(a, imm),
+            Kind::Andi => AluOp::And.eval(a, imm),
+            Kind::Ori => AluOp::Or.eval(a, imm),
+            Kind::Xori => AluOp::Xor.eval(a, imm),
+            Kind::Slti => AluOp::Slt.eval(a, imm),
+            Kind::Sltiu => AluOp::Sltu.eval(a, imm),
+            Kind::Slli => AluOp::Sll.eval(a, imm),
+            Kind::Srli => AluOp::Srl.eval(a, imm),
+            Kind::Srai => AluOp::Sra.eval(a, imm),
+            Kind::Lui => imm,
+            Kind::Lb => return load(Width::Byte, true),
+            Kind::Lbu => return load(Width::Byte, false),
+            Kind::Lh => return load(Width::Half, true),
+            Kind::Lhu => return load(Width::Half, false),
+            Kind::Lw => return load(Width::Word, true),
+            Kind::Sb => return store(Width::Byte),
+            Kind::Sh => return store(Width::Half),
+            Kind::Sw => return store(Width::Word),
+            Kind::Tas => return Flow::Data(DataOp::Tas { rd, addr: addr() }),
+            Kind::Beq if Cond::Eq.eval(a, b) => return jump(t, pc.wrapping_add(imm)),
+            Kind::Bne if Cond::Ne.eval(a, b) => return jump(t, pc.wrapping_add(imm)),
+            Kind::Blt if Cond::Lt.eval(a, b) => return jump(t, pc.wrapping_add(imm)),
+            Kind::Bge if Cond::Ge.eval(a, b) => return jump(t, pc.wrapping_add(imm)),
+            Kind::Bltu if Cond::Ltu.eval(a, b) => return jump(t, pc.wrapping_add(imm)),
+            Kind::Bgeu if Cond::Geu.eval(a, b) => return jump(t, pc.wrapping_add(imm)),
+            Kind::Beq | Kind::Bne | Kind::Blt | Kind::Bge | Kind::Bltu | Kind::Bgeu => return Flow::Next,
+            Kind::Jal => {
                 self.regs.write(rd, pc.wrapping_add(4));
-                next_pc = target;
-                t += u64::from(self.cfg.branch_penalty);
-                self.stats.branches += 1;
-                self.stats.taken_branches += 1;
+                return jump(t, pc.wrapping_add(imm));
             }
-            Instr::Halt => {
+            Kind::Jalr => {
+                // The target was read before the link is written: `rd` may be `rs1`.
+                self.regs.write(rd, pc.wrapping_add(4));
+                return jump(t, addr() & !3);
+            }
+            Kind::Halt => {
                 self.halted = true;
+                return Flow::Next;
             }
-        }
-        self.stats.stall_cycles += stall;
-        self.stats.active_cycles += t - t0 - stall;
-        self.time = t;
-        if retired {
-            self.pc = next_pc;
-            self.stats.instructions += 1;
-        }
+        };
+        self.regs.write(rd, value);
+        Flow::Next
     }
 }
 
@@ -759,11 +1127,6 @@ fn load_width(r: &mut StateReader<'_>) -> Result<Width, StateError> {
         4 => Ok(Width::Word),
         b => Err(StateError::BadValue { what: "access width", value: u64::from(b) }),
     }
-}
-
-/// Branch/jump target: `pc + 4 + off * 4` with wrapping.
-fn branch_target(pc: u32, off: i32) -> u32 {
-    pc.wrapping_add(4).wrapping_add((off as u32).wrapping_mul(4))
 }
 
 /// Sign/zero extension of a loaded value.
@@ -943,14 +1306,14 @@ mod tests {
     /// and stores below 0x800 as 1-cycle D-cache hits (which its reads and
     /// writes take). A line is present once a full fetch has touched it,
     /// and only that fill moves the generation. The port counts the full
-    /// fetches, logs every booked run of fetch hits as `(first pc, hits)`
-    /// and counts the data hits.
+    /// fetches, logs every booking of fetch hits as `(first pc, hits per
+    /// run, runs)` and counts the data hits.
     struct BlockPort {
         inner: TestPort,
         present: Vec<u32>,
         generation: u64,
         fetches: u64,
-        booked: Vec<(u32, u32)>,
+        booked: Vec<(u32, u32, u32)>,
         data_hits: u64,
     }
 
@@ -961,7 +1324,7 @@ mod tests {
 
         /// Instructions fetched, by either means.
         fn fetched(&self) -> u64 {
-            self.fetches + self.booked.iter().map(|&(_, hits)| u64::from(hits)).sum::<u64>()
+            self.fetches + self.booked.iter().map(|&(_, hits, runs)| u64::from(hits * runs)).sum::<u64>()
         }
     }
 
@@ -993,11 +1356,11 @@ mod tests {
             Some(Text { bytes: self.inner.mem.slice(pc, len), hit_latency: 1, generation: self.generation })
         }
 
-        fn fetch_hits(&mut self, _core: usize, pc: u32, hits: u32) -> bool {
+        fn fetch_hits(&mut self, _core: usize, pc: u32, hits: u32, runs: u32) -> bool {
             if !(pc >> 4..=(pc + 4 * hits - 4) >> 4).all(|line| self.present.contains(&line)) {
                 return false;
             }
-            self.booked.push((pc, hits));
+            self.booked.push((pc, hits, runs));
             true
         }
 
@@ -1037,11 +1400,11 @@ mod tests {
         assert_eq!(blocks.data_hits, 14, "every load and store ran in place");
         // The first pass runs the block at 0 cold and fills the three
         // lines; the second enters the loop block at 4 cold, fetching its
-        // eight words with every line present; passes 3 to 7 run it warm,
-        // each booking its eight fetches in one run with no full fetch; the
-        // halt block runs cold.
+        // eight words with every line present; passes 3 to 7 run it warm
+        // with no full fetch, and their five runs of eight fetches are
+        // booked at once before the halt block runs cold.
         assert_eq!(blocks.fetches, 9 + 8 + 1, "cold entries fetch every word");
-        assert_eq!(blocks.booked, [(4, 8); 5], "warm passes book one run each");
+        assert_eq!(blocks.booked, [(4, 8, 5)], "warm passes in a row book at once");
 
         // A limit or a local end inside a block stops it at the same phase,
         // also between a load's or store's fetch and its data access, and
@@ -1067,6 +1430,135 @@ mod tests {
             }
         }
         assert_eq!(parked, 14, "a limit fell between each load's and store's fetch and data phase");
+    }
+
+    /// Where an opcode case leaves its result: a register, or the data word
+    /// at 0x900.
+    #[derive(Clone, Copy, Debug)]
+    enum Out {
+        Reg(u8),
+        Word,
+    }
+
+    /// The end of a run of an opcode case: its result, the PC, the local
+    /// time and the ten [`CoreStats`] counters in declaration order.
+    fn observe(cpu: &Cpu, mem: &MemArray, out: Out) -> [u64; 13] {
+        let result = match out {
+            Out::Reg(r) => cpu.regs().read(Reg::new(r)),
+            Out::Word => mem.read(0x900, Width::Word).unwrap(),
+        };
+        let s = cpu.stats();
+        [
+            u64::from(result),
+            u64::from(cpu.pc()),
+            cpu.time(),
+            s.instructions,
+            s.active_cycles,
+            s.stall_cycles,
+            s.idle_cycles,
+            s.loads,
+            s.stores,
+            s.branches,
+            s.taken_branches,
+            s.muls,
+            s.divs,
+        ]
+    }
+
+    /// Every TE32 operation in a short program that halts, with its data
+    /// word at 0x900 (`data`, followed by `end`) behind 3-cycle data
+    /// accesses that [`BlockPort`] does not take in place: the program
+    /// runs through [`Cpu::step`] on a [`TestPort`], and through
+    /// [`Cpu::run_local`] on a [`BlockPort`] three times from a reset core
+    /// and a reloaded image, the first time cold with its lines filling,
+    /// the second cold on present lines and the third warm. All three end
+    /// at the pinned result, PC, time and counters (`observe`).
+    #[test]
+    fn every_operation_steps_and_runs_cold_and_warm_alike() {
+        let alu = |op: &str, a: i64, b: i64| format!("li r1, {a}\n li r2, {b}\n {op} r3, r1, r2\n halt");
+        let imm = |op: &str, a: i64, imm: i64| format!("li r1, {a}\n {op} r3, r1, {imm}\n halt");
+        let branch = |op: &str, a: i64, b: i64| format!("li r1, {a}\n li r2, {b}\n {op} r1, r2, skip\n li r3, 1\nskip: halt");
+        let cases: Vec<(String, Out, [u64; 13])> = vec![
+            (alu("add", 7, -3), Out::Reg(3), [4, 16, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (alu("sub", 7, 12), Out::Reg(3), [4294967291, 16, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (alu("and", 0xF0F0, 0xFF00), Out::Reg(3), [61440, 24, 6, 6, 6, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (alu("or", 0xF0F0, 0xFF00), Out::Reg(3), [65520, 24, 6, 6, 6, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (alu("xor", 0xF0F0, 0xFF00), Out::Reg(3), [4080, 24, 6, 6, 6, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (alu("nor", 0xF0F0, 0xFF00), Out::Reg(3), [4294901775, 24, 6, 6, 6, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (alu("sll", 0x1234, 36), Out::Reg(3), [74560, 16, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (alu("srl", 0x8000_0000, 33), Out::Reg(3), [1073741824, 20, 5, 5, 5, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (alu("sra", 0x8000_0000, 4), Out::Reg(3), [4160749568, 20, 5, 5, 5, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (alu("slt", -5, 3), Out::Reg(3), [1, 16, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (alu("sltu", -5, 3), Out::Reg(3), [0, 16, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (alu("mul", -7, 6), Out::Reg(3), [4294967254, 16, 6, 4, 6, 0, 0, 0, 0, 0, 0, 1, 0]),
+            (alu("mulh", 0x4000_0000, -8), Out::Reg(3), [4294967294, 20, 7, 5, 7, 0, 0, 0, 0, 0, 0, 1, 0]),
+            (alu("div", -7, 2), Out::Reg(3), [4294967293, 16, 35, 4, 35, 0, 0, 0, 0, 0, 0, 0, 1]),
+            (alu("rem", -7, 2), Out::Reg(3), [4294967295, 16, 35, 4, 35, 0, 0, 0, 0, 0, 0, 0, 1]),
+            (alu("div", 5, 0), Out::Reg(3), [4294967295, 16, 35, 4, 35, 0, 0, 0, 0, 0, 0, 0, 1]),
+            (alu("rem", 5, 0), Out::Reg(3), [5, 16, 35, 4, 35, 0, 0, 0, 0, 0, 0, 0, 1]),
+            (alu("div", 0x8000_0000, -1), Out::Reg(3), [2147483648, 20, 36, 5, 36, 0, 0, 0, 0, 0, 0, 0, 1]),
+            (alu("rem", 0x8000_0000, -1), Out::Reg(3), [0, 20, 36, 5, 36, 0, 0, 0, 0, 0, 0, 0, 1]),
+            (imm("addi", 7, -9), Out::Reg(3), [4294967294, 12, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (imm("andi", -1, 0xFF0F), Out::Reg(3), [65295, 12, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (imm("ori", 0x10000, -1), Out::Reg(3), [131071, 16, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (imm("xori", 0x0F0F_0F0F, 0x8001), Out::Reg(3), [252677902, 16, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (imm("slti", -2, -1), Out::Reg(3), [1, 12, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (imm("sltiu", 5, -1), Out::Reg(3), [1, 12, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (imm("slli", 0x8000_0003, 31), Out::Reg(3), [2147483648, 16, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (imm("srli", 0x8000_0003, 1), Out::Reg(3), [1073741825, 16, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (imm("srai", 0x8000_0003, 3), Out::Reg(3), [4026531840, 16, 4, 4, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (String::from("lui r3, 0xBEEF\n halt"), Out::Reg(3), [3203334144, 8, 2, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (String::from("la r1, data\n lb r3, 3(r1)\n halt"), Out::Reg(3), [4294967168, 16, 8, 4, 5, 3, 0, 1, 0, 0, 0, 0, 0]),
+            (String::from("la r1, data\n lbu r3, 1(r1)\n halt"), Out::Reg(3), [255, 16, 8, 4, 5, 3, 0, 1, 0, 0, 0, 0, 0]),
+            (String::from("la r1, data\n lh r3, 2(r1)\n halt"), Out::Reg(3), [4294934657, 16, 8, 4, 5, 3, 0, 1, 0, 0, 0, 0, 0]),
+            (String::from("la r1, data\n lhu r3, 2(r1)\n halt"), Out::Reg(3), [32897, 16, 8, 4, 5, 3, 0, 1, 0, 0, 0, 0, 0]),
+            (String::from("la r1, end\n lw r3, -4(r1)\n halt"), Out::Reg(3), [2156003200, 16, 8, 4, 5, 3, 0, 1, 0, 0, 0, 0, 0]),
+            (String::from("la r1, data\n li r2, 0x12345678\n sb r2, 1(r1)\n halt"), Out::Word, [2155968640, 24, 10, 6, 7, 3, 0, 0, 1, 0, 0, 0, 0]),
+            (String::from("la r1, data\n li r2, 0x12345678\n sh r2, 2(r1)\n halt"), Out::Word, [1450770304, 24, 10, 6, 7, 3, 0, 0, 1, 0, 0, 0, 0]),
+            (String::from("la r1, end\n li r2, 0x12345678\n sw r2, -4(r1)\n halt"), Out::Word, [305419896, 24, 10, 6, 7, 3, 0, 0, 1, 0, 0, 0, 0]),
+            (String::from("la r1, data\n tas r3, 0(r1)\n halt"), Out::Reg(3), [2156003200, 16, 8, 4, 5, 3, 0, 1, 0, 0, 0, 0, 0]),
+            (String::from("la r1, data\n tas r3, 0(r1)\n halt"), Out::Word, [1, 16, 8, 4, 5, 3, 0, 1, 0, 0, 0, 0, 0]),
+            (branch("beq", 5, 5), Out::Reg(3), [0, 20, 6, 4, 6, 0, 0, 0, 0, 1, 1, 0, 0]),
+            (branch("beq", 5, 6), Out::Reg(3), [1, 20, 5, 5, 5, 0, 0, 0, 0, 1, 0, 0, 0]),
+            (branch("bne", 5, 6), Out::Reg(3), [0, 20, 6, 4, 6, 0, 0, 0, 0, 1, 1, 0, 0]),
+            (branch("bne", 5, 5), Out::Reg(3), [1, 20, 5, 5, 5, 0, 0, 0, 0, 1, 0, 0, 0]),
+            (branch("blt", -1, 0), Out::Reg(3), [0, 20, 6, 4, 6, 0, 0, 0, 0, 1, 1, 0, 0]),
+            (branch("blt", 0, -1), Out::Reg(3), [1, 20, 5, 5, 5, 0, 0, 0, 0, 1, 0, 0, 0]),
+            (branch("bge", 0, -1), Out::Reg(3), [0, 20, 6, 4, 6, 0, 0, 0, 0, 1, 1, 0, 0]),
+            (branch("bge", -1, 0), Out::Reg(3), [1, 20, 5, 5, 5, 0, 0, 0, 0, 1, 0, 0, 0]),
+            (branch("bltu", 0, -1), Out::Reg(3), [0, 20, 6, 4, 6, 0, 0, 0, 0, 1, 1, 0, 0]),
+            (branch("bltu", -1, 0), Out::Reg(3), [1, 20, 5, 5, 5, 0, 0, 0, 0, 1, 0, 0, 0]),
+            (branch("bgeu", -1, 0), Out::Reg(3), [0, 20, 6, 4, 6, 0, 0, 0, 0, 1, 1, 0, 0]),
+            (branch("bgeu", 0, -1), Out::Reg(3), [1, 20, 5, 5, 5, 0, 0, 0, 0, 1, 0, 0, 0]),
+            (String::from("li r1, 3\nloop: addi r3, r3, 5\n addi r1, r1, -1\n bnez r1, loop\n halt"), Out::Reg(3), [15, 20, 15, 11, 15, 0, 0, 0, 0, 3, 2, 0, 0]),
+            (String::from("jal f\n li r3, 1\n halt\nf: halt"), Out::Reg(31), [4, 16, 4, 2, 4, 0, 0, 0, 0, 1, 1, 0, 0]),
+            (String::from("la r1, f\n jalr r1, r1, 0\n li r3, 1\n halt\nf: halt"), Out::Reg(1), [12, 24, 6, 4, 6, 0, 0, 0, 0, 1, 1, 0, 0]),
+            (String::from("halt"), Out::Reg(0), [0, 4, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ];
+        for (body, out, want) in cases {
+            let src = format!("{body}\n .org 0x900\ndata: .word 0x8081FF80\nend: .word 0\n");
+            let image = assemble(&src).expect("case assembles");
+            let (mut stepped, mut port) = TestPort::load_program(&src);
+            port.data_extra = 3;
+            while stepped.step(&mut port).expect("no faults") == StepOutcome::Executed {}
+            assert_eq!(observe(&stepped, &port.mem, out), want, "{body}: stepped");
+
+            let (mut cpu, mut inner) = TestPort::load_program(&src);
+            inner.data_extra = 3;
+            let mut blocks = BlockPort::new(inner);
+            for entry in ["cold, filling", "cold", "warm"] {
+                blocks.inner.mem.load(image.base, &image.to_bytes()).unwrap();
+                cpu.reset(image.entry);
+                let (fetches, booked) = (blocks.fetches, blocks.booked.len());
+                cpu.run_local(&mut blocks, u64::MAX, 1 << 32).expect("no faults");
+                assert!(cpu.is_halted(), "{body}: {entry}");
+                assert_eq!(observe(&cpu, &blocks.inner.mem, out), want, "{body}: {entry}");
+                if entry == "warm" {
+                    assert_eq!(blocks.fetches, fetches, "{body}: a warm run fetches nothing");
+                    assert!(blocks.booked.len() > booked, "{body}: a warm run books its fetches");
+                }
+            }
+        }
     }
 
     #[test]

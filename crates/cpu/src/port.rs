@@ -40,9 +40,10 @@ pub struct Text<'a> {
 /// The three provided methods let a core run straight-line code as a
 /// block with its core-local cache hits kept off the full access path:
 /// [`MemoryPort::text`] hands it the instruction bytes and the I-cache's
-/// generation, [`MemoryPort::fetch_hits`] books a warm block's fetches in
-/// one run, and [`MemoryPort::data_hit`] performs a load or store that
-/// hits the core's private D-cache in place. Their defaults decline, so
+/// generation, [`MemoryPort::fetch_hits`] books the fetches of a warm
+/// block's entries in a row at once, and [`MemoryPort::data_hit`]
+/// performs a load or store that hits the core's private D-cache in
+/// place. Their defaults decline, so
 /// every access then goes through [`MemoryPort::fetch`],
 /// [`MemoryPort::read`] and [`MemoryPort::write`], as phase-at-a-time
 /// execution does.
@@ -52,8 +53,9 @@ pub struct Text<'a> {
 /// may leave the I-cache. A core that fetched a whole block through
 /// `fetch` runs it warm while the port reports the generation read at
 /// the start of that entry: it fetches nothing and books the block's
-/// fetches in one `fetch_hits` run after the data accesses between them,
-/// so data accesses must leave the I-cache alone.
+/// fetches with `fetch_hits` after the data accesses between them, at the
+/// latest before its next fetch, so data accesses must leave the I-cache
+/// alone.
 pub trait MemoryPort {
     /// Instruction fetch of the word at `pc`.
     ///
@@ -94,12 +96,13 @@ pub trait MemoryPort {
     }
 
     /// When every I-cache line holding a word of `[pc, pc + 4 * fetches)`
-    /// is present, books `fetches` fetch hits on them, exactly as that many
-    /// [`MemoryPort::fetch`] calls on `pc`, `pc + 4`, … in turn would, and
-    /// returns `true`. Otherwise changes nothing and returns `false` (the
-    /// default). A core calls it only to book the fetches of a warm block,
-    /// whose lines are all present, in text [`MemoryPort::text`] answered.
-    fn fetch_hits(&mut self, _core: usize, _pc: u32, _fetches: u32) -> bool {
+    /// is present, books `runs` runs of `fetches` fetch hits on them,
+    /// exactly as [`MemoryPort::fetch`] calls on `pc`, `pc + 4`, … in turn,
+    /// repeated `runs` times, would, and returns `true`. Otherwise changes
+    /// nothing and returns `false` (the default). A core calls it only to
+    /// book the fetches of warm block entries, whose lines are all present,
+    /// in text [`MemoryPort::text`] answered.
+    fn fetch_hits(&mut self, _core: usize, _pc: u32, _fetches: u32, _runs: u32) -> bool {
         false
     }
 

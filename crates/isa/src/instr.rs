@@ -124,18 +124,6 @@ impl AluOp {
             }
         }
     }
-
-    /// Whether this operation uses the multiplier (extra issue latency).
-    #[inline]
-    pub fn is_mul(self) -> bool {
-        matches!(self, AluOp::Mul | AluOp::Mulh)
-    }
-
-    /// Whether this operation uses the iterative divider (extra issue latency).
-    #[inline]
-    pub fn is_div(self) -> bool {
-        matches!(self, AluOp::Div | AluOp::Rem)
-    }
 }
 
 /// Immediate ALU operation selector (I-type opcodes).
@@ -172,20 +160,6 @@ impl AluImmOp {
             AluImmOp::And | AluImmOp::Or | AluImmOp::Xor => imm as u16 as u32,
         }
     }
-
-    /// Evaluates `a <op> expand(imm)`.
-    #[inline]
-    pub fn eval(self, a: u32, imm: i16) -> u32 {
-        let b = self.expand_imm(imm);
-        match self {
-            AluImmOp::Add => a.wrapping_add(b),
-            AluImmOp::And => a & b,
-            AluImmOp::Or => a | b,
-            AluImmOp::Xor => a ^ b,
-            AluImmOp::Slt => ((a as i32) < (b as i32)) as u32,
-            AluImmOp::Sltu => (a < b) as u32,
-        }
-    }
 }
 
 /// Shift-immediate operation selector.
@@ -199,17 +173,6 @@ pub enum ShiftOp {
 impl ShiftOp {
     #[cfg_attr(not(test), allow(dead_code))] // proptest strategies only
     pub(crate) const ALL: [ShiftOp; 3] = [ShiftOp::Sll, ShiftOp::Srl, ShiftOp::Sra];
-
-    /// Evaluates `a <op> sh`.
-    #[inline]
-    pub fn eval(self, a: u32, sh: u8) -> u32 {
-        let sh = u32::from(sh & 31);
-        match self {
-            ShiftOp::Sll => a.wrapping_shl(sh),
-            ShiftOp::Srl => a.wrapping_shr(sh),
-            ShiftOp::Sra => (a as i32).wrapping_shr(sh) as u32,
-        }
-    }
 }
 
 /// Memory access width for loads and stores.
@@ -365,17 +328,17 @@ mod tests {
     #[test]
     fn shift_amounts_are_masked() {
         assert_eq!(AluOp::Sll.eval(1, 33), 2, "shift amount masked to 5 bits");
-        assert_eq!(ShiftOp::Srl.eval(4, 1), 2);
+        assert_eq!(AluOp::Srl.eval(4, 1), 2);
     }
 
     #[test]
     fn imm_expansion_matches_signedness_rules() {
         assert_eq!(AluImmOp::Add.expand_imm(-1), u32::MAX);
         assert_eq!(AluImmOp::Or.expand_imm(-1), 0xFFFF);
-        assert_eq!(AluImmOp::And.eval(0xFFFF_FFFF, -1), 0xFFFF);
-        assert_eq!(AluImmOp::Add.eval(1, -2), u32::MAX);
-        assert_eq!(AluImmOp::Slt.eval(0, -1), 0);
-        assert_eq!(AluImmOp::Sltu.eval(0, -1), 1, "sltiu compares against sign-extended imm");
+        assert_eq!(AluOp::And.eval(0xFFFF_FFFF, AluImmOp::And.expand_imm(-1)), 0xFFFF);
+        assert_eq!(AluOp::Add.eval(1, AluImmOp::Add.expand_imm(-2)), u32::MAX);
+        assert_eq!(AluOp::Slt.eval(0, AluImmOp::Slt.expand_imm(-1)), 0);
+        assert_eq!(AluOp::Sltu.eval(0, AluImmOp::Sltu.expand_imm(-1)), 1, "sltiu compares against sign-extended imm");
     }
 
     #[test]

@@ -281,13 +281,14 @@ impl Cache {
     }
 
     /// When every line holding a word of `[addr, addr + 4 * words)` is
-    /// present, books `words` read hits on them, exactly as [`Cache::access`]
-    /// calls on `addr`, `addr + 4`, … in turn would — the tick, the read
-    /// and hit counters and each line's LRU stamp all end where those calls
-    /// leave them — and returns `true`. Otherwise changes nothing and
-    /// returns `false`. `addr` is word-aligned.
-    pub fn try_hits(&mut self, addr: u32, words: u32) -> bool {
-        if words == 0 {
+    /// present, books `runs` runs of `words` read hits on them, exactly as
+    /// [`Cache::access`] calls on `addr`, `addr + 4`, … in turn, repeated
+    /// `runs` times, would — the tick, the read and hit counters and each
+    /// line's LRU stamp all end where those calls leave them — and returns
+    /// `true`. Otherwise changes nothing and returns `false`. `addr` is
+    /// word-aligned.
+    pub fn try_hits(&mut self, addr: u32, words: u32, runs: u32) -> bool {
+        if words == 0 || runs == 0 {
             return true;
         }
         let end = u64::from(addr) + 4 * u64::from(words);
@@ -295,16 +296,19 @@ impl Cache {
         if !lines.clone().all(|line| self.find(line).is_some()) {
             return false;
         }
-        let mut at = u64::from(addr);
+        // The last run stamps the lines: a line's stamp is the tick of that
+        // run's last access to it, a count of the words from `addr` on, so
+        // no stamp waits on another.
+        let hits = u64::from(runs) * u64::from(words);
+        let tick = self.tick + hits - u64::from(words);
         for line in lines {
             let line_end = (u64::from(line) + 1) << self.line_shift;
             let i = self.find(line).expect("checked present");
-            self.tick += (line_end.min(end) - at) / 4;
-            self.lines[i].lru = self.tick;
-            at = line_end;
+            self.lines[i].lru = tick + (line_end.min(end) - u64::from(addr)) / 4;
         }
-        self.stats.reads += u64::from(words);
-        self.stats.hits += u64::from(words);
+        self.tick += hits;
+        self.stats.reads += hits;
+        self.stats.hits += hits;
         true
     }
 
@@ -314,6 +318,7 @@ impl Cache {
     /// read or write counter, the hit counter, the line's LRU stamp and,
     /// for a write, its dirty bit) and returns `true`. Otherwise changes
     /// nothing and returns `false`.
+    #[inline]
     pub fn try_hit(&mut self, addr: u32, kind: AccessKind) -> bool {
         let is_write = kind == AccessKind::Write;
         if is_write && self.cfg.write_policy == WritePolicy::WriteThrough {
@@ -527,7 +532,7 @@ mod tests {
         for addr in [0x04, 0x08, 0x0C] {
             assert_eq!(one.access(addr, AccessKind::Fetch), CacheResponse::Hit);
         }
-        assert!(bulk.try_hits(0x04, 3), "the line is present");
+        assert!(bulk.try_hits(0x04, 3, 1), "the line is present");
         assert_eq!(state(&one), state(&bulk));
         assert_eq!(bulk.stats().hits, 3);
 
@@ -535,13 +540,13 @@ mod tests {
         // left to the full access, which misses.
         for absent in [0x10, 0x40] {
             let before = state(&bulk);
-            assert!(!bulk.try_hits(absent, 1), "{absent:#x} is absent");
+            assert!(!bulk.try_hits(absent, 1, 1), "{absent:#x} is absent");
             assert_eq!(state(&bulk), before, "a failed probe changes no state byte");
         }
         assert_eq!(one.access(0x40, AccessKind::Fetch), bulk.access(0x40, AccessKind::Fetch));
-        assert!(!bulk.try_hits(0x20, 1), "0x20 was the LRU victim");
+        assert!(!bulk.try_hits(0x20, 1, 1), "0x20 was the LRU victim");
         assert_eq!(bulk.access(0x00, AccessKind::Fetch), CacheResponse::Hit);
-        assert!(bulk.try_hits(0x44, 1));
+        assert!(bulk.try_hits(0x44, 1, 1));
         assert_eq!(one.access(0x00, AccessKind::Fetch), CacheResponse::Hit);
         assert_eq!(one.access(0x44, AccessKind::Fetch), CacheResponse::Hit);
         assert_eq!(state(&one), state(&bulk));
@@ -566,19 +571,26 @@ mod tests {
         // Eleven fetches from 0x08: two on the first line, four on each of
         // the next two, one on the last.
         for (addr, words) in [(0x08, 2), (0x10, 4), (0x20, 4), (0x30, 1)] {
-            assert!(lines.try_hits(addr, words));
+            assert!(lines.try_hits(addr, words, 1));
         }
-        assert!(run.try_hits(0x08, 11));
+        assert!(run.try_hits(0x08, 11, 1));
         assert_eq!(state(&lines), state(&run));
         assert_eq!(run.stats().hits, 11);
-        assert!(run.try_hits(0x34, 0), "an empty run books nothing");
+        // Runs repeated back to back book what one call per run does.
+        for _ in 0..3 {
+            assert!(lines.try_hits(0x08, 11, 1));
+        }
+        assert!(run.try_hits(0x08, 11, 3));
+        assert_eq!(state(&lines), state(&run));
+        assert!(run.try_hits(0x08, 11, 0), "no run books nothing");
+        assert!(run.try_hits(0x34, 0, 1), "an empty run books nothing");
         assert_eq!(state(&lines), state(&run));
 
         // A run over any absent line books nothing, not even on the
         // present lines before it.
         let before = state(&run);
-        assert!(!run.try_hits(0x30, 5), "0x40 is absent");
-        assert!(!run.try_hits(0x7C, 1));
+        assert!(!run.try_hits(0x30, 5, 1), "0x40 is absent");
+        assert!(!run.try_hits(0x7C, 1, 1));
         assert_eq!(state(&run), before);
     }
 
@@ -592,8 +604,8 @@ mod tests {
         };
         assert!(moved(&mut c, &|c| assert_eq!(c.access(0x00, AccessKind::Read), CacheResponse::Miss { writeback_addr: None })));
         assert!(!moved(&mut c, &|c| assert_eq!(c.access(0x04, AccessKind::Write), CacheResponse::Hit)));
-        assert!(!moved(&mut c, &|c| assert!(c.try_hits(0x00, 4))), "a fetch-hit run");
-        assert!(!moved(&mut c, &|c| assert!(!c.try_hits(0x10, 1))), "a probe that declines");
+        assert!(!moved(&mut c, &|c| assert!(c.try_hits(0x00, 4, 1))), "a fetch-hit run");
+        assert!(!moved(&mut c, &|c| assert!(!c.try_hits(0x10, 1, 1))), "a probe that declines");
         assert!(!moved(&mut c, &|c| assert!(c.try_hit(0x08, AccessKind::Write))), "a data hit");
         assert!(moved(&mut c, &|c| assert!(matches!(c.access(0x40, AccessKind::Read), CacheResponse::Miss { .. }))));
         assert!(moved(&mut c, &|c| c.invalidate_all()));

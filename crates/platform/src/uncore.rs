@@ -500,11 +500,12 @@ impl MemoryPort for Uncore {
         })
     }
 
-    fn fetch_hits(&mut self, core: usize, pc: u32, fetches: u32) -> bool {
+    fn fetch_hits(&mut self, core: usize, pc: u32, fetches: u32, runs: u32) -> bool {
         let icache = self.per_core[core].icache.as_mut().expect("text answered only behind an I-cache");
-        icache.try_hits(pc, fetches)
+        icache.try_hits(pc, fetches, runs)
     }
 
+    #[inline]
     fn data_hit(&mut self, core: usize, addr: u32, width: Width, store: Option<u32>, now: u64) -> Option<MemReply> {
         // Under event logging every data access is an event, which the
         // full path logs.
@@ -578,16 +579,16 @@ mod tests {
         // A run on a line not yet fetched declines and changes nothing; the
         // full fetch then misses as it would have anyway.
         let before = state(&bulk);
-        assert!(!bulk.fetch_hits(0, 0x100, 1), "cold line");
+        assert!(!bulk.fetch_hits(0, 0x100, 1, 1), "cold line");
         assert_eq!(state(&bulk), before);
         let t = one.fetch(0, 0x100, 0).unwrap().done_at;
         assert_eq!(bulk.fetch(0, 0x100, 0).unwrap().done_at, t);
         for (i, pc) in [0x104, 0x108, 0x10C].into_iter().enumerate() {
             assert_eq!(one.fetch(0, pc, t + i as u64).unwrap(), MemReply { value: 0, done_at: t + i as u64 + 1, stall: 0 });
         }
-        assert!(bulk.fetch_hits(0, 0x104, 3));
+        assert!(bulk.fetch_hits(0, 0x104, 3, 1));
         assert_eq!(state(&one), state(&bulk));
-        assert!(!bulk.fetch_hits(0, 0x110, 1), "the next line is absent");
+        assert!(!bulk.fetch_hits(0, 0x110, 1, 1), "the next line is absent");
         assert_eq!(state(&one), state(&bulk));
 
         // Once the next two lines are filled, one run over all three books
@@ -599,10 +600,10 @@ mod tests {
         for pc in (0x108..0x128).step_by(4) {
             assert_eq!(one.fetch(0, pc, 300).unwrap().stall, 0, "{pc:#x} hits");
         }
-        assert!(bulk.fetch_hits(0, 0x108, 8));
+        assert!(bulk.fetch_hits(0, 0x108, 8, 1));
         assert_eq!(state(&one), state(&bulk));
         let before = state(&bulk);
-        assert!(!bulk.fetch_hits(0, 0x128, 3), "a run into an absent line declines");
+        assert!(!bulk.fetch_hits(0, 0x128, 3, 1), "a run into an absent line declines");
         assert_eq!(state(&bulk), before);
     }
 
@@ -615,7 +616,7 @@ mod tests {
         let filled = generation(&u);
         assert_ne!(filled, g, "a fill moves it");
         u.fetch(0, 0x104, 10).unwrap();
-        assert!(u.fetch_hits(0, 0x108, 2));
+        assert!(u.fetch_hits(0, 0x108, 2, 1));
         u.read(0, 0x2000, Width::Word, 20).unwrap();
         assert_eq!(generation(&u), filled, "hits, and D-cache fills, leave it");
         let saved = state(&u);

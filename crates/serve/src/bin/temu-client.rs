@@ -73,7 +73,11 @@ fn event_line(event: &JsonValue) -> Option<String> {
         }
         Some("point") => {
             let field = |k: &str| event.get(k).and_then(JsonValue::as_u64).unwrap_or(0);
-            let label = event.get("label").and_then(JsonValue::as_str).unwrap_or("?");
+            let label = match event.get("label").and_then(JsonValue::as_str).unwrap_or("?") {
+                // The one point of a sweep without axes has an empty label.
+                "" => format!("point {}", field("index")),
+                label => label.to_string(),
+            };
             // A mid-point window-checkpoint update (servers running with
             // --window-checkpoint); finished-point events never carry it.
             if let Some(progress) = event.get("progress") {
@@ -598,6 +602,16 @@ mod tests {
             format!("  [  1/1] {} cancelled mid-point after 25 windows", col("resume-smoke")),
             "a point a cancel stopped is not a failure"
         );
+    }
+
+    #[test]
+    fn points_without_a_label_print_their_index() {
+        let finished = r#"{"event": "point", "job": 1, "index": 0, "completed": 1, "total": 1,
+            "label": "", "cache_hit": false, "ok": true, "peak_temp_k": 304.94, "windows": 400}"#;
+        assert_eq!(line(finished).unwrap(), format!("  [  1/1] {} peak 304.94K windows 400", col("point 0")));
+        let progress = r#"{"event": "point", "job": 1, "index": 0, "label": "",
+            "progress": {"windows": 75, "total_windows": 400}}"#;
+        assert_eq!(line(progress).unwrap(), format!("  [  ...  ] {} running 75/400 windows", col("point 0")));
     }
 
     #[test]

@@ -185,6 +185,11 @@ cargo test --release -p temu-des --test random_programs -- --include-ignored
 # ISS's block path, and DFS frequency switches mid-run read back by the
 # programs; 100 seeds per platform.
 cargo test --release -p temu-des --test full_state -- --include-ignored
+# The closed-loop golden: the hash of the whole run state (machine, power,
+# link, thermal field, sensors, DFS ladder, trace) after every window of 20
+# Fig. 6 windows and 40 two-millisecond windows of one dithering core on
+# the bus, pinned; the ISS golden in tier-1 runs the machine alone.
+cargo test --release -p temu-framework --test closed_loop_golden -- --include-ignored
 
 echo "== lint wall: clippy -D warnings =="
 # --all-targets: tests, benches and examples are linted too.
