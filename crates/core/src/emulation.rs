@@ -3,12 +3,21 @@
 use crate::error::TemuError;
 use crate::scenario::RunBudget;
 use crate::trace::{ThermalTrace, TraceSample};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use temu_link::{stats_record_bytes, EthernetConfig, EthernetLink, LinkStats};
 use temu_platform::{DfsPolicy, Machine, WindowStats, EVENT_BYTES};
 use temu_power::{FloorplanMap, PowerModel};
 use temu_state::{StateError, StateReader, StateWriter};
 use temu_thermal::{GridConfig, SolverStats, ThermalModel};
+
+/// The `core.link_events` counter: the logged events every window shipped
+/// over the statistics link, buffered and overflowed alike. The handle is
+/// resolved once, so a window never takes the registry lock.
+fn link_events() -> &'static temu_obs::Counter {
+    static COUNTER: OnceLock<Arc<temu_obs::Counter>> = OnceLock::new();
+    COUNTER.get_or_init(|| temu_obs::global().counter("core.link_events"))
+}
 
 /// Envelope magic of [`EmulationState::to_bytes`].
 pub const STATE_MAGIC: [u8; 4] = *b"EMUS";
@@ -241,7 +250,8 @@ impl ThermalEmulation {
     ///
     /// With the metrics registry on, the whole window records into
     /// `core.window_ns` and each stage into its own span:
-    /// `core.stage.{machine,power,link,thermal,feedback}_ns`.
+    /// `core.stage.{machine,power,link,thermal,feedback}_ns`; the counter
+    /// `core.link_events` adds the logged events the window shipped.
     ///
     /// # Errors
     ///
@@ -305,6 +315,9 @@ impl ThermalEmulation {
         // dropping them, so their transmission time is charged the same way,
         // at window granularity. Count-logging windows log none.
         let events = stats.events_pending as u64 + stats.events_overflowed;
+        if temu_obs::enabled() {
+            link_events().add(events);
+        }
         let payload_bytes = stats_record_bytes(components) + events * EVENT_BYTES as u64;
         let link_freeze_s = self.link.send_window(payload_bytes, physical_window_s);
         // Surface the congestion freeze through the VPCM so the next window's
@@ -916,6 +929,8 @@ mod tests {
         // are pinned too.
         let mut checkpoints = Vec::new();
         let mut report = None;
+        temu_obs::global().set_enabled(true);
+        let shipped = link_events().get();
         for window in 1..=3 {
             report = Some(emu.run_budget(RunBudget::Windows(window), window > 1, None).unwrap());
             checkpoints.push(temu_state::fnv1a64(&emu.checkpoint().to_bytes()));
@@ -927,6 +942,8 @@ mod tests {
             (4244, 6525015, 4602878339444778530, 4602743231455957415, 4602878339444778530)
         );
         assert_eq!((report.aggregate.events_pending, report.aggregate.events_overflowed), (1024, 394640));
+        // Each window shipped its 1,024 buffered events, and the overflow.
+        assert_eq!(link_events().get() - shipped, 3 * 1024 + 394640);
         assert_eq!(checkpoints, [2100650306435098543, 16756292368021505287, 5465299347607903970]);
     }
 

@@ -1,25 +1,35 @@
 //! Golden values of the closed loop: the FNV-1a hash of the whole run state
 //! (`ThermalEmulation::checkpoint().to_bytes()`) after every window of the
-//! two machines the benchmark's emulations run — 20 windows of the paper's
-//! Fig. 6 run (MATRIX-TM on four cores with dual-threshold DFS) and 40
-//! two-millisecond windows of one dithering core behind the OPB bus.
+//! three machines the benchmark's emulations run — 20 windows of the
+//! paper's Fig. 6 run (MATRIX-TM on four cores with dual-threshold DFS), 40
+//! two-millisecond windows of one dithering core behind the OPB bus, and 10
+//! windows of the benchmark's `fine_mesh` run (the same kind of core on a
+//! die meshed far finer, solved by strict serial multigrid).
 //!
 //! The state holds the machine (cores, caches, memories, interconnect,
 //! sniffers, VPCM), the thermal field and its solver history, the link,
 //! the DFS ladder, the trace and every cumulative counter, so a change in
 //! any stage of the loop — ISS, power, link, thermal, sensors, policy —
-//! fails here, where `iss_golden` runs the machine alone. The windows take
-//! seconds in a release build, so the tests are ignored in tier-1 and run
-//! from `scripts/check.sh`:
+//! fails here, where `iss_golden` runs the machine alone. The first two
+//! runs solve the paper's mesh by Gauss–Seidel; the `fine_mesh` windows
+//! pin every bit of the multigrid solver, which the 1e-4 K solver goldens
+//! would let move. The first two take seconds in a release build, so they
+//! are ignored in tier-1 and run from `scripts/check.sh`:
 //!
 //! ```text
 //! cargo test --release -p temu-framework --test closed_loop_golden -- --include-ignored
 //! ```
 //!
+//! The `fine_mesh` windows take well under a second in the test profile
+//! and run in tier-1.
+//!
 //! A change that means to move the emulation updates these values and says
 //! why.
 
-use temu_framework::{fnv1a64, Scenario};
+use temu_framework::{fnv1a64, ImplicitSolve, Scenario, Workload};
+use temu_platform::PlatformConfig;
+use temu_thermal::{GridConfig, SweepMode};
+use temu_workloads::dithering::DitherConfig;
 
 /// The state hash after each of the first `windows` windows of `scenario`.
 fn window_hashes(scenario: &Scenario, windows: usize) -> Vec<u64> {
@@ -63,6 +73,36 @@ fn exploration_bus_state_after_every_window() {
             0x488b_808e_10dd_e21f, 0x05d5_2e23_83a4_fc2a, 0x1af3_6c0f_14b2_539f, 0x0032_dd75_bc4b_fb8d,
             0x93c8_e7ab_f761_9c68, 0xaf4c_4e58_bbb4_435f, 0x5e7e_7892_4e2a_00d6, 0x8054_4c88_613c_6dcb,
             0xef6d_07ef_28ad_8545, 0xd280_84f8_c083_6756, 0x7f4d_d185_451e_1939, 0x4539_db46_3c27_42b4,
+        ]
+    );
+}
+
+/// The benchmark's `fine_mesh` run at seed 1: one bus core dithering
+/// 128×128 images in 2 ms windows on an 18/36/120 µm mesh (14,876 cells,
+/// four multigrid levels), solved by strict serial multigrid.
+#[test]
+fn fine_mesh_state_after_every_window() {
+    let scenario = Scenario::new()
+        .platform(PlatformConfig::paper_bus(1))
+        .workload(Workload::Dithering { cfg: DitherConfig { width: 128, height: 128, images: 16, cores: 1 }, seed: 1 })
+        .grid(GridConfig {
+            default_div: 18,
+            hot_div: 36,
+            filler_pitch_um: 120.0,
+            sweep: SweepMode::Serial,
+            implicit_solve: ImplicitSolve::Multigrid,
+            strict_convergence: true,
+            ..GridConfig::default()
+        })
+        .sampling_window_s(0.002)
+        .no_policy()
+        .windows(40);
+    assert_eq!(
+        window_hashes(&scenario, 10),
+        [
+            0x54e8_6874_6f2a_f730, 0x7bd2_b767_8adf_5db0, 0xcba3_bb9f_9df7_438d, 0x2e1f_8e06_725a_290c,
+            0x6aa6_0b45_e944_da01, 0x3843_c647_cac3_5ba6, 0xa615_4beb_fe5b_1c59, 0x363e_615e_f7f9_1fed,
+            0xfc6e_3e4f_ff19_3fff, 0x9070_6a61_b048_2ad6,
         ]
     );
 }

@@ -17,44 +17,45 @@
 //! discriminant per TE32 operation (`add`, `mulh`, `lhu`, `bgeu`, `jalr`,
 //! …) with its registers and its immediate already extended.
 //! [`Cpu::execute`] is one `match` over ops and the only definition of
-//! each instruction's effect; the phase-at-a-time path and both kinds of
-//! block entry below run it, and each times the phase and books the
-//! counters itself.
+//! each instruction's effect; the phase-at-a-time path and warm block
+//! entries run it, and each times the phase and books the counters itself.
 //!
 //! [`Cpu::run_local`] runs private cached text a block at a time: up to 32
 //! ops of straight-line code, ending at (and including) the first control
-//! transfer or `halt`, or before an undecodable word. Loads, stores and
-//! `tas` stay inside a block: each one's data phase runs right after its
-//! fetch phase, under the rule `run_local` applies between phases (local
-//! time below the limit, address below the core-local end); where the rule
-//! fails, the block stops with the access parked. A store or `tas` over the
-//! block's own text ends the block right after it, so the words after it
-//! are fetched again. A block keeps the bytes it was decoded from and
-//! compares them with memory on every entry, so stores over the text and
-//! restored checkpoints need no invalidation.
+//! transfer or `halt`, or before an undecodable word. A block keeps the
+//! bytes it was decoded from and compares them with memory on every entry,
+//! so stores over the text and restored checkpoints need no invalidation.
 //!
-//! A cold entry fetches each instruction through the full
-//! [`MemoryPort::fetch`], as phase-at-a-time execution does. An entry that
-//! fetched every instruction of its block records the I-cache's generation
-//! ([`Text::generation`]) read at its start. The port changes the
-//! generation on every fill and whenever else a line may leave the
-//! I-cache, so the mark matches again only if no fetch of the entry
-//! missed, and while it does all the block's lines are present: the block
-//! runs warm, every fetch a hit. An entry keeps the local clock in a local
-//! and the PC as the index of the op it is at, and books the clock, the PC
-//! and the counters of the ops it retired once, at exit. `run_local` books
-//! the fetch hits of warm entries of one block in a row in one
-//! [`MemoryPort::fetch_hits`] call, before any other fetch of the core and
-//! before it returns, also with a data fault. A load or store that hits the
-//! core's private D-cache runs in place ([`MemoryPort::data_hit`]); every
-//! other data access (a miss, shared or MMIO data, `tas`, a write-through
-//! store, an access the port declines) goes through the full
-//! [`MemoryPort::read`], `write` or `tas`. Every cycle, counter, cache tag,
-//! LRU stamp and access tick ends exactly where phase-at-a-time execution
-//! leaves it. Text with no block (outside the private cacheable range,
-//! without an I-cache, misaligned or undecodable) runs one phase at a time,
-//! and [`Cpu::step`] always does: it is what the shared-phase order and the
-//! `temu-des` baseline run, with no block code in its path.
+//! A cold entry is phase-at-a-time execution: [`Cpu::fetch_phase`] and
+//! [`Cpu::data_phase`], with the decode cache's ops, under the rule
+//! `run_local` applies between phases (local time below the limit, next
+//! access below the core-local end), while the PC walks the block's text.
+//! Text with no block (outside the private cacheable range, without an
+//! I-cache, misaligned or undecodable) runs as a one-instruction cold
+//! entry. A cold entry that fetched every instruction of its block records
+//! the I-cache's generation ([`Text::generation`]) read at its start. The
+//! port changes the generation on every fill and whenever else a line may
+//! leave the I-cache, so the mark matches again only if no fetch of the
+//! entry missed, and while it does all the block's lines are present.
+//!
+//! While its mark matches, a block runs warm ([`Cpu::run_decoded`]): every
+//! fetch a hit, the core's clock kept in a local and the PC as the index
+//! of the op it is at. Loads, stores and `tas` stay inside the block: each one's
+//! data phase runs right after its fetch under the same rule; where the
+//! rule fails, the block stops with the access parked. A load or store that
+//! hits the core's private D-cache runs in place ([`MemoryPort::data_hit`]);
+//! every other data access (a miss, shared or MMIO data, `tas`, a
+//! write-through store, an access the port declines) goes through the full
+//! [`MemoryPort::read`], `write` or `tas`. A store or `tas` over the block's
+//! own text ends the block right after it, so the words after it are
+//! fetched again. A warm entry books the clock, the PC and the counters of
+//! the ops it retired once, at exit, and `run_local` books the fetch hits of
+//! warm entries of one block in a row in one [`MemoryPort::fetch_hits`]
+//! call, before any other fetch of the core and before it returns, also
+//! with a data fault. Every cycle, counter, cache tag, LRU stamp and access
+//! tick ends exactly where phase-at-a-time execution leaves it.
+//! [`Cpu::step`] always runs one phase: it is what the shared-phase order
+//! and the `temu-des` baseline run, with no block code in its path.
 
 use crate::port::{MemReply, MemoryPort, Text};
 use crate::regfile::RegFile;
@@ -402,8 +403,6 @@ enum Exit {
     Ran,
     /// After a taken branch or a jump to the target.
     Jumped(u32),
-    /// A fetch faulted.
-    Fault(CpuError),
     /// With the data access of the instruction at the PC parked for later.
     Parked(DataOp, u32),
     /// The data access of the instruction at the PC faulted.
@@ -668,15 +667,16 @@ impl Cpu {
     /// memory and its counters), so these phases may run ahead of other
     /// cores' work; `0` runs nothing, `1 << 32` runs to `limit` or `halt`.
     ///
-    /// Fetch phases run as blocks where the port offers the text
-    /// ([`MemoryPort::text`]): each phase of a block after its first — a
-    /// fetch, or the data phase of a load, store or `tas` — runs under the
-    /// same `limit` and `local_end` rule, and D-cache hits run through
-    /// [`MemoryPort::data_hit`]. The fetch hits of warm entries of one
-    /// block in a row are booked in one [`MemoryPort::fetch_hits`] call,
-    /// before any other fetch and before the call returns. The result —
-    /// state, counters and cache — is the one phase-at-a-time execution
-    /// gives, which remains the path for text with no block.
+    /// Fetch phases run a block at a time where the port offers the text
+    /// ([`MemoryPort::text`]), else one at a time: each phase of a block
+    /// after its first — a fetch, or the data phase of a load, store or
+    /// `tas` — runs under the same `limit` and `local_end` rule. A cold
+    /// block entry is those phases themselves. A warm one runs its D-cache
+    /// hits through [`MemoryPort::data_hit`], and the fetch hits of warm
+    /// entries of one block in a row are booked in one
+    /// [`MemoryPort::fetch_hits`] call, before any other fetch and before
+    /// the call returns. The result — state, counters and cache — is the
+    /// one phase-at-a-time execution gives.
     ///
     /// # Errors
     ///
@@ -693,14 +693,7 @@ impl Cpu {
                     self.pending = None;
                     self.data_phase(port, op, pc).map(drop)
                 }
-                None if u64::from(self.pc) < local_end => match self.run_block(port, limit, local_end, &mut warm) {
-                    Ok(true) => Ok(()),
-                    Ok(false) => {
-                        warm.book(port, self.id);
-                        self.fetch_phase(port).map(drop)
-                    }
-                    Err(err) => Err(err),
-                },
+                None if u64::from(self.pc) < local_end => self.run_block(port, limit, local_end, &mut warm),
                 _ => break Ok(()),
             };
             if let Err(err) = phase {
@@ -775,55 +768,84 @@ impl Cpu {
         Ok(if self.halted { StepOutcome::Halted } else { StepOutcome::Executed })
     }
 
-    /// Runs the block of straight-line code at the PC, phase by phase, as
-    /// [`Cpu::fetch_phase`] and [`Cpu::data_phase`] would with the same
-    /// `limit` and `local_end` rule as [`Cpu::run_local`] between phases;
-    /// returns `false`, having run nothing, when the PC has no block.
+    /// Runs the block of straight-line code at the PC: warm through
+    /// [`Cpu::run_decoded`] while its mark matches, else as a cold entry
+    /// ([`Cpu::run_phases`]). Text with no block (no [`MemoryPort::text`],
+    /// or an undecodable first word) runs as a one-instruction cold entry.
     ///
-    /// After an entry that fetched every instruction of the block, the
+    /// After a cold entry that fetched every instruction of the block, the
     /// block records the I-cache generation ([`Text::generation`]) read at
     /// the entry's start. A fill during the entry moves the generation, so
     /// only an entry whose fetches all hit leaves a mark that can match;
     /// while the I-cache reports it, all the block's lines are present and
-    /// the block runs warm. See [`Cpu::run_decoded`] for the loop.
+    /// the block runs warm.
     fn run_block<P: MemoryPort + ?Sized>(
         &mut self,
         port: &mut P,
         limit: u64,
         local_end: u64,
         warm: &mut WarmRuns,
-    ) -> Result<bool, CpuError> {
-        let Some(text) = port.text(self.id, self.pc, BLOCK_BYTES) else { return Ok(false) };
+    ) -> Result<(), CpuError> {
+        let Some(text) = port.text(self.id, self.pc, BLOCK_BYTES) else {
+            return self.run_phases(port, 1, limit, local_end, warm).map(drop);
+        };
         let Text { hit_latency, generation, .. } = text;
         // The table moves out while the block runs, so the block is
         // borrowed from it rather than copied.
         let mut blocks = std::mem::take(&mut self.blocks);
         let block = blocks.get(self.pc, text.bytes);
-        let ran = block.len > 0;
-        let result = if !ran {
-            Ok(())
-        } else if block.warm == Some(generation) {
-            self.run_decoded::<P, true>(port, block, u64::from(hit_latency), limit, local_end, warm).map(drop)
+        let result = if block.warm == Some(generation) {
+            self.run_decoded(port, block, u64::from(hit_latency), limit, local_end, warm)
         } else {
-            warm.book(port, self.id);
-            self.run_decoded::<P, false>(port, block, 0, limit, local_end, warm).map(|whole| {
-                if whole {
+            // Only a decoded block takes a mark; with none, the first word
+            // runs alone.
+            self.run_phases(port, block.len.max(1), limit, local_end, warm).map(|whole| {
+                if whole && block.len > 0 {
                     block.warm = Some(generation);
                 }
             })
         };
         self.blocks = blocks;
-        result.map(|()| ran)
+        result
     }
 
-    /// The loop of [`Cpu::run_block`] over `block`, which starts at the PC;
-    /// returns whether it fetched every instruction of the block.
-    ///
-    /// Cold (`WARM` false), each instruction is fetched through
-    /// [`MemoryPort::fetch`], as [`Cpu::fetch_phase`] fetches it, after the
-    /// warm runs before it are booked. `WARM`, every fetch is a hit taking
-    /// `hit_latency` cycles, and the entry adds its fetches to the `warm`
-    /// runs that [`Cpu::run_local`] books. Each op runs through
+    /// A cold entry: books the `warm` runs before it, then runs the `len`
+    /// instructions from the PC one phase at a time through
+    /// [`Cpu::fetch_phase`] and [`Cpu::data_phase`], under
+    /// [`Cpu::run_local`]'s rule between phases, while the PC walks them in
+    /// order. Returns whether it fetched all `len`.
+    fn run_phases<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        len: usize,
+        limit: u64,
+        local_end: u64,
+        warm: &mut WarmRuns,
+    ) -> Result<bool, CpuError> {
+        warm.book(port, self.id);
+        let start = u64::from(self.pc);
+        let mut fetched = 0;
+        loop {
+            self.fetch_phase(port)?;
+            fetched += 1;
+            if let Some((op, pc)) = self.pending {
+                if self.time >= limit || u64::from(op.addr()) >= local_end {
+                    break;
+                }
+                self.pending = None;
+                self.data_phase(port, op, pc)?;
+            }
+            let next = start + 4 * fetched as u64;
+            if fetched == len || self.halted || self.time >= limit || u64::from(self.pc) != next || next >= local_end {
+                break;
+            }
+        }
+        Ok(fetched == len)
+    }
+
+    /// A warm entry of `block`, which starts at the PC: every fetch is a
+    /// hit taking `hit_latency` cycles, and the entry adds its fetches to
+    /// the `warm` runs that [`Cpu::run_local`] books. Each op runs through
     /// [`Cpu::execute`]; a memory instruction's data phase runs in place
     /// after its fetch, a private D-cache hit without a full access
     /// ([`MemoryPort::data_hit`]). A store or `tas` over the block's own
@@ -838,7 +860,7 @@ impl Cpu {
     /// retired at once: their number, the cycles, a taken branch, and
     /// their [`Mix`], the block's own when it retired them all.
     #[inline(never)]
-    fn run_decoded<P: MemoryPort + ?Sized, const WARM: bool>(
+    fn run_decoded<P: MemoryPort + ?Sized>(
         &mut self,
         port: &mut P,
         block: &Block,
@@ -846,7 +868,7 @@ impl Cpu {
         limit: u64,
         local_end: u64,
         warm: &mut WarmRuns,
-    ) -> Result<bool, CpuError> {
+    ) -> Result<(), CpuError> {
         let start = block.pc;
         let text_end = u64::from(start) + 4 * block.len as u64;
         // `run_local` checked the first fetch against `local_end`; these
@@ -860,17 +882,7 @@ impl Cpu {
             let (data, pc) = loop {
                 let op = ops[fetched];
                 let pc = start + 4 * fetched as u32;
-                if WARM {
-                    t += hit_latency;
-                } else {
-                    match port.fetch(self.id, pc, t) {
-                        Ok(fetch) => {
-                            stall += fetch.stall;
-                            t = fetch.done_at;
-                        }
-                        Err(err) => break 'entry Exit::Fault(CpuError::Mem { pc, err }),
-                    }
-                }
+                t += hit_latency;
                 fetched += 1;
                 match self.execute(op, pc, &mut t) {
                     Flow::Next if fetched < ops.len() && t < limit => {}
@@ -896,7 +908,6 @@ impl Cpu {
         let (retired, jump, fault) = match exit {
             Exit::Ran => (fetched, None, None),
             Exit::Jumped(target) => (fetched, Some(target), None),
-            Exit::Fault(err) => (fetched, None, Some(err)),
             Exit::Parked(data, pc) => {
                 self.pending = Some((data, pc));
                 (fetched - 1, None, None)
@@ -914,10 +925,8 @@ impl Cpu {
         stats.active_cycles += t - t0 - stall;
         stats.taken_branches += u64::from(jump.is_some());
         if retired == block.len { block.mix } else { Mix::of(&block.ops[..retired]) }.book(stats);
-        if WARM {
-            warm.add(port, self.id, start, fetched as u32);
-        }
-        fault.map_or(Ok(fetched == block.len), Err)
+        warm.add(port, self.id, start, fetched as u32);
+        fault.map_or(Ok(()), Err)
     }
 
     /// The data phase of a block's memory instruction, starting at `now`:
@@ -943,9 +952,9 @@ impl Cpu {
     /// writes its result register (and, for `halt`, the halt flag), adds
     /// the execute-phase extra its operation takes to `t` and returns how
     /// the phase ends. The one definition of every instruction's effect,
-    /// run by [`Cpu::step`] and by cold and warm block entries alike, which
-    /// time the rest of the phase and book its counters: `step` per phase,
-    /// a block once per entry.
+    /// run by the phases ([`Cpu::step`] and cold block entries) and by warm
+    /// block entries alike, which time the rest of the phase and book its
+    /// counters: a phase per phase, a warm entry once per entry.
     #[inline(always)]
     fn execute(&mut self, op: Op, pc: u32, t: &mut u64) -> Flow {
         let Op { kind, rd, rs1, rs2, imm } = op;
@@ -1397,12 +1406,14 @@ mod tests {
         assert_eq!(state(&cpu), state(&stepped));
         assert_eq!(blocks.inner.mem, port.mem);
         assert_eq!(blocks.fetched(), cpu.stats().instructions, "every instruction fetched once");
-        assert_eq!(blocks.data_hits, 14, "every load and store ran in place");
+        assert_eq!(blocks.data_hits, 10, "every warm load and store ran in place");
         // The first pass runs the block at 0 cold and fills the three
         // lines; the second enters the loop block at 4 cold, fetching its
-        // eight words with every line present; passes 3 to 7 run it warm
-        // with no full fetch, and their five runs of eight fetches are
-        // booked at once before the halt block runs cold.
+        // eight words with every line present. Both take the full `read`
+        // and `write`, as the phases do. Passes 3 to 7 run it warm with no
+        // full fetch, their loads and stores in place, and their five runs
+        // of eight fetches are booked at once before the halt block runs
+        // cold.
         assert_eq!(blocks.fetches, 9 + 8 + 1, "cold entries fetch every word");
         assert_eq!(blocks.booked, [(4, 8, 5)], "warm passes in a row book at once");
 

@@ -38,21 +38,21 @@ pub struct Text<'a> {
 /// immediately and model all timing in the returned [`MemReply`].
 ///
 /// The three provided methods let a core run straight-line code as a
-/// block with its core-local cache hits kept off the full access path:
-/// [`MemoryPort::text`] hands it the instruction bytes and the I-cache's
-/// generation, [`MemoryPort::fetch_hits`] books the fetches of a warm
-/// block's entries in a row at once, and [`MemoryPort::data_hit`]
+/// warm block with its core-local cache hits kept off the full access
+/// path: [`MemoryPort::text`] hands it the instruction bytes and the
+/// I-cache's generation, [`MemoryPort::fetch_hits`] books the fetches of a
+/// warm block's entries in a row at once, and [`MemoryPort::data_hit`]
 /// performs a load or store that hits the core's private D-cache in
-/// place. Their defaults decline, so
-/// every access then goes through [`MemoryPort::fetch`],
-/// [`MemoryPort::read`] and [`MemoryPort::write`], as phase-at-a-time
-/// execution does.
+/// place. Their defaults decline, so every access then goes through
+/// [`MemoryPort::fetch`], [`MemoryPort::read`] and [`MemoryPort::write`],
+/// as phase-at-a-time execution does; a cold block entry is that
+/// execution, and uses only `text` and those.
 ///
 /// A port that answers `text` books fetch hits, and must change the
 /// generation it reports on every I-cache fill and whenever else a line
-/// may leave the I-cache. A core that fetched a whole block through
-/// `fetch` runs it warm while the port reports the generation read at
-/// the start of that entry: it fetches nothing and books the block's
+/// may leave the I-cache. A core whose cold entry fetched a whole block
+/// through `fetch` runs it warm while the port reports the generation read
+/// at the start of that entry: it fetches nothing and books the block's
 /// fetches with `fetch_hits` after the data accesses between them, at the
 /// latest before its next fetch, so data accesses must leave the I-cache
 /// alone.

@@ -34,6 +34,8 @@
 //! "failed", "wall_s"}` exactly once, last (with `"error"` when the job
 //! failed to lower and `"cancelled": true` when it was cancelled).
 //!
+//! An optional field that is absent or `null` takes its default; one of
+//! the wrong type (`"job": "7"`, `"priority": 1.5`) refuses the request.
 //! Responses to failed requests are `{"ok": false, "error": "..."}`; the
 //! connection stays usable. Refusals a peer may want to branch on also
 //! carry a machine-readable `"code"` field (`frame_too_long`,
@@ -447,8 +449,8 @@ impl Request {
                 let spec_value =
                     v.get("sweep").ok_or_else(|| String::from("\"submit\" needs a \"sweep\" spec object"))?;
                 let spec = SweepSpec::from_value(spec_value).map_err(|e| e.to_string())?;
-                let watch = v.get("watch").and_then(JsonValue::as_bool).unwrap_or(false);
-                let priority = v.get("priority").and_then(JsonValue::as_i64).unwrap_or(0);
+                let watch = optional(&v, cmd, "watch", "a boolean", JsonValue::as_bool)?.unwrap_or(false);
+                let priority = optional(&v, cmd, "priority", "an integer", JsonValue::as_i64)?.unwrap_or(0);
                 Ok(Request::Submit { spec: Box::new(spec), watch, priority })
             }
             "status" => Ok(Request::Status { job: job()? }),
@@ -458,9 +460,9 @@ impl Request {
             "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
             "results" => {
-                let after = v.get("after").and_then(JsonValue::as_u64).unwrap_or(0);
-                let follow = v.get("follow").and_then(JsonValue::as_bool).unwrap_or(false);
-                let job = v.get("job").and_then(JsonValue::as_u64);
+                let after = optional(&v, cmd, "after", "a non-negative integer", JsonValue::as_u64)?.unwrap_or(0);
+                let follow = optional(&v, cmd, "follow", "a boolean", JsonValue::as_bool)?.unwrap_or(false);
+                let job = optional(&v, cmd, "job", "a non-negative integer", JsonValue::as_u64)?;
                 Ok(Request::Results { after, follow, job })
             }
             "shutdown" => Ok(Request::Shutdown),
@@ -504,6 +506,24 @@ impl Request {
             Request::Stats | Request::Metrics | Request::Shutdown => line,
         }
         .finish()
+    }
+}
+
+/// The optional field `field` of request `cmd`: `None` when absent or
+/// `null`; present, `read` must accept it, or the request is refused with
+/// what the field wants.
+fn optional<T>(
+    v: &JsonValue,
+    cmd: &str,
+    field: &str,
+    want: &str,
+    read: impl Fn(&JsonValue) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match v.get(field) {
+        None | Some(JsonValue::Null) => Ok(None),
+        Some(x) => read(x)
+            .map(Some)
+            .ok_or_else(|| format!("\"{cmd}\" field \"{field}\" must be {want}, got {}", x.type_name())),
     }
 }
 
@@ -622,6 +642,29 @@ mod tests {
         assert!(Request::parse("{\"cmd\": \"submit\"}").unwrap_err().contains("sweep"));
         let bad_spec = "{\"cmd\": \"submit\", \"sweep\": {\"sweep\": \"x\", \"base\": {\"preset\": 7}}}";
         assert!(Request::parse(bad_spec).unwrap_err().contains("preset"));
+        // A present optional field of the wrong type is refused, not read
+        // as its default; an absent or null one keeps the default.
+        let sweep = "\"sweep\": {\"sweep\": \"g\", \"base\": {\"preset\": \"smoke\"}, \"axes\": []}";
+        for (line, want) in [
+            (format!("{{\"cmd\": \"submit\", \"priority\": 1.5, {sweep}}}"), "\"priority\" must be an integer, got number"),
+            (format!("{{\"cmd\": \"submit\", \"priority\": \"9\", {sweep}}}"), "\"priority\" must be an integer, got string"),
+            (format!("{{\"cmd\": \"submit\", \"watch\": 1, {sweep}}}"), "\"watch\" must be a boolean, got number"),
+            (String::from("{\"cmd\": \"results\", \"job\": \"7\"}"), "\"job\" must be a non-negative integer, got string"),
+            (String::from("{\"cmd\": \"results\", \"job\": -7}"), "\"job\" must be a non-negative integer, got number"),
+            (String::from("{\"cmd\": \"results\", \"after\": 2.5}"), "\"after\" must be a non-negative integer, got number"),
+            (String::from("{\"cmd\": \"results\", \"follow\": \"true\"}"), "\"follow\" must be a boolean, got string"),
+        ] {
+            let err = Request::parse(&line).unwrap_err();
+            assert!(err.contains(want), "{line}: {err}");
+        }
+        let defaults = Request::Results { after: 0, follow: false, job: None };
+        assert_eq!(Request::parse("{\"cmd\": \"results\"}").unwrap(), defaults);
+        let nulls = "{\"cmd\": \"results\", \"after\": null, \"follow\": null, \"job\": null}";
+        assert_eq!(Request::parse(nulls).unwrap(), defaults);
+        match Request::parse(&format!("{{\"cmd\": \"submit\", {sweep}}}")).unwrap() {
+            Request::Submit { watch, priority, .. } => assert_eq!((watch, priority), (false, 0)),
+            other => panic!("expected submit, got {other:?}"),
+        }
     }
 
     #[test]

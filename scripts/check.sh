@@ -437,4 +437,8 @@ target/release/temu-client --addr "$member_b" shutdown
 for pid in $PIDS; do reap "$pid" || true; done
 echo "fleet smoke OK"
 
+echo "== size =="
+# Not a gate: the non-test Rust lines every change reports its net from.
+scripts/loc.sh | tail -n 1
+
 echo "All checks passed."
