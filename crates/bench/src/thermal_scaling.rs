@@ -43,9 +43,12 @@ pub struct CaseResult {
     pub wall_s: f64,
     /// The headline number: substeps per wall-clock second.
     pub substeps_per_s: f64,
-    /// Mean fine-grid Gauss–Seidel sweeps per substep (0 for explicit).
+    /// Mean fine-grid Gauss–Seidel sweeps per substep over the first
+    /// measured window's substeps, the same ones on every build however
+    /// many windows fit the budget (0 for explicit).
     pub avg_sweeps: f64,
-    /// Mean multigrid cycles per substep (0 off the multigrid path).
+    /// Mean multigrid cycles per substep over the same substeps (0 off
+    /// the multigrid path).
     pub avg_cycles: f64,
     /// Implicit substeps accepted unconverged over the whole model
     /// lifetime (warm-up included) — non-zero rows are measuring a solver
@@ -151,22 +154,23 @@ fn measure_case(
     // One warm-up window takes the model off the cold start (and fills the
     // warm-start/SOR state the steady loop runs with).
     model.step(0.010);
-    let substeps0 = model.substeps_taken();
+    let warm = model.solver_stats();
     let t0 = Instant::now();
     let mut windows = 0u64;
-    let mut sweep_samples = 0.0f64;
-    let mut cycle_samples = 0.0f64;
+    let mut first = None;
     loop {
         model.step(0.010);
         windows += 1;
-        sweep_samples += model.last_sweep_count() as f64;
-        cycle_samples += model.last_cycle_count() as f64;
+        first.get_or_insert_with(|| model.solver_stats());
         if t0.elapsed().as_secs_f64() >= budget_s {
             break;
         }
     }
     let wall_s = t0.elapsed().as_secs_f64();
-    let substeps = model.substeps_taken() - substeps0;
+    let substeps = model.solver_stats().substeps - warm.substeps;
+    // The first measured window's solver effort per substep.
+    let first = first.expect("one window ran");
+    let per_substep = |count: u64| count as f64 / (first.substeps - warm.substeps) as f64;
     let max_temp_k = model.max_temp();
     assert!(max_temp_k.is_finite(), "{mesh}/{}/{}: non-finite temperature", integrator.0, sweep.0);
     assert!(max_temp_k >= cfg.ambient_k - 1e-6, "{mesh}: below ambient");
@@ -182,8 +186,8 @@ fn measure_case(
         substeps,
         wall_s,
         substeps_per_s: substeps as f64 / wall_s,
-        avg_sweeps: if implicit { sweep_samples / windows as f64 } else { 0.0 },
-        avg_cycles: if implicit { cycle_samples / windows as f64 } else { 0.0 },
+        avg_sweeps: if implicit { per_substep(first.total_sweeps - warm.total_sweeps) } else { 0.0 },
+        avg_cycles: if implicit { per_substep(first.total_cycles - warm.total_cycles) } else { 0.0 },
         unconverged: model.solver_stats().unconverged_substeps,
         max_temp_k,
     }

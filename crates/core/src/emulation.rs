@@ -27,10 +27,15 @@ pub const STATE_VERSION: u32 = 1;
 /// embedded in an [`EmulationState`].
 const PLATFORM_MAGIC: [u8; 4] = *b"TPLT";
 const PLATFORM_VERSION: u32 = 1;
+/// Zero words in the retired section of an [`EmulationState`] stream (see
+/// [`EmulationState::to_bytes`]): a per-call baseline of windows, virtual
+/// seconds, cycles and FPGA seconds, four link counters, five solver
+/// counters, and a residual watermark.
+const RETIRED_ZERO_WORDS: usize = 14;
 
 /// A mid-run window observer: `(every, hook)` — the hook sees the
 /// emulation at a checkpointable window boundary after every `every`-th
-/// window of the logical run (see [`ThermalEmulation::run_budget`]).
+/// window since the build (see [`ThermalEmulation::run_budget`]).
 pub(crate) type WindowObserver<'a> =
     Option<(u64, &'a mut dyn FnMut(&ThermalEmulation) -> Result<(), TemuError>)>;
 
@@ -63,76 +68,43 @@ impl Default for EmulationConfig {
     }
 }
 
-/// Summary of one finished co-emulation run call.
+/// Summary of an emulation's run, counted from its build.
 ///
-/// Every field is a **per-call delta**: a second `run_windows` /
-/// `run_to_halt` call on the same emulation reports only the windows,
-/// time, cycles, statistics and link traffic of *that* call, so throughput
-/// derived from a report (windows per wall second, virtual-to-FPGA ratio)
-/// is always internally consistent. Lifetime totals across every call stay
-/// available on the emulation itself via [`ThermalEmulation::totals`].
+/// Every field but `wall` covers every window since the build, so a
+/// second `run_windows` / `run_to_halt` call reports the first call's
+/// windows too, and [`ThermalEmulation::totals`] returns the same account
+/// between calls. A restored emulation continues the counts of the run
+/// its checkpoint came from: a resumed run reports what the uninterrupted
+/// one would, wall time excepted.
 #[derive(Clone, Debug)]
 #[must_use]
 pub struct EmulationReport {
-    /// Sampling windows executed by this call.
+    /// Sampling windows executed.
     pub windows: u64,
-    /// Virtual seconds emulated by this call.
+    /// Virtual seconds emulated.
     pub virtual_seconds: f64,
-    /// Virtual cycles executed by this call (varies with DFS).
+    /// Virtual cycles executed (varies with DFS).
     pub virtual_cycles: u64,
-    /// Modeled FPGA (physical) time of this call, including VPCM freezes —
-    /// the Table 3 "HW Emulator" quantity, now with the thermal loop
-    /// attached.
+    /// Modeled FPGA (physical) time, including VPCM freezes — the Table 3
+    /// "HW Emulator" quantity, now with the thermal loop attached.
     pub fpga_seconds: f64,
-    /// Host wall-clock time of this call (platform + thermal + link).
+    /// Host wall-clock time (platform + thermal + link) of this
+    /// emulation's `run_*` calls. It is not checkpointed: a resumed run
+    /// counts only its own calls.
     pub wall: Duration,
     /// Whether every core halted.
     pub all_halted: bool,
-    /// Aggregate platform statistics of this call's windows.
+    /// Aggregate platform statistics of the windows.
     pub aggregate: WindowStats,
-    /// Statistics-link traffic of this call.
+    /// Statistics-link traffic.
     pub link: LinkStats,
-    /// Convergence accounting of the thermal solver over this call. A non-zero
+    /// Convergence accounting of the thermal solver. A non-zero
     /// `unconverged_substeps` means the temperature trace was produced by
     /// an implicit solver that silently stopped converging — configure
     /// `GridConfig::strict_convergence` (or
     /// `Scenario::strict_convergence`) to turn that into a hard
     /// [`TemuError::Thermal`] instead.
     pub solver: SolverStats,
-}
-
-/// Lifetime totals of a [`ThermalEmulation`], accumulated across every
-/// `run_*` call (the cumulative view that [`EmulationReport`]'s per-call
-/// deltas deliberately exclude).
-#[derive(Clone, Debug)]
-#[must_use]
-pub struct EmulationTotals {
-    /// Sampling windows executed since construction.
-    pub windows: u64,
-    /// Virtual seconds emulated since construction.
-    pub virtual_seconds: f64,
-    /// Virtual cycles executed since construction.
-    pub virtual_cycles: u64,
-    /// Modeled FPGA (physical) time since construction.
-    pub fpga_seconds: f64,
-    /// Aggregate platform statistics since construction.
-    pub aggregate: WindowStats,
-    /// Statistics-link traffic since construction.
-    pub link: LinkStats,
-    /// Thermal-solver convergence accounting since construction.
-    pub solver: SolverStats,
-}
-
-/// Per-call baseline captured at the start of each `run_*` call so the
-/// report can subtract everything that happened before it.
-#[derive(Clone, Debug, Default)]
-struct CallBase {
-    windows: u64,
-    virtual_seconds: f64,
-    virtual_cycles: u64,
-    fpga_seconds: f64,
-    link: LinkStats,
-    solver: SolverStats,
 }
 
 /// The in-process sequential HW/SW co-emulation.
@@ -154,11 +126,8 @@ pub struct ThermalEmulation {
     virtual_cycles: u64,
     fpga_seconds: f64,
     aggregate: WindowStats,
-    call_aggregate: WindowStats,
-    call_base: CallBase,
-    /// Residual watermarks of *previous* calls (the model's own watermark
-    /// is re-armed per call), folded into [`ThermalEmulation::totals`].
-    past_worst_residual_k: f64,
+    /// Host time spent in `run_*` calls.
+    wall: Duration,
     /// Content key of the [`crate::Scenario`] that built this emulation
     /// (0 for hand-wired emulations), embedded in every checkpoint so
     /// [`crate::Scenario::resume_run`] can refuse state from a different
@@ -205,9 +174,7 @@ impl ThermalEmulation {
             virtual_cycles: 0,
             fpga_seconds: 0.0,
             aggregate: WindowStats::default(),
-            call_aggregate: WindowStats::default(),
-            call_base: CallBase::default(),
-            past_worst_residual_k: 0.0,
+            wall: Duration::ZERO,
             scenario_key: 0,
         })
     }
@@ -291,7 +258,6 @@ impl ThermalEmulation {
         self.virtual_cycles += stats.cycles();
         self.fpga_seconds += physical_window_s + link_freeze_s;
         self.aggregate.merge(&stats);
-        self.call_aggregate.merge(&stats);
         let hottest = temps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         self.trace.push(TraceSample {
             t_virtual_s: self.virtual_seconds,
@@ -346,25 +312,28 @@ impl ThermalEmulation {
         }
     }
 
-    /// Runs windows until every core halts or `max_windows` elapse.
+    /// Runs up to `max_windows` more windows, stopping once every core
+    /// has halted. The report covers the run since the build.
     ///
     /// # Errors
     ///
     /// Propagates platform faults and (strict mode) thermal
     /// non-convergence.
     pub fn run_to_halt(&mut self, max_windows: u64) -> Result<EmulationReport, TemuError> {
-        self.run_budget(RunBudget::ToHalt { max_windows }, false, None)
+        let max_windows = self.windows.saturating_add(max_windows);
+        self.run_budget(RunBudget::ToHalt { max_windows }, None)
     }
 
-    /// Runs a fixed number of windows regardless of halting (long thermal
-    /// observations over repeating workloads).
+    /// Runs `n` more windows regardless of halting (long thermal
+    /// observations over repeating workloads). The report covers the run
+    /// since the build.
     ///
     /// # Errors
     ///
     /// Propagates platform faults and (strict mode) thermal
     /// non-convergence.
     pub fn run_windows(&mut self, n: u64) -> Result<EmulationReport, TemuError> {
-        self.run_budget(RunBudget::Windows(n), false, None)
+        self.run_budget(RunBudget::Windows(self.windows.saturating_add(n)), None)
     }
 
     /// Runs a [`RunBudget`] with optional mid-run observation — the one
@@ -372,17 +341,13 @@ impl ThermalEmulation {
     /// [`ThermalEmulation::run_windows`], [`crate::Scenario::run`],
     /// checkpoint resume and the sweep's point observer.
     ///
-    /// `resumed` marks a call that continues a run restored by
-    /// [`ThermalEmulation::restore_state`]: the per-call baseline captured
-    /// by the *original* call (carried through the checkpoint) is kept
-    /// instead of re-arming it, so the returned report covers the whole
-    /// logical run — identical to an uninterrupted one except for wall
-    /// time. The budget is counted against that same baseline, so a
-    /// resumed `Windows(n)` call executes only the windows the original
-    /// call had left.
+    /// The budget counts windows since the build, so a run restored from
+    /// a checkpoint ([`ThermalEmulation::restore_state`]) executes only
+    /// the windows its checkpoint had left, under the same budget as a
+    /// fresh run.
     ///
-    /// `observer` is `(every, hook)`: after every `every`-th window of the
-    /// logical run the hook sees the emulation at a window boundary
+    /// `observer` is `(every, hook)`: after every `every`-th window since
+    /// the build the hook sees the emulation at a window boundary
     /// (checkpointable); it never fires on the final window or after the
     /// workload halts, where a checkpoint could buy nothing. A hook error
     /// aborts the run.
@@ -394,35 +359,34 @@ impl ThermalEmulation {
     pub(crate) fn run_budget(
         &mut self,
         budget: RunBudget,
-        resumed: bool,
         mut observer: WindowObserver<'_>,
     ) -> Result<EmulationReport, TemuError> {
         let t0 = Instant::now();
-        if !resumed {
-            self.begin_call();
-        }
         let (cap, to_halt) = match budget {
             RunBudget::ToHalt { max_windows } => (max_windows, true),
             RunBudget::Windows(n) => (n, false),
         };
-        let mut executed = self.windows - self.call_base.windows;
-        while executed < cap {
-            if to_halt && executed > 0 && self.machine.all_halted() {
-                break;
-            }
-            self.run_window()?;
-            executed += 1;
-            if let Some((every, hook)) = observer.as_mut() {
-                if *every > 0
-                    && executed.is_multiple_of(*every)
-                    && executed < cap
-                    && !(to_halt && self.machine.all_halted())
-                {
-                    hook(self)?;
+        let mut run = || -> Result<(), TemuError> {
+            while self.windows < cap {
+                if to_halt && self.windows > 0 && self.machine.all_halted() {
+                    break;
+                }
+                self.run_window()?;
+                if let Some((every, hook)) = observer.as_mut() {
+                    if *every > 0
+                        && self.windows.is_multiple_of(*every)
+                        && self.windows < cap
+                        && !(to_halt && self.machine.all_halted())
+                    {
+                        hook(self)?;
+                    }
                 }
             }
-        }
-        Ok(self.report(t0))
+            Ok(())
+        };
+        let outcome = run();
+        self.wall += t0.elapsed();
+        outcome.map(|()| self.totals())
     }
 
     /// Captures the complete run state at a window boundary as a
@@ -448,9 +412,6 @@ impl ThermalEmulation {
             virtual_cycles: self.virtual_cycles,
             fpga_seconds: self.fpga_seconds,
             aggregate: self.aggregate.clone(),
-            call_aggregate: self.call_aggregate.clone(),
-            call_base: self.call_base.clone(),
-            past_worst_residual_k: self.past_worst_residual_k,
             trace: self.trace.clone(),
             dfs_level: self.policy.as_ref().map(DfsPolicy::level),
             platform: w.into_bytes(),
@@ -499,66 +460,23 @@ impl ThermalEmulation {
         self.virtual_cycles = state.virtual_cycles;
         self.fpga_seconds = state.fpga_seconds;
         self.aggregate = state.aggregate.clone();
-        self.call_aggregate = state.call_aggregate.clone();
-        self.call_base = state.call_base.clone();
-        self.past_worst_residual_k = state.past_worst_residual_k;
         self.trace = state.trace.clone();
         Ok(())
     }
 
-    /// Lifetime totals across every `run_*` call (and any direct
-    /// [`ThermalEmulation::run_window`] calls) on this emulation — the
-    /// cumulative counterpart of the per-call [`EmulationReport`].
-    pub fn totals(&self) -> EmulationTotals {
-        let mut solver = self.model.solver_stats();
-        solver.worst_residual_k = solver.worst_residual_k.max(self.past_worst_residual_k);
-        EmulationTotals {
+    /// The run since the build, as the last `run_*` call reported it,
+    /// plus any windows run since through [`ThermalEmulation::run_window`].
+    pub fn totals(&self) -> EmulationReport {
+        EmulationReport {
             windows: self.windows,
             virtual_seconds: self.virtual_seconds,
             virtual_cycles: self.virtual_cycles,
             fpga_seconds: self.fpga_seconds,
+            wall: self.wall,
+            all_halted: self.machine.all_halted(),
             aggregate: self.aggregate.clone(),
             link: *self.link.stats(),
-            solver,
-        }
-    }
-
-    /// Marks the start of a `run_*` call: snapshots every cumulative
-    /// counter so [`ThermalEmulation::report`] can subtract it, resets the
-    /// per-call aggregate, and re-arms the solver's residual watermark
-    /// (banking the old one for [`ThermalEmulation::totals`]).
-    fn begin_call(&mut self) {
-        self.call_aggregate = WindowStats::default();
-        self.past_worst_residual_k = self.past_worst_residual_k.max(self.model.solver_stats().worst_residual_k);
-        self.model.reset_residual_watermark();
-        self.call_base = CallBase {
-            windows: self.windows,
-            virtual_seconds: self.virtual_seconds,
-            virtual_cycles: self.virtual_cycles,
-            fpga_seconds: self.fpga_seconds,
-            link: *self.link.stats(),
             solver: self.model.solver_stats(),
-        };
-    }
-
-    fn report(&self, t0: Instant) -> EmulationReport {
-        let base = &self.call_base;
-        let link = *self.link.stats();
-        EmulationReport {
-            windows: self.windows - base.windows,
-            virtual_seconds: self.virtual_seconds - base.virtual_seconds,
-            virtual_cycles: self.virtual_cycles - base.virtual_cycles,
-            fpga_seconds: self.fpga_seconds - base.fpga_seconds,
-            wall: t0.elapsed(),
-            all_halted: self.machine.all_halted(),
-            aggregate: self.call_aggregate.clone(),
-            link: LinkStats {
-                frames: link.frames - base.link.frames,
-                wire_bytes: link.wire_bytes - base.link.wire_bytes,
-                busy_seconds: link.busy_seconds - base.link.busy_seconds,
-                freeze_seconds: link.freeze_seconds - base.link.freeze_seconds,
-            },
-            solver: self.model.solver_stats().delta_since(&base.solver),
         }
     }
 }
@@ -576,8 +494,8 @@ impl ThermalEmulation {
 ///   coefficient anchors, second-order warm-start history, SOR/convergence
 ///   accounting ([`ThermalModel::snapshot`]);
 /// * the **statistics link** counters, the **DFS ladder** position, the
-///   recorded temperature **trace**, and every cumulative counter and
-///   per-call baseline of the emulation.
+///   recorded temperature **trace**, and the run's counters since the
+///   build.
 ///
 /// # Invariants
 ///
@@ -603,9 +521,6 @@ pub struct EmulationState {
     virtual_cycles: u64,
     fpga_seconds: f64,
     aggregate: WindowStats,
-    call_aggregate: WindowStats,
-    call_base: CallBase,
-    past_worst_residual_k: f64,
     trace: ThermalTrace,
     dfs_level: Option<usize>,
     /// Machine + statistics-link sections under the `TPLT` envelope.
@@ -627,6 +542,15 @@ impl EmulationState {
     }
 
     /// Serializes the state into a self-describing versioned byte stream.
+    ///
+    /// The stream keeps a retired section after the aggregate: the
+    /// per-call baseline that emulations once kept beside the run's own
+    /// counters. It is written as every state from a single-call run
+    /// already held it — the aggregate again, then 14 zero words — so the
+    /// bytes, and the journals that hold them, stay those of `EMUS`
+    /// version 1, and older journals still resume. Dropping the section
+    /// would change every state's bytes and belongs with a new stream
+    /// version.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = StateWriter::new(STATE_MAGIC, STATE_VERSION);
@@ -639,14 +563,11 @@ impl EmulationState {
         w.u64(self.virtual_cycles);
         w.f64(self.fpga_seconds);
         self.aggregate.save_state(&mut w);
-        self.call_aggregate.save_state(&mut w);
-        w.u64(self.call_base.windows);
-        w.f64(self.call_base.virtual_seconds);
-        w.u64(self.call_base.virtual_cycles);
-        w.f64(self.call_base.fpga_seconds);
-        self.call_base.link.save_state(&mut w);
-        save_solver_stats(&self.call_base.solver, &mut w);
-        w.f64(self.past_worst_residual_k);
+        // The retired section (see above).
+        self.aggregate.save_state(&mut w);
+        for _ in 0..RETIRED_ZERO_WORDS {
+            w.u64(0);
+        }
         w.usize(self.trace.component_names.len());
         for name in &self.trace.component_names {
             w.bytes(name.as_bytes());
@@ -674,8 +595,9 @@ impl EmulationState {
     /// # Errors
     ///
     /// [`TemuError::State`] on a corrupt, truncated, or
-    /// unsupported-version stream. The embedded platform and thermal
-    /// sections are validated later, on restore.
+    /// unsupported-version stream, and on a retired section other than
+    /// the one [`EmulationState::to_bytes`] writes. The embedded platform
+    /// and thermal sections are validated later, on restore.
     pub fn from_bytes(buf: &[u8]) -> Result<EmulationState, TemuError> {
         let (mut r, _) = StateReader::new(buf, STATE_MAGIC, STATE_VERSION)?;
         let scenario_key = r.u64()?;
@@ -686,18 +608,17 @@ impl EmulationState {
         let fpga_seconds = r.f64()?;
         let mut aggregate = WindowStats::default();
         aggregate.load_state(&mut r)?;
-        let mut call_aggregate = WindowStats::default();
-        call_aggregate.load_state(&mut r)?;
-        let mut call_base = CallBase {
-            windows: r.u64()?,
-            virtual_seconds: r.f64()?,
-            virtual_cycles: r.u64()?,
-            fpga_seconds: r.f64()?,
-            ..CallBase::default()
-        };
-        call_base.link.load_state(&mut r)?;
-        call_base.solver = load_solver_stats(&mut r)?;
-        let past_worst_residual_k = r.f64()?;
+        let mut retired = WindowStats::default();
+        retired.load_state(&mut r)?;
+        if retired != aggregate {
+            return Err(StateError::BadValue { what: "retired per-call aggregate", value: 0 }.into());
+        }
+        for _ in 0..RETIRED_ZERO_WORDS {
+            let word = r.u64()?;
+            if word != 0 {
+                return Err(StateError::BadValue { what: "retired per-call baseline", value: word }.into());
+            }
+        }
         let n_names = r.usize()?;
         let mut component_names = Vec::new();
         for _ in 0..n_names {
@@ -732,35 +653,12 @@ impl EmulationState {
             virtual_cycles,
             fpga_seconds,
             aggregate,
-            call_aggregate,
-            call_base,
-            past_worst_residual_k,
             trace,
             dfs_level,
             platform,
             model,
         })
     }
-}
-
-/// [`SolverStats`] is `#[non_exhaustive]`, so it is serialized here next
-/// to its only cross-crate consumer instead of in `temu-thermal`.
-fn save_solver_stats(s: &SolverStats, w: &mut StateWriter) {
-    w.u64(s.substeps);
-    w.u64(s.unconverged_substeps);
-    w.f64(s.worst_residual_k);
-    w.u64(s.total_sweeps);
-    w.u64(s.total_cycles);
-}
-
-fn load_solver_stats(r: &mut StateReader<'_>) -> Result<SolverStats, StateError> {
-    let mut s = SolverStats::default();
-    s.substeps = r.u64()?;
-    s.unconverged_substeps = r.u64()?;
-    s.worst_residual_k = r.f64()?;
-    s.total_sweeps = r.u64()?;
-    s.total_cycles = r.u64()?;
-    Ok(s)
 }
 
 #[cfg(test)]
@@ -792,34 +690,27 @@ mod tests {
     }
 
     #[test]
-    fn second_call_reports_only_its_own_windows() {
-        // Regression: the report used to mix lifetime-cumulative counters
-        // with a per-call wall clock, so a second `run_windows` call
-        // charged this call's wall time against all-time window counts and
-        // corrupted any derived throughput.
+    fn reports_count_the_run_from_the_build() {
         let mut emu = emulation(None, 100_000);
         let first = emu.run_windows(3).unwrap();
         assert_eq!(first.windows, 3);
         let second = emu.run_windows(2).unwrap();
-        assert_eq!(second.windows, 2, "second call reports its own windows only");
-        assert!((second.virtual_seconds - 0.002).abs() < 1e-9, "2 × 1 ms windows");
-        assert!(second.virtual_cycles < first.virtual_cycles);
-        assert_eq!(
-            second.virtual_cycles,
-            second.aggregate.cycles(),
-            "per-call aggregate matches per-call cycles"
-        );
-        assert!(second.fpga_seconds > 0.0 && second.fpga_seconds < first.fpga_seconds);
-        assert!(second.link.frames >= 2 && second.link.frames < first.link.frames);
-        assert!(second.solver.substeps > 0 && second.solver.substeps < first.solver.substeps);
-        // The cumulative view lives on the emulation itself.
+        assert_eq!(second.windows, 5, "two more windows, reported with the three before them");
+        assert!((second.virtual_seconds - 0.005).abs() < 1e-9, "5 × 1 ms windows");
+        assert!(second.virtual_cycles > first.virtual_cycles);
+        assert_eq!(second.virtual_cycles, second.aggregate.cycles(), "the aggregate spans the run");
+        assert!(second.wall >= first.wall, "wall time adds up the calls");
+        // Between calls, the emulation holds the same account.
         let totals = emu.totals();
-        assert_eq!(totals.windows, 5);
-        assert!((totals.virtual_seconds - 0.005).abs() < 1e-9);
-        assert_eq!(totals.virtual_cycles, first.virtual_cycles + second.virtual_cycles);
-        assert_eq!(totals.aggregate.cycles(), totals.virtual_cycles);
-        assert_eq!(totals.link.frames, first.link.frames + second.link.frames);
-        assert_eq!(totals.solver.substeps, first.solver.substeps + second.solver.substeps);
+        assert_eq!(totals.windows, second.windows);
+        assert_eq!(totals.virtual_seconds.to_bits(), second.virtual_seconds.to_bits());
+        assert_eq!(totals.virtual_cycles, second.virtual_cycles);
+        assert_eq!(totals.fpga_seconds.to_bits(), second.fpga_seconds.to_bits());
+        assert_eq!(totals.wall, second.wall);
+        assert_eq!(totals.all_halted, second.all_halted);
+        assert_eq!(totals.aggregate, second.aggregate);
+        assert_eq!(totals.link, second.link);
+        assert_eq!(totals.solver, second.solver);
     }
 
     #[test]
@@ -924,15 +815,15 @@ mod tests {
             .windows(3)
             .build()
             .unwrap();
-        // One window per call, each continuing the first call's report as
-        // a resumed run does, so every window boundary's checkpoint bytes
-        // are pinned too.
+        // One window per call (the budget counts windows since the
+        // build), so every window boundary's checkpoint bytes are pinned
+        // too.
         let mut checkpoints = Vec::new();
         let mut report = None;
         temu_obs::global().set_enabled(true);
         let shipped = link_events().get();
         for window in 1..=3 {
-            report = Some(emu.run_budget(RunBudget::Windows(window), window > 1, None).unwrap());
+            report = Some(emu.run_budget(RunBudget::Windows(window), None).unwrap());
             checkpoints.push(temu_state::fnv1a64(&emu.checkpoint().to_bytes()));
         }
         let report = report.expect("three windows ran");
@@ -965,9 +856,9 @@ mod tests {
 
         let mut resumed = emulation(policy(), 100_000);
         resumed.restore_state(&state).unwrap();
-        let report = resumed.run_budget(RunBudget::Windows(20), true, None).unwrap();
+        let report = resumed.run_budget(RunBudget::Windows(20), None).unwrap();
 
-        // The resumed report covers the whole logical run.
+        // The resumed report covers the run since the build.
         assert_eq!(report.windows, full.windows);
         assert_eq!(report.virtual_cycles, full.virtual_cycles);
         assert_eq!(report.virtual_seconds.to_bits(), full.virtual_seconds.to_bits());
@@ -1000,5 +891,34 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] ^= 0xFF;
         assert!(matches!(EmulationState::from_bytes(&wrong_magic), Err(TemuError::State(_))));
+    }
+
+    #[test]
+    fn non_canonical_retired_section_is_rejected() {
+        let mut emu = emulation(None, 10_000);
+        let _ = emu.run_windows(3).unwrap();
+        let state = emu.checkpoint();
+        let bytes = state.to_bytes();
+        assert!(EmulationState::from_bytes(&bytes).is_ok());
+        // The retired section follows the envelope, the key, the sequence
+        // counter, four run counters and the aggregate: a copy of the
+        // aggregate, whose last word counts overflowed events, then the
+        // zero words.
+        let envelope = StateWriter::new(STATE_MAGIC, STATE_VERSION).into_bytes().len();
+        let mut w = StateWriter::new(STATE_MAGIC, STATE_VERSION);
+        state.aggregate.save_state(&mut w);
+        let aggregate = w.into_bytes().len() - envelope;
+        let copy = envelope + 8 + 4 + 4 * 8 + aggregate;
+        let zeros = copy + aggregate;
+        assert_eq!(&bytes[copy..zeros], &bytes[copy - aggregate..copy], "the aggregate again");
+        assert!(bytes[zeros..zeros + 8 * RETIRED_ZERO_WORDS].iter().all(|&b| b == 0));
+        for at in [zeros - 8, zeros, zeros + 8 * RETIRED_ZERO_WORDS - 1] {
+            let mut other = bytes.clone();
+            other[at] ^= 1;
+            assert!(
+                matches!(EmulationState::from_bytes(&other), Err(TemuError::State(StateError::BadValue { .. }))),
+                "byte {at} of the retired section"
+            );
+        }
     }
 }

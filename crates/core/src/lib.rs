@@ -102,7 +102,6 @@ pub use artifacts::{ArtifactCache, ArtifactStats};
 pub use campaign::{Campaign, CampaignReport, ScenarioResult};
 pub use emulation::{EmulationConfig, EmulationReport, EmulationState, ThermalEmulation};
 pub use error::TemuError;
-pub use emulation::EmulationTotals;
 pub use export::{json_array, JsonObject, JsonValue};
 pub use scenario::{RunBudget, Scenario, ScenarioRun, Workload};
 pub use spec::{

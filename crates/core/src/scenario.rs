@@ -520,7 +520,9 @@ impl Scenario {
     /// or not: builds the emulation (restoring `resume` into it after the
     /// content-key check) and runs the scenario budget under
     /// `core.point_run_ns`, handing `observer` every `observer.0` windows
-    /// a checkpointable boundary.
+    /// a checkpointable boundary. The budget and the observer's cadence
+    /// count windows since the build, so a resumed run takes the same
+    /// budget as a fresh one and runs only what its state had left.
     pub(crate) fn run_observed(
         &self,
         artifacts: Option<&ArtifactCache>,
@@ -537,8 +539,7 @@ impl Scenario {
         if let Some(state) = resume {
             emu.restore_state(state)?;
         }
-        let report =
-            temu_obs::time!("core.point_run_ns", emu.run_budget(self.budget, resume.is_some(), observer))?;
+        let report = temu_obs::time!("core.point_run_ns", emu.run_budget(self.budget, observer))?;
         Ok(ScenarioRun { name: self.label(), report, trace: emu.into_trace() })
     }
 

@@ -384,6 +384,44 @@ fn window_limits_inside_blocks() {
     }
 }
 
+/// 24 passes of a loop block over private loads and stores: 14
+/// instructions over four I-cache lines, seven of them loads and stores.
+/// The block runs warm from its third pass, so later limits fall inside
+/// warm entries.
+const WARM_DATA_LOOP: &str = "
+    start: li   r1, 24
+           li   r2, 0x4000
+    loop:  lw   r3, 0(r2)
+           addi r3, r3, 1
+           sw   r3, 0(r2)
+           xor  r4, r3, r1
+           lw   r5, 4(r2)
+           add  r5, r5, r4
+           sw   r5, 4(r2)
+           slli r6, r5, 2
+           lbu  r7, 1(r2)
+           or   r8, r7, r6
+           sh   r8, 8(r2)
+           lw   r9, 8(r2)
+           addi r1, r1, -1
+           bnez r1, loop
+           halt
+";
+
+#[test]
+fn window_limits_inside_warm_blocks() {
+    // Window lengths of about one pass and more, so blocks run warm between
+    // limits and the limits land on every op of the loop, its loads and
+    // stores included: a warm entry parks at a data op.
+    let program = assemble(WARM_DATA_LOOP).expect("valid asm");
+    for cores in [1, 2] {
+        for window in 17..=36 {
+            let what = format!("{cores} core(s), {window}-cycle windows");
+            at_boundaries(&PlatformConfig::paper_bus(cores), &program, &[window], &what);
+        }
+    }
+}
+
 /// `paper_bus` with a small I-cache: 16-byte lines, `sets` sets of `ways`.
 fn small_icache_bus(cores: usize, sets: u32, ways: u32) -> PlatformConfig {
     let mut platform = PlatformConfig::paper_bus(cores);

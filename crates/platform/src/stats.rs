@@ -53,9 +53,9 @@ impl WindowStats {
     pub fn merge(&mut self, other: &WindowStats) {
         self.end_cycle = self.end_cycle.max(other.end_cycle);
         if self.cores.is_empty() {
-            // Adopting the first window's start matters for aggregates that
-            // begin mid-run (per-call deltas): a default start of 0 would
-            // stretch `cycles()` back over everything before them.
+            // An aggregate that begins mid-run (an emulation wired to a
+            // machine that already ran) adopts its first window's start: a
+            // default of 0 would stretch `cycles()` back over what came before.
             self.start_cycle = other.start_cycle;
             self.cores = vec![CoreStats::default(); other.cores.len()];
             self.icaches = vec![CacheStats::default(); other.icaches.len()];

@@ -545,7 +545,7 @@ fn point_line(job_id: u64, p: &SweepProgress<'_>) -> String {
 pub struct Server {
     listener: TcpListener,
     shared: Arc<Shared>,
-    /// Damaged records the journal skipped at bind time.
+    /// Damaged or undecodable records the journal skipped at bind time.
     skipped: usize,
 }
 
@@ -604,8 +604,10 @@ impl Server {
         // executed points are already cache entries, so a recovered job
         // resumes as cache hits plus the remaining grid, and its in-flight
         // points from their last window records. A state that fails to
-        // decode (version skew) is dropped: its point re-runs from
-        // scratch, which is correct, just slower.
+        // decode (version skew) is dropped and counted as a skipped
+        // record: its point re-runs from scratch, which is correct, just
+        // slower.
+        let mut skipped = replayed.skipped;
         for recovered in replayed.pending {
             let total = match recovered.spec.lower() {
                 Ok(sweep) => sweep.n_points(),
@@ -623,13 +625,14 @@ impl Server {
             let mut job = new_job(recovered.name, recovered.spec, total, recovered.priority);
             job.resume =
                 recovered.states.values().filter_map(|bytes| EmulationState::from_bytes(bytes).ok()).collect();
+            skipped += recovered.states.len() - job.resume.len();
             let mut jobs = shared.lock_jobs();
             jobs.map.insert(recovered.id, job);
             jobs.queue.push_back(recovered.id);
             drop(jobs);
             shared.obs.jobs_recovered.inc();
         }
-        Ok(Server { listener, shared, skipped: replayed.skipped })
+        Ok(Server { listener, shared, skipped })
     }
 
     /// Jobs the journal recovered at bind time (queued again, not yet
@@ -647,7 +650,8 @@ impl Server {
         self.shared.lock_jobs().map.values().map(|job| job.resume.len()).sum()
     }
 
-    /// Damaged records the journal skipped at bind time.
+    /// Damaged or undecodable records the journal skipped at bind time,
+    /// window records whose state does not decode included.
     #[must_use]
     pub(crate) fn skipped_records(&self) -> usize {
         self.skipped
@@ -1327,6 +1331,30 @@ mod tests {
             order.push(id);
         }
         assert_eq!(order, vec![2, 1, 3, 5], "priority desc, FIFO within a level");
+    }
+
+    #[test]
+    fn undecodable_window_states_count_as_skipped_records() {
+        let dir = std::env::temp_dir().join(format!("temu-server-junk-state-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("jobs.jsonl");
+        let _ = std::fs::remove_file(&path);
+        {
+            let (journal, _) = Journal::open(&path).unwrap();
+            journal.record_submit(1, "smoke", 0, &SweepSpec::named("smoke").expect("smoke preset"));
+            journal.record_start(1);
+            journal.record_window(1, 7, 3, b"not an emulation state");
+        }
+        let server = Server::bind(ServeConfig {
+            addr: String::from("127.0.0.1:0"),
+            journal: Some(path),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let recovered = (server.recovered_jobs(), server.recovered_checkpoints(), server.skipped_records());
+        drop(server);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(recovered, (1, 0, 1), "one job, no state, the junk state counted as skipped");
     }
 
     /// A real point summary with its floats pinned to fixed values

@@ -313,24 +313,6 @@ pub struct SolverStats {
     pub total_cycles: u64,
 }
 
-impl SolverStats {
-    /// The counter difference `self − base`, for reporting per-run deltas
-    /// on top of the model's cumulative accounting. `worst_residual_k` is
-    /// a watermark, not a counter: the value is carried from `self`, which
-    /// is exact when the watermark was re-armed at `base` via
-    /// [`ThermalModel::reset_residual_watermark`].
-    #[must_use]
-    pub fn delta_since(&self, base: &SolverStats) -> SolverStats {
-        SolverStats {
-            substeps: self.substeps - base.substeps,
-            unconverged_substeps: self.unconverged_substeps - base.unconverged_substeps,
-            worst_residual_k: self.worst_residual_k,
-            total_sweeps: self.total_sweeps - base.total_sweeps,
-            total_cycles: self.total_cycles - base.total_cycles,
-        }
-    }
-}
-
 /// The thermal model: a meshed floorplan plus its temperature state and the
 /// per-component power inputs.
 ///
@@ -565,14 +547,6 @@ impl ThermalModel {
             total_sweeps: self.total_sweeps,
             total_cycles: self.total_cycles,
         }
-    }
-
-    /// Re-arms the `worst_residual_k` watermark without touching the
-    /// cumulative counters. Callers that report per-run deltas (the
-    /// co-emulation loop's per-call [`SolverStats`]) reset it at the start
-    /// of each run so the reported residual belongs to that run alone.
-    pub fn reset_residual_watermark(&mut self) {
-        self.worst_unconverged_delta = 0.0;
     }
 
     /// Serializes the model's run state at a step boundary (between
@@ -1140,24 +1114,6 @@ impl ThermalModel {
             self.unconverged_substeps += 1;
             self.worst_unconverged_delta = self.worst_unconverged_delta.max(delta);
         }
-    }
-
-    /// Fine-grid Gauss–Seidel sweeps the last implicit substep needed
-    /// (diagnostic, for the scaling benchmark's sweep statistics).
-    pub fn last_sweep_count(&self) -> usize {
-        self.last_sweeps
-    }
-
-    /// Multigrid K-cycles the last implicit substep needed (0 on the plain
-    /// Gauss–Seidel path).
-    pub fn last_cycle_count(&self) -> usize {
-        self.last_cycles
-    }
-
-    /// Integration substeps taken since construction (perf accounting —
-    /// the scaling benchmark's substeps/second numerator).
-    pub fn substeps_taken(&self) -> u64 {
-        self.substeps
     }
 
     /// Serial Gauss–Seidel/SOR solve in natural cell order: plain sweeps
