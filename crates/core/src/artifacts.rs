@@ -15,8 +15,10 @@
 //! floorplan and mesh-geometry knobs ([`GridConfig::mesh_fingerprint`]);
 //! the `operator` (multigrid hierarchy) layer folds in the
 //! operator-relevant knobs on top; the `program` layer keys on the
-//! workload alone. Per-layer hit/miss counters ([`ArtifactStats`]) make
-//! reuse observable — the sweep smoke gate asserts on them.
+//! kernel configuration the program generator reads, so DITHERING points
+//! that differ only in their image seed (read when their inputs load)
+//! share one program. Per-layer hit/miss counters ([`ArtifactStats`])
+//! make reuse observable — the sweep smoke gate asserts on them.
 
 use crate::error::TemuError;
 use std::collections::HashMap;

@@ -385,12 +385,18 @@ impl Scenario {
     /// key covers only the platform, floorplan and mesh-geometry knobs
     /// ([`GridConfig::mesh_fingerprint`]), so two points differing in
     /// workload, budget or solver strategy still share one meshed grid in
-    /// an [`ArtifactCache`].
+    /// an [`ArtifactCache`]. The program key covers only the kernel's
+    /// configuration, which is all [`Workload::program`] reads: points
+    /// that differ only in DITHERING's image seed share one program.
     pub(crate) fn artifact_keys(&self) -> ArtifactKeys {
         let floorplan = fnv1a64(format!("platform={:?};floorplan={:?};", self.platform, self.floorplan).as_bytes());
         let mesh = fnv1a64_fold(floorplan, self.emu.grid.mesh_fingerprint().as_bytes());
         let operator = fnv1a64_fold(mesh, self.emu.grid.operator_fingerprint().as_bytes());
-        let program = fnv1a64(format!("workload={:?};", self.workload).as_bytes());
+        let generator: &dyn std::fmt::Debug = match &self.workload {
+            Workload::Matrix(cfg) => cfg,
+            Workload::Dithering { cfg, .. } => cfg,
+        };
+        let program = fnv1a64(format!("program={generator:?};").as_bytes());
         ArtifactKeys { floorplan, mesh, operator, program }
     }
 
@@ -580,7 +586,8 @@ pub(crate) struct ArtifactKeys {
     pub mesh: u64,
     /// Multigrid hierarchy topology: `mesh` + the operator knobs.
     pub operator: u64,
-    /// Generated TE32 program: the workload alone.
+    /// Generated TE32 program: the workload's kernel configuration
+    /// (`MatrixConfig` or `DitherConfig`), without DITHERING's image seed.
     pub program: u64,
 }
 
@@ -685,6 +692,17 @@ mod tests {
         assert_eq!((stats.floorplan_misses, stats.floorplan_hits), (1, 1));
         assert_eq!((stats.program_misses, stats.program_hits), (1, 1));
         assert_eq!(stats.operator_misses, 0, "paper-scale Gauss-Seidel points skip the hierarchy");
+    }
+
+    #[test]
+    fn image_seeds_share_one_program() {
+        let cache = ArtifactCache::new();
+        for seed in [1, 2, 3] {
+            let workload = Workload::Dithering { cfg: DitherConfig::small(1), seed };
+            Scenario::exploration_bus(1).workload(workload).build_with(Some(&cache)).unwrap();
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.program_misses, stats.program_hits), (1, 2));
     }
 
     #[test]

@@ -25,18 +25,23 @@
 //! transfer or `halt`, or before an undecodable word. A block keeps the
 //! bytes it was decoded from and compares them with memory on every entry,
 //! so stores over the text and restored checkpoints need no invalidation.
+//! The block table is a core's only memo of decoded instructions:
+//! [`Cpu::step`] decodes every word it fetches.
 //!
 //! A cold entry is phase-at-a-time execution: [`Cpu::fetch_phase`] and
-//! [`Cpu::data_phase`], with the decode cache's ops, under the rule
-//! `run_local` applies between phases (local time below the limit, next
-//! access below the core-local end), while the PC walks the block's text.
-//! Text with no block (outside the private cacheable range, without an
-//! I-cache, misaligned or undecodable) runs as a one-instruction cold
-//! entry. A cold entry that fetched every instruction of its block records
-//! the I-cache's generation ([`Text::generation`]) read at its start. The
-//! port changes the generation on every fill and whenever else a line may
-//! leave the I-cache, so the mark matches again only if no fetch of the
-//! entry missed, and while it does all the block's lines are present.
+//! [`Cpu::data_phase`] under the rule `run_local` applies between phases
+//! (local time below the limit, next access below the core-local end),
+//! while the PC walks the block's text. Each fetch phase runs the block's
+//! op when it fetches the word the block decoded it from, and decodes the
+//! fetched word when a store of the entry has rewritten it. Text with no
+//! block (outside the private cacheable range, without an I-cache,
+//! misaligned or undecodable) runs as a one-instruction cold entry that
+//! decodes its word. A cold entry that fetched every instruction of its
+//! block records the I-cache's generation ([`Text::generation`]) read at
+//! its start. The port changes the generation on every fill and whenever
+//! else a line may leave the I-cache, so the mark matches again only if no
+//! fetch of the entry missed, and while it does all the block's lines are
+//! present.
 //!
 //! While its mark matches, a block runs warm ([`Cpu::run_decoded`]): every
 //! fetch a hit, the core's clock kept in a local and the PC as the index
@@ -409,45 +414,6 @@ enum Exit {
     DataFault(DataOp, u32, MemError),
 }
 
-/// Slots of the [`DecodeCache`]: any 4 KB of contiguous text gets distinct
-/// slots (the MATRIX and DITHERING programs are ~120 words); words 4 KB
-/// apart share one and decode again when they alternate.
-const DECODE_SLOTS: usize = 1024;
-
-/// Direct-mapped memo of lowered instructions, indexed by word address.
-/// A slot keeps the word it decoded and is used only when the fetched word
-/// matches it, so a store over the text can never leave a stale decode
-/// behind: the cache needs no invalidation and no checkpoint state.
-#[derive(Clone, Debug, Default)]
-struct DecodeCache {
-    /// `(word, its op)` per slot; empty until the first fetch, so
-    /// building a machine allocates nothing.
-    slots: Vec<(u32, Op)>,
-}
-
-impl DecodeCache {
-    #[inline]
-    fn decode(&mut self, pc: u32, word: u32) -> Result<Op, DecodeError> {
-        let slot = (pc >> 2) as usize & (DECODE_SLOTS - 1);
-        match self.slots.get(slot) {
-            Some(&(w, op)) if w == word => Ok(op),
-            _ => self.fill(slot, word),
-        }
-    }
-
-    /// The decode itself, kept out of line so the hit path stays small.
-    #[cold]
-    #[inline(never)]
-    fn fill(&mut self, slot: usize, word: u32) -> Result<Op, DecodeError> {
-        let op = Op::lower(Instr::decode(word)?);
-        if self.slots.is_empty() {
-            self.slots = vec![(word, op); DECODE_SLOTS];
-        }
-        self.slots[slot] = (word, op);
-        Ok(op)
-    }
-}
-
 /// Instructions a block holds at most.
 const BLOCK_LEN: usize = 32;
 
@@ -514,13 +480,20 @@ impl Block {
         block.mix = Mix::of(&block.ops[..block.len]);
         block
     }
+
+    /// The word the block decoded as instruction `i`, and its op.
+    fn word_op(&self, i: usize) -> Option<(u32, Op)> {
+        (i < self.len).then(|| {
+            let bytes = self.bytes[4 * i..4 * i + 4].try_into().expect("4-byte chunk");
+            (u32::from_le_bytes(bytes), self.ops[i])
+        })
+    }
 }
 
 /// Direct-mapped cache of [`Block`]s by start PC. A block is used only when
 /// the text at its PC still holds the bytes it was decoded from (one slice
-/// compare per entry), so, as with the decode cache, stores over the text
-/// and restored checkpoints need no invalidation and the cache no
-/// checkpoint state.
+/// compare per entry), so stores over the text and restored checkpoints
+/// need no invalidation and the cache no checkpoint state.
 #[derive(Clone, Debug, Default)]
 struct BlockCache {
     /// Empty until the first block, so building a machine allocates nothing.
@@ -555,7 +528,6 @@ pub struct Cpu {
     halted: bool,
     pending: Option<(DataOp, u32)>, // (operation, pc of the owning instruction)
     stats: CoreStats,
-    decoded: DecodeCache,
     blocks: BlockCache,
 }
 
@@ -572,7 +544,6 @@ impl Cpu {
             halted: false,
             pending: None,
             stats: CoreStats::default(),
-            decoded: DecodeCache::default(),
             blocks: BlockCache::default(),
         }
     }
@@ -655,7 +626,7 @@ impl Cpu {
         if let Some((op, pc)) = self.pending.take() {
             return self.data_phase(port, op, pc);
         }
-        self.fetch_phase(port)
+        self.fetch_phase(port, None)
     }
 
     /// Runs micro-phases back to back while the core is running, its local
@@ -671,7 +642,8 @@ impl Cpu {
     /// ([`MemoryPort::text`]), else one at a time: each phase of a block
     /// after its first — a fetch, or the data phase of a load, store or
     /// `tas` — runs under the same `limit` and `local_end` rule. A cold
-    /// block entry is those phases themselves. A warm one runs its D-cache
+    /// block entry is those phases themselves, running the block's ops
+    /// where the fetched words are the block's. A warm one runs its D-cache
     /// hits through [`MemoryPort::data_hit`], and the fetch hits of warm
     /// entries of one block in a row are booked in one
     /// [`MemoryPort::fetch_hits`] call, before any other fetch and before
@@ -741,10 +713,22 @@ impl Cpu {
         }
     }
 
-    fn fetch_phase<P: MemoryPort + ?Sized>(&mut self, port: &mut P) -> Result<StepOutcome, CpuError> {
+    /// The fetch/execute phase of the instruction at the PC. `predecoded`
+    /// is a block's word at the PC and its op, which the phase runs when it
+    /// fetches that word; any other word it decodes, as a store may have
+    /// rewritten the text since the block was decoded.
+    fn fetch_phase<P: MemoryPort + ?Sized>(
+        &mut self,
+        port: &mut P,
+        predecoded: Option<(u32, Op)>,
+    ) -> Result<StepOutcome, CpuError> {
         let (pc, t0) = (self.pc, self.time);
         let fetch = port.fetch(self.id, pc, t0).map_err(|err| CpuError::Mem { pc, err })?;
-        let op = self.decoded.decode(pc, fetch.value).map_err(|err| CpuError::Decode { pc, word: fetch.value, err })?;
+        let word = fetch.value;
+        let op = match predecoded {
+            Some((decoded, op)) if decoded == word => op,
+            _ => Instr::decode(word).map(Op::lower).map_err(|err| CpuError::Decode { pc, word, err })?,
+        };
         let mut t = fetch.done_at;
         let next = match self.execute(op, pc, &mut t) {
             Flow::Next => Some(pc.wrapping_add(4)),
@@ -787,7 +771,7 @@ impl Cpu {
         warm: &mut WarmRuns,
     ) -> Result<(), CpuError> {
         let Some(text) = port.text(self.id, self.pc, BLOCK_BYTES) else {
-            return self.run_phases(port, 1, limit, local_end, warm).map(drop);
+            return self.run_phases(port, &Block::EMPTY, limit, local_end, warm).map(drop);
         };
         let Text { hit_latency, generation, .. } = text;
         // The table moves out while the block runs, so the block is
@@ -797,10 +781,8 @@ impl Cpu {
         let result = if block.warm == Some(generation) {
             self.run_decoded(port, block, u64::from(hit_latency), limit, local_end, warm)
         } else {
-            // Only a decoded block takes a mark; with none, the first word
-            // runs alone.
-            self.run_phases(port, block.len.max(1), limit, local_end, warm).map(|whole| {
-                if whole && block.len > 0 {
+            self.run_phases(port, block, limit, local_end, warm).map(|whole| {
+                if whole {
                     block.warm = Some(generation);
                 }
             })
@@ -809,24 +791,28 @@ impl Cpu {
         result
     }
 
-    /// A cold entry: books the `warm` runs before it, then runs the `len`
-    /// instructions from the PC one phase at a time through
-    /// [`Cpu::fetch_phase`] and [`Cpu::data_phase`], under
-    /// [`Cpu::run_local`]'s rule between phases, while the PC walks them in
-    /// order. Returns whether it fetched all `len`.
+    /// A cold entry of `block`, which starts at the PC: books the `warm`
+    /// runs before it, then runs the block's instructions one phase at a
+    /// time through [`Cpu::fetch_phase`], handed the block's word and op at
+    /// each index, and [`Cpu::data_phase`], under [`Cpu::run_local`]'s rule
+    /// between phases, while the PC walks them in order. An empty block
+    /// (text with no block, or an undecodable first word) runs the word at
+    /// the PC alone. Returns whether it fetched all the block's
+    /// instructions, which an empty block never does.
     fn run_phases<P: MemoryPort + ?Sized>(
         &mut self,
         port: &mut P,
-        len: usize,
+        block: &Block,
         limit: u64,
         local_end: u64,
         warm: &mut WarmRuns,
     ) -> Result<bool, CpuError> {
         warm.book(port, self.id);
+        let len = block.len.max(1);
         let start = u64::from(self.pc);
         let mut fetched = 0;
         loop {
-            self.fetch_phase(port)?;
+            self.fetch_phase(port, block.word_op(fetched))?;
             fetched += 1;
             if let Some((op, pc)) = self.pending {
                 if self.time >= limit || u64::from(op.addr()) >= local_end {
@@ -840,7 +826,7 @@ impl Cpu {
                 break;
             }
         }
-        Ok(fetched == len)
+        Ok(fetched == block.len)
     }
 
     /// A warm entry of `block`, which starts at the PC: every fetch is a

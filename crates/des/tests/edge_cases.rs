@@ -1,9 +1,11 @@
-//! Engine agreement on two edges the random differential does not reach.
+//! Engine agreement on edges the random differential does not reach.
 //!
-//! * Self-modifying code: both engines share `temu_cpu::Cpu` and its decode
-//!   cache, so the differential alone cannot tell a stale decode from a
-//!   correct one. Here a program overwrites an instruction it has already
-//!   executed and must then execute the new one.
+//! * Self-modifying code: both engines share `temu_cpu::Cpu`, so the
+//!   differential alone cannot tell a stale decode from a correct one. Here
+//!   a program overwrites an instruction it has already executed and must
+//!   then execute the new one, and a block's first entry stores an
+//!   undecodable word over one of the block's own later instructions and
+//!   must then fault on it.
 //! * Faults on several cores: the fast engine lets a core run its
 //!   core-local work ahead of the others, so a late fault can be met
 //!   before an earlier one on another core. Both engines must still report
@@ -53,6 +55,44 @@ fn self_modifying_code_runs_the_new_instruction() {
         for core in 0..cores {
             assert_eq!(fast.core(core).regs().read(Reg::new(5)), 77, "fast engine, {cores} core(s), core {core}");
             assert_eq!(des.core(core).regs().read(Reg::new(5)), 77, "DES engine, {cores} core(s), core {core}");
+        }
+    }
+}
+
+/// The block at `loop` stores the undecodable word `0xF8000000` over its
+/// own `patch` two words further on. The block's first entry is cold, so
+/// its fetch of `patch` must decode the word it fetched, not run the
+/// `addi` the block decoded there.
+#[test]
+fn store_of_an_undecodable_word_into_a_cold_block_faults_on_it() {
+    let program = assemble(
+        "
+        start: la   r1, patch
+               li   r2, 0xF8000000
+               j    loop
+        loop:  addi r3, r3, 1
+               sw   r2, 0(r1)
+               addi r4, r4, 1
+        patch: addi r5, r5, 11
+               halt
+        ",
+    )
+    .expect("valid asm");
+    let patch = program.symbol("patch");
+    for cores in [1, 2] {
+        let platform = PlatformConfig::paper_bus(cores);
+        let mut fast = Machine::new(platform.clone()).unwrap();
+        fast.load_program_all(&program).unwrap();
+        let f = fast.run_to_halt(1_000_000).unwrap_err();
+        let mut des = DesMachine::new(platform).unwrap();
+        des.load_program_all(&program).unwrap();
+        let d = des.run_to_halt(1_000_000).unwrap_err();
+        assert!(matches!(f, CpuError::Decode { pc, word: 0xF800_0000, .. } if pc == patch), "{cores} core(s): {f:?}");
+        assert_eq!(f, d, "{cores} core(s): the same fault");
+        for core in 0..cores {
+            let (fc, dc) = (fast.core(core), des.core(core));
+            assert_eq!((fc.pc(), fc.time()), (dc.pc(), dc.time()), "{cores} core(s), core {core}");
+            assert_eq!(fc.regs().read(Reg::new(5)), 0, "{cores} core(s), core {core}: the old `patch` never ran");
         }
     }
 }

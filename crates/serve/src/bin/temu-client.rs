@@ -25,8 +25,11 @@
 //! Exit codes: 0 success; 1 failed points or a failed/cancelled job;
 //! 2 usage, connection or server-refusal errors (including an unreachable
 //! server after all attempts); 3 `--require-cached` was passed and the
-//! job executed any scenario instead of hitting the cache.
+//! job executed any scenario instead of hitting the cache. A closed stdout
+//! (`temu-client results --follow | head`) ends the client at once with
+//! 0: its reader has taken all it wants.
 
+use std::io::Write;
 use std::process::exit;
 use temu_framework::{JsonValue, SweepSpec, NAMED_SWEEPS};
 use temu_serve::client::{request_with_retry, submit_with_retry};
@@ -39,6 +42,24 @@ const USAGE: &str = "usage: temu-client [--addr HOST:PORT] [--retries N | --no-r
   results [--after SEQ] [--follow] [--job ID]    stream completed points as NDJSON
   check-metrics-log FILE.ndjson [--jobs-done N]    validate a --metrics-log file offline
   presets    list the named sweep presets";
+
+/// `println!` for the client's stdout, which exits with 0 once stdout is
+/// closed where `println!` would panic.
+macro_rules! out {
+    () => {
+        out_line(String::new())
+    };
+    ($($arg:tt)*) => {
+        out_line(format!($($arg)*))
+    };
+}
+
+fn out_line(mut line: String) {
+    line.push('\n');
+    if std::io::stdout().write_all(line.as_bytes()).is_err() {
+        exit(0);
+    }
+}
 
 fn fail(message: impl std::fmt::Display, code: i32) -> ! {
     eprintln!("temu-client: {message}");
@@ -117,17 +138,17 @@ fn event_line(event: &JsonValue) -> Option<String> {
 
 fn print_event(event: &JsonValue) {
     if let Some(line) = event_line(event) {
-        println!("{line}");
+        out!("{line}");
     }
 }
 
 fn summarize(done: &temu_serve::DoneSummary) {
-    println!(
+    out!(
         "job finished: {} point(s), {} executed, {} cache hit(s), {} failed, {:.2} s server wall",
         done.points, done.executed, done.cache_hits, done.failed, done.wall_s
     );
     if let Some(e) = &done.error {
-        println!("job error: {e}");
+        out!("job error: {e}");
     }
 }
 
@@ -184,11 +205,11 @@ fn submit(addr: &str, policy: &RetryPolicy, args: &[String]) -> ! {
         spec.threads = threads;
     }
 
-    println!("submitting \"{}\" to {addr}", spec.name);
+    out!("submitting \"{}\" to {addr}", spec.name);
     let outcome = submit_with_retry(addr, policy, &spec, watch, priority, print_event)
         .unwrap_or_else(|e| fail_client(&e));
     if !watch {
-        println!("queued as job {} ({} point(s))", outcome.job, outcome.total);
+        out!("queued as job {} ({} point(s))", outcome.job, outcome.total);
         exit(0);
     }
     let done = outcome.done.unwrap_or_else(|| fail("watched submission ended without a done event", 2));
@@ -206,10 +227,10 @@ fn print_stats_summary(frame: &JsonValue) {
     if let Some(depth) = frame.get("queue_depth").and_then(JsonValue::as_u64) {
         let running = frame.get("running").and_then(JsonValue::as_u64).unwrap_or(0);
         let workers = frame.get("workers").and_then(JsonValue::as_u64).unwrap_or(0);
-        println!("queue: {depth} queued, {running} running, {workers} worker(s)");
+        out!("queue: {depth} queued, {running} running, {workers} worker(s)");
     }
     let Some(JsonValue::Arr(members)) = frame.get("members") else { return };
-    println!("fleet: {} member(s)", members.len());
+    out!("fleet: {} member(s)", members.len());
     for member in members {
         let addr = member.get("addr").and_then(JsonValue::as_str).unwrap_or("?");
         let state = if member.get("up").and_then(JsonValue::as_bool) == Some(true) {
@@ -219,7 +240,7 @@ fn print_stats_summary(frame: &JsonValue) {
         };
         let routed = member.get("routed").and_then(JsonValue::as_u64).unwrap_or(0);
         let failures = member.get("failures").and_then(JsonValue::as_u64).unwrap_or(0);
-        println!("  {addr:<21} {state:<4} {routed} routed, {failures} failure(s)");
+        out!("  {addr:<21} {state:<4} {routed} routed, {failures} failure(s)");
     }
 }
 
@@ -228,7 +249,7 @@ fn print_stats_summary(frame: &JsonValue) {
 fn print_histogram_line(name: &str, h: &JsonValue) {
     let num = |k: &str| h.get(k).and_then(JsonValue::as_f64).unwrap_or(0.0);
     let (scale, unit) = if name.ends_with("_ns") { (1e6, " ms") } else { (1.0, "") };
-    println!(
+    out!(
         "  {name:<36} n={:<8} mean {:>9.3}{unit}  p50 {:>9.3}{unit}  p90 {:>9.3}{unit}  p99 {:>9.3}{unit}",
         num("count") as u64,
         num("mean") / scale,
@@ -243,7 +264,7 @@ fn print_histogram_line(name: &str, h: &JsonValue) {
 /// tick shows what moved).
 fn print_metrics(frame: &JsonValue, prev: Option<&JsonValue>) {
     if let Some(JsonValue::Obj(counters)) = frame.get("counters") {
-        println!("counters:");
+        out!("counters:");
         for (name, v) in counters {
             let now = v.as_u64().unwrap_or(0);
             let before = prev
@@ -252,19 +273,19 @@ fn print_metrics(frame: &JsonValue, prev: Option<&JsonValue>) {
                 .and_then(JsonValue::as_u64);
             match before {
                 Some(b) if now == b => {}
-                Some(b) => println!("  {name:<36} {now:<12} (+{})", now - b),
-                None => println!("  {name:<36} {now}"),
+                Some(b) => out!("  {name:<36} {now:<12} (+{})", now - b),
+                None => out!("  {name:<36} {now}"),
             }
         }
     }
     if let Some(JsonValue::Obj(gauges)) = frame.get("gauges") {
-        println!("gauges:");
+        out!("gauges:");
         for (name, v) in gauges {
-            println!("  {name:<36} {}", v.as_u64().unwrap_or(0));
+            out!("  {name:<36} {}", v.as_u64().unwrap_or(0));
         }
     }
     if let Some(JsonValue::Obj(histograms)) = frame.get("histograms") {
-        println!("histograms:");
+        out!("histograms:");
         for (name, h) in histograms {
             print_histogram_line(name, h);
         }
@@ -294,7 +315,7 @@ fn metrics_cmd(addr: &str, policy: &RetryPolicy, args: &[String]) -> ! {
         let Some(secs) = watch else { exit(0) };
         prev = Some(frame);
         std::thread::sleep(std::time::Duration::from_secs(secs));
-        println!();
+        out!();
     }
 }
 
@@ -336,7 +357,7 @@ fn results_cmd(addr: &str, policy: &RetryPolicy, args: &[String]) -> ! {
                 if let Some(seq) = event.get("seq").and_then(JsonValue::as_u64) {
                     cursor.set(seq);
                 }
-                println!("{event}");
+                out!("{event}");
             })
         });
         match outcome {
@@ -384,7 +405,7 @@ fn check_metrics_log(args: &[String]) -> ! {
         let frame = match JsonValue::parse(line) {
             Ok(frame) => frame,
             Err(e) if i + 1 == lines.len() => {
-                println!("tolerating torn final line: {e}");
+                out!("tolerating torn final line: {e}");
                 break;
             }
             Err(e) => fail(format!("{path}:{}: invalid JSON: {e}", i + 1), 1),
@@ -433,7 +454,7 @@ fn check_metrics_log(args: &[String]) -> ! {
             fail(format!("final snapshot reports {completed} completed job(s), expected {expect}"), 1);
         }
     }
-    println!("metrics log OK: {snapshots} snapshot(s), final jobs_completed={completed}");
+    out!("metrics log OK: {snapshots} snapshot(s), final jobs_completed={completed}");
     exit(0);
 }
 
@@ -470,7 +491,7 @@ fn print_latency_summary(addr: &str, stats: &JsonValue) {
         parts.push(format!("cache hit rate {:.1}%", rate * 100.0));
     }
     if !parts.is_empty() {
-        println!("latency: {}", parts.join(", "));
+        out!("latency: {}", parts.join(", "));
     }
 }
 
@@ -505,22 +526,22 @@ fn main() {
     match cmd.as_str() {
         "submit" => submit(&addr, &policy, cmd_args),
         "presets" => {
-            println!("named sweep presets (submit with: temu-client submit --preset NAME):");
+            out!("named sweep presets (submit with: temu-client submit --preset NAME):");
             for (name, what) in NAMED_SWEEPS {
-                println!("  {name:<10} {what}");
+                out!("  {name:<10} {what}");
             }
         }
         "status" => {
             let job = job_arg(cmd_args);
             let frame = retrying(&addr, &policy, |c| c.status(job));
-            println!("{frame}");
+            out!("{frame}");
         }
         "result" => {
             let job = job_arg(cmd_args);
             let frame = retrying(&addr, &policy, |c| c.result(job));
             match frame.get("report") {
-                Some(report) => println!("{report}"),
-                None => println!("{frame}"),
+                Some(report) => out!("{report}"),
+                None => out!("{frame}"),
             }
             let failed = frame.get("failed").and_then(JsonValue::as_u64).unwrap_or(0);
             exit(i32::from(failed != 0));
@@ -528,7 +549,7 @@ fn main() {
         "cancel" => {
             let job = job_arg(cmd_args);
             let frame = retrying(&addr, &policy, |c| c.cancel(job));
-            println!("{frame}");
+            out!("{frame}");
         }
         "watch" => {
             // A mid-stream drop reattaches; a job that finished in the
@@ -540,7 +561,7 @@ fn main() {
         }
         "stats" => {
             let frame = retrying(&addr, &policy, |c| c.stats());
-            println!("{frame}");
+            out!("{frame}");
             print_stats_summary(&frame);
             print_latency_summary(&addr, &frame);
         }
@@ -549,7 +570,7 @@ fn main() {
         "check-metrics-log" => check_metrics_log(cmd_args),
         "shutdown" => {
             retrying(&addr, &policy, |c| c.shutdown());
-            println!("server at {addr} shutting down");
+            out!("server at {addr} shutting down");
         }
         other => fail(format!("unknown command {other:?}\n{USAGE}"), 2),
     }

@@ -420,7 +420,9 @@ pub enum Request {
         /// otherwise replay what is retained and end.
         follow: bool,
         /// Restrict the stream to one job's events; the stream ends once
-        /// that job's terminal event has been sent (even under `follow`).
+        /// that job's terminal event has been sent, or once the job can
+        /// send no more (unknown, or finished with its terminal event no
+        /// longer retained), even under `follow`.
         job: Option<u64>,
     },
     /// Stop the server.

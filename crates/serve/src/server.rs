@@ -254,6 +254,14 @@ impl Jobs {
         self.queue.remove(pos)
     }
 
+    /// Whether job `id` can publish no more events: it finished (its
+    /// terminal event published), was evicted, or never existed.
+    /// [`Shared::publish_terminal`] records the finish after it pushes the
+    /// terminal event to the feed, so this never holds before that push.
+    fn ended(&self, id: u64) -> bool {
+        !self.map.contains_key(&id) || self.terminal.contains(&id)
+    }
+
     /// Records a job's terminal transition and evicts the oldest finished
     /// jobs beyond the history limit.
     fn note_terminal(&mut self, id: u64, limit: usize) {
@@ -1222,8 +1230,9 @@ fn metrics_response(shared: &Shared) -> String {
 /// Serves one `results` request: ack with the current cursor and
 /// retention horizon, replay retained events past `after`, then (under
 /// `follow`) block for new events until the job filter's terminal event,
-/// the client hangs up, or the server shuts down. Every stream ends with
-/// an `end` event carrying the cursor to resume from.
+/// until that job can send no more ([`Jobs::ended`]), the client hangs
+/// up, or the server shuts down. Every stream ends with an `end` event
+/// carrying the cursor to resume from.
 fn handle_results(
     shared: &Shared,
     writer: &mut TcpStream,
@@ -1239,12 +1248,16 @@ fn handle_results(
     write_frame(writer, &ack)?;
     let mut cursor = after;
     loop {
+        // Read before collecting: `ended` holds only once the job's
+        // terminal event is in the feed, so the collect below sends that
+        // event if the feed still holds it.
+        let job_ended = job.is_some_and(|id| shared.lock_jobs().ended(id));
         let (events, job_done) = shared.feed.collect_after(cursor, job);
         for (seq, line) in events {
             cursor = seq;
             write_frame(writer, &line)?;
         }
-        if job_done || !follow || shared.shutdown.load(Ordering::SeqCst) {
+        if job_done || job_ended || !follow || shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
         // Block until the feed grows (or shutdown). The timeout bounds
@@ -1414,6 +1427,32 @@ mod tests {
         assert!(done);
         let lines: Vec<&str> = events.iter().map(|(_, line)| line.as_str()).collect();
         assert_eq!(lines, GOLDEN_FEED);
+    }
+
+    #[test]
+    fn follow_of_a_job_whose_events_left_the_feed_ends() {
+        let server = Server::bind(ServeConfig { addr: String::from("127.0.0.1:0"), ..ServeConfig::default() })
+            .expect("bind an ephemeral port");
+        let addr = server.local_addr().expect("bound address");
+        let shared = Arc::clone(&server.shared);
+        // Job 1 finished; job 2's events then pushed its terminal event out.
+        let mut done = queued(0);
+        done.state = JobState::Done;
+        shared.lock_jobs().map.insert(1, done);
+        shared.publish_terminal(1, "{\"event\": \"done\", \"job\": 1}");
+        for _ in 0..FEED_RETAIN {
+            shared.feed.push(2, false, "{\"event\": \"point\", \"job\": 2}");
+        }
+        let handle = ServerHandle::spawn(addr, shared, move || server.run());
+        let mut client = crate::Client::connect(&addr.to_string()).expect("connect");
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let mut events = 0;
+            let cursor = client.results(0, true, Some(1), |_| events += 1).expect("stream ends with `end`");
+            let _ = tx.send((cursor, events));
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok((0, 0)), "the follow ends with nothing to send");
+        handle.shutdown();
     }
 
     /// Characters that stress the escaper (see `export.rs` in

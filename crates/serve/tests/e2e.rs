@@ -411,6 +411,40 @@ fn cancel_inside_the_last_point_ends_the_job_cancelled_not_failed() {
 }
 
 #[test]
+fn follow_of_an_unknown_job_ends() {
+    let handle = spawn_server(None);
+    let mut client = connect(&handle);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut events = Vec::new();
+        let cursor = client.results(0, true, Some(999), |e| events.push(e.clone())).expect("stream ends with `end`");
+        let _ = tx.send((cursor, events));
+    });
+    let (cursor, events) =
+        rx.recv_timeout(std::time::Duration::from_secs(10)).expect("the follow ends without waiting");
+    assert_eq!((cursor, events), (0, Vec::new()));
+    handle.shutdown();
+}
+
+#[test]
+fn client_exits_quietly_when_its_stdout_is_closed() {
+    let handle = spawn_server(None);
+    let addr = handle.addr().to_string();
+    for args in [&["presets"][..], &["--addr", &addr, "stats"]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_temu-client"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("run temu-client");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success() && stderr.is_empty(), "{args:?}: {}: {stderr}", out.status);
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn results_feed_streams_every_point_exactly_once_across_a_reconnect() {
     let handle = spawn_server(None);
 
