@@ -48,17 +48,27 @@
 //! of the op it is at. Loads, stores and `tas` stay inside the block: each one's
 //! data phase runs right after its fetch under the same rule; where the
 //! rule fails, the block stops with the access parked. A load or store that
-//! hits the core's private D-cache runs in place ([`MemoryPort::data_hit`]);
-//! every other data access (a miss, shared or MMIO data, `tas`, a
-//! write-through store, an access the port declines) goes through the full
-//! [`MemoryPort::read`], `write` or `tas`. A store or `tas` over the block's
-//! own text ends the block right after it, so the words after it are
-//! fetched again. A warm entry books the clock, the PC and the counters of
-//! the ops it retired once, at exit, and `run_local` books the fetch hits of
-//! warm entries of one block in a row in one [`MemoryPort::fetch_hits`]
-//! call, before any other fetch of the core and before it returns, also
-//! with a data fault. Every cycle, counter, cache tag, LRU stamp and access
-//! tick ends exactly where phase-at-a-time execution leaves it.
+//! hits the core's private D-cache runs in place, inlined into the block
+//! loop ([`MemoryPort::data_hit`]); every other data access (a miss, shared
+//! or MMIO data, `tas`, a write-through store, an access the port declines)
+//! goes through the full [`MemoryPort::read`], `write` or `tas`. A store or
+//! `tas` over the block's own text ends the block right after it, so the
+//! words after it are fetched again.
+//!
+//! A warm self-loop chains: a block whose last op jumps back to its own
+//! start, with the local time still below the limit, runs its next pass
+//! inside the same warm entry. The pass needs no text lookup, text compare
+//! or generation check, because nothing it would check can have moved: a
+//! store over the block's text has already ended the entry, only this core
+//! writes its private memory, nothing is fetched inside an entry and data
+//! accesses leave the I-cache alone. A warm entry books the clock, the PC
+//! and the counters of the ops it retired once, at exit, its chained passes
+//! as whole-block counts, and `run_local` books the fetch hits of warm runs
+//! of one block in a row (entries, and the passes chained inside them) in
+//! one [`MemoryPort::fetch_hits`] call, before any other fetch of the core
+//! and before it returns, also with a data fault. Every cycle, counter,
+//! cache tag, LRU stamp and access tick ends exactly where phase-at-a-time
+//! execution leaves it.
 //! [`Cpu::step`] always runs one phase: it is what the shared-phase order
 //! and the `temu-des` baseline run, with no block code in its path.
 
@@ -347,12 +357,13 @@ impl Mix {
         mix
     }
 
-    fn book(self, stats: &mut CoreStats) {
-        stats.loads += u64::from(self.loads);
-        stats.stores += u64::from(self.stores);
-        stats.branches += u64::from(self.branches);
-        stats.muls += u64::from(self.muls);
-        stats.divs += u64::from(self.divs);
+    /// Books the counters of `runs` runs of the ops.
+    fn book(self, stats: &mut CoreStats, runs: u64) {
+        stats.loads += u64::from(self.loads) * runs;
+        stats.stores += u64::from(self.stores) * runs;
+        stats.branches += u64::from(self.branches) * runs;
+        stats.muls += u64::from(self.muls) * runs;
+        stats.divs += u64::from(self.divs) * runs;
     }
 }
 
@@ -368,11 +379,13 @@ enum Flow {
     Data(DataOp),
 }
 
-/// The fetch hits of warm block entries still to book: `runs` entries in a
-/// row of the block at `pc`, each of which fetched `fetches` instructions.
-/// [`Cpu::run_local`] books them in one [`MemoryPort::fetch_hits`] call
-/// when another entry follows, before any other fetch of the core and
-/// before it returns, so the I-cache is never seen with runs unbooked.
+/// The fetch hits of warm block runs still to book: `runs` runs in a row of
+/// the block at `pc`, each of which fetched `fetches` instructions. A run
+/// is a warm entry, or one pass of a self-loop chained inside an entry
+/// ([`Cpu::run_decoded`]). [`Cpu::run_local`] books them in one
+/// [`MemoryPort::fetch_hits`] call when other runs follow, before any
+/// other fetch of the core and before it returns, so the I-cache is never
+/// seen with runs unbooked.
 #[derive(Clone, Copy, Debug, Default)]
 struct WarmRuns {
     pc: u32,
@@ -381,14 +394,16 @@ struct WarmRuns {
 }
 
 impl WarmRuns {
-    /// Adds a warm entry of the block at `pc` that fetched `fetches`
-    /// instructions; the runs before it are booked unless it repeats them.
-    fn add<P: MemoryPort + ?Sized>(&mut self, port: &mut P, core: usize, pc: u32, fetches: u32) {
-        if self.runs > 0 && self.runs < u32::MAX && (self.pc, self.fetches) == (pc, fetches) {
-            self.runs += 1;
-        } else {
-            self.book(port, core);
-            *self = WarmRuns { pc, fetches, runs: 1 };
+    /// Adds `runs` runs of the block at `pc` that each fetched `fetches`
+    /// instructions; the runs before them are booked unless they repeat
+    /// them.
+    fn add<P: MemoryPort + ?Sized>(&mut self, port: &mut P, core: usize, pc: u32, fetches: u32, runs: u32) {
+        match self.runs.checked_add(runs) {
+            Some(total) if self.runs > 0 && (self.pc, self.fetches) == (pc, fetches) => self.runs = total,
+            _ => {
+                self.book(port, core);
+                *self = WarmRuns { pc, fetches, runs };
+            }
         }
     }
 
@@ -644,8 +659,10 @@ impl Cpu {
     /// `tas` — runs under the same `limit` and `local_end` rule. A cold
     /// block entry is those phases themselves, running the block's ops
     /// where the fetched words are the block's. A warm one runs its D-cache
-    /// hits through [`MemoryPort::data_hit`], and the fetch hits of warm
-    /// entries of one block in a row are booked in one
+    /// hits inline through [`MemoryPort::data_hit`] and, when the block
+    /// jumps back to its own start below `limit`, runs on into the next
+    /// pass without leaving the entry. The fetch hits of warm runs of one
+    /// block in a row, entries and chained passes alike, are booked in one
     /// [`MemoryPort::fetch_hits`] call, before any other fetch and before
     /// the call returns. The result — state, counters and cache — is the
     /// one phase-at-a-time execution gives.
@@ -744,7 +761,7 @@ impl Cpu {
         if let Some(next) = next {
             self.pc = next;
             self.stats.instructions += 1;
-            Mix::of(&[op]).book(&mut self.stats);
+            Mix::of(&[op]).book(&mut self.stats, 1);
         }
         self.stats.stall_cycles += fetch.stall;
         self.stats.active_cycles += t - t0 - fetch.stall;
@@ -833,9 +850,18 @@ impl Cpu {
     /// hit taking `hit_latency` cycles, and the entry adds its fetches to
     /// the `warm` runs that [`Cpu::run_local`] books. Each op runs through
     /// [`Cpu::execute`]; a memory instruction's data phase runs in place
-    /// after its fetch, a private D-cache hit without a full access
+    /// after its fetch, a private D-cache hit inline without a full access
     /// ([`MemoryPort::data_hit`]). A store or `tas` over the block's own
     /// text ends the block.
+    ///
+    /// A self-loop chains: when the block's last op jumps back to its own
+    /// start with the local time still below `limit`, the next pass runs
+    /// on inside the entry, with no [`MemoryPort::text`], table lookup,
+    /// text compare or generation check. None is needed: a store over the
+    /// block's text has ended the entry, only this core writes its private
+    /// memory, nothing is fetched inside an entry, and data accesses leave
+    /// the I-cache alone, so `run_local` would find the same block, still
+    /// warm, at the same start, which lies below `local_end`.
     ///
     /// The entry keeps the local clock and the stall cycles in locals and
     /// the PC as the index of the op it is at; `local_end` is checked
@@ -843,8 +869,11 @@ impl Cpu {
     /// phase run in an inner loop with no call, and the function stays out
     /// of line, so the clock and the index stay in registers. At exit the
     /// entry books the clock, the PC and the counters of the ops it
-    /// retired at once: their number, the cycles, a taken branch, and
-    /// their [`Mix`], the block's own when it retired them all.
+    /// retired at once: the chained passes' whole-block counts (their
+    /// instructions, taken branches and the block's [`Mix`] per pass, and
+    /// their fetches as runs of the block), then the last pass's: its
+    /// number of ops, a taken branch, and their [`Mix`], the block's own
+    /// when it retired them all, with the cycles of the whole entry.
     #[inline(never)]
     fn run_decoded<P: MemoryPort + ?Sized>(
         &mut self,
@@ -862,6 +891,8 @@ impl Cpu {
         let ops = &block.ops[..block.len.min((local_end - u64::from(start)).div_ceil(4) as usize)];
         let t0 = self.time;
         let (mut t, mut stall) = (t0, 0);
+        // Whole passes of a self-loop before the one at `fetched`.
+        let mut passes = 0u32;
         let mut fetched = 0;
         let exit = 'entry: loop {
             // The ops up to the next data phase, which run on registers.
@@ -873,6 +904,11 @@ impl Cpu {
                 match self.execute(op, pc, &mut t) {
                     Flow::Next if fetched < ops.len() && t < limit => {}
                     Flow::Next => break 'entry Exit::Ran,
+                    // A jump ends its block, so this pass ran every op.
+                    Flow::Jump(target) if target == start && t < limit && passes < u32::MAX => {
+                        passes += 1;
+                        fetched = 0;
+                    }
                     Flow::Jump(target) => break 'entry Exit::Jumped(target),
                     Flow::Data(data) => break (data, pc),
                 }
@@ -905,13 +941,18 @@ impl Cpu {
         };
         self.time = t;
         self.pc = jump.unwrap_or(start + 4 * retired as u32);
+        let whole = u64::from(passes);
         let stats = &mut self.stats;
-        stats.instructions += retired as u64;
+        stats.instructions += whole * block.len as u64 + retired as u64;
         stats.stall_cycles += stall;
         stats.active_cycles += t - t0 - stall;
-        stats.taken_branches += u64::from(jump.is_some());
-        if retired == block.len { block.mix } else { Mix::of(&block.ops[..retired]) }.book(stats);
-        warm.add(port, self.id, start, fetched as u32);
+        stats.taken_branches += whole + u64::from(jump.is_some());
+        block.mix.book(stats, whole);
+        if retired == block.len { block.mix } else { Mix::of(&block.ops[..retired]) }.book(stats, 1);
+        if passes > 0 {
+            warm.add(port, self.id, start, block.len as u32, passes);
+        }
+        warm.add(port, self.id, start, fetched as u32, 1);
         fault.map_or(Ok(()), Err)
     }
 

@@ -115,6 +115,11 @@ pub trait MemoryPort {
     /// [`MemoryPort::write`] would and returns their reply. Declines,
     /// changing nothing, for every other access (the default); the core
     /// then runs it through `read` or `write`.
+    ///
+    /// A warm block calls it from inside its loop for every load and
+    /// store, so an implementation's hit path is meant to be inlined there
+    /// (`#[inline(always)]`, down to the cache lookup): an out-of-line call
+    /// spills the block loop's registers around every hit.
     fn data_hit(&mut self, _core: usize, _addr: u32, _width: Width, _store: Option<u32>, _now: u64) -> Option<MemReply> {
         None
     }

@@ -715,6 +715,69 @@ fn store_rewrites_a_later_instruction_of_its_own_block() {
     }
 }
 
+/// Ten passes of a loop block that stores a word over its own `patch`,
+/// given by `body`: the word `patch` was assembled with on the first five
+/// passes, `new` from the sixth on. The word is picked with no branch
+/// (`sltiu`, `mul`, `xor` on the pass counter in r6), which would split the
+/// block, so the block runs warm from its third pass and its first
+/// rewrite of `patch` comes from a warm entry.
+fn self_rewriting_loop(body: &str, new: u32) -> Program {
+    assemble(&format!(
+        "
+        start: la    r1, patch
+               lw    r2, 0(r1)
+               la    r11, new
+               lw    r9, 0(r11)
+               xor   r9, r9, r2
+               li    r10, 4
+               li    r6, 10
+               j     loop
+        loop:  addi  r3, r3, 1
+               sltiu r8, r6, 6
+               mul   r7, r8, r9
+               xor   r7, r7, r2
+               sw    r7, 0(r1)
+               addi  r4, r4, 1
+               {body}
+               halt
+        new:   .word {new:#x}
+        "
+    ))
+    .expect("valid asm")
+}
+
+#[test]
+fn warm_store_rewrites_a_later_instruction_of_its_own_block() {
+    // `patch` is a later instruction of the block, then its closing branch.
+    // Once rewritten, the first adds 77 instead of 11 (r5 = 5 * 11 + 5 *
+    // 77), and the second leaves the loop while r6 is 4, after the pass that
+    // first stores it (r5 = 6 * 11). A warm entry that ran on past the
+    // store would run the word it decoded before, for the rest of the pass
+    // or for the passes it chains.
+    let cases = [
+        ("PATCH\n addi r6, r6, -1\n bnez r6, loop", "addi r5, r5, 11", "addi r5, r5, 77", 5 * 11 + 5 * 77),
+        ("addi r5, r5, 11\n addi r6, r6, -1\n PATCH", "bnez r6, loop", "bltu r10, r6, loop", 6 * 11),
+    ];
+    for (body, old, rewritten, r5) in cases {
+        let patched = |instr: &str| body.replace("PATCH", &format!("patch: {instr}"));
+        // The new word, encoded where `patch` sits in the program.
+        let with_new = self_rewriting_loop(&patched(rewritten), 0);
+        let new = with_new.words[((with_new.symbol("patch") - with_new.base) / 4) as usize];
+        let program = self_rewriting_loop(&patched(old), new);
+        for cores in [1, 4] {
+            let platform = PlatformConfig::paper_bus(cores);
+            let what = format!("{rewritten}, {cores} core(s)");
+            let mut pair = Pair::new(&platform, &program);
+            pair.run_to_halt();
+            pair.assert_same(&format!("{what}, at halt"));
+            for core in 0..cores {
+                assert_eq!(pair.fast.core(core).regs().read(Reg::new(5)), r5, "{what}, core {core}");
+            }
+            at_boundaries(&platform, &program, &[ODD_WINDOW, 3], &what);
+        }
+    }
+}
+
 #[test]
 fn data_fault_inside_a_block_books_its_fetch_hits() {
     // `go` starts an I-cache line; its third word loads from a misaligned

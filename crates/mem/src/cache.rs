@@ -211,7 +211,7 @@ impl Cache {
     }
 
     /// Index into `lines` of line index `line`, when it is present.
-    #[inline]
+    #[inline(always)]
     fn find(&self, line: u32) -> Option<usize> {
         let (set, tag) = self.split(line);
         let ways = self.cfg.ways as usize;
@@ -318,7 +318,7 @@ impl Cache {
     /// read or write counter, the hit counter, the line's LRU stamp and,
     /// for a write, its dirty bit) and returns `true`. Otherwise changes
     /// nothing and returns `false`.
-    #[inline]
+    #[inline(always)]
     pub fn try_hit(&mut self, addr: u32, kind: AccessKind) -> bool {
         let is_write = kind == AccessKind::Write;
         if is_write && self.cfg.write_policy == WritePolicy::WriteThrough {

@@ -505,7 +505,7 @@ impl MemoryPort for Uncore {
         icache.try_hits(pc, fetches, runs)
     }
 
-    #[inline]
+    #[inline(always)]
     fn data_hit(&mut self, core: usize, addr: u32, width: Width, store: Option<u32>, now: u64) -> Option<MemReply> {
         // Under event logging every data access is an event, which the
         // full path logs.

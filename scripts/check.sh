@@ -220,6 +220,39 @@ for workload in fig6 fine_mesh served; do
     echo "benchmark smoke $workload OK"
 done
 
+echo "== inline-pins gate =="
+# Hot paths that run only as fast as they do inlined: a private D-cache
+# hit runs inside the warm block loop (`Uncore::data_hit` and
+# `Cache::try_hit`, both `#[inline(always)]`), and the multigrid kernels
+# inline into `implicit_substep_mg`, though nothing forces them to. The
+# release benchmark binary built above must hold no out-of-line copy of
+# any of them. The gate fails without `nm`, and when `nm -C` does not
+# list `Cpu::run_decoded`, which stays out of line on purpose, so a
+# binary whose symbols cannot be read never passes.
+bench_bin=target/benchmark/release/temu-benchmark
+if ! command -v nm >/dev/null; then
+    echo "inline-pins FAILED: nm not found"
+    exit 1
+fi
+symbols=$(nm -C "$bench_bin" | sed -E 's/^[0-9a-f]* *[A-Za-z] //')
+if ! echo "$symbols" | grep -qFx 'temu_cpu::core::Cpu::run_decoded'; then
+    echo "inline-pins FAILED: nm -C lists no temu_cpu::core::Cpu::run_decoded in $bench_bin"
+    exit 1
+fi
+pinned='<temu_platform::uncore::Uncore as temu_cpu::port::MemoryPort>::data_hit
+temu_mem::cache::Cache::try_hit
+temu_thermal::solver::sweep_forward
+temu_thermal::solver::sweep_backward
+temu_thermal::solver::fine_residual
+temu_thermal::solver::fcg_update'
+out_of_line=$(echo "$symbols" | grep -Fx "$pinned" || true)
+if [ -n "$out_of_line" ]; then
+    echo "inline-pins FAILED: out of line in $bench_bin:"
+    echo "$out_of_line"
+    exit 1
+fi
+echo "inline-pins OK"
+
 echo "== bench-smoke gate =="
 # Also the solver-convergence gate: the smoke rungs include multigrid
 # cases, and the bench fails if any multigrid substep is accepted
