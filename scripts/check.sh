@@ -235,7 +235,10 @@ if ! command -v nm >/dev/null; then
     exit 1
 fi
 symbols=$(nm -C "$bench_bin" | sed -E 's/^[0-9a-f]* *[A-Za-z] //')
-if ! echo "$symbols" | grep -qFx 'temu_cpu::core::Cpu::run_decoded'; then
+# A here-string, not a pipe: `grep -q` stops reading at its first match,
+# and under pipefail a writer still holding the rest of this long listing
+# would fail on SIGPIPE.
+if ! grep -qFx 'temu_cpu::core::Cpu::run_decoded' <<<"$symbols"; then
     echo "inline-pins FAILED: nm -C lists no temu_cpu::core::Cpu::run_decoded in $bench_bin"
     exit 1
 fi
@@ -245,7 +248,7 @@ temu_thermal::solver::sweep_forward
 temu_thermal::solver::sweep_backward
 temu_thermal::solver::fine_residual
 temu_thermal::solver::fcg_update'
-out_of_line=$(echo "$symbols" | grep -Fx "$pinned" || true)
+out_of_line=$(grep -Fx "$pinned" <<<"$symbols" || true)
 if [ -n "$out_of_line" ]; then
     echo "inline-pins FAILED: out of line in $bench_bin:"
     echo "$out_of_line"
