@@ -21,17 +21,13 @@ fn link_events() -> &'static temu_obs::Counter {
 
 /// Envelope magic of [`EmulationState::to_bytes`].
 pub const STATE_MAGIC: [u8; 4] = *b"EMUS";
-/// Highest [`EmulationState`] stream version this build reads and writes.
-pub const STATE_VERSION: u32 = 1;
+/// The [`EmulationState`] stream version this build writes, and the only
+/// one it reads.
+pub const STATE_VERSION: u32 = 2;
 /// Inner envelope of the platform section (machine + statistics link)
 /// embedded in an [`EmulationState`].
 const PLATFORM_MAGIC: [u8; 4] = *b"TPLT";
 const PLATFORM_VERSION: u32 = 1;
-/// Zero words in the retired section of an [`EmulationState`] stream (see
-/// [`EmulationState::to_bytes`]): a per-call baseline of windows, virtual
-/// seconds, cycles and FPGA seconds, four link counters, five solver
-/// counters, and a residual watermark.
-const RETIRED_ZERO_WORDS: usize = 14;
 
 /// A mid-run window observer: `(every, hook)` — the hook sees the
 /// emulation at a checkpointable window boundary after every `every`-th
@@ -431,7 +427,7 @@ impl ThermalEmulation {
     /// [`TemuError::State`] if the embedded platform or thermal streams
     /// are corrupt or shaped for a different configuration.
     pub(crate) fn restore_state(&mut self, state: &EmulationState) -> Result<(), TemuError> {
-        let (mut r, _) = StateReader::new(&state.platform, PLATFORM_MAGIC, PLATFORM_VERSION)?;
+        let mut r = StateReader::new(&state.platform, PLATFORM_MAGIC, PLATFORM_VERSION)?;
         self.machine.load_state(&mut r)?;
         self.link.load_state(&mut r)?;
         r.finish()?;
@@ -460,7 +456,7 @@ impl ThermalEmulation {
         self.virtual_cycles = state.virtual_cycles;
         self.fpga_seconds = state.fpga_seconds;
         self.aggregate = state.aggregate.clone();
-        self.trace = state.trace.clone();
+        self.trace.samples = state.trace.samples.clone();
         Ok(())
     }
 
@@ -510,9 +506,10 @@ impl ThermalEmulation {
 ///   checkpoint can never silently continue a different experiment.
 /// * Checkpoints exist only at window boundaries:
 ///   [`ThermalEmulation::run_window`] runs a whole window per call.
-/// * The byte stream is versioned (`EMUS`, version 1) and fails closed:
-///   corrupt, truncated, or differently-shaped streams return
-///   [`TemuError::State`] instead of partially applying.
+/// * The byte stream is versioned (`EMUS`, version 2) and fails closed:
+///   corrupt, truncated, or differently-shaped streams, and streams of
+///   any other version, return [`TemuError::State`] instead of partially
+///   applying.
 #[derive(Clone, Debug)]
 pub struct EmulationState {
     scenario_key: u64,
@@ -541,37 +538,15 @@ impl EmulationState {
         self.windows
     }
 
-    /// Serializes the state into a self-describing versioned byte stream.
-    ///
-    /// The stream keeps a retired section after the aggregate: the
-    /// per-call baseline that emulations once kept beside the run's own
-    /// counters. It is written as every state from a single-call run
-    /// already held it — the aggregate again, then 14 zero words — so the
-    /// bytes, and the journals that hold them, stay those of `EMUS`
-    /// version 1, and older journals still resume. Dropping the section
-    /// would change every state's bytes and belongs with a new stream
-    /// version.
+    /// Serializes the state into a self-describing versioned byte stream
+    /// (`EMUS`, version 2): the scenario key, the aggregate, the trace
+    /// samples, the DFS ladder level, then the platform (`TPLT`) and
+    /// thermal (`TSNP`) sections.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = StateWriter::new(STATE_MAGIC, STATE_VERSION);
         w.u64(self.scenario_key);
-        // The statistics-record sequence counter: always the window count
-        // modulo 2^32. The layout keeps it; `from_bytes` skips it.
-        w.u32(self.windows as u32);
-        w.u64(self.windows);
-        w.f64(self.virtual_seconds);
-        w.u64(self.virtual_cycles);
-        w.f64(self.fpga_seconds);
         self.aggregate.save_state(&mut w);
-        // The retired section (see above).
-        self.aggregate.save_state(&mut w);
-        for _ in 0..RETIRED_ZERO_WORDS {
-            w.u64(0);
-        }
-        w.usize(self.trace.component_names.len());
-        for name in &self.trace.component_names {
-            w.bytes(name.as_bytes());
-        }
         w.usize(self.trace.samples.len());
         for s in &self.trace.samples {
             w.f64(s.t_virtual_s);
@@ -594,40 +569,15 @@ impl EmulationState {
     ///
     /// # Errors
     ///
-    /// [`TemuError::State`] on a corrupt, truncated, or
-    /// unsupported-version stream, and on a retired section other than
-    /// the one [`EmulationState::to_bytes`] writes. The embedded platform
-    /// and thermal sections are validated later, on restore.
+    /// [`TemuError::State`] on a corrupt or truncated stream, and on one
+    /// of another version ([`StateError::UnsupportedVersion`]). The
+    /// embedded platform and thermal sections are validated later, on
+    /// restore.
     pub fn from_bytes(buf: &[u8]) -> Result<EmulationState, TemuError> {
-        let (mut r, _) = StateReader::new(buf, STATE_MAGIC, STATE_VERSION)?;
+        let mut r = StateReader::new(buf, STATE_MAGIC, STATE_VERSION)?;
         let scenario_key = r.u64()?;
-        let _seq = r.u32()?;
-        let windows = r.u64()?;
-        let virtual_seconds = r.f64()?;
-        let virtual_cycles = r.u64()?;
-        let fpga_seconds = r.f64()?;
         let mut aggregate = WindowStats::default();
         aggregate.load_state(&mut r)?;
-        let mut retired = WindowStats::default();
-        retired.load_state(&mut r)?;
-        if retired != aggregate {
-            return Err(StateError::BadValue { what: "retired per-call aggregate", value: 0 }.into());
-        }
-        for _ in 0..RETIRED_ZERO_WORDS {
-            let word = r.u64()?;
-            if word != 0 {
-                return Err(StateError::BadValue { what: "retired per-call baseline", value: word }.into());
-            }
-        }
-        let n_names = r.usize()?;
-        let mut component_names = Vec::new();
-        for _ in 0..n_names {
-            let raw = r.bytes()?;
-            component_names.push(String::from_utf8(raw).map_err(|_| StateError::BadValue {
-                what: "component name (not UTF-8)",
-                value: 0,
-            })?);
-        }
         let n_samples = r.usize()?;
         let mut samples = Vec::new();
         for _ in 0..n_samples {
@@ -644,8 +594,13 @@ impl EmulationState {
         let platform = r.bytes()?;
         let model = r.bytes()?;
         r.finish()?;
-        let mut trace = ThermalTrace::new(component_names);
-        trace.samples = samples;
+        // The run's counters are the last sample's and the aggregate's.
+        let last = samples.last();
+        let windows = samples.len() as u64;
+        let virtual_seconds = last.map_or(0.0, |s| s.t_virtual_s);
+        let fpga_seconds = last.map_or(0.0, |s| s.fpga_seconds);
+        let virtual_cycles = aggregate.cycles();
+        let trace = ThermalTrace { samples, ..ThermalTrace::default() };
         Ok(EmulationState {
             scenario_key,
             windows,
@@ -835,7 +790,7 @@ mod tests {
         assert_eq!((report.aggregate.events_pending, report.aggregate.events_overflowed), (1024, 394640));
         // Each window shipped its 1,024 buffered events, and the overflow.
         assert_eq!(link_events().get() - shipped, 3 * 1024 + 394640);
-        assert_eq!(checkpoints, [2100650306435098543, 16756292368021505287, 5465299347607903970]);
+        assert_eq!(checkpoints, [1329130833917750512, 12936419078913295128, 13396305310356682652]);
     }
 
     #[test]
@@ -891,34 +846,12 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] ^= 0xFF;
         assert!(matches!(EmulationState::from_bytes(&wrong_magic), Err(TemuError::State(_))));
-    }
-
-    #[test]
-    fn non_canonical_retired_section_is_rejected() {
-        let mut emu = emulation(None, 10_000);
-        let _ = emu.run_windows(3).unwrap();
-        let state = emu.checkpoint();
-        let bytes = state.to_bytes();
-        assert!(EmulationState::from_bytes(&bytes).is_ok());
-        // The retired section follows the envelope, the key, the sequence
-        // counter, four run counters and the aggregate: a copy of the
-        // aggregate, whose last word counts overflowed events, then the
-        // zero words.
-        let envelope = StateWriter::new(STATE_MAGIC, STATE_VERSION).into_bytes().len();
-        let mut w = StateWriter::new(STATE_MAGIC, STATE_VERSION);
-        state.aggregate.save_state(&mut w);
-        let aggregate = w.into_bytes().len() - envelope;
-        let copy = envelope + 8 + 4 + 4 * 8 + aggregate;
-        let zeros = copy + aggregate;
-        assert_eq!(&bytes[copy..zeros], &bytes[copy - aggregate..copy], "the aggregate again");
-        assert!(bytes[zeros..zeros + 8 * RETIRED_ZERO_WORDS].iter().all(|&b| b == 0));
-        for at in [zeros - 8, zeros, zeros + 8 * RETIRED_ZERO_WORDS - 1] {
-            let mut other = bytes.clone();
-            other[at] ^= 1;
-            assert!(
-                matches!(EmulationState::from_bytes(&other), Err(TemuError::State(StateError::BadValue { .. }))),
-                "byte {at} of the retired section"
-            );
-        }
+        // A stream of the older layout fails closed on its version word.
+        let mut older = bytes.clone();
+        older[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            EmulationState::from_bytes(&older),
+            Err(TemuError::State(StateError::UnsupportedVersion { found: 1, supported: 2 }))
+        ));
     }
 }

@@ -48,11 +48,11 @@ fn paper_fig6_state_after_every_window() {
     assert_eq!(
         window_hashes(&Scenario::paper_fig6(), 20),
         [
-            0x5235_e0d3_e3c9_e546, 0x8449_ff7c_41a1_0911, 0x0ba3_e50a_538b_c6f5, 0x0eb7_1aeb_4104_642e,
-            0x4ead_0ccd_d994_289a, 0x74d7_9ccd_30c0_d482, 0x74d2_a11c_9f4c_7e7a, 0x005c_3093_9fe8_bad7,
-            0x8b7e_bcf1_ecc7_c383, 0x9aa6_701e_3e07_0a49, 0xe7e8_af02_a97e_ed4c, 0x2c1a_c0f2_3d24_eb77,
-            0x4be4_4ff0_670a_ba7b, 0xfa3a_3bed_c218_12de, 0xedd1_10f6_f0d5_2811, 0xd251_ab26_3199_3de3,
-            0x0622_1e80_7d6e_e109, 0x9d54_84ab_8e90_9f59, 0xd848_edae_0d1d_b932, 0x4df5_a720_d0d0_d5f1,
+            0x0c44_3724_6b33_97a2, 0xbe85_4b9a_a883_835f, 0xa76c_f280_7bd2_5b09, 0xdf03_3cd3_64d4_441d,
+            0x8b0c_d520_48be_553c, 0xb872_3d84_a37e_d212, 0xfec7_3da2_3215_5f38, 0x9ef8_3aa4_3e62_9af5,
+            0xb26a_f7fc_1af1_d0a8, 0x4741_4c44_c904_5131, 0xea6c_30c1_bc5b_dfbb, 0x14bf_952a_fcdf_f1d5,
+            0x5ee7_d171_33e9_3401, 0x3516_4954_bec5_df6e, 0x14ab_97b7_058b_60a6, 0xf42b_df10_430a_3190,
+            0x6f01_6a43_3a70_b80b, 0x2c48_d86c_e291_c319, 0x5300_4963_49ad_a73d, 0xd82c_849f_1714_82b5,
         ]
     );
 }
@@ -63,16 +63,16 @@ fn exploration_bus_state_after_every_window() {
     assert_eq!(
         window_hashes(&Scenario::exploration_bus(1).sampling_window_s(0.002), 40),
         [
-            0x3ab3_e1ce_71e2_79a2, 0x07a6_b2a6_7c95_2ddc, 0xf813_10fc_b121_008a, 0x63b3_cb29_e546_bded,
-            0x1268_aa27_cc45_0b12, 0x0f5a_d764_0115_c988, 0xd903_b0fd_e929_6a97, 0x5db5_d50d_d982_bb77,
-            0x39fe_917e_227e_05c4, 0xab63_4c58_4c0a_c796, 0xbe28_02d4_f0b0_1728, 0x340c_7a9a_a013_4a48,
-            0x4aaa_7a08_538c_19d4, 0x43e2_f852_a04e_579d, 0xa66a_3ada_6c55_d19f, 0xdfc9_dce8_f686_e015,
-            0x7f6b_1a6b_fae3_d10d, 0xc4dc_4fe5_5125_cd77, 0xa35d_d52d_3470_11a3, 0x7bcb_3c00_cbdf_3bca,
-            0x0b61_b096_88f4_3111, 0x7712_e695_eb9f_f407, 0x685d_674f_b308_0478, 0x2f33_551c_8fc1_4c88,
-            0x499e_7ff7_0bef_1c89, 0xc340_1586_4ec9_0207, 0xc9ab_5c72_3d66_fe41, 0x0582_cd01_9bf4_effc,
-            0x488b_808e_10dd_e21f, 0x05d5_2e23_83a4_fc2a, 0x1af3_6c0f_14b2_539f, 0x0032_dd75_bc4b_fb8d,
-            0x93c8_e7ab_f761_9c68, 0xaf4c_4e58_bbb4_435f, 0x5e7e_7892_4e2a_00d6, 0x8054_4c88_613c_6dcb,
-            0xef6d_07ef_28ad_8545, 0xd280_84f8_c083_6756, 0x7f4d_d185_451e_1939, 0x4539_db46_3c27_42b4,
+            0xbab1_3dd8_18ab_34d0, 0xe560_b2b5_3830_90cf, 0x3e5c_04c4_d069_4ad5, 0xd22d_1852_d18e_09ae,
+            0x4f61_b14d_3575_7958, 0x354c_b61d_b927_d517, 0x7373_d47f_1a0b_8532, 0x3397_eef7_8830_6ddf,
+            0x7387_a0cc_b908_4545, 0x231a_72cb_219a_003f, 0x8f42_22ff_1b44_644b, 0x5b86_e3d7_b86b_845c,
+            0x77bb_ae39_29e9_4323, 0x6695_d2cf_f124_4627, 0x5f58_461f_9415_de25, 0xdf29_309f_5d6f_0b2b,
+            0x3a7c_6ef9_4fc9_74ee, 0xc3f6_8627_fdf9_bba3, 0xbedb_32f1_74da_b9fc, 0xdc28_af6b_ef8e_2bda,
+            0x4602_763e_6c7a_21e6, 0x12de_bd47_251b_648c, 0x8432_ab02_feab_1a9e, 0x1bdd_63bf_8c0e_762a,
+            0x80ef_a8cd_139c_5f76, 0xd86f_7537_eda5_9f91, 0x5ca2_33eb_b1c4_8f8e, 0x1b78_8575_6284_b5f3,
+            0x476c_a06b_0642_c3b0, 0xf6ca_50bc_b2fd_df39, 0x40f2_165c_31c5_d717, 0x0f57_82d4_4d91_1f25,
+            0xca07_55f9_f8ee_921d, 0xc314_2621_d75d_00ab, 0x64a3_3833_cf5a_d1ed, 0x7914_2409_c975_80bf,
+            0x21e0_d126_c9a0_c7ae, 0x858c_12e5_9fbb_776a, 0xd2e3_4dfb_3508_2417, 0x33a7_3978_ea1f_2f6f,
         ]
     );
 }
@@ -100,9 +100,9 @@ fn fine_mesh_state_after_every_window() {
     assert_eq!(
         window_hashes(&scenario, 10),
         [
-            0x54e8_6874_6f2a_f730, 0x7bd2_b767_8adf_5db0, 0xcba3_bb9f_9df7_438d, 0x2e1f_8e06_725a_290c,
-            0x6aa6_0b45_e944_da01, 0x3843_c647_cac3_5ba6, 0xa615_4beb_fe5b_1c59, 0x363e_615e_f7f9_1fed,
-            0xfc6e_3e4f_ff19_3fff, 0x9070_6a61_b048_2ad6,
+            0xecea_4692_2cde_8286, 0x9b9f_1bde_f8b1_1c00, 0xf0b1_055a_3161_1345, 0xe7be_0fd2_1b24_46ec,
+            0xec38_4543_4cec_c790, 0x5162_db0b_b337_09cf, 0xf8c1_b5ef_e577_8040, 0x3fc7_148e_21c7_b622,
+            0xe481_cec9_1610_9d7f, 0x0d4c_f482_d7fa_c041,
         ]
     );
 }

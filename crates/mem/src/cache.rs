@@ -617,7 +617,7 @@ mod tests {
         // A restore moves it even when it restores the very same lines:
         // the generation is not part of the saved state.
         let saved = state(&c);
-        let (mut r, _) = temu_state::StateReader::new(&saved, *b"TEST", 1).unwrap();
+        let mut r = temu_state::StateReader::new(&saved, *b"TEST", 1).unwrap();
         let g = c.generation();
         c.load_state(&mut r).unwrap();
         r.finish().unwrap();

@@ -507,7 +507,7 @@ mod tests {
         a.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut c = machine(4, src);
-        let (mut r, _) = temu_state::StateReader::new(&bytes, *b"MACH", 1).unwrap();
+        let mut r = temu_state::StateReader::new(&bytes, *b"MACH", 1).unwrap();
         c.load_state(&mut r).unwrap();
         r.finish().unwrap();
 
@@ -532,7 +532,7 @@ mod tests {
     }
 
     fn restore(m: &mut Machine, bytes: &[u8]) {
-        let (mut r, _) = temu_state::StateReader::new(bytes, *b"MACH", 1).unwrap();
+        let mut r = temu_state::StateReader::new(bytes, *b"MACH", 1).unwrap();
         m.load_state(&mut r).unwrap();
         r.finish().unwrap();
     }
@@ -591,7 +591,7 @@ mod tests {
         a.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut wrong = machine(4, "halt\n");
-        let (mut r, _) = temu_state::StateReader::new(&bytes, *b"MACH", 1).unwrap();
+        let mut r = temu_state::StateReader::new(&bytes, *b"MACH", 1).unwrap();
         assert!(wrong.load_state(&mut r).is_err());
         let _ = &mut a;
     }

@@ -152,7 +152,7 @@ mod tests {
         };
         let load = |bytes: &[u8]| {
             let mut b = EventBuffer::new(4);
-            let (mut r, _) = StateReader::new(bytes, *b"EVTB", 1).unwrap();
+            let mut r = StateReader::new(bytes, *b"EVTB", 1).unwrap();
             b.load_state(&mut r).map(|()| b)
         };
         for (buffered, overflowed) in [(0, 0), (3, 0), (4, 0), (4, 5)] {

@@ -620,7 +620,7 @@ mod tests {
         u.read(0, 0x2000, Width::Word, 20).unwrap();
         assert_eq!(generation(&u), filled, "hits, and D-cache fills, leave it");
         let saved = state(&u);
-        let (mut r, _) = StateReader::new(&saved, *b"TEST", 1).unwrap();
+        let mut r = StateReader::new(&saved, *b"TEST", 1).unwrap();
         u.load_state(&mut r).unwrap();
         assert_ne!(generation(&u), filled, "a restore moves it");
     }

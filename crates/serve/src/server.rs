@@ -1357,6 +1357,14 @@ mod tests {
             journal.record_submit(1, "smoke", 0, &SweepSpec::named("smoke").expect("smoke preset"));
             journal.record_start(1);
             journal.record_window(1, 7, 3, b"not an emulation state");
+            // A state that decodes, but for its version word, which names
+            // the older layout.
+            let mut emulation = temu_framework::Scenario::exploration_bus(1).build().unwrap();
+            emulation.run_window().unwrap();
+            let mut older = emulation.checkpoint().to_bytes();
+            assert!(EmulationState::from_bytes(&older).is_ok());
+            older[4..8].copy_from_slice(&1u32.to_le_bytes());
+            journal.record_window(1, 8, 1, &older);
         }
         let server = Server::bind(ServeConfig {
             addr: String::from("127.0.0.1:0"),
@@ -1367,7 +1375,7 @@ mod tests {
         let recovered = (server.recovered_jobs(), server.recovered_checkpoints(), server.skipped_records());
         drop(server);
         std::fs::remove_dir_all(&dir).unwrap();
-        assert_eq!(recovered, (1, 0, 1), "one job, no state, the junk state counted as skipped");
+        assert_eq!(recovered, (1, 0, 2), "one job, no state, the junk and the older state counted as skipped");
     }
 
     /// A real point summary with its floats pinned to fixed values

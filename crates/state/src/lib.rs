@@ -275,17 +275,14 @@ pub struct StateReader<'a> {
 }
 
 impl<'a> StateReader<'a> {
-    /// Opens a stream, checking the magic and version. Returns the reader
-    /// and the version found (always `<= supported_version`).
+    /// Opens a stream, checking the magic and the version: a reader decodes
+    /// exactly one layout, so any other version, older or newer, fails
+    /// closed.
     ///
     /// # Errors
     ///
     /// Returns [`StateError::BadMagic`] or [`StateError::UnsupportedVersion`].
-    pub fn new(
-        buf: &'a [u8],
-        magic: [u8; 4],
-        supported_version: u32,
-    ) -> Result<(StateReader<'a>, u32), StateError> {
+    pub fn new(buf: &'a [u8], magic: [u8; 4], version: u32) -> Result<StateReader<'a>, StateError> {
         let mut found = [0u8; 4];
         for (i, b) in buf.iter().take(4).enumerate() {
             found[i] = *b;
@@ -294,11 +291,11 @@ impl<'a> StateReader<'a> {
             return Err(StateError::BadMagic { expected: magic, found });
         }
         let mut r = StateReader { buf, pos: 4 };
-        let version = r.u32()?;
-        if version > supported_version {
-            return Err(StateError::UnsupportedVersion { found: version, supported: supported_version });
+        let found = r.u32()?;
+        if found != version {
+            return Err(StateError::UnsupportedVersion { found, supported: version });
         }
-        Ok((r, version))
+        Ok(r)
     }
 
     /// Number of bytes not yet consumed.
@@ -507,8 +504,7 @@ mod tests {
         w.f64(1.0 / 3.0);
         let bytes = w.into_bytes();
 
-        let (mut r, version) = StateReader::new(&bytes, MAGIC, 1).unwrap();
-        assert_eq!(version, 1);
+        let mut r = StateReader::new(&bytes, MAGIC, 1).unwrap();
         assert_eq!(r.u8().unwrap(), 7);
         assert!(r.bool().unwrap());
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
@@ -531,7 +527,7 @@ mod tests {
         w.u32_slice(&x);
         w.bytes(b"hello");
         let bytes = w.into_bytes();
-        let (mut r, _) = StateReader::new(&bytes, MAGIC, 1).unwrap();
+        let mut r = StateReader::new(&bytes, MAGIC, 1).unwrap();
         assert_eq!(r.f64_vec().unwrap(), f.to_vec());
         assert_eq!(r.u64_vec().unwrap(), u.to_vec());
         assert_eq!(r.u32_vec().unwrap(), x.to_vec());
@@ -549,7 +545,7 @@ mod tests {
         w.bytes_rle(&data);
         let bytes = w.into_bytes();
         assert!(bytes.len() < 200, "mostly-zero 64 KiB should RLE to <200 B, got {}", bytes.len());
-        let (mut r, _) = StateReader::new(&bytes, MAGIC, 1).unwrap();
+        let mut r = StateReader::new(&bytes, MAGIC, 1).unwrap();
         assert_eq!(r.bytes_rle().unwrap(), data);
         r.finish().unwrap();
     }
@@ -573,7 +569,7 @@ mod tests {
             let mut w = StateWriter::new(MAGIC, 1);
             w.bytes_rle(&data);
             let bytes = w.into_bytes();
-            let (mut r, _) = StateReader::new(&bytes, MAGIC, 1).unwrap();
+            let mut r = StateReader::new(&bytes, MAGIC, 1).unwrap();
             assert_eq!(r.bytes_rle().unwrap(), data);
             r.finish().unwrap();
         }
@@ -591,6 +587,12 @@ mod tests {
             StateReader::new(&bytes, MAGIC, 2),
             Err(StateError::UnsupportedVersion { found: 3, supported: 2 })
         ));
+        // An older stream fails closed too: a reader decodes one layout.
+        assert!(matches!(
+            StateReader::new(&bytes, MAGIC, 4),
+            Err(StateError::UnsupportedVersion { found: 3, supported: 4 })
+        ));
+        assert!(StateReader::new(&bytes, MAGIC, 3).is_ok());
         assert!(matches!(StateReader::new(b"TS", MAGIC, 1), Err(StateError::BadMagic { .. })));
     }
 
@@ -600,7 +602,7 @@ mod tests {
         w.u32(1);
         w.u64(5);
         let bytes = w.into_bytes();
-        let (mut r, _) = StateReader::new(&bytes[..bytes.len() - 2], MAGIC, 1).unwrap();
+        let mut r = StateReader::new(&bytes[..bytes.len() - 2], MAGIC, 1).unwrap();
         assert_eq!(r.u32().unwrap(), 1);
         assert!(matches!(r.u64(), Err(StateError::UnexpectedEof { .. })));
     }
@@ -611,7 +613,7 @@ mod tests {
         w.u32(1);
         w.u32(2);
         let bytes = w.into_bytes();
-        let (mut r, _) = StateReader::new(&bytes, MAGIC, 1).unwrap();
+        let mut r = StateReader::new(&bytes, MAGIC, 1).unwrap();
         assert_eq!(r.u32().unwrap(), 1);
         assert!(matches!(r.finish(), Err(StateError::TrailingBytes { remaining: 4 })));
     }
@@ -621,7 +623,7 @@ mod tests {
         let mut w = StateWriter::new(MAGIC, 1);
         w.f64_slice(&[1.0, 2.0]);
         let bytes = w.into_bytes();
-        let (mut r, _) = StateReader::new(&bytes, MAGIC, 1).unwrap();
+        let mut r = StateReader::new(&bytes, MAGIC, 1).unwrap();
         assert!(matches!(r.f64_vec_exact(3), Err(StateError::BadLength { found: 2, max: 3 })));
     }
 
@@ -630,7 +632,7 @@ mod tests {
         let mut w = StateWriter::new(MAGIC, 1);
         w.u64(u64::MAX); // a "length" that must be rejected before allocating
         let bytes = w.into_bytes();
-        let (mut r, _) = StateReader::new(&bytes, MAGIC, 1).unwrap();
+        let mut r = StateReader::new(&bytes, MAGIC, 1).unwrap();
         assert!(matches!(r.usize(), Err(StateError::BadLength { .. })));
     }
 }

@@ -200,8 +200,9 @@ fn residual_nanokelvin(residual_k: f64) -> u64 {
 /// Magic bytes of a [`ThermalModel::snapshot`] stream.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TSNP";
 
-/// Version of the snapshot format written by this build.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version of the snapshot format this build writes, and the only one it
+/// reads.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Substeps between silicon-conductivity refreshes on the explicit path
 /// (the seed's fixed cadence; the stability-bounded explicit substep is
@@ -552,29 +553,28 @@ impl ThermalModel {
     /// Serializes the model's run state at a step boundary (between
     /// [`ThermalModel::try_step`] calls): temperatures, component powers,
     /// the coefficient-refresh anchor, the second-order warm-start vectors
-    /// and their substep lengths, the convergence accounting and the
-    /// time/energy bookkeeping. The mesh, the solver configuration and the
-    /// multigrid hierarchy are *not* recorded — [`ThermalModel::restore`]
-    /// rebuilds them deterministically from the same floorplan and config.
+    /// and their substep lengths, the convergence accounting since
+    /// construction ([`SolverStats`]) and the time/energy bookkeeping, in a
+    /// `TSNP` stream of version [`SNAPSHOT_VERSION`].
     ///
-    /// The SOR tuner holds no state across substeps (a fresh
-    /// `SorTuner` is constructed inside every solve), so snapshots taken
-    /// at step boundaries cover it vacuously.
+    /// Nothing a restore re-derives is recorded. The mesh and the solver
+    /// configuration come from the same floorplan and config. The
+    /// multigrid hierarchy is built lazily by the next multigrid substep,
+    /// as a fresh model's first substep builds it. A substep's own effort
+    /// and convergence outcome go straight from the substep to
+    /// [`ThermalModel::try_step`], so no step boundary holds them. The SOR
+    /// tuner holds no state across substeps (a fresh `SorTuner` is
+    /// constructed inside every solve).
     pub fn snapshot(&self) -> Vec<u8> {
         let mut w = StateWriter::new(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
         w.f64_slice(&self.temps);
         w.f64_slice(&self.comp_power);
         w.f64_slice(&self.refresh_temps);
         w.u64(self.since_refresh);
-        w.bool(self.mg.is_some());
         w.f64_slice(&self.step_delta);
         w.f64(self.step_delta_h);
         w.f64_slice(&self.step_delta_prev);
         w.f64(self.step_delta_prev_h);
-        w.usize(self.last_sweeps);
-        w.usize(self.last_cycles);
-        w.bool(self.last_substep_unconverged);
-        w.f64(self.last_delta);
         w.u64(self.unconverged_substeps);
         w.f64(self.worst_unconverged_delta);
         w.u64(self.total_sweeps);
@@ -590,33 +590,28 @@ impl ThermalModel {
     /// *same* floorplan and configuration. After a successful restore the
     /// model continues **bitwise-identically** to the snapshotted one: the
     /// conductances are re-derived at the recorded refresh anchor, the
-    /// multigrid hierarchy (when the snapshotted model had built one) is
-    /// re-aggregated from the same ambient-uniform conductances the
-    /// original was built from, and the warm-start vectors resume the
-    /// solver on the identical iterate.
+    /// next multigrid substep aggregates the hierarchy from the same
+    /// ambient-uniform conductances the original was built from (a model
+    /// that already holds one keeps it, marked stale), and the warm-start
+    /// vectors resume the solver on the identical iterate.
     ///
     /// # Errors
     ///
     /// Returns a [`StateError`] if the snapshot's geometry (cell or
     /// component count) disagrees with this model's — it belongs to a
-    /// different floorplan or mesh — or the stream is corrupt. The model
-    /// is unchanged on error.
+    /// different floorplan or mesh — the stream is corrupt, or its version
+    /// is not [`SNAPSHOT_VERSION`]. The model is unchanged on error.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), StateError> {
-        let (mut r, _) = StateReader::new(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
+        let mut r = StateReader::new(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
         let n = self.temps.len();
         let temps = r.f64_vec_exact(n)?;
         let comp_power = r.f64_vec_exact(self.comp_power.len())?;
         let refresh_temps = r.f64_vec_exact(n)?;
         let since_refresh = r.u64()?;
-        let mg_built = r.bool()?;
         let step_delta = r.f64_vec_exact(n)?;
         let step_delta_h = r.f64()?;
         let step_delta_prev = r.f64_vec_exact(n)?;
         let step_delta_prev_h = r.f64()?;
-        let last_sweeps = r.usize()?;
-        let last_cycles = r.usize()?;
-        let last_substep_unconverged = r.bool()?;
-        let last_delta = r.f64()?;
         let unconverged_substeps = r.u64()?;
         let worst_unconverged_delta = r.f64()?;
         let total_sweeps = r.u64()?;
@@ -632,9 +627,6 @@ impl ThermalModel {
             }
         }
         self.set_powers(&comp_power);
-        if mg_built && self.mg.is_none() {
-            self.mg = Some(self.build_multigrid());
-        }
         // Re-derive the lagged coefficients at the recorded refresh anchor,
         // then install the live temperatures on top. `refresh_conductances`
         // marks the implicit diagonal and the multigrid conductances stale;
@@ -650,10 +642,6 @@ impl ThermalModel {
         self.step_delta_h = step_delta_h;
         self.step_delta_prev = step_delta_prev;
         self.step_delta_prev_h = step_delta_prev_h;
-        self.last_sweeps = last_sweeps;
-        self.last_cycles = last_cycles;
-        self.last_substep_unconverged = last_substep_unconverged;
-        self.last_delta = last_delta;
         self.unconverged_substeps = unconverged_substeps;
         self.worst_unconverged_delta = worst_unconverged_delta;
         self.total_sweeps = total_sweeps;
@@ -1489,9 +1477,12 @@ mod tests {
     fn restore_rejects_corrupt_stream() {
         let m = uniform(1.0, &GridConfig::default());
         let mut snap = m.snapshot();
+        let mut older = snap.clone();
+        older[4..8].copy_from_slice(&1u32.to_le_bytes());
         snap.truncate(snap.len() - 3);
         let mut r = uniform(1.0, &GridConfig::default());
         assert!(r.restore(&snap).is_err());
+        assert_eq!(r.restore(&older), Err(StateError::UnsupportedVersion { found: 1, supported: 2 }));
     }
 
     #[test]
