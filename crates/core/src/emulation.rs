@@ -116,11 +116,12 @@ pub struct ThermalEmulation {
     link: EthernetLink,
     cfg: EmulationConfig,
     policy: Option<DfsPolicy>,
+    /// One sample per window since the build: the run's window count,
+    /// virtual seconds and FPGA seconds are its length and its last
+    /// sample's.
     trace: ThermalTrace,
-    windows: u64,
-    virtual_seconds: f64,
-    virtual_cycles: u64,
-    fpga_seconds: f64,
+    /// The windows' statistics since the build: `cycles()` is the run's
+    /// virtual cycles.
     aggregate: WindowStats,
     /// Host time spent in `run_*` calls.
     wall: Duration,
@@ -165,10 +166,6 @@ impl ThermalEmulation {
             policy: cfg.policy.clone(),
             cfg,
             trace: ThermalTrace::new(names),
-            windows: 0,
-            virtual_seconds: 0.0,
-            virtual_cycles: 0,
-            fpga_seconds: 0.0,
             aggregate: WindowStats::default(),
             wall: Duration::ZERO,
             scenario_key: 0,
@@ -248,22 +245,30 @@ impl ThermalEmulation {
         });
         temu_obs::time!("core.stage.feedback_ns", self.feed_back(&temps, hz));
 
-        // Bookkeeping.
-        self.windows += 1;
-        self.virtual_seconds += window_s;
-        self.virtual_cycles += stats.cycles();
-        self.fpga_seconds += physical_window_s + link_freeze_s;
+        // Bookkeeping: the sample carries the run's clocks on.
+        let (t_virtual_s, fpga_seconds) = self.clocks();
         self.aggregate.merge(&stats);
         let hottest = temps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         self.trace.push(TraceSample {
-            t_virtual_s: self.virtual_seconds,
+            t_virtual_s: t_virtual_s + window_s,
             temps_k: temps,
             max_temp_k: hottest,
             virtual_hz: hz,
             total_power_w: powers.iter().sum(),
-            fpga_seconds: self.fpga_seconds,
+            fpga_seconds: fpga_seconds + (physical_window_s + link_freeze_s),
         });
         Ok(())
+    }
+
+    /// Windows run since the build: one trace sample each.
+    fn windows(&self) -> u64 {
+        self.trace.len() as u64
+    }
+
+    /// `(virtual seconds, FPGA seconds)` since the build: the last
+    /// sample's, zero before the first window.
+    fn clocks(&self) -> (f64, f64) {
+        self.trace.samples.last().map_or((0.0, 0.0), |s| (s.t_virtual_s, s.fpga_seconds))
     }
 
     /// Sends the window's statistics record for `components` floorplan
@@ -316,7 +321,7 @@ impl ThermalEmulation {
     /// Propagates platform faults and (strict mode) thermal
     /// non-convergence.
     pub fn run_to_halt(&mut self, max_windows: u64) -> Result<EmulationReport, TemuError> {
-        let max_windows = self.windows.saturating_add(max_windows);
+        let max_windows = self.windows().saturating_add(max_windows);
         self.run_budget(RunBudget::ToHalt { max_windows }, None)
     }
 
@@ -329,7 +334,7 @@ impl ThermalEmulation {
     /// Propagates platform faults and (strict mode) thermal
     /// non-convergence.
     pub fn run_windows(&mut self, n: u64) -> Result<EmulationReport, TemuError> {
-        self.run_budget(RunBudget::Windows(self.windows.saturating_add(n)), None)
+        self.run_budget(RunBudget::Windows(self.windows().saturating_add(n)), None)
     }
 
     /// Runs a [`RunBudget`] with optional mid-run observation — the one
@@ -363,15 +368,16 @@ impl ThermalEmulation {
             RunBudget::Windows(n) => (n, false),
         };
         let mut run = || -> Result<(), TemuError> {
-            while self.windows < cap {
-                if to_halt && self.windows > 0 && self.machine.all_halted() {
+            while self.windows() < cap {
+                if to_halt && self.windows() > 0 && self.machine.all_halted() {
                     break;
                 }
                 self.run_window()?;
                 if let Some((every, hook)) = observer.as_mut() {
+                    let windows = self.windows();
                     if *every > 0
-                        && self.windows.is_multiple_of(*every)
-                        && self.windows < cap
+                        && windows.is_multiple_of(*every)
+                        && windows < cap
                         && !(to_halt && self.machine.all_halted())
                     {
                         hook(self)?;
@@ -389,8 +395,8 @@ impl ThermalEmulation {
     /// serializable [`EmulationState`] — machine (cores, caches, memories,
     /// interconnect, sniffers, VPCM), thermal model (temperature field,
     /// warm-start history, convergence accounting), statistics link, DFS
-    /// ladder position, trace and every cumulative counter. Restoring it
-    /// into a freshly built identical emulation
+    /// ladder position, trace samples and the run's aggregate statistics.
+    /// Restoring it into a freshly built identical emulation
     /// ([`crate::Scenario::resume_run`]) continues the run
     /// bitwise-identically.
     pub fn checkpoint(&self) -> EmulationState {
@@ -403,12 +409,8 @@ impl ThermalEmulation {
         self.link.save_state(&mut w);
         EmulationState {
             scenario_key: self.scenario_key,
-            windows: self.windows,
-            virtual_seconds: self.virtual_seconds,
-            virtual_cycles: self.virtual_cycles,
-            fpga_seconds: self.fpga_seconds,
             aggregate: self.aggregate.clone(),
-            trace: self.trace.clone(),
+            samples: self.trace.samples.clone(),
             dfs_level: self.policy.as_ref().map(DfsPolicy::level),
             platform: w.into_bytes(),
             model: self.model.snapshot(),
@@ -451,23 +453,20 @@ impl ThermalEmulation {
                 .into());
             }
         }
-        self.windows = state.windows;
-        self.virtual_seconds = state.virtual_seconds;
-        self.virtual_cycles = state.virtual_cycles;
-        self.fpga_seconds = state.fpga_seconds;
         self.aggregate = state.aggregate.clone();
-        self.trace.samples = state.trace.samples.clone();
+        self.trace.samples = state.samples.clone();
         Ok(())
     }
 
     /// The run since the build, as the last `run_*` call reported it,
     /// plus any windows run since through [`ThermalEmulation::run_window`].
     pub fn totals(&self) -> EmulationReport {
+        let (virtual_seconds, fpga_seconds) = self.clocks();
         EmulationReport {
-            windows: self.windows,
-            virtual_seconds: self.virtual_seconds,
-            virtual_cycles: self.virtual_cycles,
-            fpga_seconds: self.fpga_seconds,
+            windows: self.windows(),
+            virtual_seconds,
+            virtual_cycles: self.aggregate.cycles(),
+            fpga_seconds,
             wall: self.wall,
             all_halted: self.machine.all_halted(),
             aggregate: self.aggregate.clone(),
@@ -490,8 +489,14 @@ impl ThermalEmulation {
 ///   coefficient anchors, second-order warm-start history, SOR/convergence
 ///   accounting ([`ThermalModel::snapshot`]);
 /// * the **statistics link** counters, the **DFS ladder** position, the
-///   recorded temperature **trace**, and the run's counters since the
-///   build.
+///   recorded temperature **trace** samples and the **aggregate** window
+///   statistics since the build.
+///
+/// It holds each fact once. The run's window count is the number of
+/// samples; its virtual and FPGA seconds are the last sample's; its
+/// virtual cycles are `aggregate.cycles()`. The component names, the
+/// mesh, the configuration and the multigrid hierarchy come from the
+/// build the state is restored into.
 ///
 /// # Invariants
 ///
@@ -513,12 +518,9 @@ impl ThermalEmulation {
 #[derive(Clone, Debug)]
 pub struct EmulationState {
     scenario_key: u64,
-    windows: u64,
-    virtual_seconds: f64,
-    virtual_cycles: u64,
-    fpga_seconds: f64,
     aggregate: WindowStats,
-    trace: ThermalTrace,
+    /// The trace's samples; the restoring build has the component names.
+    samples: Vec<TraceSample>,
     dfs_level: Option<usize>,
     /// Machine + statistics-link sections under the `TPLT` envelope.
     platform: Vec<u8>,
@@ -535,7 +537,7 @@ impl EmulationState {
 
     /// Sampling windows the run had executed when this state was taken.
     pub fn windows(&self) -> u64 {
-        self.windows
+        self.samples.len() as u64
     }
 
     /// Serializes the state into a self-describing versioned byte stream
@@ -547,8 +549,8 @@ impl EmulationState {
         let mut w = StateWriter::new(STATE_MAGIC, STATE_VERSION);
         w.u64(self.scenario_key);
         self.aggregate.save_state(&mut w);
-        w.usize(self.trace.samples.len());
-        for s in &self.trace.samples {
+        w.usize(self.samples.len());
+        for s in &self.samples {
             w.f64(s.t_virtual_s);
             w.f64_slice(&s.temps_k);
             w.f64(s.max_temp_k);
@@ -594,21 +596,10 @@ impl EmulationState {
         let platform = r.bytes()?;
         let model = r.bytes()?;
         r.finish()?;
-        // The run's counters are the last sample's and the aggregate's.
-        let last = samples.last();
-        let windows = samples.len() as u64;
-        let virtual_seconds = last.map_or(0.0, |s| s.t_virtual_s);
-        let fpga_seconds = last.map_or(0.0, |s| s.fpga_seconds);
-        let virtual_cycles = aggregate.cycles();
-        let trace = ThermalTrace { samples, ..ThermalTrace::default() };
         Ok(EmulationState {
             scenario_key,
-            windows,
-            virtual_seconds,
-            virtual_cycles,
-            fpga_seconds,
             aggregate,
-            trace,
+            samples,
             dfs_level,
             platform,
             model,

@@ -387,15 +387,6 @@ pub struct ThermalModel {
     step_delta_prev: Vec<f64>,
     /// Substep length `step_delta_prev` was recorded at (NaN = invalid).
     step_delta_prev_h: f64,
-    /// Sweeps the last implicit substep needed (diagnostic).
-    last_sweeps: usize,
-    /// Multigrid cycles the last implicit substep needed (0 on the plain
-    /// Gauss–Seidel path).
-    last_cycles: usize,
-    /// Whether the last implicit substep was accepted unconverged.
-    last_substep_unconverged: bool,
-    /// The last implicit substep's final iteration update, K.
-    last_delta: f64,
     /// Implicit substeps accepted without reaching the convergence
     /// tolerance (see [`SolverStats`]).
     unconverged_substeps: u64,
@@ -479,10 +470,6 @@ impl ThermalModel {
             step_delta_h: f64::NAN,
             step_delta_prev: vec![0.0; n],
             step_delta_prev_h: f64::NAN,
-            last_sweeps: 0,
-            last_cycles: 0,
-            last_substep_unconverged: false,
-            last_delta: 0.0,
             unconverged_substeps: 0,
             worst_unconverged_delta: 0.0,
             total_sweeps: 0,
@@ -886,8 +873,8 @@ impl ThermalModel {
                 let reference = self.reference_mode();
                 let multigrid = self.uses_multigrid();
                 for _ in 0..n_sub {
-                    if reference {
-                        self.implicit_substep_reference(h);
+                    let (sweeps, delta, converged) = if reference {
+                        self.implicit_substep_reference(h)
                     } else {
                         let t0 = temu_obs::enabled().then(Instant::now);
                         if self.since_refresh >= REFRESH_MAX_INTERVAL
@@ -902,46 +889,36 @@ impl ThermalModel {
                             substep_obs().refresh_ns.record_duration(t0.elapsed());
                             Instant::now()
                         });
-                        if multigrid {
-                            self.implicit_substep_mg(h, &mut |_, _| {});
+                        let outcome = if multigrid {
+                            self.implicit_substep_mg(h, &mut |_, _| {})
                         } else {
-                            self.implicit_substep_csr(h);
-                        }
+                            self.implicit_substep_csr(h)
+                        };
                         if let Some(t0) = t0 {
                             let o = substep_obs();
                             o.latency_ns.record_duration(t0.elapsed());
-                            o.sweeps.record(self.last_sweeps as u64);
-                            o.residual_nk.record(residual_nanokelvin(self.last_delta));
+                            o.sweeps.record(outcome.0 as u64);
+                            o.residual_nk.record(residual_nanokelvin(outcome.1));
                             if multigrid { &o.substeps_mg } else { &o.substeps_gs }.inc();
                         }
                         self.since_refresh += 1;
+                        outcome
+                    };
+                    if self.cfg.strict_convergence && !converged {
+                        return Err(ThermalError::NotConverged { time_s: self.time, residual_k: delta, sweeps });
                     }
-                    self.check_strict()?;
                 }
                 Ok(())
             }
         }
     }
 
-    /// In strict mode, converts a just-recorded unconverged substep into
-    /// the typed error.
-    fn check_strict(&self) -> Result<(), ThermalError> {
-        if self.cfg.strict_convergence && self.last_substep_unconverged {
-            return Err(ThermalError::NotConverged {
-                time_s: self.time,
-                residual_k: self.last_delta,
-                sweeps: self.last_sweeps,
-            });
-        }
-        Ok(())
-    }
-
     /// One backward-Euler substep on the optimized path: solve
     /// `(C/h + G) T' = C/h * T + P + G_conv * T_amb` by Gauss–Seidel/SOR
     /// with conductances lagged at the last refresh. The system matrix is
     /// strictly diagonally dominant, so the sweeps converge unconditionally
-    /// in any order.
-    fn implicit_substep_csr(&mut self, h: f64) {
+    /// in any order. Returns `(sweeps, final max |ΔT|, converged)`.
+    fn implicit_substep_csr(&mut self, h: f64) -> (usize, f64, bool) {
         let mut clock = PhaseClock::start();
         self.implicit_substep_begin(h);
         clock.lap(Phase::Residual);
@@ -950,6 +927,7 @@ impl ThermalModel {
         self.record_implicit(sweeps, 0, delta, converged);
         self.implicit_substep_finish(h, self.cfg.ambient_k);
         clock.record();
+        (sweeps, delta, converged)
     }
 
     /// The model's multigrid hierarchy: on the shared topology artifact
@@ -969,14 +947,13 @@ impl ThermalModel {
     /// Gauss–Seidel smoothing of the fine grid (see the module docs for
     /// the kernels). Falls back to plain sweeps when the mesh is too small
     /// to coarsen. `on_cycle` sees `(p, A·p)` after every cycle's direction
-    /// update.
-    fn implicit_substep_mg(&mut self, h: f64, on_cycle: &mut impl FnMut(&[f64], &[f64])) {
+    /// update. Returns `(fine sweeps, final scaled residual, converged)`.
+    fn implicit_substep_mg(&mut self, h: f64, on_cycle: &mut impl FnMut(&[f64], &[f64])) -> (usize, f64, bool) {
         if self.mg.is_none() {
             self.mg = Some(self.build_multigrid());
         }
         if self.mg.as_ref().expect("just built").is_degenerate() {
-            self.implicit_substep_csr(h);
-            return;
+            return self.implicit_substep_csr(h);
         }
         let mut clock = PhaseClock::start();
         self.implicit_substep_begin(h);
@@ -1035,6 +1012,7 @@ impl ThermalModel {
         self.record_implicit(sweeps, cycles, delta, converged);
         self.implicit_substep_finish(h, self.cfg.ambient_k);
         clock.record();
+        (sweeps, delta, converged)
     }
 
     /// Shared head of an optimized implicit substep: per-`h` diagonals, the
@@ -1089,13 +1067,9 @@ impl ThermalModel {
         self.substeps += 1;
     }
 
-    /// Records one implicit substep's solver effort and convergence
-    /// outcome.
+    /// Adds one implicit substep's solver effort and convergence outcome
+    /// to the accounting since construction ([`SolverStats`]).
     fn record_implicit(&mut self, sweeps: usize, cycles: usize, delta: f64, converged: bool) {
-        self.last_sweeps = sweeps;
-        self.last_cycles = cycles;
-        self.last_delta = delta;
-        self.last_substep_unconverged = !converged;
         self.total_sweeps += sweeps as u64;
         self.total_cycles += cycles as u64;
         if !converged {
@@ -1138,8 +1112,9 @@ impl ThermalModel {
 
     /// The seed's backward-Euler substep (refresh every substep,
     /// natural-order serial sweeps, per-edge divisions, each row summed in
-    /// neighbour order) — the golden baseline.
-    fn implicit_substep_reference(&mut self, h: f64) {
+    /// neighbour order) — the golden baseline. Returns `(sweeps, final max
+    /// |ΔT|, converged)`.
+    fn implicit_substep_reference(&mut self, h: f64) -> (usize, f64, bool) {
         let amb = self.cfg.ambient_k;
         for i in 0..self.temps.len() {
             self.k_cell[i] = self.conductivity(i, self.temps[i]);
@@ -1194,6 +1169,7 @@ impl ThermalModel {
         std::mem::swap(&mut self.temps, &mut self.work);
         self.time += h;
         self.substeps += 1;
+        (sweeps, final_delta, converged)
     }
 
     /// The seed's forward-Euler substep (edge-wise divisions).
