@@ -32,9 +32,11 @@ pub struct WindowStats {
     pub freeze_link: u64,
     /// Events the window logged into the event-logging sniffers' buffer
     /// (at most its capacity), shipped with the window; in an aggregate,
-    /// the last window's.
+    /// the sum over its windows.
     pub events_pending: usize,
-    /// Events that found the buffer full during the window.
+    /// Events that found the buffer full during the window, shipped with
+    /// it too. An aggregate's `events_pending + events_overflowed` is every
+    /// logged event its windows shipped.
     pub events_overflowed: u64,
 }
 
@@ -78,7 +80,7 @@ impl WindowStats {
         self.interconnect.merge(&other.interconnect);
         self.freeze_mem += other.freeze_mem;
         self.freeze_link += other.freeze_link;
-        self.events_pending = other.events_pending;
+        self.events_pending += other.events_pending;
         self.events_overflowed += other.events_overflowed;
     }
 
