@@ -7,6 +7,7 @@
 //! `CARGO_BIN_EXE_temu-member` (cargo only exposes that env var for bins
 //! of the crate under test).
 
+use crate::server::MIN_METRICS_INTERVAL;
 use crate::{ServeConfig, Server, ADDR_ENV};
 use std::path::PathBuf;
 use std::process::exit;
@@ -62,7 +63,7 @@ pub fn serve_main(args: &[String]) {
                     eprintln!("--metrics-interval takes milliseconds\n{USAGE}");
                     exit(2);
                 });
-                config.metrics_interval = std::time::Duration::from_millis(ms.max(1));
+                config.metrics_interval = std::time::Duration::from_millis(ms);
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -98,10 +99,11 @@ pub fn serve_main(args: &[String]) {
         }
         None => println!("cache: in-memory only (pass --store to persist results)"),
     }
-    // A restart that skipped damaged records says so.
+    // A restart that skipped records says so: damaged ones, and window
+    // records whose state this build cannot read (another state version).
     let skipped = match server.skipped_records() {
         0 => String::new(),
-        n => format!(", {n} damaged record(s) skipped"),
+        n => format!(", {n} unreadable record(s) skipped"),
     };
     match server.journal_path() {
         Some(path) => println!(
@@ -116,7 +118,7 @@ pub fn serve_main(args: &[String]) {
         println!(
             "metrics log {}: one snapshot every {} ms",
             path.display(),
-            config.metrics_interval.as_millis().max(1)
+            config.metrics_interval.max(MIN_METRICS_INTERVAL).as_millis()
         );
     }
     println!("{} worker(s), queue limit {}", config.workers.max(1), config.queue_limit.max(1));

@@ -76,6 +76,10 @@ use temu_framework::{
 /// of them.
 pub const DEFAULT_HISTORY_LIMIT: usize = 4096;
 
+/// Shortest cadence of the metrics log: a shorter
+/// [`ServeConfig::metrics_interval`] runs at this one.
+pub(crate) const MIN_METRICS_INTERVAL: Duration = Duration::from_millis(10);
+
 /// Server configuration (see the module docs).
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -124,7 +128,7 @@ pub struct ServeConfig {
     /// snapshots. A final snapshot is appended at shutdown.
     pub metrics_log: Option<PathBuf>,
     /// Cadence of the metrics log (ignored without
-    /// [`metrics_log`](ServeConfig::metrics_log)).
+    /// [`metrics_log`](ServeConfig::metrics_log)), at least 10 ms.
     pub metrics_interval: Duration,
 }
 
@@ -606,7 +610,7 @@ impl Server {
             obs: ServeObs::new(),
             feed: ResultsFeed::new(),
             metrics_log: config.metrics_log.clone(),
-            metrics_interval: config.metrics_interval.max(Duration::from_millis(10)),
+            metrics_interval: config.metrics_interval.max(MIN_METRICS_INTERVAL),
         });
         // Re-enqueue what the previous incarnation never finished — their
         // executed points are already cache entries, so a recovered job

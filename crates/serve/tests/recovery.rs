@@ -4,6 +4,7 @@
 //! remaining points, and produce a report identical (per `content_key`)
 //! to an uninterrupted run.
 
+use std::ffi::OsStr;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
@@ -149,6 +150,35 @@ fn killed_server_recovers_the_job_and_resumes_from_the_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Starts the real server bin on an ephemeral port with `args`, reads its
+/// startup banner, and shuts the server down before returning the
+/// banner's lines, so a failing assertion on them leaves no server behind.
+fn startup_banner(args: &[&OsStr]) -> String {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_temu-serve"))
+        .args(["--addr", "127.0.0.1:0"])
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn temu-serve");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let (mut addr, mut banner, mut line) = (None, String::new(), String::new());
+    while !line.contains("worker(s)") {
+        line.clear();
+        assert!(stdout.read_line(&mut line).expect("read banner") > 0, "banner ended early");
+        addr = addr.or_else(|| line.trim().strip_prefix("temu-serve listening on ").map(String::from));
+        banner.push_str(&line);
+    }
+    let addr = addr.expect("server printed its address");
+    let stopped = Client::connect(&addr).and_then(|mut client| client.shutdown());
+    if stopped.is_err() {
+        let _ = child.kill();
+    }
+    let _ = child.wait();
+    stopped.expect("graceful shutdown");
+    banner
+}
+
 #[test]
 fn startup_banner_reports_damaged_records_skipped_by_replay() {
     let dir = std::env::temp_dir().join(format!("temu_banner_{}", std::process::id()));
@@ -168,33 +198,26 @@ fn startup_banner_reports_damaged_records_skipped_by_replay() {
     bytes.extend_from_slice(b"TREC torn");
     std::fs::write(&journal, bytes).unwrap();
 
-    let (mut child, _stdout, addr, banner) = {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_temu-serve"))
-            .args(["--addr", "127.0.0.1:0", "--store"])
-            .arg(&store)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn temu-serve");
-        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        let (mut addr, mut banner, mut line) = (None, String::new(), String::new());
-        while !line.contains("worker(s)") {
-            line.clear();
-            assert!(stdout.read_line(&mut line).expect("read banner") > 0, "banner ended early");
-            addr = addr.or_else(|| line.trim().strip_prefix("temu-serve listening on ").map(String::from));
-            banner.push_str(&line);
-        }
-        (child, stdout, addr.expect("server printed its address"), banner)
-    };
+    let banner = startup_banner(&["--store".as_ref(), store.as_os_str()]);
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(
         banner.contains(
-            "0 job(s) recovered and re-enqueued, 0 mid-point state(s) recovered, 1 damaged record(s) skipped\n"
+            "0 job(s) recovered and re-enqueued, 0 mid-point state(s) recovered, 1 unreadable record(s) skipped\n"
         ),
         "{banner}"
     );
-    Client::connect(&addr).expect("connect").shutdown().expect("graceful shutdown");
-    let _ = child.wait();
+}
+
+#[test]
+fn startup_banner_announces_the_metrics_cadence_the_server_keeps() {
+    let dir = std::env::temp_dir().join(format!("temu_metrics_banner_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("metrics.ndjson");
+    // 5 ms is below the server's 10 ms floor: the banner names the floor.
+    let banner =
+        startup_banner(&["--metrics-interval".as_ref(), "5".as_ref(), "--metrics-log".as_ref(), log.as_os_str()]);
     let _ = std::fs::remove_dir_all(&dir);
+    assert!(banner.contains(&format!("metrics log {}: one snapshot every 10 ms\n", log.display())), "{banner}");
 }
 
 #[test]

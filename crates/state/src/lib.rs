@@ -76,11 +76,12 @@ pub enum StateError {
         /// Bytes actually found (zero-padded if the stream is shorter).
         found: [u8; 4],
     },
-    /// The format version is newer than this build understands.
+    /// The format version is not the one this reader decodes: an older
+    /// layout or a newer one.
     UnsupportedVersion {
         /// Version found in the stream.
         found: u32,
-        /// Highest version this build can decode.
+        /// The one version this reader decodes.
         supported: u32,
     },
     /// The stream ended in the middle of a value.
@@ -123,7 +124,7 @@ impl fmt::Display for StateError {
                 )
             }
             StateError::UnsupportedVersion { found, supported } => {
-                write!(f, "state format version {found} is newer than supported {supported}")
+                write!(f, "state format version {found} is not supported (this build reads version {supported})")
             }
             StateError::UnexpectedEof { offset } => {
                 write!(f, "state stream truncated at byte {offset}")
