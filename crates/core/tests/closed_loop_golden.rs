@@ -8,7 +8,7 @@
 //!
 //! The state holds the machine (cores, caches, memories, interconnect,
 //! sniffers, VPCM), the thermal field and its solver history, the link,
-//! the DFS ladder, the trace and every cumulative counter, so a change in
+//! the DFS ladder, the trace and the aggregate statistics, so a change in
 //! any stage of the loop — ISS, power, link, thermal, sensors, policy —
 //! fails here, where `iss_golden` runs the machine alone. The first two
 //! runs solve the paper's mesh by Gauss–Seidel; the `fine_mesh` windows
@@ -25,6 +25,13 @@
 //!
 //! A change that means to move the emulation updates these values and says
 //! why.
+//!
+//! The hashes pin the `EMUS` layout too: a change to what a state holds
+//! or how it is written (its version word included) moves every one of
+//! them although no emulated bit moved. Such a change re-captures them in
+//! a commit that changes only the state's writers, readers and version
+//! words, so that commit shows that only the layout moved; a commit that
+//! then deletes what the stream no longer carries moves none of them.
 
 use temu_framework::{fnv1a64, ImplicitSolve, Scenario, Workload};
 use temu_platform::PlatformConfig;
